@@ -146,15 +146,13 @@ def quartic_anchors(scenario, kin):
     return kin.Omega1, -kin.Omega1, k4
 
 
-def quartic_wavenumbers(scenario, kin):
-    """The four exact internal wavenumbers, sorted to match the anchors.
+def quartic_coefficients(scenario, kin):
+    """Coefficients of (k^2 - A)((k + sign K0)^2 - B) - G, highest power first.
 
-    Roots of (k^2 - Omega1^2)((k -+ K0)^2 - Omega2^2) = strength, with the
-    pump wavenumber K0 entering with a minus sign for down-conversion and
-    a plus sign for up-conversion (the conjugate wave is carried against /
-    along the pump phase respectively).  Returned as [k1, k2, k3, k4]
-    where k1, k2 hug +Omega1, k3 hugs -Omega1 and k4 is the far
-    counter-propagating partner root.
+    Returns (coeffs, K0, A, B, G, sign) with A = Omega1^2, B = Omega2^2,
+    G the coupling strength and sign = -1 for down-conversion, +1 for
+    up-conversion (the conjugate wave is carried against / along the pump
+    phase respectively).
     """
     K0 = scenario.pump_wavenumber()
     A = kin.Omega1**2
@@ -168,7 +166,19 @@ def quartic_wavenumbers(scenario, kin):
         -2.0 * A * sign * K0,
         -A * (K0 * K0 - B) - G,
     ]
-    roots = np.roots(coeffs)
+    return coeffs, K0, A, B, G, sign
+
+
+def quartic_wavenumbers(scenario, kin):
+    """The four exact internal wavenumbers, sorted to match the anchors.
+
+    Roots of (k^2 - Omega1^2)((k -+ K0)^2 - Omega2^2) = strength, with the
+    pump wavenumber K0 entering with a minus sign for down-conversion and
+    a plus sign for up-conversion (see quartic_coefficients).  Returned as
+    [k1, k2, k3, k4] where k1, k2 hug +Omega1, k3 hugs -Omega1 and k4 is
+    the far counter-propagating partner root.
+    """
+    roots = np.roots(quartic_coefficients(scenario, kin)[0])
     a12, a3, a4 = quartic_anchors(scenario, kin)
     scale = max(abs(a12), abs(a4))
 

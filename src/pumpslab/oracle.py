@@ -11,16 +11,23 @@ exact_solve
     fraction of a wavelength, so comparisons average the fast thickness
     phase over one period.
 
+    The quartic roots and mode vectors do not depend on the thickness l;
+    only the exit-face rows 4-7 carry its e^{ikl} phases.  So the systems
+    for every thickness of an average are built as one (N, 8, 8) stack by
+    broadcasting, conditioned (2-norm), solved and residual-checked with
+    one batched numpy call each; exact_solve is the one-thickness case of
+    the same code, and g = 0 stacks the 4x4 coherent slab the same way.
+
 series_sum
-    Explicit numerical summation of the multiple-reflection intensity
+    Explicit term-by-term summation of the multiple-reflection intensity
     series whose closed forms the coupled module uses.
 """
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coupled import ScatterSolution, coupling_strength
+from .coupled import ScatterSolution, quartic_coefficients
 from .errors import ConditioningError, SeriesDomainError
 from .kinematics import longitudinal
 
@@ -44,21 +51,51 @@ class BoundarySystem:
     cond: float
 
 
-def _quartic_roots_raw(scenario, kin):
-    """Quartic roots without anchor sorting (order is irrelevant here)."""
-    K0 = scenario.pump_wavenumber()
-    A = kin.Omega1**2
-    B = kin.Omega2**2
-    G = coupling_strength(scenario, kin.omega, kin.conjugate_kind)
-    sign = -1.0 if kin.conjugate_kind == "pdc" else 1.0
-    coeffs = [
-        1.0,
-        2.0 * sign * K0,
-        K0 * K0 - B - A,
-        -2.0 * A * sign * K0,
-        -A * (K0 * K0 - B) - G,
-    ]
-    return np.roots(coeffs), K0, A, B, G, sign
+def _boundary_stack(scenario, kin, lengths):
+    """Continuity matrices for one incident unit mode at every thickness.
+
+    Returns (matrices (N, 8, 8), rhs (8,), mode_vectors (4, 2), roots).
+    The roots and mode vectors do not depend on the thickness; only the
+    exit-face rows 4-7 carry its phase factors.
+    """
+    coeffs, K0, A, B, G, sign = quartic_coefficients(scenario, kin)
+    roots = np.roots(coeffs)
+    C1 = scenario.g * kin.omega * scenario.omega0
+    kp = roots + sign * K0
+    F1 = roots * roots - A
+    F2 = kp**2 - B
+    # both (F2, G/C1) and (C1, F1) solve F1 a = C1 b at a root (F1 F2 = G);
+    # take the one built from the larger factor, which has no cancellation
+    omega_like = np.abs(F1) <= np.abs(F2)
+    a = np.where(omega_like, F2, C1)
+    b = np.where(omega_like, G / C1, F1)
+    norm = np.maximum(np.abs(a), np.abs(b))
+    vectors = np.stack([a / norm, b / norm], axis=1)
+    a, b = vectors.T
+
+    # carriers: omega field a e^{ikz}; conjugate field i b e^{i(k + s K0) z}
+    W10, W20 = kin.Omega10, kin.Omega20
+    M = np.zeros((len(lengths), 8, 8), dtype=complex)
+    M[:, 0, 4:] = -a
+    M[:, 1, 4:] = -1j * roots * a
+    M[:, 2, 4:] = -1j * b
+    M[:, 3, 4:] = kp * b
+    M[:, 4:6, 4:] = M[:, 0:2, 4:] * np.exp(1j * np.outer(lengths, roots))[:, None]
+    M[:, 6:8, 4:] = M[:, 2:4, 4:] * np.exp(1j * np.outer(lengths, kp))[:, None]
+    M[:, 0, 0] = 1.0
+    M[:, 1, 0] = -1j * W10
+    M[:, 4, 2] = np.exp(1j * W10 * lengths)
+    M[:, 5, 2] = 1j * W10 * M[:, 4, 2]
+    # conjugate amplitudes: transmitted rides e^{s i W20 z}, reflected
+    # e^{-s i W20 z} (for pdc the physical wave is the complex conjugate)
+    M[:, 2, 1] = 1.0
+    M[:, 3, 1] = -sign * 1j * W20
+    M[:, 6, 3] = np.exp(sign * 1j * W20 * lengths)
+    M[:, 7, 3] = sign * 1j * W20 * M[:, 6, 3]
+    rhs = np.zeros(8, dtype=complex)
+    rhs[0] = -1.0
+    rhs[1] = -1j * W10
+    return M, rhs, vectors, roots
 
 
 def build_boundary_system(scenario, omega, p, kind):
@@ -71,78 +108,61 @@ def build_boundary_system(scenario, omega, p, kind):
     if scenario.g == 0.0:
         raise ValueError("coupled system needs g > 0; use exact_solve at g = 0")
     kin = longitudinal(scenario, omega, p, kind)
-    roots, K0, A, B, G, sign = _quartic_roots_raw(scenario, kin)
-    wpart = kin.partner_frequency
-    C1 = scenario.g * omega * scenario.omega0
-    l = scenario.l
-
-    vectors = np.zeros((4, 2), dtype=complex)
-    for j, k in enumerate(roots):
-        F1 = k * k - A
-        F2 = (k + sign * K0) ** 2 - B
-        if abs(F1) <= abs(F2):
-            a, b = F2, G / C1  # root of the omega-like factor
-        else:
-            a, b = C1, F1  # root of the conjugate-like factor
-        norm = max(abs(a), abs(b))
-        vectors[j] = (a / norm, b / norm)
-
-    # carriers: omega field a e^{ikz}; conjugate field i b e^{i(k + s K0) z}
-    M = np.zeros((8, 8), dtype=complex)
-    rhs = np.zeros(8, dtype=complex)
-    for j, k in enumerate(roots):
-        a, b = vectors[j]
-        kp = k + sign * K0
-        phase = np.exp(1j * k * l)
-        phase_p = np.exp(1j * kp * l)
-        M[0, 4 + j] = -a
-        M[1, 4 + j] = -1j * k * a
-        M[2, 4 + j] = -1j * b
-        M[3, 4 + j] = kp * b
-        M[4, 4 + j] = -a * phase
-        M[5, 4 + j] = -1j * k * a * phase
-        M[6, 4 + j] = -1j * b * phase_p
-        M[7, 4 + j] = kp * b * phase_p
-    W10, W20 = kin.Omega10, kin.Omega20
-    M[0, 0] = 1.0
-    M[1, 0] = -1j * W10
-    M[4, 2] = np.exp(1j * W10 * l)
-    M[5, 2] = 1j * W10 * np.exp(1j * W10 * l)
-    if kind == "pdc":
-        # conjugate amplitudes: reflected rides e^{+i W20 z}, transmitted
-        # e^{-i W20 z} (the physical wave is the complex conjugate)
-        M[2, 1] = 1.0
-        M[3, 1] = 1j * W20
-        M[6, 3] = np.exp(-1j * W20 * l)
-        M[7, 3] = -1j * W20 * np.exp(-1j * W20 * l)
-    else:
-        M[2, 1] = 1.0
-        M[3, 1] = -1j * W20
-        M[6, 3] = np.exp(1j * W20 * l)
-        M[7, 3] = 1j * W20 * np.exp(1j * W20 * l)
-    rhs[0] = -1.0
-    rhs[1] = -1j * W10
-    cond = float(np.linalg.cond(M))
+    M, rhs, vectors, roots = _boundary_stack(scenario, kin, np.array([scenario.l]))
     return BoundarySystem(
-        matrix=M, rhs=rhs, mode_vectors=vectors, wavenumbers=roots, cond=cond
+        matrix=M[0], rhs=rhs, mode_vectors=vectors, wavenumbers=roots,
+        cond=float(np.linalg.cond(M[0])),
     )
 
 
-def _linear_slab_solution(W0, W, l):
-    """Coherent single-frequency slab: returns (R, T, a_fwd, a_bwd)."""
-    M = np.array(
-        [
-            [1.0, 0.0, -1.0, -1.0],
-            [-W0, 0.0, -W, W],
-            [0.0, np.exp(1j * W0 * l), -np.exp(1j * W * l), -np.exp(-1j * W * l)],
-            [0.0, W0 * np.exp(1j * W0 * l), -W * np.exp(1j * W * l),
-             W * np.exp(-1j * W * l)],
-        ],
-        dtype=complex,
-    )
-    rhs = np.array([-1.0, -W0, 0.0, 0.0], dtype=complex)
-    R, T, fwd, bwd = np.linalg.solve(M, rhs)
-    return R, T, fwd, bwd
+def _linear_slab_solution(W0, W, lengths):
+    """Coherent single-frequency slab per thickness: (N, 4) of (R, T, a_fwd, a_bwd)."""
+    phase0 = np.exp(1j * W0 * lengths)
+    fwd = np.exp(1j * W * lengths)
+    bwd = np.exp(-1j * W * lengths)
+    M = np.zeros((len(lengths), 4, 4), dtype=complex)
+    M[:, 0] = [1.0, 0.0, -1.0, -1.0]
+    M[:, 1] = [-W0, 0.0, -W, W]
+    M[:, 2, 1:] = np.stack([phase0, -fwd, -bwd], axis=1)
+    M[:, 3, 1:] = np.stack([W0 * phase0, -W * fwd, W * bwd], axis=1)
+    rhs = np.array([[-1.0], [-W0], [0.0], [0.0]], dtype=complex)
+    return np.linalg.solve(M, rhs)[..., 0]
+
+
+def _solve_stack(scenario, kin, lengths):
+    """Amplitudes (N, 8) in UNKNOWN_LABELS order and the worst condition number.
+
+    One ill-conditioned system, or one that misses continuity, refuses
+    the whole stack.  At g = 0 the coherent single-frequency slab is
+    solved instead, with condition number reported as 1.
+    """
+    amps = np.zeros((len(lengths), 8), dtype=complex)
+    if scenario.g == 0.0:
+        amps[:, [0, 2, 4, 6]] = _linear_slab_solution(kin.Omega10, kin.Omega1, lengths)
+        return amps, 1.0
+    M, rhs, vectors, _ = _boundary_stack(scenario, kin, lengths)
+    cond = float(np.linalg.cond(M).max())
+    if cond > COND_LIMIT:
+        raise ConditioningError(
+            f"boundary system condition number {cond:.3e} exceeds "
+            f"{COND_LIMIT:g} (omega={kin.omega:g}, p={kin.p:g}, "
+            f"kind={kin.conjugate_kind})",
+            cond=cond,
+        )
+    rhs = rhs[:, None]
+    x = np.linalg.solve(M, rhs)
+    residual = np.abs(M @ x - rhs).max()
+    scale = max(np.abs(rhs).max(), 1.0)
+    if residual > RESIDUAL_LIMIT * scale:
+        raise ConditioningError(
+            f"continuity residual {residual:.3e} above {RESIDUAL_LIMIT:g} "
+            f"(cond={cond:.3e})",
+            cond=cond,
+        )
+    amps[:, :4] = x[:, :4, 0]
+    # A1..A3 are omega-field amplitudes, A4 the conjugate field of mode 4
+    amps[:, 4:] = x[:, 4:, 0] * vectors[[0, 1, 2, 3], [0, 0, 0, 1]]
+    return amps, cond
 
 
 def exact_solve(scenario, omega, p, kind):
@@ -152,43 +172,20 @@ def exact_solve(scenario, omega, p, kind):
     noise; the returned solution keeps every interference phase.
     """
     kin = longitudinal(scenario, omega, p, kind)
-    if scenario.g == 0.0:
-        R, T, fwd, bwd = _linear_slab_solution(kin.Omega10, kin.Omega1, scenario.l)
-        return ScatterSolution(
-            R1=R, R2=0.0, T1=T, T2=0.0, A1=fwd, A2=0.0, A3=bwd, A4=0.0,
-            kind=kind, method="exact", cond=1.0,
-        )
-    system = build_boundary_system(scenario, omega, p, kind)
-    if system.cond > COND_LIMIT:
-        raise ConditioningError(
-            f"boundary system condition number {system.cond:.3e} exceeds "
-            f"{COND_LIMIT:g} (omega={omega:g}, p={p:g}, kind={kind})",
-            cond=system.cond,
-        )
-    x = np.linalg.solve(system.matrix, system.rhs)
-    residual = np.abs(system.matrix @ x - system.rhs).max()
-    scale = max(np.abs(system.rhs).max(), 1.0)
-    if residual > RESIDUAL_LIMIT * scale:
-        raise ConditioningError(
-            f"continuity residual {residual:.3e} above {RESIDUAL_LIMIT:g} "
-            f"(cond={system.cond:.3e})",
-            cond=system.cond,
-        )
-    c = x[4:]
-    amps = system.mode_vectors
+    amps, cond = _solve_stack(scenario, kin, np.array([scenario.l]))
     return ScatterSolution(
-        R1=x[0],
-        R2=x[1],
-        T1=x[2],
-        T2=x[3],
-        A1=c[0] * amps[0, 0],
-        A2=c[1] * amps[1, 0],
-        A3=c[2] * amps[2, 0],
-        A4=c[3] * amps[3, 1],
-        kind=kind,
-        method="exact",
-        cond=system.cond,
+        **dict(zip(UNKNOWN_LABELS, amps[0])), kind=kind, method="exact", cond=cond
     )
+
+
+def _intensities(kin, R1, R2, T1, T2):
+    conv = kin.Omega20 / kin.Omega10
+    return {
+        "r1": abs(R1) ** 2,
+        "t1": abs(T1) ** 2,
+        "r2": abs(R2) ** 2 * conv,
+        "t2": abs(T2) ** 2 * conv,
+    }
 
 
 def poynting_intensities(scenario, omega, p, kind, solution=None):
@@ -199,13 +196,7 @@ def poynting_intensities(scenario, omega, p, kind, solution=None):
     kin = longitudinal(scenario, omega, p, kind)
     if solution is None:
         solution = exact_solve(scenario, omega, p, kind)
-    conv = kin.Omega20 / kin.Omega10
-    return {
-        "r1": abs(solution.R1) ** 2,
-        "t1": abs(solution.T1) ** 2,
-        "r2": abs(solution.R2) ** 2 * conv,
-        "t2": abs(solution.T2) ** 2 * conv,
-    }
+    return _intensities(kin, solution.R1, solution.R2, solution.T1, solution.T2)
 
 
 def thickness_averaged_intensities(scenario, omega, p, kind, phases=64):
@@ -213,20 +204,17 @@ def thickness_averaged_intensities(scenario, omega, p, kind, phases=64):
 
     Scans l across 2*pi/Omega1 in `phases` uniform steps, holding the
     slow gain envelope essentially fixed (valid for Omega1 * l >> 1).
+    All phases are solved as one stack; "cond" is the worst of them, and
+    one phase over COND_LIMIT or RESIDUAL_LIMIT refuses the whole average
+    with a ConditioningError carrying that worst cond.
     """
     kin = longitudinal(scenario, omega, p, kind)
     period = 2.0 * math.pi / kin.Omega1
-    acc = {"r1": 0.0, "t1": 0.0, "r2": 0.0, "t2": 0.0}
-    worst_cond = 0.0
-    for j in range(phases):
-        varied = replace(scenario, l=scenario.l + j * period / phases)
-        sol = exact_solve(varied, omega, p, kind)
-        vals = poynting_intensities(varied, omega, p, kind, solution=sol)
-        worst_cond = max(worst_cond, sol.cond)
-        for key in acc:
-            acc[key] += vals[key]
-    out = {key: val / phases for key, val in acc.items()}
-    out["cond"] = worst_cond
+    lengths = scenario.l + np.arange(phases) * period / phases
+    amps, cond = _solve_stack(scenario, kin, lengths)
+    vals = _intensities(kin, *amps[:, :4].T)
+    out = {key: float(val.mean()) for key, val in vals.items()}
+    out["cond"] = cond
     return out
 
 
@@ -243,17 +231,12 @@ def series_sum(r10, r20, gamma, omega, omega0, kind="pdc", terms=40):
     sign = 1.0 if kind == "pdc" else -1.0
     partner = omega0 - omega if kind == "pdc" else omega0 + omega
     freq_ratio = partner / omega
-    r1 = r10
-    for n in range(1, terms + 1):
-        r1 += r10 ** (2 * n - 1) * t10 * t10 * (1.0 + sign * n * gamma)
-    t1 = 0.0
-    for n in range(terms + 1):
-        t1 += t10 * t10 * r10 ** (2 * n) * (1.0 + sign * (n + 1) * gamma)
-    r2 = 0.0
-    t2 = 0.0
-    for m in range(terms + 1):
-        for n in range(terms + 1):
-            base = freq_ratio * gamma * t10 * t20 * r10 ** (2 * m)
-            r2 += base * r20 ** (2 * n + 1)
-            t2 += base * r20 ** (2 * n)
-    return r1, t1, r2, t2
+    n = np.arange(terms + 1)
+    k = n[1:]
+    r1 = r10 + np.sum(r10 ** (2 * k - 1) * t10 * t10 * (1.0 + sign * k * gamma))
+    t1 = np.sum(t10 * t10 * r10 ** (2 * n) * (1.0 + sign * (n + 1) * gamma))
+    # the double sum over (m, n) separates into a product of two single sums
+    base = freq_ratio * gamma * t10 * t20 * np.sum(r10 ** (2 * n))
+    r2 = base * np.sum(r20 ** (2 * n + 1))
+    t2 = base * np.sum(r20 ** (2 * n))
+    return float(r1), float(t1), float(r2), float(t2)

@@ -4,6 +4,7 @@ Rows are plain dicts with a fixed column order so that CSV and JSON-lines
 outputs carry identical values.  Floats are rounded to 12 significant
 digits at the formatting boundary, which makes repeated runs byte-stable.
 """
+import io
 import json
 from dataclasses import dataclass, field, replace
 
@@ -181,22 +182,23 @@ def degenerate_rows(scenario, kinds=("pdc",)):
     return rows
 
 
+def _row(omega, kind, quantity, status, tol=None, **values):
+    """One ORACLE_COLUMNS row; columns not given in values stay None."""
+    row = dict.fromkeys(ORACLE_COLUMNS)
+    row.update(omega=omega, kind=kind, quantity=quantity, status=status, tol=tol,
+               **values)
+    return row
+
+
 def _oracle_row(omega, kind, quantity, closed, oracle, tol):
     closed = float(closed)
     oracle = float(oracle)
     abs_err = abs(closed - oracle)
     rel_err = abs_err / max(abs(oracle), 1e-300)
-    return {
-        "omega": omega,
-        "kind": kind,
-        "quantity": quantity,
-        "status": "ok" if rel_err <= tol else "breach",
-        "closed_form": closed,
-        "oracle": oracle,
-        "abs_err": abs_err,
-        "rel_err": rel_err,
-        "tol": tol,
-    }
+    return _row(
+        omega, kind, quantity, "ok" if rel_err <= tol else "breach", tol,
+        closed_form=closed, oracle=oracle, abs_err=abs_err, rel_err=rel_err,
+    )
 
 
 def compare_oracle(request, include_exact=True):
@@ -214,36 +216,14 @@ def compare_oracle(request, include_exact=True):
             try:
                 report = channel_report(scenario, omega, kind=kind)
             except PumpslabError as exc:
-                rows.append(
-                    {
-                        "omega": omega,
-                        "kind": kind,
-                        "quantity": "channel_report",
-                        "status": _skip_reason(exc),
-                        "closed_form": None,
-                        "oracle": None,
-                        "abs_err": None,
-                        "rel_err": None,
-                        "tol": None,
-                    }
-                )
+                rows.append(_row(omega, kind, "channel_report", _skip_reason(exc)))
                 continue
             if report.gamma == 0.0:
                 # without pump-induced excess the gamma-scale identities
                 # are vacuous; only the shift validation says anything
                 for quantity in ("flux_identity_excess", "flux_identity_partner"):
                     rows.append(
-                        {
-                            "omega": omega,
-                            "kind": kind,
-                            "quantity": quantity,
-                            "status": "not_applicable",
-                            "closed_form": None,
-                            "oracle": None,
-                            "abs_err": None,
-                            "rel_err": None,
-                            "tol": IDENTITY_TOL,
-                        }
+                        _row(omega, kind, quantity, "not_applicable", IDENTITY_TOL)
                     )
             else:
                 ident = report.gamma / (1.0 + report.r10)
@@ -302,17 +282,11 @@ def _quartic_rows(scenario, omega, kind, report):
         shift4 = k[3] - K0 - kin.Omega2
     else:
         shift4 = k[3] + K0 + kin.Omega2
-    pair_row = {
-        "omega": omega,
-        "kind": kind,
-        "quantity": "quartic_pair_roots",
-        "status": "ok" if pair_err <= QUARTIC_TOL else "breach",
-        "closed_form": 0.0,
-        "oracle": 0.0,
-        "abs_err": pair_err,
-        "rel_err": pair_err,
-        "tol": QUARTIC_TOL,
-    }
+    pair_row = _row(
+        omega, kind, "quartic_pair_roots",
+        "ok" if pair_err <= QUARTIC_TOL else "breach", QUARTIC_TOL,
+        closed_form=0.0, oracle=0.0, abs_err=pair_err, rel_err=pair_err,
+    )
     out = [
         _oracle_row(omega, kind, "quartic_eps_product",
                     (eps.eps1 * eps.eps2).real, product.real, QUARTIC_TOL),
@@ -328,34 +302,13 @@ def _quartic_rows(scenario, omega, kind, report):
 def _exact_row(scenario, omega, kind, report, phases):
     applicable = report.r10 <= EXACT_MAX_R10 and report.gamma <= EXACT_MAX_GAMMA
     if not applicable:
-        return {
-            "omega": omega,
-            "kind": kind,
-            "quantity": "exact_excess",
-            "status": "not_applicable",
-            "closed_form": None,
-            "oracle": None,
-            "abs_err": None,
-            "rel_err": None,
-            "tol": EXACT_TOL,
-        }
-    res = (pdc_resonance if kind == "pdc" else puc_resonance)(scenario, omega)
+        return _row(omega, kind, "exact_excess", "not_applicable", EXACT_TOL)
     try:
         averaged = thickness_averaged_intensities(
-            scenario, omega, res.p0, kind, phases=phases
+            scenario, omega, report.p0, kind, phases=phases
         )
     except ConditioningError:
-        return {
-            "omega": omega,
-            "kind": kind,
-            "quantity": "exact_excess",
-            "status": "conditioning_error",
-            "closed_form": None,
-            "oracle": None,
-            "abs_err": None,
-            "rel_err": None,
-            "tol": EXACT_TOL,
-        }
+        return _row(omega, kind, "exact_excess", "conditioning_error", EXACT_TOL)
     measured = averaged["t1"] + averaged["r1"] - 1.0
     if kind == "puc":
         measured = -measured
@@ -398,8 +351,6 @@ def write_rows(rows, columns, stream, output_format="csv"):
 
 
 def rows_to_text(rows, columns, output_format="csv"):
-    import io
-
     buf = io.StringIO()
     write_rows(rows, columns, buf, output_format)
     return buf.getvalue()

@@ -21,6 +21,7 @@ from pumpslab import (
     series_sum,
     slab_coefficients,
     fresnel_step,
+    longitudinal,
     thickness_averaged_intensities,
 )
 
@@ -140,6 +141,60 @@ class TestExactSolveCoupled:
         assert excinfo.value.cond is not None
 
 
+def per_phase_average(scenario, omega, p, kind, phases=64):
+    """The thickness average as separate single-thickness solves."""
+    period = 2.0 * math.pi / longitudinal(scenario, omega, p, kind).Omega1
+    acc = {"r1": 0.0, "t1": 0.0, "r2": 0.0, "t2": 0.0}
+    worst_cond = 0.0
+    for j in range(phases):
+        varied = replace(scenario, l=scenario.l + j * period / phases)
+        sol = exact_solve(varied, omega, p, kind)
+        vals = poynting_intensities(varied, omega, p, kind, solution=sol)
+        worst_cond = max(worst_cond, sol.cond)
+        for key in acc:
+            acc[key] += vals[key]
+    return {key: val / phases for key, val in acc.items()}, worst_cond
+
+
+def resonant_case(case):
+    """(scenario, omega, p, kind) for a coupled pdc/puc point or g = 0."""
+    if case == "g0":
+        model = DispersionModel.constant(1.5)
+        s = CrystalScenario(omega0=1.0, g=0.0, l=1000.0, dispersion=model)
+        return s, 0.45, 0.0, "pdc"
+    s = scenario_for()
+    res = (pdc_resonance if case == "pdc" else puc_resonance)(s, 0.45)
+    return s, 0.45, res.p0, case
+
+
+class TestStackedThicknessAverage:
+    @pytest.mark.parametrize("case", ["pdc", "puc", "g0"])
+    def test_matches_per_phase_solves(self, case):
+        s, omega, p, kind = resonant_case(case)
+        stacked = thickness_averaged_intensities(s, omega, p, kind)
+        looped, worst_cond = per_phase_average(s, omega, p, kind)
+        for key in ("r1", "t1", "r2", "t2"):
+            assert stacked[key] == pytest.approx(looped[key], rel=1e-13, abs=0.0)
+        assert stacked["cond"] == worst_cond
+
+    def test_condition_refusal_carries_worst_cond(self, monkeypatch):
+        s, omega, p, kind = resonant_case("pdc")
+        worst = thickness_averaged_intensities(s, omega, p, kind)["cond"]
+        # only the worst phase exceeds the limit
+        monkeypatch.setattr(oracle_mod, "COND_LIMIT", worst * (1.0 - 1e-12))
+        with pytest.raises(ConditioningError) as excinfo:
+            thickness_averaged_intensities(s, omega, p, kind)
+        assert excinfo.value.cond == worst
+
+    def test_residual_refusal_carries_worst_cond(self, monkeypatch):
+        s, omega, p, kind = resonant_case("puc")
+        worst = thickness_averaged_intensities(s, omega, p, kind)["cond"]
+        monkeypatch.setattr(oracle_mod, "RESIDUAL_LIMIT", 0.0)
+        with pytest.raises(ConditioningError, match="continuity residual") as excinfo:
+            thickness_averaged_intensities(s, omega, p, kind)
+        assert excinfo.value.cond == worst
+
+
 class TestSeriesSum:
     def test_zero_gain_reduces_to_linear(self):
         r1, t1, r2, t2 = series_sum(0.04, 0.04, 0.0, 0.5, 1.0)
@@ -174,6 +229,28 @@ class TestSeriesSum:
         r1, t1, _, t2 = series_sum(0.05, 0.04, 1e-4, 0.5, 1.0, kind="puc")
         assert 1.0 - t1 - r1 == pytest.approx(1e-4 / 1.05, rel=1e-10)
         assert t2 > 0.0
+
+    @pytest.mark.parametrize("kind", ["pdc", "puc"])
+    @pytest.mark.parametrize(
+        "r10,r20,gamma", [(0.04, 0.04, 1e-5), (0.25, 0.10, 1e-3), (0.6, 0.0, 1e-4)]
+    )
+    def test_matches_double_loop_summation(self, r10, r20, gamma, kind):
+        t10, t20 = 1.0 - r10, 1.0 - r20
+        sign = 1.0 if kind == "pdc" else -1.0
+        freq_ratio = (1.0 - 0.4 if kind == "pdc" else 1.0 + 0.4) / 0.4
+        r1, t1, r2, t2 = r10, 0.0, 0.0, 0.0
+        for n in range(1, 41):
+            r1 += r10 ** (2 * n - 1) * t10 * t10 * (1.0 + sign * n * gamma)
+        for n in range(41):
+            t1 += t10 * t10 * r10 ** (2 * n) * (1.0 + sign * (n + 1) * gamma)
+        for m in range(41):
+            for n in range(41):
+                base = freq_ratio * gamma * t10 * t20 * r10 ** (2 * m)
+                r2 += base * r20 ** (2 * n + 1)
+                t2 += base * r20 ** (2 * n)
+        summed = series_sum(r10, r20, gamma, 0.4, 1.0, kind=kind)
+        for got, want in zip(summed, (r1, t1, r2, t2)):
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_divergent_inputs_rejected(self):
         with pytest.raises(SeriesDomainError):
