@@ -10,7 +10,6 @@ Three independent checks anchor the approximations:
 from pumpslab import (
     channel_report,
     epsilon_roots,
-    longitudinal,
     pdc_resonance,
     quartic_wavenumbers,
     series_sum,
@@ -23,12 +22,11 @@ print("exact quartic pair roots vs perturbative shifts (omega = 0.4):")
 for g in (1e-3, 1e-4):
     s = reference_scenario(g=g)
     res = pdc_resonance(s, 0.4)
-    kin = longitudinal(s, 0.4, res.p0, "pdc")
-    k = quartic_wavenumbers(s, kin)
+    k = quartic_wavenumbers(s, res)
     eps = epsilon_roots(s, res)
     err = max(
-        abs(k[0] - kin.Omega1 - eps.eps1) / abs(eps.eps1),
-        abs(k[1] - kin.Omega1 - eps.eps2) / abs(eps.eps2),
+        abs(k[0] - res.Omega1 - eps.eps1) / abs(eps.eps1),
+        abs(k[1] - res.Omega1 - eps.eps2) / abs(eps.eps2),
     )
     print(f"  g = {g:g}: worst relative deviation = {err:.3e}")
 print("  (a tenfold smaller coupling shrinks the deviation tenfold)")
@@ -46,7 +44,7 @@ for name, closed, oracle in zip(("r1", "t1", "r2", "t2"),
 
 # exact boundary solve, thickness-phase averaged
 res = pdc_resonance(s, 0.5)
-avg = thickness_averaged_intensities(s, 0.5, res.p0, "pdc")
+avg = thickness_averaged_intensities(s, 0.5, res.p, "pdc")
 measured = avg["t1"] + avg["r1"] - 1.0
 predicted = rep.gamma / (1.0 + rep.r10)
 print()

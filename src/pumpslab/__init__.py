@@ -8,13 +8,9 @@ form.  All quantities use c = 1 units.
 from .coupled import (
     ChannelReport,
     EpsilonRoots,
-    FirstIteration,
-    ScatterSolution,
     channel_report,
     csinc,
     epsilon_roots,
-    first_iteration,
-    output_amplitudes,
     quartic_wavenumbers,
     rainbow_split,
 )
@@ -30,7 +26,6 @@ from .errors import (
     OutOfBandError,
     PumpslabError,
     SeriesDomainError,
-    SingularCouplingError,
     SweepError,
     UndefinedSplitError,
     ValidityWarning,
@@ -47,6 +42,7 @@ from .kinematics import (
 from .lamina import FresnelStep, fresnel_step, slab_coefficients
 from .oracle import (
     BoundarySystem,
+    ScatterSolution,
     build_boundary_system,
     exact_solve,
     poynting_intensities,
@@ -59,13 +55,10 @@ from .sweep import SweepRequest, compare_oracle, degenerate_rows, run_sweep
 __all__ = [
     "ChannelReport",
     "EpsilonRoots",
-    "FirstIteration",
     "ScatterSolution",
     "channel_report",
     "csinc",
     "epsilon_roots",
-    "first_iteration",
-    "output_amplitudes",
     "quartic_wavenumbers",
     "rainbow_split",
     "DispersionModel",
@@ -80,7 +73,6 @@ __all__ = [
     "OutOfBandError",
     "PumpslabError",
     "SeriesDomainError",
-    "SingularCouplingError",
     "SweepError",
     "UndefinedSplitError",
     "ValidityWarning",

@@ -1,4 +1,4 @@
-"""Pump-coupled mode pairs: wavenumber shifts, boundary amplitudes, fluxes.
+"""Pump-coupled mode pairs: wavenumber shifts, intensity coefficients, fluxes.
 
 Inside the pumped slab a mode at omega is coupled to its conjugate at
 omega0 - omega (down-conversion) or omega0 + omega (up-conversion).  The
@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     DegenerateRootError,
     GeometryError,
-    SingularCouplingError,
     UndefinedSplitError,
     ValidityWarning,
 )
@@ -69,29 +68,22 @@ class EpsilonRoots:
         return (s * s).real
 
 
-def _pair_frequencies(scenario, res):
-    omega = res.omega
-    if res.kind == "pdc":
-        return omega, scenario.omega0 - omega
-    return omega, scenario.omega0 + omega
-
-
 def epsilon_roots(scenario, res, p=None, detuning_warn_fraction=DETUNING_WARN_FRACTION):
     """Perturbative wavenumber shifts at working transverse wavenumber p.
 
-    res holds the resonance-point wavenumbers (omega1, omega2, ...); p
-    defaults to the resonant p0.  Valid for g << 1 and |p - p0| << omega;
-    a ValidityWarning is issued outside the configured detuning fraction.
+    res is the ResonancePoint (its p is the resonant p0); p defaults to
+    p0.  Valid for g << 1 and |p - p0| << omega; a ValidityWarning is
+    issued outside the configured detuning fraction.
     """
-    omega, partner = _pair_frequencies(scenario, res)
-    w1, w2 = res.omega1, res.omega2
+    omega, partner, p0 = res.omega, res.partner, res.p
+    w1, w2 = res.Omega1, res.Omega2
     if w1 <= 0.0 or w2 <= 0.0:
         raise GeometryError("resonant internal wavenumbers must be positive")
     if p is None:
-        p = res.p0
-    if abs(p - res.p0) > detuning_warn_fraction * omega:
+        p = p0
+    if abs(p - p0) > detuning_warn_fraction * omega:
         warnings.warn(
-            f"|p - p0| = {abs(p - res.p0):g} exceeds "
+            f"|p - p0| = {abs(p - p0):g} exceeds "
             f"{detuning_warn_fraction:g} * omega; shift formulas degrade",
             ValidityWarning,
             stacklevel=2,
@@ -99,12 +91,12 @@ def epsilon_roots(scenario, res, p=None, detuning_warn_fraction=DETUNING_WARN_FR
     g, w0 = scenario.g, scenario.omega0
     strength = g * g * w0 * w0 * omega * partner
     if res.kind == "pdc":
-        detuning = (p - res.p0) * res.p0 * (w1 + w2) / (w1 * w2)
+        detuning = (p - p0) * p0 * (w1 + w2) / (w1 * w2)
         product = strength / (4.0 * w1 * w2)
         eps3 = -strength / (8.0 * (w1 + w2) * w1 * w1)
         eps4 = +strength / (8.0 * (w1 + w2) * w2 * w2)
     else:
-        detuning = (p - res.p0) * res.p0 * (w2 - w1) / (w1 * w2)
+        detuning = (p - p0) * p0 * (w2 - w1) / (w1 * w2)
         product = -strength / (4.0 * w1 * w2)
         eps3 = +strength / (8.0 * (w2 - w1) * w1 * w1)
         eps4 = -strength / (8.0 * (w2 - w1) * w2 * w2)
@@ -130,35 +122,19 @@ def epsilon_roots(scenario, res, p=None, detuning_warn_fraction=DETUNING_WARN_FR
     )
 
 
-def coupling_strength(scenario, omega, kind):
-    """Right-hand side of the quartic compatibility condition."""
-    partner = scenario.omega0 - omega if kind == "pdc" else scenario.omega0 + omega
-    return scenario.g**2 * scenario.omega0**2 * omega * partner
-
-
-def quartic_anchors(scenario, kin):
-    """Uncoupled wavenumbers the four quartic roots collapse to at g = 0."""
-    K0 = scenario.pump_wavenumber()
-    if kin.conjugate_kind == "pdc":
-        k4 = K0 + kin.Omega2
-    else:
-        k4 = -(K0 + kin.Omega2)
-    return kin.Omega1, -kin.Omega1, k4
-
-
 def quartic_coefficients(scenario, kin):
     """Coefficients of (k^2 - A)((k + sign K0)^2 - B) - G, highest power first.
 
     Returns (coeffs, K0, A, B, G, sign) with A = Omega1^2, B = Omega2^2,
-    G the coupling strength and sign = -1 for down-conversion, +1 for
-    up-conversion (the conjugate wave is carried against / along the pump
-    phase respectively).
+    G = g^2 omega0^2 omega partner the coupling strength and sign = -1 for
+    down-conversion, +1 for up-conversion (the conjugate wave is carried
+    against / along the pump phase respectively).
     """
     K0 = scenario.pump_wavenumber()
     A = kin.Omega1**2
     B = kin.Omega2**2
-    G = coupling_strength(scenario, kin.omega, kin.conjugate_kind)
-    sign = -1.0 if kin.conjugate_kind == "pdc" else 1.0
+    G = scenario.g**2 * scenario.omega0**2 * kin.omega * kin.partner
+    sign = -1.0 if kin.kind == "pdc" else 1.0
     coeffs = [
         1.0,
         2.0 * sign * K0,
@@ -178,8 +154,11 @@ def quartic_wavenumbers(scenario, kin):
     [k1, k2, k3, k4] where k1, k2 hug +Omega1, k3 hugs -Omega1 and k4 is
     the far counter-propagating partner root.
     """
-    roots = np.roots(quartic_coefficients(scenario, kin)[0])
-    a12, a3, a4 = quartic_anchors(scenario, kin)
+    coeffs, K0 = quartic_coefficients(scenario, kin)[:2]
+    roots = np.roots(coeffs)
+    # uncoupled wavenumbers the four roots collapse to at g = 0
+    a12, a3 = kin.Omega1, -kin.Omega1
+    a4 = K0 + kin.Omega2 if kin.kind == "pdc" else -(K0 + kin.Omega2)
     scale = max(abs(a12), abs(a4))
 
     order4 = sorted(range(4), key=lambda i: abs(roots[i] - a4))
@@ -204,114 +183,6 @@ def quartic_wavenumbers(scenario, kin):
         key1 = ((pair[1] - a12).imag, (pair[1] - a12).real)
         k1, k2 = (pair[0], pair[1]) if key0 >= key1 else (pair[1], pair[0])
     return np.array([k1, k2, k3, k4])
-
-
-@dataclass(frozen=True)
-class FirstIteration:
-    """Amplitudes from matching only the entry face (exit face ignored)."""
-
-    R1: float
-    R2: float
-    A1: complex
-    A2: complex
-
-
-def first_iteration(scenario, res, eps):
-    """First boundary-matching pass: reflected and coupled-pair amplitudes.
-
-    The conjugate reflection R2 vanishes identically at this order; the
-    pair amplitudes satisfy A1 + A2 = 1 + R1 (field continuity) and
-    eps1*A1 + eps2*A2 = 0.
-    """
-    if eps.eps1 == eps.eps2:
-        raise SingularCouplingError(
-            "coupled-pair shifts are degenerate; no unique first iteration"
-        )
-    w1, w10 = res.omega1, res.omega10
-    denom = (eps.eps2 - eps.eps1) * (w10 + w1)
-    return FirstIteration(
-        R1=(w10 - w1) / (w10 + w1),
-        R2=0.0,
-        A1=2.0 * eps.eps2 * w10 / denom,
-        A2=-2.0 * eps.eps1 * w10 / denom,
-    )
-
-
-@dataclass(frozen=True)
-class ScatterSolution:
-    """Eight boundary-matching amplitudes for one incident unit mode."""
-
-    R1: complex
-    R2: complex
-    T1: complex
-    T2: complex
-    A1: complex
-    A2: complex
-    A3: complex
-    A4: complex
-    kind: str
-    method: str = "iteration"
-    cond: float = 0.0
-
-
-def _linear_limit_solution(res):
-    w1, w10 = res.omega1, res.omega10
-    R1 = (w10 - w1) / (w10 + w1)
-    return ScatterSolution(
-        R1=R1,
-        R2=0.0,
-        T1=4.0 * w1 * w10 / (w1 + w10) ** 2,
-        T2=0.0,
-        A1=1.0 + R1,
-        A2=0.0,
-        A3=2.0 * (w1 - w10) * w10 / (w1 + w10) ** 2,
-        A4=0.0,
-        kind=res.kind,
-        method="iteration",
-    )
-
-
-def output_amplitudes(scenario, res, eps, first=None):
-    """Exit-face amplitudes of the two-step iteration (phases dropped).
-
-    Completes first_iteration with the transmitted amplitudes T1, T2 and
-    the internal backward amplitudes A3, A4.  Overall phase factors and
-    near-unity dissipation factors are not tracked; only the intensity
-    bookkeeping downstream is meaningful to higher accuracy.
-
-    The fully degenerate case (g = 0 on resonance, eps1 = eps2 = 0) falls
-    back to the plain linear-slab amplitudes instead of the coupled
-    formulas, which are singular there.
-    """
-    if first is None:
-        if eps.eps1 == eps.eps2:
-            return _linear_limit_solution(res)
-        first = first_iteration(scenario, res, eps)
-    omega, partner = _pair_frequencies(scenario, res)
-    g, l, w0 = scenario.g, scenario.l, scenario.omega0
-    w1, w2, w10, w20 = res.omega1, res.omega2, res.omega10, res.omega20
-    sinc = csinc(eps.xi)
-    envelope = 1.0 - 1j * eps.eps1 * l * cmath.exp(-1j * eps.xi) * sinc
-    T1 = 4.0 * w1 * w10 / (w1 + w10) ** 2 * envelope
-    T2 = 2.0 * g * l * w0 * w10 * partner / ((w1 + w10) * (w2 + w20)) * sinc
-    A3 = 2.0 * (w1 - w10) * w10 / (w1 + w10) ** 2 * envelope
-    A4 = (
-        g * l * w0 * w10 * (w2 - w20) * partner
-        / (w2 * (w1 + w10) * (w2 + w20))
-        * sinc
-    )
-    return ScatterSolution(
-        R1=first.R1,
-        R2=first.R2,
-        T1=T1,
-        T2=T2,
-        A1=first.A1,
-        A2=first.A2,
-        A3=A3,
-        A4=A4,
-        kind=res.kind,
-        method="iteration",
-    )
 
 
 @dataclass(frozen=True)
@@ -368,24 +239,32 @@ def channel_report(scenario, omega, kind="pdc", p=None):
     res = pdc_resonance(scenario, omega) if kind == "pdc" else puc_resonance(
         scenario, omega
     )
+    return resonance_report(scenario, res, p)
+
+
+def resonance_report(scenario, res, p):
+    """channel_report for an already solved ResonancePoint res.
+
+    p is the working transverse wavenumber, or None for the resonant p0.
+    """
     eps = epsilon_roots(scenario, res, p=p)
-    omega_, partner = _pair_frequencies(scenario, res)
+    omega, partner, kind = res.omega, res.partner, res.kind
     g, l, w0 = scenario.g, scenario.l, scenario.omega0
-    w1, w2, w10, w20 = res.omega1, res.omega2, res.omega10, res.omega20
+    w1, w2, w10, w20 = res.Omega1, res.Omega2, res.Omega10, res.Omega20
     gamma = (
-        g * g * l * l * w0 * w0 * omega_ * partner / (4.0 * w1 * w2) * eps.sinc_sq
+        g * g * l * l * w0 * w0 * omega * partner / (4.0 * w1 * w2) * eps.sinc_sq
     )
     r10 = fresnel_step(w10, w1).r0
     r20 = fresnel_step(w20, w2).r0
     sign = 1.0 if kind == "pdc" else -1.0
     r1 = 2.0 * r10 / (1.0 + r10) + sign * gamma * r10 / (1.0 + r10) ** 2
     t1 = (1.0 - r10) / (1.0 + r10) + sign * gamma / (1.0 + r10) ** 2
-    freq_ratio = partner / omega_
+    freq_ratio = partner / omega
     r2 = freq_ratio * gamma * r20 / ((1.0 + r10) * (1.0 + r20))
     t2 = freq_ratio * gamma / ((1.0 + r10) * (1.0 + r20))
     n_idler = (t1 + r1 - 1.0) / 2.0
     n_signal = (t2 + r2) * w10 / (2.0 * w20)
-    cos_ratio = (w20 / partner) / (w10 / omega_)
+    cos_ratio = (w20 / partner) / (w10 / omega)
     if kind == "pdc":
         bracket_omega = 1.0 / (1.0 + r10) + cos_ratio / (1.0 + r20)
         bracket_partner = 1.0 / (1.0 + r20) + (1.0 / cos_ratio) / (1.0 + r10)
@@ -393,13 +272,13 @@ def channel_report(scenario, omega, kind="pdc", p=None):
         bracket_omega = cos_ratio / (1.0 + r20) - 1.0 / (1.0 + r10)
         bracket_partner = (1.0 / cos_ratio) / (1.0 + r10) - 1.0 / (1.0 + r20)
     return ChannelReport(
-        omega=omega_,
+        omega=omega,
         partner=partner,
         kind=kind,
-        p0=res.p0,
-        p=res.p0 if p is None else p,
+        p0=res.p,
+        p=res.p if p is None else p,
         theta=res.theta,
-        theta_partner=math.asin(res.p0 / partner),
+        theta_partner=math.asin(res.p / partner),
         gamma=gamma,
         r10=r10,
         r20=r20,

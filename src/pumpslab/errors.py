@@ -33,10 +33,6 @@ class GeometryError(PumpslabError):
     """Angle or wavenumber request with no propagating-geometry solution."""
 
 
-class SingularCouplingError(PumpslabError):
-    """Coupled-pair wavenumber shifts are degenerate; iteration formulas blow up."""
-
-
 class DegenerateRootError(PumpslabError):
     """Quartic roots could not be matched to anchors unambiguously."""
 

@@ -32,43 +32,34 @@ class ModeKinematics:
     """Longitudinal wavenumbers of one (omega, p) mode pair.
 
     Omega1 / Omega10 are the internal / free-space values at omega;
-    Omega2 / Omega20 the same at the conjugate frequency (omega0 - omega
+    Omega2 / Omega20 the same at the partner frequency (omega0 - omega
     for pdc, omega0 + omega for puc).
     """
 
     omega: float
-    omega0: float
+    partner: float
     p: float
+    kind: str
     Omega1: float
     Omega2: float
     Omega10: float
     Omega20: float
-    conjugate_kind: str
 
     @property
-    def partner_frequency(self):
-        if self.conjugate_kind == "pdc":
-            return self.omega0 - self.omega
-        return self.omega0 + self.omega
-
-
-@dataclass(frozen=True)
-class ResonancePoint:
-    """Phase-matching point for one frequency: p0 and the wavenumbers there."""
-
-    omega: float
-    p0: float
-    theta: float
-    omega1: float
-    omega2: float
-    omega10: float
-    omega20: float
-    kind: str
-    residual: float = 0.0
+    def theta(self):
+        """Exterior angle of the omega mode: asin(p / omega)."""
+        return math.asin(self.p / self.omega)
 
     @property
     def theta_deg(self):
         return math.degrees(self.theta)
+
+
+@dataclass(frozen=True)
+class ResonancePoint(ModeKinematics):
+    """ModeKinematics at the phase-matching p = p0, plus the residual left there."""
+
+    residual: float
 
 
 def partner_frequency(scenario, omega, kind):
@@ -92,11 +83,24 @@ def check_guard_band(scenario, omega):
         )
 
 
-def _longitudinal_pair(omega, p, mu):
-    """(internal, free-space) longitudinal wavenumbers for one frequency."""
-    inside = omega * omega * mu * mu - p * p
-    outside = omega * omega - p * p
-    return inside, outside
+def _mode_pair(cls, omega, partner, p, kind, mu1, mu2, **extra):
+    """Build a cls record from the indices at both frequencies.
+
+    Raises EvanescentError if any longitudinal wavenumber is not real.
+    """
+    values = {}
+    for name, field, radicand in (
+        ("internal", "Omega1", omega * omega * mu1 * mu1 - p * p),
+        ("free-space", "Omega10", omega * omega - p * p),
+        ("partner internal", "Omega2", partner * partner * mu2 * mu2 - p * p),
+        ("partner free-space", "Omega20", partner * partner - p * p),
+    ):
+        if radicand <= 0.0:
+            raise EvanescentError(
+                f"{name} wave at omega={omega:g}, p={p:g} is evanescent"
+            )
+        values[field] = math.sqrt(radicand)
+    return cls(omega=omega, partner=partner, p=p, kind=kind, **values, **extra)
 
 
 def longitudinal(scenario, omega, p, kind="pdc"):
@@ -113,28 +117,7 @@ def longitudinal(scenario, omega, p, kind="pdc"):
     w2 = partner_frequency(scenario, omega, kind)
     mu1 = scenario.dispersion.mu(omega)
     mu2 = scenario.dispersion.mu(w2)
-    in1, out1 = _longitudinal_pair(omega, p, mu1)
-    in2, out2 = _longitudinal_pair(w2, p, mu2)
-    for name, radicand in (
-        ("internal", in1),
-        ("free-space", out1),
-        ("partner internal", in2),
-        ("partner free-space", out2),
-    ):
-        if radicand <= 0.0:
-            raise EvanescentError(
-                f"{name} wave at omega={omega:g}, p={p:g} is evanescent"
-            )
-    return ModeKinematics(
-        omega=omega,
-        omega0=scenario.omega0,
-        p=p,
-        Omega1=math.sqrt(in1),
-        Omega2=math.sqrt(in2),
-        Omega10=math.sqrt(out1),
-        Omega20=math.sqrt(out2),
-        conjugate_kind=kind,
-    )
+    return _mode_pair(ModeKinematics, omega, w2, p, kind, mu1, mu2)
 
 
 def _bisect_with_secant(f, lo, hi, f_lo, f_hi, tol):
@@ -214,17 +197,7 @@ def _resonance(scenario, omega, kind):
         )
     if p0 >= omega:
         raise GeometryError("resonant p0 leaves no exterior angle")
-    return ResonancePoint(
-        omega=omega,
-        p0=p0,
-        theta=math.asin(p0 / omega),
-        omega1=internal(omega, mu1, p0),
-        omega2=internal(w2, mu2, p0),
-        omega10=math.sqrt(omega * omega - p0 * p0),
-        omega20=math.sqrt(w2 * w2 - p0 * p0),
-        kind=kind,
-        residual=fr,
-    )
+    return _mode_pair(ResonancePoint, omega, w2, p0, kind, mu1, mu2, residual=fr)
 
 
 def pdc_resonance(scenario, omega):

@@ -16,14 +16,11 @@ class FresnelStep:
     """Single-interface amplitudes and the matching intensity coefficients.
 
     R0, A0: reflected / internal amplitudes for a unit incident wave.
-    B0, T0: internal backward / transmitted amplitudes of the second pass.
     r0, t0: intensity (Poynting z-ratio) coefficients, r0 + t0 = 1.
     """
 
     R0: float
     A0: float
-    B0: float
-    T0: float
     r0: float
     t0: float
 
@@ -43,9 +40,7 @@ def fresnel_step(omega_out, omega_in):
     A0 = 2.0 * omega_out / (omega_out + omega_in)
     r0 = R0 * R0
     t0 = A0 * A0 * omega_in / omega_out
-    B0 = A0 * R0
-    T0 = A0 * A0 * omega_in / omega_out
-    return FresnelStep(R0=R0, A0=A0, B0=B0, T0=T0, r0=r0, t0=t0)
+    return FresnelStep(R0=R0, A0=A0, r0=r0, t0=t0)
 
 
 def slab_coefficients(step):

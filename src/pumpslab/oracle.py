@@ -27,13 +27,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupled import ScatterSolution, quartic_coefficients
+from .coupled import quartic_coefficients
 from .errors import ConditioningError, SeriesDomainError
 from .kinematics import longitudinal
 
 COND_LIMIT = 1e12
 RESIDUAL_LIMIT = 1e-10
 UNKNOWN_LABELS = ("R1", "R2", "T1", "T2", "A1", "A2", "A3", "A4")
+
+
+@dataclass(frozen=True)
+class ScatterSolution:
+    """Eight boundary-matching amplitudes for one incident unit mode."""
+
+    R1: complex
+    R2: complex
+    T1: complex
+    T2: complex
+    A1: complex
+    A2: complex
+    A3: complex
+    A4: complex
+    kind: str
+    cond: float
 
 
 @dataclass(frozen=True)
@@ -146,7 +162,7 @@ def _solve_stack(scenario, kin, lengths):
         raise ConditioningError(
             f"boundary system condition number {cond:.3e} exceeds "
             f"{COND_LIMIT:g} (omega={kin.omega:g}, p={kin.p:g}, "
-            f"kind={kin.conjugate_kind})",
+            f"kind={kin.kind})",
             cond=cond,
         )
     rhs = rhs[:, None]
@@ -174,7 +190,7 @@ def exact_solve(scenario, omega, p, kind):
     kin = longitudinal(scenario, omega, p, kind)
     amps, cond = _solve_stack(scenario, kin, np.array([scenario.l]))
     return ScatterSolution(
-        **dict(zip(UNKNOWN_LABELS, amps[0])), kind=kind, method="exact", cond=cond
+        **dict(zip(UNKNOWN_LABELS, amps[0])), kind=kind, cond=cond
     )
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coupled import channel_report, epsilon_roots, quartic_wavenumbers, rainbow_split
+from .coupled import epsilon_roots, quartic_wavenumbers, rainbow_split, resonance_report
 from .errors import (
     ConditioningError,
     EvanescentError,
@@ -21,7 +21,7 @@ from .errors import (
     PumpslabError,
     SweepError,
 )
-from .kinematics import longitudinal, pdc_resonance, puc_resonance
+from .kinematics import pdc_resonance, puc_resonance
 from .oracle import series_sum, thickness_averaged_intensities
 
 SWEEP_COLUMNS = (
@@ -107,48 +107,58 @@ def _skip_reason(exc):
     raise exc
 
 
-def _angles(scenario, omega):
-    """Both rainbow angles in degrees where they exist, else None."""
-    theta_d = theta_u = None
-    try:
-        theta_d = pdc_resonance(scenario, omega).theta_deg
-    except PumpslabError:
-        pass
-    try:
-        theta_u = puc_resonance(scenario, omega).theta_deg
-    except PumpslabError:
-        pass
-    return theta_d, theta_u
+def _solved(solve, scenario, omega):
+    """solve(scenario, omega), or the skip reason of the error it raised.
 
-
-def _sweep_row(scenario, omega, kind, detuning):
-    row = dict.fromkeys(SWEEP_COLUMNS)
-    row["omega"] = omega
-    row["kind"] = kind
-    theta_d, theta_u = _angles(scenario, omega)
-    row["theta_d_deg"] = theta_d
-    row["theta_u_deg"] = theta_u
+    The reason, not the exception, is kept: a stored exception's traceback
+    would tie it to the sweep's frames in a reference cycle.
+    """
     try:
-        p = None
-        if detuning:
-            res = (pdc_resonance if kind == "pdc" else puc_resonance)(scenario, omega)
-            p = res.p0 + detuning * omega
-        report = channel_report(scenario, omega, kind=kind, p=p)
+        return solve(scenario, omega)
     except PumpslabError as exc:
-        row["status"] = _skip_reason(exc)
-        return row
-    row["status"] = "ok"
-    row["gamma"] = report.gamma
-    row["r1"] = report.r1
-    row["t1"] = report.t1
-    row["r2"] = report.r2
-    row["t2"] = report.t2
-    row["flux_omega"] = report.flux_omega
-    row["flux_partner"] = report.flux_partner
-    row["ratio"] = report.ratio
-    if report.gamma > 0.0:
-        row["forward_fraction"] = rainbow_split(report)[0]
-    return row
+        return _skip_reason(exc)
+
+
+def _sweep_rows(scenario, omega, kinds, detuning):
+    """One row per kind at omega, all from one pdc and one puc solve."""
+    solved = {
+        "pdc": _solved(pdc_resonance, scenario, omega),
+        "puc": _solved(puc_resonance, scenario, omega),
+    }
+    theta = {
+        kind: None if isinstance(res, str) else res.theta_deg
+        for kind, res in solved.items()
+    }
+    rows = []
+    for kind in kinds:
+        row = dict.fromkeys(SWEEP_COLUMNS)
+        row["omega"] = omega
+        row["kind"] = kind
+        row["theta_d_deg"] = theta["pdc"]
+        row["theta_u_deg"] = theta["puc"]
+        rows.append(row)
+        res = solved[kind]
+        if isinstance(res, str):
+            row["status"] = res
+            continue
+        try:
+            p = res.p + detuning * omega if detuning else None
+            report = resonance_report(scenario, res, p)
+        except PumpslabError as exc:
+            row["status"] = _skip_reason(exc)
+            continue
+        row["status"] = "ok"
+        row["gamma"] = report.gamma
+        row["r1"] = report.r1
+        row["t1"] = report.t1
+        row["r2"] = report.r2
+        row["t2"] = report.t2
+        row["flux_omega"] = report.flux_omega
+        row["flux_partner"] = report.flux_partner
+        row["ratio"] = report.ratio
+        if report.gamma > 0.0:
+            row["forward_fraction"] = rainbow_split(report)[0]
+    return rows
 
 
 def run_sweep(request):
@@ -161,9 +171,8 @@ def run_sweep(request):
     """
     rows = []
     for omega in request.grid():
-        for kind in request.kinds:
-            rows.append(_sweep_row(request.scenario, float(omega), kind,
-                                   request.detuning))
+        rows.extend(_sweep_rows(request.scenario, float(omega), request.kinds,
+                                request.detuning))
     if not any(row["status"] == "ok" for row in rows):
         reasons = {}
         for row in rows:
@@ -174,9 +183,7 @@ def run_sweep(request):
 
 def degenerate_rows(scenario, kinds=("pdc",)):
     """Single-frequency report rows at omega0 / 2."""
-    rows = [
-        _sweep_row(scenario, 0.5 * scenario.omega0, kind, 0.0) for kind in kinds
-    ]
+    rows = _sweep_rows(scenario, 0.5 * scenario.omega0, kinds, 0.0)
     if not any(row["status"] == "ok" for row in rows):
         raise SweepError("degenerate point produced no valid rows")
     return rows
@@ -214,7 +221,10 @@ def compare_oracle(request, include_exact=True):
         omega = float(omega)
         for kind in request.kinds:
             try:
-                report = channel_report(scenario, omega, kind=kind)
+                res = (pdc_resonance if kind == "pdc" else puc_resonance)(
+                    scenario, omega
+                )
+                report = resonance_report(scenario, res, None)
             except PumpslabError as exc:
                 rows.append(_row(omega, kind, "channel_report", _skip_reason(exc)))
                 continue
@@ -254,7 +264,7 @@ def compare_oracle(request, include_exact=True):
                     _oracle_row(omega, kind, f"series_{name}", closed, summed,
                                 SERIES_TOL)
                 )
-            rows.extend(_quartic_rows(scenario, omega, kind, report))
+            rows.extend(_quartic_rows(scenario, res))
             if include_exact:
                 rows.append(_exact_row(scenario, omega, kind, report,
                                        request.oracle_phases))
@@ -262,26 +272,26 @@ def compare_oracle(request, include_exact=True):
     return rows, breached
 
 
-def _quartic_rows(scenario, omega, kind, report):
+def _quartic_rows(scenario, res):
     # shift formulas degrade as O(g); validate them at a fixed weak
     # reference coupling so the stated tolerance is meaningful for any
-    # scenario coupling (including g = 0)
+    # scenario coupling (including g = 0).  The resonance does not depend
+    # on g, so res serves the reference scenario too.
+    omega, kind = res.omega, res.kind
     ref = replace(scenario, g=QUARTIC_REFERENCE_G)
-    res = (pdc_resonance if kind == "pdc" else puc_resonance)(ref, omega)
     eps = epsilon_roots(ref, res)
-    kin = longitudinal(ref, omega, res.p0, kind)
-    k = quartic_wavenumbers(ref, kin)
+    k = quartic_wavenumbers(ref, res)
     K0 = ref.pump_wavenumber()
-    product = (k[0] - kin.Omega1) * (k[1] - kin.Omega1)
+    product = (k[0] - res.Omega1) * (k[1] - res.Omega1)
     pair_err = max(
-        abs(k[0] - kin.Omega1 - eps.eps1) / abs(eps.eps1),
-        abs(k[1] - kin.Omega1 - eps.eps2) / abs(eps.eps2),
+        abs(k[0] - res.Omega1 - eps.eps1) / abs(eps.eps1),
+        abs(k[1] - res.Omega1 - eps.eps2) / abs(eps.eps2),
     )
-    shift3 = k[2] + kin.Omega1
+    shift3 = k[2] + res.Omega1
     if kind == "pdc":
-        shift4 = k[3] - K0 - kin.Omega2
+        shift4 = k[3] - K0 - res.Omega2
     else:
-        shift4 = k[3] + K0 + kin.Omega2
+        shift4 = k[3] + K0 + res.Omega2
     pair_row = _row(
         omega, kind, "quartic_pair_roots",
         "ok" if pair_err <= QUARTIC_TOL else "breach", QUARTIC_TOL,

@@ -143,7 +143,7 @@ def test_criterion_6_channel_flux_ratio():
         scenario = scenario_for(theta_d, mu2)
         rep = channel_report(scenario, omega, kind="pdc")
         res = pdc_resonance(scenario, omega)
-        cos_ratio = (res.omega20 / rep.partner) / (res.omega10 / rep.omega)
+        cos_ratio = (res.Omega20 / rep.partner) / (res.Omega10 / rep.omega)
         worst = max(worst, abs(rep.ratio - cos_ratio) / cos_ratio)
     blue_red = blue_red_scenario()
     rep = channel_report(blue_red, 0.4, kind="pdc")
@@ -190,7 +190,7 @@ def test_criterion_8_oracle_equivalence():
             res = (pdc_resonance if kind == "pdc" else puc_resonance)(
                 scenario, omega
             )
-            kin = longitudinal(scenario, omega, res.p0, kind)
+            kin = longitudinal(scenario, omega, res.p, kind)
             k = quartic_wavenumbers(scenario, kin)
             eps = epsilon_roots(scenario, res)
             errs[g] = max(
@@ -208,7 +208,7 @@ def test_criterion_8_oracle_equivalence():
         rep = channel_report(scenario, 0.5, kind=kind)
         assert rep.r10 <= 0.05 and rep.gamma <= 1e-4
         res = (pdc_resonance if kind == "pdc" else puc_resonance)(scenario, 0.5)
-        avg = thickness_averaged_intensities(scenario, 0.5, res.p0, kind)
+        avg = thickness_averaged_intensities(scenario, 0.5, res.p, kind)
         measured = avg["t1"] + avg["r1"] - 1.0
         if kind == "puc":
             measured = -measured

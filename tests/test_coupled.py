@@ -1,4 +1,4 @@
-"""Coupled-pair shifts, iteration amplitudes, fluxes and the rainbow split."""
+"""Coupled-pair shifts, quartic roots, fluxes and the rainbow split."""
 import math
 from dataclasses import replace
 
@@ -8,16 +8,13 @@ import pytest
 from pumpslab import (
     CrystalScenario,
     DispersionModel,
-    SingularCouplingError,
     UndefinedSplitError,
     ValidityWarning,
     calibrate_degenerate_angle,
     channel_report,
     csinc,
     epsilon_roots,
-    first_iteration,
     longitudinal,
-    output_amplitudes,
     pdc_resonance,
     puc_resonance,
     quartic_wavenumbers,
@@ -55,7 +52,7 @@ class TestEpsilonRoots:
     def test_linear_limit(self):
         s = scenario_for(g=0.0)
         res = pdc_resonance(s, 0.5)
-        eps = epsilon_roots(s, res, p=res.p0 + 1e-3)
+        eps = epsilon_roots(s, res, p=res.p + 1e-3)
         assert eps.eps1 * eps.eps2 == 0.0
         assert eps.eps3 == 0.0 and eps.eps4 == 0.0
         # detuning alone fixes the split
@@ -89,7 +86,7 @@ class TestEpsilonRoots:
         s = scenario_for()
         res = pdc_resonance(s, 0.5)
         with pytest.warns(ValidityWarning):
-            epsilon_roots(s, res, p=res.p0 + 0.02 * res.omega)
+            epsilon_roots(s, res, p=res.p + 0.02 * res.omega)
 
     def test_strong_coupling_warning_at_construction(self):
         model = calibrate_degenerate_angle(math.radians(10.0), 1.51)
@@ -101,7 +98,7 @@ class TestQuarticWavenumbers:
     def test_uncoupled_factorization_pdc(self):
         s = scenario_for(g=0.0)
         res = pdc_resonance(s, 0.4)
-        kin = longitudinal(s, 0.4, res.p0, "pdc")
+        kin = longitudinal(s, 0.4, res.p, "pdc")
         k = quartic_wavenumbers(s, kin)
         K0 = s.pump_wavenumber()
         # the coincident pair is a double root: accurate only to sqrt(eps)
@@ -113,7 +110,7 @@ class TestQuarticWavenumbers:
     def test_uncoupled_factorization_puc(self):
         s = scenario_for(g=0.0)
         res = puc_resonance(s, 0.5)
-        kin = longitudinal(s, 0.5, res.p0, "puc")
+        kin = longitudinal(s, 0.5, res.p, "puc")
         k = quartic_wavenumbers(s, kin)
         K0 = s.pump_wavenumber()
         np.testing.assert_allclose(k[0], kin.Omega1, atol=1e-7)
@@ -125,7 +122,7 @@ class TestQuarticWavenumbers:
         for g in (1e-3, 1e-4):
             s = scenario_for(g=g)
             res = (pdc_resonance if kind == "pdc" else puc_resonance)(s, omega)
-            kin = longitudinal(s, omega, res.p0, kind)
+            kin = longitudinal(s, omega, res.p, kind)
             k = quartic_wavenumbers(s, kin)
             eps = epsilon_roots(s, res)
             errs[g] = max(
@@ -144,8 +141,8 @@ class TestQuarticWavenumbers:
         model = DispersionModel.constant(1.0)
         s = CrystalScenario(omega0=1.0, g=0.0, l=10.0, dispersion=model)
         kin = ModeKinematics(
-            omega=3.0, omega0=1.0, p=0.0, Omega1=3.0, Omega2=2.0,
-            Omega10=3.0, Omega20=2.0, conjugate_kind="pdc",
+            omega=3.0, partner=-2.0, p=0.0, kind="pdc", Omega1=3.0, Omega2=2.0,
+            Omega10=3.0, Omega20=2.0,
         )
         with pytest.raises(DegenerateRootError) as excinfo:
             quartic_wavenumbers(s, kin)
@@ -156,7 +153,7 @@ class TestQuarticWavenumbers:
     def test_counterpropagating_shifts(self, kind, omega):
         s = scenario_for(g=1e-4)
         res = (pdc_resonance if kind == "pdc" else puc_resonance)(s, omega)
-        kin = longitudinal(s, omega, res.p0, kind)
+        kin = longitudinal(s, omega, res.p, kind)
         k = quartic_wavenumbers(s, kin)
         eps = epsilon_roots(s, res)
         K0 = s.pump_wavenumber()
@@ -167,75 +164,6 @@ class TestQuarticWavenumbers:
             shift4 = (k[3] + K0 + kin.Omega2).real
         assert shift3 == pytest.approx(eps.eps3, rel=1e-3)
         assert shift4 == pytest.approx(eps.eps4, rel=1e-3)
-
-
-class TestFirstIteration:
-    def test_index_matched(self, vacuum):
-        s = replace(vacuum, g=1e-4)
-        res = pdc_resonance(s, 1.0)
-        eps = epsilon_roots(s, res)
-        sol = first_iteration(s, res, eps)
-        assert sol.R1 == 0.0
-        assert sol.A1 + sol.A2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_linear_reflection(self):
-        # constant index 1.5, omega = omega0/2, collinear resonance:
-        # omega1 = 0.75, omega10 = 0.5, so R1 = -0.2 like the linear step
-        model = DispersionModel.constant(1.5)
-        s = CrystalScenario(omega0=1.0, g=1e-4, l=100.0, dispersion=model)
-        res = pdc_resonance(s, 0.5)
-        sol = first_iteration(s, res, epsilon_roots(s, res))
-        assert sol.R1 == pytest.approx(-0.2, abs=1e-15)
-
-    def test_continuity_and_conjugate_cancellation(self):
-        s = scenario_for()
-        for omega, detune in ((0.4, 0.0), (0.5, 0.0), (0.55, 2e-3)):
-            res = pdc_resonance(s, omega)
-            eps = epsilon_roots(s, res, p=res.p0 + detune)
-            sol = first_iteration(s, res, eps)
-            assert abs(sol.A1 + sol.A2 - (1.0 + sol.R1)) < 1e-12
-            # derivative continuity at the entry face
-            deriv = (res.omega1 + eps.eps1) * sol.A1 + (
-                res.omega1 + eps.eps2
-            ) * sol.A2
-            assert abs(res.omega10 * (1.0 - sol.R1) - deriv) < 1e-12
-            # eps1*A1 + eps2*A2 = 0 is exactly the statement R2 = 0
-            assert abs(eps.eps1 * sol.A1 + eps.eps2 * sol.A2) < 1e-15
-            assert sol.R2 == 0.0
-
-    def test_degenerate_roots_error(self):
-        s = scenario_for(g=0.0)
-        res = pdc_resonance(s, 0.5)
-        eps = epsilon_roots(s, res)  # eps1 = eps2 = 0
-        with pytest.raises(SingularCouplingError):
-            first_iteration(s, res, eps)
-
-
-class TestOutputAmplitudes:
-    def test_linear_limit(self):
-        s = scenario_for(g=0.0)
-        res = pdc_resonance(s, 0.5)
-        sol = output_amplitudes(s, res, epsilon_roots(s, res))
-        w1, w10 = res.omega1, res.omega10
-        assert sol.T2 == 0.0
-        assert sol.A4 == 0.0
-        assert sol.T1 == pytest.approx(4 * w1 * w10 / (w1 + w10) ** 2, rel=1e-15)
-
-    def test_partner_output_linear_in_thickness(self):
-        vals = {}
-        for l in (100.0, 200.0):
-            s = scenario_for(g=1e-6, l=l)
-            res = pdc_resonance(s, 0.5)
-            sol = output_amplitudes(s, res, epsilon_roots(s, res))
-            vals[l] = abs(sol.T2)
-        assert vals[200.0] / vals[100.0] == pytest.approx(2.0, rel=1e-6)
-
-    def test_no_backward_waves_when_index_matched(self, vacuum):
-        s = replace(vacuum, g=1e-5)
-        res = pdc_resonance(s, 1.0)
-        sol = output_amplitudes(s, res, epsilon_roots(s, res))
-        assert abs(sol.A3) == 0.0
-        assert abs(sol.A4) == 0.0
 
 
 class TestChannelReport:
@@ -297,7 +225,7 @@ class TestChannelReport:
         res = pdc_resonance(s, 0.5)
         offsets = np.linspace(-3e-3, 3e-3, 121)
         gammas = [
-            channel_report(s, 0.5, "pdc", p=res.p0 + float(d)).gamma
+            channel_report(s, 0.5, "pdc", p=res.p + float(d)).gamma
             for d in offsets
         ]
         assert int(np.argmax(gammas)) == len(offsets) // 2
@@ -307,7 +235,7 @@ class TestChannelReport:
         for omega in (0.35, 0.42, 0.5, 0.61):
             rep = channel_report(s, omega, kind="pdc")
             res = pdc_resonance(s, omega)
-            cos_ratio = (res.omega20 / rep.partner) / (res.omega10 / rep.omega)
+            cos_ratio = (res.Omega20 / rep.partner) / (res.Omega10 / rep.omega)
             assert rep.ratio == pytest.approx(cos_ratio, rel=1e-14)
             assert rep.flux_omega / rep.flux_partner == pytest.approx(
                 cos_ratio, rel=1e-12

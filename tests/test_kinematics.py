@@ -1,5 +1,6 @@
 """Wavenumbers, resonance solving and closed-form rainbow angles."""
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pumpslab import (
     EvanescentError,
     GeometryError,
     GuardBandError,
+    ModeKinematics,
     NoResonanceError,
     degenerate_closed_forms,
     longitudinal,
@@ -32,7 +34,7 @@ class TestLongitudinal:
         kin = longitudinal(vacuum, 1.0, 0.0, "pdc")
         assert kin.Omega1 == kin.Omega10 == 1.0
         assert kin.Omega2 == kin.Omega20 == 1.0
-        assert kin.partner_frequency == 1.0
+        assert kin.partner == 1.0
 
     def test_constant_index(self, constant_index):
         kin = longitudinal(constant_index, 0.5, 0.0, "pdc")
@@ -43,7 +45,7 @@ class TestLongitudinal:
         # at the degenerate resonance the internal wavenumber collapses to
         # (omega0/2) * mu(omega0)
         res = pdc_resonance(reference, 0.5)
-        kin = longitudinal(reference, 0.5, res.p0, "pdc")
+        kin = longitudinal(reference, 0.5, res.p, "pdc")
         assert kin.Omega1 == pytest.approx(0.755, rel=1e-12)
         assert kin.Omega2 == pytest.approx(0.755, rel=1e-12)
 
@@ -74,23 +76,23 @@ class TestPdcResonance:
         res = pdc_resonance(reference, 0.5)
         assert res.theta_deg == pytest.approx(10.0, abs=1e-3)
         assert res.theta_deg == pytest.approx(10.0, abs=1e-9)
-        assert res.p0 == pytest.approx(P0_DEGENERATE, abs=1e-13)
+        assert res.p == pytest.approx(P0_DEGENERATE, abs=1e-13)
 
     def test_residual_tolerance(self, reference):
         target = reference.pump_wavenumber()
         for omega in (0.31, 0.5, 0.62):
             res = pdc_resonance(reference, omega)
-            assert abs(res.omega1 + res.omega2 - target) < 1e-12 * reference.omega0
+            assert abs(res.Omega1 + res.Omega2 - target) < 1e-12 * reference.omega0
 
     def test_constant_index_is_collinear(self, constant_index):
         res = pdc_resonance(constant_index, 0.5)
-        assert res.p0 == 0.0
+        assert res.p == 0.0
         assert res.theta == 0.0
 
     def test_nondegenerate_regression_values(self, reference):
         res4 = pdc_resonance(reference, 0.4)
         res6 = pdc_resonance(reference, 0.6)
-        assert res4.p0 == pytest.approx(P0_04, abs=1e-12)
+        assert res4.p == pytest.approx(P0_04, abs=1e-12)
         assert res4.theta_deg == pytest.approx(THETA_04_DEG, abs=1e-9)
         assert res6.theta_deg == pytest.approx(THETA_06_DEG, abs=1e-9)
         assert res4.theta_deg != res6.theta_deg
@@ -102,9 +104,9 @@ class TestPdcResonance:
         for omega in (0.33, 0.41, 0.47):
             a = pdc_resonance(reference, omega)
             b = pdc_resonance(reference, reference.omega0 - omega)
-            assert a.p0 == pytest.approx(b.p0, abs=1e-12)
-            assert abs(a.omega1 + a.omega2 - target) < 1e-12
-            assert abs(b.omega1 + b.omega2 - target) < 1e-12
+            assert a.p == pytest.approx(b.p, abs=1e-12)
+            assert abs(a.Omega1 + a.Omega2 - target) < 1e-12
+            assert abs(b.Omega1 + b.Omega2 - target) < 1e-12
 
     def test_no_resonance_for_normal_dispersion(self):
         model = DispersionModel.rational(2.2, 0.5, 9.0, band=(0.1, 2.0))
@@ -123,13 +125,13 @@ class TestPucResonance:
     def test_residual(self, reference):
         res = puc_resonance(reference, 0.5)
         target = reference.pump_wavenumber()
-        assert abs(res.omega2 - res.omega1 - target) < 1e-12
+        assert abs(res.Omega2 - res.Omega1 - target) < 1e-12
 
     def test_zero_dispersion_limit_is_collinear(self):
         model = DispersionModel.constant(1.51, band=(0.01, 3.0))
         scenario = CrystalScenario(omega0=1.0, g=1e-4, l=100.0, dispersion=model)
         res = puc_resonance(scenario, 0.5)
-        assert res.p0 == pytest.approx(0.0, abs=1e-12)
+        assert res.p == pytest.approx(0.0, abs=1e-12)
 
 
 class TestResonanceResiduals:
@@ -146,11 +148,22 @@ class TestResonanceResiduals:
             omega = rng.uniform(0.28, 0.72)
             target = scenario.pump_wavenumber()
             res_d = pdc_resonance(scenario, omega)
-            assert abs(res_d.omega1 + res_d.omega2 - target) < 1e-12
+            assert abs(res_d.Omega1 + res_d.Omega2 - target) < 1e-12
             res_u = puc_resonance(scenario, omega)
-            assert abs(res_u.omega2 - res_u.omega1 - target) < 1e-12
-            assert 0.0 <= res_d.p0 < omega
-            assert 0.0 <= res_u.p0 < omega
+            assert abs(res_u.Omega2 - res_u.Omega1 - target) < 1e-12
+            assert 0.0 <= res_d.p < omega
+            assert 0.0 <= res_u.p < omega
+
+
+@pytest.mark.parametrize("solve,kind", [(pdc_resonance, "pdc"),
+                                        (puc_resonance, "puc")])
+def test_resonance_record_is_longitudinal_at_p0(reference, solve, kind):
+    for omega in (0.31, 0.5, 0.62):
+        res = solve(reference, omega)
+        kin = longitudinal(reference, omega, res.p, kind)
+        for f in fields(ModeKinematics):
+            assert getattr(res, f.name) == getattr(kin, f.name), f.name
+        assert res.theta == kin.theta
 
 
 class TestDegenerateClosedForms:

@@ -35,8 +35,6 @@ class TestFresnelStep:
         assert step.A0 == pytest.approx(0.8, abs=1e-15)
         assert step.r0 == pytest.approx(0.04, abs=1e-15)
         assert step.t0 == pytest.approx(0.96, abs=1e-15)
-        assert step.B0 == pytest.approx(step.A0 * step.R0, abs=1e-15)
-        assert step.T0 == pytest.approx(step.t0, abs=1e-15)
 
     def test_hand_values_one_and_three(self):
         step = fresnel_step(1.0, 3.0)

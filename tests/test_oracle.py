@@ -79,8 +79,8 @@ class TestExactSolveCoupled:
     def test_continuity_residual_and_cond_reported(self):
         s = scenario_for()
         res = pdc_resonance(s, 0.5)
-        system = build_boundary_system(s, 0.5, res.p0, "pdc")
-        sol = exact_solve(s, 0.5, res.p0, "pdc")
+        system = build_boundary_system(s, 0.5, res.p, "pdc")
+        sol = exact_solve(s, 0.5, res.p, "pdc")
         assert system.cond > 0.0 and np.isfinite(system.cond)
         assert sol.cond == pytest.approx(system.cond, rel=1e-9)
         x = np.array([sol.R1, sol.R2, sol.T1, sol.T2], dtype=complex)
@@ -91,7 +91,7 @@ class TestExactSolveCoupled:
         res = pdc_resonance(s, 0.5)
         for dl in (0.0, 17.0, 41.0):
             varied = replace(s, l=s.l + dl)
-            vals = poynting_intensities(varied, 0.5, res.p0, "pdc")
+            vals = poynting_intensities(varied, 0.5, res.p, "pdc")
             lhs = vals["t1"] + vals["r1"] - 1.0
             rhs = (0.5 / 0.5) * (vals["t2"] + vals["r2"])
             assert lhs == pytest.approx(rhs, rel=1e-3)
@@ -100,7 +100,7 @@ class TestExactSolveCoupled:
         s = scenario_for()
         rep = channel_report(s, 0.5, kind="pdc")
         res = pdc_resonance(s, 0.5)
-        avg = thickness_averaged_intensities(s, 0.5, res.p0, "pdc")
+        avg = thickness_averaged_intensities(s, 0.5, res.p, "pdc")
         measured = avg["t1"] + avg["r1"] - 1.0
         predicted = rep.gamma / (1.0 + rep.r10)
         assert measured == pytest.approx(predicted, rel=2e-2)
@@ -109,7 +109,7 @@ class TestExactSolveCoupled:
         s = scenario_for()
         rep = channel_report(s, 0.5, kind="puc")
         res = puc_resonance(s, 0.5)
-        avg = thickness_averaged_intensities(s, 0.5, res.p0, "puc")
+        avg = thickness_averaged_intensities(s, 0.5, res.p, "puc")
         measured = 1.0 - avg["t1"] - avg["r1"]
         predicted = rep.gamma / (1.0 + rep.r10)
         assert measured > 0.0  # genuinely attenuated
@@ -122,14 +122,14 @@ class TestExactSolveCoupled:
         s = scenario_for()
         rep = channel_report(s, 0.5, kind="pdc")
         res = pdc_resonance(s, 0.5)
-        avg = thickness_averaged_intensities(s, 0.5, res.p0, "pdc")
+        avg = thickness_averaged_intensities(s, 0.5, res.p, "pdc")
         assert avg["r2"] < 1.5 * rep.gamma * rep.r20
         assert avg["r2"] == pytest.approx(rep.r2, rel=5e-2)
 
     def test_puc_energy_stays_below_input(self):
         s = scenario_for()
         res = puc_resonance(s, 0.5)
-        avg = thickness_averaged_intensities(s, 0.5, res.p0, "puc")
+        avg = thickness_averaged_intensities(s, 0.5, res.p, "puc")
         assert avg["t1"] + avg["r1"] < 1.0
 
     def test_conditioning_refusal(self, monkeypatch):
@@ -137,7 +137,7 @@ class TestExactSolveCoupled:
         res = pdc_resonance(s, 0.5)
         monkeypatch.setattr(oracle_mod, "COND_LIMIT", 1.0)
         with pytest.raises(ConditioningError) as excinfo:
-            exact_solve(s, 0.5, res.p0, "pdc")
+            exact_solve(s, 0.5, res.p, "pdc")
         assert excinfo.value.cond is not None
 
 
@@ -164,7 +164,7 @@ def resonant_case(case):
         return s, 0.45, 0.0, "pdc"
     s = scenario_for()
     res = (pdc_resonance if case == "pdc" else puc_resonance)(s, 0.45)
-    return s, 0.45, res.p0, case
+    return s, 0.45, res.p, case
 
 
 class TestStackedThicknessAverage:

@@ -1,4 +1,5 @@
 """Sweep driver, serialization stability and the command-line interface."""
+import gc
 import json
 import math
 import subprocess
@@ -7,15 +8,26 @@ from dataclasses import replace
 
 import pytest
 
+import pumpslab.coupled as coupled_mod
 import pumpslab.sweep as sweep_mod
 from pumpslab import (
     CrystalScenario,
     DispersionModel,
+    EvanescentError,
+    GeometryError,
+    GuardBandError,
+    NoResonanceError,
+    OutOfBandError,
+    PumpslabError,
     SweepError,
     SweepRequest,
     calibrate_degenerate_angle,
+    channel_report,
     compare_oracle,
     degenerate_rows,
+    pdc_resonance,
+    puc_resonance,
+    rainbow_split,
     run_sweep,
 )
 from pumpslab.cli import main
@@ -106,6 +118,90 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepRequest(scenario=scenario_for(), band=(0.4, 0.6), samples=3,
                          kinds=("sfg",))
+
+    def test_one_resonance_solve_per_kind_per_omega(self, monkeypatch):
+        calls = []
+        for kind, name in (("pdc", "pdc_resonance"), ("puc", "puc_resonance")):
+            solve = getattr(sweep_mod, name)
+
+            def counted(scenario, omega, kind=kind, solve=solve):
+                calls.append((kind, omega))
+                return solve(scenario, omega)
+
+            for module in (sweep_mod, coupled_mod):
+                monkeypatch.setattr(module, name, counted)
+        req = SweepRequest(scenario=scenario_for(), band=(0.05, 1.95), samples=41,
+                           kinds=("pdc", "puc"), detuning=1e-3)
+        rows = run_sweep(req)
+        assert len(rows) == 82
+        grid = [float(omega) for omega in req.grid()]
+        assert sorted(calls) == sorted((kind, omega) for kind in ("pdc", "puc")
+                                       for omega in grid)
+
+    def test_skipped_rows_leave_no_reference_cycles(self):
+        req = SweepRequest(scenario=scenario_for(), band=(0.05, 1.95), samples=41,
+                           kinds=("pdc", "puc"))
+        gc.collect()
+        gc.disable()
+        try:
+            rows = run_sweep(req)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert {row["status"] for row in rows} > {"ok"}
+
+
+_SKIP_STATUS = {
+    GuardBandError: "guard_band",
+    OutOfBandError: "out_of_band",
+    EvanescentError: "evanescent",
+    NoResonanceError: "no_resonance",
+    GeometryError: "geometry",
+}
+_REPORT_COLUMNS = ("gamma", "r1", "t1", "r2", "t2", "flux_omega",
+                   "flux_partner", "ratio")
+
+
+def _theta_deg(solve, scenario, omega):
+    try:
+        return solve(scenario, omega).theta_deg
+    except PumpslabError:
+        return None
+
+
+def _expected_row(scenario, omega, kind, detuning):
+    """A sweep row rebuilt from the public per-frequency functions."""
+    row = dict.fromkeys(SWEEP_COLUMNS)
+    row.update(omega=omega, kind=kind,
+               theta_d_deg=_theta_deg(pdc_resonance, scenario, omega),
+               theta_u_deg=_theta_deg(puc_resonance, scenario, omega))
+    solve = pdc_resonance if kind == "pdc" else puc_resonance
+    try:
+        p = solve(scenario, omega).p + detuning * omega if detuning else None
+        report = channel_report(scenario, omega, kind=kind, p=p)
+    except PumpslabError as exc:
+        row["status"] = _SKIP_STATUS[type(exc)]
+        return row
+    row["status"] = "ok"
+    row.update({c: getattr(report, c) for c in _REPORT_COLUMNS})
+    if report.gamma > 0.0:
+        row["forward_fraction"] = rainbow_split(report)[0]
+    return row
+
+
+@pytest.mark.parametrize("detuning", [0.0, 1e-3])
+def test_sweep_rows_match_per_frequency_functions(detuning):
+    scenario = scenario_for()
+    req = SweepRequest(scenario=scenario, band=(0.05, 1.95), samples=201,
+                       kinds=("pdc", "puc"), detuning=detuning)
+    rows = run_sweep(req)
+    expected = [
+        _expected_row(scenario, float(omega), kind, detuning)
+        for omega in req.grid() for kind in req.kinds
+    ]
+    assert rows == expected
+    statuses = {row["status"] for row in rows}
+    assert {"ok", "guard_band", "geometry", "out_of_band"} <= statuses
 
 
 class TestDegenerateRows:
