@@ -26,7 +26,7 @@ from .errors import (
     UndefinedSplitError,
     ValidityWarning,
 )
-from .kinematics import pdc_resonance, puc_resonance
+from .kinematics import check_kind, pdc_resonance, puc_resonance
 from .lamina import fresnel_step
 
 DETUNING_WARN_FRACTION = 0.01
@@ -236,6 +236,7 @@ def channel_report(scenario, omega, kind="pdc", p=None):
     Resonance geometry is solved first; p (default: the resonant p0)
     detunes the coupled-pair shifts without moving the rainbow angles.
     """
+    check_kind(kind)
     res = pdc_resonance(scenario, omega) if kind == "pdc" else puc_resonance(
         scenario, omega
     )

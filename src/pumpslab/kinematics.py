@@ -14,17 +14,30 @@ and up-conversion pairs (omega, omega0 + omega) where
     Omega_up(p0) - Omega1(p0) = omega0 * mu(omega0).
 
 Both residuals are strictly monotone in p on the physical branch, so a
-bracketed bisection with a secant polish finds p0 robustly.
+bracketed bisection with a secant polish finds p0.  One array kernel,
+_resonance_grid, solves a whole grid of frequencies and both kinds at
+once; the scalar solvers are its one-element calls.
 """
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import EvanescentError, GeometryError, GuardBandError, NoResonanceError
 
 BRACKET_SHRINK = 0.999
 RESIDUAL_TOL = 1e-12  # relative to omega0
+FREEZE_TOL = 1e-13  # relative to the pump wavenumber K0
+MAX_ITERATIONS = 200  # Newton steps
+GUIDE_MIN = 8  # fewer roots than this are cheaper to bisect unguided
+_EPS = float(np.finfo(float).eps)
 
 _KINDS = ("pdc", "puc")
+
+# per-element status codes of _resonance_grid, in order of precedence
+OK, GUARD_BAND, GEOMETRY, OUT_OF_BAND, EVANESCENT, NO_BRACKET, STALLED = range(7)
+SKIP_REASONS = ("ok", "guard_band", "geometry", "out_of_band", "evanescent",
+                "no_resonance", "no_resonance")
 
 
 @dataclass(frozen=True)
@@ -57,56 +70,77 @@ class ModeKinematics:
 
 @dataclass(frozen=True)
 class ResonancePoint(ModeKinematics):
-    """ModeKinematics at the phase-matching p = p0, plus the residual left there."""
+    """ModeKinematics at the phase-matching p = p0, plus the residual left
+    there and the halvings and secant steps that reached it."""
 
     residual: float
+    iterations: int
+
+
+def check_kind(kind):
+    if kind not in _KINDS:
+        raise ValueError(f"conjugate kind must be one of {_KINDS}, got {kind!r}")
 
 
 def partner_frequency(scenario, omega, kind):
-    if kind not in _KINDS:
-        raise ValueError(f"conjugate kind must be one of {_KINDS}, got {kind!r}")
+    check_kind(kind)
     return scenario.omega0 - omega if kind == "pdc" else scenario.omega0 + omega
 
 
-def check_guard_band(scenario, omega):
-    """Reject omega within guard_width * omega0 of any multiple of omega0.
+def _in_guard_band(scenario, omega):
+    """Per-element guard-band test and the nearest multiple of omega0.
 
     The conjugate frequency omega0 -+ omega sits at the same distance from
     the multiples, so guarding omega guards the pair.
     """
-    m = omega / scenario.omega0
-    nearest = max(1.0, round(m))
-    if abs(m - nearest) <= scenario.guard_width:
+    m = np.asarray(omega) / scenario.omega0
+    nearest = np.maximum(1.0, np.round(m))
+    return np.abs(m - nearest) <= scenario.guard_width, nearest
+
+
+def check_guard_band(scenario, omega):
+    """Reject omega within guard_width * omega0 of any multiple of omega0."""
+    inside, nearest = _in_guard_band(scenario, omega)
+    if inside:
         raise GuardBandError(
             f"omega={omega:g} is within {scenario.guard_width:g}*omega0 of "
             f"{int(nearest)}*omega0"
         )
 
 
-def _mode_pair(cls, omega, partner, p, kind, mu1, mu2, **extra):
-    """Build a cls record from the indices at both frequencies.
+def _radicands(omega, partner, p, mu1, mu2):
+    """Squares of (Omega1, Omega10, Omega2, Omega20); floats or arrays."""
+    pp = p * p
+    return (
+        omega * omega * mu1 * mu1 - pp,
+        omega * omega - pp,
+        partner * partner * mu2 * mu2 - pp,
+        partner * partner - pp,
+    )
+
+
+def _mode_pair(omega, partner, p, kind, mu1, mu2):
+    """ModeKinematics from the indices at both frequencies.
 
     Raises EvanescentError if any longitudinal wavenumber is not real.
     """
     values = {}
-    for name, field, radicand in (
-        ("internal", "Omega1", omega * omega * mu1 * mu1 - p * p),
-        ("free-space", "Omega10", omega * omega - p * p),
-        ("partner internal", "Omega2", partner * partner * mu2 * mu2 - p * p),
-        ("partner free-space", "Omega20", partner * partner - p * p),
+    for name, field, radicand in zip(
+        ("internal", "free-space", "partner internal", "partner free-space"),
+        ("Omega1", "Omega10", "Omega2", "Omega20"),
+        _radicands(omega, partner, p, mu1, mu2),
     ):
         if radicand <= 0.0:
             raise EvanescentError(
                 f"{name} wave at omega={omega:g}, p={p:g} is evanescent"
             )
         values[field] = math.sqrt(radicand)
-    return cls(omega=omega, partner=partner, p=p, kind=kind, **values, **extra)
+    return ModeKinematics(omega=omega, partner=partner, p=p, kind=kind, **values)
 
 
 def longitudinal(scenario, omega, p, kind="pdc"):
     """Full ModeKinematics for one (omega, p) pair, or a regime error."""
-    if kind not in _KINDS:
-        raise ValueError(f"conjugate kind must be one of {_KINDS}, got {kind!r}")
+    check_kind(kind)
     if omega <= 0.0:
         raise GeometryError("mode frequency must be positive")
     if kind == "pdc" and not omega < scenario.omega0:
@@ -117,87 +151,260 @@ def longitudinal(scenario, omega, p, kind="pdc"):
     w2 = partner_frequency(scenario, omega, kind)
     mu1 = scenario.dispersion.mu(omega)
     mu2 = scenario.dispersion.mu(w2)
-    return _mode_pair(ModeKinematics, omega, w2, p, kind, mu1, mu2)
+    return _mode_pair(omega, w2, p, kind, mu1, mu2)
 
 
-def _bisect_with_secant(f, lo, hi, f_lo, f_hi, tol):
-    """Bracketed bisection, finished with derivative-free secant steps."""
-    a, b, fa, fb = lo, hi, f_lo, f_hi
-    for _ in range(200):
+@dataclass(frozen=True)
+class ResonanceGrid:
+    """Phase-matching solutions on a (len(kinds), len(omega)) grid.
+
+    status holds one code per element (OK ... STALLED).  Every array is
+    finite; p, residual, iterations and the Omegas describe a resonance
+    where status is OK, and f0, f1 are the residuals at p = 0 and p_max.
+    """
+
+    scenario: object
+    omega: np.ndarray
+    kinds: tuple
+    partner: np.ndarray
+    status: np.ndarray
+    p: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    Omega1: np.ndarray
+    Omega2: np.ndarray
+    Omega10: np.ndarray
+    Omega20: np.ndarray
+    p_max: np.ndarray
+    f0: np.ndarray
+    f1: np.ndarray
+
+    def points(self):
+        """Per omega, a tuple with one ResonancePoint or skip reason per kind."""
+        cols = [a.tolist() for a in (
+            self.partner, self.status, self.p, self.residual, self.iterations,
+            self.Omega1, self.Omega2, self.Omega10, self.Omega20)]
+        omegas = self.omega.tolist()
+        return list(zip(*(
+            [
+                ResonancePoint(
+                    omega=omega, partner=w2, p=p, kind=kind, Omega1=o1,
+                    Omega2=o2, Omega10=o10, Omega20=o20, residual=res,
+                    iterations=its,
+                ) if code == OK else SKIP_REASONS[code]
+                for omega, w2, code, p, res, its, o1, o2, o10, o20
+                in zip(omegas, *(col[k] for col in cols))
+            ]
+            for k, kind in enumerate(self.kinds)
+        )))
+
+    def raise_error(self, k, i):
+        """Raise the typed error that element (k, i) stands for."""
+        kind = self.kinds[k]
+        omega = float(self.omega[i])
+        code = self.status[k, i]
+        bracket = (0.0, float(self.p_max[k, i]))
+        if code == GUARD_BAND:
+            check_guard_band(self.scenario, omega)
+        if code == GEOMETRY:
+            if kind == "pdc":
+                raise GeometryError("down-conversion requires 0 < omega < omega0")
+            raise GeometryError("mode frequency must be positive")
+        if code == OUT_OF_BAND:
+            for w in (omega, float(self.partner[k, i])):
+                self.scenario.dispersion.mu(w)  # raises for the first one out
+        if code == EVANESCENT:
+            raise EvanescentError(
+                f"an internal wave at omega={omega:g} is evanescent at the "
+                f"bracket end p={bracket[1]:g}"
+            )
+        if code == NO_BRACKET:
+            raise NoResonanceError(
+                f"no {kind} phase-matching root for omega={omega:g}: residual "
+                f"spans [{self.f1[k, i]:.3e}, {self.f0[k, i]:.3e}] over p in "
+                f"[0, {bracket[1]:g}]",
+                bracket=bracket,
+            )
+        raise NoResonanceError(
+            f"{kind} root polish stalled at residual {self.residual[k, i]:.3e} "
+            f"for omega={omega:g}",
+            bracket=bracket,
+        )
+
+
+def _resonance_grid(scenario, omegas, kinds):
+    """Phase-matching p0 for every (kind, omega) pair of a grid at once.
+
+    Status precedence per element: guard band; geometry (omega <= 0, or a
+    down-conversion omega >= omega0); out of band; an internal wave
+    evanescent at the bracket end p_max = BRACKET_SHRINK * min(omega,
+    partner); residuals of one sign at p = 0 and p_max; a stalled solve.
+    mu is evaluated once, on the in-band frequencies only.  Past the
+    bracket checks every radicand is positive at p0 <= p_max < omega, so a
+    solved element is a valid resonance.
+
+    |f(0)| <= RESIDUAL_TOL * omega0 gives p0 = 0.  Every other bracketed
+    element is solved by _bisection_root, bit for bit the root earlier
+    versions returned: several floats lie within rounding of the root,
+    and the exact oracle's last digits depend on which one is reported.
+    From GUIDE_MIN roots up, one vectorized Newton pass locates them all
+    first, so that most halvings are decided by comparison.
+    """
+    for kind in kinds:
+        check_kind(kind)
+    w0 = scenario.omega0
+    omega = np.asarray(omegas, dtype=float).ravel()
+    n, shape = omega.size, (len(kinds), omega.size)
+
+    def per_kind(values):  # one copy per kind, kinds stacked
+        return np.concatenate([values] * len(kinds))
+
+    w1 = per_kind(omega)
+    s = np.repeat([1.0 if kind == "pdc" else -1.0 for kind in kinds], n)
+    w2 = w0 - s * w1  # the partner: omega0 - omega (pdc), omega0 + omega (puc)
+    lo, hi = scenario.dispersion.band
+    freqs = np.concatenate([omega, w2])
+    in_band = (freqs >= lo) & (freqs <= hi)
+    mu = np.ones_like(freqs)  # placeholder where out of band
+    if in_band.any():
+        mu[in_band] = scenario.dispersion.mu(freqs[in_band])
+    mu1, mu2 = per_kind(mu[:n]), mu[n:]
+
+    K0 = scenario.pump_wavenumber()
+    a1 = w1 * w1 * mu1 * mu1
+    a2 = w2 * w2 * mu2 * mu2
+    p_max = BRACKET_SHRINK * np.minimum(w1, w2)  # w2 > w1 > 0 for puc
+    q_max = p_max * p_max
+    f0 = np.sqrt(a2) + s * np.sqrt(a1) - K0
+    f1 = (np.sqrt(np.maximum(a2 - q_max, 0.0))
+          + s * np.sqrt(np.maximum(a1 - q_max, 0.0)) - K0)
+    tol = RESIDUAL_TOL * w0
+    at_zero = np.abs(f0) <= tol
+    zero_below = f0 < 0.0
+    # checks in reverse order of precedence, so the first failed one wins
+    status = np.full(w1.size, OK)
+    status[~(zero_below ^ (f1 < 0.0)) & ~at_zero] = NO_BRACKET  # one sign
+    status[(a1 <= q_max) | (a2 <= q_max)] = EVANESCENT
+    status[~(per_kind(in_band[:n]) & in_band[n:])] = OUT_OF_BAND
+    status[(w1 <= 0.0) | ((s > 0.0) & (w1 >= w0))] = GEOMETRY
+    status[per_kind(_in_guard_band(scenario, omega)[0])] = GUARD_BAND
+
+    todo = np.flatnonzero((status == OK) & ~at_zero)
+    roots = (a1[todo], a2[todo], s[todo], p_max[todo])
+    if todo.size >= GUIDE_MIN:
+        lo_p, hi_p = _newton_guide(*roots, K0=K0)
+    else:
+        lo_p, hi_p = np.full(todo.size, -np.inf), np.full(todo.size, np.inf)
+    solved = [
+        _bisection_root(*row, K0=K0, tol=tol)
+        for row in zip(*(x.tolist() for x in (*roots, zero_below[todo], lo_p, hi_p)))
+    ]
+    p = np.zeros_like(a1)
+    iterations = np.zeros(a1.size, dtype=int)
+    if solved:
+        p[todo], iterations[todo] = zip(*solved)
+
+    r1, r10, r2, r20 = _radicands(w1, w2, p, mu1, mu2)
+    o1, o10, o2, o20 = np.sqrt(r1), np.sqrt(r10), np.sqrt(r2), np.sqrt(r20)
+    residual = o2 + s * o1 - K0
+    status[todo[np.abs(residual[todo]) > tol]] = STALLED
+    return ResonanceGrid(
+        scenario=scenario, omega=omega, kinds=tuple(kinds),
+        **{name: value.reshape(shape) for name, value in (
+            ("partner", w2), ("status", status), ("p", p),
+            ("residual", residual), ("iterations", iterations),
+            ("Omega1", o1), ("Omega2", o2), ("Omega10", o10), ("Omega20", o20),
+            ("p_max", p_max), ("f0", f0), ("f1", f1))},
+    )
+
+
+def _bisection_root(a1, a2, s, p_max, zero_below, lo_p, hi_p, *, K0, tol):
+    """Root of sqrt(a2 - p^2) + s * sqrt(a1 - p^2) - K0 on [0, p_max].
+
+    Bisection to a bracket of width 1e-15 * max(1, p), then at most eight
+    secant steps, keeping the smallest residual seen; the residual at p = 0
+    is negative iff zero_below.  Midpoints below lo_p or above hi_p are
+    known to lie below or above the root and skip the residual.  Returns
+    p0 and the number of halvings and secant steps taken; neither depends
+    on lo_p and hi_p.
+    """
+    def residual(p):
+        pp = p * p
+        return math.sqrt(a2 - pp) + s * math.sqrt(a1 - pp) - K0
+
+    a, b = 0.0, p_max
+    for steps in range(1, 201):
         mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid, 0.0
-        if (fa < 0.0) == (fm < 0.0):
-            a, fa = mid, fm
+        if mid < lo_p:
+            a = mid
+        elif mid > hi_p:
+            b = mid
         else:
-            b, fb = mid, fm
-        if b - a <= 1e-15 * max(1.0, abs(b)):
+            fm = residual(mid)
+            if fm == 0.0:
+                return mid, steps
+            if (fm < 0.0) == zero_below:
+                a = mid
+            else:
+                b = mid
+        if b - a <= (1e-15 * b if b > 1.0 else 1e-15):
             break
+    fa, fb = residual(a), residual(b)
     root, froot = (a, fa) if abs(fa) < abs(fb) else (b, fb)
     x0, x1, f0, f1 = a, b, fa, fb
     for _ in range(8):
         if f1 == f0:
             break
         x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not lo <= x2 <= hi:
+        if not 0.0 <= x2 <= p_max:
             break
-        f2 = f(x2)
+        f2 = residual(x2)
+        steps += 1
         x0, f0, x1, f1 = x1, f1, x2, f2
         if abs(f2) < abs(froot):
             root, froot = x2, f2
         if abs(f2) <= tol:
             break
-    return root, froot
+    return root, steps
+
+
+def _newton_guide(a1, a2, s, p_max, *, K0):
+    """(lo_p, hi_p): bounds known to lie below / above each root.
+
+    In q = p^2 each Omega = sqrt(a - q) has dOmega/dq = -1 / (2 Omega), so
+    the residual sqrt(a2 - q) + s * sqrt(a1 - q) - K0 is monotone in q,
+    concave for s = 1 and convex for s = -1, and Newton steps from q_max
+    fall monotonically to its root.  An element freezes once
+    |f| <= FREEZE_TOL * K0.  The bounds are the Newton root widened by its
+    error and the residual's rounding noise; an element whose steps leave
+    the domain or do not converge gets none.
+    """
+    q = p_max * p_max
+    live = np.ones(q.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAX_ITERATIONS):
+            o1 = s * np.sqrt(a1 - q)
+            o2 = np.sqrt(a2 - q)
+            f = o2 + o1 - K0
+            np.copyto(q, q + (f + f) / (1.0 / o2 + 1.0 / o1), where=live)
+            live &= np.abs(f) > FREEZE_TOL * K0
+            if not live.any():
+                break
+        p = np.sqrt(q)
+        o1 = s * np.sqrt(a1 - q)
+        o2 = np.sqrt(a2 - q)
+        noise = 8.0 * _EPS * (o2 + np.abs(o1) + K0) + np.abs(o2 + o1 - K0)
+        slope = p * np.abs(1.0 / o2 + 1.0 / o1)  # |d residual / dp|
+        margin = 4.0 * noise / slope + 4.0 * _EPS * p
+    margin[live] = np.inf
+    return p - margin, p + margin
 
 
 def _resonance(scenario, omega, kind):
-    check_guard_band(scenario, omega)
-    w2 = partner_frequency(scenario, omega, kind)
-    if kind == "pdc" and not 0.0 < omega < scenario.omega0:
-        raise GeometryError("down-conversion requires 0 < omega < omega0")
-    if omega <= 0.0:
-        raise GeometryError("mode frequency must be positive")
-    mu = scenario.dispersion.mu
-    target = scenario.pump_wavenumber()
-    mu1, mu2 = mu(omega), mu(w2)
-
-    def internal(w, m, p):
-        return math.sqrt(w * w * m * m - p * p)
-
-    if kind == "pdc":
-        p_max = BRACKET_SHRINK * min(omega, w2)
-
-        def residual(p):
-            return internal(omega, mu1, p) + internal(w2, mu2, p) - target
-
-    else:
-        p_max = BRACKET_SHRINK * omega
-
-        def residual(p):
-            return internal(w2, mu2, p) - internal(omega, mu1, p) - target
-
-    f0, f1 = residual(0.0), residual(p_max)
-    if abs(f0) <= RESIDUAL_TOL * scenario.omega0:
-        p0, fr = 0.0, f0
-    elif (f0 < 0.0) == (f1 < 0.0):
-        raise NoResonanceError(
-            f"no {kind} phase-matching root for omega={omega:g}: residual "
-            f"spans [{f1:.3e}, {f0:.3e}] over p in [0, {p_max:g}]",
-            bracket=(0.0, p_max),
-        )
-    else:
-        p0, fr = _bisect_with_secant(
-            residual, 0.0, p_max, f0, f1, RESIDUAL_TOL * scenario.omega0
-        )
-    if abs(fr) > RESIDUAL_TOL * scenario.omega0:
-        raise NoResonanceError(
-            f"{kind} root polish stalled at residual {fr:.3e} for omega={omega:g}",
-            bracket=(0.0, p_max),
-        )
-    if p0 >= omega:
-        raise GeometryError("resonant p0 leaves no exterior angle")
-    return _mode_pair(ResonancePoint, omega, w2, p0, kind, mu1, mu2, residual=fr)
+    grid = _resonance_grid(scenario, [omega], (kind,))
+    if grid.status[0, 0] != OK:
+        grid.raise_error(0, 0)
+    return grid.points()[0][0]
 
 
 def pdc_resonance(scenario, omega):

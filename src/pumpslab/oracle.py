@@ -225,6 +225,11 @@ def thickness_averaged_intensities(scenario, omega, p, kind, phases=64):
     with a ConditioningError carrying that worst cond.
     """
     kin = longitudinal(scenario, omega, p, kind)
+    return _thickness_average(scenario, kin, phases)
+
+
+def _thickness_average(scenario, kin, phases):
+    """thickness_averaged_intensities for the mode pair record kin."""
     period = 2.0 * math.pi / kin.Omega1
     lengths = scenario.l + np.arange(phases) * period / phases
     amps, cond = _solve_stack(scenario, kin, lengths)

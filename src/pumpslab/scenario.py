@@ -28,6 +28,7 @@ class CrystalScenario:
     dispersion: DispersionModel
     guard_width: float = DEFAULT_GUARD_WIDTH
     g_warn_threshold: float = field(default=DEFAULT_G_WARN, repr=False)
+    _pump_wavenumber: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.omega0 <= 0.0:
@@ -38,7 +39,9 @@ class CrystalScenario:
             raise ValueError("thickness l must be positive")
         if not 0.0 <= self.guard_width < 0.5:
             raise ValueError("guard_width must lie in [0, 0.5)")
-        self.dispersion.mu(self.omega0)  # raises OutOfBandError if outside
+        # raises OutOfBandError if omega0 lies outside the dispersion band
+        k0 = self.omega0 * self.dispersion.mu(self.omega0)
+        object.__setattr__(self, "_pump_wavenumber", k0)
         if self.g >= self.g_warn_threshold:
             warnings.warn(
                 f"coupling g={self.g:g} is at or above the validity "
@@ -50,4 +53,4 @@ class CrystalScenario:
 
     def pump_wavenumber(self):
         """omega0 * mu(omega0), the pump's longitudinal wavenumber."""
-        return self.omega0 * self.dispersion.mu(self.omega0)
+        return self._pump_wavenumber

@@ -21,8 +21,8 @@ from .errors import (
     PumpslabError,
     SweepError,
 )
-from .kinematics import pdc_resonance, puc_resonance
-from .oracle import series_sum, thickness_averaged_intensities
+from .kinematics import _resonance_grid
+from .oracle import _thickness_average, series_sum
 
 SWEEP_COLUMNS = (
     "omega",
@@ -107,24 +107,22 @@ def _skip_reason(exc):
     raise exc
 
 
-def _solved(solve, scenario, omega):
-    """solve(scenario, omega), or the skip reason of the error it raised.
+def _solved_rows(scenario, omegas, kinds, detuning):
+    """Rows for every omega and kind, from one resonance solve of the grid.
 
-    The reason, not the exception, is kept: a stored exception's traceback
-    would tie it to the sweep's frames in a reference cycle.
+    Both kinds are solved for each omega: every row carries both angles.
     """
-    try:
-        return solve(scenario, omega)
-    except PumpslabError as exc:
-        return _skip_reason(exc)
+    grid = _resonance_grid(scenario, omegas, ("pdc", "puc"))
+    rows = []
+    for omega, (res_d, res_u) in zip(grid.omega.tolist(), grid.points()):
+        rows.extend(_sweep_rows(scenario, omega, {"pdc": res_d, "puc": res_u},
+                                kinds, detuning))
+    return rows
 
 
-def _sweep_rows(scenario, omega, kinds, detuning):
-    """One row per kind at omega, all from one pdc and one puc solve."""
-    solved = {
-        "pdc": _solved(pdc_resonance, scenario, omega),
-        "puc": _solved(puc_resonance, scenario, omega),
-    }
+def _sweep_rows(scenario, omega, solved, kinds, detuning):
+    """One row per kind at omega; solved maps each kind to its
+    ResonancePoint or skip reason."""
     theta = {
         kind: None if isinstance(res, str) else res.theta_deg
         for kind, res in solved.items()
@@ -169,10 +167,8 @@ def run_sweep(request):
     aborting the sweep.  If nothing survives, a SweepError summarizes the
     reasons.
     """
-    rows = []
-    for omega in request.grid():
-        rows.extend(_sweep_rows(request.scenario, float(omega), request.kinds,
-                                request.detuning))
+    rows = _solved_rows(request.scenario, request.grid(), request.kinds,
+                        request.detuning)
     if not any(row["status"] == "ok" for row in rows):
         reasons = {}
         for row in rows:
@@ -183,7 +179,7 @@ def run_sweep(request):
 
 def degenerate_rows(scenario, kinds=("pdc",)):
     """Single-frequency report rows at omega0 / 2."""
-    rows = _sweep_rows(scenario, 0.5 * scenario.omega0, kinds, 0.0)
+    rows = _solved_rows(scenario, [0.5 * scenario.omega0], kinds, 0.0)
     if not any(row["status"] == "ok" for row in rows):
         raise SweepError("degenerate point produced no valid rows")
     return rows
@@ -216,14 +212,14 @@ def compare_oracle(request, include_exact=True):
     (optionally) the thickness-averaged exact boundary solve.
     """
     scenario = request.scenario
+    grid = _resonance_grid(scenario, request.grid(), request.kinds)
     rows = []
-    for omega in request.grid():
-        omega = float(omega)
-        for kind in request.kinds:
+    for omega, solved in zip(grid.omega.tolist(), grid.points()):
+        for kind, res in zip(request.kinds, solved):
+            if isinstance(res, str):
+                rows.append(_row(omega, kind, "channel_report", res))
+                continue
             try:
-                res = (pdc_resonance if kind == "pdc" else puc_resonance)(
-                    scenario, omega
-                )
                 report = resonance_report(scenario, res, None)
             except PumpslabError as exc:
                 rows.append(_row(omega, kind, "channel_report", _skip_reason(exc)))
@@ -266,7 +262,7 @@ def compare_oracle(request, include_exact=True):
                 )
             rows.extend(_quartic_rows(scenario, res))
             if include_exact:
-                rows.append(_exact_row(scenario, omega, kind, report,
+                rows.append(_exact_row(scenario, res, report,
                                        request.oracle_phases))
     breached = any(row["status"] == "breach" for row in rows)
     return rows, breached
@@ -309,14 +305,13 @@ def _quartic_rows(scenario, res):
     return out
 
 
-def _exact_row(scenario, omega, kind, report, phases):
+def _exact_row(scenario, res, report, phases):
+    omega, kind = res.omega, res.kind
     applicable = report.r10 <= EXACT_MAX_R10 and report.gamma <= EXACT_MAX_GAMMA
     if not applicable:
         return _row(omega, kind, "exact_excess", "not_applicable", EXACT_TOL)
     try:
-        averaged = thickness_averaged_intensities(
-            scenario, omega, report.p0, kind, phases=phases
-        )
+        averaged = _thickness_average(scenario, res, phases)
     except ConditioningError:
         return _row(omega, kind, "exact_excess", "conditioning_error", EXACT_TOL)
     measured = averaged["t1"] + averaged["r1"] - 1.0

@@ -1,8 +1,14 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from pumpslab import CrystalScenario, DispersionModel, calibrate_degenerate_angle
+
+# property tests must not flake on a loaded machine: no per-example
+# deadline, and the same examples on every run
+settings.register_profile("pumpslab", deadline=None, derandomize=True)
+settings.load_profile("pumpslab")
 
 
 @pytest.fixture

@@ -167,6 +167,10 @@ class TestQuarticWavenumbers:
 
 
 class TestChannelReport:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="conjugate kind"):
+            channel_report(scenario_for(), 0.5, kind="sfg")
+
     def test_linear_limit_reduces_to_slab(self):
         s = scenario_for(g=0.0)
         rep = channel_report(s, 0.5, kind="pdc")

@@ -1,9 +1,12 @@
 """Wavenumbers, resonance solving and closed-form rainbow angles."""
 import math
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pumpslab import (
     CrystalScenario,
@@ -13,11 +16,15 @@ from pumpslab import (
     GuardBandError,
     ModeKinematics,
     NoResonanceError,
+    PumpslabError,
+    calibrate_degenerate_angle,
     degenerate_closed_forms,
     longitudinal,
+    partner_frequency,
     pdc_resonance,
     puc_resonance,
 )
+from pumpslab.kinematics import OK, RESIDUAL_TOL, SKIP_REASONS, _resonance_grid
 
 Q_D = math.sin(math.radians(10.0)) ** 2
 
@@ -201,3 +208,206 @@ class TestDegenerateClosedForms:
             degenerate_closed_forms(2.4, 1.1, 1.05)
         with pytest.raises(GeometryError):
             degenerate_closed_forms(1.5, 1.5, 0.9)
+
+
+# ---------------------------------------------------------------------------
+# the array kernel behind pdc_resonance / puc_resonance
+# ---------------------------------------------------------------------------
+_GRID_ARRAYS = ("partner", "status", "p", "residual", "iterations", "Omega1",
+                "Omega2", "Omega10", "Omega20", "p_max", "f0", "f1")
+
+_calibrated_grids = st.tuples(
+    st.floats(1.0, 16.0),  # degenerate emission angle, degrees
+    st.floats(1.2, 1.8),  # mu(omega0)
+    st.floats(0.0, 5e-3),  # g
+    st.floats(10.0, 5000.0),  # l
+    st.lists(st.floats(0.02, 2.4), min_size=1, max_size=24),
+)
+
+
+def _scenario(theta_deg, mu2, g, l):
+    model = calibrate_degenerate_angle(math.radians(theta_deg), mu2)
+    return CrystalScenario(omega0=1.0, g=g, l=l, dispersion=model)
+
+
+def _scalar(kind, scenario, omega):
+    solve = pdc_resonance if kind == "pdc" else puc_resonance
+    try:
+        return solve(scenario, omega)
+    except PumpslabError as exc:
+        return exc
+
+
+@given(_calibrated_grids)
+@settings(max_examples=60)
+def test_batched_kernel_matches_scalar_calls_bit_for_bit(case):
+    *params, omegas = case
+    scenario = _scenario(*params)
+    grid = _resonance_grid(scenario, omegas, ("pdc", "puc"))
+    for i, (omega, solved) in enumerate(zip(omegas, grid.points())):
+        for k, (kind, point) in enumerate(zip(grid.kinds, solved)):
+            scalar = _scalar(kind, scenario, omega)
+            if grid.status[k, i] == OK:
+                assert point == scalar  # every field, exactly
+            else:
+                with pytest.raises(PumpslabError, match=re.escape(str(scalar))) as exc:
+                    grid.raise_error(k, i)
+                assert exc.type is type(scalar)
+                assert point == SKIP_REASONS[grid.status[k, i]]
+            one = _resonance_grid(scenario, [omega], (kind,))
+            for name in _GRID_ARRAYS:
+                assert getattr(one, name)[0, 0] == getattr(grid, name)[k, i], name
+
+
+def _residual(scenario, kind, omega, p):
+    mu = scenario.dispersion.mu
+    partner = partner_frequency(scenario, omega, kind)
+    o1 = math.sqrt(omega * omega * mu(omega) ** 2 - p * p)
+    o2 = math.sqrt(partner * partner * mu(partner) ** 2 - p * p)
+    return (o2 + o1 if kind == "pdc" else o2 - o1) - scenario.pump_wavenumber()
+
+
+@given(_calibrated_grids)
+@settings(max_examples=40)
+def test_solved_p0_brackets_the_root_within_rounding(case):
+    *params, omegas = case
+    scenario = _scenario(*params)
+    noise = 16.0 * np.finfo(float).eps * scenario.pump_wavenumber()
+    for solved in _resonance_grid(scenario, omegas, ("pdc", "puc")).points():
+        for res in solved:
+            if isinstance(res, str):
+                continue
+            if res.p == 0.0:
+                assert abs(res.residual) <= RESIDUAL_TOL * scenario.omega0
+                continue
+            below, above = (_residual(scenario, res.kind, res.omega, res.p * f)
+                            for f in (1.0 - 1e-13, 1.0 + 1e-13))
+            # a sign change across p0 * (1 -+ 1e-13), unless the residual
+            # there is already at rounding level
+            assert (below < 0.0) != (above < 0.0) or max(
+                abs(below), abs(above)) <= noise, (res, below, above)
+
+
+class _SubluminalModel(DispersionModel):
+    """A tabulated index that drops below 1 at low frequency.
+
+    No validated DispersionModel allows that, but it is the only way to
+    make a wave evanescent at the bracket end of a resonance search.
+    """
+
+    def _validate(self):
+        pass
+
+
+def test_mixed_grid_is_finite_and_evaluates_mu_once(monkeypatch):
+    line = [1.51**2 + 2.0 * Q_D * (1.0 - w) for w in (0.5, 1.0, 1.5, 2.5)]
+    model = _SubluminalModel.tabulated([0.05, 0.2, 0.5, 1.0, 1.5, 2.5],
+                                       [0.8, 0.8] + line)
+    scenario = CrystalScenario(omega0=1.0, g=1e-4, l=100.0, dispersion=model)
+    calls = []
+    mu = DispersionModel.mu
+
+    def counted(self, omega):
+        calls.append(np.size(omega))
+        return mu(self, omega)
+
+    monkeypatch.setattr(DispersionModel, "mu", counted)
+    omegas = [0.1, 0.5, 0.99, 1.2, 1.7, -0.3, 0.03]
+    grid = _resonance_grid(scenario, omegas, ("pdc", "puc"))
+    assert len(calls) == 1
+    assert [SKIP_REASONS[code] for code in grid.status[0]] == [
+        "evanescent", "ok", "guard_band", "geometry", "geometry", "geometry",
+        "out_of_band"]
+    assert [SKIP_REASONS[code] for code in grid.status[1]] == [
+        "evanescent", "ok", "guard_band", "ok", "out_of_band", "geometry",
+        "out_of_band"]
+    for name in _GRID_ARRAYS:
+        assert np.all(np.isfinite(getattr(grid, name))), name
+    with pytest.raises(EvanescentError):
+        pdc_resonance(scenario, 0.1)
+
+
+def test_kernel_rejects_unknown_kind(reference):
+    with pytest.raises(ValueError, match="conjugate kind"):
+        _resonance_grid(reference, [0.5], ("pdc", "sfg"))
+
+
+def test_iteration_count_is_recorded(reference, constant_index):
+    # halvings of [0, p_max] down to ~1e-15, then a secant step or two
+    assert 40 <= pdc_resonance(reference, 0.5).iterations <= 60
+    assert 40 <= puc_resonance(reference, 0.5).iterations <= 60
+    # collinear phase matching is decided at p = 0, without iterating
+    assert pdc_resonance(constant_index, 0.5).iterations == 0
+
+
+def _reference_root(scenario, kind, omega):
+    """Bracketed bisection of the residual over [0, p_max] with a secant
+    finish, evaluating the residual at every midpoint: (p0, steps)."""
+    mu = scenario.dispersion.mu
+    partner = partner_frequency(scenario, omega, kind)
+    a1 = omega * omega * mu(omega) * mu(omega)
+    a2 = partner * partner * mu(partner) * mu(partner)
+    sign = 1.0 if kind == "pdc" else -1.0
+    target = scenario.pump_wavenumber()
+
+    def f(p):
+        return math.sqrt(a2 - p * p) + sign * math.sqrt(a1 - p * p) - target
+
+    hi = 0.999 * min(omega, partner)
+    a, b, fa, fb = 0.0, hi, f(0.0), f(hi)
+    steps = 0
+    while True:
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        steps += 1
+        if fm == 0.0:
+            return mid, steps
+        if (fa < 0.0) == (fm < 0.0):
+            a, fa = mid, fm
+        else:
+            b, fb = mid, fm
+        if b - a <= 1e-15 * max(1.0, b):
+            break
+    root, froot = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+    x0, x1, f0, f1 = a, b, fa, fb
+    for _ in range(8):
+        if f1 == f0:
+            break
+        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+        if not 0.0 <= x2 <= hi:
+            break
+        f2 = f(x2)
+        steps += 1
+        x0, f0, x1, f1 = x1, f1, x2, f2
+        if abs(f2) < abs(froot):
+            root, froot = x2, f2
+        if abs(f2) <= RESIDUAL_TOL * scenario.omega0:
+            break
+    return root, steps
+
+
+@given(_calibrated_grids)
+@settings(max_examples=30)
+def test_guided_roots_match_plain_bisection(case):
+    # grids with more than GUIDE_MIN roots decide most halvings by
+    # comparison with a Newton root; the result must not change by a bit
+    *params, omegas = case
+    scenario = _scenario(*params)
+    grid = _resonance_grid(scenario, omegas + [0.3, 0.4, 0.45, 0.55, 0.6, 0.7],
+                           ("pdc", "puc"))
+    for solved in grid.points():
+        for res in solved:
+            if isinstance(res, str) or res.p == 0.0:
+                continue
+            assert (res.p, res.iterations) == _reference_root(
+                scenario, res.kind, res.omega)
+
+
+def test_pump_wavenumber_is_computed_once(reference, monkeypatch):
+    k0 = reference.omega0 * reference.dispersion.mu(reference.omega0)
+    monkeypatch.setattr(DispersionModel, "mu", None)
+    assert reference.pump_wavenumber() == k0
+    monkeypatch.undo()
+    other = replace(reference, omega0=1.1)
+    assert other.pump_wavenumber() == 1.1 * reference.dispersion.mu(1.1)
+    assert other != reference and replace(other, omega0=1.0) == reference

@@ -8,7 +8,8 @@ from dataclasses import replace
 
 import pytest
 
-import pumpslab.coupled as coupled_mod
+import pumpslab.kinematics as kinematics_mod
+import pumpslab.oracle as oracle_mod
 import pumpslab.sweep as sweep_mod
 from pumpslab import (
     CrystalScenario,
@@ -120,23 +121,49 @@ class TestRunSweep:
                          kinds=("sfg",))
 
     def test_one_resonance_solve_per_kind_per_omega(self, monkeypatch):
+        # the sweep solves the whole grid, both kinds, in one kernel call;
+        # the scalar solvers are one-element kernel calls, so any per-omega
+        # solve would show up here as an extra call
         calls = []
-        for kind, name in (("pdc", "pdc_resonance"), ("puc", "puc_resonance")):
-            solve = getattr(sweep_mod, name)
+        solve = kinematics_mod._resonance_grid
 
-            def counted(scenario, omega, kind=kind, solve=solve):
-                calls.append((kind, omega))
-                return solve(scenario, omega)
+        def counted(scenario, omegas, kinds):
+            calls.append(([float(omega) for omega in omegas], tuple(kinds)))
+            return solve(scenario, omegas, kinds)
 
-            for module in (sweep_mod, coupled_mod):
-                monkeypatch.setattr(module, name, counted)
+        for module in (sweep_mod, kinematics_mod):
+            monkeypatch.setattr(module, "_resonance_grid", counted)
         req = SweepRequest(scenario=scenario_for(), band=(0.05, 1.95), samples=41,
                            kinds=("pdc", "puc"), detuning=1e-3)
         rows = run_sweep(req)
         assert len(rows) == 82
         grid = [float(omega) for omega in req.grid()]
-        assert sorted(calls) == sorted((kind, omega) for kind in ("pdc", "puc")
-                                       for omega in grid)
+        assert calls == [(grid, ("pdc", "puc"))]
+
+        calls.clear()
+        degenerate_rows(scenario_for(), kinds=("puc",))
+        assert calls == [([0.5], ("pdc", "puc"))]
+        calls.clear()
+        oracle_req = replace(req, band=(0.3, 0.7), samples=3, kinds=("puc", "pdc"))
+        compare_oracle(oracle_req, include_exact=False)
+        assert calls == [([0.3, 0.5, 0.7], ("puc", "pdc"))]
+
+    def test_exact_rows_reuse_the_resonance_record(self, monkeypatch):
+        derived = []
+        longitudinal = oracle_mod.longitudinal
+
+        def counted(*args):
+            derived.append(args)
+            return longitudinal(*args)
+
+        monkeypatch.setattr(oracle_mod, "longitudinal", counted)
+        req = SweepRequest(scenario=scenario_for(g=1e-5, l=2800.0),
+                           band=(0.4, 0.6), samples=2, kinds=("pdc",),
+                           oracle_phases=8)
+        rows, _ = compare_oracle(req, include_exact=True)
+        exact = [row["status"] for row in rows if row["quantity"] == "exact_excess"]
+        assert len(exact) == 2 and set(exact) <= {"ok", "breach"}  # averages ran
+        assert derived == []
 
     def test_skipped_rows_leave_no_reference_cycles(self):
         req = SweepRequest(scenario=scenario_for(), band=(0.05, 1.95), samples=41,
