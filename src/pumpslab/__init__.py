@@ -5,15 +5,7 @@ amplitudes, intensity coefficients and zeropoint-subtracted photon
 fluxes, together with brute-force oracles that validate every closed
 form.  All quantities use c = 1 units.
 """
-from .coupled import (
-    ChannelReport,
-    EpsilonRoots,
-    channel_report,
-    csinc,
-    epsilon_roots,
-    quartic_wavenumbers,
-    rainbow_split,
-)
+from .coupled import channel_report, epsilon_roots, quartic_wavenumbers, rainbow_split
 from .dispersion import DispersionModel, calibrate_degenerate_angle
 from .errors import (
     CalibrationError,
@@ -30,34 +22,15 @@ from .errors import (
     UndefinedSplitError,
     ValidityWarning,
 )
-from .kinematics import (
-    ModeKinematics,
-    ResonancePoint,
-    degenerate_closed_forms,
-    longitudinal,
-    partner_frequency,
-    pdc_resonance,
-    puc_resonance,
-)
-from .lamina import FresnelStep, fresnel_step, slab_coefficients
-from .oracle import (
-    BoundarySystem,
-    ScatterSolution,
-    build_boundary_system,
-    exact_solve,
-    poynting_intensities,
-    series_sum,
-    thickness_averaged_intensities,
-)
+from .kinematics import (degenerate_closed_forms, longitudinal, pdc_resonance,
+                         puc_resonance)
+from .lamina import fresnel_step, slab_coefficients
+from .oracle import series_sum, thickness_averaged_intensities
 from .scenario import CrystalScenario
 from .sweep import SweepRequest, compare_oracle, degenerate_rows, run_sweep
 
 __all__ = [
-    "ChannelReport",
-    "EpsilonRoots",
-    "ScatterSolution",
     "channel_report",
-    "csinc",
     "epsilon_roots",
     "quartic_wavenumbers",
     "rainbow_split",
@@ -76,20 +49,12 @@ __all__ = [
     "SweepError",
     "UndefinedSplitError",
     "ValidityWarning",
-    "ModeKinematics",
-    "ResonancePoint",
     "degenerate_closed_forms",
     "longitudinal",
-    "partner_frequency",
     "pdc_resonance",
     "puc_resonance",
-    "FresnelStep",
     "fresnel_step",
     "slab_coefficients",
-    "BoundarySystem",
-    "build_boundary_system",
-    "exact_solve",
-    "poynting_intensities",
     "series_sum",
     "thickness_averaged_intensities",
     "CrystalScenario",

@@ -14,7 +14,6 @@ approximation of the linear-lamina module, with every pass through the
 slab picking up the first-order excess factor gamma.
 """
 import cmath
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -68,12 +67,12 @@ class EpsilonRoots:
         return (s * s).real
 
 
-def epsilon_roots(scenario, res, p=None, detuning_warn_fraction=DETUNING_WARN_FRACTION):
+def epsilon_roots(scenario, res, p=None):
     """Perturbative wavenumber shifts at working transverse wavenumber p.
 
     res is the ResonancePoint (its p is the resonant p0); p defaults to
     p0.  Valid for g << 1 and |p - p0| << omega; a ValidityWarning is
-    issued outside the configured detuning fraction.
+    issued beyond |p - p0| = DETUNING_WARN_FRACTION * omega.
     """
     omega, partner, p0 = res.omega, res.partner, res.p
     w1, w2 = res.Omega1, res.Omega2
@@ -81,10 +80,10 @@ def epsilon_roots(scenario, res, p=None, detuning_warn_fraction=DETUNING_WARN_FR
         raise GeometryError("resonant internal wavenumbers must be positive")
     if p is None:
         p = p0
-    if abs(p - p0) > detuning_warn_fraction * omega:
+    if abs(p - p0) > DETUNING_WARN_FRACTION * omega:
         warnings.warn(
             f"|p - p0| = {abs(p - p0):g} exceeds "
-            f"{detuning_warn_fraction:g} * omega; shift formulas degrade",
+            f"{DETUNING_WARN_FRACTION:g} * omega; shift formulas degrade",
             ValidityWarning,
             stacklevel=2,
         )
@@ -199,15 +198,9 @@ class ChannelReport:
     omega: float
     partner: float
     kind: str
-    p0: float
-    p: float
-    theta: float
-    theta_partner: float
     gamma: float
     r10: float
     r20: float
-    t10: float
-    t20: float
     r1: float
     t1: float
     r2: float
@@ -217,15 +210,22 @@ class ChannelReport:
     flux_omega: float
     flux_partner: float
     ratio: float
-    xi: complex
+
+    def flux_identity_terms(self):
+        """(excess, partner side, gamma / (1 + r10)) of the flux identity.
+
+        The excess t1 + r1 - 1 is sign-flipped for up-conversion; both
+        sides equal the third term to first order in gamma.
+        """
+        excess = self.t1 + self.r1 - 1.0
+        if self.kind == "puc":
+            excess = -excess
+        partner_side = (self.omega / self.partner) * (self.t2 + self.r2)
+        return excess, partner_side, self.gamma / (1.0 + self.r10)
 
     def identity_residual(self):
         """Relative residual of the single-pair flux identity."""
-        lhs = self.t1 + self.r1 - 1.0
-        if self.kind == "puc":
-            lhs = -lhs
-        mid = (self.omega / self.partner) * (self.t2 + self.r2)
-        rhs = self.gamma / (1.0 + self.r10)
+        lhs, mid, rhs = self.flux_identity_terms()
         scale = max(abs(rhs), 1e-300)
         return max(abs(lhs - rhs), abs(mid - rhs)) / scale
 
@@ -247,6 +247,7 @@ def resonance_report(scenario, res, p):
     """channel_report for an already solved ResonancePoint res.
 
     p is the working transverse wavenumber, or None for the resonant p0.
+    Raises UndefinedSplitError where the partner flux vanishes.
     """
     eps = epsilon_roots(scenario, res, p=p)
     omega, partner, kind = res.omega, res.partner, res.kind
@@ -272,19 +273,18 @@ def resonance_report(scenario, res, p):
     else:
         bracket_omega = cos_ratio / (1.0 + r20) - 1.0 / (1.0 + r10)
         bracket_partner = (1.0 / cos_ratio) / (1.0 + r10) - 1.0 / (1.0 + r20)
+    if bracket_partner == 0.0:
+        raise UndefinedSplitError(
+            f"{kind} flux ratio undefined at omega={omega:g}: the partner flux "
+            "vanishes (collinear resonance, equal Fresnel steps)"
+        )
     return ChannelReport(
         omega=omega,
         partner=partner,
         kind=kind,
-        p0=res.p,
-        p=res.p if p is None else p,
-        theta=res.theta,
-        theta_partner=math.asin(res.p / partner),
         gamma=gamma,
         r10=r10,
         r20=r20,
-        t10=1.0 - r10,
-        t20=1.0 - r20,
         r1=r1,
         t1=t1,
         r2=r2,
@@ -294,7 +294,6 @@ def resonance_report(scenario, res, p):
         flux_omega=0.5 * gamma * bracket_omega,
         flux_partner=0.5 * gamma * bracket_partner,
         ratio=bracket_omega / bracket_partner,
-        xi=eps.xi,
     )
 
 

@@ -50,7 +50,8 @@ class ConditioningError(PumpslabError):
 
 
 class UndefinedSplitError(PumpslabError):
-    """Forward/backward rainbow split undefined without pump-induced excess."""
+    """A ratio of vanishing pump-induced quantities: the rainbow split
+    without pump-induced excess, or a flux ratio with no partner flux."""
 
 
 class SeriesDomainError(PumpslabError):

@@ -82,11 +82,6 @@ def check_kind(kind):
         raise ValueError(f"conjugate kind must be one of {_KINDS}, got {kind!r}")
 
 
-def partner_frequency(scenario, omega, kind):
-    check_kind(kind)
-    return scenario.omega0 - omega if kind == "pdc" else scenario.omega0 + omega
-
-
 def _in_guard_band(scenario, omega):
     """Per-element guard-band test and the nearest multiple of omega0.
 
@@ -148,7 +143,7 @@ def longitudinal(scenario, omega, p, kind="pdc"):
     if p < 0.0:
         raise GeometryError("transverse wavenumber magnitude must be >= 0")
     check_guard_band(scenario, omega)
-    w2 = partner_frequency(scenario, omega, kind)
+    w2 = scenario.omega0 - omega if kind == "pdc" else scenario.omega0 + omega
     mu1 = scenario.dispersion.mu(omega)
     mu2 = scenario.dispersion.mu(w2)
     return _mode_pair(omega, w2, p, kind, mu1, mu2)

@@ -6,7 +6,7 @@ from .dispersion import DispersionModel
 from .errors import ValidityWarning
 
 DEFAULT_GUARD_WIDTH = 0.02
-DEFAULT_G_WARN = 1e-2
+G_WARN_THRESHOLD = 1e-2  # couplings from here up warn
 
 
 @dataclass(frozen=True)
@@ -15,7 +15,7 @@ class CrystalScenario:
 
     omega0: pump frequency (c = 1 units).
     g: effective dimensionless pump-nonlinearity coupling; the linearized
-       model is only trustworthy for g << 1.
+       model is only trustworthy for g << 1 and warns from G_WARN_THRESHOLD.
     l: slab thickness.
     dispersion: refractive-index model; omega0 must lie in its band.
     guard_width: frequencies within guard_width * omega0 of any multiple
@@ -27,7 +27,6 @@ class CrystalScenario:
     l: float
     dispersion: DispersionModel
     guard_width: float = DEFAULT_GUARD_WIDTH
-    g_warn_threshold: float = field(default=DEFAULT_G_WARN, repr=False)
     _pump_wavenumber: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -42,10 +41,10 @@ class CrystalScenario:
         # raises OutOfBandError if omega0 lies outside the dispersion band
         k0 = self.omega0 * self.dispersion.mu(self.omega0)
         object.__setattr__(self, "_pump_wavenumber", k0)
-        if self.g >= self.g_warn_threshold:
+        if self.g >= G_WARN_THRESHOLD:
             warnings.warn(
                 f"coupling g={self.g:g} is at or above the validity "
-                f"threshold {self.g_warn_threshold:g}; linearized results "
+                f"threshold {G_WARN_THRESHOLD:g}; linearized results "
                 "may be unreliable",
                 ValidityWarning,
                 stacklevel=2,

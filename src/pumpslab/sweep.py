@@ -6,23 +6,20 @@ digits at the formatting boundary, which makes repeated runs byte-stable.
 """
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coupled import epsilon_roots, quartic_wavenumbers, rainbow_split, resonance_report
 from .errors import (
     ConditioningError,
-    EvanescentError,
     GeometryError,
-    GuardBandError,
-    NoResonanceError,
-    OutOfBandError,
     PumpslabError,
     SweepError,
+    UndefinedSplitError,
 )
-from .kinematics import _resonance_grid
-from .oracle import _thickness_average, series_sum
+from .kinematics import _resonance_grid, check_kind
+from .oracle import THICKNESS_PHASES, _thickness_average, series_sum
 
 SWEEP_COLUMNS = (
     "omega",
@@ -61,27 +58,23 @@ EXACT_TOL = 2e-2
 EXACT_MAX_R10 = 0.05
 EXACT_MAX_GAMMA = 1e-4
 
+# errors resonance_report can raise for a solved resonance; the kernel
+# reports every other skip as a status code
 _SKIP_REASONS = {
-    GuardBandError: "guard_band",
-    OutOfBandError: "out_of_band",
-    EvanescentError: "evanescent",
-    NoResonanceError: "no_resonance",
     GeometryError: "geometry",
-    ConditioningError: "conditioning_error",
+    UndefinedSplitError: "undefined_ratio",
 }
 
 
 @dataclass(frozen=True)
 class SweepRequest:
-    """One sweep: scenario, frequency band, sampling and output choices."""
+    """One sweep: scenario, frequency band, sampling and row choices."""
 
     scenario: object
     band: tuple
     samples: int
     kinds: tuple = ("pdc",)
-    output_format: str = "csv"
     detuning: float = 0.0  # working-p offset from p0, in units of omega
-    oracle_phases: int = field(default=64, repr=False)
 
     def __post_init__(self):
         if self.samples < 2:
@@ -90,10 +83,7 @@ class SweepRequest:
         if not lo < hi:
             raise ValueError("band must satisfy lo < hi")
         for kind in self.kinds:
-            if kind not in ("pdc", "puc"):
-                raise ValueError(f"unknown conversion kind {kind!r}")
-        if self.output_format not in ("csv", "jsonl"):
-            raise ValueError("output format must be 'csv' or 'jsonl'")
+            check_kind(kind)
 
     def grid(self):
         lo, hi = self.band
@@ -232,13 +222,7 @@ def compare_oracle(request, include_exact=True):
                         _row(omega, kind, quantity, "not_applicable", IDENTITY_TOL)
                     )
             else:
-                ident = report.gamma / (1.0 + report.r10)
-                excess = report.t1 + report.r1 - 1.0
-                if kind == "puc":
-                    excess = -excess
-                partner_side = (report.omega / report.partner) * (
-                    report.t2 + report.r2
-                )
+                excess, partner_side, ident = report.flux_identity_terms()
                 rows.append(
                     _oracle_row(omega, kind, "flux_identity_excess", excess,
                                 ident, IDENTITY_TOL)
@@ -262,8 +246,7 @@ def compare_oracle(request, include_exact=True):
                 )
             rows.extend(_quartic_rows(scenario, res))
             if include_exact:
-                rows.append(_exact_row(scenario, res, report,
-                                       request.oracle_phases))
+                rows.append(_exact_row(scenario, res, report))
     breached = any(row["status"] == "breach" for row in rows)
     return rows, breached
 
@@ -305,19 +288,19 @@ def _quartic_rows(scenario, res):
     return out
 
 
-def _exact_row(scenario, res, report, phases):
+def _exact_row(scenario, res, report):
     omega, kind = res.omega, res.kind
     applicable = report.r10 <= EXACT_MAX_R10 and report.gamma <= EXACT_MAX_GAMMA
     if not applicable:
         return _row(omega, kind, "exact_excess", "not_applicable", EXACT_TOL)
     try:
-        averaged = _thickness_average(scenario, res, phases)
+        averaged = _thickness_average(scenario, res, THICKNESS_PHASES)
     except ConditioningError:
         return _row(omega, kind, "exact_excess", "conditioning_error", EXACT_TOL)
     measured = averaged["t1"] + averaged["r1"] - 1.0
     if kind == "puc":
         measured = -measured
-    ident = report.gamma / (1.0 + report.r10)
+    ident = report.flux_identity_terms()[2]
     return _oracle_row(omega, kind, "exact_excess", ident, measured, EXACT_TOL)
 
 

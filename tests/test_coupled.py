@@ -12,7 +12,6 @@ from pumpslab import (
     ValidityWarning,
     calibrate_degenerate_angle,
     channel_report,
-    csinc,
     epsilon_roots,
     longitudinal,
     pdc_resonance,
@@ -20,6 +19,8 @@ from pumpslab import (
     quartic_wavenumbers,
     rainbow_split,
 )
+from pumpslab.coupled import csinc
+from pumpslab.kinematics import ModeKinematics
 
 GAMMA_UNIT_COUPLING = 1.0964431384588394e-05  # (g*l*omega0)^2/(4*mu2^2) at 0.01
 
@@ -136,7 +137,7 @@ class TestQuarticWavenumbers:
     def test_root_sorting_ambiguity_reported(self):
         # contrive a geometry whose far anchor collides with the coupled
         # pair (Omega1 = K0 + Omega2), leaving no unambiguous assignment
-        from pumpslab import DegenerateRootError, ModeKinematics
+        from pumpslab import DegenerateRootError
 
         model = DispersionModel.constant(1.0)
         s = CrystalScenario(omega0=1.0, g=0.0, l=10.0, dispersion=model)

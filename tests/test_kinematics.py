@@ -14,17 +14,21 @@ from pumpslab import (
     EvanescentError,
     GeometryError,
     GuardBandError,
-    ModeKinematics,
     NoResonanceError,
     PumpslabError,
     calibrate_degenerate_angle,
     degenerate_closed_forms,
     longitudinal,
-    partner_frequency,
     pdc_resonance,
     puc_resonance,
 )
-from pumpslab.kinematics import OK, RESIDUAL_TOL, SKIP_REASONS, _resonance_grid
+from pumpslab.kinematics import (
+    OK,
+    RESIDUAL_TOL,
+    SKIP_REASONS,
+    ModeKinematics,
+    _resonance_grid,
+)
 
 Q_D = math.sin(math.radians(10.0)) ** 2
 
@@ -261,7 +265,7 @@ def test_batched_kernel_matches_scalar_calls_bit_for_bit(case):
 
 def _residual(scenario, kind, omega, p):
     mu = scenario.dispersion.mu
-    partner = partner_frequency(scenario, omega, kind)
+    partner = scenario.omega0 - omega if kind == "pdc" else scenario.omega0 + omega
     o1 = math.sqrt(omega * omega * mu(omega) ** 2 - p * p)
     o2 = math.sqrt(partner * partner * mu(partner) ** 2 - p * p)
     return (o2 + o1 if kind == "pdc" else o2 - o1) - scenario.pump_wavenumber()
@@ -344,7 +348,7 @@ def _reference_root(scenario, kind, omega):
     """Bracketed bisection of the residual over [0, p_max] with a secant
     finish, evaluating the residual at every midpoint: (p0, steps)."""
     mu = scenario.dispersion.mu
-    partner = partner_frequency(scenario, omega, kind)
+    partner = scenario.omega0 - omega if kind == "pdc" else scenario.omega0 + omega
     a1 = omega * omega * mu(omega) * mu(omega)
     a2 = partner * partner * mu(partner) * mu(partner)
     sign = 1.0 if kind == "pdc" else -1.0

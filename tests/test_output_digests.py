@@ -1,0 +1,69 @@
+"""sha256 digests of the default CSV and JSON-lines outputs.
+
+A change to any number, its formatting or the row order changes a digest;
+a refactor that keeps these outputs byte-identical keeps every test here
+passing.  Exact-oracle rows are left out: their last digits depend on the
+LAPACK build.  The quartic rows of compare_oracle come from np.roots, so
+the digests below were taken with numpy 2.4 and its bundled OpenBLAS.
+"""
+import hashlib
+import math
+
+import pytest
+
+from pumpslab import (
+    CrystalScenario,
+    SweepRequest,
+    calibrate_degenerate_angle,
+    compare_oracle,
+    degenerate_rows,
+    run_sweep,
+)
+from pumpslab.sweep import ORACLE_COLUMNS, SWEEP_COLUMNS, rows_to_text
+
+DIGESTS = {
+    "sweep-csv-0.0": "8fefd9a57e2bc23deac0ce8b6b75e132f2fb0ad6d16d7dede7668930b37e9fbf",
+    "sweep-jsonl-0.0": "40b535a6f1e0107d825807d71a87d2b747297de3b952fbf70c25e2d812aa485d",
+    "sweep-csv-0.001": "65b7e8f4e9910a004a58fb45541189f5f35e20441ba55a602527b0466d42f094",
+    "sweep-jsonl-0.001": "50e929321ed0cef3847c4cf6d2a7f4c338fbe83ce7401e34be33e9258bd11442",
+    "degenerate-csv": "68eaf4f297b317cdbf22ca683f859d69641fa3a6d56d0e413a2563c35b5e6076",
+    "degenerate-jsonl": "bfe5bf5cd7911e180e2266dd0b01f0f342d0f0d090b503e95c17d1071dc3b88e",
+    "oracle-csv": "8bdc511342c7df849cce253e66fcea01deccca7b491db002d47b25f81fff9848",
+    "oracle-jsonl": "f4df50132f6e74f4364162019c3cd4ea2aeec4f5748f34dd28b5ecc9eb8add7b",
+}
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def outputs(scenario):
+    """Every output the digests cover, keyed as DIGESTS, for one scenario."""
+    texts = {}
+    for detuning in (0.0, 1e-3):
+        request = SweepRequest(scenario=scenario, band=(0.05, 1.95), samples=201,
+                               kinds=("pdc", "puc"), detuning=detuning)
+        rows = run_sweep(request)
+        for fmt in ("csv", "jsonl"):
+            texts[f"sweep-{fmt}-{detuning}"] = rows_to_text(rows, SWEEP_COLUMNS, fmt)
+    rows = degenerate_rows(scenario, kinds=("pdc", "puc"))
+    for fmt in ("csv", "jsonl"):
+        texts[f"degenerate-{fmt}"] = rows_to_text(rows, SWEEP_COLUMNS, fmt)
+    request = SweepRequest(scenario=scenario, band=(0.3, 0.7), samples=9,
+                           kinds=("pdc", "puc"))
+    rows, _ = compare_oracle(request, include_exact=False)
+    for fmt in ("csv", "jsonl"):
+        texts[f"oracle-{fmt}"] = rows_to_text(rows, ORACLE_COLUMNS, fmt)
+    return texts
+
+
+@pytest.fixture(scope="module")
+def texts():
+    """The outputs of the reference scenario (10 degrees, mu2 = 1.51)."""
+    model = calibrate_degenerate_angle(math.radians(10.0), 1.51)
+    return outputs(CrystalScenario(omega0=1.0, g=1e-4, l=100.0, dispersion=model))
+
+
+@pytest.mark.parametrize("key", sorted(DIGESTS))
+def test_output_digest(texts, key):
+    assert digest(texts[key]) == DIGESTS[key]

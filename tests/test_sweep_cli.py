@@ -2,12 +2,15 @@
 import gc
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import pumpslab
 import pumpslab.kinematics as kinematics_mod
 import pumpslab.oracle as oracle_mod
 import pumpslab.sweep as sweep_mod
@@ -22,6 +25,7 @@ from pumpslab import (
     PumpslabError,
     SweepError,
     SweepRequest,
+    UndefinedSplitError,
     calibrate_degenerate_angle,
     channel_report,
     compare_oracle,
@@ -158,8 +162,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(oracle_mod, "longitudinal", counted)
         req = SweepRequest(scenario=scenario_for(g=1e-5, l=2800.0),
-                           band=(0.4, 0.6), samples=2, kinds=("pdc",),
-                           oracle_phases=8)
+                           band=(0.4, 0.6), samples=2, kinds=("pdc",))
         rows, _ = compare_oracle(req, include_exact=True)
         exact = [row["status"] for row in rows if row["quantity"] == "exact_excess"]
         assert len(exact) == 2 and set(exact) <= {"ok", "breach"}  # averages ran
@@ -295,6 +298,39 @@ class TestCompareOracle:
         assert series and all(r["status"] == "ok" for r in series)
 
 
+class TestUndefinedRatio:
+    """Up-conversion at a collinear resonance with equal Fresnel steps: the
+    partner flux, the flux ratio's denominator, is exactly zero."""
+
+    @pytest.fixture
+    def collinear(self):
+        model = DispersionModel.constant(1.5, band=(0.01, 3.0))
+        return CrystalScenario(omega0=1.0, g=1e-4, l=100.0, dispersion=model)
+
+    def test_channel_report_raises_typed_error(self, collinear):
+        with pytest.raises(UndefinedSplitError, match="partner flux vanishes"):
+            channel_report(collinear, 0.5, kind="puc")
+
+    def test_sweep_rows_skip_instead_of_raising(self, collinear):
+        req = SweepRequest(scenario=collinear, band=(0.1, 0.9), samples=9,
+                           kinds=("pdc", "puc"))
+        statuses = {(row["kind"], row["status"]) for row in run_sweep(req)}
+        assert statuses == {("pdc", "ok"), ("puc", "undefined_ratio")}
+
+    def test_degenerate_rows_skip_instead_of_raising(self, collinear):
+        rows = degenerate_rows(collinear, kinds=("pdc", "puc"))
+        assert [(r["kind"], r["status"]) for r in rows] == [
+            ("pdc", "ok"), ("puc", "undefined_ratio")]
+        assert rows[1]["gamma"] is None
+
+    def test_compare_oracle_rows_skip_instead_of_raising(self, collinear):
+        req = SweepRequest(scenario=collinear, band=(0.3, 0.7), samples=3,
+                           kinds=("puc",))
+        rows, _ = compare_oracle(req, include_exact=False)
+        assert [(r["quantity"], r["status"]) for r in rows] == [
+            ("channel_report", "undefined_ratio")] * 3
+
+
 class TestSerialization:
     def test_csv_and_jsonl_carry_identical_values(self):
         req = SweepRequest(scenario=scenario_for(), band=(0.4, 0.6), samples=3)
@@ -424,10 +460,14 @@ class TestCli:
         assert code == 1
 
     def test_console_entry_point(self):
+        # the subprocess imports the package under test, installed or not
+        src = str(Path(pumpslab.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, path] if path else [src]))
         proc = subprocess.run(
             [sys.executable, "-m", "pumpslab.cli", "degenerate",
              "--theta-d-deg", "10", "--mu2", "1.51"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith(",".join(SWEEP_COLUMNS))
