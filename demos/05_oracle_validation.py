@@ -44,7 +44,7 @@ for name, closed, oracle in zip(("r1", "t1", "r2", "t2"),
 
 # exact boundary solve, thickness-phase averaged
 res = pdc_resonance(s, 0.5)
-avg = thickness_averaged_intensities(s, 0.5, res.p, "pdc")
+avg = thickness_averaged_intensities(s, res)
 measured = avg["t1"] + avg["r1"] - 1.0
 predicted = rep.gamma / (1.0 + rep.r10)
 print()

@@ -22,8 +22,7 @@ from .errors import (
     UndefinedSplitError,
     ValidityWarning,
 )
-from .kinematics import (degenerate_closed_forms, longitudinal, pdc_resonance,
-                         puc_resonance)
+from .kinematics import degenerate_closed_forms, pdc_resonance, puc_resonance
 from .lamina import fresnel_step, slab_coefficients
 from .oracle import series_sum, thickness_averaged_intensities
 from .scenario import CrystalScenario
@@ -50,7 +49,6 @@ __all__ = [
     "UndefinedSplitError",
     "ValidityWarning",
     "degenerate_closed_forms",
-    "longitudinal",
     "pdc_resonance",
     "puc_resonance",
     "fresnel_step",

@@ -54,8 +54,6 @@ def _add_sweep_args(sub):
     sub.add_argument("--samples", type=int, help="number of samples (>= 2)")
     sub.add_argument("--kind", choices=("pdc", "puc", "both"),
                      help="conversion kind(s) per row")
-    sub.add_argument("--detuning", type=float,
-                     help="working-p offset from p0 in units of omega")
 
 
 def _add_output_args(sub):
@@ -72,6 +70,8 @@ def build_parser():
     sweep = subs.add_parser("sweep", help="frequency sweep table")
     _add_scenario_args(sweep)
     _add_sweep_args(sweep)
+    sweep.add_argument("--detuning", type=float,
+                       help="working-p offset from p0 in units of omega")
     _add_output_args(sweep)
 
     degen = subs.add_parser("degenerate", help="single row at omega0/2")

@@ -93,16 +93,6 @@ def _in_guard_band(scenario, omega):
     return np.abs(m - nearest) <= scenario.guard_width, nearest
 
 
-def check_guard_band(scenario, omega):
-    """Reject omega within guard_width * omega0 of any multiple of omega0."""
-    inside, nearest = _in_guard_band(scenario, omega)
-    if inside:
-        raise GuardBandError(
-            f"omega={omega:g} is within {scenario.guard_width:g}*omega0 of "
-            f"{int(nearest)}*omega0"
-        )
-
-
 def _radicands(omega, partner, p, mu1, mu2):
     """Squares of (Omega1, Omega10, Omega2, Omega20); floats or arrays."""
     pp = p * p
@@ -112,41 +102,6 @@ def _radicands(omega, partner, p, mu1, mu2):
         partner * partner * mu2 * mu2 - pp,
         partner * partner - pp,
     )
-
-
-def _mode_pair(omega, partner, p, kind, mu1, mu2):
-    """ModeKinematics from the indices at both frequencies.
-
-    Raises EvanescentError if any longitudinal wavenumber is not real.
-    """
-    values = {}
-    for name, field, radicand in zip(
-        ("internal", "free-space", "partner internal", "partner free-space"),
-        ("Omega1", "Omega10", "Omega2", "Omega20"),
-        _radicands(omega, partner, p, mu1, mu2),
-    ):
-        if radicand <= 0.0:
-            raise EvanescentError(
-                f"{name} wave at omega={omega:g}, p={p:g} is evanescent"
-            )
-        values[field] = math.sqrt(radicand)
-    return ModeKinematics(omega=omega, partner=partner, p=p, kind=kind, **values)
-
-
-def longitudinal(scenario, omega, p, kind="pdc"):
-    """Full ModeKinematics for one (omega, p) pair, or a regime error."""
-    check_kind(kind)
-    if omega <= 0.0:
-        raise GeometryError("mode frequency must be positive")
-    if kind == "pdc" and not omega < scenario.omega0:
-        raise GeometryError("down-conversion requires omega < omega0")
-    if p < 0.0:
-        raise GeometryError("transverse wavenumber magnitude must be >= 0")
-    check_guard_band(scenario, omega)
-    w2 = scenario.omega0 - omega if kind == "pdc" else scenario.omega0 + omega
-    mu1 = scenario.dispersion.mu(omega)
-    mu2 = scenario.dispersion.mu(w2)
-    return _mode_pair(omega, w2, p, kind, mu1, mu2)
 
 
 @dataclass(frozen=True)
@@ -200,7 +155,11 @@ class ResonanceGrid:
         code = self.status[k, i]
         bracket = (0.0, float(self.p_max[k, i]))
         if code == GUARD_BAND:
-            check_guard_band(self.scenario, omega)
+            nearest = _in_guard_band(self.scenario, omega)[1]
+            raise GuardBandError(
+                f"omega={omega:g} is within {self.scenario.guard_width:g}*omega0 "
+                f"of {int(nearest)}*omega0"
+            )
         if code == GEOMETRY:
             if kind == "pdc":
                 raise GeometryError("down-conversion requires 0 < omega < omega0")

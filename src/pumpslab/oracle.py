@@ -4,12 +4,13 @@ Two independent references live here:
 
 thickness_averaged_intensities
     Direct solution of the eight continuity equations (field and normal
-    derivative, both frequencies, both faces) using the exact quartic
-    wavenumbers.  Every interference phase the two-step iteration and the
-    incoherent series discard is kept, which makes this the anchor all
-    approximations are measured against.  Real slabs are never cut to a
-    fraction of a wavelength, so comparisons average the fast thickness
-    phase over one period; phases=1 solves the thickness l alone.
+    derivative, both frequencies, both faces) for a solved mode pair
+    record, using the exact quartic wavenumbers.  Every interference
+    phase the two-step iteration and the incoherent series discard is
+    kept, which makes this the anchor all approximations are measured
+    against.  Real slabs are never cut to a fraction of a wavelength, so
+    comparisons average the fast thickness phase over one period;
+    phases=1 solves the thickness l alone.
 
     The quartic roots and mode vectors do not depend on the thickness l;
     only the exit-face rows 4-7 carry its e^{ikl} phases.  So the systems
@@ -28,7 +29,6 @@ import numpy as np
 
 from .coupled import quartic_coefficients
 from .errors import ConditioningError, SeriesDomainError
-from .kinematics import longitudinal
 
 COND_LIMIT = 1e12
 RESIDUAL_LIMIT = 1e-10
@@ -140,9 +140,9 @@ def _intensities(kin, R1, R2, T1, T2):
     }
 
 
-def thickness_averaged_intensities(scenario, omega, p, kind,
-                                   phases=THICKNESS_PHASES):
-    """Intensity coefficients averaged over one fast thickness period.
+def thickness_averaged_intensities(scenario, kin, phases=THICKNESS_PHASES):
+    """Intensity coefficients of the mode pair record kin (a
+    ResonancePoint), averaged over one fast thickness period.
 
     Scans l across 2*pi/Omega1 in `phases` uniform steps, holding the
     slow gain envelope essentially fixed (valid for Omega1 * l >> 1);
@@ -151,12 +151,6 @@ def thickness_averaged_intensities(scenario, omega, p, kind,
     one phase over COND_LIMIT or RESIDUAL_LIMIT refuses the whole average
     with a ConditioningError carrying that worst cond.
     """
-    kin = longitudinal(scenario, omega, p, kind)
-    return _thickness_average(scenario, kin, phases)
-
-
-def _thickness_average(scenario, kin, phases):
-    """thickness_averaged_intensities for the mode pair record kin."""
     period = 2.0 * math.pi / kin.Omega1
     lengths = scenario.l + np.arange(phases) * period / phases
     amps, cond = _solve_stack(scenario, kin, lengths)

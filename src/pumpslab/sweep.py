@@ -11,15 +11,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coupled import epsilon_roots, quartic_wavenumbers, rainbow_split, resonance_report
-from .errors import (
-    ConditioningError,
-    GeometryError,
-    PumpslabError,
-    SweepError,
-    UndefinedSplitError,
-)
+from .errors import ConditioningError, SweepError, UndefinedSplitError
 from .kinematics import _resonance_grid, check_kind
-from .oracle import THICKNESS_PHASES, _thickness_average, series_sum
+from .oracle import series_sum, thickness_averaged_intensities
 
 SWEEP_COLUMNS = (
     "omega",
@@ -58,13 +52,6 @@ EXACT_TOL = 2e-2
 EXACT_MAX_R10 = 0.05
 EXACT_MAX_GAMMA = 1e-4
 
-# errors resonance_report can raise for a solved resonance; the kernel
-# reports every other skip as a status code
-_SKIP_REASONS = {
-    GeometryError: "geometry",
-    UndefinedSplitError: "undefined_ratio",
-}
-
 
 @dataclass(frozen=True)
 class SweepRequest:
@@ -88,13 +75,6 @@ class SweepRequest:
     def grid(self):
         lo, hi = self.band
         return np.linspace(lo, hi, self.samples)
-
-
-def _skip_reason(exc):
-    for klass, reason in _SKIP_REASONS.items():
-        if isinstance(exc, klass):
-            return reason
-    raise exc
 
 
 def _solved_rows(scenario, omegas, kinds, detuning):
@@ -132,8 +112,8 @@ def _sweep_rows(scenario, omega, solved, kinds, detuning):
         try:
             p = res.p + detuning * omega if detuning else None
             report = resonance_report(scenario, res, p)
-        except PumpslabError as exc:
-            row["status"] = _skip_reason(exc)
+        except UndefinedSplitError:
+            row["status"] = "undefined_ratio"
             continue
         row["status"] = "ok"
         row["gamma"] = report.gamma
@@ -199,8 +179,14 @@ def compare_oracle(request, include_exact=True):
 
     Returns (rows, breached).  Rows cover the flux identity, the summed
     reflection series, quartic-vs-perturbative wavenumber shifts and
-    (optionally) the thickness-averaged exact boundary solve.
+    (optionally) the thickness-averaged exact boundary solve.  Every
+    check runs at the resonant p0, so a detuned request is a ValueError.
     """
+    if request.detuning:
+        raise ValueError(
+            f"oracle checks run at the resonant p0; detuning must be 0, "
+            f"got {request.detuning:g}"
+        )
     scenario = request.scenario
     grid = _resonance_grid(scenario, request.grid(), request.kinds)
     rows = []
@@ -211,8 +197,8 @@ def compare_oracle(request, include_exact=True):
                 continue
             try:
                 report = resonance_report(scenario, res, None)
-            except PumpslabError as exc:
-                rows.append(_row(omega, kind, "channel_report", _skip_reason(exc)))
+            except UndefinedSplitError:
+                rows.append(_row(omega, kind, "channel_report", "undefined_ratio"))
                 continue
             if report.gamma == 0.0:
                 # without pump-induced excess the gamma-scale identities
@@ -294,7 +280,7 @@ def _exact_row(scenario, res, report):
     if not applicable:
         return _row(omega, kind, "exact_excess", "not_applicable", EXACT_TOL)
     try:
-        averaged = _thickness_average(scenario, res, THICKNESS_PHASES)
+        averaged = thickness_averaged_intensities(scenario, res)
     except ConditioningError:
         return _row(omega, kind, "exact_excess", "conditioning_error", EXACT_TOL)
     measured = averaged["t1"] + averaged["r1"] - 1.0

@@ -15,7 +15,6 @@ from pumpslab import (
     degenerate_closed_forms,
     epsilon_roots,
     fresnel_step,
-    longitudinal,
     pdc_resonance,
     puc_resonance,
     quartic_wavenumbers,
@@ -190,12 +189,11 @@ def test_criterion_8_oracle_equivalence():
             res = (pdc_resonance if kind == "pdc" else puc_resonance)(
                 scenario, omega
             )
-            kin = longitudinal(scenario, omega, res.p, kind)
-            k = quartic_wavenumbers(scenario, kin)
+            k = quartic_wavenumbers(scenario, res)
             eps = epsilon_roots(scenario, res)
             errs[g] = max(
-                abs(k[0] - kin.Omega1 - eps.eps1) / abs(eps.eps1),
-                abs(k[1] - kin.Omega1 - eps.eps2) / abs(eps.eps2),
+                abs(k[0] - res.Omega1 - eps.eps1) / abs(eps.eps1),
+                abs(k[1] - res.Omega1 - eps.eps2) / abs(eps.eps2),
             )
         convergence_ok &= errs[1e-4] < 0.3 * errs[1e-3] and errs[1e-4] < 1e-3
         details.append(f"{kind} {errs[1e-3]:.1e}->{errs[1e-4]:.1e}")
@@ -208,7 +206,7 @@ def test_criterion_8_oracle_equivalence():
         rep = channel_report(scenario, 0.5, kind=kind)
         assert rep.r10 <= 0.05 and rep.gamma <= 1e-4
         res = (pdc_resonance if kind == "pdc" else puc_resonance)(scenario, 0.5)
-        avg = thickness_averaged_intensities(scenario, 0.5, res.p, kind)
+        avg = thickness_averaged_intensities(scenario, res)
         measured = avg["t1"] + avg["r1"] - 1.0
         if kind == "puc":
             measured = -measured

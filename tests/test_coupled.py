@@ -13,7 +13,6 @@ from pumpslab import (
     calibrate_degenerate_angle,
     channel_report,
     epsilon_roots,
-    longitudinal,
     pdc_resonance,
     puc_resonance,
     quartic_wavenumbers,
@@ -99,23 +98,21 @@ class TestQuarticWavenumbers:
     def test_uncoupled_factorization_pdc(self):
         s = scenario_for(g=0.0)
         res = pdc_resonance(s, 0.4)
-        kin = longitudinal(s, 0.4, res.p, "pdc")
-        k = quartic_wavenumbers(s, kin)
+        k = quartic_wavenumbers(s, res)
         K0 = s.pump_wavenumber()
         # the coincident pair is a double root: accurate only to sqrt(eps)
-        np.testing.assert_allclose(k[0], kin.Omega1, atol=1e-7)
-        np.testing.assert_allclose(k[1], kin.Omega1, atol=1e-7)
-        np.testing.assert_allclose(k[2], -kin.Omega1, rtol=1e-12)
-        np.testing.assert_allclose(k[3], K0 + kin.Omega2, rtol=1e-12)
+        np.testing.assert_allclose(k[0], res.Omega1, atol=1e-7)
+        np.testing.assert_allclose(k[1], res.Omega1, atol=1e-7)
+        np.testing.assert_allclose(k[2], -res.Omega1, rtol=1e-12)
+        np.testing.assert_allclose(k[3], K0 + res.Omega2, rtol=1e-12)
 
     def test_uncoupled_factorization_puc(self):
         s = scenario_for(g=0.0)
         res = puc_resonance(s, 0.5)
-        kin = longitudinal(s, 0.5, res.p, "puc")
-        k = quartic_wavenumbers(s, kin)
+        k = quartic_wavenumbers(s, res)
         K0 = s.pump_wavenumber()
-        np.testing.assert_allclose(k[0], kin.Omega1, atol=1e-7)
-        np.testing.assert_allclose(k[3], -(K0 + kin.Omega2), rtol=1e-12)
+        np.testing.assert_allclose(k[0], res.Omega1, atol=1e-7)
+        np.testing.assert_allclose(k[3], -(K0 + res.Omega2), rtol=1e-12)
 
     @pytest.mark.parametrize("kind,omega", [("pdc", 0.4), ("puc", 0.5)])
     def test_first_order_convergence_of_pair_roots(self, kind, omega):
@@ -123,12 +120,11 @@ class TestQuarticWavenumbers:
         for g in (1e-3, 1e-4):
             s = scenario_for(g=g)
             res = (pdc_resonance if kind == "pdc" else puc_resonance)(s, omega)
-            kin = longitudinal(s, omega, res.p, kind)
-            k = quartic_wavenumbers(s, kin)
+            k = quartic_wavenumbers(s, res)
             eps = epsilon_roots(s, res)
             errs[g] = max(
-                abs(k[0] - kin.Omega1 - eps.eps1) / abs(eps.eps1),
-                abs(k[1] - kin.Omega1 - eps.eps2) / abs(eps.eps2),
+                abs(k[0] - res.Omega1 - eps.eps1) / abs(eps.eps1),
+                abs(k[1] - res.Omega1 - eps.eps2) / abs(eps.eps2),
             )
         # first-order shrink: a factor-10 coupling drop cuts the error ~10x
         assert errs[1e-4] < 0.3 * errs[1e-3]
@@ -154,15 +150,14 @@ class TestQuarticWavenumbers:
     def test_counterpropagating_shifts(self, kind, omega):
         s = scenario_for(g=1e-4)
         res = (pdc_resonance if kind == "pdc" else puc_resonance)(s, omega)
-        kin = longitudinal(s, omega, res.p, kind)
-        k = quartic_wavenumbers(s, kin)
+        k = quartic_wavenumbers(s, res)
         eps = epsilon_roots(s, res)
         K0 = s.pump_wavenumber()
-        shift3 = (k[2] + kin.Omega1).real
+        shift3 = (k[2] + res.Omega1).real
         if kind == "pdc":
-            shift4 = (k[3] - K0 - kin.Omega2).real
+            shift4 = (k[3] - K0 - res.Omega2).real
         else:
-            shift4 = (k[3] + K0 + kin.Omega2).real
+            shift4 = (k[3] + K0 + res.Omega2).real
         assert shift3 == pytest.approx(eps.eps3, rel=1e-3)
         assert shift4 == pytest.approx(eps.eps4, rel=1e-3)
 

@@ -1,7 +1,7 @@
 """Wavenumbers, resonance solving and closed-form rainbow angles."""
 import math
 import re
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from pumpslab import (
     PumpslabError,
     calibrate_degenerate_angle,
     degenerate_closed_forms,
-    longitudinal,
     pdc_resonance,
     puc_resonance,
 )
@@ -26,7 +25,6 @@ from pumpslab.kinematics import (
     OK,
     RESIDUAL_TOL,
     SKIP_REASONS,
-    ModeKinematics,
     _resonance_grid,
 )
 
@@ -41,22 +39,26 @@ THETA_U_DEG = 24.986804020817154
 
 
 class TestLongitudinal:
+    """Longitudinal wavenumbers of the resonance records, the only mode
+    pair records the library builds, and the regime errors in their place."""
+
     def test_vacuum_normal_incidence(self, vacuum):
-        kin = longitudinal(vacuum, 1.0, 0.0, "pdc")
+        kin = pdc_resonance(vacuum, 1.0)
+        assert kin.p == 0.0
         assert kin.Omega1 == kin.Omega10 == 1.0
         assert kin.Omega2 == kin.Omega20 == 1.0
         assert kin.partner == 1.0
 
     def test_constant_index(self, constant_index):
-        kin = longitudinal(constant_index, 0.5, 0.0, "pdc")
+        kin = pdc_resonance(constant_index, 0.5)
+        assert kin.p == 0.0
         assert kin.Omega1 == pytest.approx(0.75, abs=1e-15)
         assert kin.Omega10 == pytest.approx(0.5, abs=1e-15)
 
     def test_calibrated_resonant_internal_wavenumber(self, reference):
         # at the degenerate resonance the internal wavenumber collapses to
         # (omega0/2) * mu(omega0)
-        res = pdc_resonance(reference, 0.5)
-        kin = longitudinal(reference, 0.5, res.p, "pdc")
+        kin = pdc_resonance(reference, 0.5)
         assert kin.Omega1 == pytest.approx(0.755, rel=1e-12)
         assert kin.Omega2 == pytest.approx(0.755, rel=1e-12)
 
@@ -64,22 +66,19 @@ class TestLongitudinal:
         rng = np.random.default_rng(7)
         for _ in range(50):
             omega = rng.uniform(0.3, 0.7)
-            p = rng.uniform(0.0, 0.9) * min(omega, reference.omega0 - omega)
-            kin = longitudinal(reference, omega, p, "pdc")
-            assert kin.Omega1 >= kin.Omega10 > 0.0
-            assert kin.Omega2 >= kin.Omega20 > 0.0
-
-    def test_evanescent_rejected(self, reference):
-        with pytest.raises(EvanescentError):
-            longitudinal(reference, 0.5, 0.51, "pdc")
+            for solve in (pdc_resonance, puc_resonance):
+                kin = solve(reference, omega)
+                assert kin.Omega1 >= kin.Omega10 > 0.0
+                assert kin.Omega2 >= kin.Omega20 > 0.0
 
     def test_guard_band_rejected(self, reference):
-        with pytest.raises(GuardBandError):
-            longitudinal(reference, 0.985, 0.0, "puc")
+        with pytest.raises(GuardBandError) as excinfo:
+            puc_resonance(reference, 0.985)
+        assert str(excinfo.value) == "omega=0.985 is within 0.02*omega0 of 1*omega0"
 
     def test_pdc_requires_omega_below_pump(self, reference):
         with pytest.raises(GeometryError):
-            longitudinal(reference, 1.2, 0.0, "pdc")
+            pdc_resonance(reference, 1.2)
 
 
 class TestPdcResonance:
@@ -169,12 +168,19 @@ class TestResonanceResiduals:
 @pytest.mark.parametrize("solve,kind", [(pdc_resonance, "pdc"),
                                         (puc_resonance, "puc")])
 def test_resonance_record_is_longitudinal_at_p0(reference, solve, kind):
-    for omega in (0.31, 0.5, 0.62):
+    # each Omega is sqrt(omega^2 mu^2 - p0^2), in _radicands' operation
+    # order; mu**2 would differ in the last ulp at 0.39 and 0.55
+    mu, w0 = reference.dispersion.mu, reference.omega0
+    for omega in (0.31, 0.39, 0.5, 0.55, 0.62):
         res = solve(reference, omega)
-        kin = longitudinal(reference, omega, res.p, kind)
-        for f in fields(ModeKinematics):
-            assert getattr(res, f.name) == getattr(kin, f.name), f.name
-        assert res.theta == kin.theta
+        partner = w0 - omega if kind == "pdc" else w0 + omega
+        mu1, mu2, p = mu(omega), mu(partner), res.p
+        assert (res.omega, res.partner, res.kind) == (omega, partner, kind)
+        assert res.Omega1 == math.sqrt(omega * omega * mu1 * mu1 - p * p)
+        assert res.Omega10 == math.sqrt(omega * omega - p * p)
+        assert res.Omega2 == math.sqrt(partner * partner * mu2 * mu2 - p * p)
+        assert res.Omega20 == math.sqrt(partner * partner - p * p)
+        assert res.theta == math.asin(p / omega)
 
 
 class TestDegenerateClosedForms:

@@ -18,7 +18,6 @@ from pumpslab import (
     series_sum,
     slab_coefficients,
     fresnel_step,
-    longitudinal,
     thickness_averaged_intensities,
 )
 
@@ -34,14 +33,14 @@ def airy_transmission(r0, phase):
     return t0 * t0 / (1.0 + r0 * r0 - 2.0 * r0 * math.cos(phase))
 
 
-def single_thickness(scenario, omega, p, kind):
+def single_thickness(scenario, kin):
     """Intensities of the exact solve at the thickness scenario.l alone."""
-    return thickness_averaged_intensities(scenario, omega, p, kind, phases=1)
+    return thickness_averaged_intensities(scenario, kin, phases=1)
 
 
 class TestExactSolveLinear:
     def test_empty_slab(self, vacuum):
-        vals = single_thickness(vacuum, 1.0, 0.0, "pdc")
+        vals = single_thickness(vacuum, pdc_resonance(vacuum, 1.0))
         assert vals["t1"] == pytest.approx(1.0, abs=1e-12)
         assert vals["r1"] < 1e-24
         assert vals["r2"] == 0.0 and vals["t2"] == 0.0
@@ -50,7 +49,7 @@ class TestExactSolveLinear:
         # independent closed form for the single-frequency coherent slab
         s = replace(constant_index, l=123.4)
         kin_Omega = 0.5 * 1.5
-        vals = single_thickness(s, 0.5, 0.0, "pdc")
+        vals = single_thickness(s, pdc_resonance(s, 0.5))
         r0 = fresnel_step(0.5, kin_Omega).r0
         expected = airy_transmission(r0, 2.0 * kin_Omega * s.l)
         assert vals["t1"] == pytest.approx(expected, rel=1e-10)
@@ -59,7 +58,7 @@ class TestExactSolveLinear:
     def test_phase_average_reproduces_incoherent_slab(self, mu, r0_expected):
         model = DispersionModel.constant(mu)
         s = CrystalScenario(omega0=1.0, g=0.0, l=1000.0, dispersion=model)
-        avg = thickness_averaged_intensities(s, 0.5, 0.0, "pdc", phases=64)
+        avg = thickness_averaged_intensities(s, pdc_resonance(s, 0.5), phases=64)
         step = fresnel_step(0.5, 0.5 * mu)
         assert step.r0 == pytest.approx(r0_expected, abs=1e-12)
         r_closed, t_closed = slab_coefficients(step)
@@ -69,7 +68,7 @@ class TestExactSolveLinear:
         assert avg["t1"] == pytest.approx(t_closed, rel=1e-8)
 
     def test_g_zero_decouples(self, constant_index):
-        vals = single_thickness(constant_index, 0.5, 0.0, "pdc")
+        vals = single_thickness(constant_index, pdc_resonance(constant_index, 0.5))
         assert vals["r2"] == 0.0
         assert vals["t2"] == 0.0
         assert vals["cond"] == 1.0
@@ -82,7 +81,7 @@ class TestExactSolveCoupled:
         M, rhs = oracle_mod._boundary_stack(s, res, np.array([s.l]))
         x = np.linalg.solve(M[0], rhs)
         assert np.abs(M[0] @ x - rhs).max() < 1e-10
-        vals = single_thickness(s, 0.5, res.p, "pdc")
+        vals = single_thickness(s, res)
         assert vals["cond"] > 0.0 and np.isfinite(vals["cond"])
         assert vals["cond"] == pytest.approx(np.linalg.cond(M[0]), rel=1e-9)
         assert vals["t1"] == pytest.approx(abs(x[2]) ** 2, rel=1e-12)
@@ -92,7 +91,7 @@ class TestExactSolveCoupled:
         res = pdc_resonance(s, 0.5)
         for dl in (0.0, 17.0, 41.0):
             varied = replace(s, l=s.l + dl)
-            vals = single_thickness(varied, 0.5, res.p, "pdc")
+            vals = single_thickness(varied, res)
             lhs = vals["t1"] + vals["r1"] - 1.0
             rhs = (0.5 / 0.5) * (vals["t2"] + vals["r2"])
             assert lhs == pytest.approx(rhs, rel=1e-3)
@@ -101,7 +100,7 @@ class TestExactSolveCoupled:
         s = scenario_for()
         rep = channel_report(s, 0.5, kind="pdc")
         res = pdc_resonance(s, 0.5)
-        avg = thickness_averaged_intensities(s, 0.5, res.p, "pdc")
+        avg = thickness_averaged_intensities(s, res)
         measured = avg["t1"] + avg["r1"] - 1.0
         predicted = rep.gamma / (1.0 + rep.r10)
         assert measured == pytest.approx(predicted, rel=2e-2)
@@ -110,7 +109,7 @@ class TestExactSolveCoupled:
         s = scenario_for()
         rep = channel_report(s, 0.5, kind="puc")
         res = puc_resonance(s, 0.5)
-        avg = thickness_averaged_intensities(s, 0.5, res.p, "puc")
+        avg = thickness_averaged_intensities(s, res)
         measured = 1.0 - avg["t1"] - avg["r1"]
         predicted = rep.gamma / (1.0 + rep.r10)
         assert measured > 0.0  # genuinely attenuated
@@ -123,14 +122,14 @@ class TestExactSolveCoupled:
         s = scenario_for()
         rep = channel_report(s, 0.5, kind="pdc")
         res = pdc_resonance(s, 0.5)
-        avg = thickness_averaged_intensities(s, 0.5, res.p, "pdc")
+        avg = thickness_averaged_intensities(s, res)
         assert avg["r2"] < 1.5 * rep.gamma * rep.r20
         assert avg["r2"] == pytest.approx(rep.r2, rel=5e-2)
 
     def test_puc_energy_stays_below_input(self):
         s = scenario_for()
         res = puc_resonance(s, 0.5)
-        avg = thickness_averaged_intensities(s, 0.5, res.p, "puc")
+        avg = thickness_averaged_intensities(s, res)
         assert avg["t1"] + avg["r1"] < 1.0
 
     def test_conditioning_refusal(self, monkeypatch):
@@ -138,18 +137,18 @@ class TestExactSolveCoupled:
         res = pdc_resonance(s, 0.5)
         monkeypatch.setattr(oracle_mod, "COND_LIMIT", 1.0)
         with pytest.raises(ConditioningError) as excinfo:
-            single_thickness(s, 0.5, res.p, "pdc")
+            single_thickness(s, res)
         assert excinfo.value.cond is not None
 
 
-def per_phase_average(scenario, omega, p, kind, phases=64):
+def per_phase_average(scenario, kin, phases=64):
     """The thickness average as separate single-thickness solves."""
-    period = 2.0 * math.pi / longitudinal(scenario, omega, p, kind).Omega1
+    period = 2.0 * math.pi / kin.Omega1
     acc = {"r1": 0.0, "t1": 0.0, "r2": 0.0, "t2": 0.0}
     worst_cond = 0.0
     for j in range(phases):
         varied = replace(scenario, l=scenario.l + j * period / phases)
-        vals = single_thickness(varied, omega, p, kind)
+        vals = single_thickness(varied, kin)
         worst_cond = max(worst_cond, vals["cond"])
         for key in acc:
             acc[key] += vals[key]
@@ -157,41 +156,40 @@ def per_phase_average(scenario, omega, p, kind, phases=64):
 
 
 def resonant_case(case):
-    """(scenario, omega, p, kind) for a coupled pdc/puc point or g = 0."""
+    """(scenario, resonance record) for a coupled pdc/puc point or g = 0."""
     if case == "g0":
         model = DispersionModel.constant(1.5)
         s = CrystalScenario(omega0=1.0, g=0.0, l=1000.0, dispersion=model)
-        return s, 0.45, 0.0, "pdc"
+        return s, pdc_resonance(s, 0.45)
     s = scenario_for()
-    res = (pdc_resonance if case == "pdc" else puc_resonance)(s, 0.45)
-    return s, 0.45, res.p, case
+    return s, (pdc_resonance if case == "pdc" else puc_resonance)(s, 0.45)
 
 
 class TestStackedThicknessAverage:
     @pytest.mark.parametrize("case", ["pdc", "puc", "g0"])
     def test_matches_per_phase_solves(self, case):
-        s, omega, p, kind = resonant_case(case)
-        stacked = thickness_averaged_intensities(s, omega, p, kind)
-        looped, worst_cond = per_phase_average(s, omega, p, kind)
+        s, kin = resonant_case(case)
+        stacked = thickness_averaged_intensities(s, kin)
+        looped, worst_cond = per_phase_average(s, kin)
         for key in ("r1", "t1", "r2", "t2"):
             assert stacked[key] == pytest.approx(looped[key], rel=1e-13, abs=0.0)
         assert stacked["cond"] == worst_cond
 
     def test_condition_refusal_carries_worst_cond(self, monkeypatch):
-        s, omega, p, kind = resonant_case("pdc")
-        worst = thickness_averaged_intensities(s, omega, p, kind)["cond"]
+        s, kin = resonant_case("pdc")
+        worst = thickness_averaged_intensities(s, kin)["cond"]
         # only the worst phase exceeds the limit
         monkeypatch.setattr(oracle_mod, "COND_LIMIT", worst * (1.0 - 1e-12))
         with pytest.raises(ConditioningError) as excinfo:
-            thickness_averaged_intensities(s, omega, p, kind)
+            thickness_averaged_intensities(s, kin)
         assert excinfo.value.cond == worst
 
     def test_residual_refusal_carries_worst_cond(self, monkeypatch):
-        s, omega, p, kind = resonant_case("puc")
-        worst = thickness_averaged_intensities(s, omega, p, kind)["cond"]
+        s, kin = resonant_case("puc")
+        worst = thickness_averaged_intensities(s, kin)["cond"]
         monkeypatch.setattr(oracle_mod, "RESIDUAL_LIMIT", 0.0)
         with pytest.raises(ConditioningError, match="continuity residual") as excinfo:
-            thickness_averaged_intensities(s, omega, p, kind)
+            thickness_averaged_intensities(s, kin)
         assert excinfo.value.cond == worst
 
 

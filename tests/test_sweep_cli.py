@@ -12,7 +12,6 @@ import pytest
 
 import pumpslab
 import pumpslab.kinematics as kinematics_mod
-import pumpslab.oracle as oracle_mod
 import pumpslab.sweep as sweep_mod
 from pumpslab import (
     CrystalScenario,
@@ -148,25 +147,38 @@ class TestRunSweep:
         degenerate_rows(scenario_for(), kinds=("puc",))
         assert calls == [([0.5], ("pdc", "puc"))]
         calls.clear()
-        oracle_req = replace(req, band=(0.3, 0.7), samples=3, kinds=("puc", "pdc"))
+        oracle_req = replace(req, band=(0.3, 0.7), samples=3, kinds=("puc", "pdc"),
+                             detuning=0.0)
         compare_oracle(oracle_req, include_exact=False)
         assert calls == [([0.3, 0.5, 0.7], ("puc", "pdc"))]
 
     def test_exact_rows_reuse_the_resonance_record(self, monkeypatch):
-        derived = []
-        longitudinal = oracle_mod.longitudinal
+        grids, received = [], []
+        solve = sweep_mod._resonance_grid
+        average = sweep_mod.thickness_averaged_intensities
 
-        def counted(*args):
-            derived.append(args)
-            return longitudinal(*args)
+        def recorded_grid(*args):
+            grids.append(solve(*args))
+            return grids[-1]
 
-        monkeypatch.setattr(oracle_mod, "longitudinal", counted)
+        def recorded_average(*args, **kwargs):
+            received.append(args)
+            return average(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "_resonance_grid", recorded_grid)
+        monkeypatch.setattr(sweep_mod, "thickness_averaged_intensities",
+                            recorded_average)
         req = SweepRequest(scenario=scenario_for(g=1e-5, l=2800.0),
                            band=(0.4, 0.6), samples=2, kinds=("pdc",))
         rows, _ = compare_oracle(req, include_exact=True)
         exact = [row["status"] for row in rows if row["quantity"] == "exact_excess"]
         assert len(exact) == 2 and set(exact) <= {"ok", "breach"}  # averages ran
-        assert derived == []
+        (grid,) = grids
+        records = [res for (res,) in grid.points()]
+        assert len(received) == 2
+        for (scenario, kin), res in zip(received, records):
+            assert scenario is req.scenario
+            assert kin == res
 
     def test_skipped_rows_leave_no_reference_cycles(self):
         req = SweepRequest(scenario=scenario_for(), band=(0.05, 1.95), samples=41,
@@ -286,6 +298,15 @@ class TestCompareOracle:
         req = SweepRequest(scenario=scenario_for(), band=(0.45, 0.55), samples=2)
         rows, breached = compare_oracle(req, include_exact=False)
         assert breached
+
+    def test_detuning_rejected(self):
+        # every oracle check runs at the resonant p0
+        req = SweepRequest(scenario=scenario_for(), band=(0.45, 0.55), samples=2,
+                           detuning=0.2)
+        with pytest.raises(ValueError, match="detuning must be 0"):
+            compare_oracle(req, include_exact=False)
+        rows, _ = compare_oracle(replace(req, detuning=0.0), include_exact=False)
+        assert rows
 
     def test_zero_coupling_identities_not_applicable(self):
         req = SweepRequest(scenario=scenario_for(g=0.0), band=(0.45, 0.55),
@@ -431,6 +452,26 @@ class TestCli:
         ])
         assert code == 0
         assert out.read_text().startswith(",".join(ORACLE_COLUMNS))
+
+    def test_detuning_is_a_sweep_option_only(self, tmp_path, capsys):
+        physics = ["--theta-d-deg", "10", "--mu2", "1.51",
+                   "--band", "0.45", "0.55", "--samples", "2"]
+        assert main(["sweep", *physics, "--detuning", "0.005"]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare-oracle", *physics, "--no-exact", "--detuning", "0.005"])
+        assert excinfo.value.code == 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[scenario]\ntheta_d_deg = 10.0\nmu2 = 1.51\n"
+            "[sweep]\nomega_lo = 0.45\nomega_hi = 0.55\nsamples = 2\n"
+            "detuning = 0.005\n"
+        )
+        capsys.readouterr()
+        assert main(["compare-oracle", "--config", str(cfg), "--no-exact"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "detuning must be 0" in captured.err
+        assert main(["sweep", "--config", str(cfg)]) == 0
 
     def test_breach_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(sweep_mod, "QUARTIC_TOL", 1e-30)
