@@ -21,11 +21,12 @@ import numpy as np
 
 from .errors import (
     DegenerateRootError,
+    EvanescentError,
     GeometryError,
     UndefinedSplitError,
     ValidityWarning,
 )
-from .kinematics import check_kind, pdc_resonance, puc_resonance
+from .kinematics import _resonance
 from .lamina import fresnel_step
 
 DETUNING_WARN_FRACTION = 0.01
@@ -71,8 +72,9 @@ def epsilon_roots(scenario, res, p=None):
     """Perturbative wavenumber shifts at working transverse wavenumber p.
 
     res is the ResonancePoint (its p is the resonant p0); p defaults to
-    p0.  Valid for g << 1 and |p - p0| << omega; a ValidityWarning is
-    issued beyond |p - p0| = DETUNING_WARN_FRACTION * omega.
+    p0 and must lie in [0, min(omega, partner)), where both free-space
+    waves propagate.  Valid for g << 1 and |p - p0| << omega; a
+    ValidityWarning is issued beyond |p - p0| = DETUNING_WARN_FRACTION * omega.
     """
     omega, partner, p0 = res.omega, res.partner, res.p
     w1, w2 = res.Omega1, res.Omega2
@@ -80,6 +82,13 @@ def epsilon_roots(scenario, res, p=None):
         raise GeometryError("resonant internal wavenumbers must be positive")
     if p is None:
         p = p0
+    if p < 0.0:
+        raise GeometryError(f"working p={p:g} is negative")
+    if p >= omega or p >= partner:
+        raise EvanescentError(
+            f"working p={p:g} is evanescent: a free-space wave needs "
+            f"p < min(omega, partner) = {min(omega, partner):g}"
+        )
     if abs(p - p0) > DETUNING_WARN_FRACTION * omega:
         warnings.warn(
             f"|p - p0| = {abs(p - p0):g} exceeds "
@@ -236,11 +245,7 @@ def channel_report(scenario, omega, kind="pdc", p=None):
     Resonance geometry is solved first; p (default: the resonant p0)
     detunes the coupled-pair shifts without moving the rainbow angles.
     """
-    check_kind(kind)
-    res = pdc_resonance(scenario, omega) if kind == "pdc" else puc_resonance(
-        scenario, omega
-    )
-    return resonance_report(scenario, res, p)
+    return resonance_report(scenario, _resonance(scenario, omega, kind), p)
 
 
 def resonance_report(scenario, res, p):

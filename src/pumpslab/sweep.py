@@ -6,12 +6,14 @@ digits at the formatting boundary, which makes repeated runs byte-stable.
 """
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coupled import epsilon_roots, quartic_wavenumbers, rainbow_split, resonance_report
-from .errors import ConditioningError, SweepError, UndefinedSplitError
+from .errors import (ConditioningError, EvanescentError, GeometryError, SweepError,
+                     UndefinedSplitError)
 from .kinematics import _resonance_grid, check_kind
 from .oracle import series_sum, thickness_averaged_intensities
 
@@ -77,45 +79,56 @@ class SweepRequest:
         return np.linspace(lo, hi, self.samples)
 
 
-def _solved_rows(scenario, omegas, kinds, detuning):
-    """Rows for every omega and kind, from one resonance solve of the grid.
+# report-stage errors of a solved resonance, as row statuses: a working p
+# outside [0, min(omega, partner)) or a flux ratio with no partner flux
+_REPORT_SKIPS = {
+    GeometryError: "geometry",
+    EvanescentError: "evanescent",
+    UndefinedSplitError: "undefined_ratio",
+}
 
-    Both kinds are solved for each omega: every row carries both angles.
+
+def _outcomes(scenario, omegas, kinds, detuning=0.0):
+    """Every (omega, kind) of a table, from one resonance solve of the grid.
+
+    Yields (omega, angles, kind, res, status, report) ordered by omega,
+    then by kinds.  angles is [theta_d_deg, theta_u_deg], None where a
+    kind has no resonance: both kinds are solved for each omega, so every
+    row carries both.  res is the ResonancePoint, None where the kernel
+    found no resonance.  report is its ChannelReport at the working
+    p = p0 + detuning * omega where status is "ok"; otherwise status is
+    the skip reason and report is None.
     """
     grid = _resonance_grid(scenario, omegas, ("pdc", "puc"))
-    rows = []
-    for omega, (res_d, res_u) in zip(grid.omega.tolist(), grid.points()):
-        rows.extend(_sweep_rows(scenario, omega, {"pdc": res_d, "puc": res_u},
-                                kinds, detuning))
-    return rows
+    for omega, solved in zip(grid.omega.tolist(), grid.points()):
+        angles = [None if isinstance(res, str) else res.theta_deg for res in solved]
+        for kind in kinds:
+            res = solved[0 if kind == "pdc" else 1]
+            if isinstance(res, str):
+                yield omega, angles, kind, None, res, None
+                continue
+            p = res.p + detuning * omega if detuning else None
+            try:
+                report = resonance_report(scenario, res, p)
+            except tuple(_REPORT_SKIPS) as exc:
+                yield omega, angles, kind, res, _REPORT_SKIPS[type(exc)], None
+            else:
+                yield omega, angles, kind, res, "ok", report
 
 
-def _sweep_rows(scenario, omega, solved, kinds, detuning):
-    """One row per kind at omega; solved maps each kind to its
-    ResonancePoint or skip reason."""
-    theta = {
-        kind: None if isinstance(res, str) else res.theta_deg
-        for kind, res in solved.items()
-    }
+def _sweep_rows(scenario, omegas, kinds, detuning=0.0):
+    """SWEEP_COLUMNS rows of _outcomes; a SweepError if none is ok."""
     rows = []
-    for kind in kinds:
+    for omega, angles, kind, _, status, report in _outcomes(
+            scenario, omegas, kinds, detuning):
         row = dict.fromkeys(SWEEP_COLUMNS)
         row["omega"] = omega
         row["kind"] = kind
-        row["theta_d_deg"] = theta["pdc"]
-        row["theta_u_deg"] = theta["puc"]
+        row["status"] = status
+        row["theta_d_deg"], row["theta_u_deg"] = angles
         rows.append(row)
-        res = solved[kind]
-        if isinstance(res, str):
-            row["status"] = res
+        if report is None:
             continue
-        try:
-            p = res.p + detuning * omega if detuning else None
-            report = resonance_report(scenario, res, p)
-        except UndefinedSplitError:
-            row["status"] = "undefined_ratio"
-            continue
-        row["status"] = "ok"
         row["gamma"] = report.gamma
         row["r1"] = report.r1
         row["t1"] = report.t1
@@ -126,6 +139,9 @@ def _sweep_rows(scenario, omega, solved, kinds, detuning):
         row["ratio"] = report.ratio
         if report.gamma > 0.0:
             row["forward_fraction"] = rainbow_split(report)[0]
+    if not any(row["status"] == "ok" for row in rows):
+        reasons = dict(Counter(row["status"] for row in rows))
+        raise SweepError(f"no valid samples in sweep: {reasons}", skip_reasons=reasons)
     return rows
 
 
@@ -137,22 +153,13 @@ def run_sweep(request):
     aborting the sweep.  If nothing survives, a SweepError summarizes the
     reasons.
     """
-    rows = _solved_rows(request.scenario, request.grid(), request.kinds,
-                        request.detuning)
-    if not any(row["status"] == "ok" for row in rows):
-        reasons = {}
-        for row in rows:
-            reasons[row["status"]] = reasons.get(row["status"], 0) + 1
-        raise SweepError(f"no valid samples in sweep: {reasons}", skip_reasons=reasons)
-    return rows
+    return _sweep_rows(request.scenario, request.grid(), request.kinds,
+                       request.detuning)
 
 
 def degenerate_rows(scenario, kinds=("pdc",)):
-    """Single-frequency report rows at omega0 / 2."""
-    rows = _solved_rows(scenario, [0.5 * scenario.omega0], kinds, 0.0)
-    if not any(row["status"] == "ok" for row in rows):
-        raise SweepError("degenerate point produced no valid rows")
-    return rows
+    """Single-frequency report rows at omega0 / 2, or a SweepError."""
+    return _sweep_rows(scenario, [0.5 * scenario.omega0], kinds)
 
 
 def _row(omega, kind, quantity, status, tol=None, **values):
@@ -188,62 +195,46 @@ def compare_oracle(request, include_exact=True):
             f"got {request.detuning:g}"
         )
     scenario = request.scenario
-    grid = _resonance_grid(scenario, request.grid(), request.kinds)
+    # shift formulas degrade as O(g); validate them at a fixed weak
+    # reference coupling so the stated tolerance is meaningful for any
+    # scenario coupling (including g = 0).  The resonance does not depend
+    # on g, so each res serves the reference scenario too.
+    ref = replace(scenario, g=QUARTIC_REFERENCE_G)
     rows = []
-    for omega, solved in zip(grid.omega.tolist(), grid.points()):
-        for kind, res in zip(request.kinds, solved):
-            if isinstance(res, str):
-                rows.append(_row(omega, kind, "channel_report", res))
-                continue
-            try:
-                report = resonance_report(scenario, res, None)
-            except UndefinedSplitError:
-                rows.append(_row(omega, kind, "channel_report", "undefined_ratio"))
-                continue
-            if report.gamma == 0.0:
-                # without pump-induced excess the gamma-scale identities
-                # are vacuous; only the shift validation says anything
-                for quantity in ("flux_identity_excess", "flux_identity_partner"):
-                    rows.append(
-                        _row(omega, kind, quantity, "not_applicable", IDENTITY_TOL)
-                    )
-            else:
-                excess, partner_side, ident = report.flux_identity_terms()
-                rows.append(
-                    _oracle_row(omega, kind, "flux_identity_excess", excess,
-                                ident, IDENTITY_TOL)
-                )
-                rows.append(
-                    _oracle_row(omega, kind, "flux_identity_partner",
-                                partner_side, ident, IDENTITY_TOL)
-                )
-            series = series_sum(
-                report.r10, report.r20, report.gamma, report.omega,
-                scenario.omega0, kind=kind,
-            )
-            for name, closed, summed in zip(
-                ("r1", "t1", "r2", "t2"),
-                (report.r1, report.t1, report.r2, report.t2),
-                series,
-            ):
-                rows.append(
-                    _oracle_row(omega, kind, f"series_{name}", closed, summed,
-                                SERIES_TOL)
-                )
-            rows.extend(_quartic_rows(scenario, res))
-            if include_exact:
-                rows.append(_exact_row(scenario, res, report))
+    for omega, _, kind, res, status, report in _outcomes(
+            scenario, request.grid(), request.kinds):
+        if report is None:
+            rows.append(_row(omega, kind, "channel_report", status))
+            continue
+        if report.gamma == 0.0:
+            # without pump-induced excess the gamma-scale identities
+            # are vacuous; only the shift validation says anything
+            for quantity in ("flux_identity_excess", "flux_identity_partner"):
+                rows.append(_row(omega, kind, quantity, "not_applicable", IDENTITY_TOL))
+        else:
+            excess, partner_side, ident = report.flux_identity_terms()
+            rows.append(_oracle_row(omega, kind, "flux_identity_excess", excess,
+                                    ident, IDENTITY_TOL))
+            rows.append(_oracle_row(omega, kind, "flux_identity_partner",
+                                    partner_side, ident, IDENTITY_TOL))
+        series = series_sum(report.r10, report.r20, report.gamma, report.omega,
+                            scenario.omega0, kind=kind)
+        for name, closed, summed in zip(
+            ("r1", "t1", "r2", "t2"), (report.r1, report.t1, report.r2, report.t2),
+            series,
+        ):
+            rows.append(_oracle_row(omega, kind, f"series_{name}", closed, summed,
+                                    SERIES_TOL))
+        rows.extend(_quartic_rows(ref, res))
+        if include_exact:
+            rows.append(_exact_row(scenario, res, report))
     breached = any(row["status"] == "breach" for row in rows)
     return rows, breached
 
 
-def _quartic_rows(scenario, res):
-    # shift formulas degrade as O(g); validate them at a fixed weak
-    # reference coupling so the stated tolerance is meaningful for any
-    # scenario coupling (including g = 0).  The resonance does not depend
-    # on g, so res serves the reference scenario too.
+def _quartic_rows(ref, res):
+    """Quartic-vs-perturbative shift rows at the reference coupling."""
     omega, kind = res.omega, res.kind
-    ref = replace(scenario, g=QUARTIC_REFERENCE_G)
     eps = epsilon_roots(ref, res)
     k = quartic_wavenumbers(ref, res)
     K0 = ref.pump_wavenumber()

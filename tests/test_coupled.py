@@ -1,5 +1,6 @@
 """Coupled-pair shifts, quartic roots, fluxes and the rainbow split."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from pumpslab import (
     CrystalScenario,
     DispersionModel,
+    EvanescentError,
+    GeometryError,
     UndefinedSplitError,
     ValidityWarning,
     calibrate_degenerate_angle,
@@ -166,6 +169,15 @@ class TestChannelReport:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="conjugate kind"):
             channel_report(scenario_for(), 0.5, kind="sfg")
+
+    @pytest.mark.parametrize("p,error", [(0.6, EvanescentError),
+                                         (-0.01, GeometryError)])
+    def test_working_p_outside_range_rejected(self, p, error):
+        # p must lie in [0, min(omega, partner)); 0.5 is the bound at omega0/2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ValidityWarning)
+            with pytest.raises(error, match=f"working p={p:g}"):
+                channel_report(scenario_for(), 0.5, kind="pdc", p=p)
 
     def test_linear_limit_reduces_to_slab(self):
         s = scenario_for(g=0.0)

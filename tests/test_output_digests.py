@@ -2,17 +2,20 @@
 
 A change to any number, its formatting or the row order changes a digest;
 a refactor that keeps these outputs byte-identical keeps every test here
-passing.  Exact-oracle rows are left out: their last digits depend on the
-LAPACK build.  The quartic rows of compare_oracle come from np.roots, so
-the digests below were taken with numpy 2.4 and its bundled OpenBLAS.
+passing.  The quartic rows of compare_oracle come from np.roots and its
+exact rows from stacked LAPACK solves, so their last digits depend on the
+numpy build: the digests below were taken with numpy 2.4 and its bundled
+OpenBLAS.
 """
 import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 
 from pumpslab import (
     CrystalScenario,
+    DispersionModel,
     SweepRequest,
     calibrate_degenerate_angle,
     compare_oracle,
@@ -30,6 +33,11 @@ DIGESTS = {
     "degenerate-jsonl": "bfe5bf5cd7911e180e2266dd0b01f0f342d0f0d090b503e95c17d1071dc3b88e",
     "oracle-csv": "8bdc511342c7df849cce253e66fcea01deccca7b491db002d47b25f81fff9848",
     "oracle-jsonl": "f4df50132f6e74f4364162019c3cd4ea2aeec4f5748f34dd28b5ecc9eb8add7b",
+    "oracle-puc-csv": "56c329f6ed12303b1528b3a417b57adaa2ca27ee9c2b9079e498446ca163d05f",
+    "oracle-puc-pdc-csv": "47395502996ede835893b7ffe72800de432307bb4d05e573294b9eed9eed6229",
+    "oracle-exact-csv": "764fb889d346ff40867934cc10847e55d6332ccca97a03611dc659b0dfd0be07",
+    "collinear-sweep-csv": "c673d954aa611aaf719bf43e045418fdc3d0b26b49802767a74bc927d90d468e",
+    "collinear-degenerate-csv": "7eda051b3288b2165d7b86c60d87810256f3801b60eb1253c3874728f56a5625",
 }
 
 
@@ -54,14 +62,43 @@ def outputs(scenario):
     rows, _ = compare_oracle(request, include_exact=False)
     for fmt in ("csv", "jsonl"):
         texts[f"oracle-{fmt}"] = rows_to_text(rows, ORACLE_COLUMNS, fmt)
+    for kinds in (("puc",), ("puc", "pdc")):
+        rows, _ = compare_oracle(replace(request, kinds=kinds), include_exact=False)
+        texts[f"oracle-{'-'.join(kinds)}-csv"] = rows_to_text(rows, ORACLE_COLUMNS)
     return texts
+
+
+def exact_oracle_text(scenario):
+    """compare_oracle with exact rows, in the thick-slab weak-coupling regime."""
+    request = SweepRequest(scenario=replace(scenario, g=1e-5, l=2800.0),
+                           band=(0.3, 0.7), samples=5, kinds=("pdc", "puc"))
+    rows, _ = compare_oracle(request, include_exact=True)
+    return rows_to_text(rows, ORACLE_COLUMNS)
+
+
+def collinear_texts():
+    """A constant index: collinear resonances, every puc row undefined_ratio."""
+    model = DispersionModel.constant(1.5, band=(0.01, 3.0))
+    scenario = CrystalScenario(omega0=1.0, g=1e-4, l=100.0, dispersion=model)
+    request = SweepRequest(scenario=scenario, band=(0.05, 1.95), samples=41,
+                           kinds=("pdc", "puc"))
+    return {
+        "collinear-sweep-csv": rows_to_text(run_sweep(request), SWEEP_COLUMNS),
+        "collinear-degenerate-csv": rows_to_text(
+            degenerate_rows(scenario, kinds=("pdc", "puc")), SWEEP_COLUMNS),
+    }
 
 
 @pytest.fixture(scope="module")
 def texts():
-    """The outputs of the reference scenario (10 degrees, mu2 = 1.51)."""
+    """The outputs of the reference scenario (10 degrees, mu2 = 1.51), its
+    exact-oracle table and the collinear constant-index outputs."""
     model = calibrate_degenerate_angle(math.radians(10.0), 1.51)
-    return outputs(CrystalScenario(omega0=1.0, g=1e-4, l=100.0, dispersion=model))
+    scenario = CrystalScenario(omega0=1.0, g=1e-4, l=100.0, dispersion=model)
+    texts = outputs(scenario)
+    texts["oracle-exact-csv"] = exact_oracle_text(scenario)
+    texts.update(collinear_texts())
+    return texts
 
 
 @pytest.mark.parametrize("key", sorted(DIGESTS))

@@ -12,6 +12,7 @@ import pytest
 
 import pumpslab
 import pumpslab.kinematics as kinematics_mod
+import pumpslab.oracle as oracle_mod
 import pumpslab.sweep as sweep_mod
 from pumpslab import (
     CrystalScenario,
@@ -114,6 +115,16 @@ class TestRunSweep:
         g_off = [r["gamma"] for r in run_sweep(detuned)]
         assert all(b < a for a, b in zip(g_on, g_off))
 
+    @pytest.mark.parametrize("detuning,reason", [(1.5, "evanescent"),
+                                                 (-0.5, "geometry")])
+    def test_working_p_outside_range_skipped(self, detuning, reason):
+        # p0 + detuning * omega leaves [0, min(omega, partner)) everywhere
+        req = SweepRequest(scenario=scenario_for(), band=(0.4, 0.6), samples=5,
+                           kinds=("pdc", "puc"), detuning=detuning)
+        with pytest.raises(SweepError) as excinfo:
+            run_sweep(req)
+        assert excinfo.value.skip_reasons == {reason: 10}
+
     def test_request_validation(self):
         with pytest.raises(ValueError):
             SweepRequest(scenario=scenario_for(), band=(0.4, 0.6), samples=1)
@@ -150,7 +161,7 @@ class TestRunSweep:
         oracle_req = replace(req, band=(0.3, 0.7), samples=3, kinds=("puc", "pdc"),
                              detuning=0.0)
         compare_oracle(oracle_req, include_exact=False)
-        assert calls == [([0.3, 0.5, 0.7], ("puc", "pdc"))]
+        assert calls == [([0.3, 0.5, 0.7], ("pdc", "puc"))]
 
     def test_exact_rows_reuse_the_resonance_record(self, monkeypatch):
         grids, received = [], []
@@ -174,7 +185,7 @@ class TestRunSweep:
         exact = [row["status"] for row in rows if row["quantity"] == "exact_excess"]
         assert len(exact) == 2 and set(exact) <= {"ok", "breach"}  # averages ran
         (grid,) = grids
-        records = [res for (res,) in grid.points()]
+        records = [res for (res, _) in grid.points()]
         assert len(received) == 2
         for (scenario, kin), res in zip(received, records):
             assert scenario is req.scenario
@@ -254,6 +265,14 @@ class TestDegenerateRows:
         assert row["theta_d_deg"] == pytest.approx(10.0, abs=1e-3)
         assert row["theta_u_deg"] == pytest.approx(25.0, abs=0.5)
 
+    def test_empty_result_reports_skip_reasons(self):
+        # a band around omega0 leaves omega0 / 2 out of band for both kinds
+        model = DispersionModel.constant(1.5, band=(0.9, 1.1))
+        scenario = CrystalScenario(omega0=1.0, g=1e-4, l=100.0, dispersion=model)
+        with pytest.raises(SweepError) as excinfo:
+            degenerate_rows(scenario, kinds=("pdc", "puc"))
+        assert excinfo.value.skip_reasons == {"out_of_band": 2}
+
     def test_puc_to_pdc_flux_ratio(self):
         rows = degenerate_rows(scenario_for(), kinds=("pdc", "puc"))
         flux = {row["kind"]: row["flux_omega"] for row in rows}
@@ -265,6 +284,55 @@ class TestDegenerateRows:
 
 
 class TestCompareOracle:
+    def test_kernel_skips_become_channel_report_rows(self):
+        req = SweepRequest(scenario=scenario_for(), band=(0.9, 1.1), samples=5,
+                           kinds=("pdc", "puc"))
+        rows, _ = compare_oracle(req)
+        skipped = [(r["omega"], r["kind"], r["status"]) for r in rows
+                   if r["quantity"] == "channel_report"]
+        assert [(kind, status) for _, kind, status in skipped] == [
+            ("pdc", "out_of_band"), ("pdc", "guard_band"), ("puc", "guard_band"),
+            ("pdc", "geometry"), ("pdc", "geometry")]
+        assert [omega for omega, _, _ in skipped] == pytest.approx(
+            [0.95, 1.0, 1.0, 1.05, 1.1])
+
+    def test_conditioning_refusal_row(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "COND_LIMIT", 1.0)
+        req = SweepRequest(scenario=scenario_for(g=1e-5, l=2800.0),
+                           band=(0.4, 0.6), samples=2, kinds=("pdc",))
+        rows, breached = compare_oracle(req)
+        exact = [r for r in rows if r["quantity"] == "exact_excess"]
+        assert [r["status"] for r in exact] == ["conditioning_error"] * 2
+        assert all(r["oracle"] is None for r in exact)
+        assert not breached
+
+    def test_puc_exact_rows_are_sign_flipped(self):
+        # mu2 = 1.45 keeps r10 small enough for exact puc rows; the
+        # attenuated t1 + r1 - 1 is negative, the reported excess positive
+        model = calibrate_degenerate_angle(math.radians(10.0), 1.45)
+        scenario = CrystalScenario(omega0=1.0, g=1e-5, l=2800.0, dispersion=model)
+        req = SweepRequest(scenario=scenario, band=(0.3, 0.7), samples=5,
+                           kinds=("puc",))
+        rows, breached = compare_oracle(req)
+        exact = [r for r in rows if r["quantity"] == "exact_excess"]
+        assert [r["status"] for r in exact] == ["ok"] * 5
+        assert all(r["oracle"] > 0.0 and r["closed_form"] > 0.0 for r in exact)
+        assert not breached
+
+    def test_reference_scenario_built_once(self, monkeypatch):
+        built = []
+        build = sweep_mod.replace
+
+        def counted(*args, **kwargs):
+            built.append(kwargs)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "replace", counted)
+        req = SweepRequest(scenario=scenario_for(), band=(0.3, 0.7), samples=5,
+                           kinds=("pdc", "puc"))
+        compare_oracle(req, include_exact=False)
+        assert built == [{"g": sweep_mod.QUARTIC_REFERENCE_G}]
+
     def test_all_rows_within_tolerance(self):
         req = SweepRequest(
             scenario=scenario_for(g=1e-5, l=3000.0), band=(0.45, 0.55),
