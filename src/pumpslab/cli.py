@@ -98,6 +98,11 @@ def build_parser():
     return parser
 
 
+# argparse keeps no state between parse_args calls (every call fills a
+# fresh Namespace), so one parser serves every main() call.
+_PARSER = build_parser()
+
+
 def _load_config(path):
     cfg = configparser.ConfigParser()
     read = cfg.read(path)
@@ -176,8 +181,7 @@ def _build_request(args, cfg, scenario):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     cfg = None
     try:
         if getattr(args, "config", None):

@@ -11,7 +11,11 @@ are supported:
     form with the pole kept outside the band.
 ``tabulated``
     monotone cubic (PCHIP) interpolation of mu^2 through sample points;
-    band is the sampled interval.
+    band is the sampled interval.  The slopes follow Fritsch and Carlson:
+    zero where the neighbouring secants are flat or change sign, else
+    their weighted harmonic mean, and a shape-preserving one-sided
+    three-point rule at both ends (Moler, *Numerical Computing with
+    MATLAB*, sec. 3.6, ``pchiptx``).
 
 Models are immutable after construction and validated up front: mu must
 be real and >= 1 everywhere in the band, and evaluation outside the band
@@ -20,7 +24,6 @@ is an error, never an extrapolation.
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import CalibrationError, OutOfBandError
 
@@ -51,7 +54,9 @@ class DispersionModel:
                 raise ValueError("tabulated sample frequencies must increase")
             if not (math.isclose(omegas[0], lo) and math.isclose(omegas[-1], hi)):
                 raise ValueError("tabulated band must span the sample points")
-            self._interp = PchipInterpolator(omegas, mu_sq, extrapolate=False)
+            if not (np.all(np.isfinite(omegas)) and np.all(np.isfinite(mu_sq))):
+                raise ValueError("tabulated samples must be finite")
+            self._interp = _Pchip(omegas, mu_sq)
         self._validate()
 
     # -- constructors ------------------------------------------------------
@@ -85,7 +90,7 @@ class DispersionModel:
         """Refractive index at omega (scalar or array), band-checked."""
         w = np.asarray(omega, dtype=float)
         lo, hi = self.band
-        if np.any(w < lo) or np.any(w > hi):
+        if (w < lo).any() or (w > hi).any():
             raise OutOfBandError(
                 f"frequency {omega} outside dispersion band [{lo:g}, {hi:g}]"
             )
@@ -144,6 +149,70 @@ class DispersionModel:
     def __repr__(self):
         lo, hi = self.band
         return f"DispersionModel(kind={self.kind!r}, band=({lo:g}, {hi:g}))"
+
+
+class _Pchip:
+    """Monotone cubic Hermite interpolant through (x, y); NaN off [x0, xn].
+
+    Operation for operation this is the arithmetic of scipy 1.17's
+    ``PchipInterpolator(x, y, extrapolate=False)``, so values agree to the
+    last bit: Fritsch-Carlson slopes (see the module docstring), the
+    Hermite power coefficients c0..c3 of each interval, and evaluation on
+    x[i] <= w < x[i+1], closed at the right end, as
+    c3 + c2*s + c1*(s*s) + c0*(s*s*s) with s = w - x[i].
+    """
+
+    def __init__(self, x, y):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = self._slopes(h, m)
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        # One column per interval: c0..c3 and the left breakpoint x[i];
+        # scipy starts its sum from 0.0, which makes c3 +0.0 where y is -0.0.
+        columns = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], 0.0 + y[:-1], x[:-1]))
+        nan = np.full((5, 1), np.nan)
+        self._table = np.hstack((nan, columns, nan))
+        # searchsorted(..., "right") maps w < x0 to the first NaN column,
+        # x[i] <= w < x[i+1] to column i + 1, w == xn to the last interval
+        # and w > xn (or NaN) to the last NaN column.
+        self._edges = np.append(x[:-1], np.nextafter(x[-1], np.inf))
+
+    @staticmethod
+    def _slopes(h, m):
+        if m.size == 1:
+            return np.array([m[0], m[0]])
+        sign = np.sign(m)
+        flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+            end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        d = np.empty(m.size + 1)
+        d[1:-1] = np.where(flat, 0.0, inner)
+        overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+        d[[0, -1]] = np.where(
+            np.sign(end) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, end)
+        )
+        return d
+
+    def __call__(self, w):
+        # One gather, then c3 + c2*s + c1*(s*s) + c0*(s*s*s) summed left to
+        # right, in place on the gathered copy (+ and * commute exactly).
+        c0, c1, c2, c3, left = self._table.take(
+            np.searchsorted(self._edges, w, "right"), axis=1
+        )
+        s = w - left
+        c2 *= s
+        c2 += c3
+        s2 = s * s
+        c1 *= s2
+        c2 += c1
+        s2 *= s
+        s2 *= c0
+        c2 += s2
+        return c2
 
 
 def calibrate_degenerate_angle(theta_d, mu2, omega0=1.0, band=None):

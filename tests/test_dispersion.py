@@ -1,8 +1,14 @@
 """Dispersion model construction, calibration and serialization."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pumpslab import (
     CalibrationError,
@@ -10,6 +16,7 @@ from pumpslab import (
     OutOfBandError,
     calibrate_degenerate_angle,
 )
+from pumpslab.dispersion import _Pchip
 
 Q_D_10DEG = math.sin(math.radians(10.0)) ** 2  # 0.030153689607...
 
@@ -155,3 +162,104 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(ValueError):
             DispersionModel.from_record("kind=constant\nvalue=1.5\n")
+
+
+def assert_same_bits(got, want):
+    """Equal NaN positions and, elsewhere, equal IEEE bit patterns."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@st.composite
+def pchip_tables(draw):
+    """2-12 strictly increasing abscissae with monotone, non-monotone,
+    repeated-value (zero-slope) or collinear ordinates."""
+    n = draw(st.integers(2, 12))
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    x = draw(st.floats(-10.0, 10.0)) + np.concatenate(([0.0], np.cumsum(steps)))
+    shape = draw(st.sampled_from(("monotone", "free", "repeated", "collinear")))
+    if shape == "monotone":
+        rises = draw(st.lists(st.floats(0.0, 5.0), min_size=n - 1, max_size=n - 1))
+        y = draw(st.floats(-5.0, 5.0)) + np.concatenate(([0.0], np.cumsum(rises)))
+    elif shape == "free":
+        y = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=n, max_size=n)))
+    elif shape == "repeated":
+        levels = st.sampled_from((-1.0, -0.0, 0.0, 2.5))
+        y = np.array(draw(st.lists(levels, min_size=n, max_size=n)))
+    else:
+        y = draw(st.floats(-5.0, 5.0)) + draw(st.floats(-3.0, 3.0)) * x
+    return x, y
+
+
+def probe_points(x, fractions):
+    """Every breakpoint, its neighbours one ulp either side, both ends and
+    interior points at the given fractions of the span."""
+    inner = x[0] + np.asarray(fractions) * (x[-1] - x[0])
+    return np.concatenate(
+        (x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf), inner)
+    )
+
+
+class TestPchipMatchesScipy:
+    """The tabulated model's interpolant does scipy's PCHIP arithmetic, so
+    it reproduces ``PchipInterpolator(..., extrapolate=False)`` bit for bit,
+    NaN outside the sampled interval included."""
+
+    @given(pchip_tables(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    # y = -0.0 where all three slope terms are negative: scipy's sum starts
+    # from +0.0, so the value there is +0.0, not -0.0
+    @example((np.arange(4.0), np.array([0.25, -0.0, -1.0, -6.0])), [0.5])
+    def test_array_and_scalar_evaluation(self, table, fractions):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        x, y = table
+        want = interpolate.PchipInterpolator(x, y, extrapolate=False)
+        got = _Pchip(x, y)
+        points = probe_points(x, fractions)
+        assert_same_bits(got(points), want(points))
+        for w in points:
+            assert_same_bits(got(np.asarray(w)), want(w))
+            assert_same_bits(got(float(w)), want(w))
+
+    @given(st.floats(0.0, 30.0), st.floats(1.4, 2.0), st.floats(0.0, 1.0))
+    def test_calibrated_model_mu(self, theta_deg, mu2, fraction):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        model = calibrate_degenerate_angle(math.radians(theta_deg), mu2)
+        x = np.array(model.parameters["omegas"])
+        want = interpolate.PchipInterpolator(
+            x, model.parameters["mu_squared"], extrapolate=False
+        )
+        points = probe_points(x, [fraction])
+        points = points[(points >= x[0]) & (points <= x[-1])]
+        assert_same_bits(model.mu(points), np.sqrt(want(points)))
+        for w in points:
+            assert_same_bits(model.mu(w), np.sqrt(want(w)))
+
+    def test_outside_band_still_raises(self):
+        model = calibrate_degenerate_angle(math.radians(10.0), 1.51)
+        lo, hi = model.band
+        for w in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)):
+            with pytest.raises(OutOfBandError):
+                model.mu(w)
+            with pytest.raises(OutOfBandError):
+                model.mu(np.array([0.5, w]))
+
+
+def test_import_leaves_scipy_unloaded():
+    """Importing the library and its CLI must not pull in scipy."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    code = (
+        "import sys, pumpslab, pumpslab.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import pumpslab
+import pumpslab.cli as cli_mod
 import pumpslab.kinematics as kinematics_mod
 import pumpslab.oracle as oracle_mod
 import pumpslab.sweep as sweep_mod
@@ -540,6 +541,38 @@ class TestCli:
         assert captured.out == ""
         assert "detuning must be 0" in captured.err
         assert main(["sweep", "--config", str(cfg)]) == 0
+
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[scenario]\ntheta_d_deg = 10.0\nmu2 = 1.51\n"
+            "[sweep]\nomega_lo = 0.35\nomega_hi = 0.65\nsamples = 3\n"
+        )
+        physics = ["--theta-d-deg", "10", "--mu2", "1.51"]
+        calls = [
+            ["sweep", *physics, "--band", "0.4", "0.6", "--samples", "4",
+             "--kind", "both", "--detuning", "0.001", "--format", "jsonl"],
+            ["calibrate", "--theta-d-deg", "9.5", "--mu2", "1.505",
+             "--band", "0.1", "2.4"],
+            ["compare-oracle", *physics, "--g", "1e-5", "--l", "3000",
+             "--band", "0.45", "0.55", "--samples", "3", "--no-exact"],
+            ["sweep", "--config", str(cfg)],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            return code, capsys.readouterr().out
+
+        def no_rebuild():
+            raise AssertionError("main() rebuilt its parser")
+
+        monkeypatch.setattr(cli_mod, "build_parser", no_rebuild)
+        shared = [run(argv) for argv in calls]
+        monkeypatch.undo()
+        for argv, result in zip(calls, shared):
+            monkeypatch.setattr(cli_mod, "_PARSER", cli_mod.build_parser())
+            assert result == run(argv)
+            assert result[0] == 0 and result[1]
 
     def test_breach_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(sweep_mod, "QUARTIC_TOL", 1e-30)
