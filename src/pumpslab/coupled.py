@@ -12,10 +12,17 @@ beam is attenuated below its zeropoint level).
 Intensity bookkeeping follows the incoherent multiple-reflection
 approximation of the linear-lamina module, with every pass through the
 slab picking up the first-order excess factor gamma.
+
+Shifts and reports are computed as columns over a whole resonance grid
+(epsilon_table, report_table), one array per field plus a status per
+element.  The scalar epsilon_roots, resonance_report and channel_report
+are one-element calls into the same code, and every element carries the
+bits a scalar evaluation in the same operation order would give.
 """
 import cmath
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,11 +33,13 @@ from .errors import (
     UndefinedSplitError,
     ValidityWarning,
 )
-from .kinematics import _resonance
+from .kinematics import EVANESCENT, GEOMETRY, OK, SKIP_REASONS, _resonance
 from .lamina import fresnel_step
 
 DETUNING_WARN_FRACTION = 0.01
 _SINC_SERIES_CUTOFF = 1e-4
+UNDEFINED_RATIO = len(SKIP_REASONS)  # report-stage status: no partner flux
+STATUS_REASONS = SKIP_REASONS + ("undefined_ratio",)
 
 
 def csinc(z):
@@ -40,6 +49,11 @@ def csinc(z):
         z2 = z * z
         return 1.0 - z2 / 6.0 + z2 * z2 / 120.0
     return cmath.sin(z) / z
+
+
+def _sinc_sq(xi):
+    s = csinc(xi)
+    return (s * s).real
 
 
 @dataclass(frozen=True)
@@ -64,8 +78,179 @@ class EpsilonRoots:
 
     @property
     def sinc_sq(self):
-        s = csinc(self.xi)
-        return (s * s).real
+        return _sinc_sq(self.xi)
+
+
+class _Pairs(NamedTuple):
+    """Resonant mode pairs: floats for one pair, 1-d arrays for several.
+
+    sign is +1 for pdc and -1 for puc; every wavenumber is positive.
+    """
+
+    omega: object
+    partner: object
+    sign: object
+    p0: object
+    Omega1: object
+    Omega2: object
+    Omega10: object
+    Omega20: object
+
+    @classmethod
+    def of_record(cls, kin):
+        """The one mode pair of record kin, as floats."""
+        if kin.Omega1 <= 0.0 or kin.Omega2 <= 0.0:
+            raise GeometryError("resonant internal wavenumbers must be positive")
+        return cls(kin.omega, kin.partner, 1.0 if kin.kind == "pdc" else -1.0, kin.p,
+                   kin.Omega1, kin.Omega2, kin.Omega10, kin.Omega20)
+
+    @classmethod
+    def of_grid(cls, grid):
+        """The grid's resonances in (kind, omega) order, and their flat indices."""
+        ok = np.flatnonzero(grid.status == OK)
+        k, i = np.divmod(ok, grid.omega.size)
+        signs = np.array([1.0 if kind == "pdc" else -1.0 for kind in grid.kinds])
+        rest = np.array([grid.partner, grid.p, grid.Omega1, grid.Omega2,
+                         grid.Omega10, grid.Omega20]).reshape(6, -1)[:, ok]
+        return ok, cls(grid.omega[i], rest[0], signs[k], *rest[1:])
+
+
+def _pair(detuning, disc, l):
+    """(eps1, eps2, xi) from the detuning sum and the discriminant."""
+    root = cmath.sqrt(disc)
+    cand = ((detuning + root) / 2.0, (detuning - root) / 2.0)
+    a0, a1 = abs(cand[0]), abs(cand[1])
+    if abs(a0 - a1) > 1e-12 * max(a0, a1, 1e-300):
+        eps1, eps2 = cand if a0 < a1 else (cand[1], cand[0])
+    else:
+        # symmetric pair: put the +imaginary (or +real) branch first
+        key = (cand[0].imag, cand[0].real)
+        eps1, eps2 = cand if key >= (cand[1].imag, cand[1].real) else (cand[1], cand[0])
+    return eps1, eps2, (eps1 - eps2) * l / 2.0
+
+
+# Per-element Python steps, on floats and arrays alike: the complex root
+# and its tie-break, csinc, and pow, whose x ** 2 numpy's multiply does
+# not reproduce on about 1e-3 of inputs.  On arrays they give object
+# arrays, which _column types.
+_PAIR = np.frompyfunc(_pair, 3, 3)
+_SINC_SQ = np.frompyfunc(_sinc_sq, 1, 1)
+_POW = np.frompyfunc(pow, 2, 1)
+
+
+def _column(values, dtype):
+    return values.astype(dtype) if isinstance(values, np.ndarray) else values
+
+
+def _coupled_pair(scenario, pairs, p):
+    """Status and coupled-pair shifts of mode pairs at working p.
+
+    Status per element: GEOMETRY for a negative p, else EVANESCENT for
+    p >= min(omega, partner), else OK.  One ValidityWarning covers every
+    in-range element with |p - p0| > DETUNING_WARN_FRACTION * omega.
+    Returns (status, strength, arm, columns), columns holding eps1, eps2,
+    xi, detuning_sum and product.  numpy's +, -, * and / round exactly
+    as Python's float operators do, so each element is bit for bit a
+    scalar evaluation in the same operation order.
+    """
+    omega, partner, sign, p0, w1, w2 = pairs[:6]
+    status = np.where(p < 0.0, GEOMETRY,
+                      np.where((p >= omega) | (p >= partner), EVANESCENT, OK))
+    offset = np.abs(p - p0)
+    far = (status == OK) & (offset > DETUNING_WARN_FRACTION * omega)
+    if np.count_nonzero(far):
+        warnings.warn(
+            f"|p - p0| = {np.max(offset, where=far, initial=0.0):g} exceeds "
+            f"{DETUNING_WARN_FRACTION:g} * omega; shift formulas degrade",
+            ValidityWarning,
+            stacklevel=3,
+        )
+    g, w0 = scenario.g, scenario.omega0
+    strength = g * g * w0 * w0 * omega * partner
+    arm = w2 + sign * w1  # w1 + w2 for pdc, w2 - w1 for puc
+    detuning = (p - p0) * p0 * arm / (w1 * w2)
+    product = sign * strength / (4.0 * w1 * w2)
+    disc = detuning * detuning - 4.0 * product
+    eps1, eps2, xi = (_column(col, complex) for col in _PAIR(detuning, disc, scenario.l))
+    return status, strength, arm, {
+        "eps1": eps1, "eps2": eps2, "xi": xi, "detuning_sum": detuning,
+        "product": product,
+    }
+
+
+def _shifts(scenario, pairs, p):
+    """Status and EpsilonRoots columns of mode pairs at working p."""
+    status, strength, arm, columns = _coupled_pair(scenario, pairs, p)
+    sign, w1, w2 = pairs.sign, pairs.Omega1, pairs.Omega2
+    columns["eps3"] = -sign * strength / (8.0 * arm * w1 * w1)
+    columns["eps4"] = sign * strength / (8.0 * arm * w2 * w2)
+    return status, columns
+
+
+def _items(values):
+    """One mode pair's columns as Python floats and complexes."""
+    return {name: value.item() if isinstance(value, np.generic) else value
+            for name, value in values.items()}
+
+
+def _raise_skip(code, kin, p):
+    """Raise the typed error that report-stage status code stands for."""
+    if code == GEOMETRY:
+        raise GeometryError(f"working p={p:g} is negative")
+    if code == EVANESCENT:
+        raise EvanescentError(
+            f"working p={p:g} is evanescent: a free-space wave needs "
+            f"p < min(omega, partner) = {min(kin.omega, kin.partner):g}"
+        )
+    if code == UNDEFINED_RATIO:
+        raise UndefinedSplitError(
+            f"{kin.kind} flux ratio undefined at omega={kin.omega:g}: the partner "
+            "flux vanishes (collinear resonance, equal Fresnel steps)"
+        )
+
+
+@dataclass(frozen=True)
+class GridTable:
+    """Columns over the resonances of a ResonanceGrid.
+
+    status holds a code per (kind, omega) element: the grid's own where
+    it found no resonance, else OK or a report-stage skip, GEOMETRY or
+    EVANESCENT for a working p outside [0, min(omega, partner)) and
+    UNDEFINED_RATIO where the partner flux vanishes.  STATUS_REASONS
+    names every code.  columns maps each field to one array over the
+    resonances in (kind, omega) order; index[k, i] is the position of
+    element (k, i) there, -1 where the grid found no resonance.  Values
+    are defined where status is OK.
+    """
+
+    status: np.ndarray
+    index: np.ndarray
+    columns: dict
+
+    def element(self, k, i):
+        """The fields of element (k, i), whose status is OK, as Python scalars."""
+        j = self.index.item(k, i)
+        return {name: col.item(j) for name, col in self.columns.items()}
+
+
+def _on_grid(build, scenario, grid, detuning):
+    """build's GridTable over grid at p = p0 + detuning * omega."""
+    ok, pairs = _Pairs.of_grid(grid)
+    codes, columns = build(scenario, pairs, pairs.p0 + detuning * pairs.omega)
+    status = grid.status.copy()
+    status.ravel()[ok] = codes
+    index = np.full(status.shape, -1)
+    index.ravel()[ok] = np.arange(ok.size)
+    return GridTable(status, index, columns)
+
+
+def epsilon_table(scenario, grid, detuning=0.0):
+    """epsilon_roots of every resonance of grid, as a GridTable.
+
+    The working p is p0 + detuning * omega; the columns are the fields
+    of EpsilonRoots but kind.
+    """
+    return _on_grid(_shifts, scenario, grid, detuning)
 
 
 def epsilon_roots(scenario, res, p=None):
@@ -75,59 +260,12 @@ def epsilon_roots(scenario, res, p=None):
     p0 and must lie in [0, min(omega, partner)), where both free-space
     waves propagate.  Valid for g << 1 and |p - p0| << omega; a
     ValidityWarning is issued beyond |p - p0| = DETUNING_WARN_FRACTION * omega.
+    A one-element epsilon_table.
     """
-    omega, partner, p0 = res.omega, res.partner, res.p
-    w1, w2 = res.Omega1, res.Omega2
-    if w1 <= 0.0 or w2 <= 0.0:
-        raise GeometryError("resonant internal wavenumbers must be positive")
-    if p is None:
-        p = p0
-    if p < 0.0:
-        raise GeometryError(f"working p={p:g} is negative")
-    if p >= omega or p >= partner:
-        raise EvanescentError(
-            f"working p={p:g} is evanescent: a free-space wave needs "
-            f"p < min(omega, partner) = {min(omega, partner):g}"
-        )
-    if abs(p - p0) > DETUNING_WARN_FRACTION * omega:
-        warnings.warn(
-            f"|p - p0| = {abs(p - p0):g} exceeds "
-            f"{DETUNING_WARN_FRACTION:g} * omega; shift formulas degrade",
-            ValidityWarning,
-            stacklevel=2,
-        )
-    g, w0 = scenario.g, scenario.omega0
-    strength = g * g * w0 * w0 * omega * partner
-    if res.kind == "pdc":
-        detuning = (p - p0) * p0 * (w1 + w2) / (w1 * w2)
-        product = strength / (4.0 * w1 * w2)
-        eps3 = -strength / (8.0 * (w1 + w2) * w1 * w1)
-        eps4 = +strength / (8.0 * (w1 + w2) * w2 * w2)
-    else:
-        detuning = (p - p0) * p0 * (w2 - w1) / (w1 * w2)
-        product = -strength / (4.0 * w1 * w2)
-        eps3 = +strength / (8.0 * (w2 - w1) * w1 * w1)
-        eps4 = -strength / (8.0 * (w2 - w1) * w2 * w2)
-    root = cmath.sqrt(detuning * detuning - 4.0 * product)
-    cand = ((detuning + root) / 2.0, (detuning - root) / 2.0)
-    a0, a1 = abs(cand[0]), abs(cand[1])
-    if abs(a0 - a1) > 1e-12 * max(a0, a1, 1e-300):
-        eps1, eps2 = cand if a0 < a1 else (cand[1], cand[0])
-    else:
-        # symmetric pair: put the +imaginary (or +real) branch first
-        key = (cand[0].imag, cand[0].real)
-        eps1, eps2 = cand if key >= (cand[1].imag, cand[1].real) else (cand[1], cand[0])
-    xi = (eps1 - eps2) * scenario.l / 2.0
-    return EpsilonRoots(
-        eps1=eps1,
-        eps2=eps2,
-        eps3=eps3,
-        eps4=eps4,
-        xi=xi,
-        kind=res.kind,
-        detuning_sum=detuning,
-        product=product,
-    )
+    p = res.p if p is None else p
+    status, values = _shifts(scenario, _Pairs.of_record(res), p)
+    _raise_skip(int(status), res, p)
+    return EpsilonRoots(kind=res.kind, **_items(values))
 
 
 def quartic_coefficients(scenario, kin):
@@ -193,6 +331,10 @@ def quartic_wavenumbers(scenario, kin):
     return np.array([k1, k2, k3, k4])
 
 
+_REPORT_FIELDS = ("gamma", "r10", "r20", "r1", "t1", "r2", "t2", "n_idler",
+                  "n_signal", "flux_omega", "flux_partner", "ratio")
+
+
 @dataclass(frozen=True)
 class ChannelReport:
     """Intensity coefficients and zeropoint-subtracted fluxes for one pair.
@@ -220,6 +362,12 @@ class ChannelReport:
     flux_partner: float
     ratio: float
 
+    @classmethod
+    def of(cls, kin, values):
+        """The report of mode pair kin from its fields in values."""
+        return cls(omega=kin.omega, partner=kin.partner, kind=kin.kind,
+                   **{name: values[name] for name in _REPORT_FIELDS})
+
     def flux_identity_terms(self):
         """(excess, partner side, gamma / (1 + r10)) of the flux identity.
 
@@ -239,6 +387,62 @@ class ChannelReport:
         return max(abs(lhs - rhs), abs(mid - rhs)) / scale
 
 
+def _reports(scenario, pairs, p):
+    """Status and report columns of flat mode pairs at working p.
+
+    The coupled pair's status, with UNDEFINED_RATIO where the partner flux
+    vanishes; the columns are ChannelReport's fields, plus the forward
+    share of rainbow_split (meaningful where gamma > 0).  Elementwise
+    arithmetic in scalar order, as in _coupled_pair.
+    """
+    status, _, _, shifts = _coupled_pair(scenario, pairs, p)
+    omega, partner, sign, _, w1, w2, w10, w20 = pairs
+    g, l, w0 = scenario.g, scenario.l, scenario.omega0
+    sinc_sq = _column(_SINC_SQ(shifts["xi"]), float)
+    gamma = g * g * l * l * w0 * w0 * omega * partner / (4.0 * w1 * w2) * sinc_sq
+    r10 = fresnel_step(w10, w1).r0
+    r20 = fresnel_step(w20, w2).r0
+    pass10, pass20 = 1.0 + r10, 1.0 + r20
+    pass_sq = _column(_POW(pass10, 2), float)
+    r1 = 2.0 * r10 / pass10 + sign * gamma * r10 / pass_sq
+    t1 = (1.0 - r10) / pass10 + sign * gamma / pass_sq
+    freq_ratio = partner / omega
+    r2 = freq_ratio * gamma * r20 / (pass10 * pass20)
+    t2 = freq_ratio * gamma / (pass10 * pass20)
+    cos_ratio = (w20 / partner) / (w10 / omega)
+    # pdc adds the two terms of each bracket, puc subtracts one from the other
+    bracket_omega = cos_ratio / pass20 + sign / pass10
+    bracket_partner = (1.0 / cos_ratio) / pass10 + sign / pass20
+    undefined = bracket_partner == 0.0
+    status[undefined & (status == OK)] = UNDEFINED_RATIO
+    ratio = bracket_omega / np.where(undefined, np.nan, bracket_partner)
+    return status, {
+        "gamma": gamma,
+        "r10": r10,
+        "r20": r20,
+        "r1": r1,
+        "t1": t1,
+        "r2": r2,
+        "t2": t2,
+        "n_idler": (t1 + r1 - 1.0) / 2.0,
+        "n_signal": (t2 + r2) * w10 / (2.0 * w20),
+        "flux_omega": 0.5 * gamma * bracket_omega,
+        "flux_partner": 0.5 * gamma * bracket_partner,
+        "ratio": ratio,
+        "forward_fraction": _split(t1, t2, r1, r2)[0],
+    }
+
+
+def report_table(scenario, grid, detuning=0.0):
+    """channel_report of every resonance of grid, as a GridTable.
+
+    The working p is p0 + detuning * omega.  The columns are the fields
+    of ChannelReport but omega, partner and kind, plus forward_fraction,
+    the forward share of rainbow_split where gamma > 0.
+    """
+    return _on_grid(_reports, scenario, grid, detuning)
+
+
 def channel_report(scenario, omega, kind="pdc", p=None):
     """Full intensity/flux report for the (omega, conjugate) pair.
 
@@ -252,54 +456,20 @@ def resonance_report(scenario, res, p):
     """channel_report for an already solved ResonancePoint res.
 
     p is the working transverse wavenumber, or None for the resonant p0.
-    Raises UndefinedSplitError where the partner flux vanishes.
+    Raises UndefinedSplitError where the partner flux vanishes.  A
+    one-element report_table.
     """
-    eps = epsilon_roots(scenario, res, p=p)
-    omega, partner, kind = res.omega, res.partner, res.kind
-    g, l, w0 = scenario.g, scenario.l, scenario.omega0
-    w1, w2, w10, w20 = res.Omega1, res.Omega2, res.Omega10, res.Omega20
-    gamma = (
-        g * g * l * l * w0 * w0 * omega * partner / (4.0 * w1 * w2) * eps.sinc_sq
-    )
-    r10 = fresnel_step(w10, w1).r0
-    r20 = fresnel_step(w20, w2).r0
-    sign = 1.0 if kind == "pdc" else -1.0
-    r1 = 2.0 * r10 / (1.0 + r10) + sign * gamma * r10 / (1.0 + r10) ** 2
-    t1 = (1.0 - r10) / (1.0 + r10) + sign * gamma / (1.0 + r10) ** 2
-    freq_ratio = partner / omega
-    r2 = freq_ratio * gamma * r20 / ((1.0 + r10) * (1.0 + r20))
-    t2 = freq_ratio * gamma / ((1.0 + r10) * (1.0 + r20))
-    n_idler = (t1 + r1 - 1.0) / 2.0
-    n_signal = (t2 + r2) * w10 / (2.0 * w20)
-    cos_ratio = (w20 / partner) / (w10 / omega)
-    if kind == "pdc":
-        bracket_omega = 1.0 / (1.0 + r10) + cos_ratio / (1.0 + r20)
-        bracket_partner = 1.0 / (1.0 + r20) + (1.0 / cos_ratio) / (1.0 + r10)
-    else:
-        bracket_omega = cos_ratio / (1.0 + r20) - 1.0 / (1.0 + r10)
-        bracket_partner = (1.0 / cos_ratio) / (1.0 + r10) - 1.0 / (1.0 + r20)
-    if bracket_partner == 0.0:
-        raise UndefinedSplitError(
-            f"{kind} flux ratio undefined at omega={omega:g}: the partner flux "
-            "vanishes (collinear resonance, equal Fresnel steps)"
-        )
-    return ChannelReport(
-        omega=omega,
-        partner=partner,
-        kind=kind,
-        gamma=gamma,
-        r10=r10,
-        r20=r20,
-        r1=r1,
-        t1=t1,
-        r2=r2,
-        t2=t2,
-        n_idler=n_idler,
-        n_signal=n_signal,
-        flux_omega=0.5 * gamma * bracket_omega,
-        flux_partner=0.5 * gamma * bracket_partner,
-        ratio=bracket_omega / bracket_partner,
-    )
+    p = res.p if p is None else p
+    status, values = _reports(scenario, _Pairs.of_record(res), p)
+    _raise_skip(int(status), res, p)
+    return ChannelReport.of(res, _items(values))
+
+
+def _split(t1, t2, r1, r2):
+    forward = t1 + t2
+    backward = r1 + r2
+    total = forward + backward
+    return forward / total, backward / total
 
 
 def rainbow_split(report):
@@ -310,7 +480,4 @@ def rainbow_split(report):
     """
     if report.gamma == 0.0:
         raise UndefinedSplitError("no pump-induced excess; split undefined")
-    forward = report.t1 + report.t2
-    backward = report.r1 + report.r2
-    total = forward + backward
-    return forward / total, backward / total
+    return _split(report.t1, report.t2, report.r1, report.r2)

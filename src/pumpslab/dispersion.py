@@ -54,6 +54,8 @@ class DispersionModel:
                 raise ValueError("tabulated sample frequencies must increase")
             if not (math.isclose(omegas[0], lo) and math.isclose(omegas[-1], hi)):
                 raise ValueError("tabulated band must span the sample points")
+            if not (omegas[0] <= lo and hi <= omegas[-1]):
+                raise ValueError("tabulated band must lie within the sample points")
             if not (np.all(np.isfinite(omegas)) and np.all(np.isfinite(mu_sq))):
                 raise ValueError("tabulated samples must be finite")
             self._interp = _Pchip(omegas, mu_sq)

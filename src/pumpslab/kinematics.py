@@ -129,24 +129,34 @@ class ResonanceGrid:
     f0: np.ndarray
     f1: np.ndarray
 
+    def point(self, k, i):
+        """The ResonancePoint of element (k, i), whose status must be OK."""
+        return ResonancePoint(
+            omega=self.omega.item(i), partner=self.partner.item(k, i),
+            p=self.p.item(k, i), kind=self.kinds[k],
+            Omega1=self.Omega1.item(k, i), Omega2=self.Omega2.item(k, i),
+            Omega10=self.Omega10.item(k, i), Omega20=self.Omega20.item(k, i),
+            residual=self.residual.item(k, i),
+            iterations=self.iterations.item(k, i),
+        )
+
     def points(self):
         """Per omega, a tuple with one ResonancePoint or skip reason per kind."""
-        cols = [a.tolist() for a in (
-            self.partner, self.status, self.p, self.residual, self.iterations,
-            self.Omega1, self.Omega2, self.Omega10, self.Omega20)]
+        return [
+            tuple(self.point(k, i) if code == OK else SKIP_REASONS[code]
+                  for k, code in enumerate(codes))
+            for i, codes in enumerate(self.status.T.tolist())
+        ]
+
+    def theta_deg(self):
+        """Per kind, the exterior angle in degrees of each omega's mode, as
+        ModeKinematics.theta_deg gives it; None where status is not OK."""
         omegas = self.omega.tolist()
-        return list(zip(*(
-            [
-                ResonancePoint(
-                    omega=omega, partner=w2, p=p, kind=kind, Omega1=o1,
-                    Omega2=o2, Omega10=o10, Omega20=o20, residual=res,
-                    iterations=its,
-                ) if code == OK else SKIP_REASONS[code]
-                for omega, w2, code, p, res, its, o1, o2, o10, o20
-                in zip(omegas, *(col[k] for col in cols))
-            ]
-            for k, kind in enumerate(self.kinds)
-        )))
+        return [
+            [math.degrees(math.asin(p / omega)) if code == OK else None
+             for omega, p, code in zip(omegas, ps, codes)]
+            for ps, codes in zip(self.p.tolist(), self.status.tolist())
+        ]
 
     def raise_error(self, k, i):
         """Raise the typed error that element (k, i) stands for."""
@@ -358,7 +368,7 @@ def _resonance(scenario, omega, kind):
     grid = _resonance_grid(scenario, [omega], (kind,))
     if grid.status[0, 0] != OK:
         grid.raise_error(0, 0)
-    return grid.points()[0][0]
+    return grid.point(0, 0)
 
 
 def pdc_resonance(scenario, omega):

@@ -8,6 +8,8 @@ overall slab coefficients independent of thickness.
 """
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PumpslabError
 
 
@@ -29,9 +31,10 @@ def fresnel_step(omega_out, omega_in):
     """First matching step at a single interface.
 
     omega_out is the free-space longitudinal wavenumber, omega_in the
-    internal one; both must be positive (propagating regime).
+    internal one; both must be positive (propagating regime).  Floats or
+    arrays, elementwise.
     """
-    if omega_out <= 0.0 or omega_in <= 0.0:
+    if np.count_nonzero(omega_out <= 0.0) or np.count_nonzero(omega_in <= 0.0):
         raise PumpslabError(
             f"longitudinal wavenumbers must be positive, got "
             f"({omega_out}, {omega_in})"

@@ -11,9 +11,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coupled import epsilon_roots, quartic_wavenumbers, rainbow_split, resonance_report
-from .errors import (ConditioningError, EvanescentError, GeometryError, SweepError,
-                     UndefinedSplitError)
+from .coupled import (STATUS_REASONS, ChannelReport, epsilon_table, quartic_wavenumbers,
+                      report_table)
+from .errors import ConditioningError, SweepError
 from .kinematics import _resonance_grid, check_kind
 from .oracle import series_sum, thickness_averaged_intensities
 
@@ -79,66 +79,51 @@ class SweepRequest:
         return np.linspace(lo, hi, self.samples)
 
 
-# report-stage errors of a solved resonance, as row statuses: a working p
-# outside [0, min(omega, partner)) or a flux ratio with no partner flux
-_REPORT_SKIPS = {
-    GeometryError: "geometry",
-    EvanescentError: "evanescent",
-    UndefinedSplitError: "undefined_ratio",
-}
+_KIND_ROWS = {"pdc": 0, "puc": 1}  # rows of a ("pdc", "puc") grid
+_REPORT_COLUMNS = ("gamma", "r1", "t1", "r2", "t2", "flux_omega", "flux_partner",
+                   "ratio")
 
 
 def _outcomes(scenario, omegas, kinds, detuning=0.0):
     """Every (omega, kind) of a table, from one resonance solve of the grid.
 
-    Yields (omega, angles, kind, res, status, report) ordered by omega,
-    then by kinds.  angles is [theta_d_deg, theta_u_deg], None where a
-    kind has no resonance: both kinds are solved for each omega, so every
-    row carries both.  res is the ResonancePoint, None where the kernel
-    found no resonance.  report is its ChannelReport at the working
-    p = p0 + detuning * omega where status is "ok"; otherwise status is
-    the skip reason and report is None.
+    Returns (grid, table, order): the ResonanceGrid of both kinds, its
+    report_table at the working p = p0 + detuning * omega, and the rows
+    as (omega, i, kind, k, status) ordered by omega, then by kinds; (k, i)
+    is the row's grid element and status its skip reason, or "ok".
     """
     grid = _resonance_grid(scenario, omegas, ("pdc", "puc"))
-    for omega, solved in zip(grid.omega.tolist(), grid.points()):
-        angles = [None if isinstance(res, str) else res.theta_deg for res in solved]
-        for kind in kinds:
-            res = solved[0 if kind == "pdc" else 1]
-            if isinstance(res, str):
-                yield omega, angles, kind, None, res, None
-                continue
-            p = res.p + detuning * omega if detuning else None
-            try:
-                report = resonance_report(scenario, res, p)
-            except tuple(_REPORT_SKIPS) as exc:
-                yield omega, angles, kind, res, _REPORT_SKIPS[type(exc)], None
-            else:
-                yield omega, angles, kind, res, "ok", report
+    table = report_table(scenario, grid, detuning)
+    reasons = [[STATUS_REASONS[code] for code in row] for row in table.status.tolist()]
+    order = [
+        (omega, i, kind, _KIND_ROWS[kind], reasons[_KIND_ROWS[kind]][i])
+        for i, omega in enumerate(grid.omega.tolist()) for kind in kinds
+    ]
+    return grid, table, order
 
 
 def _sweep_rows(scenario, omegas, kinds, detuning=0.0):
     """SWEEP_COLUMNS rows of _outcomes; a SweepError if none is ok."""
+    grid, table, order = _outcomes(scenario, omegas, kinds, detuning)
+    theta_d, theta_u = grid.theta_deg()
+    values = {c: table.columns[c].tolist() for c in _REPORT_COLUMNS + ("forward_fraction",)}
+    index = table.index.tolist()
     rows = []
-    for omega, angles, kind, _, status, report in _outcomes(
-            scenario, omegas, kinds, detuning):
+    for omega, i, kind, k, status in order:
         row = dict.fromkeys(SWEEP_COLUMNS)
         row["omega"] = omega
         row["kind"] = kind
         row["status"] = status
-        row["theta_d_deg"], row["theta_u_deg"] = angles
+        row["theta_d_deg"] = theta_d[i]
+        row["theta_u_deg"] = theta_u[i]
         rows.append(row)
-        if report is None:
+        if status != "ok":
             continue
-        row["gamma"] = report.gamma
-        row["r1"] = report.r1
-        row["t1"] = report.t1
-        row["r2"] = report.r2
-        row["t2"] = report.t2
-        row["flux_omega"] = report.flux_omega
-        row["flux_partner"] = report.flux_partner
-        row["ratio"] = report.ratio
-        if report.gamma > 0.0:
-            row["forward_fraction"] = rainbow_split(report)[0]
+        j = index[k][i]
+        for c in _REPORT_COLUMNS:
+            row[c] = values[c][j]
+        if row["gamma"] > 0.0:
+            row["forward_fraction"] = values["forward_fraction"][j]
     if not any(row["status"] == "ok" for row in rows):
         reasons = dict(Counter(row["status"] for row in rows))
         raise SweepError(f"no valid samples in sweep: {reasons}", skip_reasons=reasons)
@@ -200,12 +185,15 @@ def compare_oracle(request, include_exact=True):
     # scenario coupling (including g = 0).  The resonance does not depend
     # on g, so each res serves the reference scenario too.
     ref = replace(scenario, g=QUARTIC_REFERENCE_G)
+    grid, table, order = _outcomes(scenario, request.grid(), request.kinds)
+    shifts = epsilon_table(ref, grid)
     rows = []
-    for omega, _, kind, res, status, report in _outcomes(
-            scenario, request.grid(), request.kinds):
-        if report is None:
+    for omega, i, kind, k, status in order:
+        if status != "ok":
             rows.append(_row(omega, kind, "channel_report", status))
             continue
+        res = grid.point(k, i)
+        report = ChannelReport.of(res, table.element(k, i))
         if report.gamma == 0.0:
             # without pump-induced excess the gamma-scale identities
             # are vacuous; only the shift validation says anything
@@ -225,23 +213,25 @@ def compare_oracle(request, include_exact=True):
         ):
             rows.append(_oracle_row(omega, kind, f"series_{name}", closed, summed,
                                     SERIES_TOL))
-        rows.extend(_quartic_rows(ref, res))
+        rows.extend(_quartic_rows(ref, res, shifts.element(k, i)))
         if include_exact:
             rows.append(_exact_row(scenario, res, report))
     breached = any(row["status"] == "breach" for row in rows)
     return rows, breached
 
 
-def _quartic_rows(ref, res):
-    """Quartic-vs-perturbative shift rows at the reference coupling."""
+def _quartic_rows(ref, res, eps):
+    """Quartic-vs-perturbative shift rows at the reference coupling.
+
+    eps maps the EpsilonRoots fields at res, as epsilon_table gives them.
+    """
     omega, kind = res.omega, res.kind
-    eps = epsilon_roots(ref, res)
     k = quartic_wavenumbers(ref, res)
     K0 = ref.pump_wavenumber()
     product = (k[0] - res.Omega1) * (k[1] - res.Omega1)
     pair_err = max(
-        abs(k[0] - res.Omega1 - eps.eps1) / abs(eps.eps1),
-        abs(k[1] - res.Omega1 - eps.eps2) / abs(eps.eps2),
+        abs(k[0] - res.Omega1 - eps["eps1"]) / abs(eps["eps1"]),
+        abs(k[1] - res.Omega1 - eps["eps2"]) / abs(eps["eps2"]),
     )
     shift3 = k[2] + res.Omega1
     if kind == "pdc":
@@ -255,11 +245,11 @@ def _quartic_rows(ref, res):
     )
     out = [
         _oracle_row(omega, kind, "quartic_eps_product",
-                    (eps.eps1 * eps.eps2).real, product.real, QUARTIC_TOL),
+                    (eps["eps1"] * eps["eps2"]).real, product.real, QUARTIC_TOL),
         pair_row,
-        _oracle_row(omega, kind, "quartic_eps3", eps.eps3, shift3.real,
+        _oracle_row(omega, kind, "quartic_eps3", eps["eps3"], shift3.real,
                     QUARTIC_TOL),
-        _oracle_row(omega, kind, "quartic_eps4", eps.eps4, shift4.real,
+        _oracle_row(omega, kind, "quartic_eps4", eps["eps4"], shift4.real,
                     QUARTIC_TOL),
     ]
     return out

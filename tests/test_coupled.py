@@ -1,16 +1,22 @@
 """Coupled-pair shifts, quartic roots, fluxes and the rainbow split."""
+import cmath
 import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pumpslab import (
     CrystalScenario,
     DispersionModel,
     EvanescentError,
     GeometryError,
+    GuardBandError,
+    NoResonanceError,
+    OutOfBandError,
     UndefinedSplitError,
     ValidityWarning,
     calibrate_degenerate_angle,
@@ -21,8 +27,16 @@ from pumpslab import (
     quartic_wavenumbers,
     rainbow_split,
 )
-from pumpslab.coupled import csinc
-from pumpslab.kinematics import ModeKinematics
+from pumpslab.coupled import (
+    OK,
+    STATUS_REASONS,
+    EpsilonRoots,
+    csinc,
+    epsilon_table,
+    report_table,
+    resonance_report,
+)
+from pumpslab.kinematics import ModeKinematics, ResonanceGrid, _resonance_grid
 
 GAMMA_UNIT_COUPLING = 1.0964431384588394e-05  # (g*l*omega0)^2/(4*mu2^2) at 0.01
 
@@ -305,3 +319,214 @@ class TestRainbowSplit:
         rep = channel_report(scenario_for(g=0.0), 0.5, "pdc")
         with pytest.raises(UndefinedSplitError):
             rainbow_split(rep)
+
+
+# ---------------------------------------------------------------------------
+# report_table / epsilon_table against the scalar arithmetic they replaced
+# and against their one-element calls
+# ---------------------------------------------------------------------------
+_REASON_OF = {
+    GuardBandError: "guard_band",
+    GeometryError: "geometry",
+    OutOfBandError: "out_of_band",
+    EvanescentError: "evanescent",
+    NoResonanceError: "no_resonance",
+    UndefinedSplitError: "undefined_ratio",
+}
+_REPORT_FIELDS = ("gamma", "r10", "r20", "r1", "t1", "r2", "t2", "n_idler",
+                  "n_signal", "flux_omega", "flux_partner", "ratio")
+_SHIFT_FIELDS = ("eps1", "eps2", "eps3", "eps4", "xi", "detuning_sum", "product")
+
+
+def _scalar_reference(scenario, res, p):
+    """The per-element Python arithmetic that the tables replaced.
+
+    Kept as their reference: numpy's +, -, * and / round as Python's do,
+    so the tables must give these bits exactly.  Returns (shift status,
+    shifts, report status, report), a field dict being None where its
+    status is a skip reason.
+    """
+    omega, partner, p0 = res.omega, res.partner, res.p
+    w1, w2, w10, w20 = res.Omega1, res.Omega2, res.Omega10, res.Omega20
+    if p < 0.0:
+        return "geometry", None, "geometry", None
+    if p >= omega or p >= partner:
+        return "evanescent", None, "evanescent", None
+    g, l, w0 = scenario.g, scenario.l, scenario.omega0
+    strength = g * g * w0 * w0 * omega * partner
+    if res.kind == "pdc":
+        detuning = (p - p0) * p0 * (w1 + w2) / (w1 * w2)
+        product = strength / (4.0 * w1 * w2)
+        eps3 = -strength / (8.0 * (w1 + w2) * w1 * w1)
+        eps4 = +strength / (8.0 * (w1 + w2) * w2 * w2)
+    else:
+        detuning = (p - p0) * p0 * (w2 - w1) / (w1 * w2)
+        product = -strength / (4.0 * w1 * w2)
+        eps3 = +strength / (8.0 * (w2 - w1) * w1 * w1)
+        eps4 = -strength / (8.0 * (w2 - w1) * w2 * w2)
+    root = cmath.sqrt(detuning * detuning - 4.0 * product)
+    cand = ((detuning + root) / 2.0, (detuning - root) / 2.0)
+    a0, a1 = abs(cand[0]), abs(cand[1])
+    if abs(a0 - a1) > 1e-12 * max(a0, a1, 1e-300):
+        eps1, eps2 = cand if a0 < a1 else (cand[1], cand[0])
+    else:
+        key = (cand[0].imag, cand[0].real)
+        eps1, eps2 = cand if key >= (cand[1].imag, cand[1].real) else (cand[1], cand[0])
+    xi = (eps1 - eps2) * l / 2.0
+    shifts = dict(eps1=eps1, eps2=eps2, eps3=eps3, eps4=eps4, xi=xi,
+                  detuning_sum=detuning, product=product)
+    z = complex(xi)
+    if abs(z) < 1e-4:
+        z2 = z * z
+        sinc = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
+    else:
+        sinc = cmath.sin(z) / z
+    gamma = (g * g * l * l * w0 * w0 * omega * partner / (4.0 * w1 * w2)
+             * (sinc * sinc).real)
+    R10, R20 = (w10 - w1) / (w10 + w1), (w20 - w2) / (w20 + w2)
+    r10, r20 = R10 * R10, R20 * R20  # fresnel_step's r0
+    sign = 1.0 if res.kind == "pdc" else -1.0
+    r1 = 2.0 * r10 / (1.0 + r10) + sign * gamma * r10 / (1.0 + r10) ** 2
+    t1 = (1.0 - r10) / (1.0 + r10) + sign * gamma / (1.0 + r10) ** 2
+    freq_ratio = partner / omega
+    r2 = freq_ratio * gamma * r20 / ((1.0 + r10) * (1.0 + r20))
+    t2 = freq_ratio * gamma / ((1.0 + r10) * (1.0 + r20))
+    cos_ratio = (w20 / partner) / (w10 / omega)
+    if res.kind == "pdc":
+        bracket_omega = 1.0 / (1.0 + r10) + cos_ratio / (1.0 + r20)
+        bracket_partner = 1.0 / (1.0 + r20) + (1.0 / cos_ratio) / (1.0 + r10)
+    else:
+        bracket_omega = cos_ratio / (1.0 + r20) - 1.0 / (1.0 + r10)
+        bracket_partner = (1.0 / cos_ratio) / (1.0 + r10) - 1.0 / (1.0 + r20)
+    if bracket_partner == 0.0:
+        return "ok", shifts, "undefined_ratio", None
+    report = dict(
+        gamma=gamma, r10=r10, r20=r20, r1=r1, t1=t1, r2=r2, t2=t2,
+        n_idler=(t1 + r1 - 1.0) / 2.0, n_signal=(t2 + r2) * w10 / (2.0 * w20),
+        flux_omega=0.5 * gamma * bracket_omega,
+        flux_partner=0.5 * gamma * bracket_partner,
+        ratio=bracket_omega / bracket_partner,
+    )
+    if gamma > 0.0:
+        report["forward_fraction"] = (t1 + t2) / ((t1 + t2) + (r1 + r2))
+    return "ok", shifts, "ok", report
+
+
+_tables = st.tuples(
+    st.floats(5.0, 15.0),  # degenerate emission angle, degrees
+    st.floats(1.45, 1.55),  # mu(omega0)
+    st.one_of(st.just(0.0), st.floats(1e-6, 1e-3)),  # g
+    st.floats(10.0, 3000.0),  # l
+    st.one_of(  # working-p offset from p0, in units of omega
+        st.just(0.0),
+        st.floats(-0.0099, 0.0099),
+        st.floats(-1.0, 1.0),
+        st.floats(1.0, 2.0),  # p >= omega: evanescent
+        st.floats(-2.0, -1.0),  # p < 0: geometry
+    ),
+    st.lists(st.one_of(st.just(0.5), st.floats(0.02, 1.98)), min_size=1, max_size=12),
+)
+
+
+def _one_element(call):
+    """call()'s result, or the skip reason of the error it raised."""
+    try:
+        return call()
+    except tuple(_REASON_OF) as exc:
+        return _REASON_OF[type(exc)]
+
+
+def _bits(value):
+    # repr tells apart every two floats, -0.0 and 0.0 included
+    return repr(value)
+
+
+@given(_tables)
+@settings(max_examples=80, deadline=None)
+def test_tables_match_scalar_arithmetic_bit_for_bit(case):
+    # every element of report_table and epsilon_table carries the bits of
+    # _scalar_reference and of the one-element channel_report and
+    # epsilon_roots, and the same status
+    theta_d, mu2, g, l, detuning, omegas = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        s = scenario_for(theta_d, mu2, g, l)
+        grid = _resonance_grid(s, omegas, ("pdc", "puc"))
+        reports = report_table(s, grid, detuning)
+        shifts = epsilon_table(s, grid, detuning)
+        for k, kind in enumerate(grid.kinds):
+            for i, omega in enumerate(grid.omega.tolist()):
+                solve = pdc_resonance if kind == "pdc" else puc_resonance
+                res = _one_element(lambda: solve(s, omega))
+                if isinstance(res, str):
+                    assert STATUS_REASONS[reports.status[k, i]] == res
+                    assert STATUS_REASONS[shifts.status[k, i]] == res
+                    continue
+                p = res.p + detuning * omega
+                shift_status, want_shifts, report_status, want_report = (
+                    _scalar_reference(s, res, p))
+                rep = _one_element(lambda: channel_report(s, omega, kind, p=p))
+                eps = _one_element(lambda: epsilon_roots(s, res, p=p))
+                assert STATUS_REASONS[reports.status[k, i]] == report_status
+                assert (rep if isinstance(rep, str) else "ok") == report_status
+                assert STATUS_REASONS[shifts.status[k, i]] == shift_status
+                assert (eps if isinstance(eps, str) else "ok") == shift_status
+                if want_report is not None:
+                    row = reports.element(k, i)
+                    for name, want in want_report.items():
+                        assert _bits(row[name]) == _bits(want), name
+                    for name in _REPORT_FIELDS:
+                        assert _bits(getattr(rep, name)) == _bits(row[name]), name
+                    if rep.gamma > 0.0:
+                        assert _bits(rainbow_split(rep)[0]) == _bits(
+                            row["forward_fraction"])
+                if want_shifts is not None:
+                    row = shifts.element(k, i)
+                    for name in _SHIFT_FIELDS:
+                        assert _bits(row[name]) == _bits(want_shifts[name]), name
+                        assert _bits(getattr(eps, name)) == _bits(row[name]), name
+                    assert EpsilonRoots(kind=kind, **row) == eps
+
+
+def test_tables_square_one_plus_r10_with_pow():
+    # report_table squares 1 + r10 with Python's pow, as the scalar code
+    # did: numpy's multiply rounds differently on about 1e-3 of inputs, and
+    # at gamma ~ 1 that last bit reaches r1 or t1.  Synthetic resonances
+    # on which the two squares differ pin it.
+    rng = np.random.default_rng(7)
+    shape = (2, 20000)
+    omega = rng.uniform(0.2, 0.8, shape[1])
+    partner = np.array([1.0 - omega, 1.0 + omega])
+    columns = {
+        "p": rng.uniform(0.0, 0.19, shape),
+        "Omega1": rng.uniform(0.8, 1.5, shape) * omega,
+        "Omega2": rng.uniform(0.8, 1.5, shape) * partner,
+        "Omega10": rng.uniform(0.6, 0.99, shape) * omega,
+        "Omega20": rng.uniform(0.6, 0.99, shape) * partner,
+    }
+    step = (columns["Omega10"] - columns["Omega1"]) / (columns["Omega10"] + columns["Omega1"])
+    passes = (1.0 + step * step).tolist()
+    keep = [i for i in range(shape[1])
+            if any(row[i] ** 2 != row[i] * row[i] for row in passes)]
+    assert len(keep) >= 10
+    s = scenario_for(g=5e-3, l=300.0)
+    kept = (2, len(keep))
+    grid = ResonanceGrid(
+        scenario=s, omega=omega[keep], kinds=("pdc", "puc"), partner=partner[:, keep],
+        status=np.full(kept, OK), residual=np.zeros(kept),
+        iterations=np.zeros(kept, dtype=int), p_max=np.ones(kept),
+        f0=np.zeros(kept), f1=np.zeros(kept),
+        **{name: col[:, keep] for name, col in columns.items()},
+    )
+    table = report_table(s, grid)
+    for k in range(2):
+        for i in range(len(keep)):
+            res = grid.point(k, i)
+            status, want = _scalar_reference(s, res, res.p)[2:]
+            assert table.status[k, i] == OK and status == "ok"
+            row = table.element(k, i)
+            rep = resonance_report(s, res, None)
+            for name, value in want.items():
+                assert _bits(row[name]) == _bits(value), (k, i, name)
+                if name != "forward_fraction":
+                    assert _bits(getattr(rep, name)) == _bits(value), (k, i, name)

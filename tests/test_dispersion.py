@@ -164,6 +164,27 @@ class TestSerialization:
             DispersionModel.from_record("kind=constant\nvalue=1.5\n")
 
 
+class TestTabulatedBand:
+    SAMPLES = {"omegas": [0.1, 1.0, 2.0], "mu_squared": [2.0, 2.1, 2.3]}
+
+    @pytest.mark.parametrize("band", [(0.1 * (1.0 - 1e-12), 2.0),
+                                      (0.1, 2.0 * (1.0 + 1e-12))])
+    def test_band_beyond_the_samples_rejected(self, band):
+        # math.isclose accepts these ends; the interpolant is NaN past them
+        with pytest.raises(ValueError, match="band must lie within the sample points"):
+            DispersionModel("tabulated", self.SAMPLES, band)
+
+    def test_band_just_inside_the_samples_accepted(self):
+        band = (0.1 * (1.0 + 1e-12), 2.0 * (1.0 - 1e-12))
+        model = DispersionModel("tabulated", self.SAMPLES, band)
+        assert model.band == band
+        clone = DispersionModel.from_record(model.to_record())
+        assert clone.band == model.band
+        assert clone.parameters == model.parameters
+        w = np.linspace(*model.band, 65)
+        np.testing.assert_array_equal(clone.mu(w), model.mu(w))
+
+
 def assert_same_bits(got, want):
     """Equal NaN positions and, elsewhere, equal IEEE bit patterns."""
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)

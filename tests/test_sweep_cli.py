@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from pumpslab import (
     SweepError,
     SweepRequest,
     UndefinedSplitError,
+    ValidityWarning,
     calibrate_degenerate_angle,
     channel_report,
     compare_oracle,
@@ -37,6 +39,7 @@ from pumpslab import (
     run_sweep,
 )
 from pumpslab.cli import main
+from pumpslab.coupled import DETUNING_WARN_FRACTION
 from pumpslab.sweep import ORACLE_COLUMNS, SWEEP_COLUMNS, rows_to_text
 
 
@@ -115,6 +118,22 @@ class TestRunSweep:
         g_on = [r["gamma"] for r in run_sweep(base)]
         g_off = [r["gamma"] for r in run_sweep(detuned)]
         assert all(b < a for a, b in zip(g_on, g_off))
+
+    def test_detuning_beyond_warn_fraction_warns_once_per_sweep(self):
+        req = SweepRequest(scenario=scenario_for(), band=(0.4, 0.6), samples=5,
+                           kinds=("pdc", "puc"), detuning=2.0 * DETUNING_WARN_FRACTION)
+        with pytest.warns(ValidityWarning) as record:
+            rows = run_sweep(req)
+        assert [w.category for w in record] == [ValidityWarning]
+        assert {row["status"] for row in rows} == {"ok"}
+
+    def test_detuning_below_warn_fraction_does_not_warn(self):
+        req = SweepRequest(scenario=scenario_for(), band=(0.4, 0.6), samples=5,
+                           kinds=("pdc", "puc"), detuning=0.5 * DETUNING_WARN_FRACTION)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ValidityWarning)
+            rows = run_sweep(req)
+        assert {row["status"] for row in rows} == {"ok"}
 
     @pytest.mark.parametrize("detuning,reason", [(1.5, "evanescent"),
                                                  (-0.5, "geometry")])
