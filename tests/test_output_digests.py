@@ -2,12 +2,16 @@
 
 A change to any number, its formatting or the row order changes a digest;
 a refactor that keeps these outputs byte-identical keeps every test here
-passing.  The quartic rows of compare_oracle come from np.roots and its
+passing.  The CLI digests run pumpslab.cli.main end to end (flags, an INI
+file, an --output file), so they also pin how the command line resolves
+its settings and writes its output.  The quartic rows of compare_oracle come from np.roots and its
 exact rows from stacked LAPACK solves, so their last digits depend on the
 numpy build: the digests below were taken with numpy 2.4 and its bundled
 OpenBLAS.
 """
+import contextlib
 import hashlib
+import io
 import math
 from dataclasses import replace
 
@@ -22,6 +26,7 @@ from pumpslab import (
     degenerate_rows,
     run_sweep,
 )
+from pumpslab.cli import main
 from pumpslab.sweep import ORACLE_COLUMNS, SWEEP_COLUMNS, rows_to_text
 
 DIGESTS = {
@@ -104,3 +109,61 @@ def texts():
 @pytest.mark.parametrize("key", sorted(DIGESTS))
 def test_output_digest(texts, key):
     assert digest(texts[key]) == DIGESTS[key]
+
+
+CLI_DIGESTS = {
+    "cli-sweep-csv": "853db47d8294f8a761e3e609a5fd11999e7f111c3ec2a4144ac4900935933d7c",
+    "cli-sweep-jsonl": "e1d8a13994a389eab3948847b687f0debf9a015caacfaece9523a12cc9303aa9",
+    "cli-sweep-config": "d513f36ed21dc515c8b69cfada2457653498c141f8a5264cb204883b3e97eca1",
+    "cli-degenerate-both": "68eaf4f297b317cdbf22ca683f859d69641fa3a6d56d0e413a2563c35b5e6076",
+    "cli-compare-oracle-no-exact": "8bdc511342c7df849cce253e66fcea01deccca7b491db002d47b25f81fff9848",
+    "cli-calibrate": "6835c569914200cf49a6c64c2edf00d4fe21d89c62d4430af1755365b95eccdc",
+}
+
+PHYSICS = ["--theta-d-deg", "10", "--mu2", "1.51"]
+CLI_CONFIG = (
+    "[scenario]\nomega0 = 1.0\ng = 2e-4\nl = 150.0\nguard_width = 0.03\n"
+    "theta_d_deg = 9.5\nmu2 = 1.505\n"
+    "[sweep]\nomega_lo = 0.05\nomega_hi = 1.95\nsamples = 41\nkind = both\n"
+    "detuning = 0.001\n"
+    "[output]\nformat = jsonl\n"
+)
+
+
+def cli_text(argv, output=None):
+    """What pumpslab.cli.main writes for argv: its stdout, or the output file."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    if output is None:
+        return buf.getvalue()
+    assert buf.getvalue() == ""
+    return output.read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def cli_texts(tmp_path_factory):
+    """main() output for each verb: flags, an INI file and an --output file."""
+    tmp = tmp_path_factory.mktemp("cli")
+    config = tmp / "run.cfg"
+    config.write_text(CLI_CONFIG, encoding="utf-8")
+    out = tmp / "rows.csv"
+    sweep = ["sweep", *PHYSICS, "--band", "0.05", "1.95", "--samples", "41",
+             "--kind", "both"]
+    return {
+        "cli-sweep-csv": cli_text(sweep),
+        "cli-sweep-jsonl": cli_text([*sweep, "--format", "jsonl"]),
+        "cli-sweep-config": cli_text(["sweep", "--config", str(config)]),
+        "cli-degenerate-both": cli_text(
+            ["degenerate", *PHYSICS, "--kind", "both", "--output", str(out)], out),
+        "cli-compare-oracle-no-exact": cli_text(
+            ["compare-oracle", *PHYSICS, "--band", "0.3", "0.7", "--samples", "9",
+             "--kind", "both", "--no-exact"]),
+        "cli-calibrate": cli_text(
+            ["calibrate", *PHYSICS, "--omega0", "1.0", "--band", "0.1", "2.4"]),
+    }
+
+
+@pytest.mark.parametrize("key", sorted(CLI_DIGESTS))
+def test_cli_digest(cli_texts, key):
+    assert digest(cli_texts[key]) == CLI_DIGESTS[key]
