@@ -12,15 +12,15 @@ import sys
 
 from .dispersion import DispersionModel, calibrate_degenerate_angle
 from .errors import PumpslabError, SweepError
-from .scenario import CrystalScenario
+from .scenario import DEFAULT_GUARD_WIDTH, CrystalScenario
 from .sweep import (
     ORACLE_COLUMNS,
     SWEEP_COLUMNS,
     SweepRequest,
     compare_oracle,
     degenerate_rows,
+    rows_to_text,
     run_sweep,
-    write_rows,
 )
 
 USAGE_EXIT = 1
@@ -86,13 +86,16 @@ def build_parser():
     _add_output_args(comp)
     comp.add_argument("--no-exact", action="store_true",
                       help="skip the exact boundary-solve rows")
+    # no --detuning flag, but a [sweep] detuning in --config is read so
+    # that compare_oracle can refuse a nonzero one instead of ignoring it
+    comp.set_defaults(detuning=None)
 
     calib = subs.add_parser("calibrate",
                             help="emit a calibrated dispersion model record")
     calib.add_argument("--theta-d-deg", type=float, dest="theta_d_deg",
                        required=True)
     calib.add_argument("--mu2", type=float, required=True)
-    calib.add_argument("--omega0", type=float, default=1.0)
+    calib.add_argument("--omega0", type=float)
     calib.add_argument("--band", type=float, nargs=2, metavar=("LO", "HI"))
     calib.add_argument("--output", help="output path (default stdout)")
     return parser
@@ -102,128 +105,122 @@ def build_parser():
 # fresh Namespace), so one parser serves every main() call.
 _PARSER = build_parser()
 
+# setting (its flag's dest) -> INI section, INI key, type, default; the type
+# applies to whichever of the three gives the value.  A verb reads the
+# settings its parser defines; the band is the [sweep] pair omega_lo/omega_hi,
+# resolved in _resolve.  A --config file may hold only the keys in INI_KEYS.
+_SETTINGS = {
+    "omega0": ("scenario", "omega0", float, 1.0),
+    "g": ("scenario", "g", float, 1e-4),
+    "l": ("scenario", "l", float, 100.0),
+    "guard_width": ("scenario", "guard_width", float, DEFAULT_GUARD_WIDTH),
+    "model": ("scenario", "model", str, None),
+    "theta_d_deg": ("scenario", "theta_d_deg", float, None),
+    "mu2": ("scenario", "mu2", float, None),
+    "samples": ("sweep", "samples", int, 9),
+    "kind": ("sweep", "kind", lambda k: ("pdc", "puc") if k == "both" else (k,), "pdc"),
+    "detuning": ("sweep", "detuning", float, 0.0),
+    "output_format": ("output", "format", str, "csv"),
+    "output": ("output", "path", str, None),
+}
+INI_KEYS = {entry[:2] for entry in _SETTINGS.values()} | {
+    ("sweep", "omega_lo"), ("sweep", "omega_hi")}
 
-def _load_config(path):
-    cfg = configparser.ConfigParser()
-    read = cfg.read(path)
-    if not read:
-        raise PumpslabError(f"config file not found: {path}")
-    return cfg
+
+def _resolve(args):
+    """Set every setting of the verb in args: flag, else --config file, else default.
+
+    "kind" becomes the tuple of kinds and "band" a (lo, hi) tuple, or None
+    when neither --band nor the file's omega_lo/omega_hi pair gives one.
+    """
+    cfg = None  # built only for --config: a ConfigParser is slow to build
+    if getattr(args, "config", None):
+        # no header is empty, so [DEFAULT] is a plain section, its keys unknown
+        cfg = configparser.ConfigParser(default_section="")
+        if not cfg.read(args.config):
+            raise PumpslabError(f"config file not found: {args.config}")
+        unknown = [f"[{section}] {key}" for section in cfg.sections()
+                   for key in cfg.options(section) if (section, key) not in INI_KEYS]
+        if unknown:
+            raise PumpslabError(f"unknown config keys: {', '.join(unknown)}")
+    settings = vars(args)
+    for name, (section, key, cast, default) in _SETTINGS.items():
+        if name in settings:
+            value = settings[name]
+            if value is None:
+                value = default if cfg is None else cfg.get(section, key, fallback=default)
+            settings[name] = None if value is None else cast(value)
+    if "band" in settings:
+        band = settings["band"]
+        if band is None and cfg is not None and (
+            cfg.has_option("sweep", "omega_lo") or cfg.has_option("sweep", "omega_hi")
+        ):
+            band = (cfg.getfloat("sweep", "omega_lo"), cfg.getfloat("sweep", "omega_hi"))
+        settings["band"] = band and tuple(band)
 
 
-def _setting(args, cfg, section, key, cast, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if cfg is not None and cfg.has_option(section, key):
-        return cast(cfg.get(section, key))
-    return default
-
-
-def _build_scenario(args, cfg):
-    omega0 = _setting(args, cfg, "scenario", "omega0", float, 1.0)
-    g = _setting(args, cfg, "scenario", "g", float, 1e-4)
-    l = _setting(args, cfg, "scenario", "l", float, 100.0)
-    guard = _setting(args, cfg, "scenario", "guard_width", float, 0.02)
-    model_file = _setting(args, cfg, "scenario", "model", str)
-    theta_d_deg = _setting(args, cfg, "scenario", "theta_d_deg", float)
-    mu2 = _setting(args, cfg, "scenario", "mu2", float)
-    if model_file:
-        with open(model_file, "r", encoding="utf-8") as fh:
+def _scenario(args):
+    if args.model:
+        with open(args.model, "r", encoding="utf-8") as fh:
             dispersion = DispersionModel.from_record(fh.read())
-    elif theta_d_deg is not None and mu2 is not None:
+    elif args.theta_d_deg is not None and args.mu2 is not None:
         dispersion = calibrate_degenerate_angle(
-            math.radians(theta_d_deg), mu2, omega0=omega0
+            math.radians(args.theta_d_deg), args.mu2, omega0=args.omega0
         )
     else:
         raise PumpslabError(
             "scenario needs either --model FILE or --theta-d-deg with --mu2"
         )
-    return CrystalScenario(omega0=omega0, g=g, l=l, dispersion=dispersion,
-                           guard_width=guard)
+    return CrystalScenario(omega0=args.omega0, g=args.g, l=args.l,
+                           dispersion=dispersion, guard_width=args.guard_width)
 
 
-def _kinds(args, cfg):
-    kind = _setting(args, cfg, "sweep", "kind", str, "pdc")
-    return ("pdc", "puc") if kind == "both" else (kind,)
+def _request(args):
+    scenario = _scenario(args)
+    band = args.band or (0.3 * scenario.omega0, 0.7 * scenario.omega0)
+    return SweepRequest(scenario=scenario, band=band, samples=args.samples,
+                        kinds=args.kind, detuning=args.detuning)
 
 
-def _emit(rows, columns, args, cfg):
-    fmt = _setting(args, cfg, "output", "output_format", str) or _setting(
-        args, cfg, "output", "format", str, "csv"
-    )
-    path = _setting(args, cfg, "output", "output", str) or _setting(
-        args, cfg, "output", "path", str
-    )
+def _write(path, text):
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            write_rows(rows, columns, fh, fmt)
+            fh.write(text)
     else:
-        write_rows(rows, columns, sys.stdout, fmt)
-
-
-def _build_request(args, cfg, scenario):
-    omega0 = scenario.omega0
-    band = getattr(args, "band", None)
-    if band is None and cfg is not None and cfg.has_option("sweep", "omega_lo"):
-        band = (cfg.getfloat("sweep", "omega_lo"), cfg.getfloat("sweep", "omega_hi"))
-    if band is None:
-        band = (0.3 * omega0, 0.7 * omega0)
-    samples = _setting(args, cfg, "sweep", "samples", int, 9)
-    detuning = _setting(args, cfg, "sweep", "detuning", float, 0.0)
-    return SweepRequest(
-        scenario=scenario,
-        band=tuple(band),
-        samples=samples,
-        kinds=_kinds(args, cfg),
-        detuning=detuning,
-    )
+        sys.stdout.write(text)
 
 
 def main(argv=None):
     args = _PARSER.parse_args(argv)
-    cfg = None
+    code = 0
     try:
-        if getattr(args, "config", None):
-            cfg = _load_config(args.config)
+        _resolve(args)
         if args.verb == "calibrate":
-            band = tuple(args.band) if args.band else None
-            model = calibrate_degenerate_angle(
+            text = calibrate_degenerate_angle(
                 math.radians(args.theta_d_deg), args.mu2,
-                omega0=args.omega0, band=band,
-            )
-            record = model.to_record()
-            if args.output:
-                with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(record)
-            else:
-                sys.stdout.write(record)
-            return 0
-        scenario = _build_scenario(args, cfg)
-        if args.verb == "degenerate":
-            kind = getattr(args, "kind", None) or "pdc"
-            kinds = ("pdc", "puc") if kind == "both" else (kind,)
-            rows = degenerate_rows(scenario, kinds=kinds)
-            _emit(rows, SWEEP_COLUMNS, args, cfg)
-            return 0
-        request = _build_request(args, cfg, scenario)
-        if args.verb == "sweep":
-            rows = run_sweep(request)
-            _emit(rows, SWEEP_COLUMNS, args, cfg)
-            return 0
-        if args.verb == "compare-oracle":
-            rows, breached = compare_oracle(
-                request, include_exact=not args.no_exact
-            )
-            _emit(rows, ORACLE_COLUMNS, args, cfg)
-            return BREACH_EXIT if breached else 0
+                omega0=args.omega0, band=args.band,
+            ).to_record()
+        elif args.verb == "degenerate":
+            rows = degenerate_rows(_scenario(args), kinds=args.kind)
+            text = rows_to_text(rows, SWEEP_COLUMNS, args.output_format)
+        elif args.verb == "sweep":
+            rows = run_sweep(_request(args))
+            text = rows_to_text(rows, SWEEP_COLUMNS, args.output_format)
+        else:
+            rows, breached = compare_oracle(_request(args),
+                                            include_exact=not args.no_exact)
+            text = rows_to_text(rows, ORACLE_COLUMNS, args.output_format)
+            code = BREACH_EXIT if breached else 0
+        # rendered before the output is opened, so a rejected format or an
+        # empty sweep leaves an existing file as it was
+        _write(args.output, text)
     except SweepError as exc:
         print(f"pumpslab: {exc}", file=sys.stderr)
         return EMPTY_EXIT
-    except (PumpslabError, ValueError, OSError) as exc:
+    except (PumpslabError, ValueError, OSError, configparser.Error) as exc:
         print(f"pumpslab: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -104,6 +104,8 @@ def _outcomes(scenario, omegas, kinds, detuning=0.0):
 
 def _sweep_rows(scenario, omegas, kinds, detuning=0.0):
     """SWEEP_COLUMNS rows of _outcomes; a SweepError if none is ok."""
+    for kind in kinds:
+        check_kind(kind)
     grid, table, order = _outcomes(scenario, omegas, kinds, detuning)
     theta_d, theta_u = grid.theta_deg()
     values = {c: table.columns[c].tolist() for c in _REPORT_COLUMNS + ("forward_fraction",)}

@@ -4,10 +4,10 @@ A change to any number, its formatting or the row order changes a digest;
 a refactor that keeps these outputs byte-identical keeps every test here
 passing.  The CLI digests run pumpslab.cli.main end to end (flags, an INI
 file, an --output file), so they also pin how the command line resolves
-its settings and writes its output.  The quartic rows of compare_oracle come from np.roots and its
-exact rows from stacked LAPACK solves, so their last digits depend on the
-numpy build: the digests below were taken with numpy 2.4 and its bundled
-OpenBLAS.
+its settings and writes its output.  The quartic rows of compare_oracle
+come from np.roots and its exact rows from stacked LAPACK solves, so
+their last digits depend on the numpy build: the digests below were
+taken with numpy 2.4 and its bundled OpenBLAS.
 """
 import contextlib
 import hashlib

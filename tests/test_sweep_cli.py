@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -292,6 +293,11 @@ class TestDegenerateRows:
         with pytest.raises(SweepError) as excinfo:
             degenerate_rows(scenario, kinds=("pdc", "puc"))
         assert excinfo.value.skip_reasons == {"out_of_band": 2}
+
+    def test_unknown_kind_is_a_value_error(self):
+        # the same check, and message, as SweepRequest gives run_sweep
+        with pytest.raises(ValueError, match="conjugate kind.*'sfg'"):
+            degenerate_rows(scenario_for(), kinds=("sfg",))
 
     def test_puc_to_pdc_flux_ratio(self):
         rows = degenerate_rows(scenario_for(), kinds=("pdc", "puc"))
@@ -620,15 +626,123 @@ class TestCli:
         capsys.readouterr()
         assert code == 1
 
-    def test_console_entry_point(self):
+    def test_console_entry_point(self, capsys):
         # the subprocess imports the package under test, installed or not
         src = str(Path(pumpslab.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, path] if path else [src]))
+        argv = ["degenerate", "--theta-d-deg", "10", "--mu2", "1.51", "--kind", "both"]
         proc = subprocess.run(
-            [sys.executable, "-m", "pumpslab.cli", "degenerate",
-             "--theta-d-deg", "10", "--mu2", "1.51"],
+            [sys.executable, "-m", "pumpslab.cli", *argv],
             capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith(",".join(SWEEP_COLUMNS))
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+        # main's exit code becomes the process's
+        proc = subprocess.run(
+            [sys.executable, "-m", "pumpslab.cli", "degenerate"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == cli_mod.USAGE_EXIT
+        assert proc.stderr.startswith("pumpslab: scenario needs")
+
+
+SCENARIO_INI = "[scenario]\ntheta_d_deg = 10.0\nmu2 = 1.51\n"
+
+
+def run_config(tmp_path, capsys, verb, text, *argv):
+    """main([verb, --config FILE, *argv]) on an INI file holding text."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code = main([verb, "--config", str(cfg), *argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestCliConfig:
+    def test_flag_beats_file_beats_default(self, tmp_path, capsys):
+        physics = ["--theta-d-deg", "10", "--mu2", "1.51"]
+        text = SCENARIO_INI + "[sweep]\nsamples = 3\nkind = puc\n"
+        code, out, _ = run_config(tmp_path, capsys, "sweep", text, "--kind", "pdc")
+        assert code == 0
+        assert main(["sweep", *physics, "--samples", "3", "--kind", "pdc"]) == 0
+        assert out == capsys.readouterr().out
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["pdc"] * 3
+
+    def test_degenerate_reads_config_kind(self, tmp_path, capsys):
+        code, out, _ = run_config(tmp_path, capsys, "degenerate",
+                                  SCENARIO_INI + "[sweep]\nkind = both\n")
+        assert code == 0
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["pdc", "puc"]
+        assert main(["degenerate", "--theta-d-deg", "10", "--mu2", "1.51",
+                     "--kind", "both"]) == 0
+        assert out == capsys.readouterr().out
+
+    @pytest.mark.parametrize("verb", ["degenerate", "sweep"])
+    def test_unknown_config_kind_is_a_usage_error(self, tmp_path, capsys, verb):
+        code, out, err = run_config(tmp_path, capsys, verb,
+                                    SCENARIO_INI + "[sweep]\nkind = sfg\n")
+        assert (code, out) == (cli_mod.USAGE_EXIT, "")
+        assert err.startswith("pumpslab: conjugate kind") and "'sfg'" in err
+
+    @pytest.mark.parametrize("text, message", [
+        (SCENARIO_INI + "[sweep]\nomega_lo = 0.4\n", "'omega_hi'"),
+        (SCENARIO_INI + "[sweep]\nomega_hi = 0.6\n", "'omega_lo'"),
+        ("theta_d_deg = 10.0\n", "no section headers"),
+        (SCENARIO_INI + "[output]\noutput_format = jsonl\n", "[output] output_format"),
+        (SCENARIO_INI + "[output]\noutput = rows.csv\n", "[output] output"),
+        (SCENARIO_INI + "[sweep]\nsample = 3\n", "[sweep] sample"),
+        ("[DEFAULT]\ng = 2e-4\n" + SCENARIO_INI, "keys: [DEFAULT] g"),
+        (SCENARIO_INI + "[output]\npath = run%1.csv\n", "'%' must be followed"),
+    ], ids=["lo-without-hi", "hi-without-lo", "no-section", "alias-format",
+            "alias-output", "misspelt", "default-section", "interpolation"])
+    def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, text, message):
+        code, out, err = run_config(tmp_path, capsys, "sweep", text)
+        assert (code, out) == (cli_mod.USAGE_EXIT, "")
+        assert err.startswith("pumpslab: ") and message in err
+
+    def test_rejected_format_leaves_output_file(self, tmp_path, capsys):
+        out_path = tmp_path / "out.csv"
+        out_path.write_bytes(b"rows of an earlier run\n")
+        text = SCENARIO_INI + f"[output]\nformat = xml\npath = {out_path}\n"
+        code, out, err = run_config(tmp_path, capsys, "degenerate", text)
+        assert (code, out) == (cli_mod.USAGE_EXIT, "")
+        assert "output format must be" in err
+        assert out_path.read_bytes() == b"rows of an earlier run\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_key_table():
+    """(section, key) -> verbs, from the INI key table of README's Command line."""
+    table = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        match = re.fullmatch(r"\| `\[(\w+)\] (\w+)` \|.*\| ([a-z, -]+) \|", line)
+        if match:
+            table[match[1], match[2]] = set(match[3].split(", "))
+    return table
+
+
+def test_readme_lists_every_config_key_and_its_verbs():
+    table = readme_key_table()
+    assert set(table) == cli_mod.INI_KEYS
+    for verb in ("sweep", "degenerate", "compare-oracle"):
+        settings = vars(cli_mod._PARSER.parse_args([verb]))
+        read = {(section, key) for name, (section, key, *_) in cli_mod._SETTINGS.items()
+                if name in settings}
+        if "band" in settings:
+            read |= {("sweep", "omega_lo"), ("sweep", "omega_hi")}
+        assert read == {entry for entry, verbs in table.items() if verb in verbs}
+
+
+def test_readme_config_example_runs(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    example = text.split("```ini\n")[1].split("```")[0]
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_config(tmp_path, capsys, "sweep", example)
+    assert (code, out, err) == (0, "", "")
+    rows = (tmp_path / "rows.csv").read_text().splitlines()
+    assert rows[0] == ",".join(SWEEP_COLUMNS) and len(rows) == 1 + 7 * 2
