@@ -18,6 +18,7 @@ from .errors import (
     OutOfBandError,
     PumpslabError,
     SeriesDomainError,
+    StrongGainError,
     SweepError,
     UndefinedSplitError,
     ValidityWarning,
@@ -45,6 +46,7 @@ __all__ = [
     "OutOfBandError",
     "PumpslabError",
     "SeriesDomainError",
+    "StrongGainError",
     "SweepError",
     "UndefinedSplitError",
     "ValidityWarning",

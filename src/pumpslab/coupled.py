@@ -20,6 +20,7 @@ are one-element calls into the same code, and every element carries the
 bits a scalar evaluation in the same operation order would give.
 """
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,6 +31,7 @@ from .errors import (
     DegenerateRootError,
     EvanescentError,
     GeometryError,
+    StrongGainError,
     UndefinedSplitError,
     ValidityWarning,
 )
@@ -38,22 +40,34 @@ from .lamina import fresnel_step
 
 DETUNING_WARN_FRACTION = 0.01
 _SINC_SERIES_CUTOFF = 1e-4
+_SINC_MAX_IMAG = 700.0  # sin(z) ~ e^|Im z| / 2 overflows a float near 710.5
 UNDEFINED_RATIO = len(SKIP_REASONS)  # report-stage status: no partner flux
 STATUS_REASONS = SKIP_REASONS + ("undefined_ratio",)
 
 
 def csinc(z):
-    """sin(z)/z on complex arguments, series-evaluated near the origin."""
+    """sin(z)/z on complex arguments, series-evaluated near the origin.
+
+    Raises StrongGainError where |Im z| > _SINC_MAX_IMAG, before sin(z)
+    can overflow.
+    """
     z = complex(z)
     if abs(z) < _SINC_SERIES_CUTOFF:
         z2 = z * z
         return 1.0 - z2 / 6.0 + z2 * z2 / 120.0
+    if abs(z.imag) > _SINC_MAX_IMAG:
+        raise StrongGainError(
+            f"sinc of xi={z:g} overflows: |Im xi| exceeds {_SINC_MAX_IMAG:g}"
+        )
     return cmath.sin(z) / z
 
 
 def _sinc_sq(xi):
     s = csinc(xi)
-    return (s * s).real
+    value = (s * s).real
+    if not math.isfinite(value):
+        raise StrongGainError(f"sinc(xi)^2 is not finite at xi={complex(xi):g}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -291,6 +305,26 @@ def quartic_coefficients(scenario, kin):
     return coeffs, K0, A, B, G, sign
 
 
+def _quartic_roots(coeffs):
+    """The roots of each row of (n, 5) quartic coefficients, as an (n, 4) array.
+
+    The eigenvalues of the stacked companion matrices from one batched
+    call: row by row the values and the order np.roots gives, always as
+    complex.  Every row needs a nonzero leading and constant coefficient,
+    which np.roots would strip.
+    """
+    coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 5)
+    companion = np.zeros((len(coeffs), 4, 4))
+    companion[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]
+    companion[:, 1:, :3] = np.eye(3)
+    return np.linalg.eigvals(companion).astype(complex)
+
+
+def _record_roots(scenario, records):
+    """The quartic roots of each mode pair record, one row per record."""
+    return _quartic_roots([quartic_coefficients(scenario, kin)[0] for kin in records])
+
+
 def quartic_wavenumbers(scenario, kin):
     """The four exact internal wavenumbers, sorted to match the anchors.
 
@@ -300,8 +334,12 @@ def quartic_wavenumbers(scenario, kin):
     [k1, k2, k3, k4] where k1, k2 hug +Omega1, k3 hugs -Omega1 and k4 is
     the far counter-propagating partner root.
     """
-    coeffs, K0 = quartic_coefficients(scenario, kin)[:2]
-    roots = np.roots(coeffs)
+    return _sorted_wavenumbers(scenario, kin, _record_roots(scenario, [kin])[0])
+
+
+def _sorted_wavenumbers(scenario, kin, roots):
+    """quartic_wavenumbers from the record's unsorted quartic roots."""
+    K0 = scenario.pump_wavenumber()
     # uncoupled wavenumbers the four roots collapse to at g = 0
     a12, a3 = kin.Omega1, -kin.Omega1
     a4 = K0 + kin.Omega2 if kin.kind == "pdc" else -(K0 + kin.Omega2)

@@ -42,11 +42,20 @@ class DegenerateRootError(PumpslabError):
 
 
 class ConditioningError(PumpslabError):
-    """Boundary-matching system too ill-conditioned to solve reliably."""
+    """Boundary-matching system too ill-conditioned to solve reliably.
+
+    cond is the number compared with the limit: the worst 2-norm
+    condition number for a condition refusal (inf for a stack that is not
+    finite), the worst 1-norm one for a continuity-residual refusal.
+    """
 
     def __init__(self, message, cond=None):
         super().__init__(message)
         self.cond = cond
+
+
+class StrongGainError(PumpslabError):
+    """Gain too strong for a float: sinc(xi)^2 of the coupled pair overflows."""
 
 
 class UndefinedSplitError(PumpslabError):

@@ -15,9 +15,14 @@ thickness_averaged_intensities
     The quartic roots and mode vectors do not depend on the thickness l;
     only the exit-face rows 4-7 carry its e^{ikl} phases.  So the systems
     for every thickness of an average are built as one (N, 8, 8) stack by
-    broadcasting, conditioned (2-norm), solved and residual-checked with
-    one batched numpy call each; g = 0 stacks the 4x4 coherent slab the
-    same way.
+    broadcasting, then screened, solved and residual-checked with one
+    batched numpy call each; g = 0 stacks the 4x4 coherent slab the same
+    way.  The screen takes the 1-norm condition number kappa_1 of every
+    system from one batched inverse.  For 8x8 matrices kappa_2 / 8 <=
+    kappa_1 <= 8 kappa_2, so a stack whose worst kappa_1 is within
+    COND_LIMIT / 8 cannot exceed the 2-norm limit; only a stack above
+    that computes its 2-norm condition numbers (one SVD per system), and
+    it is refused where the worst of them exceeds COND_LIMIT.
 
 series_sum
     Explicit term-by-term summation of the multiple-reflection intensity
@@ -27,7 +32,7 @@ import math
 
 import numpy as np
 
-from .coupled import quartic_coefficients
+from .coupled import _record_roots, quartic_coefficients
 from .errors import ConditioningError, SeriesDomainError
 
 COND_LIMIT = 1e12
@@ -36,16 +41,16 @@ THICKNESS_PHASES = 64  # thickness steps across one fast period
 SERIES_TERMS = 40
 
 
-def _boundary_stack(scenario, kin, lengths):
+def _boundary_stack(scenario, kin, lengths, roots):
     """Continuity matrices for one incident unit mode at every thickness.
 
-    Returns (matrices (N, 8, 8), rhs (8,)) in the unknowns (R1, R2, T1,
-    T2, c1..c4), c_r scaling the unit-normalized mode vector of quartic
-    root r.  The roots and mode vectors do not depend on the thickness;
-    only the exit-face rows 4-7 carry its phase factors.
+    roots are the four quartic roots of kin.  Returns (matrices (N, 8,
+    8), rhs (8,)) in the unknowns (R1, R2, T1, T2, c1..c4), c_r scaling
+    the unit-normalized mode vector of quartic root r.  The roots and
+    mode vectors do not depend on the thickness; only the exit-face rows
+    4-7 carry its phase factors.
     """
-    coeffs, K0, A, B, G, sign = quartic_coefficients(scenario, kin)
-    roots = np.roots(coeffs)
+    K0, A, B, G, sign = quartic_coefficients(scenario, kin)[1:]
     C1 = scenario.g * kin.omega * scenario.omega0
     kp = roots + sign * K0
     F1 = roots * roots - A
@@ -97,8 +102,39 @@ def _linear_slab_solution(W0, W, lengths):
     return np.linalg.solve(M, rhs)[:, :2, 0].T
 
 
-def _solve_stack(scenario, kin, lengths):
-    """Amplitude arrays (R1, R2, T1, T2) and the worst condition number.
+def _screen(M, kin):
+    """The worst 1-norm condition number of stack M, or a ConditioningError.
+
+    Accepted without an SVD where the worst kappa_1 is within
+    COND_LIMIT / 8; otherwise refused where the worst 2-norm condition
+    number exceeds COND_LIMIT, or where a system is exactly singular.
+    """
+    singular = False
+    try:
+        inverse = np.linalg.inv(M)
+    except np.linalg.LinAlgError:  # an exactly singular system
+        singular = True
+    else:
+        norms = np.abs(M).sum(axis=1).max(axis=1)
+        cond = float((norms * np.abs(inverse).sum(axis=1).max(axis=1)).max())
+        if cond <= COND_LIMIT / 8.0:
+            return cond
+    try:
+        cond2 = float(np.linalg.cond(M).max())
+    except np.linalg.LinAlgError:  # the SVD of a non-finite stack
+        cond2 = math.inf
+    if singular or cond2 > COND_LIMIT:
+        raise ConditioningError(
+            f"boundary system condition number {cond2:.3e} exceeds "
+            f"{COND_LIMIT:g}{' (singular)' if singular else ''} "
+            f"(omega={kin.omega:g}, p={kin.p:g}, kind={kin.kind})",
+            cond=cond2,
+        )
+    return cond
+
+
+def _solve_stack(scenario, kin, lengths, roots):
+    """Amplitude arrays (R1, R2, T1, T2) and the worst 1-norm condition number.
 
     One ill-conditioned system, or one that misses continuity, refuses
     the whole stack.  At g = 0 the coherent single-frequency slab is
@@ -108,15 +144,8 @@ def _solve_stack(scenario, kin, lengths):
         R, T = _linear_slab_solution(kin.Omega10, kin.Omega1, lengths)
         zero = np.zeros_like(R)
         return (R, zero, T, zero), 1.0
-    M, rhs = _boundary_stack(scenario, kin, lengths)
-    cond = float(np.linalg.cond(M).max())
-    if cond > COND_LIMIT:
-        raise ConditioningError(
-            f"boundary system condition number {cond:.3e} exceeds "
-            f"{COND_LIMIT:g} (omega={kin.omega:g}, p={kin.p:g}, "
-            f"kind={kin.kind})",
-            cond=cond,
-        )
+    M, rhs = _boundary_stack(scenario, kin, lengths, roots)
+    cond = _screen(M, kin)
     rhs = rhs[:, None]
     x = np.linalg.solve(M, rhs)
     residual = np.abs(M @ x - rhs).max()
@@ -147,13 +176,21 @@ def thickness_averaged_intensities(scenario, kin, phases=THICKNESS_PHASES):
     Scans l across 2*pi/Omega1 in `phases` uniform steps, holding the
     slow gain envelope essentially fixed (valid for Omega1 * l >> 1);
     phases=1 solves the thickness l alone.
-    All phases are solved as one stack; "cond" is the worst of them, and
-    one phase over COND_LIMIT or RESIDUAL_LIMIT refuses the whole average
-    with a ConditioningError carrying that worst cond.
+    All phases are solved as one stack; "cond" is the worst 1-norm
+    condition number among them.  One phase over COND_LIMIT (by the
+    kappa_1 screen, then the 2-norm rule) or over RESIDUAL_LIMIT refuses
+    the whole average with a ConditioningError carrying the worst value
+    it compared.
     """
+    return _averaged_intensities(scenario, kin, _record_roots(scenario, [kin])[0],
+                                 phases)
+
+
+def _averaged_intensities(scenario, kin, roots, phases=THICKNESS_PHASES):
+    """thickness_averaged_intensities from kin's quartic roots."""
     period = 2.0 * math.pi / kin.Omega1
     lengths = scenario.l + np.arange(phases) * period / phases
-    amps, cond = _solve_stack(scenario, kin, lengths)
+    amps, cond = _solve_stack(scenario, kin, lengths, roots)
     vals = _intensities(kin, *amps)
     out = {key: float(val.mean()) for key, val in vals.items()}
     out["cond"] = cond

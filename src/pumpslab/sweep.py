@@ -11,11 +11,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coupled import (STATUS_REASONS, ChannelReport, epsilon_table, quartic_wavenumbers,
-                      report_table)
+from .coupled import (STATUS_REASONS, ChannelReport, _record_roots, _sorted_wavenumbers,
+                      epsilon_table, report_table)
 from .errors import ConditioningError, SweepError
 from .kinematics import _resonance_grid, check_kind
-from .oracle import series_sum, thickness_averaged_intensities
+from .oracle import _averaged_intensities, series_sum
 
 SWEEP_COLUMNS = (
     "omega",
@@ -189,13 +189,26 @@ def compare_oracle(request, include_exact=True):
     ref = replace(scenario, g=QUARTIC_REFERENCE_G)
     grid, table, order = _outcomes(scenario, request.grid(), request.kinds)
     shifts = epsilon_table(ref, grid)
+    # (record, report, shifts) of every ok row, in row order; the quartic
+    # roots of their checks come from one batched solve per coupling
+    checked = []
+    for _, i, _, k, status in order:
+        if status == "ok":
+            res = grid.point(k, i)
+            checked.append((res, ChannelReport.of(res, table.element(k, i)),
+                            shifts.element(k, i)))
+    ref_roots = _record_roots(ref, [res for res, _, _ in checked])
+    exact = [include_exact and report.r10 <= EXACT_MAX_R10
+             and report.gamma <= EXACT_MAX_GAMMA for _, report, _ in checked]
+    exact_roots = iter(_record_roots(
+        scenario, [res for (res, _, _), run in zip(checked, exact) if run]))
     rows = []
+    checks = iter(zip(checked, ref_roots, exact))
     for omega, i, kind, k, status in order:
         if status != "ok":
             rows.append(_row(omega, kind, "channel_report", status))
             continue
-        res = grid.point(k, i)
-        report = ChannelReport.of(res, table.element(k, i))
+        (res, report, eps), roots, run_exact = next(checks)
         if report.gamma == 0.0:
             # without pump-induced excess the gamma-scale identities
             # are vacuous; only the shift validation says anything
@@ -215,20 +228,23 @@ def compare_oracle(request, include_exact=True):
         ):
             rows.append(_oracle_row(omega, kind, f"series_{name}", closed, summed,
                                     SERIES_TOL))
-        rows.extend(_quartic_rows(ref, res, shifts.element(k, i)))
-        if include_exact:
-            rows.append(_exact_row(scenario, res, report))
+        rows.extend(_quartic_rows(ref, res, eps, roots))
+        if run_exact:
+            rows.append(_exact_row(scenario, res, report, next(exact_roots)))
+        elif include_exact:
+            rows.append(_row(omega, kind, "exact_excess", "not_applicable", EXACT_TOL))
     breached = any(row["status"] == "breach" for row in rows)
     return rows, breached
 
 
-def _quartic_rows(ref, res, eps):
+def _quartic_rows(ref, res, eps, roots):
     """Quartic-vs-perturbative shift rows at the reference coupling.
 
-    eps maps the EpsilonRoots fields at res, as epsilon_table gives them.
+    eps maps the EpsilonRoots fields at res, as epsilon_table gives them;
+    roots are res's quartic roots at the reference coupling.
     """
     omega, kind = res.omega, res.kind
-    k = quartic_wavenumbers(ref, res)
+    k = _sorted_wavenumbers(ref, res, roots)
     K0 = ref.pump_wavenumber()
     product = (k[0] - res.Omega1) * (k[1] - res.Omega1)
     pair_err = max(
@@ -257,13 +273,11 @@ def _quartic_rows(ref, res, eps):
     return out
 
 
-def _exact_row(scenario, res, report):
+def _exact_row(scenario, res, report, roots):
+    """The exact_excess row of an applicable res, from its quartic roots."""
     omega, kind = res.omega, res.kind
-    applicable = report.r10 <= EXACT_MAX_R10 and report.gamma <= EXACT_MAX_GAMMA
-    if not applicable:
-        return _row(omega, kind, "exact_excess", "not_applicable", EXACT_TOL)
     try:
-        averaged = thickness_averaged_intensities(scenario, res)
+        averaged = _averaged_intensities(scenario, res, roots)
     except ConditioningError:
         return _row(omega, kind, "exact_excess", "conditioning_error", EXACT_TOL)
     measured = averaged["t1"] + averaged["r1"] - 1.0

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pumpslab import (
@@ -17,6 +17,7 @@ from pumpslab import (
     GuardBandError,
     NoResonanceError,
     OutOfBandError,
+    StrongGainError,
     UndefinedSplitError,
     ValidityWarning,
     calibrate_degenerate_angle,
@@ -31,8 +32,10 @@ from pumpslab.coupled import (
     OK,
     STATUS_REASONS,
     EpsilonRoots,
+    _quartic_roots,
     csinc,
     epsilon_table,
+    quartic_coefficients,
     report_table,
     resonance_report,
 )
@@ -63,6 +66,27 @@ class TestCsinc:
 
     def test_real_argument(self):
         assert csinc(2.0).real == pytest.approx(math.sin(2.0) / 2.0, rel=1e-15)
+
+    def test_overflowing_argument_is_a_typed_error(self):
+        assert csinc(700j).real == pytest.approx(math.sinh(700.0) / 700.0, rel=1e-13)
+        with pytest.raises(StrongGainError):
+            csinc(720j)  # cmath.sin would raise a bare OverflowError
+
+
+class TestStrongGain:
+    """Gain too strong for a float is a StrongGainError, never an inf."""
+
+    @pytest.mark.parametrize("g,l", [(0.1, 3e4), (9e-3, 2e5)])
+    def test_channel_report_raises_typed_error(self, g, l):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            s = scenario_for(g=g, l=l)
+        with pytest.raises(StrongGainError):
+            channel_report(s, 0.5)
+
+    def test_largest_finite_gain_still_reports(self):
+        report = channel_report(scenario_for(g=5e-3, l=2e5), 0.5)
+        assert math.isfinite(report.gamma) and report.gamma > 1e280
 
 
 class TestEpsilonRoots:
@@ -177,6 +201,46 @@ class TestQuarticWavenumbers:
             shift4 = (k[3] + K0 + res.Omega2).real
         assert shift3 == pytest.approx(eps.eps3, rel=1e-3)
         assert shift4 == pytest.approx(eps.eps4, rel=1e-3)
+
+
+_quartic_cases = st.tuples(
+    st.floats(5.0, 15.0),  # degenerate emission angle, degrees
+    st.floats(1.45, 1.55),  # mu(omega0)
+    st.one_of(st.just(0.0), st.floats(1e-7, 1e-3)),  # g
+    st.lists(st.floats(0.05, 1.95), min_size=1, max_size=8),
+)
+
+
+@given(_quartic_cases)
+@example((10.0, 1.51, 1e-4, [0.5]))  # puc: four real roots, pdc: complex
+@example((10.0, 1.51, 0.0, [0.3, 0.5]))  # g = 0: double roots
+@settings(max_examples=60, deadline=None)
+def test_quartic_roots_match_np_roots_bit_for_bit(case):
+    theta_d, mu2, g, omegas = case
+    s = scenario_for(theta_d, mu2, g)
+    grid = _resonance_grid(s, omegas, ("pdc", "puc"))
+    records = [res for point in grid.points() for res in point
+               if not isinstance(res, str)]
+    assume(records)
+    coeffs = [quartic_coefficients(s, res)[0] for res in records]
+    batched = _quartic_roots(coeffs)
+    assert batched.dtype == complex and batched.shape == (len(records), 4)
+    for row, roots in zip(coeffs, batched):
+        expected = np.roots(row).astype(complex)
+        assert roots.tobytes() == expected.tobytes()
+        assert _quartic_roots([row]).tobytes() == expected.tobytes()
+
+
+def test_quartic_roots_cover_all_real_rows():
+    # np.roots returns a real array where all four roots are real (puc on
+    # resonance); the batch gives the same values, typed complex
+    s = scenario_for(g=1e-4)
+    rows = [quartic_coefficients(s, solve(s, 0.5))[0]
+            for solve in (pdc_resonance, puc_resonance)]
+    assert np.roots(rows[1]).dtype == float
+    assert np.roots(rows[0]).dtype == complex
+    assert _quartic_roots(rows)[1].tobytes() == np.roots(rows[1]).astype(complex).tobytes()
+    assert _quartic_roots(np.empty((0, 5))).shape == (0, 4)
 
 
 class TestChannelReport:

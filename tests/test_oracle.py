@@ -1,18 +1,26 @@
 """Exact boundary-matching solve and series-summation validators."""
 import math
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pumpslab.oracle as oracle_mod
+from pumpslab.coupled import quartic_coefficients
 from pumpslab import (
     ConditioningError,
     CrystalScenario,
     DispersionModel,
     SeriesDomainError,
+    SweepRequest,
+    ValidityWarning,
     calibrate_degenerate_angle,
     channel_report,
+    compare_oracle,
     pdc_resonance,
     puc_resonance,
     series_sum,
@@ -78,12 +86,14 @@ class TestExactSolveCoupled:
     def test_continuity_residual_and_cond_reported(self):
         s = scenario_for()
         res = pdc_resonance(s, 0.5)
-        M, rhs = oracle_mod._boundary_stack(s, res, np.array([s.l]))
+        roots = np.roots(quartic_coefficients(s, res)[0])
+        M, rhs = oracle_mod._boundary_stack(s, res, np.array([s.l]), roots)
         x = np.linalg.solve(M[0], rhs)
         assert np.abs(M[0] @ x - rhs).max() < 1e-10
         vals = single_thickness(s, res)
         assert vals["cond"] > 0.0 and np.isfinite(vals["cond"])
-        assert vals["cond"] == pytest.approx(np.linalg.cond(M[0]), rel=1e-9)
+        # the reported cond is the 1-norm condition number kappa_1
+        assert vals["cond"] == pytest.approx(np.linalg.cond(M[0], 1), rel=1e-9)
         assert vals["t1"] == pytest.approx(abs(x[2]) ** 2, rel=1e-12)
 
     def test_flux_identity_holds_per_sample(self):
@@ -155,6 +165,22 @@ def per_phase_average(scenario, kin, phases=64):
     return {key: val / phases for key, val in acc.items()}, worst_cond
 
 
+def boundary_stack(scenario, kin):
+    """The (64, 8, 8) stack that thickness_averaged_intensities solves."""
+    stacks = []
+    build = oracle_mod._boundary_stack
+
+    def recorded(*args):
+        stacks.append(build(*args)[0])
+        return build(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle_mod, "_boundary_stack", recorded)
+        thickness_averaged_intensities(scenario, kin)
+    (stack,) = stacks
+    return stack
+
+
 def resonant_case(case):
     """(scenario, resonance record) for a coupled pdc/puc point or g = 0."""
     if case == "g0":
@@ -177,9 +203,12 @@ class TestStackedThicknessAverage:
 
     def test_condition_refusal_carries_worst_cond(self, monkeypatch):
         s, kin = resonant_case("pdc")
-        worst = thickness_averaged_intensities(s, kin)["cond"]
-        # only the worst phase exceeds the limit
-        monkeypatch.setattr(oracle_mod, "COND_LIMIT", worst * (1.0 - 1e-12))
+        stack = boundary_stack(s, kin)
+        kappa2 = np.linalg.cond(stack)
+        worst = kappa2.max()
+        limit = worst * (1.0 - 1e-12)
+        assert np.count_nonzero(kappa2 > limit) == 1  # only the worst phase
+        monkeypatch.setattr(oracle_mod, "COND_LIMIT", limit)
         with pytest.raises(ConditioningError) as excinfo:
             thickness_averaged_intensities(s, kin)
         assert excinfo.value.cond == worst
@@ -191,6 +220,116 @@ class TestStackedThicknessAverage:
         with pytest.raises(ConditioningError, match="continuity residual") as excinfo:
             thickness_averaged_intensities(s, kin)
         assert excinfo.value.cond == worst
+
+
+_screen_cases = st.tuples(
+    st.sampled_from(["pdc", "puc"]),
+    st.floats(5.0, 15.0),  # degenerate emission angle, degrees
+    st.floats(1.45, 1.55),  # mu(omega0)
+    st.floats(1e-7, 1e-4),  # g
+    st.floats(100.0, 5000.0),  # l
+    st.floats(0.3, 0.7),  # omega
+)
+
+
+class TestConditionScreen:
+    """The kappa_1 screen refuses exactly what the 2-norm rule refuses."""
+
+    @given(_screen_cases)
+    @settings(max_examples=20, deadline=None)
+    def test_refusals_match_the_two_norm_rule(self, case):
+        kind, theta_d, mu2, g, l, omega = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            s = scenario_for(theta_d, mu2, g, l)
+            kin = (pdc_resonance if kind == "pdc" else puc_resonance)(s, omega)
+        stack = boundary_stack(s, kin)
+        kappa1 = np.linalg.cond(stack, 1).max()
+        kappa2 = np.linalg.cond(stack).max()
+        assert kappa1 / 8.0 <= kappa2 <= 8.0 * kappa1
+        limits = (
+            kappa1 / 16.0,  # below the band: refused
+            kappa1 / 8.0 * (1.0 + 1e-6),  # inside [kappa1 / 8, 8 kappa1]
+            kappa2 * (1.0 - 1e-9),
+            kappa2 * (1.0 + 1e-9),
+            kappa1,
+            8.0 * kappa1 * (1.0 - 1e-6),
+            8.0 * kappa1 * (1.0 + 1e-6),  # above the band: screened, no SVD
+            16.0 * kappa1,
+        )
+        two_norm = np.linalg.cond
+        svds = []
+
+        def counted(*args, **kwargs):
+            svds.append(args)
+            return two_norm(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "cond", counted)
+            for limit in limits:
+                patch.setattr(oracle_mod, "COND_LIMIT", limit)
+                svds.clear()
+                try:
+                    thickness_averaged_intensities(s, kin)
+                except ConditioningError as exc:
+                    assert "condition number" in str(exc)
+                    refused = True
+                else:
+                    refused = False
+                assert refused == (kappa2 > limit), limit
+                # the SVD runs only where the kappa_1 screen cannot decide
+                assert len(svds) == (kappa1 > limit / 8.0), limit
+
+    def test_singular_phase_is_a_conditioning_refusal(self, monkeypatch):
+        # one exactly singular phase makes the batched inverse raise for the
+        # whole stack; the 2-norm rule then refuses it, as it always did
+        build = oracle_mod._boundary_stack
+        stacks = []
+
+        def singular(*args):
+            M, rhs = build(*args)
+            M[5, 3] = 0.0
+            stacks.append(M)
+            return M, rhs
+
+        monkeypatch.setattr(oracle_mod, "_boundary_stack", singular)
+        s, kin = resonant_case("pdc")
+        with pytest.raises(ConditioningError) as excinfo:
+            thickness_averaged_intensities(s, kin)
+        assert excinfo.value.cond > oracle_mod.COND_LIMIT
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(stacks[0])
+        req = SweepRequest(scenario=s, band=(0.4, 0.6), samples=2, kinds=("pdc",))
+        rows, breached = compare_oracle(req)
+        exact = [r["status"] for r in rows if r["quantity"] == "exact_excess"]
+        assert exact == ["conditioning_error"] * 2
+        assert not breached
+
+    def test_non_finite_stack_is_a_conditioning_refusal(self):
+        # e^{ikl} overflows in a strongly amplified thick slab, and the SVD
+        # of the non-finite stack fails instead of returning a number
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            s = scenario_for(g=1e-2, l=1e6)
+            with pytest.raises(ConditioningError) as excinfo:
+                thickness_averaged_intensities(s, pdc_resonance(s, 0.5))
+        assert excinfo.value.cond == math.inf
+
+    def test_exact_oracle_runs_no_svd_and_no_np_roots(self, monkeypatch):
+        # the screen accepts these stacks from one inverse each, and the
+        # quartic roots come from batched companion eigenvalues
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the exact oracle called an SVD or np.roots")
+
+        linalg_impl = sys.modules[np.linalg.cond.__module__]
+        for namespace, name in ((np.linalg, "svd"), (linalg_impl, "svd"),
+                                (np, "roots")):
+            monkeypatch.setattr(namespace, name, forbidden)
+        req = SweepRequest(scenario=scenario_for(g=1e-5, l=2800.0), band=(0.3, 0.7),
+                           samples=5, kinds=("pdc", "puc"))
+        rows, _ = compare_oracle(req)
+        exact = [r["status"] for r in rows if r["quantity"] == "exact_excess"]
+        assert exact.count("ok") == 5  # every pdc average ran
 
 
 class TestSeriesSum:

@@ -26,6 +26,7 @@ from pumpslab import (
     NoResonanceError,
     OutOfBandError,
     PumpslabError,
+    StrongGainError,
     SweepError,
     SweepRequest,
     UndefinedSplitError,
@@ -187,19 +188,18 @@ class TestRunSweep:
     def test_exact_rows_reuse_the_resonance_record(self, monkeypatch):
         grids, received = [], []
         solve = sweep_mod._resonance_grid
-        average = sweep_mod.thickness_averaged_intensities
+        average = sweep_mod._averaged_intensities
 
         def recorded_grid(*args):
             grids.append(solve(*args))
             return grids[-1]
 
         def recorded_average(*args, **kwargs):
-            received.append(args)
+            received.append(args[:2])
             return average(*args, **kwargs)
 
         monkeypatch.setattr(sweep_mod, "_resonance_grid", recorded_grid)
-        monkeypatch.setattr(sweep_mod, "thickness_averaged_intensities",
-                            recorded_average)
+        monkeypatch.setattr(sweep_mod, "_averaged_intensities", recorded_average)
         req = SweepRequest(scenario=scenario_for(g=1e-5, l=2800.0),
                            band=(0.4, 0.6), samples=2, kinds=("pdc",))
         rows, _ = compare_oracle(req, include_exact=True)
@@ -444,6 +444,41 @@ class TestUndefinedRatio:
         rows, _ = compare_oracle(req, include_exact=False)
         assert [(r["quantity"], r["status"]) for r in rows] == [
             ("channel_report", "undefined_ratio")] * 3
+
+
+class TestStrongGain:
+    """An overflowing gain is a StrongGainError at every entry point."""
+
+    @pytest.fixture(params=[(0.1, 3e4), (9e-3, 2e5)], ids=["overflow", "inf"])
+    def strong(self, request):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            return scenario_for(*request.param)
+
+    def test_library_entry_points_raise_typed_error(self, strong):
+        req = SweepRequest(scenario=strong, band=(0.45, 0.55), samples=3,
+                           kinds=("pdc", "puc"))
+        with pytest.raises(StrongGainError):
+            channel_report(strong, 0.5)
+        with pytest.raises(StrongGainError):
+            run_sweep(req)
+        with pytest.raises(StrongGainError):
+            degenerate_rows(strong)
+        with pytest.raises(StrongGainError):
+            compare_oracle(req)
+
+    @pytest.mark.parametrize("verb", ["sweep", "compare-oracle", "degenerate"])
+    def test_cli_exits_with_usage_code(self, verb, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            code = main([verb, "--theta-d-deg", "10", "--mu2", "1.51",
+                         "--g", "0.1", "--l", "3e4"]
+                        + ([] if verb == "degenerate" else
+                           ["--band", "0.45", "0.55", "--samples", "3"]))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("pumpslab: ") and "Traceback" not in captured.err
 
 
 class TestSerialization:
