@@ -129,17 +129,20 @@ class _Pairs(NamedTuple):
         return ok, cls(grid.omega[i], rest[0], signs[k], *rest[1:])
 
 
+def _in_order(z0, z1):
+    """Whether z0 goes first: the smaller modulus, or for moduli equal to
+    1e-12 relative (a symmetric pair) the +imaginary, then +real, one."""
+    a0, a1 = abs(z0), abs(z1)
+    if abs(a0 - a1) > 1e-12 * max(a0, a1, 1e-300):
+        return a0 < a1
+    return (z0.imag, z0.real) >= (z1.imag, z1.real)
+
+
 def _pair(detuning, disc, l):
     """(eps1, eps2, xi) from the detuning sum and the discriminant."""
     root = cmath.sqrt(disc)
     cand = ((detuning + root) / 2.0, (detuning - root) / 2.0)
-    a0, a1 = abs(cand[0]), abs(cand[1])
-    if abs(a0 - a1) > 1e-12 * max(a0, a1, 1e-300):
-        eps1, eps2 = cand if a0 < a1 else (cand[1], cand[0])
-    else:
-        # symmetric pair: put the +imaginary (or +real) branch first
-        key = (cand[0].imag, cand[0].real)
-        eps1, eps2 = cand if key >= (cand[1].imag, cand[1].real) else (cand[1], cand[0])
+    eps1, eps2 = cand if _in_order(*cand) else cand[::-1]
     return eps1, eps2, (eps1 - eps2) * l / 2.0
 
 
@@ -148,6 +151,7 @@ def _pair(detuning, disc, l):
 # not reproduce on about 1e-3 of inputs.  On arrays they give object
 # arrays, which _column types.
 _PAIR = np.frompyfunc(_pair, 3, 3)
+_IN_ORDER = np.frompyfunc(_in_order, 2, 1)
 _SINC_SQ = np.frompyfunc(_sinc_sq, 1, 1)
 _POW = np.frompyfunc(pow, 2, 1)
 
@@ -241,15 +245,11 @@ class GridTable:
     index: np.ndarray
     columns: dict
 
-    def element(self, k, i):
-        """The fields of element (k, i), whose status is OK, as Python scalars."""
-        j = self.index.item(k, i)
-        return {name: col.item(j) for name, col in self.columns.items()}
 
-
-def _on_grid(build, scenario, grid, detuning):
-    """build's GridTable over grid at p = p0 + detuning * omega."""
-    ok, pairs = _Pairs.of_grid(grid)
+def _on_grid(build, scenario, grid, detuning, located=None):
+    """build's GridTable over grid at p = p0 + detuning * omega; located
+    is _Pairs.of_grid(grid), computed here where not given."""
+    ok, pairs = located or _Pairs.of_grid(grid)
     codes, columns = build(scenario, pairs, pairs.p0 + detuning * pairs.omega)
     status = grid.status.copy()
     status.ravel()[ok] = codes
@@ -290,19 +290,25 @@ def quartic_coefficients(scenario, kin):
     down-conversion, +1 for up-conversion (the conjugate wave is carried
     against / along the pump phase respectively).
     """
+    return _quartic(scenario, kin.omega, kin.partner, kin.Omega1, kin.Omega2,
+                    -1.0 if kin.kind == "pdc" else 1.0)
+
+
+def _quartic(scenario, omega, partner, w1, w2, sign):
+    """quartic_coefficients of mode pairs: floats for one, 1-d arrays for
+    several, squaring with Python's pow as the scalar code does."""
     K0 = scenario.pump_wavenumber()
-    A = kin.Omega1**2
-    B = kin.Omega2**2
-    G = scenario.g**2 * scenario.omega0**2 * kin.omega * kin.partner
-    sign = -1.0 if kin.kind == "pdc" else 1.0
-    coeffs = [
-        1.0,
-        2.0 * sign * K0,
-        K0 * K0 - B - A,
-        -2.0 * A * sign * K0,
-        -A * (K0 * K0 - B) - G,
-    ]
+    A, B = _column(_POW(w1, 2), float), _column(_POW(w2, 2), float)
+    G = scenario.g**2 * scenario.omega0**2 * omega * partner
+    coeffs = [1.0, 2.0 * sign * K0, K0 * K0 - B - A, -2.0 * A * sign * K0,
+              -A * (K0 * K0 - B) - G]
     return coeffs, K0, A, B, G, sign
+
+
+def _pair_coefficients(scenario, pairs):
+    """The (n, 5) quartic coefficient rows of the mode pair columns pairs."""
+    coeffs = _quartic(scenario, *pairs[:2], pairs.Omega1, pairs.Omega2, -pairs.sign)[0]
+    return np.column_stack(np.broadcast_arrays(*coeffs))
 
 
 def _quartic_roots(coeffs):
@@ -320,11 +326,6 @@ def _quartic_roots(coeffs):
     return np.linalg.eigvals(companion).astype(complex)
 
 
-def _record_roots(scenario, records):
-    """The quartic roots of each mode pair record, one row per record."""
-    return _quartic_roots([quartic_coefficients(scenario, kin)[0] for kin in records])
-
-
 def quartic_wavenumbers(scenario, kin):
     """The four exact internal wavenumbers, sorted to match the anchors.
 
@@ -334,39 +335,51 @@ def quartic_wavenumbers(scenario, kin):
     [k1, k2, k3, k4] where k1, k2 hug +Omega1, k3 hugs -Omega1 and k4 is
     the far counter-propagating partner root.
     """
-    return _sorted_wavenumbers(scenario, kin, _record_roots(scenario, [kin])[0])
+    sign = 1.0 if kin.kind == "pdc" else -1.0
+    return _sorted_wavenumbers(scenario.pump_wavenumber(), kin.Omega1, kin.Omega2, sign,
+                               _quartic_roots(quartic_coefficients(scenario, kin)[0]))[0]
 
 
-def _sorted_wavenumbers(scenario, kin, roots):
-    """quartic_wavenumbers from the record's unsorted quartic roots."""
-    K0 = scenario.pump_wavenumber()
+def _cabs(z):
+    """abs() of each complex as a scalar rounds it; array abs does not."""
+    return np.hypot(z.real, z.imag)
+
+
+def _nearest(candidates, anchor):
+    """Each row of candidates in a stable order of distance to anchor, as
+    sorted() orders them, and the gap between the two nearest distances."""
+    dist = _cabs(candidates - np.asarray(anchor)[..., None])
+    order = np.argsort(dist, axis=1, kind="stable")
+    near = np.take_along_axis(dist, order[:, :2], axis=1)
+    return order, np.abs(near[:, 0] - near[:, 1])
+
+
+def _sorted_wavenumbers(K0, w1, w2, sign, roots):
+    """quartic_wavenumbers of mode pairs from their (n, 4) unsorted roots;
+    w1, w2 (Omega1, Omega2) and sign (+1 pdc) are floats or 1-d columns.
+    Each row sorts as alone; the first with an equidistant pair raises."""
     # uncoupled wavenumbers the four roots collapse to at g = 0
-    a12, a3 = kin.Omega1, -kin.Omega1
-    a4 = K0 + kin.Omega2 if kin.kind == "pdc" else -(K0 + kin.Omega2)
-    scale = max(abs(a12), abs(a4))
-
-    order4 = sorted(range(4), key=lambda i: abs(roots[i] - a4))
-    gap4 = abs(abs(roots[order4[0]] - a4) - abs(roots[order4[1]] - a4))
-    k4 = roots[order4[0]]
-    rest = [roots[i] for i in order4[1:]]
-    order3 = sorted(range(3), key=lambda i: abs(rest[i] - a3))
-    gap3 = abs(abs(rest[order3[0]] - a3) - abs(rest[order3[1]] - a3))
-    k3 = rest[order3[0]]
-    pair = [rest[i] for i in order3[1:]]
-    if min(gap4, gap3) < 1e-12 * scale:
-        alt = np.array([pair[0], pair[1], rest[order3[1]], roots[order4[1]]])
+    a12, a4 = w1, sign * (K0 + w2)
+    scale = np.maximum(np.abs(a12), np.abs(a4))
+    order4, gap4 = _nearest(roots, a4)
+    rest = np.take_along_axis(roots, order4[:, 1:], axis=1)
+    order3, gap3 = _nearest(rest, -a12)
+    k3 = np.take_along_axis(rest, order3[:, :1], axis=1)
+    k4 = np.take_along_axis(roots, order4[:, :1], axis=1)
+    pair = np.take_along_axis(rest, order3[:, 1:], axis=1)
+    degenerate = np.minimum(gap4, gap3) < 1e-12 * scale
+    if degenerate.any():
+        j = np.argmax(degenerate)
+        p0, p1 = pair[j]
         raise DegenerateRootError(
             "two quartic roots are equidistant from the sorting anchors",
-            assignments=(np.array([pair[0], pair[1], k3, k4]), alt),
+            assignments=(np.array([p0, p1, k3[j, 0], k4[j, 0]]),
+                         np.array([p0, p1, p0, roots[j, order4[j, 1]]])),
         )
-    d0, d1 = abs(pair[0] - a12), abs(pair[1] - a12)
-    if abs(d0 - d1) > 1e-12 * max(d0, d1, 1e-300):
-        k1, k2 = (pair[0], pair[1]) if d0 < d1 else (pair[1], pair[0])
-    else:
-        key0 = ((pair[0] - a12).imag, (pair[0] - a12).real)
-        key1 = ((pair[1] - a12).imag, (pair[1] - a12).real)
-        k1, k2 = (pair[0], pair[1]) if key0 >= key1 else (pair[1], pair[0])
-    return np.array([k1, k2, k3, k4])
+    # k1 is the root nearer Omega1, as eps1 is the shift nearer 0
+    d = pair - np.asarray(a12)[..., None]
+    first = _column(_IN_ORDER(d[:, 0], d[:, 1]), bool)
+    return np.column_stack((np.where(first[:, None], pair, pair[:, ::-1]), k3, k4))
 
 
 _REPORT_FIELDS = ("gamma", "r10", "r20", "r1", "t1", "r2", "t2", "n_idler",
@@ -400,12 +413,6 @@ class ChannelReport:
     flux_partner: float
     ratio: float
 
-    @classmethod
-    def of(cls, kin, values):
-        """The report of mode pair kin from its fields in values."""
-        return cls(omega=kin.omega, partner=kin.partner, kind=kin.kind,
-                   **{name: values[name] for name in _REPORT_FIELDS})
-
     def flux_identity_terms(self):
         """(excess, partner side, gamma / (1 + r10)) of the flux identity.
 
@@ -437,38 +444,37 @@ def _reports(scenario, pairs, p):
     omega, partner, sign, _, w1, w2, w10, w20 = pairs
     g, l, w0 = scenario.g, scenario.l, scenario.omega0
     sinc_sq = _column(_SINC_SQ(shifts["xi"]), float)
-    gamma = g * g * l * l * w0 * w0 * omega * partner / (4.0 * w1 * w2) * sinc_sq
-    r10 = fresnel_step(w10, w1).r0
-    r20 = fresnel_step(w20, w2).r0
-    pass10, pass20 = 1.0 + r10, 1.0 + r20
-    pass_sq = _column(_POW(pass10, 2), float)
-    r1 = 2.0 * r10 / pass10 + sign * gamma * r10 / pass_sq
-    t1 = (1.0 - r10) / pass10 + sign * gamma / pass_sq
-    freq_ratio = partner / omega
-    r2 = freq_ratio * gamma * r20 / (pass10 * pass20)
-    t2 = freq_ratio * gamma / (pass10 * pass20)
-    cos_ratio = (w20 / partner) / (w10 / omega)
-    # pdc adds the two terms of each bracket, puc subtracts one from the other
-    bracket_omega = cos_ratio / pass20 + sign / pass10
-    bracket_partner = (1.0 / cos_ratio) / pass10 + sign / pass20
-    undefined = bracket_partner == 0.0
-    status[undefined & (status == OK)] = UNDEFINED_RATIO
-    ratio = bracket_omega / np.where(undefined, np.nan, bracket_partner)
-    return status, {
-        "gamma": gamma,
-        "r10": r10,
-        "r20": r20,
-        "r1": r1,
-        "t1": t1,
-        "r2": r2,
-        "t2": t2,
-        "n_idler": (t1 + r1 - 1.0) / 2.0,
-        "n_signal": (t2 + r2) * w10 / (2.0 * w20),
-        "flux_omega": 0.5 * gamma * bracket_omega,
-        "flux_partner": 0.5 * gamma * bracket_partner,
-        "ratio": ratio,
-        "forward_fraction": _split(t1, t2, r1, r2)[0],
-    }
+    # a gain past the float range leaves inf or nan cells, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = g * g * l * l * w0 * w0 * omega * partner / (4.0 * w1 * w2) * sinc_sq
+        r10 = fresnel_step(w10, w1).r0
+        r20 = fresnel_step(w20, w2).r0
+        pass10, pass20 = 1.0 + r10, 1.0 + r20
+        pass_sq = _column(_POW(pass10, 2), float)
+        r1 = 2.0 * r10 / pass10 + sign * gamma * r10 / pass_sq
+        t1 = (1.0 - r10) / pass10 + sign * gamma / pass_sq
+        freq_ratio = partner / omega
+        r2 = freq_ratio * gamma * r20 / (pass10 * pass20)
+        t2 = freq_ratio * gamma / (pass10 * pass20)
+        cos_ratio = (w20 / partner) / (w10 / omega)
+        # pdc adds the two terms of each bracket, puc subtracts one from the other
+        bracket_omega = cos_ratio / pass20 + sign / pass10
+        bracket_partner = (1.0 / cos_ratio) / pass10 + sign / pass20
+        undefined = bracket_partner == 0.0
+        status[undefined & (status == OK)] = UNDEFINED_RATIO
+        ratio = bracket_omega / np.where(undefined, np.nan, bracket_partner)
+        columns = dict(
+            gamma=gamma, r10=r10, r20=r20, r1=r1, t1=t1, r2=r2, t2=t2,
+            n_idler=(t1 + r1 - 1.0) / 2.0, n_signal=(t2 + r2) * w10 / (2.0 * w20),
+            flux_omega=0.5 * gamma * bracket_omega,
+            flux_partner=0.5 * gamma * bracket_partner,
+            ratio=ratio, forward_fraction=_split(t1, t2, r1, r2)[0],
+        )
+    bad = np.flatnonzero((status == OK) & ~np.isfinite(list(columns.values())).all(axis=0))
+    if bad.size:
+        raise StrongGainError(f"channel report overflows at omega="
+                              f"{np.ravel(omega)[bad[0]]:g}: gamma={np.ravel(gamma)[bad[0]]:g}")
+    return status, columns
 
 
 def report_table(scenario, grid, detuning=0.0):
@@ -500,7 +506,9 @@ def resonance_report(scenario, res, p):
     p = res.p if p is None else p
     status, values = _reports(scenario, _Pairs.of_record(res), p)
     _raise_skip(int(status), res, p)
-    return ChannelReport.of(res, _items(values))
+    values = _items(values)
+    return ChannelReport(omega=res.omega, partner=res.partner, kind=res.kind,
+                         **{name: values[name] for name in _REPORT_FIELDS})
 
 
 def _split(t1, t2, r1, r2):

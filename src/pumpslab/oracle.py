@@ -15,14 +15,16 @@ thickness_averaged_intensities
     The quartic roots and mode vectors do not depend on the thickness l;
     only the exit-face rows 4-7 carry its e^{ikl} phases.  So the systems
     for every thickness of an average are built as one (N, 8, 8) stack by
-    broadcasting, then screened, solved and residual-checked with one
-    batched numpy call each; g = 0 stacks the 4x4 coherent slab the same
+    broadcasting, then factorized once: one batched LU solve against
+    [rhs | I] gives the amplitudes and M^-1, bit for bit what separate
+    solve and inv calls give; g = 0 stacks the 4x4 coherent slab the same
     way.  The screen takes the 1-norm condition number kappa_1 of every
-    system from one batched inverse.  For 8x8 matrices kappa_2 / 8 <=
-    kappa_1 <= 8 kappa_2, so a stack whose worst kappa_1 is within
-    COND_LIMIT / 8 cannot exceed the 2-norm limit; only a stack above
-    that computes its 2-norm condition numbers (one SVD per system), and
-    it is refused where the worst of them exceeds COND_LIMIT.
+    system from that M^-1.  For 8x8 matrices kappa_2 / 8 <= kappa_1 <= 8
+    kappa_2, so a stack whose worst kappa_1 is within COND_LIMIT / 8
+    cannot exceed the 2-norm limit; only a stack above that computes its
+    2-norm condition numbers (one SVD per system), and it is refused
+    where the worst of them exceeds COND_LIMIT.  A partner-incident wave
+    would ride the same factorization as one more right-hand-side column.
 
 series_sum
     Explicit term-by-term summation of the multiple-reflection intensity
@@ -32,7 +34,7 @@ import math
 
 import numpy as np
 
-from .coupled import _record_roots, quartic_coefficients
+from .coupled import _quartic_roots, quartic_coefficients
 from .errors import ConditioningError, SeriesDomainError
 
 COND_LIMIT = 1e12
@@ -63,25 +65,26 @@ def _boundary_stack(scenario, kin, lengths, roots):
     norm = np.maximum(np.abs(a), np.abs(b))
     a, b = a / norm, b / norm
 
-    # carriers: omega field a e^{ikz}; conjugate field i b e^{i(k + s K0) z}
+    # carriers: omega field a e^{ikz}; conjugate field i b e^{i(k + s K0) z};
+    # the exit rows 4-7 are the entrance rows 0-3 times each column's e^{ikl}
     W10, W20 = kin.Omega10, kin.Omega20
-    M = np.zeros((len(lengths), 8, 8), dtype=complex)
-    M[:, 0, 4:] = -a
-    M[:, 1, 4:] = -1j * roots * a
-    M[:, 2, 4:] = -1j * b
-    M[:, 3, 4:] = kp * b
-    M[:, 4:6, 4:] = M[:, 0:2, 4:] * np.exp(1j * np.outer(lengths, roots))[:, None]
-    M[:, 6:8, 4:] = M[:, 2:4, 4:] * np.exp(1j * np.outer(lengths, kp))[:, None]
-    M[:, 0, 0] = 1.0
-    M[:, 1, 0] = -1j * W10
-    M[:, 4, 2] = np.exp(1j * W10 * lengths)
-    M[:, 5, 2] = 1j * W10 * M[:, 4, 2]
+    entrance = np.zeros((4, 8), dtype=complex)
+    entrance[:, 4:] = (-a, -1j * roots * a, -1j * b, kp * b)
+    entrance[0, 0] = 1.0
+    entrance[1, 0] = -1j * W10
     # conjugate amplitudes: transmitted rides e^{s i W20 z}, reflected
     # e^{-s i W20 z} (for pdc the physical wave is the complex conjugate)
-    M[:, 2, 1] = 1.0
-    M[:, 3, 1] = -sign * 1j * W20
-    M[:, 6, 3] = np.exp(sign * 1j * W20 * lengths)
-    M[:, 7, 3] = sign * 1j * W20 * M[:, 6, 3]
+    entrance[2, 1] = 1.0
+    entrance[3, 1] = -sign * 1j * W20
+    phase = np.exp(1j * np.outer(lengths, np.concatenate((roots, kp, [W10, sign * W20]))))
+    M = np.zeros((len(lengths), 8, 8), dtype=complex)
+    M[:, :4] = entrance
+    M[:, 4:6, 4:] = entrance[:2, 4:] * phase[:, None, :4]
+    M[:, 6:, 4:] = entrance[2:, 4:] * phase[:, None, 4:8]
+    M[:, 4, 2] = phase[:, 8]
+    M[:, 5, 2] = 1j * W10 * phase[:, 8]
+    M[:, 6, 3] = phase[:, 9]
+    M[:, 7, 3] = sign * 1j * W20 * phase[:, 9]
     rhs = np.zeros(8, dtype=complex)
     rhs[0] = -1.0
     rhs[1] = -1j * W10
@@ -102,19 +105,15 @@ def _linear_slab_solution(W0, W, lengths):
     return np.linalg.solve(M, rhs)[:, :2, 0].T
 
 
-def _screen(M, kin):
+def _screen(M, inverse, kin):
     """The worst 1-norm condition number of stack M, or a ConditioningError.
 
-    Accepted without an SVD where the worst kappa_1 is within
-    COND_LIMIT / 8; otherwise refused where the worst 2-norm condition
-    number exceeds COND_LIMIT, or where a system is exactly singular.
+    inverse is M^-1, None where a system is exactly singular (refused).
+    Accepted without an SVD where the worst kappa_1 is within COND_LIMIT
+    / 8; otherwise refused where the worst 2-norm condition number exceeds
+    COND_LIMIT.
     """
-    singular = False
-    try:
-        inverse = np.linalg.inv(M)
-    except np.linalg.LinAlgError:  # an exactly singular system
-        singular = True
-    else:
+    if inverse is not None:
         norms = np.abs(M).sum(axis=1).max(axis=1)
         cond = float((norms * np.abs(inverse).sum(axis=1).max(axis=1)).max())
         if cond <= COND_LIMIT / 8.0:
@@ -123,10 +122,10 @@ def _screen(M, kin):
         cond2 = float(np.linalg.cond(M).max())
     except np.linalg.LinAlgError:  # the SVD of a non-finite stack
         cond2 = math.inf
-    if singular or cond2 > COND_LIMIT:
+    if inverse is None or cond2 > COND_LIMIT:
         raise ConditioningError(
             f"boundary system condition number {cond2:.3e} exceeds "
-            f"{COND_LIMIT:g}{' (singular)' if singular else ''} "
+            f"{COND_LIMIT:g}{' (singular)' if inverse is None else ''} "
             f"(omega={kin.omega:g}, p={kin.p:g}, kind={kin.kind})",
             cond=cond2,
         )
@@ -145,9 +144,14 @@ def _solve_stack(scenario, kin, lengths, roots):
         zero = np.zeros_like(R)
         return (R, zero, T, zero), 1.0
     M, rhs = _boundary_stack(scenario, kin, lengths, roots)
-    cond = _screen(M, kin)
     rhs = rhs[:, None]
-    x = np.linalg.solve(M, rhs)
+    # one LU per system: [rhs | I] gives the amplitudes beside M^-1
+    try:
+        x = np.linalg.solve(M, np.hstack((rhs, np.eye(8))))
+    except np.linalg.LinAlgError:  # an exactly singular system
+        x = None
+    cond = _screen(M, None if x is None else x[..., 1:], kin)
+    x = x[..., :1]
     residual = np.abs(M @ x - rhs).max()
     scale = max(np.abs(rhs).max(), 1.0)
     if residual > RESIDUAL_LIMIT * scale:
@@ -182,8 +186,8 @@ def thickness_averaged_intensities(scenario, kin, phases=THICKNESS_PHASES):
     the whole average with a ConditioningError carrying the worst value
     it compared.
     """
-    return _averaged_intensities(scenario, kin, _record_roots(scenario, [kin])[0],
-                                 phases)
+    roots = _quartic_roots(quartic_coefficients(scenario, kin)[0])[0]
+    return _averaged_intensities(scenario, kin, roots, phases)
 
 
 def _averaged_intensities(scenario, kin, roots, phases=THICKNESS_PHASES):
@@ -192,7 +196,7 @@ def _averaged_intensities(scenario, kin, roots, phases=THICKNESS_PHASES):
     lengths = scenario.l + np.arange(phases) * period / phases
     amps, cond = _solve_stack(scenario, kin, lengths, roots)
     vals = _intensities(kin, *amps)
-    out = {key: float(val.mean()) for key, val in vals.items()}
+    out = dict(zip(vals, np.mean(list(vals.values()), axis=1).tolist()))
     out["cond"] = cond
     return out
 
@@ -201,21 +205,32 @@ def series_sum(r10, r20, gamma, omega, omega0, kind="pdc"):
     """Numerically summed multiple-reflection series, first order in gamma.
 
     Returns (r1, t1, r2, t2).  Matches the closed forms to the geometric
-    truncation error r^(2*SERIES_TERMS).
+    truncation error r^(2*SERIES_TERMS).  A one-element _series_columns.
     """
-    for name, r in (("r10", r10), ("r20", r20)):
-        if not 0.0 <= r < 1.0:
-            raise SeriesDomainError(f"{name}={r:g} outside [0, 1); series diverges")
-    t10, t20 = 1.0 - r10, 1.0 - r20
     sign = 1.0 if kind == "pdc" else -1.0
-    partner = omega0 - omega if kind == "pdc" else omega0 + omega
-    freq_ratio = partner / omega
+    pair = (np.array([x], dtype=float) for x in (r10, r20, gamma, omega, sign))
+    (r1,), (t1,), (r2,), (t2,) = _series_columns(*pair, omega0)
+    return float(r1), float(t1), float(r2), float(t2)
+
+
+def _series_columns(r10, r20, gamma, omega, sign, omega0):
+    """series_sum of 1-d columns of pairs (sign +1 pdc, -1 puc), each row
+    summed as alone; the first row outside r10, r20 in [0, 1) raises."""
+    inside = (0.0 <= r10) & (r10 < 1.0) & (0.0 <= r20) & (r20 < 1.0)
+    if not inside.all():
+        j = np.argmin(inside)
+        name, r = ("r20", r20[j]) if 0.0 <= r10[j] < 1.0 else ("r10", r10[j])
+        raise SeriesDomainError(f"{name}={r:g} outside [0, 1); series diverges")
+    t10, t20 = 1.0 - r10, 1.0 - r20
+    freq_ratio = (omega0 - sign * omega) / omega  # partner / omega
     n = np.arange(SERIES_TERMS + 1)
     k = n[1:]
-    r1 = r10 + np.sum(r10 ** (2 * k - 1) * t10 * t10 * (1.0 + sign * k * gamma))
-    t1 = np.sum(t10 * t10 * r10 ** (2 * n) * (1.0 + sign * (n + 1) * gamma))
+    # one row of terms per pair; numpy sums each row as it sums a 1-d array
+    R10, T10, R20, G, S = (x[:, None] for x in (r10, t10, r20, gamma, sign))
+    r1 = r10 + np.sum(R10 ** (2 * k - 1) * T10 * T10 * (1.0 + S * k * G), axis=1)
+    t1 = np.sum(T10 * T10 * R10 ** (2 * n) * (1.0 + S * (n + 1) * G), axis=1)
     # the double sum over (m, n) separates into a product of two single sums
-    base = freq_ratio * gamma * t10 * t20 * np.sum(r10 ** (2 * n))
-    r2 = base * np.sum(r20 ** (2 * n + 1))
-    t2 = base * np.sum(r20 ** (2 * n))
-    return float(r1), float(t1), float(r2), float(t2)
+    base = freq_ratio * gamma * t10 * t20 * np.sum(R10 ** (2 * n), axis=1)
+    r2 = base * np.sum(R20 ** (2 * n + 1), axis=1)
+    t2 = base * np.sum(R20 ** (2 * n), axis=1)
+    return r1, t1, r2, t2

@@ -6,16 +6,17 @@ digits at the formatting boundary, which makes repeated runs byte-stable.
 """
 import io
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coupled import (STATUS_REASONS, ChannelReport, _record_roots, _sorted_wavenumbers,
-                      epsilon_table, report_table)
+from .coupled import (STATUS_REASONS, _cabs, _on_grid, _Pairs, _pair_coefficients,
+                      _quartic_roots, _reports, _shifts, _sorted_wavenumbers)
 from .errors import ConditioningError, SweepError
 from .kinematics import _resonance_grid, check_kind
-from .oracle import _averaged_intensities, series_sum
+from .oracle import _averaged_intensities, _series_columns
 
 SWEEP_COLUMNS = (
     "omega",
@@ -87,26 +88,27 @@ _REPORT_COLUMNS = ("gamma", "r1", "t1", "r2", "t2", "flux_omega", "flux_partner"
 def _outcomes(scenario, omegas, kinds, detuning=0.0):
     """Every (omega, kind) of a table, from one resonance solve of the grid.
 
-    Returns (grid, table, order): the ResonanceGrid of both kinds, its
-    report_table at the working p = p0 + detuning * omega, and the rows
-    as (omega, i, kind, k, status) ordered by omega, then by kinds; (k, i)
-    is the row's grid element and status its skip reason, or "ok".
+    Returns (grid, located, table, order): the ResonanceGrid of both kinds,
+    its _Pairs.of_grid, its report_table at p = p0 + detuning * omega, and
+    the rows as (omega, i, kind, k, status) ordered by omega, then kinds;
+    (k, i) is the row's grid element, status its skip reason or "ok".
     """
     grid = _resonance_grid(scenario, omegas, ("pdc", "puc"))
-    table = report_table(scenario, grid, detuning)
+    located = _Pairs.of_grid(grid)
+    table = _on_grid(_reports, scenario, grid, detuning, located)
     reasons = [[STATUS_REASONS[code] for code in row] for row in table.status.tolist()]
     order = [
         (omega, i, kind, _KIND_ROWS[kind], reasons[_KIND_ROWS[kind]][i])
         for i, omega in enumerate(grid.omega.tolist()) for kind in kinds
     ]
-    return grid, table, order
+    return grid, located, table, order
 
 
 def _sweep_rows(scenario, omegas, kinds, detuning=0.0):
     """SWEEP_COLUMNS rows of _outcomes; a SweepError if none is ok."""
     for kind in kinds:
         check_kind(kind)
-    grid, table, order = _outcomes(scenario, omegas, kinds, detuning)
+    grid, _, table, order = _outcomes(scenario, omegas, kinds, detuning)
     theta_d, theta_u = grid.theta_deg()
     values = {c: table.columns[c].tolist() for c in _REPORT_COLUMNS + ("forward_fraction",)}
     index = table.index.tolist()
@@ -149,23 +151,14 @@ def degenerate_rows(scenario, kinds=("pdc",)):
     return _sweep_rows(scenario, [0.5 * scenario.omega0], kinds)
 
 
-def _row(omega, kind, quantity, status, tol=None, **values):
-    """One ORACLE_COLUMNS row; columns not given in values stay None."""
-    row = dict.fromkeys(ORACLE_COLUMNS)
-    row.update(omega=omega, kind=kind, quantity=quantity, status=status, tol=tol,
-               **values)
-    return row
+def _row(omega, kind, quantity, status, tol=None, cells=(None,) * 4):
+    """One ORACLE_COLUMNS row; cells are (closed_form, oracle, abs_err, rel_err)."""
+    return dict(zip(ORACLE_COLUMNS, (omega, kind, quantity, status, *cells, tol)))
 
 
-def _oracle_row(omega, kind, quantity, closed, oracle, tol):
-    closed = float(closed)
-    oracle = float(oracle)
-    abs_err = abs(closed - oracle)
-    rel_err = abs_err / max(abs(oracle), 1e-300)
-    return _row(
-        omega, kind, quantity, "ok" if rel_err <= tol else "breach", tol,
-        closed_form=closed, oracle=oracle, abs_err=abs_err, rel_err=rel_err,
-    )
+_CHECKS = ("flux_identity_excess", "flux_identity_partner", "series_r1", "series_t1",
+           "series_r2", "series_t2", "quartic_eps_product", "quartic_pair_roots",
+           "quartic_eps3", "quartic_eps4", "exact_excess")
 
 
 def compare_oracle(request, include_exact=True):
@@ -187,104 +180,80 @@ def compare_oracle(request, include_exact=True):
     # scenario coupling (including g = 0).  The resonance does not depend
     # on g, so each res serves the reference scenario too.
     ref = replace(scenario, g=QUARTIC_REFERENCE_G)
-    grid, table, order = _outcomes(scenario, request.grid(), request.kinds)
-    shifts = epsilon_table(ref, grid)
-    # (record, report, shifts) of every ok row, in row order; the quartic
-    # roots of their checks come from one batched solve per coupling
-    checked = []
-    for _, i, _, k, status in order:
-        if status == "ok":
-            res = grid.point(k, i)
-            checked.append((res, ChannelReport.of(res, table.element(k, i)),
-                            shifts.element(k, i)))
-    ref_roots = _record_roots(ref, [res for res, _, _ in checked])
-    exact = [include_exact and report.r10 <= EXACT_MAX_R10
-             and report.gamma <= EXACT_MAX_GAMMA for _, report, _ in checked]
-    exact_roots = iter(_record_roots(
-        scenario, [res for (res, _, _), run in zip(checked, exact) if run]))
+    grid, located, table, order = _outcomes(scenario, request.grid(), request.kinds)
+    shifts = _on_grid(_shifts, ref, grid, 0.0, located)
+    # each check is one column over the ok rows, in row order
+    index = table.index.tolist()
+    ok = [(k, i) for _, i, _, k, status in order if status == "ok"]
+    j = [index[k][i] for k, i in ok]
+    pairs = _Pairs(*(col[j] for col in located[1]))
+    rep = {name: col[j] for name, col in table.columns.items()}
+    eps = {name: col[j] for name, col in shifts.columns.items()}
+    exact = ((rep["r10"] <= EXACT_MAX_R10) & (rep["gamma"] <= EXACT_MAX_GAMMA)
+             & bool(include_exact))
+    # the quartic roots of both couplings come from one batched solve
+    roots = _quartic_roots(np.vstack((
+        _pair_coefficients(ref, pairs),
+        _pair_coefficients(scenario, _Pairs(*(col[exact] for col in pairs))))))
+    refused, measured = np.zeros(len(j), dtype=bool), np.zeros(len(j))
+    for m, exact_roots in zip(np.flatnonzero(exact).tolist(), roots[len(j):]):
+        try:
+            averaged = _averaged_intensities(scenario, grid.point(*ok[m]), exact_roots)
+        except ConditioningError:
+            refused[m] = True
+        else:
+            measured[m] = averaged["t1"] + averaged["r1"] - 1.0
+    closed, oracle, pair_err = _check_columns(ref, pairs, rep, eps, roots[:len(j)],
+                                              pairs.sign * measured)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowed sums breach
+        abs_err = np.abs(closed - oracle)
+        rel_err = abs_err / np.maximum(np.abs(oracle), 1e-300)
+    abs_err[:, 7] = rel_err[:, 7] = pair_err  # quartic_pair_roots
+    tols = (IDENTITY_TOL,) * 2 + (SERIES_TOL,) * 4 + (QUARTIC_TOL,) * 4 + (EXACT_TOL,)
+    states = np.where(rel_err <= tols, "ok", "breach").astype(object)
+    # without pump-induced excess the gamma-scale identities are vacuous
+    states[rep["gamma"] == 0.0, :2] = "not_applicable"
+    states[:, 10] = np.where(refused, "conditioning_error",
+                             np.where(exact, states[:, 10], "not_applicable"))
+    checks = len(_CHECKS) - (not include_exact)
+    cells = np.stack((closed, oracle, abs_err, rel_err), axis=2).tolist()
+    ok_rows = iter(zip(states.tolist(), cells))
     rows = []
-    checks = iter(zip(checked, ref_roots, exact))
-    for omega, i, kind, k, status in order:
+    for omega, _, kind, _, status in order:
         if status != "ok":
             rows.append(_row(omega, kind, "channel_report", status))
             continue
-        (res, report, eps), roots, run_exact = next(checks)
-        if report.gamma == 0.0:
-            # without pump-induced excess the gamma-scale identities
-            # are vacuous; only the shift validation says anything
-            for quantity in ("flux_identity_excess", "flux_identity_partner"):
-                rows.append(_row(omega, kind, quantity, "not_applicable", IDENTITY_TOL))
-        else:
-            excess, partner_side, ident = report.flux_identity_terms()
-            rows.append(_oracle_row(omega, kind, "flux_identity_excess", excess,
-                                    ident, IDENTITY_TOL))
-            rows.append(_oracle_row(omega, kind, "flux_identity_partner",
-                                    partner_side, ident, IDENTITY_TOL))
-        series = series_sum(report.r10, report.r20, report.gamma, report.omega,
-                            scenario.omega0, kind=kind)
-        for name, closed, summed in zip(
-            ("r1", "t1", "r2", "t2"), (report.r1, report.t1, report.r2, report.t2),
-            series,
-        ):
-            rows.append(_oracle_row(omega, kind, f"series_{name}", closed, summed,
-                                    SERIES_TOL))
-        rows.extend(_quartic_rows(ref, res, eps, roots))
-        if run_exact:
-            rows.append(_exact_row(scenario, res, report, next(exact_roots)))
-        elif include_exact:
-            rows.append(_row(omega, kind, "exact_excess", "not_applicable", EXACT_TOL))
+        for quantity, tol, state, cell in zip(_CHECKS[:checks], tols, *next(ok_rows)):
+            rows.append(_row(omega, kind, quantity, state, tol,
+                             cell if state in ("ok", "breach") else (None,) * 4))
     breached = any(row["status"] == "breach" for row in rows)
     return rows, breached
 
 
-def _quartic_rows(ref, res, eps, roots):
-    """Quartic-vs-perturbative shift rows at the reference coupling.
-
-    eps maps the EpsilonRoots fields at res, as epsilon_table gives them;
-    roots are res's quartic roots at the reference coupling.
-    """
-    omega, kind = res.omega, res.kind
-    k = _sorted_wavenumbers(ref, res, roots)
-    K0 = ref.pump_wavenumber()
-    product = (k[0] - res.Omega1) * (k[1] - res.Omega1)
-    pair_err = max(
-        abs(k[0] - res.Omega1 - eps["eps1"]) / abs(eps["eps1"]),
-        abs(k[1] - res.Omega1 - eps["eps2"]) / abs(eps["eps2"]),
-    )
-    shift3 = k[2] + res.Omega1
-    if kind == "pdc":
-        shift4 = k[3] - K0 - res.Omega2
-    else:
-        shift4 = k[3] + K0 + res.Omega2
-    pair_row = _row(
-        omega, kind, "quartic_pair_roots",
-        "ok" if pair_err <= QUARTIC_TOL else "breach", QUARTIC_TOL,
-        closed_form=0.0, oracle=0.0, abs_err=pair_err, rel_err=pair_err,
-    )
-    out = [
-        _oracle_row(omega, kind, "quartic_eps_product",
-                    (eps["eps1"] * eps["eps2"]).real, product.real, QUARTIC_TOL),
-        pair_row,
-        _oracle_row(omega, kind, "quartic_eps3", eps["eps3"], shift3.real,
-                    QUARTIC_TOL),
-        _oracle_row(omega, kind, "quartic_eps4", eps["eps4"], shift4.real,
-                    QUARTIC_TOL),
-    ]
-    return out
-
-
-def _exact_row(scenario, res, report, roots):
-    """The exact_excess row of an applicable res, from its quartic roots."""
-    omega, kind = res.omega, res.kind
-    try:
-        averaged = _averaged_intensities(scenario, res, roots)
-    except ConditioningError:
-        return _row(omega, kind, "exact_excess", "conditioning_error", EXACT_TOL)
-    measured = averaged["t1"] + averaged["r1"] - 1.0
-    if kind == "puc":
-        measured = -measured
-    ident = report.flux_identity_terms()[2]
-    return _oracle_row(omega, kind, "exact_excess", ident, measured, EXACT_TOL)
+def _check_columns(ref, pairs, rep, eps, roots, excess):
+    """(closed, oracle) columns of each _CHECKS entry over compare_oracle's ok
+    rows, bit for bit one row's scalar arithmetic, and quartic_pair_roots'
+    error, from the rows' quartic roots at ref and the signed exact excess."""
+    w1, K0 = pairs.Omega1, ref.pump_wavenumber()
+    k = _sorted_wavenumbers(K0, w1, pairs.Omega2, pairs.sign, roots).T
+    s1, s2 = k[0] - w1, k[1] - w1  # the shifts of the coupled pair
+    e1, e2 = eps["eps1"], eps["eps2"]
+    pair_err = _cabs(s1 - e1) / _cabs(e1), _cabs(s2 - e2) / _cabs(e2)
+    shift4 = np.where(pairs.sign > 0.0, k[3].real - K0 - pairs.Omega2,
+                      k[3].real + K0 + pairs.Omega2)
+    ident = rep["gamma"] / (1.0 + rep["r10"])
+    zero = np.zeros(len(w1))
+    # (a * b).real of complex scalars is a.real * b.real - a.imag * b.imag
+    closed = (pairs.sign * (rep["t1"] + rep["r1"] - 1.0),
+              (pairs.omega / pairs.partner) * (rep["t2"] + rep["r2"]),
+              rep["r1"], rep["t1"], rep["r2"], rep["t2"],
+              e1.real * e2.real - e1.imag * e2.imag, zero, eps["eps3"], eps["eps4"], ident)
+    oracle = (ident, ident,
+              *_series_columns(rep["r10"], rep["r20"], rep["gamma"], pairs.omega,
+                               pairs.sign, ref.omega0),
+              s1.real * s2.real - s1.imag * s2.imag, zero, k[2].real + w1, shift4, excess)
+    return (np.column_stack(closed), np.column_stack(oracle),
+            np.where(pair_err[1] > pair_err[0], pair_err[1], pair_err[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +263,27 @@ def _round12(value):
     return float(f"{value:.12g}")
 
 
-def _format_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return f"{value:.12g}"
+def _csv_template(types):
+    """The %-template of a CSV line whose cells have these types: None
+    prints empty, a str as is, anything else to 12 significant digits."""
+    return ",".join("%.0s" if t is type(None) else "%s" if issubclass(t, str)
+                    else "%.12g" for t in types) + "\n"
 
 
 def write_rows(rows, columns, stream, output_format="csv"):
     """Serialize rows (list of dicts) as CSV or JSON-lines."""
     if output_format == "csv":
         stream.write(",".join(columns) + "\n")
+        templates = {}  # one per row shape: which cells are None, str or numbers
+        cells_of = (operator.itemgetter(*columns) if len(columns) > 1
+                    else lambda row: (row[columns[0]],))
         for row in rows:
-            stream.write(",".join(_format_cell(row[c]) for c in columns) + "\n")
+            cells = cells_of(row)
+            shape = (*map(type, cells),)  # exact-size tuples: tuple(map()) resizes
+            template = templates.get(shape)
+            if template is None:
+                template = templates[shape] = _csv_template(shape)
+            stream.write(template % cells)
         return
     if output_format != "jsonl":
         raise ValueError("output format must be 'csv' or 'jsonl'")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pumpslab.oracle as oracle_mod
-from pumpslab.coupled import quartic_coefficients
+from pumpslab.coupled import _quartic_roots, quartic_coefficients
 from pumpslab import (
     ConditioningError,
     CrystalScenario,
@@ -316,20 +316,70 @@ class TestConditionScreen:
         assert excinfo.value.cond == math.inf
 
     def test_exact_oracle_runs_no_svd_and_no_np_roots(self, monkeypatch):
-        # the screen accepts these stacks from one inverse each, and the
-        # quartic roots come from batched companion eigenvalues
+        # the screen accepts these stacks from the inverse that their one
+        # LU factorization gives, and the quartic roots come from batched
+        # companion eigenvalues
         def forbidden(*args, **kwargs):
-            raise AssertionError("the exact oracle called an SVD or np.roots")
+            raise AssertionError("the exact oracle called an SVD, inv or np.roots")
+
+        solves = []
+        solve = np.linalg.solve
+
+        def counted(*args, **kwargs):
+            solves.append(args[0].shape)
+            return solve(*args, **kwargs)
 
         linalg_impl = sys.modules[np.linalg.cond.__module__]
         for namespace, name in ((np.linalg, "svd"), (linalg_impl, "svd"),
+                                (np.linalg, "inv"), (linalg_impl, "inv"),
                                 (np, "roots")):
             monkeypatch.setattr(namespace, name, forbidden)
+        monkeypatch.setattr(np.linalg, "solve", counted)
         req = SweepRequest(scenario=scenario_for(g=1e-5, l=2800.0), band=(0.3, 0.7),
                            samples=5, kinds=("pdc", "puc"))
         rows, _ = compare_oracle(req)
         exact = [r["status"] for r in rows if r["quantity"] == "exact_excess"]
         assert exact.count("ok") == 5  # every pdc average ran
+        assert exact.count("not_applicable") == 5  # no puc average did
+        assert solves == [(oracle_mod.THICKNESS_PHASES, 8, 8)] * 5
+
+
+def boundary_system(scenario, kin):
+    """The (64, 8, 8) stack of kin's thickness average and its rhs (8,)."""
+    period = 2.0 * math.pi / kin.Omega1
+    lengths = scenario.l + np.arange(64) * period / 64
+    return oracle_mod._boundary_stack(scenario, kin, lengths,
+                                      _quartic_roots(quartic_coefficients(scenario, kin)[0])[0])
+
+
+def assert_one_lu_identity(M, rhs):
+    """solve(M, [rhs | I]) is bit for bit solve(M, rhs) beside inv(M)."""
+    both = np.linalg.solve(M, np.hstack((rhs[:, None], np.eye(8))))
+    assert np.array_equal(both[..., :1], np.linalg.solve(M, rhs[:, None]))
+    assert np.array_equal(both[..., 1:], np.linalg.inv(M))
+
+
+class TestOneFactorization:
+    """The exact oracle takes amplitudes and M^-1 from one LU per stack; a
+    LAPACK build that solved the columns of [rhs | I] differently from
+    separate solve and inv calls would move the oracle's digits."""
+
+    def test_random_complex_stacks(self):
+        rng = np.random.default_rng(1997)
+        for _ in range(50):
+            M = rng.standard_normal((64, 8, 8)) + 1j * rng.standard_normal((64, 8, 8))
+            M *= 10.0 ** rng.uniform(-3.0, 3.0, (64, 8, 1))
+            assert_one_lu_identity(M, rng.standard_normal(8) + 1j * rng.standard_normal(8))
+
+    @given(_screen_cases)
+    @settings(max_examples=30, deadline=None)
+    def test_boundary_stacks(self, case):
+        kind, theta_d, mu2, g, l, omega = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            s = scenario_for(theta_d, mu2, g, l)
+            kin = (pdc_resonance if kind == "pdc" else puc_resonance)(s, omega)
+        assert_one_lu_identity(*boundary_system(s, kin))
 
 
 class TestSeriesSum:

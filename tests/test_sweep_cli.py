@@ -10,7 +10,10 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pumpslab
 import pumpslab.cli as cli_mod
@@ -18,7 +21,9 @@ import pumpslab.kinematics as kinematics_mod
 import pumpslab.oracle as oracle_mod
 import pumpslab.sweep as sweep_mod
 from pumpslab import (
+    ConditioningError,
     CrystalScenario,
+    DegenerateRootError,
     DispersionModel,
     EvanescentError,
     GeometryError,
@@ -35,13 +40,17 @@ from pumpslab import (
     channel_report,
     compare_oracle,
     degenerate_rows,
+    epsilon_roots,
     pdc_resonance,
     puc_resonance,
+    quartic_wavenumbers,
     rainbow_split,
     run_sweep,
+    series_sum,
+    thickness_averaged_intensities,
 )
 from pumpslab.cli import main
-from pumpslab.coupled import DETUNING_WARN_FRACTION
+from pumpslab.coupled import DETUNING_WARN_FRACTION, _sorted_wavenumbers
 from pumpslab.sweep import ORACLE_COLUMNS, SWEEP_COLUMNS, rows_to_text
 
 
@@ -278,6 +287,165 @@ def test_sweep_rows_match_per_frequency_functions(detuning):
     assert {"ok", "guard_band", "geometry", "out_of_band"} <= statuses
 
 
+def _expected_oracle_row(omega, kind, quantity, closed, oracle, tol):
+    closed, oracle = float(closed), float(oracle)
+    abs_err = abs(closed - oracle)
+    rel_err = abs_err / max(abs(oracle), 1e-300)
+    return [omega, kind, quantity, "ok" if rel_err <= tol else "breach", closed, oracle,
+            abs_err, rel_err, tol]
+
+
+def _expected_oracle_rows(scenario, omega, kind, include_exact):
+    """The compare_oracle rows of one (omega, kind), from the public
+    per-row functions."""
+    def skipped(quantity, status, tol=None):
+        return [omega, kind, quantity, status, None, None, None, None, tol]
+
+    solve = pdc_resonance if kind == "pdc" else puc_resonance
+    try:
+        report = channel_report(scenario, omega, kind=kind)
+    except UndefinedSplitError:
+        return [skipped("channel_report", "undefined_ratio")]
+    except PumpslabError as exc:
+        return [skipped("channel_report", _SKIP_STATUS[type(exc)])]
+    rows = []
+    excess, partner_side, ident = report.flux_identity_terms()
+    for quantity, closed in (("flux_identity_excess", excess),
+                             ("flux_identity_partner", partner_side)):
+        rows.append(skipped(quantity, "not_applicable", sweep_mod.IDENTITY_TOL)
+                    if report.gamma == 0.0 else
+                    _expected_oracle_row(omega, kind, quantity, closed, ident,
+                                         sweep_mod.IDENTITY_TOL))
+    summed = series_sum(report.r10, report.r20, report.gamma, omega, scenario.omega0,
+                        kind=kind)
+    for name, summed_value in zip(("r1", "t1", "r2", "t2"), summed):
+        rows.append(_expected_oracle_row(omega, kind, f"series_{name}",
+                                         getattr(report, name), summed_value,
+                                         sweep_mod.SERIES_TOL))
+    ref = replace(scenario, g=sweep_mod.QUARTIC_REFERENCE_G)
+    res = solve(ref, omega)
+    k = quartic_wavenumbers(ref, res)
+    eps = epsilon_roots(ref, res)
+    K0 = ref.pump_wavenumber()
+    tol = sweep_mod.QUARTIC_TOL
+    pair_err = float(max(abs(k[0] - res.Omega1 - eps.eps1) / abs(eps.eps1),
+                         abs(k[1] - res.Omega1 - eps.eps2) / abs(eps.eps2)))
+    shift4 = k[3] - K0 - res.Omega2 if kind == "pdc" else k[3] + K0 + res.Omega2
+    rows += [
+        _expected_oracle_row(omega, kind, "quartic_eps_product",
+                             (eps.eps1 * eps.eps2).real,
+                             ((k[0] - res.Omega1) * (k[1] - res.Omega1)).real, tol),
+        [omega, kind, "quartic_pair_roots", "ok" if pair_err <= tol else "breach",
+         0.0, 0.0, pair_err, pair_err, tol],
+        _expected_oracle_row(omega, kind, "quartic_eps3", eps.eps3,
+                             (k[2] + res.Omega1).real, tol),
+        _expected_oracle_row(omega, kind, "quartic_eps4", eps.eps4, shift4.real, tol),
+    ]
+    if not include_exact:
+        return rows
+    if report.r10 > sweep_mod.EXACT_MAX_R10 or report.gamma > sweep_mod.EXACT_MAX_GAMMA:
+        return rows + [skipped("exact_excess", "not_applicable", sweep_mod.EXACT_TOL)]
+    try:
+        averaged = thickness_averaged_intensities(scenario, solve(scenario, omega))
+    except ConditioningError:
+        return rows + [skipped("exact_excess", "conditioning_error", sweep_mod.EXACT_TOL)]
+    measured = averaged["t1"] + averaged["r1"] - 1.0
+    return rows + [_expected_oracle_row(omega, kind, "exact_excess", ident,
+                                        -measured if kind == "puc" else measured,
+                                        sweep_mod.EXACT_TOL)]
+
+
+_oracle_cases = st.tuples(
+    st.sampled_from([("pdc",), ("puc",), ("pdc", "puc"), ("puc", "pdc")]),
+    st.floats(5.0, 15.0),  # degenerate emission angle, degrees
+    st.one_of(st.just(1.45), st.floats(1.45, 1.55)),  # 1.45: exact puc rows apply
+    st.one_of(st.just(0.0), st.floats(1e-7, 1e-4)),  # g
+    st.floats(100.0, 5000.0),  # l
+    st.floats(0.05, 0.9),  # band start
+    st.floats(0.05, 1.0),  # band width
+    st.integers(2, 6),  # samples
+    st.booleans(),  # include_exact
+)
+
+
+@given(_oracle_cases)
+@example((("puc", "pdc"), 10.0, 1.45, 1e-5, 2800.0, 0.3, 0.4, 5, True))  # exact puc ok
+@example((("pdc", "puc"), 10.0, 1.51, 0.0, 2800.0, 0.3, 1.5, 9, True))  # g = 0, skips
+@settings(max_examples=25, deadline=None)
+def test_oracle_rows_match_per_row_functions(case):
+    # the oracle twin of test_sweep_rows_match_per_frequency_functions:
+    # every cell of the columnar table, by repr, is what the public
+    # per-row functions give
+    kinds, theta_d, mu2, g, l, lo, width, samples, include_exact = case
+    model = calibrate_degenerate_angle(math.radians(theta_d), mu2)
+    scenario = CrystalScenario(omega0=1.0, g=g, l=l, dispersion=model)
+    req = SweepRequest(scenario=scenario, band=(lo, lo + width), samples=samples,
+                       kinds=kinds)
+    rows, breached = compare_oracle(req, include_exact=include_exact)
+    expected = [
+        row for omega in req.grid() for kind in kinds
+        for row in _expected_oracle_rows(scenario, float(omega), kind, include_exact)
+    ]
+    assert [[repr(row[c]) for c in ORACLE_COLUMNS] for row in rows] == [
+        [repr(cell) for cell in row] for row in expected]
+    assert breached == any(row[3] == "breach" for row in expected)
+
+
+class TestColumnarRootSort:
+    """compare_oracle sorts every row's quartic roots in one pass, with the
+    equidistance refusal and the k1/k2 tie-break of a row sorted alone."""
+
+    @pytest.fixture
+    def pdc_rows(self):
+        scenario = scenario_for(g=1e-5, l=2800.0)
+        req = SweepRequest(scenario=scenario, band=(0.4, 0.6), samples=3, kinds=("pdc",))
+        ref = replace(scenario, g=sweep_mod.QUARTIC_REFERENCE_G)
+        records = [pdc_resonance(ref, float(omega)) for omega in req.grid()]
+        return req, ref.pump_wavenumber(), records, [epsilon_roots(ref, res)
+                                                     for res in records]
+
+    @staticmethod
+    def patch_roots(monkeypatch, rows):
+        def patched(coeffs):
+            assert len(coeffs) == len(rows)  # no exact rows: reference roots only
+            return np.array(rows, dtype=complex)
+
+        monkeypatch.setattr(sweep_mod, "_quartic_roots", patched)
+
+    def test_equidistant_roots_raise(self, pdc_rows, monkeypatch):
+        req, K0, records, _ = pdc_rows
+        rows = []
+        for res in records:
+            a4, d = K0 + res.Omega2, 1e-3 + 2e-3j
+            rows.append([a4 + d, -res.Omega1, a4 - d, res.Omega1])  # k4 ambiguous
+        self.patch_roots(monkeypatch, rows)
+        with pytest.raises(DegenerateRootError) as excinfo:
+            compare_oracle(req, include_exact=False)
+        res = records[0]
+        with pytest.raises(DegenerateRootError) as alone:
+            _sorted_wavenumbers(K0, res.Omega1, res.Omega2, 1.0, np.array([rows[0]]))
+        for got, want in zip(excinfo.value.assignments, alone.value.assignments):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_symmetric_pair_puts_positive_imaginary_first(self, pdc_rows, monkeypatch,
+                                                          swap):
+        # on resonance eps1 = +i|eps|, eps2 = -i|eps|; a pair placed exactly
+        # at Omega1 -+ i|eps| is tied in distance, and only the tie-break
+        # (+imaginary first) gives zero pair error, in either input order
+        req, K0, records, shifts = pdc_rows
+        rows = []
+        for res, eps in zip(records, shifts):
+            assert eps.eps1.real == 0.0 and eps.eps1.imag > 0.0
+            up, down = res.Omega1 + eps.eps1, res.Omega1 + eps.eps2
+            rows.append([K0 + res.Omega2, down if not swap else up, -res.Omega1,
+                         up if not swap else down])
+        self.patch_roots(monkeypatch, rows)
+        out, _ = compare_oracle(req, include_exact=False)
+        pair = [row for row in out if row["quantity"] == "quartic_pair_roots"]
+        assert [(row["status"], row["abs_err"]) for row in pair] == [("ok", 0.0)] * 3
+
+
 class TestDegenerateRows:
     def test_single_row_carries_both_angles(self):
         rows = degenerate_rows(scenario_for(), kinds=("pdc",))
@@ -449,7 +617,10 @@ class TestUndefinedRatio:
 class TestStrongGain:
     """An overflowing gain is a StrongGainError at every entry point."""
 
-    @pytest.fixture(params=[(0.1, 3e4), (9e-3, 2e5)], ids=["overflow", "inf"])
+    # overflow: sin(xi) leaves the float range; inf: sinc(xi)^2 does; and
+    # gamma_inf: sinc(xi)^2 is finite but gamma = (g l ...)^2 sinc^2 is not
+    @pytest.fixture(params=[(0.1, 3e4), (9e-3, 2e5), (5.4e-3, 2e5)],
+                    ids=["overflow", "inf", "gamma_inf"])
     def strong(self, request):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
@@ -469,16 +640,35 @@ class TestStrongGain:
 
     @pytest.mark.parametrize("verb", ["sweep", "compare-oracle", "degenerate"])
     def test_cli_exits_with_usage_code(self, verb, capsys):
+        self.assert_cli_refuses(verb, "0.1", "3e4", capsys)
+
+    @pytest.mark.parametrize("verb", ["sweep", "compare-oracle", "degenerate"])
+    def test_cli_refuses_infinite_gamma(self, verb, capsys):
+        self.assert_cli_refuses(verb, "5.4e-3", "2e5", capsys)
+
+    @staticmethod
+    def assert_cli_refuses(verb, g, l, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
-            code = main([verb, "--theta-d-deg", "10", "--mu2", "1.51",
-                         "--g", "0.1", "--l", "3e4"]
+            code = main([verb, "--theta-d-deg", "10", "--mu2", "1.51", "--g", g, "--l", l]
                         + ([] if verb == "degenerate" else
                            ["--band", "0.45", "0.55", "--samples", "3"]))
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("pumpslab: ") and "Traceback" not in captured.err
+
+    def test_largest_finite_gamma_stays_ok(self):
+        # g 5.35e-3 gives gamma = 1.4e307: every report cell is still finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            s = scenario_for(5.35e-3, 2e5)
+        report = channel_report(s, 0.5)
+        assert 1e307 < report.gamma < math.inf
+        rows = run_sweep(SweepRequest(scenario=s, band=(0.45, 0.55), samples=3,
+                                      kinds=("pdc", "puc")))
+        assert {row["status"] for row in rows} == {"ok"}
+        assert all(math.isfinite(row[c]) for row in rows for c in SWEEP_COLUMNS[3:])
 
 
 class TestSerialization:
