@@ -43,6 +43,7 @@ _SINC_SERIES_CUTOFF = 1e-4
 _SINC_MAX_IMAG = 700.0  # sin(z) ~ e^|Im z| / 2 overflows a float near 710.5
 UNDEFINED_RATIO = len(SKIP_REASONS)  # report-stage status: no partner flux
 STATUS_REASONS = SKIP_REASONS + ("undefined_ratio",)
+_DBL_MIN = np.finfo(float).smallest_normal
 
 
 def csinc(z):
@@ -129,29 +130,45 @@ class _Pairs(NamedTuple):
         return ok, cls(grid.omega[i], rest[0], signs[k], *rest[1:])
 
 
-def _in_order(z0, z1):
-    """Whether z0 goes first: the smaller modulus, or for moduli equal to
-    1e-12 relative (a symmetric pair) the +imaginary, then +real, one."""
-    a0, a1 = abs(z0), abs(z1)
-    if abs(a0 - a1) > 1e-12 * max(a0, a1, 1e-300):
-        return a0 < a1
-    return (z0.imag, z0.real) >= (z1.imag, z1.real)
+def _cabs(z):
+    """abs() of each complex as a scalar rounds it; array abs does not."""
+    return np.hypot(z.real, z.imag)
 
 
-def _pair(detuning, disc, l):
-    """(eps1, eps2, xi) from the detuning sum and the discriminant."""
-    root = cmath.sqrt(disc)
-    cand = ((detuning + root) / 2.0, (detuning - root) / 2.0)
-    eps1, eps2 = cand if _in_order(*cand) else cand[::-1]
+def _shift_pair(detuning, disc, l):
+    """(eps1, eps2, xi) from the detuning sum and the real discriminant.
+
+    The shifts are (detuning +- sqrt(disc)) / 2; eps1 is the one of smaller
+    modulus, or for moduli equal to 1e-12 relative (a symmetric pair) the
+    +imaginary, then +real, one.  Every element carries the bits of the
+    same steps on Python complexes, because each step is the float
+    arithmetic CPython performs:
+    - cmath.sqrt of a real disc is sqrt(|disc|) in the real part (disc >= 0)
+      or the imaginary part, except that it takes the root of 8 * (|disc|
+      / 8), which rounds where |disc| lies in [DBL_MIN, 8 DBL_MIN); below
+      DBL_MIN it rescales exactly instead.
+    - numpy's complex +, -, * and / by a float round as Python's do.
+    - abs() of a complex is _cabs.
+    - On a tie the + root leads: a complex pair's moduli are equal and its
+      + root is the +imaginary one; a real pair's + root is the larger.
+    """
+    size = np.abs(disc)
+    s = np.sqrt(size)
+    if (size < 8.0 * _DBL_MIN).any():
+        s = np.sqrt(np.where(size < _DBL_MIN, size, size / 8.0 * 8.0))
+    root = np.where(disc >= 0.0, s, 1j * s)
+    plus, minus = (detuning + root) / 2.0, (detuning - root) / 2.0
+    a_plus, a_minus = _cabs(plus), _cabs(minus)
+    swap = a_plus - a_minus > 1e-12 * np.maximum(a_plus, 1e-300)
+    eps1, eps2 = np.where(swap, minus, plus), np.where(swap, plus, minus)
     return eps1, eps2, (eps1 - eps2) * l / 2.0
 
 
-# Per-element Python steps, on floats and arrays alike: the complex root
-# and its tie-break, csinc, and pow, whose x ** 2 numpy's multiply does
-# not reproduce on about 1e-3 of inputs.  On arrays they give object
-# arrays, which _column types.
-_PAIR = np.frompyfunc(_pair, 3, 3)
-_IN_ORDER = np.frompyfunc(_in_order, 2, 1)
+# Per-element Python steps, on floats and arrays alike: csinc, whose
+# cmath.sin rests on the C library's sinh and cosh (numpy's differ from
+# them in the last bit on about a quarter of inputs), and pow, whose
+# x ** 2 numpy's multiply does not reproduce on about 1e-3 of inputs.  On
+# arrays they give object arrays, which _column types.
 _SINC_SQ = np.frompyfunc(_sinc_sq, 1, 1)
 _POW = np.frompyfunc(pow, 2, 1)
 
@@ -189,7 +206,7 @@ def _coupled_pair(scenario, pairs, p):
     detuning = (p - p0) * p0 * arm / (w1 * w2)
     product = sign * strength / (4.0 * w1 * w2)
     disc = detuning * detuning - 4.0 * product
-    eps1, eps2, xi = (_column(col, complex) for col in _PAIR(detuning, disc, scenario.l))
+    eps1, eps2, xi = _shift_pair(detuning, disc, scenario.l)
     return status, strength, arm, {
         "eps1": eps1, "eps2": eps2, "xi": xi, "detuning_sum": detuning,
         "product": product,
@@ -207,7 +224,7 @@ def _shifts(scenario, pairs, p):
 
 def _items(values):
     """One mode pair's columns as Python floats and complexes."""
-    return {name: value.item() if isinstance(value, np.generic) else value
+    return {name: value.item() if isinstance(value, (np.ndarray, np.generic)) else value
             for name, value in values.items()}
 
 
@@ -340,11 +357,6 @@ def quartic_wavenumbers(scenario, kin):
                                _quartic_roots(quartic_coefficients(scenario, kin)[0]))[0]
 
 
-def _cabs(z):
-    """abs() of each complex as a scalar rounds it; array abs does not."""
-    return np.hypot(z.real, z.imag)
-
-
 def _nearest(candidates, anchor):
     """Each row of candidates in a stable order of distance to anchor, as
     sorted() orders them, and the gap between the two nearest distances."""
@@ -367,18 +379,30 @@ def _sorted_wavenumbers(K0, w1, w2, sign, roots):
     k3 = np.take_along_axis(rest, order3[:, :1], axis=1)
     k4 = np.take_along_axis(roots, order4[:, :1], axis=1)
     pair = np.take_along_axis(rest, order3[:, 1:], axis=1)
-    degenerate = np.minimum(gap4, gap3) < 1e-12 * scale
-    if degenerate.any():
-        j = np.argmax(degenerate)
-        p0, p1 = pair[j]
+    tied4, tied3 = gap4 < 1e-12 * scale, gap3 < 1e-12 * scale
+    if (tied4 | tied3).any():
+        j = np.argmax(tied4 | tied3)
+        first = np.array([*pair[j], k3[j, 0], k4[j, 0]])
+        # the other assignment swaps the tied roots: k4 with the runner-up
+        # for k4 (rest[0], at position (2, 0, 1)[m] where order3[m] == 0),
+        # or else k3 with the runner-up for k3 (pair[0])
+        if tied4[j]:
+            a, b = 3, (2, 0, 1)[order3[j].tolist().index(0)]
+        else:
+            a, b = 2, 0
+        second = first.copy()
+        second[[a, b]] = first[[b, a]]
         raise DegenerateRootError(
             "two quartic roots are equidistant from the sorting anchors",
-            assignments=(np.array([p0, p1, k3[j, 0], k4[j, 0]]),
-                         np.array([p0, p1, p0, roots[j, order4[j, 1]]])),
+            assignments=(first, second),
         )
-    # k1 is the root nearer Omega1, as eps1 is the shift nearer 0
-    d = pair - np.asarray(a12)[..., None]
-    first = _column(_IN_ORDER(d[:, 0], d[:, 1]), bool)
+    # k1 is the root nearer Omega1, as eps1 is the shift nearer 0; for
+    # distances equal to 1e-12 relative, the +imaginary, then +real, one
+    d0, d1 = (pair - np.asarray(a12)[..., None]).T
+    a0, a1 = _cabs(d0), _cabs(d1)
+    by_size = np.abs(a0 - a1) > 1e-12 * np.maximum(np.maximum(a0, a1), 1e-300)
+    first = np.where(by_size, a0 < a1,
+                     (d0.imag > d1.imag) | ((d0.imag == d1.imag) & (d0.real >= d1.real)))
     return np.column_stack((np.where(first[:, None], pair, pair[:, ::-1]), k3, k4))
 
 

@@ -92,9 +92,13 @@ class DispersionModel:
         """Refractive index at omega (scalar or array), band-checked."""
         w = np.asarray(omega, dtype=float)
         lo, hi = self.band
-        if (w < lo).any() or (w > hi).any():
+        outside = (w < lo) | (w > hi)
+        if outside.any():
+            # name the first offender only: a sweep passes hundreds at once
+            count = f" ({np.count_nonzero(outside)} of {w.size} outside)" if w.ndim else ""
             raise OutOfBandError(
-                f"frequency {omega} outside dispersion band [{lo:g}, {hi:g}]"
+                f"frequency {float(w[outside][0])!r} outside dispersion band "
+                f"[{lo:g}, {hi:g}]{count}"
             )
         out = np.sqrt(self._mu_squared_raw(w))
         return float(out) if np.ndim(omega) == 0 else out

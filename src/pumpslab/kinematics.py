@@ -290,12 +290,10 @@ def _bisection_root(a1, a2, s, p_max, zero_below, lo_p, hi_p, *, K0, tol):
     is negative iff zero_below.  Midpoints below lo_p or above hi_p are
     known to lie below or above the root and skip the residual.  Returns
     p0 and the number of halvings and secant steps taken; neither depends
-    on lo_p and hi_p.
+    on lo_p and hi_p.  The residual is written out at each use: a call per
+    evaluation would cost more than the evaluation itself.
     """
-    def residual(p):
-        pp = p * p
-        return math.sqrt(a2 - pp) + s * math.sqrt(a1 - pp) - K0
-
+    sqrt = math.sqrt
     a, b = 0.0, p_max
     for steps in range(1, 201):
         mid = 0.5 * (a + b)
@@ -304,7 +302,8 @@ def _bisection_root(a1, a2, s, p_max, zero_below, lo_p, hi_p, *, K0, tol):
         elif mid > hi_p:
             b = mid
         else:
-            fm = residual(mid)
+            pp = mid * mid
+            fm = sqrt(a2 - pp) + s * sqrt(a1 - pp) - K0
             if fm == 0.0:
                 return mid, steps
             if (fm < 0.0) == zero_below:
@@ -313,7 +312,7 @@ def _bisection_root(a1, a2, s, p_max, zero_below, lo_p, hi_p, *, K0, tol):
                 b = mid
         if b - a <= (1e-15 * b if b > 1.0 else 1e-15):
             break
-    fa, fb = residual(a), residual(b)
+    fa, fb = (sqrt(a2 - x * x) + s * sqrt(a1 - x * x) - K0 for x in (a, b))
     root, froot = (a, fa) if abs(fa) < abs(fb) else (b, fb)
     x0, x1, f0, f1 = a, b, fa, fb
     for _ in range(8):
@@ -322,7 +321,8 @@ def _bisection_root(a1, a2, s, p_max, zero_below, lo_p, hi_p, *, K0, tol):
         x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
         if not 0.0 <= x2 <= p_max:
             break
-        f2 = residual(x2)
+        pp = x2 * x2
+        f2 = sqrt(a2 - pp) + s * sqrt(a1 - pp) - K0
         steps += 1
         x0, f0, x1, f1 = x1, f1, x2, f2
         if abs(f2) < abs(froot):

@@ -35,12 +35,13 @@ import math
 import numpy as np
 
 from .coupled import _quartic_roots, quartic_coefficients
-from .errors import ConditioningError, SeriesDomainError
+from .errors import ConditioningError, SeriesDomainError, StrongGainError
 
 COND_LIMIT = 1e12
 RESIDUAL_LIMIT = 1e-10
 THICKNESS_PHASES = 64  # thickness steps across one fast period
 SERIES_TERMS = 40
+_SERIES_MAX = np.finfo(float).max / (SERIES_TERMS + 1) ** 2
 
 
 def _boundary_stack(scenario, kin, lengths, roots):
@@ -205,7 +206,8 @@ def series_sum(r10, r20, gamma, omega, omega0, kind="pdc"):
     """Numerically summed multiple-reflection series, first order in gamma.
 
     Returns (r1, t1, r2, t2).  Matches the closed forms to the geometric
-    truncation error r^(2*SERIES_TERMS).  A one-element _series_columns.
+    truncation error r^(2*SERIES_TERMS).  A gamma whose sums could leave
+    the float range raises StrongGainError.  A one-element _series_columns.
     """
     sign = 1.0 if kind == "pdc" else -1.0
     pair = (np.array([x], dtype=float) for x in (r10, r20, gamma, omega, sign))
@@ -215,7 +217,9 @@ def series_sum(r10, r20, gamma, omega, omega0, kind="pdc"):
 
 def _series_columns(r10, r20, gamma, omega, sign, omega0):
     """series_sum of 1-d columns of pairs (sign +1 pdc, -1 puc), each row
-    summed as alone; the first row outside r10, r20 in [0, 1) raises."""
+    summed as alone; the first row outside r10, r20 in [0, 1) raises a
+    SeriesDomainError, the first whose sums could overflow a
+    StrongGainError."""
     inside = (0.0 <= r10) & (r10 < 1.0) & (0.0 <= r20) & (r20 < 1.0)
     if not inside.all():
         j = np.argmin(inside)
@@ -223,6 +227,14 @@ def _series_columns(r10, r20, gamma, omega, sign, omega0):
         raise SeriesDomainError(f"{name}={r:g} outside [0, 1); series diverges")
     t10, t20 = 1.0 - r10, 1.0 - r20
     freq_ratio = (omega0 - sign * omega) / omega  # partner / omega
+    # no term or partial sum exceeds (SERIES_TERMS + 1)^2 (1 + |gamma|)
+    # max(1, |partner / omega|); refuse a gain that could overflow one
+    limit = _SERIES_MAX / np.maximum(np.abs(freq_ratio), 1.0)
+    strong = ~(np.abs(gamma) + 1.0 <= limit)
+    if strong.any():
+        j = np.argmax(strong)
+        raise StrongGainError(f"reflection series overflows at omega={omega[j]:g}: "
+                              f"gamma={gamma[j]:g}")
     n = np.arange(SERIES_TERMS + 1)
     k = n[1:]
     # one row of terms per pair; numpy sums each row as it sums a 1-d array

@@ -1,6 +1,7 @@
 """Coupled-pair shifts, quartic roots, fluxes and the rainbow split."""
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from pumpslab import (
     CrystalScenario,
+    DegenerateRootError,
     DispersionModel,
     EvanescentError,
     GeometryError,
@@ -33,6 +35,8 @@ from pumpslab.coupled import (
     STATUS_REASONS,
     EpsilonRoots,
     _quartic_roots,
+    _shift_pair,
+    _sorted_wavenumbers,
     csinc,
     epsilon_table,
     quartic_coefficients,
@@ -174,8 +178,6 @@ class TestQuarticWavenumbers:
     def test_root_sorting_ambiguity_reported(self):
         # contrive a geometry whose far anchor collides with the coupled
         # pair (Omega1 = K0 + Omega2), leaving no unambiguous assignment
-        from pumpslab import DegenerateRootError
-
         model = DispersionModel.constant(1.0)
         s = CrystalScenario(omega0=1.0, g=0.0, l=10.0, dispersion=model)
         kin = ModeKinematics(
@@ -184,8 +186,35 @@ class TestQuarticWavenumbers:
         )
         with pytest.raises(DegenerateRootError) as excinfo:
             quartic_wavenumbers(s, kin)
-        assert excinfo.value.assignments is not None
-        assert len(excinfo.value.assignments) == 2
+        assignments = excinfo.value.assignments
+        assert assignments is not None
+        assert len(assignments) == 2
+        # each assignment places every root once, and they differ
+        roots = _quartic_roots(quartic_coefficients(s, kin)[0])[0]
+        for assignment in assignments:
+            assert sorted(assignment.tolist(), key=_hex) == sorted(roots.tolist(), key=_hex)
+        assert assignments[0].tolist() != assignments[1].tolist()
+
+    @pytest.mark.parametrize("tied", ["k3", "k4"])
+    def test_equidistant_roots_give_two_permutations(self, tied):
+        # two roots equidistant from the k3 anchor -Omega1 or the k4 anchor
+        # K0 + Omega2: both assignments place each root once, and differ
+        # by swapping the tied pair
+        K0, w1, w2, d = 1.5, 1.0, 1.2, 1e-3 + 2e-3j
+        a3, a4 = -w1, K0 + w2
+        if tied == "k3":
+            roots = [w1 + 1e-6, a3 + d, a4 + 1e-6, a3 - d]
+        else:
+            roots = [a4 + d, a3, a4 - d, w1 - 1e-6j]
+        with pytest.raises(DegenerateRootError) as excinfo:
+            _sorted_wavenumbers(K0, w1, w2, 1.0, np.array([roots]))
+        first, second = (a.tolist() for a in excinfo.value.assignments)
+        for assignment in (first, second):
+            assert sorted(assignment, key=_hex) == sorted(roots, key=_hex)
+        swapped = [i for i in range(4) if first[i] != second[i]]
+        assert len(swapped) == 2 and (2 if tied == "k3" else 3) in swapped
+        assert {first[i] for i in swapped} == {a3 + d, a3 - d} if tied == "k3" else {
+            a4 + d, a4 - d}
 
     @pytest.mark.parametrize("kind,omega", [("pdc", 0.4), ("puc", 0.5)])
     def test_counterpropagating_shifts(self, kind, omega):
@@ -402,6 +431,23 @@ _REPORT_FIELDS = ("gamma", "r10", "r20", "r1", "t1", "r2", "t2", "n_idler",
 _SHIFT_FIELDS = ("eps1", "eps2", "eps3", "eps4", "xi", "detuning_sum", "product")
 
 
+def _scalar_leads(z0, z1):
+    """Whether Python complex z0 goes first: the smaller modulus, or for
+    moduli equal to 1e-12 relative the +imaginary, then +real, one."""
+    a0, a1 = abs(z0), abs(z1)
+    if abs(a0 - a1) > 1e-12 * max(a0, a1, 1e-300):
+        return a0 < a1
+    return (z0.imag, z0.real) >= (z1.imag, z1.real)
+
+
+def _scalar_pair(detuning, disc, l):
+    """(eps1, eps2, xi) from Python floats, with cmath and Python complexes."""
+    root = cmath.sqrt(disc)
+    cand = ((detuning + root) / 2.0, (detuning - root) / 2.0)
+    eps1, eps2 = cand if _scalar_leads(*cand) else cand[::-1]
+    return eps1, eps2, (eps1 - eps2) * l / 2.0
+
+
 def _scalar_reference(scenario, res, p):
     """The per-element Python arithmetic that the tables replaced.
 
@@ -428,15 +474,7 @@ def _scalar_reference(scenario, res, p):
         product = -strength / (4.0 * w1 * w2)
         eps3 = +strength / (8.0 * (w2 - w1) * w1 * w1)
         eps4 = -strength / (8.0 * (w2 - w1) * w2 * w2)
-    root = cmath.sqrt(detuning * detuning - 4.0 * product)
-    cand = ((detuning + root) / 2.0, (detuning - root) / 2.0)
-    a0, a1 = abs(cand[0]), abs(cand[1])
-    if abs(a0 - a1) > 1e-12 * max(a0, a1, 1e-300):
-        eps1, eps2 = cand if a0 < a1 else (cand[1], cand[0])
-    else:
-        key = (cand[0].imag, cand[0].real)
-        eps1, eps2 = cand if key >= (cand[1].imag, cand[1].real) else (cand[1], cand[0])
-    xi = (eps1 - eps2) * l / 2.0
+    eps1, eps2, xi = _scalar_pair(detuning, detuning * detuning - 4.0 * product, l)
     shifts = dict(eps1=eps1, eps2=eps2, eps3=eps3, eps4=eps4, xi=xi,
                   detuning_sum=detuning, product=product)
     z = complex(xi)
@@ -600,3 +638,75 @@ def test_tables_square_one_plus_r10_with_pow():
                 assert _bits(row[name]) == _bits(value), (k, i, name)
                 if name != "forward_fraction":
                     assert _bits(getattr(rep, name)) == _bits(value), (k, i, name)
+
+
+def _pair_inputs(n, seed):
+    """Detuning sums and discriminants over 1e-300..1e3 in magnitude, with
+    disc exactly 0 (and -0.0), of either sign, a detuning of 0 and -0.0,
+    and discriminants below 8 DBL_MIN, where cmath.sqrt rescales."""
+    rng = np.random.default_rng(seed)
+    detuning = 10.0 ** rng.uniform(-300, 3, n) * rng.choice([-1.0, 1.0], n)
+    detuning[rng.random(n) < 0.1] = 0.0
+    detuning[rng.random(n) < 0.05] = -0.0
+    product = 10.0 ** rng.uniform(-300, 3, n) * rng.choice([-1.0, 1.0], n)
+    double = rng.random(n) < 0.2  # disc exactly 0 where detuning^2 is exact
+    product[double] = detuning[double] ** 2 / 4.0
+    with np.errstate(over="ignore", under="ignore"):
+        disc = detuning * detuning - 4.0 * product
+    disc[rng.random(n) < 0.03] = -0.0
+    tiny = rng.random(n) < 0.05
+    disc[tiny] = sys.float_info.min * rng.uniform(0.0, 8.0, tiny.sum()) * rng.choice(
+        [-1.0, 1.0], tiny.sum())
+    return detuning, disc
+
+
+def _hex(z):
+    return complex(z).real.hex(), complex(z).imag.hex()
+
+
+class TestShiftPairBits:
+    """_shift_pair against the scalar cmath arithmetic it replaced."""
+
+    def test_inputs_cover_the_edges(self):
+        detuning, disc = _pair_inputs(20000, seed=3)
+        assert (disc == 0.0).sum() > 1000 and (disc < 0.0).sum() > 1000
+        assert (disc > 0.0).sum() > 1000 and (detuning == 0.0).sum() > 1000
+        assert (np.abs(disc) < 8.0 * sys.float_info.min).sum() > 100
+        assert np.signbit(detuning[detuning == 0.0]).any()
+
+    @pytest.mark.parametrize("l", [0.1, 100.0, 3e4])
+    def test_array_pair_matches_cmath_bit_for_bit(self, l):
+        detuning, disc = _pair_inputs(20000, seed=int(l * 10))
+        columns = _shift_pair(detuning, disc, l)
+        for i, (d, q) in enumerate(zip(detuning.tolist(), disc.tolist())):
+            want = _scalar_pair(d, q, l)
+            assert [_hex(col[i]) for col in columns] == [_hex(z) for z in want], (d, q)
+
+    def test_one_element_pair_matches_cmath_bit_for_bit(self):
+        detuning, disc = _pair_inputs(500, seed=11)
+        for d, q in zip(detuning.tolist(), disc.tolist()):
+            got = _shift_pair(d, q, 7.5)
+            assert [_hex(z) for z in got] == [_hex(z) for z in _scalar_pair(d, q, 7.5)]
+
+    def test_root_tie_break_matches_scalar(self):
+        # pairs around Omega1 at random offsets, a third of them tied in
+        # modulus (conjugate, negated or equal offsets), each sorted as
+        # _scalar_leads orders its shifts from Omega1
+        rng = np.random.default_rng(5)
+        n = 3000
+        w1 = rng.uniform(0.5, 2.0, n)
+        offset = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(
+            -12, -4, n)
+        other = (rng.normal(size=n) + 1j * rng.normal(size=n)) * np.abs(offset)
+        tie = rng.integers(0, 6, n)
+        other = np.select([tie == 0, tie == 1, tie == 2], [offset.conj(), -offset, offset],
+                          other)
+        real = rng.random(n) < 0.2
+        offset[real], other[real] = offset[real].real, other[real].real
+        K0, w2 = 1.5, 1.0
+        roots = np.column_stack((w1 + offset, -w1 + 0j, np.full(n, K0 + w2 + 0j), w1 + other))
+        k = _sorted_wavenumbers(K0, w1, w2, 1.0, roots)
+        for row, root_row, a in zip(k.tolist(), roots.tolist(), w1.tolist()):
+            assert sorted(row[:2], key=_hex) == sorted([root_row[0], root_row[3]], key=_hex)
+            assert _scalar_leads(row[0] - a, row[1] - a)
+            assert row[2:] == root_row[1:3]

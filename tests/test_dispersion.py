@@ -124,6 +124,23 @@ class TestBandGuard:
         with pytest.raises(OutOfBandError):
             model.mu(np.array([0.5, 3.0]))
 
+    def test_out_of_band_message_names_first_and_count(self):
+        # a sweep-sized array is summarized, not printed
+        model = DispersionModel.constant(1.2, band=(0.1, 2.0))
+        omega = np.linspace(0.05, 3.0, 402)
+        with pytest.raises(OutOfBandError) as excinfo:
+            model.mu(omega)
+        outside = int(np.count_nonzero((omega < 0.1) | (omega > 2.0)))
+        assert str(excinfo.value) == (
+            f"frequency 0.05 outside dispersion band [0.1, 2] ({outside} of 402 outside)")
+        with pytest.raises(OutOfBandError) as excinfo:
+            model.mu([[1.0, 2.5], [0.01, 1.0]])
+        assert str(excinfo.value) == (
+            "frequency 2.5 outside dispersion band [0.1, 2] (2 of 4 outside)")
+        with pytest.raises(OutOfBandError) as excinfo:
+            model.mu(3.0)
+        assert str(excinfo.value) == "frequency 3.0 outside dispersion band [0.1, 2]"
+
 
 class TestRationalModel:
     def test_monotone_within_band(self):

@@ -5,9 +5,11 @@ a refactor that keeps these outputs byte-identical keeps every test here
 passing.  The CLI digests run pumpslab.cli.main end to end (flags, an INI
 file, an --output file), so they also pin how the command line resolves
 its settings and writes its output.  The quartic rows of compare_oracle
-come from np.roots and its exact rows from stacked LAPACK solves, so
+come from batched companion-matrix eigenvalues (coupled._quartic_roots,
+bit for bit np.roots) and its exact rows from stacked LAPACK solves, so
 their last digits depend on the numpy build: the digests below were
-taken with numpy 2.4 and its bundled OpenBLAS.
+taken with numpy 2.4 and its bundled OpenBLAS.  The kernel bit digests
+at the end pin the resonance and shift arrays to the last bit.
 """
 import contextlib
 import hashlib
@@ -15,6 +17,7 @@ import io
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from pumpslab import (
@@ -24,9 +27,14 @@ from pumpslab import (
     calibrate_degenerate_angle,
     compare_oracle,
     degenerate_rows,
+    epsilon_roots,
+    pdc_resonance,
+    puc_resonance,
     run_sweep,
 )
 from pumpslab.cli import main
+from pumpslab.coupled import epsilon_table
+from pumpslab.kinematics import _resonance_grid
 from pumpslab.sweep import ORACLE_COLUMNS, SWEEP_COLUMNS, rows_to_text
 
 DIGESTS = {
@@ -167,3 +175,79 @@ def cli_texts(tmp_path_factory):
 @pytest.mark.parametrize("key", sorted(CLI_DIGESTS))
 def test_cli_digest(cli_texts, key):
     assert digest(cli_texts[key]) == CLI_DIGESTS[key]
+
+
+# sha256 of the float.hex bits of the kernels' arrays, signed zeros
+# included: the resonance grid (p, iterations, status) and the shift
+# table (status, eps1, eps2, xi) of the reference and collinear scenarios
+# above, of a three-sample reference grid whose six roots are bisected
+# without the Newton guide, and of one-element epsilon_roots calls.  A
+# negative detuning puts the collinear p below 0 (geometry), where the
+# shifts are still computed from a detuning sum of -0.0.
+BIT_DIGESTS = {
+    "epsilon-collinear--0.001": "b5e4ef82b41d3b076caf03bfca6e215055f57f5b064d66bd6257461cf2b0e156",
+    "epsilon-collinear-0.0": "9b33c0c9209f152cd65ddcc12ae0926c070ac7a0e673f058ee285f0b7ea3d2af",
+    "epsilon-collinear-0.001": "9b33c0c9209f152cd65ddcc12ae0926c070ac7a0e673f058ee285f0b7ea3d2af",
+    "epsilon-reference--0.001": "5c83ecd2f6ed404b80fedd723889d29b8d6d013f43cf359427fb159278aa0e2e",
+    "epsilon-reference-0.0": "1ccf80a17c7b92af54ffc7bb4b28a917dc51bccf0e9c106129cc7a05370d9665",
+    "epsilon-reference-0.001": "4211c8736035b764697d7cd9a620b4c96fd071ade974a98ce148f8caa3b025a1",
+    "epsilon-reference-unguided--0.001": "fa21564abe62d08164874e5307cfc0fe4ef4d02aa350125a92a91c6f265c4c0f",
+    "epsilon-reference-unguided-0.0": "2a34c6838e8d442afefe5684836a1ee10796514c5ad8847f37b71c67d0ac1999",
+    "epsilon-reference-unguided-0.001": "fa76926b112b857516b9d7d1a14a587bff1f7916916253bdf6ce2ced7473db27",
+    "epsilon-roots-reference": "6f25681b294aedce70279b8b68308a8ad47f80ddb382747de756fb22eda8e6a8",
+    "grid-collinear": "e998d38df56302456b35f47bfbb2942c5e973539a8479136e2ad74a72300ee5d",
+    "grid-reference": "f68902c758b4f1a336813a881eb7d5e547f37077d48c2c8dd47bd3c8a1e56a33",
+    "grid-reference-unguided": "7ec7b230ef762a8616188261754ecc715c17387c2a8b9d1276a0469716b391a3",
+}
+
+
+def bits(*columns):
+    """sha256 over the float.hex of every element, a complex as its real
+    and imaginary parts."""
+    h = hashlib.sha256()
+    for column in columns:
+        values = np.asarray(column)
+        if values.dtype.kind == "c":
+            values = np.stack((values.real, values.imag), axis=-1)
+        h.update(" ".join(float(x).hex() for x in values.ravel().tolist()).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def kernel_outputs():
+    """bits() of each BIT_DIGESTS key."""
+    model = calibrate_degenerate_angle(math.radians(10.0), 1.51)
+    reference = CrystalScenario(omega0=1.0, g=1e-4, l=100.0, dispersion=model)
+    collinear = CrystalScenario(omega0=1.0, g=1e-4, l=100.0,
+                                dispersion=DispersionModel.constant(1.5, band=(0.01, 3.0)))
+    grids = {
+        "reference": (reference, np.linspace(0.05, 1.95, 201)),
+        "reference-unguided": (reference, np.linspace(0.3, 0.7, 3)),
+        "collinear": (collinear, np.linspace(0.05, 1.95, 41)),
+    }
+    out = {}
+    for name, (scenario, omegas) in grids.items():
+        grid = _resonance_grid(scenario, omegas, ("pdc", "puc"))
+        out[f"grid-{name}"] = bits(grid.p, grid.iterations, grid.status)
+        for detuning in (0.0, 1e-3, -1e-3):
+            table = epsilon_table(scenario, grid, detuning)
+            out[f"epsilon-{name}-{detuning}"] = bits(
+                table.status, *(table.columns[c] for c in ("eps1", "eps2", "xi")))
+    # one-element calls: each ResonancePoint's shifts, as Python numbers
+    roots = [epsilon_roots(reference, res, res.p + detuning * res.omega)
+             for omega in (0.3, 0.5, 0.7) for res in (pdc_resonance(reference, omega),
+                                                       puc_resonance(reference, omega))
+             for detuning in (0.0, 1e-3, -1e-3)]
+    assert {type(r.eps1) for r in roots} == {type(r.xi) for r in roots} == {complex}
+    out["epsilon-roots-reference"] = bits(*([r.eps1, r.eps2, r.xi] for r in roots))
+    return out
+
+
+@pytest.fixture(scope="module")
+def kernel_bits():
+    return kernel_outputs()
+
+
+@pytest.mark.parametrize("key", sorted(BIT_DIGESTS))
+def test_kernel_bits(kernel_bits, key):
+    assert kernel_bits[key] == BIT_DIGESTS[key]

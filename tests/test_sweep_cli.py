@@ -670,6 +670,29 @@ class TestStrongGain:
         assert {row["status"] for row in rows} == {"ok"}
         assert all(math.isfinite(row[c]) for row in rows for c in SWEEP_COLUMNS[3:])
 
+    def test_oracle_series_refuses_before_overflow(self):
+        # at gamma = 1.4e307 every report cell is finite, but the series
+        # terms 1 + k gamma (k up to 41) are not: refused before summing
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            s = scenario_for(5.35e-3, 2e5)
+        req = SweepRequest(scenario=s, band=(0.45, 0.55), samples=9, kinds=("pdc", "puc"))
+        with pytest.raises(StrongGainError, match="reflection series"):
+            compare_oracle(req)
+        with pytest.raises(StrongGainError, match="reflection series"):
+            series_sum(0.01, 0.02, 1.4e307, 0.5, 1.0)
+        with pytest.raises(StrongGainError):
+            series_sum(0.01, 0.02, math.inf, 0.5, 1.0, kind="puc")
+        # the largest accepted gain sums to finite values, the next is refused
+        for kind, partner in (("pdc", 1.0 - 0.4), ("puc", 1.0 + 0.4)):
+            limit = sys.float_info.max / (oracle_mod.SERIES_TERMS + 1) ** 2 / (partner / 0.4)
+            assert all(map(math.isfinite, series_sum(0.9, 0.9, limit, 0.4, 1.0, kind)))
+            with pytest.raises(StrongGainError):
+                series_sum(0.9, 0.9, math.nextafter(limit, math.inf), 0.4, 1.0, kind)
+
+    def test_cli_refuses_series_overflow(self, capsys):
+        self.assert_cli_refuses("compare-oracle", "5.35e-3", "2e5", capsys)
+
 
 class TestSerialization:
     def test_csv_and_jsonl_carry_identical_values(self):
