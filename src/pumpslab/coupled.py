@@ -382,7 +382,7 @@ def _sorted_wavenumbers(K0, w1, w2, sign, roots):
     tied4, tied3 = gap4 < 1e-12 * scale, gap3 < 1e-12 * scale
     if (tied4 | tied3).any():
         j = np.argmax(tied4 | tied3)
-        first = np.array([*pair[j], k3[j, 0], k4[j, 0]])
+        chosen = np.array([*pair[j], k3[j, 0], k4[j, 0]])
         # the other assignment swaps the tied roots: k4 with the runner-up
         # for k4 (rest[0], at position (2, 0, 1)[m] where order3[m] == 0),
         # or else k3 with the runner-up for k3 (pair[0])
@@ -390,11 +390,11 @@ def _sorted_wavenumbers(K0, w1, w2, sign, roots):
             a, b = 3, (2, 0, 1)[order3[j].tolist().index(0)]
         else:
             a, b = 2, 0
-        second = first.copy()
-        second[[a, b]] = first[[b, a]]
+        other = chosen.copy()
+        other[[a, b]] = chosen[[b, a]]
         raise DegenerateRootError(
             "two quartic roots are equidistant from the sorting anchors",
-            assignments=(first, second),
+            assignments=(chosen, other),
         )
     # k1 is the root nearer Omega1, as eps1 is the shift nearer 0; for
     # distances equal to 1e-12 relative, the +imaginary, then +real, one

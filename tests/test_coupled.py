@@ -213,8 +213,8 @@ class TestQuarticWavenumbers:
             assert sorted(assignment, key=_hex) == sorted(roots, key=_hex)
         swapped = [i for i in range(4) if first[i] != second[i]]
         assert len(swapped) == 2 and (2 if tied == "k3" else 3) in swapped
-        assert {first[i] for i in swapped} == {a3 + d, a3 - d} if tied == "k3" else {
-            a4 + d, a4 - d}
+        anchor = a3 if tied == "k3" else a4
+        assert {first[i] for i in swapped} == {anchor + d, anchor - d}
 
     @pytest.mark.parametrize("kind,omega", [("pdc", 0.4), ("puc", 0.5)])
     def test_counterpropagating_shifts(self, kind, omega):
@@ -667,16 +667,15 @@ def _hex(z):
 class TestShiftPairBits:
     """_shift_pair against the scalar cmath arithmetic it replaced."""
 
-    def test_inputs_cover_the_edges(self):
-        detuning, disc = _pair_inputs(20000, seed=3)
-        assert (disc == 0.0).sum() > 1000 and (disc < 0.0).sum() > 1000
-        assert (disc > 0.0).sum() > 1000 and (detuning == 0.0).sum() > 1000
-        assert (np.abs(disc) < 8.0 * sys.float_info.min).sum() > 100
-        assert np.signbit(detuning[detuning == 0.0]).any()
-
     @pytest.mark.parametrize("l", [0.1, 100.0, 3e4])
     def test_array_pair_matches_cmath_bit_for_bit(self, l):
         detuning, disc = _pair_inputs(20000, seed=int(l * 10))
+        # the draw covers every edge
+        assert (disc == 0.0).sum() > 1000 and np.signbit(disc[disc == 0.0]).any()
+        assert (disc < 0.0).sum() > 1000 and (disc > 0.0).sum() > 1000
+        assert (detuning == 0.0).sum() > 1000 and np.signbit(detuning[detuning == 0.0]).any()
+        assert (np.abs(disc) < 8.0 * sys.float_info.min).sum() > 100
+        assert np.abs(detuning).max() > 1e2 and np.abs(disc).max() > 1e4
         columns = _shift_pair(detuning, disc, l)
         for i, (d, q) in enumerate(zip(detuning.tolist(), disc.tolist())):
             want = _scalar_pair(d, q, l)
