@@ -92,7 +92,7 @@ class DispersionModel:
         """Refractive index at omega (scalar or array), band-checked."""
         w = np.asarray(omega, dtype=float)
         lo, hi = self.band
-        outside = (w < lo) | (w > hi)
+        outside = ~((w >= lo) & (w <= hi))  # NaN is outside too
         if outside.any():
             # name the first offender only: a sweep passes hundreds at once
             count = f" ({np.count_nonzero(outside)} of {w.size} outside)" if w.ndim else ""

@@ -140,14 +140,6 @@ class ResonanceGrid:
             iterations=self.iterations.item(k, i),
         )
 
-    def points(self):
-        """Per omega, a tuple with one ResonancePoint or skip reason per kind."""
-        return [
-            tuple(self.point(k, i) if code == OK else SKIP_REASONS[code]
-                  for k, code in enumerate(codes))
-            for i, codes in enumerate(self.status.T.tolist())
-        ]
-
     def theta_deg(self):
         """Per kind, the exterior angle in degrees of each omega's mode, as
         ModeKinematics.theta_deg gives it; None where status is not OK."""
@@ -208,11 +200,12 @@ def _resonance_grid(scenario, omegas, kinds):
     solved element is a valid resonance.
 
     |f(0)| <= RESIDUAL_TOL * omega0 gives p0 = 0.  Every other bracketed
-    element is solved by _bisection_root, bit for bit the root earlier
-    versions returned: several floats lie within rounding of the root,
-    and the exact oracle's last digits depend on which one is reported.
-    From GUIDE_MIN roots up, one vectorized Newton pass locates them all
-    first, so that most halvings are decided by comparison.
+    element is solved by one _bisection_roots call for the whole grid, bit
+    for bit the root earlier versions returned: several floats lie within
+    rounding of the root, and the exact oracle's last digits depend on
+    which one is reported.  From GUIDE_MIN roots up, one vectorized Newton
+    pass locates them all first, so that most halvings are decided by
+    comparison.
     """
     for kind in kinds:
         check_kind(kind)
@@ -259,14 +252,10 @@ def _resonance_grid(scenario, omegas, kinds):
         lo_p, hi_p = _newton_guide(*roots, K0=K0)
     else:
         lo_p, hi_p = np.full(todo.size, -np.inf), np.full(todo.size, np.inf)
-    solved = [
-        _bisection_root(*row, K0=K0, tol=tol)
-        for row in zip(*(x.tolist() for x in (*roots, zero_below[todo], lo_p, hi_p)))
-    ]
     p = np.zeros_like(a1)
     iterations = np.zeros(a1.size, dtype=int)
-    if solved:
-        p[todo], iterations[todo] = zip(*solved)
+    p[todo], iterations[todo] = _bisection_roots(*roots, zero_below[todo], lo_p, hi_p,
+                                                 K0=K0, tol=tol)
 
     r1, r10, r2, r20 = _radicands(w1, w2, p, mu1, mu2)
     o1, o10, o2, o20 = np.sqrt(r1), np.sqrt(r10), np.sqrt(r2), np.sqrt(r20)
@@ -282,54 +271,81 @@ def _resonance_grid(scenario, omegas, kinds):
     )
 
 
-def _bisection_root(a1, a2, s, p_max, zero_below, lo_p, hi_p, *, K0, tol):
-    """Root of sqrt(a2 - p^2) + s * sqrt(a1 - p^2) - K0 on [0, p_max].
+def _bisection_roots(a1, a2, s, p_max, zero_below, lo_p, hi_p, *, K0, tol):
+    """Roots of sqrt(a2 - p^2) + s * sqrt(a1 - p^2) - K0 on [0, p_max], one
+    per element of the arrays: lists of p0 and of the steps that reached it.
 
-    Bisection to a bracket of width 1e-15 * max(1, p), then at most eight
-    secant steps, keeping the smallest residual seen; the residual at p = 0
-    is negative iff zero_below.  Midpoints below lo_p or above hi_p are
-    known to lie below or above the root and skip the residual.  Returns
-    p0 and the number of halvings and secant steps taken; neither depends
-    on lo_p and hi_p.  The residual is written out at each use: a call per
+    Each root is a bisection to a bracket of width 1e-15 * max(1, p), then
+    at most eight secant steps, keeping the smallest residual seen; the
+    residual at p = 0 is negative iff zero_below.  Midpoints below lo_p or
+    above hi_p are known to lie below or above the root and skip the
+    residual; neither p0 nor the step count depends on lo_p and hi_p.
+
+    Until a midpoint falls in [lo_p, hi_p], the bracket [a, b] holds
+    [max(lo_p, 0), min(hi_p, p_max)]: a stays at 0 or below lo_p, b at
+    p_max or above hi_p.  Where that interval is wider than the width limit
+    at p_max, which bounds the limit at every b <= p_max, those first
+    halvings cannot end the bisection and only compare (NaN bounds never
+    qualify).  The residual is written out at each use: a call per
     evaluation would cost more than the evaluation itself.
     """
+    limit = np.where(p_max > 1.0, 1e-15 * p_max, 1e-15)
+    descend = np.minimum(hi_p, p_max) - np.maximum(lo_p, 0.0) > limit
     sqrt = math.sqrt
-    a, b = 0.0, p_max
-    for steps in range(1, 201):
-        mid = 0.5 * (a + b)
-        if mid < lo_p:
-            a = mid
-        elif mid > hi_p:
-            b = mid
-        else:
-            pp = mid * mid
-            fm = sqrt(a2 - pp) + s * sqrt(a1 - pp) - K0
-            if fm == 0.0:
-                return mid, steps
-            if (fm < 0.0) == zero_below:
+    roots, counts = [], []
+    for a1, a2, s, p_max, zero_below, lo_p, hi_p, descend in zip(*(
+            x.tolist() for x in (a1, a2, s, p_max, zero_below, lo_p, hi_p, descend))):
+        a, b, steps, fm = 0.0, p_max, 1, None
+        if descend:
+            for steps in range(1, 201):
+                mid = 0.5 * (a + b)
+                if mid < lo_p:
+                    a = mid
+                elif mid > hi_p:
+                    b = mid
+                else:
+                    break
+        for steps in range(steps, 201):
+            mid = 0.5 * (a + b)
+            if mid < lo_p:
                 a = mid
-            else:
+            elif mid > hi_p:
                 b = mid
-        if b - a <= (1e-15 * b if b > 1.0 else 1e-15):
-            break
-    fa, fb = (sqrt(a2 - x * x) + s * sqrt(a1 - x * x) - K0 for x in (a, b))
-    root, froot = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-    x0, x1, f0, f1 = a, b, fa, fb
-    for _ in range(8):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not 0.0 <= x2 <= p_max:
-            break
-        pp = x2 * x2
-        f2 = sqrt(a2 - pp) + s * sqrt(a1 - pp) - K0
-        steps += 1
-        x0, f0, x1, f1 = x1, f1, x2, f2
-        if abs(f2) < abs(froot):
-            root, froot = x2, f2
-        if abs(f2) <= tol:
-            break
-    return root, steps
+            else:
+                pp = mid * mid
+                fm = sqrt(a2 - pp) + s * sqrt(a1 - pp) - K0
+                if fm == 0.0:
+                    break
+                if (fm < 0.0) == zero_below:
+                    a = mid
+                else:
+                    b = mid
+            if b - a <= (1e-15 * b if b > 1.0 else 1e-15):
+                break
+        if fm == 0.0:  # an exact root at a midpoint
+            roots.append(mid)
+            counts.append(steps)
+            continue
+        fa, fb = (sqrt(a2 - x * x) + s * sqrt(a1 - x * x) - K0 for x in (a, b))
+        root, froot = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+        x0, x1, f0, f1 = a, b, fa, fb
+        for _ in range(8):
+            if f1 == f0:
+                break
+            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+            if not 0.0 <= x2 <= p_max:
+                break
+            pp = x2 * x2
+            f2 = sqrt(a2 - pp) + s * sqrt(a1 - pp) - K0
+            steps += 1
+            x0, f0, x1, f1 = x1, f1, x2, f2
+            if abs(f2) < abs(froot):
+                root, froot = x2, f2
+            if abs(f2) <= tol:
+                break
+        roots.append(root)
+        counts.append(steps)
+    return roots, counts
 
 
 def _newton_guide(a1, a2, s, p_max, *, K0):

@@ -112,9 +112,10 @@ def _sweep_rows(scenario, omegas, kinds, detuning=0.0):
     theta_d, theta_u = grid.theta_deg()
     values = {c: table.columns[c].tolist() for c in _REPORT_COLUMNS + ("forward_fraction",)}
     index = table.index.tolist()
+    blank = dict.fromkeys(SWEEP_COLUMNS)
     rows = []
     for omega, i, kind, k, status in order:
-        row = dict.fromkeys(SWEEP_COLUMNS)
+        row = blank.copy()
         row["omega"] = omega
         row["kind"] = kind
         row["status"] = status
@@ -265,10 +266,20 @@ def _round12(value):
 
 
 def _csv_template(types):
-    """The %-template of a CSV line whose cells have these types: None
-    prints empty, a str as is, anything else to 12 significant digits."""
-    return ",".join("%.0s" if t is type(None) else "%s" if issubclass(t, str)
-                    else "%.12g" for t in types) + "\n"
+    """The %-template of a CSV line whose cells have these types, and the
+    getter of the cells it formats, or None if it formats them all: None
+    cells are written into the template as empty fields, a str goes in as
+    is, anything else to 12 significant digits."""
+    formats = ["" if t is type(None) else "%s" if issubclass(t, str) else "%.12g"
+               for t in types]
+    template = ",".join(formats) + "\n"
+    kept = [i for i, f in enumerate(formats) if f]
+    if len(kept) == len(types):
+        return template, None
+    if len(kept) > 1:
+        return template, operator.itemgetter(*kept)
+    # itemgetter of one index would give the cell itself, not a 1-tuple
+    return template, lambda cells: tuple(cells[i] for i in kept)
 
 
 def write_rows(rows, columns, stream, output_format="csv"):
@@ -281,10 +292,11 @@ def write_rows(rows, columns, stream, output_format="csv"):
         for row in rows:
             cells = cells_of(row)
             shape = (*map(type, cells),)  # exact-size tuples: tuple(map()) resizes
-            template = templates.get(shape)
-            if template is None:
-                template = templates[shape] = _csv_template(shape)
-            stream.write(template % cells)
+            try:
+                template, kept = templates[shape]
+            except KeyError:
+                template, kept = templates[shape] = _csv_template(shape)
+            stream.write(template % (kept(cells) if kept else cells))
         return
     if output_format != "jsonl":
         raise ValueError("output format must be 'csv' or 'jsonl'")

@@ -43,9 +43,19 @@ from pumpslab.coupled import (
     report_table,
     resonance_report,
 )
-from pumpslab.kinematics import ModeKinematics, ResonanceGrid, _resonance_grid
+from pumpslab.kinematics import (SKIP_REASONS, ModeKinematics, ResonanceGrid,
+                                 _resonance_grid)
 
 GAMMA_UNIT_COUPLING = 1.0964431384588394e-05  # (g*l*omega0)^2/(4*mu2^2) at 0.01
+
+
+def _points(grid):
+    """Per omega, a tuple with one ResonancePoint or skip reason per kind."""
+    return [
+        tuple(grid.point(k, i) if code == OK else SKIP_REASONS[code]
+              for k, code in enumerate(codes))
+        for i, codes in enumerate(grid.status.T.tolist())
+    ]
 
 
 def scenario_for(theta_d_deg=10.0, mu2=1.51, g=1e-4, l=100.0):
@@ -248,7 +258,7 @@ def test_quartic_roots_match_np_roots_bit_for_bit(case):
     theta_d, mu2, g, omegas = case
     s = scenario_for(theta_d, mu2, g)
     grid = _resonance_grid(s, omegas, ("pdc", "puc"))
-    records = [res for point in grid.points() for res in point
+    records = [res for point in _points(grid) for res in point
                if not isinstance(res, str)]
     assume(records)
     coeffs = [quartic_coefficients(s, res)[0] for res in records]

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from pumpslab import (
     CalibrationError,
+    CrystalScenario,
     DispersionModel,
     OutOfBandError,
     calibrate_degenerate_angle,
+    channel_report,
 )
 from pumpslab.dispersion import _Pchip
 
@@ -140,6 +142,19 @@ class TestBandGuard:
         with pytest.raises(OutOfBandError) as excinfo:
             model.mu(3.0)
         assert str(excinfo.value) == "frequency 3.0 outside dispersion band [0.1, 2]"
+
+    def test_nan_frequency_is_out_of_band(self):
+        # NaN compares false with both band edges; it is out of band, not an
+        # index of nan that a resonance solve would stall on
+        model = calibrate_degenerate_angle(math.radians(10.0), 1.51)
+        message = r"^frequency nan outside dispersion band \[0.05, 2.5\]"
+        with pytest.raises(OutOfBandError, match=message + "$"):
+            model.mu(float("nan"))
+        with pytest.raises(OutOfBandError, match=message + r" \(1 of 2 outside\)$"):
+            model.mu([1.0, float("nan")])
+        scenario = CrystalScenario(omega0=1.0, g=1e-4, l=100.0, dispersion=model)
+        with pytest.raises(OutOfBandError, match=message + "$"):
+            channel_report(scenario, float("nan"))
 
 
 class TestRationalModel:

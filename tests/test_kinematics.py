@@ -21,10 +21,13 @@ from pumpslab import (
     pdc_resonance,
     puc_resonance,
 )
+import pumpslab.kinematics as kinematics_mod
 from pumpslab.kinematics import (
     OK,
     RESIDUAL_TOL,
     SKIP_REASONS,
+    _bisection_roots,
+    _newton_guide,
     _resonance_grid,
 )
 
@@ -240,6 +243,15 @@ def _scenario(theta_deg, mu2, g, l):
     return CrystalScenario(omega0=1.0, g=g, l=l, dispersion=model)
 
 
+def _points(grid):
+    """Per omega, a tuple with one ResonancePoint or skip reason per kind."""
+    return [
+        tuple(grid.point(k, i) if code == OK else SKIP_REASONS[code]
+              for k, code in enumerate(codes))
+        for i, codes in enumerate(grid.status.T.tolist())
+    ]
+
+
 def _scalar(kind, scenario, omega):
     solve = pdc_resonance if kind == "pdc" else puc_resonance
     try:
@@ -254,7 +266,7 @@ def test_batched_kernel_matches_scalar_calls_bit_for_bit(case):
     *params, omegas = case
     scenario = _scenario(*params)
     grid = _resonance_grid(scenario, omegas, ("pdc", "puc"))
-    for i, (omega, solved) in enumerate(zip(omegas, grid.points())):
+    for i, (omega, solved) in enumerate(zip(omegas, _points(grid))):
         for k, (kind, point) in enumerate(zip(grid.kinds, solved)):
             scalar = _scalar(kind, scenario, omega)
             if grid.status[k, i] == OK:
@@ -283,7 +295,7 @@ def test_solved_p0_brackets_the_root_within_rounding(case):
     *params, omegas = case
     scenario = _scenario(*params)
     noise = 16.0 * np.finfo(float).eps * scenario.pump_wavenumber()
-    for solved in _resonance_grid(scenario, omegas, ("pdc", "puc")).points():
+    for solved in _points(_resonance_grid(scenario, omegas, ("pdc", "puc"))):
         for res in solved:
             if isinstance(res, str):
                 continue
@@ -405,12 +417,149 @@ def test_guided_roots_match_plain_bisection(case):
     scenario = _scenario(*params)
     grid = _resonance_grid(scenario, omegas + [0.3, 0.4, 0.45, 0.55, 0.6, 0.7],
                            ("pdc", "puc"))
-    for solved in grid.points():
+    for solved in _points(grid):
         for res in solved:
             if isinstance(res, str) or res.p == 0.0:
                 continue
             assert (res.p, res.iterations) == _reference_root(
                 scenario, res.kind, res.omega)
+
+
+def _scalar_bisection(a1, a2, s, p_max, zero_below, lo_p, hi_p, *, K0, tol):
+    """One root at a time, as the kernel solved them before _bisection_roots:
+    halvings to a width of 1e-15 * max(1, b) with a width test after every
+    one, then at most eight secant steps.  (p0, steps)."""
+    sqrt = math.sqrt
+    a, b = 0.0, p_max
+    for steps in range(1, 201):
+        mid = 0.5 * (a + b)
+        if mid < lo_p:
+            a = mid
+        elif mid > hi_p:
+            b = mid
+        else:
+            pp = mid * mid
+            fm = sqrt(a2 - pp) + s * sqrt(a1 - pp) - K0
+            if fm == 0.0:
+                return mid, steps
+            if (fm < 0.0) == zero_below:
+                a = mid
+            else:
+                b = mid
+        if b - a <= (1e-15 * b if b > 1.0 else 1e-15):
+            break
+    fa, fb = (sqrt(a2 - x * x) + s * sqrt(a1 - x * x) - K0 for x in (a, b))
+    root, froot = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+    x0, x1, f0, f1 = a, b, fa, fb
+    for _ in range(8):
+        if f1 == f0:
+            break
+        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+        if not 0.0 <= x2 <= p_max:
+            break
+        pp = x2 * x2
+        f2 = sqrt(a2 - pp) + s * sqrt(a1 - pp) - K0
+        steps += 1
+        x0, f0, x1, f1 = x1, f1, x2, f2
+        if abs(f2) < abs(froot):
+            root, froot = x2, f2
+        if abs(f2) <= tol:
+            break
+    return root, steps
+
+
+def _assert_matches_scalar(args, K0, tol):
+    """_bisection_roots over the columns args equals _scalar_bisection per
+    root, by ==; returns the number of roots compared."""
+    p0, steps = _bisection_roots(*args, K0=K0, tol=tol)
+    rows = list(zip(*(np.asarray(x).tolist() for x in args)))
+    assert len(p0) == len(steps) == len(rows)
+    for row, got in zip(rows, zip(p0, steps)):
+        assert got == _scalar_bisection(*row, K0=K0, tol=tol), row
+    return len(rows)
+
+
+def _synthetic_roots(rng, n, K0):
+    """(a1, a2, s, p_max, zero_below) of n roots of sqrt(a2 - p^2)
+    + s * sqrt(a1 - p^2) - K0 in [0, p_max], both kinds; a fifth of them
+    near zero, with p0 between 1e-17 * K0 and 1e-6 * K0."""
+    s = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    t = rng.uniform(0.02, 0.98, n)
+    o1 = np.where(s > 0.0, t, 2.0 * t) * K0  # Omega1 at the root
+    o2 = K0 - s * o1  # Omega2 at the root
+    near_zero = rng.random(n) < 0.2
+    p0 = K0 * np.where(near_zero, 10.0 ** rng.uniform(-17.0, -6.0, n),
+                       rng.uniform(1e-3, 1.0, n))
+    a1, a2 = o1 * o1 + p0 * p0, o2 * o2 + p0 * p0
+    p_max = np.minimum(p0 * (1.0 + rng.uniform(1e-3, 3.0, n)),
+                       0.999 * np.sqrt(np.minimum(a1, a2)))
+    zero_below = np.sqrt(a2) + s * np.sqrt(a1) - K0 < 0.0
+    return a1, a2, s, p_max, zero_below
+
+
+def _width_limit(p_max):
+    return np.where(p_max > 1.0, 1e-15 * p_max, 1e-15)
+
+
+def _fuzz_bounds(rng, a1, a2, s, p_max, K0):
+    """(lo_p, hi_p) per root, each drawn from one of seven families."""
+    n = p_max.size
+    guide_lo, guide_hi = _newton_guide(a1, a2, s, p_max, K0=K0)
+    centre = np.where(np.isfinite(guide_lo), 0.5 * (guide_lo + guide_hi), 0.5 * p_max)
+    limit = _width_limit(p_max)
+    eps = np.finfo(float).eps
+    # half-widths a few ulps either side of the width limit
+    edge = 0.5 * limit * (1.0 + eps * rng.integers(-8, 9, n))
+    inf = np.full(n, np.inf)
+    nan = np.full(n, np.nan)
+    loose = rng.uniform(-1.0, 2.0, (2, n)) * p_max
+    families = [
+        (guide_lo, guide_hi),  # the kernel's own Newton guides
+        (-inf, inf),  # unguided
+        (np.where(rng.random(n) < 0.5, nan, guide_lo), nan),  # NaN bounds
+        (guide_hi, guide_lo),  # lo_p > hi_p
+        (centre - edge, centre + edge),  # either side of the width limit
+        (-rng.uniform(0.0, 1.0, n) * p_max, 2.0 * edge),  # lo_p < 0 near the limit
+        (p_max - edge, p_max + loose[1] + limit),  # hi_p past p_max
+        (loose.min(axis=0), loose.max(axis=0)),  # arbitrary, right or wrong
+    ]
+    pick = rng.integers(0, len(families), n)
+    lo = np.choose(pick, [f[0] for f in families])
+    hi = np.choose(pick, [f[1] for f in families])
+    return lo, hi
+
+
+def test_batched_bisection_matches_scalar_roots_on_synthetic_fuzz():
+    # one seeded draw: every root, guided or not, must come out of the
+    # batched bisection with the scalar loop's p0 and step count
+    rng = np.random.default_rng(20261018)
+    compared = 0
+    for _ in range(50):
+        K0 = 10.0 ** rng.uniform(-1.0, 1.5)  # p_max on both sides of 1
+        a1, a2, s, p_max, zero_below = _synthetic_roots(rng, 2000, K0)
+        lo_p, hi_p = _fuzz_bounds(rng, a1, a2, s, p_max, K0)
+        compared += _assert_matches_scalar(
+            (a1, a2, s, p_max, zero_below, lo_p, hi_p), K0, RESIDUAL_TOL * K0)
+    assert compared == 100_000
+
+
+def test_batched_bisection_matches_scalar_roots_on_calibrated_grids(monkeypatch):
+    calls = []
+    batched = kinematics_mod._bisection_roots
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return batched(*args, **kwargs)
+
+    monkeypatch.setattr(kinematics_mod, "_bisection_roots", recorded)
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        scenario = _scenario(rng.uniform(1.0, 16.0), rng.uniform(1.2, 1.8), 1e-4, 100.0)
+        _resonance_grid(scenario, np.sort(rng.uniform(0.02, 2.4, 200)), ("pdc", "puc"))
+    assert len(calls) == 30  # one call per grid
+    compared = sum(_assert_matches_scalar(args, kwargs["K0"], kwargs["tol"])
+                   for args, kwargs in calls)
+    assert compared > 5000
 
 
 def test_pump_wavenumber_is_computed_once(reference, monkeypatch):

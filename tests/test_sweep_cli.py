@@ -51,12 +51,36 @@ from pumpslab import (
 )
 from pumpslab.cli import main
 from pumpslab.coupled import DETUNING_WARN_FRACTION, _sorted_wavenumbers
+from pumpslab.kinematics import OK, SKIP_REASONS
 from pumpslab.sweep import ORACLE_COLUMNS, SWEEP_COLUMNS, rows_to_text
+
+
+def _points(grid):
+    """Per omega, a tuple with one ResonancePoint or skip reason per kind."""
+    return [
+        tuple(grid.point(k, i) if code == OK else SKIP_REASONS[code]
+              for k, code in enumerate(codes))
+        for i, codes in enumerate(grid.status.T.tolist())
+    ]
 
 
 def scenario_for(g=1e-4, l=100.0):
     model = calibrate_degenerate_angle(math.radians(10.0), 1.51)
     return CrystalScenario(omega0=1.0, g=g, l=l, dispersion=model)
+
+
+_csv_cells = st.one_of(
+    st.none(), st.text(max_size=6), st.floats(), st.integers(-10**18, 10**18),
+    st.booleans(), st.floats().map(np.float64))
+
+
+@st.composite
+def _csv_tables(draw):
+    """(columns, rows): one to five columns, rows of mixed cells, some all None."""
+    columns = [f"c{i}" for i in range(draw(st.integers(1, 5)))]
+    cells = st.lists(_csv_cells, min_size=len(columns), max_size=len(columns))
+    rows = draw(st.lists(st.one_of(cells, st.just([None] * len(columns))), max_size=12))
+    return columns, [dict(zip(columns, row)) for row in rows]
 
 
 class TestRunSweep:
@@ -215,7 +239,7 @@ class TestRunSweep:
         exact = [row["status"] for row in rows if row["quantity"] == "exact_excess"]
         assert len(exact) == 2 and set(exact) <= {"ok", "breach"}  # averages ran
         (grid,) = grids
-        records = [res for (res, _) in grid.points()]
+        records = [res for (res, _) in _points(grid)]
         assert len(received) == 2
         for (scenario, kin), res in zip(received, records):
             assert scenario is req.scenario
@@ -720,6 +744,25 @@ class TestSerialization:
         first = rows_to_text(run_sweep(req), SWEEP_COLUMNS, "csv")
         second = rows_to_text(run_sweep(req), SWEEP_COLUMNS, "csv")
         assert first == second
+
+    @staticmethod
+    def naive_csv(rows, columns):
+        def cell(value):
+            if value is None:
+                return ""
+            return value if isinstance(value, str) else "%.12g" % value
+
+        lines = [columns] + [[cell(row[c]) for c in columns] for row in rows]
+        return "".join(",".join(line) + "\n" for line in lines)
+
+    @given(_csv_tables())
+    @example((["a"], [{"a": None}, {"a": 0.5}, {"a": "x"}, {"a": None}]))
+    @example((["a", "b", "c"], [{"a": None, "b": None, "c": None}] * 3))
+    @example((["a", "b"], [{"a": True, "b": np.float64(1 / 3)}, {"a": 7, "b": "%s"}]))
+    @settings(max_examples=200)
+    def test_csv_matches_a_per_cell_join(self, table):
+        columns, rows = table
+        assert rows_to_text(rows, columns, "csv") == self.naive_csv(rows, columns)
 
 
 class TestCli:
