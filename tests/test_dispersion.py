@@ -1,8 +1,10 @@
 """Dispersion model construction, calibration and serialization."""
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from pumpslab import (
     calibrate_degenerate_angle,
     channel_report,
 )
-from pumpslab.dispersion import _Pchip
+from pumpslab.dispersion import _MU_FLOOR, _Pchip
 
 Q_D_10DEG = math.sin(math.radians(10.0)) ** 2  # 0.030153689607...
 
@@ -181,13 +183,18 @@ class TestSerialization:
             DispersionModel.constant(1.5, band=(0.2, 3.0)),
             DispersionModel.rational(2.2, -0.5, 9.0, band=(0.1, 2.0)),
             calibrate_degenerate_angle(math.radians(10.0), 1.51),
+            # numpy samples are stored as float lists, which to_record formats
+            DispersionModel("tabulated", {"omegas": np.array([0.1, 1.0, 2.0]),
+                                          "mu_squared": np.array([2.0, 2.1, 2.3])},
+                            (0.1, 2.0)),
         ],
-        ids=["constant", "rational", "tabulated"],
+        ids=["constant", "rational", "tabulated", "tabulated-from-arrays"],
     )
     def test_round_trip_full_precision(self, model):
         clone = DispersionModel.from_record(model.to_record())
         assert clone.kind == model.kind
         assert clone.band == model.band
+        assert clone.parameters == model.parameters
         w = np.linspace(*model.band, 257)
         np.testing.assert_array_equal(clone.mu(w), model.mu(w))
 
@@ -215,6 +222,167 @@ class TestTabulatedBand:
         assert clone.parameters == model.parameters
         w = np.linspace(*model.band, 65)
         np.testing.assert_array_equal(clone.mu(w), model.mu(w))
+
+
+class TestConstructionErrors:
+    """Each malformed tabulated input fails with its own ValueError, the
+    checks running in a fixed order: shape, increase, band, finiteness,
+    then the index floor."""
+
+    NOT_SAMPLES = "tabulated model needs matching 1-d samples"
+    NOT_INCREASING = "tabulated sample frequencies must increase"
+    NOT_FINITE = "tabulated samples must be finite"
+    NOT_SPANNED = "tabulated band must span the sample points"
+    BELOW_ONE = "mu(omega) must be real and >= 1 across the band"
+
+    @pytest.mark.parametrize("omegas, mu_squared, band, message", [
+        ([0.1], [2.0], (0.1, 2.0), NOT_SAMPLES),
+        ([0.1, 1.0, 2.0], [2.0, 2.1], (0.1, 2.0), NOT_SAMPLES),
+        ([0.1, 1.0, 1.0, 2.0], [2.0, 2.1, 2.2, 2.3], (0.1, 2.0), NOT_INCREASING),
+        ([0.1, 1.0, 0.5, 2.0], [2.0, 2.1, 2.2, 2.3], (0.1, 2.0), NOT_INCREASING),
+        # NaN compares false with its neighbours, so it passes the increase
+        # check and is caught as non-finite
+        ([0.1, math.nan, 2.0], [2.0, 2.1, 2.3], (0.1, 2.0), NOT_FINITE),
+        ([0.1, 1.0, 2.0], [2.0, math.inf, 2.3], (0.1, 2.0), NOT_FINITE),
+        ([0.1, 1.0, 2.0], [2.0, 2.1, 2.3], (0.1, 3.0), NOT_SPANNED),
+        ([0.1, 1.0, 2.0], [2.0, 2.1, 2.3], (0.05, 2.0), NOT_SPANNED),
+        ([0.1, 1.0, 2.0], [2.0, 0.9, 2.3], (0.1, 2.0), BELOW_ONE),
+    ], ids=["one-sample", "mismatched-lengths", "repeated-frequency",
+            "decreasing-frequency", "nan-frequency", "inf-mu-squared",
+            "band-past-samples", "band-before-samples", "sample-below-one"])
+    def test_bad_samples(self, omegas, mu_squared, band, message):
+        params = {"omegas": omegas, "mu_squared": mu_squared}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DispersionModel("tabulated", params, band)
+
+    def test_scalar_record_value(self):
+        # a one-value field reads back as a float, not a list
+        record = "kind=tabulated\nband_lo=1\nband_hi=2\nomegas=1.0\nmu_squared=2.0\n"
+        with pytest.raises(ValueError, match=f"^{re.escape(self.NOT_SAMPLES)}$"):
+            DispersionModel.from_record(record)
+
+
+def scan_verdict(kind, parameters, band):
+    """Whether the 1,024-point scan that the per-kind check replaced accepts
+    a constant or rational model: the pole rule, then mu^2 finite and at
+    least _MU_FLOOR^2 on np.linspace(lo, hi, 1024)."""
+    lo, hi = band
+    w = np.linspace(lo, hi, 1024)
+    if kind == "constant":
+        m2 = np.full_like(w, parameters["value"] ** 2)
+    else:
+        a, b, c = parameters["a"], parameters["b"], parameters["c"]
+        if lo * lo <= c <= hi * hi:
+            return False
+        with np.errstate(all="ignore"):
+            m2 = a + b / (c - w * w)
+    return bool(np.all(np.isfinite(m2)) and not np.any(m2 < _MU_FLOOR**2))
+
+
+def accepts(kind, parameters, band):
+    try:
+        DispersionModel(kind, parameters, band)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def floor_tables(draw):
+    """2-12 samples, every mu^2 >= 1: exactly 1, within 1e-9 of 1, or up to
+    1e6, at increasing frequencies from 0.01 up."""
+    n = draw(st.integers(2, 12))
+    steps = draw(st.lists(st.floats(1e-3, 2.0), min_size=n - 1, max_size=n - 1))
+    x = draw(st.floats(0.01, 2.0)) + np.concatenate(([0.0], np.cumsum(steps)))
+    level = st.one_of(st.just(1.0), st.floats(1.0, 1.0 + 1e-9),
+                      st.floats(1.0, 10.0), st.floats(1.0, 1e6))
+    return x.tolist(), draw(st.lists(level, min_size=n, max_size=n))
+
+
+class TestValidationRule:
+    """Each kind is checked where its minimum lies: a constant's value, a
+    rational model's band ends, a tabulated model's samples less a rounding
+    allowance (minus infinity where an evaluation could overflow)."""
+
+    def test_sample_below_floor_between_scan_nodes_refused(self):
+        # a narrow dip between two nodes of the old 1,024-point scan, which
+        # evaluated 1.5 or more everywhere it looked and accepted the model
+        nodes = np.linspace(0.1, 2.0, 1024)
+        dip = 0.5 * (nodes[511] + nodes[512])
+        omegas = [0.1, dip - 1e-6, dip, dip + 1e-6, 2.0]
+        below = math.nextafter(_MU_FLOOR**2, 0.0)
+        with pytest.raises(ValueError, match=r"^mu\(omega\) must be real and >= 1"):
+            DispersionModel.tabulated(omegas, [1.5, 1.5, below, 1.5, 1.5])
+        DispersionModel.tabulated(omegas, [1.5, 1.5, 1.0, 1.5, 1.5])
+
+    def test_rational_endpoint_verdict_matches_scan(self):
+        rng = np.random.default_rng(2024)
+        verdicts = []
+        for _ in range(3000):
+            lo = rng.uniform(0.05, 1.0)
+            band = (lo, lo * rng.uniform(1.05, 4.0))
+            lo2, hi2 = band[0] ** 2, band[1] ** 2
+            near = 10.0 ** rng.uniform(-16.0, -1.0)
+            c = rng.choice([lo2 * (1.0 - near), hi2 * (1.0 + near),
+                            lo2 * rng.uniform(-3.0, 1.0), hi2 + rng.uniform(0.0, 20.0),
+                            np.nextafter(lo2, -np.inf), np.nextafter(hi2, np.inf), lo2])
+            b = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 1.0)
+            params = {"a": rng.uniform(0.5, 3.0), "b": float(b), "c": float(c)}
+            verdict = accepts("rational", params, band)
+            assert verdict == scan_verdict("rational", params, band), (params, band)
+            verdicts.append(verdict)
+        # both verdicts are well represented
+        assert 500 < sum(verdicts) < 2500
+
+    @pytest.mark.parametrize("value", [1.0, _MU_FLOOR, math.nextafter(_MU_FLOOR, 0.0),
+                                       0.8, 1.5, math.inf, math.nan])
+    def test_constant_verdict_matches_scan(self, value):
+        params = {"value": value}
+        assert accepts("constant", params, (0.1, 2.0)) == scan_verdict(
+            "constant", params, (0.1, 2.0))
+
+    @pytest.mark.parametrize("omegas, mu_squared", [
+        # the secants overflow, so the coefficients are inf or NaN
+        ([1.0, 1.0 + 2**-52, 2.0], [2.0, 1e300, 2.0]),
+        ([1.0, 2.0, 3.0], [1.5, 1.7e308, 1.5]),
+        # finite coefficients, but s * s overflows inside the interval,
+        # where __call__ would evaluate 0 * inf
+        ([1.0, 1e200], [2.0, 3.0]),
+        ([1.0, 2.0, 1e200], [2.0, 2.5, 3.0]),
+    ], ids=["steep-secant", "huge-sample", "wide-interval", "wide-last-interval"])
+    def test_overflowing_table_refused_without_warning(self, omegas, mu_squared):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^mu\(omega\) must be real and >= 1"):
+                DispersionModel.tabulated(omegas, mu_squared)
+
+    @given(floor_tables(), st.lists(st.floats(0.0, 1.0), max_size=20))
+    def test_interpolant_never_below_floor(self, table, fractions):
+        omegas, mu_squared = table
+        try:
+            model = DispersionModel.tabulated(omegas, mu_squared)
+        except ValueError:
+            # only the rounding allowance refuses samples >= 1, and it stays
+            # under the floor's margin while mu^2 <= 4
+            assert max(mu_squared) > 4.0
+            return
+        x = np.array(omegas)
+        w = np.concatenate((np.linspace(x[0], x[-1], 4097), probe_points(x, fractions)))
+        w = w[(w >= x[0]) & (w <= x[-1])]
+        m2 = model._interp(w)
+        assert np.all(np.isfinite(m2))
+        assert m2.min() >= _MU_FLOOR**2
+        assert model.mu(w).min() >= _MU_FLOOR
+
+    def test_wide_range_table_whose_rounding_crosses_the_floor_refused(self):
+        # 78392.5 down to 1.0 over one interval: summing c3 = 78392.5 with
+        # terms near -78391.5 evaluates 0.999999999996362 at the band end,
+        # below _MU_FLOOR**2, although every sample is >= 1
+        omegas = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 7.5, 7.9375]
+        mu_squared = [1.0] * 7 + [78392.5, 1.0]
+        assert _Pchip(omegas, mu_squared)(np.array([7.9375]))[0] < _MU_FLOOR**2
+        with pytest.raises(ValueError, match=r"^mu\(omega\) must be real and >= 1"):
+            DispersionModel.tabulated(omegas, mu_squared)
 
 
 def assert_same_bits(got, want):
@@ -269,7 +437,7 @@ class TestPchipMatchesScipy:
         interpolate = pytest.importorskip("scipy.interpolate")
         x, y = table
         want = interpolate.PchipInterpolator(x, y, extrapolate=False)
-        got = _Pchip(x, y)
+        got = _Pchip(x.tolist(), y.tolist())
         points = probe_points(x, fractions)
         assert_same_bits(got(points), want(points))
         for w in points:
@@ -298,6 +466,87 @@ class TestPchipMatchesScipy:
                 model.mu(w)
             with pytest.raises(OutOfBandError):
                 model.mu(np.array([0.5, w]))
+
+
+def numpy_pchip(x, y):
+    """_Pchip's table and edges as its numpy build computed them, kept as
+    the reference for the float build (x, y: float64 arrays)."""
+    with np.errstate(all="ignore"):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        if m.size == 1:
+            d = np.array([m[0], m[0]])
+        else:
+            sign = np.sign(m)
+            flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+            inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+            end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            d = np.empty(m.size + 1)
+            d[1:-1] = np.where(flat, 0.0, inner)
+            overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+            d[[0, -1]] = np.where(
+                np.sign(end) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, end)
+            )
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        columns = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], 0.0 + y[:-1], x[:-1]))
+    nan = np.full((5, 1), np.nan)
+    return np.hstack((nan, columns, nan)), np.append(x[:-1], np.nextafter(x[-1], np.inf))
+
+
+def fuzz_table(rng):
+    """2-17 strictly increasing abscissae and ordinates that are free,
+    monotone, in flat runs (signed zeros included), alternating in sign, or
+    of mixed magnitudes, at scales from 1e-300 to 1e300."""
+    n = int(rng.integers(2, 18))
+    x_scale, y_scale = 10.0 ** rng.choice([-300, -5, 0, 5, 300], size=2)
+    steps = x_scale * rng.uniform(0.01, 1.0, n - 1)
+    x = x_scale * rng.uniform(-1.0, 1.0) + np.concatenate(([0.0], np.cumsum(steps)))
+    shape = rng.integers(5)
+    if shape == 0:
+        y = y_scale * rng.uniform(-1.0, 1.0, n)
+    elif shape == 1:
+        y = y_scale * np.cumsum(rng.uniform(0.0, 1.0, n)) * rng.choice([-1.0, 1.0])
+    elif shape == 2:
+        y = y_scale * rng.choice([-1.0, -0.0, 0.0, 2.5], size=n)
+    elif shape == 3:
+        y = y_scale * rng.uniform(0.1, 1.0, n) * (-1.0) ** np.arange(n)
+    else:
+        y = rng.choice([-1.0, 0.0, 1.0], size=n) * 10.0 ** rng.uniform(-300, 300, n)
+    return x, y
+
+
+class TestPchipMatchesNumpyBuild:
+    """The float build of _Pchip gives the numpy build's arrays bit for bit,
+    signed zeros, infinities and NaN positions included."""
+
+    # both slope quotients underflow to +-0, where 1/0 gives +-inf
+    UNDERFLOW = [([0.0, 1e-300, 2e-300], [0.0, 1.0, 2.0]),
+                 ([0.0, 1e-300, 2e-300], [0.0, -1.0, -2.0])]
+
+    def assert_same_build(self, x, y):
+        got = _Pchip(x.tolist(), y.tolist())
+        table, edges = numpy_pchip(x, y)
+        assert got._table.dtype == got._edges.dtype == np.float64
+        assert_same_bits(got._table, table)
+        assert_same_bits(got._edges, edges)
+
+    @pytest.mark.parametrize("x, y", UNDERFLOW)
+    def test_underflowing_harmonic_mean(self, x, y):
+        self.assert_same_build(np.array(x), np.array(y))
+        assert np.isinf(_Pchip(x, y)._table[2, 2])
+
+    def test_seeded_fuzz(self):
+        rng = np.random.default_rng(16)
+        built = 0
+        while built < 4000:
+            x, y = fuzz_table(rng)
+            if not np.all(np.diff(x) > 0):
+                continue
+            self.assert_same_build(x, y)
+            built += 1
 
 
 def test_import_leaves_scipy_unloaded():

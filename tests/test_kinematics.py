@@ -323,8 +323,10 @@ class _SubluminalModel(DispersionModel):
 
 def test_mixed_grid_is_finite_and_evaluates_mu_once(monkeypatch):
     line = [1.51**2 + 2.0 * Q_D * (1.0 - w) for w in (0.5, 1.0, 1.5, 2.5)]
-    model = _SubluminalModel.tabulated([0.05, 0.2, 0.5, 1.0, 1.5, 2.5],
-                                       [0.8, 0.8] + line)
+    samples = ([0.05, 0.2, 0.5, 1.0, 1.5, 2.5], [0.8, 0.8] + line)
+    with pytest.raises(ValueError, match="must be real and >= 1"):
+        DispersionModel.tabulated(*samples)
+    model = _SubluminalModel.tabulated(*samples)
     scenario = CrystalScenario(omega0=1.0, g=1e-4, l=100.0, dispersion=model)
     calls = []
     mu = DispersionModel.mu
