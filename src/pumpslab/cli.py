@@ -12,6 +12,7 @@ import sys
 
 from .dispersion import DispersionModel, calibrate_degenerate_angle
 from .errors import PumpslabError, SweepError
+from .kinematics import KINDS
 from .scenario import DEFAULT_GUARD_WIDTH, CrystalScenario
 from .sweep import (
     ORACLE_COLUMNS,
@@ -52,7 +53,7 @@ def _add_sweep_args(sub):
     sub.add_argument("--band", type=float, nargs=2, metavar=("LO", "HI"),
                      help="sweep band in frequency units")
     sub.add_argument("--samples", type=int, help="number of samples (>= 2)")
-    sub.add_argument("--kind", choices=("pdc", "puc", "both"),
+    sub.add_argument("--kind", choices=(*KINDS, "both"),
                      help="conversion kind(s) per row")
 
 
@@ -76,7 +77,7 @@ def build_parser():
 
     degen = subs.add_parser("degenerate", help="single row at omega0/2")
     _add_scenario_args(degen)
-    degen.add_argument("--kind", choices=("pdc", "puc", "both"))
+    degen.add_argument("--kind", choices=(*KINDS, "both"))
     _add_output_args(degen)
 
     comp = subs.add_parser("compare-oracle",
@@ -118,7 +119,7 @@ _SETTINGS = {
     "theta_d_deg": ("scenario", "theta_d_deg", float, None),
     "mu2": ("scenario", "mu2", float, None),
     "samples": ("sweep", "samples", int, 9),
-    "kind": ("sweep", "kind", lambda k: ("pdc", "puc") if k == "both" else (k,), "pdc"),
+    "kind": ("sweep", "kind", lambda k: KINDS if k == "both" else (k,), "pdc"),
     "detuning": ("sweep", "detuning", float, 0.0),
     "output_format": ("output", "format", str, "csv"),
     "output": ("output", "path", str, None),

@@ -35,7 +35,7 @@ from .errors import (
     UndefinedSplitError,
     ValidityWarning,
 )
-from .kinematics import EVANESCENT, GEOMETRY, OK, SKIP_REASONS, _resonance
+from .kinematics import EVANESCENT, GEOMETRY, OK, SKIP_REASONS, _resonance, kind_sign
 from .lamina import fresnel_step
 
 DETUNING_WARN_FRACTION = 0.01
@@ -99,7 +99,8 @@ class EpsilonRoots:
 class _Pairs(NamedTuple):
     """Resonant mode pairs: floats for one pair, 1-d arrays for several.
 
-    sign is +1 for pdc and -1 for puc; every wavenumber is positive.
+    sign is the kind's kind_sign, +1 for pdc and -1 for puc; every
+    wavenumber is positive.
     """
 
     omega: object
@@ -116,7 +117,7 @@ class _Pairs(NamedTuple):
         """The one mode pair of record kin, as floats."""
         if kin.Omega1 <= 0.0 or kin.Omega2 <= 0.0:
             raise GeometryError("resonant internal wavenumbers must be positive")
-        return cls(kin.omega, kin.partner, 1.0 if kin.kind == "pdc" else -1.0, kin.p,
+        return cls(kin.omega, kin.partner, kind_sign(kin.kind), kin.p,
                    kin.Omega1, kin.Omega2, kin.Omega10, kin.Omega20)
 
     @classmethod
@@ -124,7 +125,7 @@ class _Pairs(NamedTuple):
         """The grid's resonances in (kind, omega) order, and their flat indices."""
         ok = np.flatnonzero(grid.status == OK)
         k, i = np.divmod(ok, grid.omega.size)
-        signs = np.array([1.0 if kind == "pdc" else -1.0 for kind in grid.kinds])
+        signs = np.array([kind_sign(kind) for kind in grid.kinds])
         rest = np.array([grid.partner, grid.p, grid.Omega1, grid.Omega2,
                          grid.Omega10, grid.Omega20]).reshape(6, -1)[:, ok]
         return ok, cls(grid.omega[i], rest[0], signs[k], *rest[1:])
@@ -300,15 +301,15 @@ def epsilon_roots(scenario, res, p=None):
 
 
 def quartic_coefficients(scenario, kin):
-    """Coefficients of (k^2 - A)((k + sign K0)^2 - B) - G, highest power first.
+    """Coefficients of (k^2 - A)((k - sign K0)^2 - B) - G, highest power first.
 
     Returns (coeffs, K0, A, B, G, sign) with A = Omega1^2, B = Omega2^2,
-    G = g^2 omega0^2 omega partner the coupling strength and sign = -1 for
-    down-conversion, +1 for up-conversion (the conjugate wave is carried
-    against / along the pump phase respectively).
+    G = g^2 omega0^2 omega partner the coupling strength and sign the
+    kind's kind_sign: +1 for down-conversion, whose conjugate wave is
+    carried against the pump phase, -1 for up-conversion, carried along it.
     """
     return _quartic(scenario, kin.omega, kin.partner, kin.Omega1, kin.Omega2,
-                    -1.0 if kin.kind == "pdc" else 1.0)
+                    kind_sign(kin.kind))
 
 
 def _quartic(scenario, omega, partner, w1, w2, sign):
@@ -317,14 +318,14 @@ def _quartic(scenario, omega, partner, w1, w2, sign):
     K0 = scenario.pump_wavenumber()
     A, B = _column(_POW(w1, 2), float), _column(_POW(w2, 2), float)
     G = scenario.g**2 * scenario.omega0**2 * omega * partner
-    coeffs = [1.0, 2.0 * sign * K0, K0 * K0 - B - A, -2.0 * A * sign * K0,
+    coeffs = [1.0, -2.0 * sign * K0, K0 * K0 - B - A, 2.0 * A * sign * K0,
               -A * (K0 * K0 - B) - G]
     return coeffs, K0, A, B, G, sign
 
 
 def _pair_coefficients(scenario, pairs):
     """The (n, 5) quartic coefficient rows of the mode pair columns pairs."""
-    coeffs = _quartic(scenario, *pairs[:2], pairs.Omega1, pairs.Omega2, -pairs.sign)[0]
+    coeffs = _quartic(scenario, *pairs[:2], pairs.Omega1, pairs.Omega2, pairs.sign)[0]
     return np.column_stack(np.broadcast_arrays(*coeffs))
 
 
@@ -346,15 +347,13 @@ def _quartic_roots(coeffs):
 def quartic_wavenumbers(scenario, kin):
     """The four exact internal wavenumbers, sorted to match the anchors.
 
-    Roots of (k^2 - Omega1^2)((k -+ K0)^2 - Omega2^2) = strength, with the
-    pump wavenumber K0 entering with a minus sign for down-conversion and
-    a plus sign for up-conversion (see quartic_coefficients).  Returned as
-    [k1, k2, k3, k4] where k1, k2 hug +Omega1, k3 hugs -Omega1 and k4 is
-    the far counter-propagating partner root.
+    Roots of (k^2 - Omega1^2)((k - sign K0)^2 - Omega2^2) = strength, sign
+    the kind's kind_sign (see quartic_coefficients).  Returned as [k1, k2,
+    k3, k4] where k1, k2 hug +Omega1, k3 hugs -Omega1 and k4 is the far
+    counter-propagating partner root.
     """
-    sign = 1.0 if kin.kind == "pdc" else -1.0
-    return _sorted_wavenumbers(scenario.pump_wavenumber(), kin.Omega1, kin.Omega2, sign,
-                               _quartic_roots(quartic_coefficients(scenario, kin)[0]))[0]
+    coeffs, K0, _, _, _, sign = quartic_coefficients(scenario, kin)
+    return _sorted_wavenumbers(K0, kin.Omega1, kin.Omega2, sign, _quartic_roots(coeffs))[0]
 
 
 def _nearest(candidates, anchor):
@@ -443,9 +442,7 @@ class ChannelReport:
         The excess t1 + r1 - 1 is sign-flipped for up-conversion; both
         sides equal the third term to first order in gamma.
         """
-        excess = self.t1 + self.r1 - 1.0
-        if self.kind == "puc":
-            excess = -excess
+        excess = kind_sign(self.kind) * (self.t1 + self.r1 - 1.0)
         partner_side = (self.omega / self.partner) * (self.t2 + self.r2)
         return excess, partner_side, self.gamma / (1.0 + self.r10)
 

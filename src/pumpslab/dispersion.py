@@ -39,7 +39,8 @@ import numpy as np
 
 from .errors import CalibrationError, OutOfBandError
 
-_KINDS = ("constant", "rational", "tabulated")
+_FIELDS = {"constant": ("value",), "rational": ("a", "b", "c"),
+           "tabulated": ("omegas", "mu_squared")}  # each kind's parameters
 _MU_FLOOR = 1.0 - 1e-12
 # Rounding allowance of a tabulated interval, relative to the magnitude
 # bound of its cubic (_Pchip.lowest): 256 unit roundoffs.  A first-order
@@ -52,7 +53,7 @@ class DispersionModel:
     """Evaluable refractive index mu(omega) with a hard validity band."""
 
     def __init__(self, kind, parameters, band):
-        if kind not in _KINDS:
+        if kind not in _FIELDS:
             raise ValueError(f"unknown dispersion kind {kind!r}")
         lo, hi = float(band[0]), float(band[1])
         if not (0.0 < lo < hi):
@@ -61,6 +62,9 @@ class DispersionModel:
         self.parameters = dict(parameters)
         self.band = (lo, hi)
         self._interp = None
+        if set(self.parameters) != set(_FIELDS[kind]):
+            raise ValueError(f"{kind} model needs exactly the parameters "
+                             f"{_FIELDS[kind]}, got {tuple(self.parameters)}")
         if kind == "tabulated":
             omegas = _float_list(self.parameters["omegas"])
             mu_sq = _float_list(self.parameters["mu_squared"])
@@ -76,6 +80,11 @@ class DispersionModel:
                 raise ValueError("tabulated samples must be finite")
             self.parameters.update(omegas=omegas, mu_squared=mu_sq)
             self._interp = _Pchip(omegas, mu_sq)
+        else:
+            try:
+                self.parameters = {k: float(v) for k, v in self.parameters.items()}
+            except (TypeError, ValueError):
+                raise ValueError(f"{kind} model parameters must be numbers") from None
         self._validate()
 
     # -- constructors ------------------------------------------------------
@@ -137,7 +146,10 @@ class DispersionModel:
         lo, hi = self.band
         p = self.parameters
         if self.kind == "constant":
-            minima = [p["value"] ** 2]
+            try:
+                minima = [p["value"] ** 2]
+            except OverflowError:
+                raise ValueError(f"constant mu={p['value']:g} overflows mu^2") from None
         elif self.kind == "rational":
             c = p["c"]
             if lo * lo <= c <= hi * hi:

@@ -32,7 +32,7 @@ MAX_ITERATIONS = 200  # Newton steps
 GUIDE_MIN = 8  # fewer roots than this are cheaper to bisect unguided
 _EPS = float(np.finfo(float).eps)
 
-_KINDS = ("pdc", "puc")
+KINDS = ("pdc", "puc")  # also the row order of a two-kind grid
 
 # per-element status codes of _resonance_grid, in order of precedence
 OK, GUARD_BAND, GEOMETRY, OUT_OF_BAND, EVANESCENT, NO_BRACKET, STALLED = range(7)
@@ -77,9 +77,11 @@ class ResonancePoint(ModeKinematics):
     iterations: int
 
 
-def check_kind(kind):
-    if kind not in _KINDS:
-        raise ValueError(f"conjugate kind must be one of {_KINDS}, got {kind!r}")
+def kind_sign(kind):
+    """+1.0 for pdc (partner omega0 - omega), -1.0 for puc (omega0 + omega)."""
+    if kind not in KINDS:
+        raise ValueError(f"conjugate kind must be one of {KINDS}, got {kind!r}")
+    return 1.0 if kind == "pdc" else -1.0
 
 
 def _in_guard_band(scenario, omega):
@@ -207,8 +209,6 @@ def _resonance_grid(scenario, omegas, kinds):
     pass locates them all first, so that most halvings are decided by
     comparison.
     """
-    for kind in kinds:
-        check_kind(kind)
     w0 = scenario.omega0
     omega = np.asarray(omegas, dtype=float).ravel()
     n, shape = omega.size, (len(kinds), omega.size)
@@ -217,7 +217,7 @@ def _resonance_grid(scenario, omegas, kinds):
         return np.concatenate([values] * len(kinds))
 
     w1 = per_kind(omega)
-    s = np.repeat([1.0 if kind == "pdc" else -1.0 for kind in kinds], n)
+    s = np.repeat([kind_sign(kind) for kind in kinds], n)
     w2 = w0 - s * w1  # the partner: omega0 - omega (pdc), omega0 + omega (puc)
     lo, hi = scenario.dispersion.band
     freqs = np.concatenate([omega, w2])

@@ -36,6 +36,7 @@ import numpy as np
 
 from .coupled import _quartic_roots, quartic_coefficients
 from .errors import ConditioningError, SeriesDomainError, StrongGainError
+from .kinematics import kind_sign
 
 COND_LIMIT = 1e12
 RESIDUAL_LIMIT = 1e-10
@@ -51,11 +52,13 @@ def _boundary_stack(scenario, kin, lengths, roots):
     8), rhs (8,)) in the unknowns (R1, R2, T1, T2, c1..c4), c_r scaling
     the unit-normalized mode vector of quartic root r.  The roots and
     mode vectors do not depend on the thickness; only the exit-face rows
-    4-7 carry its phase factors.
+    4-7 carry its phase factors.  sign is the quartic's kind_sign (+1 for
+    pdc, -1 for puc): the conjugate field of root k rides e^{i(k - sign
+    K0)z}.
     """
     K0, A, B, G, sign = quartic_coefficients(scenario, kin)[1:]
     C1 = scenario.g * kin.omega * scenario.omega0
-    kp = roots + sign * K0
+    kp = roots - sign * K0
     F1 = roots * roots - A
     F2 = kp**2 - B
     # both (F2, G/C1) and (C1, F1) solve F1 a = C1 b at a root (F1 F2 = G);
@@ -66,18 +69,18 @@ def _boundary_stack(scenario, kin, lengths, roots):
     norm = np.maximum(np.abs(a), np.abs(b))
     a, b = a / norm, b / norm
 
-    # carriers: omega field a e^{ikz}; conjugate field i b e^{i(k + s K0) z};
+    # carriers: omega field a e^{ikz}; conjugate field i b e^{i(k - s K0) z};
     # the exit rows 4-7 are the entrance rows 0-3 times each column's e^{ikl}
     W10, W20 = kin.Omega10, kin.Omega20
     entrance = np.zeros((4, 8), dtype=complex)
     entrance[:, 4:] = (-a, -1j * roots * a, -1j * b, kp * b)
     entrance[0, 0] = 1.0
     entrance[1, 0] = -1j * W10
-    # conjugate amplitudes: transmitted rides e^{s i W20 z}, reflected
-    # e^{-s i W20 z} (for pdc the physical wave is the complex conjugate)
+    # conjugate amplitudes: transmitted rides e^{-s i W20 z}, reflected
+    # e^{s i W20 z} (for pdc the physical wave is the complex conjugate)
     entrance[2, 1] = 1.0
-    entrance[3, 1] = -sign * 1j * W20
-    phase = np.exp(1j * np.outer(lengths, np.concatenate((roots, kp, [W10, sign * W20]))))
+    entrance[3, 1] = sign * 1j * W20
+    phase = np.exp(1j * np.outer(lengths, np.concatenate((roots, kp, [W10, -sign * W20]))))
     M = np.zeros((len(lengths), 8, 8), dtype=complex)
     M[:, :4] = entrance
     M[:, 4:6, 4:] = entrance[:2, 4:] * phase[:, None, :4]
@@ -85,7 +88,7 @@ def _boundary_stack(scenario, kin, lengths, roots):
     M[:, 4, 2] = phase[:, 8]
     M[:, 5, 2] = 1j * W10 * phase[:, 8]
     M[:, 6, 3] = phase[:, 9]
-    M[:, 7, 3] = sign * 1j * W20 * phase[:, 9]
+    M[:, 7, 3] = -sign * 1j * W20 * phase[:, 9]
     rhs = np.zeros(8, dtype=complex)
     rhs[0] = -1.0
     rhs[1] = -1j * W10
@@ -209,7 +212,7 @@ def series_sum(r10, r20, gamma, omega, omega0, kind="pdc"):
     truncation error r^(2*SERIES_TERMS).  A gamma whose sums could leave
     the float range raises StrongGainError.  A one-element _series_columns.
     """
-    sign = 1.0 if kind == "pdc" else -1.0
+    sign = kind_sign(kind)
     pair = (np.array([x], dtype=float) for x in (r10, r20, gamma, omega, sign))
     (r1,), (t1,), (r2,), (t2,) = _series_columns(*pair, omega0)
     return float(r1), float(t1), float(r2), float(t2)

@@ -1,4 +1,5 @@
 """Pumped-crystal scenario: pump frequency, coupling, thickness, dispersion."""
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,12 +31,13 @@ class CrystalScenario:
     _pump_wavenumber: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.omega0 <= 0.0:
-            raise ValueError("pump frequency omega0 must be positive")
-        if self.g < 0.0:
-            raise ValueError("coupling g must be non-negative")
-        if self.l <= 0.0:
-            raise ValueError("thickness l must be positive")
+        if not 0.0 < self.omega0 < math.inf:
+            raise ValueError(f"pump frequency omega0 must be finite and positive, "
+                             f"got {self.omega0!r}")
+        if not 0.0 <= self.g < math.inf:
+            raise ValueError(f"coupling g must be finite and non-negative, got {self.g!r}")
+        if not 0.0 < self.l < math.inf:
+            raise ValueError(f"thickness l must be finite and positive, got {self.l!r}")
         if not 0.0 <= self.guard_width < 0.5:
             raise ValueError("guard_width must lie in [0, 0.5)")
         # raises OutOfBandError if omega0 lies outside the dispersion band

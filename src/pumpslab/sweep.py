@@ -6,6 +6,7 @@ digits at the formatting boundary, which makes repeated runs byte-stable.
 """
 import io
 import json
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -15,7 +16,7 @@ import numpy as np
 from .coupled import (STATUS_REASONS, _cabs, _on_grid, _Pairs, _pair_coefficients,
                       _quartic_roots, _reports, _shifts, _sorted_wavenumbers)
 from .errors import ConditioningError, SweepError
-from .kinematics import _resonance_grid, check_kind
+from .kinematics import KINDS, _resonance_grid, kind_sign
 from .oracle import _averaged_intensities, _series_columns
 
 SWEEP_COLUMNS = (
@@ -70,17 +71,18 @@ class SweepRequest:
         if self.samples < 2:
             raise ValueError("sample count must be >= 2")
         lo, hi = self.band
-        if not lo < hi:
-            raise ValueError("band must satisfy lo < hi")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"band must be finite with lo < hi, got {self.band!r}")
+        if not math.isfinite(self.detuning):
+            raise ValueError(f"detuning must be finite, got {self.detuning!r}")
         for kind in self.kinds:
-            check_kind(kind)
+            kind_sign(kind)  # refuses an unknown kind
 
     def grid(self):
         lo, hi = self.band
         return np.linspace(lo, hi, self.samples)
 
 
-_KIND_ROWS = {"pdc": 0, "puc": 1}  # rows of a ("pdc", "puc") grid
 _REPORT_COLUMNS = ("gamma", "r1", "t1", "r2", "t2", "flux_omega", "flux_partner",
                    "ratio")
 
@@ -93,21 +95,20 @@ def _outcomes(scenario, omegas, kinds, detuning=0.0):
     the rows as (omega, i, kind, k, status) ordered by omega, then kinds;
     (k, i) is the row's grid element, status its skip reason or "ok".
     """
-    grid = _resonance_grid(scenario, omegas, ("pdc", "puc"))
+    for kind in kinds:
+        kind_sign(kind)  # refuses an unknown kind
+    rows = [(kind, KINDS.index(kind)) for kind in kinds]  # the kind's grid row
+    grid = _resonance_grid(scenario, omegas, KINDS)
     located = _Pairs.of_grid(grid)
     table = _on_grid(_reports, scenario, grid, detuning, located)
     reasons = [[STATUS_REASONS[code] for code in row] for row in table.status.tolist()]
-    order = [
-        (omega, i, kind, _KIND_ROWS[kind], reasons[_KIND_ROWS[kind]][i])
-        for i, omega in enumerate(grid.omega.tolist()) for kind in kinds
-    ]
+    order = [(omega, i, kind, k, reasons[k][i])
+             for i, omega in enumerate(grid.omega.tolist()) for kind, k in rows]
     return grid, located, table, order
 
 
 def _sweep_rows(scenario, omegas, kinds, detuning=0.0):
     """SWEEP_COLUMNS rows of _outcomes; a SweepError if none is ok."""
-    for kind in kinds:
-        check_kind(kind)
     grid, _, table, order = _outcomes(scenario, omegas, kinds, detuning)
     theta_d, theta_u = grid.theta_deg()
     values = {c: table.columns[c].tolist() for c in _REPORT_COLUMNS + ("forward_fraction",)}
@@ -169,6 +170,8 @@ def compare_oracle(request, include_exact=True):
     reflection series, quartic-vs-perturbative wavenumber shifts and
     (optionally) the thickness-averaged exact boundary solve.  Every
     check runs at the resonant p0, so a detuned request is a ValueError.
+    Without pump-induced excess (gamma = 0) the flux-identity and exact
+    rows are not_applicable.
     """
     if request.detuning:
         raise ValueError(
@@ -190,8 +193,8 @@ def compare_oracle(request, include_exact=True):
     pairs = _Pairs(*(col[j] for col in located[1]))
     rep = {name: col[j] for name, col in table.columns.items()}
     eps = {name: col[j] for name, col in shifts.columns.items()}
-    exact = ((rep["r10"] <= EXACT_MAX_R10) & (rep["gamma"] <= EXACT_MAX_GAMMA)
-             & bool(include_exact))
+    exact = ((rep["r10"] <= EXACT_MAX_R10) & (0.0 < rep["gamma"])
+             & (rep["gamma"] <= EXACT_MAX_GAMMA) & bool(include_exact))
     # the quartic roots of both couplings come from one batched solve
     roots = _quartic_roots(np.vstack((
         _pair_coefficients(ref, pairs),
@@ -213,7 +216,8 @@ def compare_oracle(request, include_exact=True):
     abs_err[:, 7] = rel_err[:, 7] = pair_err  # quartic_pair_roots
     tols = (IDENTITY_TOL,) * 2 + (SERIES_TOL,) * 4 + (QUARTIC_TOL,) * 4 + (EXACT_TOL,)
     states = np.where(rel_err <= tols, "ok", "breach").astype(object)
-    # without pump-induced excess the gamma-scale identities are vacuous
+    # without pump-induced excess the gamma-scale identities are vacuous, and
+    # so is the exact row, which `exact` leaves unsolved there
     states[rep["gamma"] == 0.0, :2] = "not_applicable"
     states[:, 10] = np.where(refused, "conditioning_error",
                              np.where(exact, states[:, 10], "not_applicable"))

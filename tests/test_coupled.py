@@ -29,6 +29,8 @@ from pumpslab import (
     puc_resonance,
     quartic_wavenumbers,
     rainbow_split,
+    series_sum,
+    thickness_averaged_intensities,
 )
 from pumpslab.coupled import (
     OK,
@@ -44,7 +46,7 @@ from pumpslab.coupled import (
     resonance_report,
 )
 from pumpslab.kinematics import (SKIP_REASONS, ModeKinematics, ResonanceGrid,
-                                 _resonance_grid)
+                                 _resonance_grid, kind_sign)
 
 GAMMA_UNIT_COUPLING = 1.0964431384588394e-05  # (g*l*omega0)^2/(4*mu2^2) at 0.01
 
@@ -719,3 +721,59 @@ class TestShiftPairBits:
             assert sorted(row[:2], key=_hex) == sorted([root_row[0], root_row[3]], key=_hex)
             assert _scalar_leads(row[0] - a, row[1] - a)
             assert row[2:] == root_row[1:3]
+
+
+class TestKindConvention:
+    """kinematics.kind_sign is the one map from a kind to its sign: +1 for
+    pdc, -1 for puc, and every module refuses any other kind with the same
+    message instead of computing the other process."""
+
+    def test_sign_and_partner(self):
+        s = scenario_for()
+        assert (kind_sign("pdc"), kind_sign("puc")) == (1.0, -1.0)
+        for solve, kind in ((pdc_resonance, "pdc"), (puc_resonance, "puc")):
+            res = solve(s, 0.4)
+            assert res.partner == s.omega0 - kind_sign(kind) * 0.4
+
+    @pytest.mark.parametrize("kind", ["PDC", "sfg", "", None])
+    def test_unknown_kind_refused(self, kind):
+        with pytest.raises(ValueError, match=r"^conjugate kind must be one of "
+                                             r"\('pdc', 'puc'\), got "):
+            kind_sign(kind)
+
+    @pytest.mark.parametrize("solve", [pdc_resonance, puc_resonance])
+    def test_quartic_sign_is_the_kind_sign(self, solve):
+        s = scenario_for()
+        res = solve(s, 0.4)
+        coeffs, K0, A, B, G, sign = quartic_coefficients(s, res)
+        assert sign == {"pdc": 1.0, "puc": -1.0}[res.kind]
+        # (k^2 - A)((k - sign K0)^2 - B) - G, expanded
+        assert coeffs[1] == -2.0 * sign * K0
+        assert coeffs[3] == 2.0 * A * sign * K0
+
+    @pytest.mark.parametrize("call", [
+        "series_sum", "epsilon_roots", "resonance_report", "quartic_coefficients",
+        "quartic_wavenumbers", "thickness_averaged_intensities", "flux_identity_terms"])
+    def test_hand_built_record_with_unknown_kind_refused(self, call):
+        # an unknown kind must not compute either process
+        s = scenario_for(g=1e-5, l=2800.0)
+        res = replace(pdc_resonance(s, 0.4), kind="PDC")
+        report = replace(channel_report(s, 0.4), kind="PDC")
+        calls = {
+            "series_sum": lambda: series_sum(0.04, 0.04, 1e-3, 0.5, 1.0, kind="PDC"),
+            "epsilon_roots": lambda: epsilon_roots(s, res),
+            "resonance_report": lambda: resonance_report(s, res, None),
+            "quartic_coefficients": lambda: quartic_coefficients(s, res),
+            "quartic_wavenumbers": lambda: quartic_wavenumbers(s, res),
+            "thickness_averaged_intensities": lambda: thickness_averaged_intensities(s, res),
+            "flux_identity_terms": report.flux_identity_terms,
+        }
+        with pytest.raises(ValueError, match=r"conjugate kind .* got 'PDC'"):
+            calls[call]()
+
+    def test_non_positive_resonant_wavenumber_refused(self):
+        # a hand-built record the resonance solver never returns
+        s = scenario_for()
+        res = replace(pdc_resonance(s, 0.4), Omega1=0.0)
+        with pytest.raises(GeometryError, match="resonant internal wavenumbers"):
+            epsilon_roots(s, res)

@@ -110,6 +110,11 @@ class TestCalibratedModel:
         with pytest.raises(CalibrationError):
             calibrate_degenerate_angle(math.radians(10.0), 0.99)
 
+    @pytest.mark.parametrize("band", [(0.6, 2.0), (0.1, 1.4), (0.0, 2.0)])
+    def test_band_must_cover_the_anchors(self, band):
+        with pytest.raises(CalibrationError, match=r"band must cover \[omega0/2, 3\*omega0/2\]"):
+            calibrate_degenerate_angle(math.radians(10.0), 1.51, band=band)
+
 
 class TestBandGuard:
     def test_out_of_band_is_error_not_extrapolation(self):
@@ -201,6 +206,73 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(ValueError):
             DispersionModel.from_record("kind=constant\nvalue=1.5\n")
+
+    def test_missing_kind(self):
+        with pytest.raises(ValueError, match="^model record missing field: 'kind'$"):
+            DispersionModel.from_record("band_lo=0.1\nband_hi=2\nvalue=1.5\n")
+
+    def test_blank_and_comment_lines_skipped(self):
+        model = DispersionModel.rational(2.2, -0.5, 9.0, band=(0.1, 2.0))
+        lines = model.to_record().splitlines()
+        text = "# a comment\n\n" + "\n   \n".join(lines) + "\n  # another=1\n"
+        clone = DispersionModel.from_record(text)
+        assert (clone.kind, clone.band, clone.parameters) == (
+            model.kind, model.band, model.parameters)
+
+
+class TestParameterSets:
+    """A model takes exactly its kind's parameters, as numbers."""
+
+    @pytest.mark.parametrize("kind, parameters", [
+        ("constant", {}),
+        ("constant", {"value": 1.5, "extra": 1.0}),
+        ("rational", {"a": 2.2, "b": -0.5}),
+        ("rational", {"a": 2.2, "b": -0.5, "c": 9.0, "d": 1.0}),
+        ("tabulated", {"omegas": [0.1, 2.0]}),
+        ("tabulated", {"omegas": [0.1, 2.0], "mu_squared": [2.0, 2.1], "extra": 1.0}),
+    ], ids=["constant-missing", "constant-extra", "rational-missing", "rational-extra",
+            "tabulated-missing", "tabulated-extra"])
+    def test_not_exactly_the_kind_fields(self, kind, parameters):
+        with pytest.raises(ValueError, match=f"^{kind} model needs exactly the parameters"):
+            DispersionModel(kind, parameters, (0.1, 2.0))
+
+    @pytest.mark.parametrize("record", [
+        "kind=rational\nband_lo=0.1\nband_hi=2\na=2.2\nb=-0.5\n",
+        "kind=constant\nband_lo=0.1\nband_hi=2\n",
+        "kind=tabulated\nband_lo=0.1\nband_hi=2\nomegas=0.1,2\nmu_squared=2,2.1\nextra=1\n",
+    ], ids=["rational-without-c", "constant-without-value", "unknown-key"])
+    def test_record_fields_refused(self, record):
+        # a missing field must not escape as a KeyError, nor an unknown key
+        # be kept and written back by to_record
+        with pytest.raises(ValueError, match="model needs exactly the parameters"):
+            DispersionModel.from_record(record)
+
+    @pytest.mark.parametrize("kind, parameters", [
+        ("constant", {"value": [1.5, 1.6]}),
+        ("rational", {"a": 2.2, "b": [-0.5, 0.1], "c": 9.0}),
+    ])
+    def test_list_for_a_number_refused(self, kind, parameters):
+        with pytest.raises(ValueError, match=f"^{kind} model parameters must be numbers$"):
+            DispersionModel(kind, parameters, (0.1, 2.0))
+
+    @pytest.mark.parametrize("value", [1e200, -1e155, 1.7e308])
+    def test_constant_whose_square_overflows_refused(self, value):
+        with pytest.raises(ValueError, match="overflows mu\\^2"):
+            DispersionModel.constant(value)
+
+    @pytest.mark.parametrize("value", [1.0, 1.1, 1.5, 3.0, 1.2345678901234567, 1e154])
+    def test_constant_keeps_the_bits_of_its_square(self, value):
+        assert DispersionModel.constant(value).mu(0.5) == math.sqrt(value**2)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown dispersion kind 'sellmeier'$"):
+            DispersionModel("sellmeier", {}, (0.1, 2.0))
+
+    @pytest.mark.parametrize("band", [(0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (2.0, 1.0),
+                                      (math.nan, 1.0)])
+    def test_band_must_satisfy_zero_below_lo_below_hi(self, band):
+        with pytest.raises(ValueError, match="^band must satisfy 0 < lo < hi"):
+            DispersionModel.constant(1.5, band=band)
 
 
 class TestTabulatedBand:

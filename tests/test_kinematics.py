@@ -80,8 +80,13 @@ class TestLongitudinal:
         assert str(excinfo.value) == "omega=0.985 is within 0.02*omega0 of 1*omega0"
 
     def test_pdc_requires_omega_below_pump(self, reference):
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="^down-conversion requires 0 < omega < omega0$"):
             pdc_resonance(reference, 1.2)
+
+    @pytest.mark.parametrize("omega", [-0.1, 0.0])
+    def test_puc_requires_positive_omega(self, reference, omega):
+        with pytest.raises(GeometryError, match="^mode frequency must be positive$"):
+            puc_resonance(reference, omega)
 
 
 class TestPdcResonance:

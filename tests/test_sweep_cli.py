@@ -188,6 +188,11 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepRequest(scenario=scenario_for(), band=(0.4, 0.6), samples=3,
                          kinds=("sfg",))
+        with pytest.raises(ValueError, match="band must be finite"):
+            SweepRequest(scenario=scenario_for(), band=(-math.inf, 0.6), samples=3)
+        with pytest.raises(ValueError, match="detuning must be finite"):
+            SweepRequest(scenario=scenario_for(), band=(0.4, 0.6), samples=3,
+                         detuning=-math.inf)
 
     def test_one_resonance_solve_per_kind_per_omega(self, monkeypatch):
         # the sweep solves the whole grid, both kinds, in one kernel call;
@@ -367,7 +372,8 @@ def _expected_oracle_rows(scenario, omega, kind, include_exact):
     ]
     if not include_exact:
         return rows
-    if report.r10 > sweep_mod.EXACT_MAX_R10 or report.gamma > sweep_mod.EXACT_MAX_GAMMA:
+    if (report.r10 > sweep_mod.EXACT_MAX_R10 or report.gamma > sweep_mod.EXACT_MAX_GAMMA
+            or report.gamma == 0.0):
         return rows + [skipped("exact_excess", "not_applicable", sweep_mod.EXACT_TOL)]
     try:
         averaged = thickness_averaged_intensities(scenario, solve(scenario, omega))
@@ -603,6 +609,18 @@ class TestCompareOracle:
         assert ident and all(r["status"] == "not_applicable" for r in ident)
         series = [r for r in rows if r["quantity"].startswith("series_")]
         assert series and all(r["status"] == "ok" for r in series)
+
+    def test_zero_coupling_exact_rows_not_applicable(self, capsys):
+        # the closed excess is 0, so the oracle's rounding noise of
+        # +-2.2e-16 would read as a breach with rel_err 1
+        code = main(["compare-oracle", "--theta-d-deg", "10", "--mu2", "1.51", "--g", "0",
+                     "--l", "2800", "--band", "0.3", "0.7", "--samples", "5",
+                     "--kind", "both"])
+        out = capsys.readouterr().out
+        assert code == 0
+        exact = [line.split(",") for line in out.splitlines() if ",exact_excess," in line]
+        assert len(exact) == 10
+        assert all(cells[3:8] == ["not_applicable", "", "", "", ""] for cells in exact)
 
 
 class TestUndefinedRatio:
@@ -916,6 +934,50 @@ class TestCli:
         code = main(["sweep", "--band", "0.4", "0.6"])
         capsys.readouterr()
         assert code == 1
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.cfg"
+        assert main(["sweep", "--config", str(path)]) == cli_mod.USAGE_EXIT
+        assert capsys.readouterr().err == f"pumpslab: config file not found: {path}\n"
+
+    @pytest.mark.parametrize("record, message", [
+        ("kind=rational\nband_lo=0.05\nband_hi=2.5\na=2.2\nb=-0.5\n",
+         "rational model needs exactly the parameters"),
+        ("kind=constant\nband_lo=0.05\nband_hi=2.5\n",
+         "constant model needs exactly the parameters"),
+        ("kind=constant\nband_lo=0.05\nband_hi=2.5\nvalue=1e200\n",
+         "constant mu=1e+200 overflows mu^2"),
+        ("kind=constant\nband_lo=0.05\nband_hi=2.5\nvalue=1.5\nextra=1\n",
+         "constant model needs exactly the parameters"),
+        ("kind=constant\nband_lo=0.05\nband_hi=2.5\nvalue=1.5,1.6\n",
+         "constant model parameters must be numbers"),
+    ], ids=["rational-without-c", "constant-without-value", "overflowing-constant",
+            "unknown-key", "list-value"])
+    def test_bad_model_record_is_a_usage_error(self, tmp_path, capsys, record, message):
+        path = tmp_path / "model.rec"
+        path.write_text(record)
+        assert main(["sweep", "--model", str(path)]) == cli_mod.USAGE_EXIT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"pumpslab: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--band", ["0.4", "inf"], "band must be finite with lo < hi, got (0.4, inf)"),
+        ("--band", ["0.4", "nan"], "band must be finite with lo < hi, got (0.4, nan)"),
+        ("--detuning", "nan", "detuning must be finite, got nan"),
+        ("--detuning", "inf", "detuning must be finite, got inf"),
+        ("--g", "nan", "coupling g must be finite and non-negative, got nan"),
+        ("--g", "inf", "coupling g must be finite and non-negative, got inf"),
+        ("--l", "inf", "thickness l must be finite and positive, got inf"),
+        ("--l", "nan", "thickness l must be finite and positive, got nan"),
+    ])
+    def test_non_finite_scenario_input_is_a_usage_error(self, capsys, flag, value, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any numpy warning
+            code = main(["sweep", "--theta-d-deg", "10", "--mu2", "1.51", flag,
+                         *([value] if isinstance(value, str) else value)])
+        assert code == cli_mod.USAGE_EXIT
+        assert capsys.readouterr().err == f"pumpslab: {message}\n"
 
     def test_console_entry_point(self, capsys):
         # the subprocess imports the package under test, installed or not
