@@ -15,6 +15,7 @@ from .errors import PumpslabError, SweepError
 from .kinematics import KINDS
 from .scenario import DEFAULT_GUARD_WIDTH, CrystalScenario
 from .sweep import (
+    MAX_SAMPLES,
     ORACLE_COLUMNS,
     SWEEP_COLUMNS,
     SweepRequest,
@@ -52,7 +53,8 @@ def _add_scenario_args(sub):
 def _add_sweep_args(sub):
     sub.add_argument("--band", type=float, nargs=2, metavar=("LO", "HI"),
                      help="sweep band in frequency units")
-    sub.add_argument("--samples", type=int, help="number of samples (>= 2)")
+    sub.add_argument("--samples", type=int,
+                     help=f"number of samples (2 to {MAX_SAMPLES})")
     sub.add_argument("--kind", choices=(*KINDS, "both"),
                      help="conversion kind(s) per row")
 

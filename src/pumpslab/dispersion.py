@@ -178,29 +178,40 @@ class DispersionModel:
 
     @classmethod
     def from_record(cls, text):
+        """The model of a to_record text; a ValueError naming the line or
+        field at fault for anything else."""
         fields = {}
-        for raw in text.splitlines():
+        for number, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
+            key, equals, value = line.partition("=")
+            if not equals:
+                raise ValueError(f"model record line {number} is not key=value: {line!r}")
             fields[key.strip()] = value.strip()
         try:
             kind = fields.pop("kind")
-            band = (float(fields.pop("band_lo")), float(fields.pop("band_hi")))
+            band = tuple(_record_number(key, fields.pop(key)) for key in ("band_lo", "band_hi"))
         except KeyError as exc:
             raise ValueError(f"model record missing field: {exc}") from exc
         params = {}
         for key, value in fields.items():
             if "," in value:
-                params[key] = [float(v) for v in value.split(",")]
+                params[key] = [_record_number(key, v) for v in value.split(",")]
             else:
-                params[key] = float(value)
+                params[key] = _record_number(key, value)
         return cls(kind, params, band)
 
     def __repr__(self):
         lo, hi = self.band
         return f"DispersionModel(kind={self.kind!r}, band=({lo:g}, {hi:g}))"
+
+
+def _record_number(key, text):
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"model record field {key}={text!r} is not a number") from None
 
 
 class _Pchip:

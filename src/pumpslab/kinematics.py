@@ -13,10 +13,12 @@ and up-conversion pairs (omega, omega0 + omega) where
 
     Omega_up(p0) - Omega1(p0) = omega0 * mu(omega0).
 
-Both residuals are strictly monotone in p on the physical branch, so a
-bracketed bisection with a secant polish finds p0.  One array kernel,
-_resonance_grid, solves a whole grid of frequencies and both kinds at
-once; the scalar solvers are its one-element calls.
+Both residuals are strictly monotone in p on the physical branch.  Newton
+steps in q = p^2 from the bracket end fall monotonically to the root, and
+Newton steps in p with the residual in double-double arithmetic finish
+there: p0 is the double nearest the exact root, whatever the grid.  One
+array kernel, _resonance_grid, solves a whole grid of frequencies and both
+kinds at once; the scalar solvers are its one-element calls.
 """
 import math
 from dataclasses import dataclass
@@ -27,10 +29,10 @@ from .errors import EvanescentError, GeometryError, GuardBandError, NoResonanceE
 
 BRACKET_SHRINK = 0.999
 RESIDUAL_TOL = 1e-12  # relative to omega0
-FREEZE_TOL = 1e-13  # relative to the pump wavenumber K0
-MAX_ITERATIONS = 200  # Newton steps
-GUIDE_MIN = 8  # fewer roots than this are cheaper to bisect unguided
-_EPS = float(np.finfo(float).eps)
+FREEZE_TOL = 1e-13  # Newton convergence: |f| / K0 in q, |step| / p in p
+MAX_ITERATIONS = 200  # Newton steps per phase of a root
+ARRAY_MIN = 24  # fewer roots than this are cheaper solved one by one on floats
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into halves
 
 KINDS = ("pdc", "puc")  # also the row order of a two-kind grid
 
@@ -71,7 +73,7 @@ class ModeKinematics:
 @dataclass(frozen=True)
 class ResonancePoint(ModeKinematics):
     """ModeKinematics at the phase-matching p = p0, plus the residual left
-    there and the halvings and secant steps that reached it."""
+    there and the Newton steps that reached it (0 where p0 = 0)."""
 
     residual: float
     iterations: int
@@ -202,12 +204,10 @@ def _resonance_grid(scenario, omegas, kinds):
     solved element is a valid resonance.
 
     |f(0)| <= RESIDUAL_TOL * omega0 gives p0 = 0.  Every other bracketed
-    element is solved by one _bisection_roots call for the whole grid, bit
-    for bit the root earlier versions returned: several floats lie within
-    rounding of the root, and the exact oracle's last digits depend on
-    which one is reported.  From GUIDE_MIN roots up, one vectorized Newton
-    pass locates them all first, so that most halvings are decided by
-    comparison.
+    element is solved by _newton_roots: one call on arrays from ARRAY_MIN
+    roots up, else one call per root on floats.  p0 is the double nearest
+    the exact root of the residual at the grid's float coefficients, so it
+    depends neither on the grid's size nor on the path that solved it.
     """
     w0 = scenario.omega0
     omega = np.asarray(omegas, dtype=float).ravel()
@@ -248,14 +248,13 @@ def _resonance_grid(scenario, omegas, kinds):
 
     todo = np.flatnonzero((status == OK) & ~at_zero)
     roots = (a1[todo], a2[todo], s[todo], p_max[todo])
-    if todo.size >= GUIDE_MIN:
-        lo_p, hi_p = _newton_guide(*roots, K0=K0)
-    else:
-        lo_p, hi_p = np.full(todo.size, -np.inf), np.full(todo.size, np.inf)
     p = np.zeros_like(a1)
     iterations = np.zeros(a1.size, dtype=int)
-    p[todo], iterations[todo] = _bisection_roots(*roots, zero_below[todo], lo_p, hi_p,
-                                                 K0=K0, tol=tol)
+    if todo.size >= ARRAY_MIN:
+        p[todo], iterations[todo] = _newton_roots(*roots, K0=K0)
+    else:
+        for j, args in zip(todo.tolist(), zip(*(x.tolist() for x in roots))):
+            p[j], iterations[j] = _newton_roots(*args, K0=K0)
 
     r1, r10, r2, r20 = _radicands(w1, w2, p, mu1, mu2)
     o1, o10, o2, o20 = np.sqrt(r1), np.sqrt(r10), np.sqrt(r2), np.sqrt(r20)
@@ -271,113 +270,88 @@ def _resonance_grid(scenario, omegas, kinds):
     )
 
 
-def _bisection_roots(a1, a2, s, p_max, zero_below, lo_p, hi_p, *, K0, tol):
-    """Roots of sqrt(a2 - p^2) + s * sqrt(a1 - p^2) - K0 on [0, p_max], one
-    per element of the arrays: lists of p0 and of the steps that reached it.
+def _two_sum(x, y):
+    """(h, e) with h = fl(x + y) and h + e = x + y exactly (Knuth)."""
+    h = x + y
+    t = h - x
+    return h, (x - (h - t)) + (y - t)
 
-    Each root is a bisection to a bracket of width 1e-15 * max(1, p), then
-    at most eight secant steps, keeping the smallest residual seen; the
-    residual at p = 0 is negative iff zero_below.  Midpoints below lo_p or
-    above hi_p are known to lie below or above the root and skip the
-    residual; neither p0 nor the step count depends on lo_p and hi_p.
 
-    Until a midpoint falls in [lo_p, hi_p], the bracket [a, b] holds
-    [max(lo_p, 0), min(hi_p, p_max)]: a stays at 0 or below lo_p, b at
-    p_max or above hi_p.  Where that interval is wider than the width limit
-    at p_max, which bounds the limit at every b <= p_max, those first
-    halvings cannot end the bisection and only compare (NaN bounds never
-    qualify).  The residual is written out at each use: a call per
-    evaluation would cost more than the evaluation itself.
+def _two_square(x):
+    """(h, e) with h = fl(x * x) and h + e = x * x exactly (Dekker)."""
+    h = x * x
+    c = _SPLIT * x
+    hi = c - (c - x)
+    lo = x - hi
+    return h, ((hi * hi - h) + 2.0 * hi * lo) + lo * lo
+
+
+def _newton_roots(a1, a2, s, p_max, *, K0):
+    """Roots of f(p) = sqrt(a2 - p^2) + s * sqrt(a1 - p^2) - K0 in
+    (0, p_max], one per element: (p0, Newton steps taken).  Floats for
+    one root, 1-d arrays for several; both run this body, and numpy's
+    +, -, *, / and sqrt round as Python's do, so an element's p0 and step
+    count do not depend on which.
+
+    In q = p^2 each Omega = sqrt(a - q) has dOmega/dq = -1 / (2 Omega),
+    so f is monotone in q, concave for s = 1 and convex for s = -1, and
+    Newton steps from q_max = p_max^2 fall monotonically to its root.  An
+    element leaves that phase after the step taken at |f| <= FREEZE_TOL *
+    K0, near the root.  Newton steps in p follow, p += d with
+    d = f / (p (1/Omega2 + s/Omega1)) and f in double-double arithmetic:
+    each Omega carries its rounding error, and Omega2 + s Omega1 - K0 is
+    exact to about eps^2 K0, so d is the root's offset from p to about
+    one part in 1e16.  A step leaves an error of about (f''/2f') d^2,
+    under 1e3 d^2 / p on the bracket where mu >= 1, so the phase ends
+    after the first step with |d| <= FREEZE_TOL * p: p + d, rounded once,
+    is then the double nearest the root.  A step that would leave
+    (0, p_max] is not taken.  Each phase takes at most MAX_ITERATIONS
+    steps; an element whose q phase does not converge keeps sqrt(q), and
+    _resonance_grid's residual check reports it.
     """
-    limit = np.where(p_max > 1.0, 1e-15 * p_max, 1e-15)
-    descend = np.minimum(hi_p, p_max) - np.maximum(lo_p, 0.0) > limit
-    sqrt = math.sqrt
-    roots, counts = [], []
-    for a1, a2, s, p_max, zero_below, lo_p, hi_p, descend in zip(*(
-            x.tolist() for x in (a1, a2, s, p_max, zero_below, lo_p, hi_p, descend))):
-        a, b, steps, fm = 0.0, p_max, 1, None
-        if descend:
-            for steps in range(1, 201):
-                mid = 0.5 * (a + b)
-                if mid < lo_p:
-                    a = mid
-                elif mid > hi_p:
-                    b = mid
-                else:
-                    break
-        for steps in range(steps, 201):
-            mid = 0.5 * (a + b)
-            if mid < lo_p:
-                a = mid
-            elif mid > hi_p:
-                b = mid
-            else:
-                pp = mid * mid
-                fm = sqrt(a2 - pp) + s * sqrt(a1 - pp) - K0
-                if fm == 0.0:
-                    break
-                if (fm < 0.0) == zero_below:
-                    a = mid
-                else:
-                    b = mid
-            if b - a <= (1e-15 * b if b > 1.0 else 1e-15):
-                break
-        if fm == 0.0:  # an exact root at a midpoint
-            roots.append(mid)
-            counts.append(steps)
-            continue
-        fa, fb = (sqrt(a2 - x * x) + s * sqrt(a1 - x * x) - K0 for x in (a, b))
-        root, froot = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-        x0, x1, f0, f1 = a, b, fa, fb
-        for _ in range(8):
-            if f1 == f0:
-                break
-            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-            if not 0.0 <= x2 <= p_max:
-                break
-            pp = x2 * x2
-            f2 = sqrt(a2 - pp) + s * sqrt(a1 - pp) - K0
-            steps += 1
-            x0, f0, x1, f1 = x1, f1, x2, f2
-            if abs(f2) < abs(froot):
-                root, froot = x2, f2
-            if abs(f2) <= tol:
-                break
-        roots.append(root)
-        counts.append(steps)
-    return roots, counts
-
-
-def _newton_guide(a1, a2, s, p_max, *, K0):
-    """(lo_p, hi_p): bounds known to lie below / above each root.
-
-    In q = p^2 each Omega = sqrt(a - q) has dOmega/dq = -1 / (2 Omega), so
-    the residual sqrt(a2 - q) + s * sqrt(a1 - q) - K0 is monotone in q,
-    concave for s = 1 and convex for s = -1, and Newton steps from q_max
-    fall monotonically to its root.  An element freezes once
-    |f| <= FREEZE_TOL * K0.  The bounds are the Newton root widened by its
-    error and the residual's rounding noise; an element whose steps leave
-    the domain or do not converge gets none.
-    """
+    if isinstance(p_max, np.ndarray):
+        sqrt, where, any_live = np.sqrt, np.where, np.ndarray.any
+        steps, live = np.zeros(p_max.size, dtype=int), np.ones(p_max.size, dtype=bool)
+    else:
+        sqrt, where, any_live = math.sqrt, _pick, bool
+        steps, live = 0, True
     q = p_max * p_max
-    live = np.ones(q.size, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(MAX_ITERATIONS):
-            o1 = s * np.sqrt(a1 - q)
-            o2 = np.sqrt(a2 - q)
-            f = o2 + o1 - K0
-            np.copyto(q, q + (f + f) / (1.0 / o2 + 1.0 / o1), where=live)
-            live &= np.abs(f) > FREEZE_TOL * K0
-            if not live.any():
-                break
-        p = np.sqrt(q)
-        o1 = s * np.sqrt(a1 - q)
-        o2 = np.sqrt(a2 - q)
-        noise = 8.0 * _EPS * (o2 + np.abs(o1) + K0) + np.abs(o2 + o1 - K0)
-        slope = p * np.abs(1.0 / o2 + 1.0 / o1)  # |d residual / dp|
-        margin = 4.0 * noise / slope + 4.0 * _EPS * p
-    margin[live] = np.inf
-    return p - margin, p + margin
+    for _ in range(MAX_ITERATIONS):
+        o1, o2 = sqrt(a1 - q), sqrt(a2 - q)
+        f = o2 + s * o1 - K0
+        q = where(live, q + (f + f) / (1.0 / o2 + s / o1), q)
+        steps = steps + live
+        live = live & (abs(f) > FREEZE_TOL * K0)
+        if not any_live(live):
+            break
+    live = where(live, False, q > 0.0)  # the q phase converged, to a positive q
+    p = sqrt(abs(q))
+    for _ in range(MAX_ITERATIONS):
+        pp, pe = _two_square(p)
+        omegas = []
+        for a in (a1, a2):  # Omega = sqrt(a - pp - pe) = y + c to ~eps^2
+            t, e = _two_sum(a, -pp)
+            y = sqrt(t)
+            yy, ye = _two_square(y)
+            omegas.append((y, (((t - yy) - ye) + (e - pe)) / (y + y)))
+        (y1, c1), (y2, c2) = omegas
+        h, e1 = _two_sum(y2, s * y1)
+        h, e2 = _two_sum(h, -K0)
+        f = h + (((e1 + e2) + c2) + s * c1)
+        d = f / (p * (1.0 / y2 + s / y1))
+        step = p + d
+        steps = steps + live
+        live = live & (step > 0.0) & (step <= p_max)
+        p = where(live, step, p)
+        live = live & (abs(d) > FREEZE_TOL * p)
+        if not any_live(live):
+            break
+    return p, steps
+
+
+def _pick(condition, x, y):
+    """np.where for one element."""
+    return x if condition else y
 
 
 def _resonance(scenario, omega, kind):

@@ -55,6 +55,7 @@ QUARTIC_REFERENCE_G = 1e-4  # shift validation runs at a fixed weak coupling
 EXACT_TOL = 2e-2
 EXACT_MAX_R10 = 0.05
 EXACT_MAX_GAMMA = 1e-4
+MAX_SAMPLES = 10_000  # the largest grid a SweepRequest accepts
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,8 @@ class SweepRequest:
     detuning: float = 0.0  # working-p offset from p0, in units of omega
 
     def __post_init__(self):
-        if self.samples < 2:
-            raise ValueError("sample count must be >= 2")
+        if not 2 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"sample count must be in [2, {MAX_SAMPLES}], got {self.samples}")
         lo, hi = self.band
         if not -math.inf < lo < hi < math.inf:
             raise ValueError(f"band must be finite with lo < hi, got {self.band!r}")

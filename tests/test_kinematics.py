@@ -3,6 +3,7 @@ import math
 import re
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,18 +17,20 @@ from pumpslab import (
     GuardBandError,
     NoResonanceError,
     PumpslabError,
+    SweepError,
+    SweepRequest,
     calibrate_degenerate_angle,
     degenerate_closed_forms,
     pdc_resonance,
     puc_resonance,
+    run_sweep,
 )
 import pumpslab.kinematics as kinematics_mod
 from pumpslab.kinematics import (
     OK,
     RESIDUAL_TOL,
     SKIP_REASONS,
-    _bisection_roots,
-    _newton_guide,
+    _newton_roots,
     _resonance_grid,
 )
 
@@ -362,134 +365,78 @@ def test_kernel_rejects_unknown_kind(reference):
 
 
 def test_iteration_count_is_recorded(reference, constant_index):
-    # halvings of [0, p_max] down to ~1e-15, then a secant step or two
-    assert 40 <= pdc_resonance(reference, 0.5).iterations <= 60
-    assert 40 <= puc_resonance(reference, 0.5).iterations <= 60
+    # Newton steps in q from p_max to the freeze, then one or two in p
+    assert 4 <= pdc_resonance(reference, 0.5).iterations <= 8
+    assert 4 <= puc_resonance(reference, 0.5).iterations <= 8
     # collinear phase matching is decided at p = 0, without iterating
     assert pdc_resonance(constant_index, 0.5).iterations == 0
 
 
-def _reference_root(scenario, kind, omega):
-    """Bracketed bisection of the residual over [0, p_max] with a secant
-    finish, evaluating the residual at every midpoint: (p0, steps)."""
-    mu = scenario.dispersion.mu
-    partner = scenario.omega0 - omega if kind == "pdc" else scenario.omega0 + omega
-    a1 = omega * omega * mu(omega) * mu(omega)
-    a2 = partner * partner * mu(partner) * mu(partner)
-    sign = 1.0 if kind == "pdc" else -1.0
-    target = scenario.pump_wavenumber()
+@pytest.mark.parametrize("max_iterations", [0, 1, 2])
+def test_stalled_solve_is_a_typed_no_resonance(reference, monkeypatch, max_iterations):
+    # too few Newton steps to reach any root: every element is a stalled
+    # solve, reported as no_resonance with finite arrays and no NaN
+    monkeypatch.setattr(kinematics_mod, "MAX_ITERATIONS", max_iterations)
+    request = SweepRequest(scenario=reference, band=(0.3, 0.7), samples=7,
+                           kinds=("pdc", "puc"))
+    with pytest.raises(SweepError) as excinfo:
+        run_sweep(request)
+    assert excinfo.value.skip_reasons == {"no_resonance": 14}
+    grid = _resonance_grid(reference, request.grid(), ("pdc", "puc"))
+    assert (grid.status == kinematics_mod.STALLED).all()
+    for name in _GRID_ARRAYS:
+        assert np.all(np.isfinite(getattr(grid, name))), name
+    finite = r"-?\d\.\d{3}e[-+]\d+"  # how a finite residual prints, unlike nan
+    with pytest.raises(NoResonanceError, match=f"^pdc root polish stalled at residual "
+                       f"{finite} for omega=0.4$") as err:
+        pdc_resonance(reference, 0.4)
+    assert err.value.bracket == (0.0, kinematics_mod.BRACKET_SHRINK * 0.4)
 
-    def f(p):
-        return math.sqrt(a2 - p * p) + sign * math.sqrt(a1 - p * p) - target
 
-    hi = 0.999 * min(omega, partner)
-    a, b, fa, fb = 0.0, hi, f(0.0), f(hi)
-    steps = 0
-    while True:
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        steps += 1
-        if fm == 0.0:
-            return mid, steps
-        if (fa < 0.0) == (fm < 0.0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-        if b - a <= 1e-15 * max(1.0, b):
-            break
-    root, froot = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-    x0, x1, f0, f1 = a, b, fa, fb
-    for _ in range(8):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not 0.0 <= x2 <= hi:
-            break
-        f2 = f(x2)
-        steps += 1
-        x0, f0, x1, f1 = x1, f1, x2, f2
-        if abs(f2) < abs(froot):
-            root, froot = x2, f2
-        if abs(f2) <= RESIDUAL_TOL * scenario.omega0:
-            break
-    return root, steps
+def _rounded_root(a1, a2, s, K0, p):
+    """The root of sqrt(a2 - x^2) + s * sqrt(a1 - x^2) - K0 nearest p,
+    by Newton's method in 50-digit arithmetic, rounded to the nearest
+    double."""
+    with mpmath.workdps(50):
+        a1, a2, K0, x = (mpmath.mpf(v) for v in (a1, a2, K0, p))
+        for _ in range(50):
+            o1, o2 = mpmath.sqrt(a1 - x * x), mpmath.sqrt(a2 - x * x)
+            dx = (o2 + s * o1 - K0) / (x * (1 / o2 + s / o1))
+            x += dx
+            if abs(dx) <= mpmath.mpf(10) ** -30 * x:
+                return float(x)
+    raise AssertionError(f"no 50-digit root near p={p!r}")
 
 
 @given(_calibrated_grids)
-@settings(max_examples=30)
-def test_guided_roots_match_plain_bisection(case):
-    # grids with more than GUIDE_MIN roots decide most halvings by
-    # comparison with a Newton root; the result must not change by a bit
+@settings(max_examples=30, deadline=None)
+def test_p0_is_the_correctly_rounded_root(case):
+    # on arrays and on floats alike, every solved p0 is the double
+    # nearest the exact root of the residual at the kernel's coefficients
     *params, omegas = case
     scenario = _scenario(*params)
-    grid = _resonance_grid(scenario, omegas + [0.3, 0.4, 0.45, 0.55, 0.6, 0.7],
-                           ("pdc", "puc"))
-    for solved in _points(grid):
-        for res in solved:
-            if isinstance(res, str) or res.p == 0.0:
-                continue
-            assert (res.p, res.iterations) == _reference_root(
-                scenario, res.kind, res.omega)
-
-
-def _scalar_bisection(a1, a2, s, p_max, zero_below, lo_p, hi_p, *, K0, tol):
-    """One root at a time, as the kernel solved them before _bisection_roots:
-    halvings to a width of 1e-15 * max(1, b) with a width test after every
-    one, then at most eight secant steps.  (p0, steps)."""
-    sqrt = math.sqrt
-    a, b = 0.0, p_max
-    for steps in range(1, 201):
-        mid = 0.5 * (a + b)
-        if mid < lo_p:
-            a = mid
-        elif mid > hi_p:
-            b = mid
-        else:
-            pp = mid * mid
-            fm = sqrt(a2 - pp) + s * sqrt(a1 - pp) - K0
-            if fm == 0.0:
-                return mid, steps
-            if (fm < 0.0) == zero_below:
-                a = mid
-            else:
-                b = mid
-        if b - a <= (1e-15 * b if b > 1.0 else 1e-15):
-            break
-    fa, fb = (sqrt(a2 - x * x) + s * sqrt(a1 - x * x) - K0 for x in (a, b))
-    root, froot = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-    x0, x1, f0, f1 = a, b, fa, fb
-    for _ in range(8):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not 0.0 <= x2 <= p_max:
-            break
-        pp = x2 * x2
-        f2 = sqrt(a2 - pp) + s * sqrt(a1 - pp) - K0
-        steps += 1
-        x0, f0, x1, f1 = x1, f1, x2, f2
-        if abs(f2) < abs(froot):
-            root, froot = x2, f2
-        if abs(f2) <= tol:
-            break
-    return root, steps
-
-
-def _assert_matches_scalar(args, K0, tol):
-    """_bisection_roots over the columns args equals _scalar_bisection per
-    root, by ==; returns the number of roots compared."""
-    p0, steps = _bisection_roots(*args, K0=K0, tol=tol)
-    rows = list(zip(*(np.asarray(x).tolist() for x in args)))
-    assert len(p0) == len(steps) == len(rows)
-    for row, got in zip(rows, zip(p0, steps)):
-        assert got == _scalar_bisection(*row, K0=K0, tol=tol), row
-    return len(rows)
+    mu, K0 = scenario.dispersion.mu, scenario.pump_wavenumber()
+    grids = []
+    for array_min in (1, 10**9):  # every root on arrays, then on floats
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kinematics_mod, "ARRAY_MIN", array_min)
+            grids.append(_resonance_grid(scenario, omegas, ("pdc", "puc")))
+    on_arrays, on_floats = grids
+    for name in _GRID_ARRAYS:
+        assert np.array_equal(getattr(on_arrays, name), getattr(on_floats, name)), name
+    for (k, i) in zip(*np.nonzero((on_arrays.status == OK) & (on_arrays.p > 0.0))):
+        omega, partner = on_arrays.omega[i], on_arrays.partner[k, i]
+        a1 = omega * omega * mu(omega) * mu(omega)
+        a2 = partner * partner * mu(partner) * mu(partner)
+        s = 1.0 if on_arrays.kinds[k] == "pdc" else -1.0
+        p0 = on_arrays.p[k, i]
+        assert p0 == _rounded_root(a1, a2, s, K0, p0), (omega, on_arrays.kinds[k])
 
 
 def _synthetic_roots(rng, n, K0):
-    """(a1, a2, s, p_max, zero_below) of n roots of sqrt(a2 - p^2)
-    + s * sqrt(a1 - p^2) - K0 in [0, p_max], both kinds; a fifth of them
-    near zero, with p0 between 1e-17 * K0 and 1e-6 * K0."""
+    """(a1, a2, s, p_max) of n roots of sqrt(a2 - p^2) + s * sqrt(a1 - p^2)
+    - K0 in [0, p_max], both kinds; a fifth of them near zero, with p0
+    between 1e-17 * K0 and 1e-6 * K0."""
     s = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     t = rng.uniform(0.02, 0.98, n)
     o1 = np.where(s > 0.0, t, 2.0 * t) * K0  # Omega1 at the root
@@ -500,73 +447,31 @@ def _synthetic_roots(rng, n, K0):
     a1, a2 = o1 * o1 + p0 * p0, o2 * o2 + p0 * p0
     p_max = np.minimum(p0 * (1.0 + rng.uniform(1e-3, 3.0, n)),
                        0.999 * np.sqrt(np.minimum(a1, a2)))
-    zero_below = np.sqrt(a2) + s * np.sqrt(a1) - K0 < 0.0
-    return a1, a2, s, p_max, zero_below
+    return a1, a2, s, p_max
 
 
-def _width_limit(p_max):
-    return np.where(p_max > 1.0, 1e-15 * p_max, 1e-15)
-
-
-def _fuzz_bounds(rng, a1, a2, s, p_max, K0):
-    """(lo_p, hi_p) per root, each drawn from one of seven families."""
-    n = p_max.size
-    guide_lo, guide_hi = _newton_guide(a1, a2, s, p_max, K0=K0)
-    centre = np.where(np.isfinite(guide_lo), 0.5 * (guide_lo + guide_hi), 0.5 * p_max)
-    limit = _width_limit(p_max)
-    eps = np.finfo(float).eps
-    # half-widths a few ulps either side of the width limit
-    edge = 0.5 * limit * (1.0 + eps * rng.integers(-8, 9, n))
-    inf = np.full(n, np.inf)
-    nan = np.full(n, np.nan)
-    loose = rng.uniform(-1.0, 2.0, (2, n)) * p_max
-    families = [
-        (guide_lo, guide_hi),  # the kernel's own Newton guides
-        (-inf, inf),  # unguided
-        (np.where(rng.random(n) < 0.5, nan, guide_lo), nan),  # NaN bounds
-        (guide_hi, guide_lo),  # lo_p > hi_p
-        (centre - edge, centre + edge),  # either side of the width limit
-        (-rng.uniform(0.0, 1.0, n) * p_max, 2.0 * edge),  # lo_p < 0 near the limit
-        (p_max - edge, p_max + loose[1] + limit),  # hi_p past p_max
-        (loose.min(axis=0), loose.max(axis=0)),  # arbitrary, right or wrong
-    ]
-    pick = rng.integers(0, len(families), n)
-    lo = np.choose(pick, [f[0] for f in families])
-    hi = np.choose(pick, [f[1] for f in families])
-    return lo, hi
-
-
-def test_batched_bisection_matches_scalar_roots_on_synthetic_fuzz():
-    # one seeded draw: every root, guided or not, must come out of the
-    # batched bisection with the scalar loop's p0 and step count
-    rng = np.random.default_rng(20261018)
-    compared = 0
-    for _ in range(50):
+def test_p0_is_the_correctly_rounded_root_on_synthetic_roots():
+    # every bracketed root that is not decided at p = 0, both kinds, the
+    # near-zero family included: arrays and floats give the same p0 and
+    # step count, and p0 is the correctly rounded root
+    rng = np.random.default_rng(20261019)
+    compared = {1.0: 0, -1.0: 0}
+    near_zero = 0
+    for _ in range(6):
         K0 = 10.0 ** rng.uniform(-1.0, 1.5)  # p_max on both sides of 1
-        a1, a2, s, p_max, zero_below = _synthetic_roots(rng, 2000, K0)
-        lo_p, hi_p = _fuzz_bounds(rng, a1, a2, s, p_max, K0)
-        compared += _assert_matches_scalar(
-            (a1, a2, s, p_max, zero_below, lo_p, hi_p), K0, RESIDUAL_TOL * K0)
-    assert compared == 100_000
-
-
-def test_batched_bisection_matches_scalar_roots_on_calibrated_grids(monkeypatch):
-    calls = []
-    batched = kinematics_mod._bisection_roots
-
-    def recorded(*args, **kwargs):
-        calls.append((args, kwargs))
-        return batched(*args, **kwargs)
-
-    monkeypatch.setattr(kinematics_mod, "_bisection_roots", recorded)
-    rng = np.random.default_rng(7)
-    for _ in range(30):
-        scenario = _scenario(rng.uniform(1.0, 16.0), rng.uniform(1.2, 1.8), 1e-4, 100.0)
-        _resonance_grid(scenario, np.sort(rng.uniform(0.02, 2.4, 200)), ("pdc", "puc"))
-    assert len(calls) == 30  # one call per grid
-    compared = sum(_assert_matches_scalar(args, kwargs["K0"], kwargs["tol"])
-                   for args, kwargs in calls)
-    assert compared > 5000
+        a1, a2, s, p_max = _synthetic_roots(rng, 600, K0)
+        f0 = np.sqrt(a2) + s * np.sqrt(a1) - K0
+        f1 = np.sqrt(a2 - p_max * p_max) + s * np.sqrt(a1 - p_max * p_max) - K0
+        solved = ((f0 < 0.0) != (f1 < 0.0)) & (np.abs(f0) > RESIDUAL_TOL * K0)
+        roots = [x[solved] for x in (a1, a2, s, p_max)]
+        p0, steps = _newton_roots(*roots, K0=K0)
+        for row, p, n in zip(zip(*(x.tolist() for x in roots)), p0.tolist(),
+                             steps.tolist()):
+            assert _newton_roots(*row, K0=K0) == (p, n), row
+            assert p == _rounded_root(row[0], row[1], row[2], K0, p), row
+            compared[row[2]] += 1
+            near_zero += p < 1e-5 * K0
+    assert min(compared.values()) > 1000 and near_zero >= 5, (compared, near_zero)
 
 
 def test_pump_wavenumber_is_computed_once(reference, monkeypatch):

@@ -38,17 +38,17 @@ from pumpslab.kinematics import _resonance_grid
 from pumpslab.sweep import ORACLE_COLUMNS, SWEEP_COLUMNS, rows_to_text
 
 DIGESTS = {
-    "sweep-csv-0.0": "8fefd9a57e2bc23deac0ce8b6b75e132f2fb0ad6d16d7dede7668930b37e9fbf",
-    "sweep-jsonl-0.0": "40b535a6f1e0107d825807d71a87d2b747297de3b952fbf70c25e2d812aa485d",
-    "sweep-csv-0.001": "65b7e8f4e9910a004a58fb45541189f5f35e20441ba55a602527b0466d42f094",
-    "sweep-jsonl-0.001": "50e929321ed0cef3847c4cf6d2a7f4c338fbe83ce7401e34be33e9258bd11442",
+    "sweep-csv-0.0": "df0d198b3715a380784a35caa89442a708e269e8d3b9e2ab6cbb1118ee4856e2",
+    "sweep-jsonl-0.0": "63f67202cb7852190549e585986acd5cee93a7a042b8e731f12565a369dc51c9",
+    "sweep-csv-0.001": "519fedff8e4a36fe21238ca646d6e66e4000f42c6ae7ea14339637352330b185",
+    "sweep-jsonl-0.001": "3eebcdac365cb384b0faecae9d6fb516447b62aa691e8148c0763e07dd2e1d3b",
     "degenerate-csv": "68eaf4f297b317cdbf22ca683f859d69641fa3a6d56d0e413a2563c35b5e6076",
     "degenerate-jsonl": "bfe5bf5cd7911e180e2266dd0b01f0f342d0f0d090b503e95c17d1071dc3b88e",
-    "oracle-csv": "8bdc511342c7df849cce253e66fcea01deccca7b491db002d47b25f81fff9848",
-    "oracle-jsonl": "f4df50132f6e74f4364162019c3cd4ea2aeec4f5748f34dd28b5ecc9eb8add7b",
-    "oracle-puc-csv": "56c329f6ed12303b1528b3a417b57adaa2ca27ee9c2b9079e498446ca163d05f",
-    "oracle-puc-pdc-csv": "47395502996ede835893b7ffe72800de432307bb4d05e573294b9eed9eed6229",
-    "oracle-exact-csv": "764fb889d346ff40867934cc10847e55d6332ccca97a03611dc659b0dfd0be07",
+    "oracle-csv": "f02b621ae2a14872ab8ddac528bae054459855be7873a33f8d4e2a996944c763",
+    "oracle-jsonl": "3f34662c0a0aaf19a276217b658dc686cca9f7f92418183806c0fe4f0a07fce0",
+    "oracle-puc-csv": "d755108b085727886eab18067a3ec16bd6700bc02686180d8a366400bcbcedcd",
+    "oracle-puc-pdc-csv": "9493ae205f722687bf17f387d2edab74a79ca90a8b0a93994eb4bf2b221bd1fa",
+    "oracle-exact-csv": "7c3fe192b8368bb18dc2a1c0ce96cc9b20749fcb2265145cddae507eb1e0e74e",
     "collinear-sweep-csv": "c673d954aa611aaf719bf43e045418fdc3d0b26b49802767a74bc927d90d468e",
     "collinear-degenerate-csv": "7eda051b3288b2165d7b86c60d87810256f3801b60eb1253c3874728f56a5625",
 }
@@ -124,7 +124,7 @@ CLI_DIGESTS = {
     "cli-sweep-jsonl": "e1d8a13994a389eab3948847b687f0debf9a015caacfaece9523a12cc9303aa9",
     "cli-sweep-config": "d513f36ed21dc515c8b69cfada2457653498c141f8a5264cb204883b3e97eca1",
     "cli-degenerate-both": "68eaf4f297b317cdbf22ca683f859d69641fa3a6d56d0e413a2563c35b5e6076",
-    "cli-compare-oracle-no-exact": "8bdc511342c7df849cce253e66fcea01deccca7b491db002d47b25f81fff9848",
+    "cli-compare-oracle-no-exact": "f02b621ae2a14872ab8ddac528bae054459855be7873a33f8d4e2a996944c763",
     "cli-calibrate": "6835c569914200cf49a6c64c2edf00d4fe21d89c62d4430af1755365b95eccdc",
 }
 
@@ -180,24 +180,25 @@ def test_cli_digest(cli_texts, key):
 # sha256 of the float.hex bits of the kernels' arrays, signed zeros
 # included: the resonance grid (p, iterations, status) and the shift
 # table (status, eps1, eps2, xi) of the reference and collinear scenarios
-# above, of a three-sample reference grid whose six roots are bisected
-# without the Newton guide, and of one-element epsilon_roots calls.  A
+# above, of a three-sample reference grid (the "unguided" keys) whose six
+# roots, fewer than ARRAY_MIN, are solved one by one on floats, and of
+# one-element epsilon_roots calls.  A
 # negative detuning puts the collinear p below 0 (geometry), where the
 # shifts are still computed from a detuning sum of -0.0.
 BIT_DIGESTS = {
     "epsilon-collinear--0.001": "b5e4ef82b41d3b076caf03bfca6e215055f57f5b064d66bd6257461cf2b0e156",
     "epsilon-collinear-0.0": "9b33c0c9209f152cd65ddcc12ae0926c070ac7a0e673f058ee285f0b7ea3d2af",
     "epsilon-collinear-0.001": "9b33c0c9209f152cd65ddcc12ae0926c070ac7a0e673f058ee285f0b7ea3d2af",
-    "epsilon-reference--0.001": "5c83ecd2f6ed404b80fedd723889d29b8d6d013f43cf359427fb159278aa0e2e",
-    "epsilon-reference-0.0": "1ccf80a17c7b92af54ffc7bb4b28a917dc51bccf0e9c106129cc7a05370d9665",
-    "epsilon-reference-0.001": "4211c8736035b764697d7cd9a620b4c96fd071ade974a98ce148f8caa3b025a1",
-    "epsilon-reference-unguided--0.001": "fa21564abe62d08164874e5307cfc0fe4ef4d02aa350125a92a91c6f265c4c0f",
-    "epsilon-reference-unguided-0.0": "2a34c6838e8d442afefe5684836a1ee10796514c5ad8847f37b71c67d0ac1999",
-    "epsilon-reference-unguided-0.001": "fa76926b112b857516b9d7d1a14a587bff1f7916916253bdf6ce2ced7473db27",
-    "epsilon-roots-reference": "6f25681b294aedce70279b8b68308a8ad47f80ddb382747de756fb22eda8e6a8",
+    "epsilon-reference--0.001": "2dff8b4fb0499634885767ed301ec6252669dc2fbf58fdc3714e7fc8b7302994",
+    "epsilon-reference-0.0": "97cd6bb4d17d4906f938158c142f2768b69c3cdd6619c1cd602c0af54a10a351",
+    "epsilon-reference-0.001": "12906af2989c24e96e83fc3124cdeb290ff318c613799669b07f1bc56e80da65",
+    "epsilon-reference-unguided--0.001": "2ce4f2d2881d979547b5d58ae7eb8bbc651333f993bd91b1f87f85e473239748",
+    "epsilon-reference-unguided-0.0": "c5de9e49885c22792d5e6a4fa174b3a11c4b952ba3b5f5eab7939bbbcc402120",
+    "epsilon-reference-unguided-0.001": "cea89688799fec94f9eef1d156c40fcb2f6ae032f94393c2eadcb53441af6139",
+    "epsilon-roots-reference": "42510733bd9d6c143017fa5aa1549d2addcfa11bba2c1264ddcbd52924408cff",
     "grid-collinear": "e998d38df56302456b35f47bfbb2942c5e973539a8479136e2ad74a72300ee5d",
-    "grid-reference": "f68902c758b4f1a336813a881eb7d5e547f37077d48c2c8dd47bd3c8a1e56a33",
-    "grid-reference-unguided": "7ec7b230ef762a8616188261754ecc715c17387c2a8b9d1276a0469716b391a3",
+    "grid-reference": "d7b613c69451b94afa27a0ec0d359e37feaf504ec936ea60df2d5b0b57a855b5",
+    "grid-reference-unguided": "d96b49b78b97795a8cbffe7b58f5bd922f035f221f441684a5b24bc01df9bb20",
 }
 
 

@@ -194,6 +194,17 @@ class TestRunSweep:
             SweepRequest(scenario=scenario_for(), band=(0.4, 0.6), samples=3,
                          detuning=-math.inf)
 
+    def test_sample_count_capped(self, capsys):
+        # a request above the cap is refused before any grid array exists
+        cap = sweep_mod.MAX_SAMPLES
+        assert SweepRequest(scenario=scenario_for(), band=(0.4, 0.6), samples=cap).samples == cap
+        message = f"sample count must be in [2, {cap}], got {cap + 1}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepRequest(scenario=scenario_for(), band=(0.4, 0.6), samples=cap + 1)
+        code = main(["sweep", "--theta-d-deg", "10", "--mu2", "1.51", "--samples", str(cap + 1)])
+        assert code == cli_mod.USAGE_EXIT
+        assert capsys.readouterr().err == f"pumpslab: {message}\n"
+
     def test_one_resonance_solve_per_kind_per_omega(self, monkeypatch):
         # the sweep solves the whole grid, both kinds, in one kernel call;
         # the scalar solvers are one-element kernel calls, so any per-omega
@@ -951,8 +962,19 @@ class TestCli:
          "constant model needs exactly the parameters"),
         ("kind=constant\nband_lo=0.05\nband_hi=2.5\nvalue=1.5,1.6\n",
          "constant model parameters must be numbers"),
+        ("kind=constant\nband_lo=0.05\n\n# comment\ngarbage\nband_hi=2.5\nvalue=1.5\n",
+         "model record line 5 is not key=value: 'garbage'\n"),
+        ("kind=constant\nband_lo=abc\nband_hi=2.5\nvalue=1.5\n",
+         "model record field band_lo='abc' is not a number\n"),
+        ("kind=constant\nband_lo=0.05\nband_hi=\nvalue=1.5\n",
+         "model record field band_hi='' is not a number\n"),
+        ("kind=constant\nband_lo=0.05\nband_hi=2.5\nvalue=1.5x\n",
+         "model record field value='1.5x' is not a number\n"),
+        ("kind=tabulated\nband_lo=0.1\nband_hi=2\nomegas=0.1,,2\nmu_squared=2,2.1,2.2\n",
+         "model record field omegas='' is not a number\n"),
     ], ids=["rational-without-c", "constant-without-value", "overflowing-constant",
-            "unknown-key", "list-value"])
+            "unknown-key", "list-value", "line-without-equals", "band-not-a-number",
+            "empty-band", "value-not-a-number", "empty-list-entry"])
     def test_bad_model_record_is_a_usage_error(self, tmp_path, capsys, record, message):
         path = tmp_path / "model.rec"
         path.write_text(record)
