@@ -15,12 +15,17 @@ slab picking up the first-order excess factor gamma.
 
 Shifts and reports are computed as columns over a whole resonance grid
 (epsilon_table, report_table), one array per field plus a status per
-element.  The scalar epsilon_roots, resonance_report and channel_report
-are one-element calls into the same code, and every element carries the
-bits a scalar evaluation in the same operation order would give.
+element.  The same function bodies run on numpy arrays for a table of
+kinematics.ARRAY_MIN resonances or more and on Python floats, one
+resonance at a time, below that (_tabulate); the scalar epsilon_roots,
+resonance_report and channel_report run them on floats.  Either way every
+element carries the bits a scalar evaluation in the same operation order
+would give.
 """
 import cmath
+import contextlib
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -35,7 +40,8 @@ from .errors import (
     UndefinedSplitError,
     ValidityWarning,
 )
-from .kinematics import EVANESCENT, GEOMETRY, OK, SKIP_REASONS, _resonance, kind_sign
+from .kinematics import (ARRAY_MIN, EVANESCENT, GEOMETRY, OK, SKIP_REASONS, _ARRAYS,
+                         _on, _resonance, kind_sign)
 from .lamina import fresnel_step
 
 DETUNING_WARN_FRACTION = 0.01
@@ -43,7 +49,8 @@ _SINC_SERIES_CUTOFF = 1e-4
 _SINC_MAX_IMAG = 700.0  # sin(z) ~ e^|Im z| / 2 overflows a float near 710.5
 UNDEFINED_RATIO = len(SKIP_REASONS)  # report-stage status: no partner flux
 STATUS_REASONS = SKIP_REASONS + ("undefined_ratio",)
-_DBL_MIN = np.finfo(float).smallest_normal
+_DBL_MIN = sys.float_info.min  # a Python float: its comparisons stay fast on floats
+_NO_CONTEXT = contextlib.nullcontext()
 
 
 def csinc(z):
@@ -100,7 +107,8 @@ class _Pairs(NamedTuple):
     """Resonant mode pairs: floats for one pair, 1-d arrays for several.
 
     sign is the kind's kind_sign, +1 for pdc and -1 for puc; every
-    wavenumber is positive.
+    wavenumber is positive.  _shifts and _reports also take one pair as a
+    plain sequence of floats in this field order.
     """
 
     omega: object
@@ -132,8 +140,9 @@ class _Pairs(NamedTuple):
 
 
 def _cabs(z):
-    """abs() of each complex as a scalar rounds it; array abs does not."""
-    return np.hypot(z.real, z.imag)
+    """abs() of a complex, or of each in an array as a scalar rounds it:
+    libm's hypot, which np.hypot calls and array abs does not."""
+    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
 
 
 def _shift_pair(detuning, disc, l):
@@ -152,55 +161,61 @@ def _shift_pair(detuning, disc, l):
     - abs() of a complex is _cabs.
     - On a tie the + root leads: a complex pair's moduli are equal and its
       + root is the +imaginary one; a real pair's + root is the larger.
+    On floats the steps run on Python complexes themselves.
     """
-    size = np.abs(disc)
-    s = np.sqrt(size)
-    if (size < 8.0 * _DBL_MIN).any():
-        s = np.sqrt(np.where(size < _DBL_MIN, size, size / 8.0 * 8.0))
-    root = np.where(disc >= 0.0, s, 1j * s)
+    on = _on(disc)
+    size = abs(disc)
+    s = on.sqrt(size)
+    if on.any(size < 8.0 * _DBL_MIN):
+        s = on.sqrt(on.where(size < _DBL_MIN, size, size / 8.0 * 8.0))
+    root = on.where(disc >= 0.0, s + 0j, 1j * s)
     plus, minus = (detuning + root) / 2.0, (detuning - root) / 2.0
     a_plus, a_minus = _cabs(plus), _cabs(minus)
-    swap = a_plus - a_minus > 1e-12 * np.maximum(a_plus, 1e-300)
-    eps1, eps2 = np.where(swap, minus, plus), np.where(swap, plus, minus)
+    swap = a_plus - a_minus > 1e-12 * on.maximum(a_plus, 1e-300)
+    eps1, eps2 = on.where(swap, minus, plus), on.where(swap, plus, minus)
     return eps1, eps2, (eps1 - eps2) * l / 2.0
 
 
 # Per-element Python steps, on floats and arrays alike: csinc, whose
 # cmath.sin rests on the C library's sinh and cosh (numpy's differ from
 # them in the last bit on about a quarter of inputs), and pow, whose
-# x ** 2 numpy's multiply does not reproduce on about 1e-3 of inputs.  On
-# arrays they give object arrays, which _column types.
+# x ** 2 numpy's multiply does not reproduce on about 1e-3 of inputs.
 _SINC_SQ = np.frompyfunc(_sinc_sq, 1, 1)
 _POW = np.frompyfunc(pow, 2, 1)
 
 
-def _column(values, dtype):
-    return values.astype(dtype) if isinstance(values, np.ndarray) else values
+def _square(x):
+    """x ** 2 by Python's pow, for a float or each element of an array."""
+    return _POW(x, 2).astype(float) if isinstance(x, np.ndarray) else x ** 2
+
+
+def _sinc_sq_of(xi):
+    """_sinc_sq of a complex, or of each element of an array."""
+    return _SINC_SQ(xi).astype(float) if isinstance(xi, np.ndarray) else _sinc_sq(xi)
 
 
 def _coupled_pair(scenario, pairs, p):
-    """Status and coupled-pair shifts of mode pairs at working p.
+    """Status and coupled-pair shifts of mode pairs at working p, on
+    floats or arrays.
 
-    Status per element: GEOMETRY for a negative p, else EVANESCENT for
-    p >= min(omega, partner), else OK.  One ValidityWarning covers every
-    in-range element with |p - p0| > DETUNING_WARN_FRACTION * omega.
-    Returns (status, strength, arm, columns), columns holding eps1, eps2,
-    xi, detuning_sum and product.  numpy's +, -, * and / round exactly
-    as Python's float operators do, so each element is bit for bit a
-    scalar evaluation in the same operation order.
+    Status per element: GEOMETRY for a negative or NaN p, else EVANESCENT
+    for p >= min(omega, partner), else OK.  An element whose p lies
+    farther than omega from p0, never OK, computes its shifts at p0, so
+    that no overflow or NaN reaches the arithmetic.  Returns (status,
+    detuned, strength, arm, columns): detuned is |p - p0| where an OK
+    element lies beyond DETUNING_WARN_FRACTION * omega, else 0.0, and
+    columns holds eps1, eps2, xi, detuning_sum and product.  numpy's +, -,
+    * and / round exactly as Python's float operators do, so each element
+    is bit for bit a scalar evaluation in the same operation order.
     """
+    on = _on(p)
     omega, partner, sign, p0, w1, w2 = pairs[:6]
-    status = np.where(p < 0.0, GEOMETRY,
-                      np.where((p >= omega) | (p >= partner), EVANESCENT, OK))
-    offset = np.abs(p - p0)
-    far = (status == OK) & (offset > DETUNING_WARN_FRACTION * omega)
-    if np.count_nonzero(far):
-        warnings.warn(
-            f"|p - p0| = {np.max(offset, where=far, initial=0.0):g} exceeds "
-            f"{DETUNING_WARN_FRACTION:g} * omega; shift formulas degrade",
-            ValidityWarning,
-            stacklevel=3,
-        )
+    status = on.where(p >= 0.0, on.where((p >= omega) | (p >= partner), EVANESCENT, OK),
+                      GEOMETRY)
+    offset = abs(p - p0)
+    detuned = on.where((status == OK) & (offset > DETUNING_WARN_FRACTION * omega),
+                       offset, 0.0)
+    p = on.where(offset <= omega, p, p0)
     g, w0 = scenario.g, scenario.omega0
     strength = g * g * w0 * w0 * omega * partner
     arm = w2 + sign * w1  # w1 + w2 for pdc, w2 - w1 for puc
@@ -208,31 +223,59 @@ def _coupled_pair(scenario, pairs, p):
     product = sign * strength / (4.0 * w1 * w2)
     disc = detuning * detuning - 4.0 * product
     eps1, eps2, xi = _shift_pair(detuning, disc, scenario.l)
-    return status, strength, arm, {
+    return status, detuned, strength, arm, {
         "eps1": eps1, "eps2": eps2, "xi": xi, "detuning_sum": detuning,
         "product": product,
     }
 
 
 def _shifts(scenario, pairs, p):
-    """Status and EpsilonRoots columns of mode pairs at working p."""
-    status, strength, arm, columns = _coupled_pair(scenario, pairs, p)
-    sign, w1, w2 = pairs.sign, pairs.Omega1, pairs.Omega2
+    """Status, detuned (see _coupled_pair) and EpsilonRoots columns of mode
+    pairs at working p."""
+    status, detuned, strength, arm, columns = _coupled_pair(scenario, pairs, p)
+    _, _, sign, _, w1, w2 = pairs[:6]
     columns["eps3"] = -sign * strength / (8.0 * arm * w1 * w1)
     columns["eps4"] = sign * strength / (8.0 * arm * w2 * w2)
+    return status, detuned, columns
+
+
+def _tabulate(build, scenario, pairs, p):
+    """build's (status, columns) of mode pairs at working p, with one
+    ValidityWarning for every in-range pair with |p - p0| >
+    DETUNING_WARN_FRACTION * omega.
+
+    Floats give floats.  Arrays of ARRAY_MIN pairs or more run build once;
+    fewer run it once per pair on a list of its Python floats, and the
+    results are stacked into arrays.
+    """
+    if isinstance(p, np.ndarray) and 0 < p.size < ARRAY_MIN:
+        status, detuned, fields = zip(*(
+            build(scenario, pair, q)
+            for *pair, q in zip(*(column.tolist() for column in pairs), p.tolist())))
+        status, detuned = np.array(status), max(detuned)
+        # one conversion, complex if any field is: a real field is its real part
+        stacked = np.array([list(f.values()) for f in fields]).T
+        columns = {name: column if isinstance(value, complex) else column.real
+                   for (name, value), column in zip(fields[0].items(), stacked)}
+    else:
+        status, detuned, columns = build(scenario, pairs, p)
+        if isinstance(detuned, np.ndarray):
+            detuned = detuned.max(initial=0.0)
+    if detuned:
+        warnings.warn(
+            f"|p - p0| = {detuned:g} exceeds {DETUNING_WARN_FRACTION:g} * omega; "
+            "shift formulas degrade",
+            ValidityWarning,
+            stacklevel=3,
+        )
     return status, columns
-
-
-def _items(values):
-    """One mode pair's columns as Python floats and complexes."""
-    return {name: value.item() if isinstance(value, (np.ndarray, np.generic)) else value
-            for name, value in values.items()}
 
 
 def _raise_skip(code, kin, p):
     """Raise the typed error that report-stage status code stands for."""
     if code == GEOMETRY:
-        raise GeometryError(f"working p={p:g} is negative")
+        raise GeometryError(f"working p={p:g} is " + ("negative" if p < 0.0
+                                                      else "not a number"))
     if code == EVANESCENT:
         raise EvanescentError(
             f"working p={p:g} is evanescent: a free-space wave needs "
@@ -266,9 +309,11 @@ class GridTable:
 
 def _on_grid(build, scenario, grid, detuning, located=None):
     """build's GridTable over grid at p = p0 + detuning * omega; located
-    is _Pairs.of_grid(grid), computed here where not given."""
+    is _Pairs.of_grid(grid), computed here where not given.  build runs
+    through _tabulate: once on arrays from ARRAY_MIN resonances up, else
+    once per resonance on Python floats."""
     ok, pairs = located or _Pairs.of_grid(grid)
-    codes, columns = build(scenario, pairs, pairs.p0 + detuning * pairs.omega)
+    codes, columns = _tabulate(build, scenario, pairs, pairs.p0 + detuning * pairs.omega)
     status = grid.status.copy()
     status.ravel()[ok] = codes
     index = np.full(status.shape, -1)
@@ -292,12 +337,13 @@ def epsilon_roots(scenario, res, p=None):
     p0 and must lie in [0, min(omega, partner)), where both free-space
     waves propagate.  Valid for g << 1 and |p - p0| << omega; a
     ValidityWarning is issued beyond |p - p0| = DETUNING_WARN_FRACTION * omega.
-    A one-element epsilon_table.
+    A NaN p is a GeometryError.  epsilon_table's arithmetic, on the floats
+    of one pair.
     """
-    p = res.p if p is None else p
-    status, values = _shifts(scenario, _Pairs.of_record(res), p)
-    _raise_skip(int(status), res, p)
-    return EpsilonRoots(kind=res.kind, **_items(values))
+    p = res.p if p is None else float(p)
+    status, values = _tabulate(_shifts, scenario, _Pairs.of_record(res), p)
+    _raise_skip(status, res, p)
+    return EpsilonRoots(kind=res.kind, **values)
 
 
 def quartic_coefficients(scenario, kin):
@@ -316,7 +362,7 @@ def _quartic(scenario, omega, partner, w1, w2, sign):
     """quartic_coefficients of mode pairs: floats for one, 1-d arrays for
     several, squaring with Python's pow as the scalar code does."""
     K0 = scenario.pump_wavenumber()
-    A, B = _column(_POW(w1, 2), float), _column(_POW(w2, 2), float)
+    A, B = _square(w1), _square(w2)
     G = scenario.g**2 * scenario.omega0**2 * omega * partner
     coeffs = [1.0, -2.0 * sign * K0, K0 * K0 - B - A, 2.0 * A * sign * K0,
               -A * (K0 * K0 - B) - G]
@@ -454,24 +500,28 @@ class ChannelReport:
 
 
 def _reports(scenario, pairs, p):
-    """Status and report columns of flat mode pairs at working p.
+    """Status, detuned (see _coupled_pair) and report columns of mode pairs
+    at working p, on floats or arrays.
 
     The coupled pair's status, with UNDEFINED_RATIO where the partner flux
     vanishes; the columns are ChannelReport's fields, plus the forward
     share of rainbow_split (meaningful where gamma > 0).  Elementwise
-    arithmetic in scalar order, as in _coupled_pair.
+    arithmetic in scalar order, as in _coupled_pair; sinc(xi)^2 is taken
+    on OK elements only, and at xi = 0 elsewhere.
     """
-    status, _, _, shifts = _coupled_pair(scenario, pairs, p)
+    status, detuned, _, _, shifts = _coupled_pair(scenario, pairs, p)
+    on = _on(status)
     omega, partner, sign, _, w1, w2, w10, w20 = pairs
     g, l, w0 = scenario.g, scenario.l, scenario.omega0
-    sinc_sq = _column(_SINC_SQ(shifts["xi"]), float)
+    ok = status == OK
+    sinc_sq = _sinc_sq_of(on.where(ok, shifts["xi"], 0j))
     # a gain past the float range leaves inf or nan cells, refused below
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore") if on is _ARRAYS else _NO_CONTEXT:
         gamma = g * g * l * l * w0 * w0 * omega * partner / (4.0 * w1 * w2) * sinc_sq
         r10 = fresnel_step(w10, w1).r0
         r20 = fresnel_step(w20, w2).r0
         pass10, pass20 = 1.0 + r10, 1.0 + r20
-        pass_sq = _column(_POW(pass10, 2), float)
+        pass_sq = _square(pass10)
         r1 = 2.0 * r10 / pass10 + sign * gamma * r10 / pass_sq
         t1 = (1.0 - r10) / pass10 + sign * gamma / pass_sq
         freq_ratio = partner / omega
@@ -482,8 +532,8 @@ def _reports(scenario, pairs, p):
         bracket_omega = cos_ratio / pass20 + sign / pass10
         bracket_partner = (1.0 / cos_ratio) / pass10 + sign / pass20
         undefined = bracket_partner == 0.0
-        status[undefined & (status == OK)] = UNDEFINED_RATIO
-        ratio = bracket_omega / np.where(undefined, np.nan, bracket_partner)
+        status = on.where(undefined & ok, UNDEFINED_RATIO, status)
+        ratio = bracket_omega / on.where(undefined, math.nan, bracket_partner)
         columns = dict(
             gamma=gamma, r10=r10, r20=r20, r1=r1, t1=t1, r2=r2, t2=t2,
             n_idler=(t1 + r1 - 1.0) / 2.0, n_signal=(t2 + r2) * w10 / (2.0 * w20),
@@ -491,11 +541,16 @@ def _reports(scenario, pairs, p):
             flux_partner=0.5 * gamma * bracket_partner,
             ratio=ratio, forward_fraction=_split(t1, t2, r1, r2)[0],
         )
-    bad = np.flatnonzero((status == OK) & ~np.isfinite(list(columns.values())).all(axis=0))
-    if bad.size:
+    if on is _ARRAYS:
+        finite = np.isfinite(list(columns.values())).all(axis=0)
+    else:
+        finite = all(map(math.isfinite, columns.values()))
+    bad = on.where(finite, False, status == OK)
+    if on.any(bad):
+        j = np.argmax(np.ravel(bad))
         raise StrongGainError(f"channel report overflows at omega="
-                              f"{np.ravel(omega)[bad[0]]:g}: gamma={np.ravel(gamma)[bad[0]]:g}")
-    return status, columns
+                              f"{np.ravel(omega)[j]:g}: gamma={np.ravel(gamma)[j]:g}")
+    return status, detuned, columns
 
 
 def report_table(scenario, grid, detuning=0.0):
@@ -520,14 +575,14 @@ def channel_report(scenario, omega, kind="pdc", p=None):
 def resonance_report(scenario, res, p):
     """channel_report for an already solved ResonancePoint res.
 
-    p is the working transverse wavenumber, or None for the resonant p0.
-    Raises UndefinedSplitError where the partner flux vanishes.  A
-    one-element report_table.
+    p is the working transverse wavenumber, or None for the resonant p0;
+    a NaN p is a GeometryError.  Raises UndefinedSplitError where the
+    partner flux vanishes.  report_table's arithmetic, on the floats of one
+    pair.
     """
-    p = res.p if p is None else p
-    status, values = _reports(scenario, _Pairs.of_record(res), p)
-    _raise_skip(int(status), res, p)
-    values = _items(values)
+    p = res.p if p is None else float(p)
+    status, values = _tabulate(_reports, scenario, _Pairs.of_record(res), p)
+    _raise_skip(status, res, p)
     return ChannelReport(omega=res.omega, partner=res.partner, kind=res.kind,
                          **{name: values[name] for name in _REPORT_FIELDS})
 

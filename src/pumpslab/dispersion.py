@@ -33,6 +33,7 @@ extrapolation.  Each kind is checked where its minimum lies, not on a grid:
   overflow.  Every table with all samples in [1, 4] passes; a sample at 1
   beside samples above about 10 may not.
 """
+import bisect
 import math
 
 import numpy as np
@@ -107,27 +108,47 @@ class DispersionModel:
 
     # -- evaluation --------------------------------------------------------
     def _mu_squared_raw(self, omega):
+        """mu^2 at in-band omega: a Python float or an array."""
         p = self.parameters
         if self.kind == "constant":
-            return np.full_like(omega, p["value"] ** 2, dtype=float)
+            value = p["value"] ** 2
+            return np.full_like(omega, value) if isinstance(omega, np.ndarray) else value
         if self.kind == "rational":
             return p["a"] + p["b"] / (p["c"] - omega * omega)
         return self._interp(omega)
 
     def mu(self, omega):
-        """Refractive index at omega (scalar or array), band-checked."""
-        w = np.asarray(omega, dtype=float)
+        """Refractive index at omega, band-checked.
+
+        A float gives a float and a list of floats a list, each evaluated on
+        Python floats; anything else gives an array, or a float for a 0-d
+        one, evaluated by numpy.  Their +, -, *, / and sqrt round alike, so
+        a value does not depend on the path.  _resonance_grid passes a list
+        below ARRAY_MIN elements.
+        """
         lo, hi = self.band
-        outside = ~((w >= lo) & (w <= hi))  # NaN is outside too
-        if outside.any():
-            # name the first offender only: a sweep passes hundreds at once
-            count = f" ({np.count_nonzero(outside)} of {w.size} outside)" if w.ndim else ""
-            raise OutOfBandError(
-                f"frequency {float(w[outside][0])!r} outside dispersion band "
-                f"[{lo:g}, {hi:g}]{count}"
-            )
-        out = np.sqrt(self._mu_squared_raw(w))
-        return float(out) if np.ndim(omega) == 0 else out
+        if isinstance(omega, float):
+            if lo <= omega <= hi:
+                return math.sqrt(self._mu_squared_raw(omega))
+            outside, size = [omega], None
+        elif isinstance(omega, list) and all(isinstance(w, float) for w in omega):
+            outside, size = [w for w in omega if not lo <= w <= hi], len(omega)
+            if not outside:
+                return [math.sqrt(self._mu_squared_raw(w)) for w in omega]
+        else:
+            w = np.asarray(omega, dtype=float)
+            outside = ~((w >= lo) & (w <= hi))
+            if not outside.any():
+                out = np.sqrt(self._mu_squared_raw(w))
+                return float(out) if w.ndim == 0 else out
+            outside, size = w[outside], w.size if w.ndim else None
+        # NaN is outside too; name the first offender only: a sweep passes
+        # hundreds at once
+        count = "" if size is None else f" ({len(outside)} of {size} outside)"
+        raise OutOfBandError(
+            f"frequency {float(outside[0])!r} outside dispersion band "
+            f"[{lo:g}, {hi:g}]{count}"
+        )
 
     def _validate(self):
         """Refuse a model whose mu^2 is non-finite or below _MU_FLOOR^2
@@ -249,13 +270,14 @@ class _Pchip:
         # no value __call__ returns on [x0, xn] lies below this
         self.lowest = min(lowest)
         nan = [math.nan]
-        self._table = np.array(
-            [nan + column + nan for column in (c0, c1, d[:-1], c3, x[:-1])]
-        )
-        # searchsorted(..., "right") maps w < x0 to the first NaN column,
-        # x[i] <= w < x[i+1] to column i + 1, w == xn to the last interval
-        # and w > xn (or NaN) to the last NaN column.
-        self._edges = np.array(x[:-1] + [math.nextafter(x[-1], math.inf)])
+        rows = [nan + column + nan for column in (c0, c1, d[:-1], c3, x[:-1])]
+        self._table = np.array(rows)
+        self._columns = list(zip(*rows))
+        # searchsorted(..., "right") and bisect_right map w < x0 to the first
+        # NaN column, x[i] <= w < x[i+1] to column i + 1, w == xn to the last
+        # interval and w > xn (or NaN) to the last NaN column.
+        self._edge_list = x[:-1] + [math.nextafter(x[-1], math.inf)]
+        self._edges = np.array(self._edge_list)
 
     @staticmethod
     def _slopes(h, m):
@@ -276,11 +298,16 @@ class _Pchip:
         return d
 
     def __call__(self, w):
-        # One gather, then c3 + c2*s + c1*(s*s) + c0*(s*s*s) summed left to
-        # right, in place on the gathered copy (+ and * commute exactly).
-        c0, c1, c2, c3, left = self._table.take(
-            np.searchsorted(self._edges, w, "right"), axis=1
-        )
+        """The interpolant at w, a Python float or an array of them."""
+        # One gather, a table column (bisect in the edges) for a float and a
+        # searchsorted take for an array; then c3 + c2*s + c1*(s*s) +
+        # c0*(s*s*s) summed left to right, in place on an array's gathered
+        # copy (+ and * commute exactly).
+        if isinstance(w, np.ndarray):
+            c0, c1, c2, c3, left = self._table.take(
+                np.searchsorted(self._edges, w, "right"), axis=1)
+        else:
+            c0, c1, c2, c3, left = self._columns[bisect.bisect_right(self._edge_list, w)]
         s = w - left
         c2 *= s
         c2 += c3

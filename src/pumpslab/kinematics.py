@@ -17,11 +17,20 @@ Both residuals are strictly monotone in p on the physical branch.  Newton
 steps in q = p^2 from the bracket end fall monotonically to the root, and
 Newton steps in p with the residual in double-double arithmetic finish
 there: p0 is the double nearest the exact root, whatever the grid.  One
-array kernel, _resonance_grid, solves a whole grid of frequencies and both
-kinds at once; the scalar solvers are its one-element calls.
+kernel, _resonance_grid, solves a whole grid of frequencies and both kinds
+at once; the scalar solvers are its one-element calls.  Its steps are
+function bodies that run on numpy arrays for a grid of ARRAY_MIN elements
+or more and on Python floats, one element at a time, below that: only
+primitives such as sqrt and where are picked by input type (_on), and they
+round alike on both, so an element carries the same bits either way.  A
+one-element call thus costs Python arithmetic, not numpy's per-call
+overhead.
 """
 import math
+import sys
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +40,9 @@ BRACKET_SHRINK = 0.999
 RESIDUAL_TOL = 1e-12  # relative to omega0
 FREEZE_TOL = 1e-13  # Newton convergence: |f| / K0 in q, |step| / p in p
 MAX_ITERATIONS = 200  # Newton steps per phase of a root
-ARRAY_MIN = 24  # fewer roots than this are cheaper solved one by one on floats
+ARRAY_MIN = 16  # tables this large run on numpy arrays, smaller ones on floats
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into halves
+_DBL_MAX = sys.float_info.max
 
 KINDS = ("pdc", "puc")  # also the row order of a two-kind grid
 
@@ -86,26 +96,48 @@ def kind_sign(kind):
     return 1.0 if kind == "pdc" else -1.0
 
 
+def _pick(condition, x, y):
+    """np.where for one element."""
+    return x if condition else y
+
+
+class _Primitives(NamedTuple):
+    """The elementwise primitives of a function body that runs on arrays
+    and on Python floats alike."""
+
+    sqrt: object
+    where: object
+    any: object
+    maximum: object
+    minimum: object
+    round: object
+
+
+# On both, +, -, *, /, sqrt and round (half to even) round alike, and
+# maximum and minimum agree wherever no NaN is involved.
+_ARRAYS = _Primitives(np.sqrt, np.where, np.ndarray.any, np.maximum, np.minimum, np.round)
+_FLOATS = _Primitives(math.sqrt, _pick, bool, max, min, round)
+
+
+def _on(x):
+    """The primitives for x: numpy's for an array, else Python's."""
+    return _ARRAYS if isinstance(x, np.ndarray) else _FLOATS
+
+
 def _in_guard_band(scenario, omega):
-    """Per-element guard-band test and the nearest multiple of omega0.
+    """Per-element guard-band test and the nearest multiple of omega0, on
+    floats or arrays.
 
     The conjugate frequency omega0 -+ omega sits at the same distance from
-    the multiples, so guarding omega guards the pair.
+    the multiples, so guarding omega guards the pair.  A non-finite omega,
+    or one whose ratio to omega0 overflows, is tested as 0, which no guard
+    band reaches.
     """
-    m = np.asarray(omega) / scenario.omega0
-    nearest = np.maximum(1.0, np.round(m))
-    return np.abs(m - nearest) <= scenario.guard_width, nearest
-
-
-def _radicands(omega, partner, p, mu1, mu2):
-    """Squares of (Omega1, Omega10, Omega2, Omega20); floats or arrays."""
-    pp = p * p
-    return (
-        omega * omega * mu1 * mu1 - pp,
-        omega * omega - pp,
-        partner * partner * mu2 * mu2 - pp,
-        partner * partner - pp,
-    )
+    w0 = scenario.omega0
+    on = _on(omega)
+    m = on.where(abs(omega) < _DBL_MAX * w0, omega, 0.0) / w0
+    nearest = on.maximum(1.0, on.round(m))
+    return abs(m - nearest) <= scenario.guard_width, nearest
 
 
 @dataclass(frozen=True)
@@ -113,8 +145,10 @@ class ResonanceGrid:
     """Phase-matching solutions on a (len(kinds), len(omega)) grid.
 
     status holds one code per element (OK ... STALLED).  Every array is
-    finite; p, residual, iterations and the Omegas describe a resonance
-    where status is OK, and f0, f1 are the residuals at p = 0 and p_max.
+    finite but partner, omega0 -+ omega, where omega is not; p, residual,
+    iterations and the Omegas describe a resonance where status is OK, and
+    f0, f1 are the residuals at p = 0 and p_max, with the band's low end in
+    place of a frequency outside the band.
     """
 
     scenario: object
@@ -199,54 +233,107 @@ def _resonance_grid(scenario, omegas, kinds):
     down-conversion omega >= omega0); out of band; an internal wave
     evanescent at the bracket end p_max = BRACKET_SHRINK * min(omega,
     partner); residuals of one sign at p = 0 and p_max; a stalled solve.
-    mu is evaluated once, on the in-band frequencies only.  Past the
+    The first three depend on the frequencies alone (_classify); the
+    bracket takes the band's low end for a frequency outside the band, so
+    no non-finite or overflowing frequency reaches the arithmetic.  One mu
+    call per grid evaluates each omega once and each partner.  Past the
     bracket checks every radicand is positive at p0 <= p_max < omega, so a
     solved element is a valid resonance.
 
-    |f(0)| <= RESIDUAL_TOL * omega0 gives p0 = 0.  Every other bracketed
-    element is solved by _newton_roots: one call on arrays from ARRAY_MIN
-    roots up, else one call per root on floats.  p0 is the double nearest
-    the exact root of the residual at the grid's float coefficients, so it
-    depends neither on the grid's size nor on the path that solved it.
+    A grid of ARRAY_MIN elements or more runs each step once on arrays, a
+    smaller one once per element on Python floats (_each): the same
+    bodies, whose arithmetic rounds alike on both.  |f(0)| <= RESIDUAL_TOL
+    * omega0 gives p0 = 0; every other bracketed element is solved by
+    _newton_roots.  p0 is the double nearest the exact root of the
+    residual at the grid's float coefficients, so it depends neither on
+    the grid's size nor on the path that solved it.
     """
-    w0 = scenario.omega0
     omega = np.asarray(omegas, dtype=float).ravel()
     n, shape = omega.size, (len(kinds), omega.size)
+    signs = [kind_sign(kind) for kind in kinds]
+    if on_arrays := not 0 < len(kinds) * n < ARRAY_MIN:
+        w1, s = np.tile(omega, len(kinds)), np.repeat(np.array(signs), n)
+    else:
+        w1, s = omega.tolist() * len(kinds), [x for x in signs for _ in range(n)]
+    w2, code, v1, v2 = _each(partial(_classify, scenario), w1, s)
+    mu = scenario.dispersion.mu(
+        np.concatenate((v1[:n], v2)) if on_arrays else [*v1[:n], *v2])
+    mu1 = np.tile(mu[:n], len(kinds)) if on_arrays else mu[:n] * len(kinds)
+    columns = (w2, *_each(partial(_solve, scenario), v1, v2, s, mu1, mu[n:], code))
+    if on_arrays:
+        columns = dict(zip(_GRID_FIELDS, (column.reshape(shape) for column in columns)))
+    else:  # one conversion of the per-element floats, exact for integers too
+        columns = dict(zip(_GRID_FIELDS, np.array(columns).reshape((-1, *shape))))
+        for name in ("status", "iterations"):
+            columns[name] = columns[name].astype(int)
+    return ResonanceGrid(scenario=scenario, omega=omega, kinds=tuple(kinds), **columns)
 
-    def per_kind(values):  # one copy per kind, kinds stacked
-        return np.concatenate([values] * len(kinds))
 
-    w1 = per_kind(omega)
-    s = np.repeat([kind_sign(kind) for kind in kinds], n)
-    w2 = w0 - s * w1  # the partner: omega0 - omega (pdc), omega0 + omega (puc)
+_GRID_FIELDS = ("partner", "status", "p", "residual", "iterations", "Omega1",
+                "Omega2", "Omega10", "Omega20", "p_max", "f0", "f1")
+
+
+def _each(body, *columns):
+    """body over element columns: one call on arrays, else one call per
+    element on the Python floats of lists, its results regrouped into one
+    tuple per field."""
+    if isinstance(columns[0], np.ndarray):
+        return body(*columns)
+    return tuple(zip(*map(body, *columns)))
+
+
+def _classify(scenario, w1, s):
+    """(partner, code, omega', partner') of elements from their frequencies
+    alone, on floats or arrays.  code is GUARD_BAND, GEOMETRY, OUT_OF_BAND
+    or OK, in that precedence; omega' and partner' are the frequencies the
+    bracket is computed at: each frequency itself where it lies in the
+    band, else the band's low end."""
+    on = _on(w1)
     lo, hi = scenario.dispersion.band
-    freqs = np.concatenate([omega, w2])
-    in_band = (freqs >= lo) & (freqs <= hi)
-    mu = np.ones_like(freqs)  # placeholder where out of band
-    if in_band.any():
-        mu[in_band] = scenario.dispersion.mu(freqs[in_band])
-    mu1, mu2 = per_kind(mu[:n]), mu[n:]
+    w0 = scenario.omega0
+    w2 = w0 - s * w1  # the partner: omega0 - omega (pdc), omega0 + omega (puc)
+    in1, in2 = (w1 >= lo) & (w1 <= hi), (w2 >= lo) & (w2 <= hi)  # NaN is not
+    code = on.where(_in_guard_band(scenario, w1)[0], GUARD_BAND,
+                    on.where((w1 <= 0.0) | ((s > 0.0) & (w1 >= w0)), GEOMETRY,
+                             on.where(in1 & in2, OK, OUT_OF_BAND)))
+    return w2, code, on.where(in1, w1, lo), on.where(in2, w2, lo)
 
-    K0 = scenario.pump_wavenumber()
-    a1 = w1 * w1 * mu1 * mu1
-    a2 = w2 * w2 * mu2 * mu2
-    p_max = BRACKET_SHRINK * np.minimum(w1, w2)  # w2 > w1 > 0 for puc
+
+def _solve(scenario, w1, w2, s, mu1, mu2, code):
+    """The ResonanceGrid fields after partner of elements at frequencies
+    w1, w2 and indices mu1, mu2, with code from _classify: the bracket
+    checks, the root and the four Omegas at it, on floats or arrays."""
+    on = _on(w1)
+    K0, tol = scenario.pump_wavenumber(), RESIDUAL_TOL * scenario.omega0
+    ww1, ww2 = w1 * w1, w2 * w2
+    a1, a2 = ww1 * mu1 * mu1, ww2 * mu2 * mu2  # each Omega^2 at p = 0
+    p_max = BRACKET_SHRINK * on.minimum(w1, w2)  # w2 > w1 > 0 for puc
     q_max = p_max * p_max
-    f0 = np.sqrt(a2) + s * np.sqrt(a1) - K0
-    f1 = (np.sqrt(np.maximum(a2 - q_max, 0.0))
-          + s * np.sqrt(np.maximum(a1 - q_max, 0.0)) - K0)
-    tol = RESIDUAL_TOL * w0
-    at_zero = np.abs(f0) <= tol
-    zero_below = f0 < 0.0
-    # checks in reverse order of precedence, so the first failed one wins
-    status = np.full(w1.size, OK)
-    status[~(zero_below ^ (f1 < 0.0)) & ~at_zero] = NO_BRACKET  # one sign
-    status[(a1 <= q_max) | (a2 <= q_max)] = EVANESCENT
-    status[~(per_kind(in_band[:n]) & in_band[n:])] = OUT_OF_BAND
-    status[(w1 <= 0.0) | ((s > 0.0) & (w1 >= w0))] = GEOMETRY
-    status[per_kind(_in_guard_band(scenario, omega)[0])] = GUARD_BAND
+    f0 = on.sqrt(a2) + s * on.sqrt(a1) - K0
+    f1 = (on.sqrt(on.maximum(a2 - q_max, 0.0))
+          + s * on.sqrt(on.maximum(a1 - q_max, 0.0)) - K0)
+    away = abs(f0) > tol  # else p0 = 0
+    status = on.where(code != OK, code,
+                      on.where((a1 <= q_max) | (a2 <= q_max), EVANESCENT,
+                               on.where(((f0 < 0.0) == (f1 < 0.0)) & away,
+                                        NO_BRACKET, OK)))  # one sign
+    solve = (status == OK) & away
+    p, iterations = _roots(solve, a1, a2, s, p_max, K0)
+    pp = p * p
+    o1, o10 = on.sqrt(a1 - pp), on.sqrt(ww1 - pp)
+    o2, o20 = on.sqrt(a2 - pp), on.sqrt(ww2 - pp)
+    residual = o2 + s * o1 - K0
+    status = on.where(solve & (abs(residual) > tol), STALLED, status)
+    return status, p, residual, iterations, o1, o2, o10, o20, p_max, f0, f1
 
-    todo = np.flatnonzero((status == OK) & ~at_zero)
+
+def _roots(solve, a1, a2, s, p_max, K0):
+    """(p0, Newton steps) of _newton_roots where solve is set, (0, 0)
+    elsewhere.  On arrays, one call from ARRAY_MIN roots up, else one call
+    per root on floats."""
+    if not isinstance(solve, np.ndarray):
+        return _newton_roots(a1, a2, s, p_max, K0=K0) if solve else (0.0, 0)
+    todo = np.flatnonzero(solve)
     roots = (a1[todo], a2[todo], s[todo], p_max[todo])
     p = np.zeros_like(a1)
     iterations = np.zeros(a1.size, dtype=int)
@@ -255,19 +342,7 @@ def _resonance_grid(scenario, omegas, kinds):
     else:
         for j, args in zip(todo.tolist(), zip(*(x.tolist() for x in roots))):
             p[j], iterations[j] = _newton_roots(*args, K0=K0)
-
-    r1, r10, r2, r20 = _radicands(w1, w2, p, mu1, mu2)
-    o1, o10, o2, o20 = np.sqrt(r1), np.sqrt(r10), np.sqrt(r2), np.sqrt(r20)
-    residual = o2 + s * o1 - K0
-    status[todo[np.abs(residual[todo]) > tol]] = STALLED
-    return ResonanceGrid(
-        scenario=scenario, omega=omega, kinds=tuple(kinds),
-        **{name: value.reshape(shape) for name, value in (
-            ("partner", w2), ("status", status), ("p", p),
-            ("residual", residual), ("iterations", iterations),
-            ("Omega1", o1), ("Omega2", o2), ("Omega10", o10), ("Omega20", o20),
-            ("p_max", p_max), ("f0", f0), ("f1", f1))},
-    )
+    return p, iterations
 
 
 def _two_sum(x, y):
@@ -309,11 +384,10 @@ def _newton_roots(a1, a2, s, p_max, *, K0):
     steps; an element whose q phase does not converge keeps sqrt(q), and
     _resonance_grid's residual check reports it.
     """
-    if isinstance(p_max, np.ndarray):
-        sqrt, where, any_live = np.sqrt, np.where, np.ndarray.any
+    sqrt, where, any_live = (on := _on(p_max)).sqrt, on.where, on.any
+    if on is _ARRAYS:
         steps, live = np.zeros(p_max.size, dtype=int), np.ones(p_max.size, dtype=bool)
     else:
-        sqrt, where, any_live = math.sqrt, _pick, bool
         steps, live = 0, True
     q = p_max * p_max
     for _ in range(MAX_ITERATIONS):
@@ -347,11 +421,6 @@ def _newton_roots(a1, a2, s, p_max, *, K0):
         if not any_live(live):
             break
     return p, steps
-
-
-def _pick(condition, x, y):
-    """np.where for one element."""
-    return x if condition else y
 
 
 def _resonance(scenario, omega, kind):

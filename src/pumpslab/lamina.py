@@ -13,7 +13,7 @@ import numpy as np
 from .errors import PumpslabError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FresnelStep:
     """Single-interface amplitudes and the matching intensity coefficients.
 
@@ -34,7 +34,8 @@ def fresnel_step(omega_out, omega_in):
     internal one; both must be positive (propagating regime).  Floats or
     arrays, elementwise.
     """
-    if np.count_nonzero(omega_out <= 0.0) or np.count_nonzero(omega_in <= 0.0):
+    bad = (omega_out <= 0.0) | (omega_in <= 0.0)
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
         raise PumpslabError(
             f"longitudinal wavenumbers must be positive, got "
             f"({omega_out}, {omega_in})"

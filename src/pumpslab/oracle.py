@@ -188,8 +188,10 @@ def thickness_averaged_intensities(scenario, kin, phases=THICKNESS_PHASES):
     condition number among them.  One phase over COND_LIMIT (by the
     kappa_1 screen, then the 2-norm rule) or over RESIDUAL_LIMIT refuses
     the whole average with a ConditioningError carrying the worst value
-    it compared.
+    it compared.  phases must be a positive integer.
     """
+    if not (isinstance(phases, (int, np.integer)) and phases >= 1):
+        raise ValueError(f"phases must be a positive integer, got {phases!r}")
     roots = _quartic_roots(quartic_coefficients(scenario, kin)[0])[0]
     return _averaged_intensities(scenario, kin, roots, phases)
 

@@ -179,7 +179,7 @@ class TestResonanceResiduals:
 @pytest.mark.parametrize("solve,kind", [(pdc_resonance, "pdc"),
                                         (puc_resonance, "puc")])
 def test_resonance_record_is_longitudinal_at_p0(reference, solve, kind):
-    # each Omega is sqrt(omega^2 mu^2 - p0^2), in _radicands' operation
+    # each Omega is sqrt(omega^2 mu^2 - p0^2), in the kernel's operation
     # order; mu**2 would differ in the last ulp at 0.39 and 0.55
     mu, w0 = reference.dispersion.mu, reference.omega0
     for omega in (0.31, 0.39, 0.5, 0.55, 0.62):

@@ -1,0 +1,141 @@
+"""Alternating-pairs benchmark of the working tree against a git revision.
+
+    python3 tools/ab_bench.py BASE [--workload W ...] [--pairs 10] [--seconds 30] [--seed N]
+
+BASE (a commit, branch or tag) is exported with ``git archive`` into a
+temporary directory, removed on exit, also on error.  Pair i runs
+``python3 bench/run.py --trace 0`` with seed N + i in that tree and in the
+working tree, alternating which side runs first.  Per workload and
+end-to-end metric of BENCHMARK.json it prints each side's median and
+quartiles, the change's wins and whether the gain rule holds: the change
+wins at least 9 runs in 10 and its median beats the base median by more
+than the base's interquartile range.  A run with ``correct: false``, or
+with no result line, is reported and makes the tool exit 1.  Without
+--workload every workload of BENCHMARK.json runs.
+"""
+import argparse
+import io
+import json
+import math
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WIN_SHARE = 0.9  # the change must win this share of the pairs
+
+
+def load_spec(root=ROOT):
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def export(revision, directory):
+    """Extract the tree of revision into directory with git archive."""
+    archive = subprocess.run(["git", "archive", "--format=tar", revision], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(directory, filter="data")
+
+
+def run_bench(tree, workload, seed, seconds):
+    """The result dict of one bench/run.py run in tree, or None if it printed
+    no result line."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return None
+    return result if isinstance(result, dict) and "correct" in result else None
+
+
+def quartiles(values):
+    """(q1, median, q3) of values, by linear interpolation between ranks."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(metrics, base_runs, change_runs):
+    """Per metric, the comparison of paired runs; metrics are BENCHMARK.json's
+    end_to_end entries, the runs result dicts of the same seeds in order.
+
+    Returns a list of dicts: name, unit, base and change (q1, median, q3),
+    wins (pairs in which the change is strictly better), pairs, and
+    gain: whether the change wins at least WIN_SHARE of the pairs and its
+    median beats the base median by more than the base interquartile range.
+    """
+    out = []
+    for metric in metrics:
+        name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
+        pairs = [(b["metrics"][name]["value"], c["metrics"][name]["value"])
+                 for b, c in zip(base_runs, change_runs)
+                 if name in b["metrics"] and name in c["metrics"]]
+        if not pairs:
+            continue
+        base = quartiles([b for b, _ in pairs])
+        change = quartiles([c for _, c in pairs])
+        wins = sum(sign * (b - c) > 0.0 for b, c in pairs)
+        gap = sign * (base[1] - change[1])
+        out.append(dict(name=name, unit=metric["unit"], base=base, change=change,
+                        wins=wins, pairs=len(pairs),
+                        gain=wins >= math.ceil(WIN_SHARE * len(pairs))
+                        and gap > base[2] - base[0]))
+    return out
+
+
+def format_rows(workload, rows):
+    lines = [f"## {workload}",
+             f"{'metric':18s} {'base q1 / median / q3':>32s}  "
+             f"{'change q1 / median / q3':>32s}  wins  gain"]
+    for row in rows:
+        cells = ["/".join(f"{v:.4g}" for v in row[side]) for side in ("base", "change")]
+        verdict = "yes" if row["gain"] else "no"
+        lines.append(f"{row['name']:18s} {cells[0]:>32s}  {cells[1]:>32s}  "
+                     f"{row['wins']:2d}/{row['pairs']:<2d} {verdict}")
+    return lines
+
+
+def main(argv=None):
+    spec = load_spec()
+    names = [w["name"] for w in spec["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", help="git revision to compare the working tree against")
+    parser.add_argument("--workload", action="append", choices=names)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    failed = False
+    with tempfile.TemporaryDirectory(prefix="ab_bench_") as base_tree:
+        export(args.base, base_tree)
+        trees = {"base": base_tree, "change": ROOT}
+        for workload in args.workload or names:
+            runs = {"base": [], "change": []}
+            for i in range(args.pairs):
+                seed = args.seed + i
+                for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
+                    result = run_bench(trees[side], workload, seed, args.seconds)
+                    if result is None or not result["correct"]:
+                        failed = True
+                        print(f"# {workload} seed {seed} {side}: "
+                              f"{'no result line' if result is None else 'correct: false'}",
+                              flush=True)
+                        result = None
+                    runs[side].append(result)
+            paired = [(b, c) for b, c in zip(runs["base"], runs["change"]) if b and c]
+            rows = summarize(spec["end_to_end"], *zip(*paired)) if paired else []
+            print("\n".join(format_rows(workload, rows)), flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
