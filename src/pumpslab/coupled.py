@@ -15,15 +15,14 @@ slab picking up the first-order excess factor gamma.
 
 Shifts and reports are computed as columns over a whole resonance grid
 (epsilon_table, report_table), one array per field plus a status per
-element.  The same function bodies run on numpy arrays for a table of
-kinematics.ARRAY_MIN resonances or more and on Python floats, one
-resonance at a time, below that (_tabulate); the scalar epsilon_roots,
-resonance_report and channel_report run them on floats.  Either way every
-element carries the bits a scalar evaluation in the same operation order
-would give.
+element.  The same function bodies run on numpy arrays or on Python
+floats, one resonance at a time (_tabulate); kinematics owns that choice
+and the primitives that differ between the two, and the scalar
+epsilon_roots, resonance_report and channel_report run the bodies on
+floats.  Either way every element carries the bits a scalar evaluation in
+the same operation order would give.
 """
 import cmath
-import contextlib
 import math
 import sys
 import warnings
@@ -40,8 +39,8 @@ from .errors import (
     UndefinedSplitError,
     ValidityWarning,
 )
-from .kinematics import (ARRAY_MIN, EVANESCENT, GEOMETRY, OK, SKIP_REASONS, _ARRAYS,
-                         _on, _resonance, kind_sign)
+from .kinematics import (EVANESCENT, GEOMETRY, OK, SKIP_REASONS, _ARRAYS, _on,
+                         _resonance, _small, _stack, kind_sign)
 from .lamina import fresnel_step
 
 DETUNING_WARN_FRACTION = 0.01
@@ -50,7 +49,6 @@ _SINC_MAX_IMAG = 700.0  # sin(z) ~ e^|Im z| / 2 overflows a float near 710.5
 UNDEFINED_RATIO = len(SKIP_REASONS)  # report-stage status: no partner flux
 STATUS_REASONS = SKIP_REASONS + ("undefined_ratio",)
 _DBL_MIN = sys.float_info.min  # a Python float: its comparisons stay fast on floats
-_NO_CONTEXT = contextlib.nullcontext()
 
 
 def csinc(z):
@@ -139,12 +137,6 @@ class _Pairs(NamedTuple):
         return ok, cls(grid.omega[i], rest[0], signs[k], *rest[1:])
 
 
-def _cabs(z):
-    """abs() of a complex, or of each in an array as a scalar rounds it:
-    libm's hypot, which np.hypot calls and array abs does not."""
-    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
-
-
 def _shift_pair(detuning, disc, l):
     """(eps1, eps2, xi) from the detuning sum and the real discriminant.
 
@@ -158,7 +150,7 @@ def _shift_pair(detuning, disc, l):
       / 8), which rounds where |disc| lies in [DBL_MIN, 8 DBL_MIN); below
       DBL_MIN it rescales exactly instead.
     - numpy's complex +, -, * and / by a float round as Python's do.
-    - abs() of a complex is _cabs.
+    - abs() of a complex is the primitives' cabs.
     - On a tie the + root leads: a complex pair's moduli are equal and its
       + root is the +imaginary one; a real pair's + root is the larger.
     On floats the steps run on Python complexes themselves.
@@ -170,28 +162,10 @@ def _shift_pair(detuning, disc, l):
         s = on.sqrt(on.where(size < _DBL_MIN, size, size / 8.0 * 8.0))
     root = on.where(disc >= 0.0, s + 0j, 1j * s)
     plus, minus = (detuning + root) / 2.0, (detuning - root) / 2.0
-    a_plus, a_minus = _cabs(plus), _cabs(minus)
+    a_plus, a_minus = on.cabs(plus), on.cabs(minus)
     swap = a_plus - a_minus > 1e-12 * on.maximum(a_plus, 1e-300)
     eps1, eps2 = on.where(swap, minus, plus), on.where(swap, plus, minus)
     return eps1, eps2, (eps1 - eps2) * l / 2.0
-
-
-# Per-element Python steps, on floats and arrays alike: csinc, whose
-# cmath.sin rests on the C library's sinh and cosh (numpy's differ from
-# them in the last bit on about a quarter of inputs), and pow, whose
-# x ** 2 numpy's multiply does not reproduce on about 1e-3 of inputs.
-_SINC_SQ = np.frompyfunc(_sinc_sq, 1, 1)
-_POW = np.frompyfunc(pow, 2, 1)
-
-
-def _square(x):
-    """x ** 2 by Python's pow, for a float or each element of an array."""
-    return _POW(x, 2).astype(float) if isinstance(x, np.ndarray) else x ** 2
-
-
-def _sinc_sq_of(xi):
-    """_sinc_sq of a complex, or of each element of an array."""
-    return _SINC_SQ(xi).astype(float) if isinstance(xi, np.ndarray) else _sinc_sq(xi)
 
 
 def _coupled_pair(scenario, pairs, p):
@@ -244,19 +218,16 @@ def _tabulate(build, scenario, pairs, p):
     ValidityWarning for every in-range pair with |p - p0| >
     DETUNING_WARN_FRACTION * omega.
 
-    Floats give floats.  Arrays of ARRAY_MIN pairs or more run build once;
-    fewer run it once per pair on a list of its Python floats, and the
-    results are stacked into arrays.
+    Floats give floats.  Arrays run build once, or, where kinematics
+    finds them _small, once per pair on its Python floats, the results
+    stacked back into arrays.
     """
-    if isinstance(p, np.ndarray) and 0 < p.size < ARRAY_MIN:
+    if isinstance(p, np.ndarray) and _small(p.size):
         status, detuned, fields = zip(*(
             build(scenario, pair, q)
             for *pair, q in zip(*(column.tolist() for column in pairs), p.tolist())))
-        status, detuned = np.array(status), max(detuned)
-        # one conversion, complex if any field is: a real field is its real part
-        stacked = np.array([list(f.values()) for f in fields]).T
-        columns = {name: column if isinstance(value, complex) else column.real
-                   for (name, value), column in zip(fields[0].items(), stacked)}
+        status, *values = _stack((status, *zip(*(f.values() for f in fields))), p.shape)
+        columns, detuned = dict(zip(fields[0], values)), max(detuned)
     else:
         status, detuned, columns = build(scenario, pairs, p)
         if isinstance(detuned, np.ndarray):
@@ -310,8 +281,7 @@ class GridTable:
 def _on_grid(build, scenario, grid, detuning, located=None):
     """build's GridTable over grid at p = p0 + detuning * omega; located
     is _Pairs.of_grid(grid), computed here where not given.  build runs
-    through _tabulate: once on arrays from ARRAY_MIN resonances up, else
-    once per resonance on Python floats."""
+    through _tabulate, on arrays or once per resonance on floats."""
     ok, pairs = located or _Pairs.of_grid(grid)
     codes, columns = _tabulate(build, scenario, pairs, pairs.p0 + detuning * pairs.omega)
     status = grid.status.copy()
@@ -361,8 +331,8 @@ def quartic_coefficients(scenario, kin):
 def _quartic(scenario, omega, partner, w1, w2, sign):
     """quartic_coefficients of mode pairs: floats for one, 1-d arrays for
     several, squaring with Python's pow as the scalar code does."""
-    K0 = scenario.pump_wavenumber()
-    A, B = _square(w1), _square(w2)
+    K0, on = scenario.pump_wavenumber(), _on(w1)
+    A, B = on.square(w1), on.square(w2)
     G = scenario.g**2 * scenario.omega0**2 * omega * partner
     coeffs = [1.0, -2.0 * sign * K0, K0 * K0 - B - A, 2.0 * A * sign * K0,
               -A * (K0 * K0 - B) - G]
@@ -405,7 +375,7 @@ def quartic_wavenumbers(scenario, kin):
 def _nearest(candidates, anchor):
     """Each row of candidates in a stable order of distance to anchor, as
     sorted() orders them, and the gap between the two nearest distances."""
-    dist = _cabs(candidates - np.asarray(anchor)[..., None])
+    dist = _ARRAYS.cabs(candidates - np.asarray(anchor)[..., None])
     order = np.argsort(dist, axis=1, kind="stable")
     near = np.take_along_axis(dist, order[:, :2], axis=1)
     return order, np.abs(near[:, 0] - near[:, 1])
@@ -444,7 +414,7 @@ def _sorted_wavenumbers(K0, w1, w2, sign, roots):
     # k1 is the root nearer Omega1, as eps1 is the shift nearer 0; for
     # distances equal to 1e-12 relative, the +imaginary, then +real, one
     d0, d1 = (pair - np.asarray(a12)[..., None]).T
-    a0, a1 = _cabs(d0), _cabs(d1)
+    a0, a1 = _ARRAYS.cabs(d0), _ARRAYS.cabs(d1)
     by_size = np.abs(a0 - a1) > 1e-12 * np.maximum(np.maximum(a0, a1), 1e-300)
     first = np.where(by_size, a0 < a1,
                      (d0.imag > d1.imag) | ((d0.imag == d1.imag) & (d0.real >= d1.real)))
@@ -483,20 +453,23 @@ class ChannelReport:
     ratio: float
 
     def flux_identity_terms(self):
-        """(excess, partner side, gamma / (1 + r10)) of the flux identity.
-
-        The excess t1 + r1 - 1 is sign-flipped for up-conversion; both
-        sides equal the third term to first order in gamma.
-        """
-        excess = kind_sign(self.kind) * (self.t1 + self.r1 - 1.0)
-        partner_side = (self.omega / self.partner) * (self.t2 + self.r2)
-        return excess, partner_side, self.gamma / (1.0 + self.r10)
+        """_flux_identity of this report."""
+        return _flux_identity(kind_sign(self.kind), self.omega, self.partner, self.t1,
+                              self.r1, self.t2, self.r2, self.gamma, self.r10)
 
     def identity_residual(self):
         """Relative residual of the single-pair flux identity."""
         lhs, mid, rhs = self.flux_identity_terms()
         scale = max(abs(rhs), 1e-300)
         return max(abs(lhs - rhs), abs(mid - rhs)) / scale
+
+
+def _flux_identity(sign, omega, partner, t1, r1, t2, r2, gamma, r10):
+    """(excess, partner side, gamma / (1 + r10)) of the flux identity, on
+    floats or arrays: the excess t1 + r1 - 1 is sign-flipped for up-conversion
+    (sign, the kind's kind_sign), and both sides equal gamma / (1 + r10) to
+    first order in gamma."""
+    return sign * (t1 + r1 - 1.0), (omega / partner) * (t2 + r2), gamma / (1.0 + r10)
 
 
 def _reports(scenario, pairs, p):
@@ -514,14 +487,14 @@ def _reports(scenario, pairs, p):
     omega, partner, sign, _, w1, w2, w10, w20 = pairs
     g, l, w0 = scenario.g, scenario.l, scenario.omega0
     ok = status == OK
-    sinc_sq = _sinc_sq_of(on.where(ok, shifts["xi"], 0j))
+    sinc_sq = on.apply(_sinc_sq, on.where(ok, shifts["xi"], 0j))
     # a gain past the float range leaves inf or nan cells, refused below
-    with np.errstate(over="ignore", invalid="ignore") if on is _ARRAYS else _NO_CONTEXT:
+    with on.quiet():
         gamma = g * g * l * l * w0 * w0 * omega * partner / (4.0 * w1 * w2) * sinc_sq
         r10 = fresnel_step(w10, w1).r0
         r20 = fresnel_step(w20, w2).r0
         pass10, pass20 = 1.0 + r10, 1.0 + r20
-        pass_sq = _square(pass10)
+        pass_sq = on.square(pass10)
         r1 = 2.0 * r10 / pass10 + sign * gamma * r10 / pass_sq
         t1 = (1.0 - r10) / pass10 + sign * gamma / pass_sq
         freq_ratio = partner / omega
@@ -541,11 +514,7 @@ def _reports(scenario, pairs, p):
             flux_partner=0.5 * gamma * bracket_partner,
             ratio=ratio, forward_fraction=_split(t1, t2, r1, r2)[0],
         )
-    if on is _ARRAYS:
-        finite = np.isfinite(list(columns.values())).all(axis=0)
-    else:
-        finite = all(map(math.isfinite, columns.values()))
-    bad = on.where(finite, False, status == OK)
+    bad = on.where(on.all_finite(columns.values()), False, status == OK)
     if on.any(bad):
         j = np.argmax(np.ravel(bad))
         raise StrongGainError(f"channel report overflows at omega="

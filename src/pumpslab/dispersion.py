@@ -123,8 +123,8 @@ class DispersionModel:
         A float gives a float and a list of floats a list, each evaluated on
         Python floats; anything else gives an array, or a float for a 0-d
         one, evaluated by numpy.  Their +, -, *, / and sqrt round alike, so
-        a value does not depend on the path.  _resonance_grid passes a list
-        below ARRAY_MIN elements.
+        a value does not depend on the path, which kinematics picks for
+        every table.
         """
         lo, hi = self.band
         if isinstance(omega, float):
@@ -358,11 +358,19 @@ def calibrate_degenerate_angle(theta_d, mu2, omega0=1.0, band=None):
     """
     if not 0.0 <= theta_d < math.pi / 2:
         raise CalibrationError("target angle must lie in [0, 90) degrees")
+    for name, value in (("pump-frequency index mu2", mu2), ("pump frequency omega0", omega0)):
+        if not math.isfinite(value):
+            raise CalibrationError(f"{name} must be finite, got {value!r}")
     if mu2 <= 1.0:
         raise CalibrationError("pump-frequency index mu2 must exceed 1")
     if band is None:
         band = (0.05 * omega0, 2.5 * omega0)
+        if not math.isfinite(band[1]):
+            raise CalibrationError(f"default band (0.05, 2.5) * omega0 overflows at "
+                                   f"omega0={omega0!r}")
     lo, hi = band
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CalibrationError(f"band ends must be finite, got ({lo!r}, {hi!r})")
     if not (0.0 < lo <= 0.5 * omega0 and hi >= 1.5 * omega0):
         raise CalibrationError("band must cover [omega0/2, 3*omega0/2]")
     q_d = math.sin(theta_d) ** 2

@@ -18,14 +18,17 @@ steps in q = p^2 from the bracket end fall monotonically to the root, and
 Newton steps in p with the residual in double-double arithmetic finish
 there: p0 is the double nearest the exact root, whatever the grid.  One
 kernel, _resonance_grid, solves a whole grid of frequencies and both kinds
-at once; the scalar solvers are its one-element calls.  Its steps are
-function bodies that run on numpy arrays for a grid of ARRAY_MIN elements
-or more and on Python floats, one element at a time, below that: only
-primitives such as sqrt and where are picked by input type (_on), and they
-round alike on both, so an element carries the same bits either way.  A
-one-element call thus costs Python arithmetic, not numpy's per-call
-overhead.
+at once; the scalar solvers are its one-element calls.
+
+This module alone picks the path of every table, this grid and coupled's
+tables alike: from ARRAY_MIN elements up a function body runs once on
+numpy arrays, below that once per element on Python floats (_small), and
+_stack turns per-element results into arrays.  Only the _Primitives are
+picked by input type (_on); they round alike on both, so an element
+carries the same bits either way, and a one-element call costs Python
+arithmetic, not numpy's per-call overhead.
 """
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -77,7 +80,7 @@ class ModeKinematics:
 
     @property
     def theta_deg(self):
-        return math.degrees(self.theta)
+        return _theta_deg(self.p, self.omega)
 
 
 @dataclass(frozen=True)
@@ -89,16 +92,16 @@ class ResonancePoint(ModeKinematics):
     iterations: int
 
 
+def _theta_deg(p, omega):
+    """The exterior angle in degrees of a mode with transverse p at omega."""
+    return math.degrees(math.asin(p / omega))
+
+
 def kind_sign(kind):
     """+1.0 for pdc (partner omega0 - omega), -1.0 for puc (omega0 + omega)."""
     if kind not in KINDS:
         raise ValueError(f"conjugate kind must be one of {KINDS}, got {kind!r}")
     return 1.0 if kind == "pdc" else -1.0
-
-
-def _pick(condition, x, y):
-    """np.where for one element."""
-    return x if condition else y
 
 
 class _Primitives(NamedTuple):
@@ -111,17 +114,49 @@ class _Primitives(NamedTuple):
     maximum: object
     minimum: object
     round: object
+    cabs: object  # abs() of a complex, as a scalar rounds it
+    square: object  # x ** 2 by Python's pow
+    apply: object  # apply(f, x): a scalar Python function f of each element
+    all_finite: object  # per element, whether every column of a sequence is finite
+    quiet: object  # a context that silences overflow and invalid-value warnings
 
 
-# On both, +, -, *, /, sqrt and round (half to even) round alike, and
-# maximum and minimum agree wherever no NaN is involved.
-_ARRAYS = _Primitives(np.sqrt, np.where, np.ndarray.any, np.maximum, np.minimum, np.round)
-_FLOATS = _Primitives(math.sqrt, _pick, bool, max, min, round)
+# On both, +, -, *, / by a float, sqrt and round (half to even) round alike,
+# maximum and minimum agree where no NaN is involved, and cabs is libm's
+# hypot.  On arrays pow and apply stay per-element Python: numpy's multiply
+# misses pow's x ** 2 on about 1e-3 of inputs, and its sinh and cosh miss
+# the C library's, under cmath.sin in coupled.csinc, on about a quarter.
+_POW = np.frompyfunc(pow, 2, 1)
+_ARRAYS = _Primitives(
+    np.sqrt, np.where, np.ndarray.any, np.maximum, np.minimum, np.round,
+    lambda z: np.hypot(z.real, z.imag), lambda x: _POW(x, 2).astype(float),
+    lambda f, x: np.frompyfunc(f, 1, 1)(x).astype(float),
+    lambda columns: np.isfinite(list(columns)).all(axis=0),
+    partial(np.errstate, over="ignore", invalid="ignore"))
+_FLOATS = _Primitives(
+    math.sqrt, lambda condition, x, y: x if condition else y, bool, max, min, round, abs,
+    lambda x: x ** 2, lambda f, x: f(x), lambda columns: all(map(math.isfinite, columns)),
+    lambda context=contextlib.nullcontext(): context)
 
 
 def _on(x):
     """The primitives for x: numpy's for an array, else Python's."""
     return _ARRAYS if isinstance(x, np.ndarray) else _FLOATS
+
+
+def _small(n):
+    """Whether a table of n elements runs on floats: ARRAY_MIN's one reader."""
+    return 0 < n < ARRAY_MIN
+
+
+def _stack(fields, shape):
+    """Per-element Python results, one sequence per field, as one array of
+    shape per field from a single exact conversion: int, complex or float,
+    as the field's elements are."""
+    stacked = np.array(fields).reshape((len(fields), *shape))
+    return [column if type(field[0]) is complex
+            else column.real.astype(int) if type(field[0]) is int else column.real
+            for field, column in zip(fields, stacked)]
 
 
 def _in_guard_band(scenario, omega):
@@ -183,7 +218,7 @@ class ResonanceGrid:
         ModeKinematics.theta_deg gives it; None where status is not OK."""
         omegas = self.omega.tolist()
         return [
-            [math.degrees(math.asin(p / omega)) if code == OK else None
+            [_theta_deg(p, omega) if code == OK else None
              for omega, p, code in zip(omegas, ps, codes)]
             for ps, codes in zip(self.p.tolist(), self.status.tolist())
         ]
@@ -240,9 +275,9 @@ def _resonance_grid(scenario, omegas, kinds):
     bracket checks every radicand is positive at p0 <= p_max < omega, so a
     solved element is a valid resonance.
 
-    A grid of ARRAY_MIN elements or more runs each step once on arrays, a
-    smaller one once per element on Python floats (_each): the same
-    bodies, whose arithmetic rounds alike on both.  |f(0)| <= RESIDUAL_TOL
+    A grid that is not _small runs each step once on arrays, a small one
+    once per element on Python floats (_each): the same bodies, whose
+    arithmetic rounds alike on both.  |f(0)| <= RESIDUAL_TOL
     * omega0 gives p0 = 0; every other bracketed element is solved by
     _newton_roots.  p0 is the double nearest the exact root of the
     residual at the grid's float coefficients, so it depends neither on
@@ -251,7 +286,7 @@ def _resonance_grid(scenario, omegas, kinds):
     omega = np.asarray(omegas, dtype=float).ravel()
     n, shape = omega.size, (len(kinds), omega.size)
     signs = [kind_sign(kind) for kind in kinds]
-    if on_arrays := not 0 < len(kinds) * n < ARRAY_MIN:
+    if on_arrays := not _small(len(kinds) * n):
         w1, s = np.tile(omega, len(kinds)), np.repeat(np.array(signs), n)
     else:
         w1, s = omega.tolist() * len(kinds), [x for x in signs for _ in range(n)]
@@ -260,17 +295,10 @@ def _resonance_grid(scenario, omegas, kinds):
         np.concatenate((v1[:n], v2)) if on_arrays else [*v1[:n], *v2])
     mu1 = np.tile(mu[:n], len(kinds)) if on_arrays else mu[:n] * len(kinds)
     columns = (w2, *_each(partial(_solve, scenario), v1, v2, s, mu1, mu[n:], code))
-    if on_arrays:
-        columns = dict(zip(_GRID_FIELDS, (column.reshape(shape) for column in columns)))
-    else:  # one conversion of the per-element floats, exact for integers too
-        columns = dict(zip(_GRID_FIELDS, np.array(columns).reshape((-1, *shape))))
-        for name in ("status", "iterations"):
-            columns[name] = columns[name].astype(int)
-    return ResonanceGrid(scenario=scenario, omega=omega, kinds=tuple(kinds), **columns)
-
-
-_GRID_FIELDS = ("partner", "status", "p", "residual", "iterations", "Omega1",
-                "Omega2", "Omega10", "Omega20", "p_max", "f0", "f1")
+    # the columns come in ResonanceGrid's field order
+    return ResonanceGrid(scenario, omega, tuple(kinds), *(
+        [column.reshape(shape) for column in columns] if on_arrays
+        else _stack(columns, shape)))
 
 
 def _each(body, *columns):
@@ -329,19 +357,17 @@ def _solve(scenario, w1, w2, s, mu1, mu2, code):
 
 def _roots(solve, a1, a2, s, p_max, K0):
     """(p0, Newton steps) of _newton_roots where solve is set, (0, 0)
-    elsewhere.  On arrays, one call from ARRAY_MIN roots up, else one call
-    per root on floats."""
+    elsewhere.  On arrays, one call for all roots, or one call per root on
+    floats where they are _small in number."""
     if not isinstance(solve, np.ndarray):
         return _newton_roots(a1, a2, s, p_max, K0=K0) if solve else (0.0, 0)
     todo = np.flatnonzero(solve)
-    roots = (a1[todo], a2[todo], s[todo], p_max[todo])
-    p = np.zeros_like(a1)
-    iterations = np.zeros(a1.size, dtype=int)
-    if todo.size >= ARRAY_MIN:
-        p[todo], iterations[todo] = _newton_roots(*roots, K0=K0)
-    else:
-        for j, args in zip(todo.tolist(), zip(*(x.tolist() for x in roots))):
-            p[j], iterations[j] = _newton_roots(*args, K0=K0)
+    p, iterations = np.zeros_like(a1), np.zeros(a1.size, dtype=int)
+    if todo.size:
+        roots = (a1[todo], a2[todo], s[todo], p_max[todo])
+        p[todo], iterations[todo] = (
+            _stack(_each(partial(_newton_roots, K0=K0), *(x.tolist() for x in roots)),
+                   todo.shape) if _small(todo.size) else _newton_roots(*roots, K0=K0))
     return p, iterations
 
 
@@ -385,10 +411,7 @@ def _newton_roots(a1, a2, s, p_max, *, K0):
     _resonance_grid's residual check reports it.
     """
     sqrt, where, any_live = (on := _on(p_max)).sqrt, on.where, on.any
-    if on is _ARRAYS:
-        steps, live = np.zeros(p_max.size, dtype=int), np.ones(p_max.size, dtype=bool)
-    else:
-        steps, live = 0, True
+    steps, live = 0, True  # on arrays, both become arrays at the first step
     q = p_max * p_max
     for _ in range(MAX_ITERATIONS):
         o1, o2 = sqrt(a1 - q), sqrt(a2 - q)

@@ -4,8 +4,6 @@ import math
 from .dispersion import calibrate_degenerate_angle
 from .scenario import CrystalScenario
 
-BLUE_RED_SIGNAL_FRACTION = 0.4  # red channel at 0.4 * omega0, blue at 0.6
-
 
 def reference_scenario(g=1e-4, l=100.0, theta_d_deg=10.0, mu2=1.51, omega0=1.0):
     """Degenerate emission calibrated to theta_d (10 degrees by default)."""

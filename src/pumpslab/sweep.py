@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coupled import (STATUS_REASONS, _cabs, _on_grid, _Pairs, _pair_coefficients,
+from .coupled import (STATUS_REASONS, _flux_identity, _on_grid, _Pairs, _pair_coefficients,
                       _quartic_roots, _reports, _shifts, _sorted_wavenumbers)
 from .errors import ConditioningError, SweepError
-from .kinematics import KINDS, _resonance_grid, kind_sign
+from .kinematics import _ARRAYS, KINDS, _resonance_grid, kind_sign
 from .oracle import _averaged_intensities, _series_columns
 
 SWEEP_COLUMNS = (
@@ -245,15 +245,15 @@ def _check_columns(ref, pairs, rep, eps, roots, excess):
     k = _sorted_wavenumbers(K0, w1, pairs.Omega2, pairs.sign, roots).T
     s1, s2 = k[0] - w1, k[1] - w1  # the shifts of the coupled pair
     e1, e2 = eps["eps1"], eps["eps2"]
-    pair_err = _cabs(s1 - e1) / _cabs(e1), _cabs(s2 - e2) / _cabs(e2)
+    cabs = _ARRAYS.cabs
+    pair_err = cabs(s1 - e1) / cabs(e1), cabs(s2 - e2) / cabs(e2)
     shift4 = np.where(pairs.sign > 0.0, k[3].real - K0 - pairs.Omega2,
                       k[3].real + K0 + pairs.Omega2)
-    ident = rep["gamma"] / (1.0 + rep["r10"])
+    *sides, ident = _flux_identity(pairs.sign, pairs.omega, pairs.partner, rep["t1"],
+                                   rep["r1"], rep["t2"], rep["r2"], rep["gamma"], rep["r10"])
     zero = np.zeros(len(w1))
     # (a * b).real of complex scalars is a.real * b.real - a.imag * b.imag
-    closed = (pairs.sign * (rep["t1"] + rep["r1"] - 1.0),
-              (pairs.omega / pairs.partner) * (rep["t2"] + rep["r2"]),
-              rep["r1"], rep["t1"], rep["r2"], rep["t2"],
+    closed = (*sides, rep["r1"], rep["t1"], rep["r2"], rep["t2"],
               e1.real * e2.real - e1.imag * e2.imag, zero, eps["eps3"], eps["eps4"], ident)
     oracle = (ident, ident,
               *_series_columns(rep["r10"], rep["r20"], rep["gamma"], pairs.omega,

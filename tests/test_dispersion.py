@@ -110,6 +110,25 @@ class TestCalibratedModel:
         with pytest.raises(CalibrationError):
             calibrate_degenerate_angle(math.radians(10.0), 0.99)
 
+    @pytest.mark.parametrize("inputs, message", [
+        ({"mu2": math.nan}, "pump-frequency index mu2 must be finite, got nan"),
+        ({"mu2": math.inf}, "pump-frequency index mu2 must be finite, got inf"),
+        ({"omega0": math.inf}, "pump frequency omega0 must be finite, got inf"),
+        ({"omega0": math.nan}, "pump frequency omega0 must be finite, got nan"),
+        ({"band": (0.1, math.inf)}, "band ends must be finite, got (0.1, inf)"),
+        ({"band": (math.nan, 2.0)}, "band ends must be finite, got (nan, 2.0)"),
+        ({"omega0": 1e308},
+         "default band (0.05, 2.5) * omega0 overflows at omega0=1e+308"),
+    ])
+    def test_non_finite_inputs_are_named_before_any_table(self, monkeypatch, inputs,
+                                                          message):
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(DispersionModel, "tabulated", no_table)
+        with pytest.raises(CalibrationError, match=f"^{re.escape(message)}$"):
+            calibrate_degenerate_angle(math.radians(10.0), **{"mu2": 1.51, **inputs})
+
     @pytest.mark.parametrize("band", [(0.6, 2.0), (0.1, 1.4), (0.0, 2.0)])
     def test_band_must_cover_the_anchors(self, band):
         with pytest.raises(CalibrationError, match=r"band must cover \[omega0/2, 3\*omega0/2\]"):

@@ -65,7 +65,6 @@ def _on_both_paths(compute):
     for array_min in (1, 10**9):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kinematics_mod, "ARRAY_MIN", array_min)
-            patch.setattr(coupled_mod, "ARRAY_MIN", array_min)
             out.append(compute())
     return out
 
@@ -96,6 +95,31 @@ def test_grid_and_tables_carry_the_same_bits_on_both_paths(case, detuning):
             assert _same_bits(a.columns[name], f.columns[name]), name
     # one ValidityWarning per table on either path
     assert arrays_warned == floats_warned and len(arrays_warned) in (0, 2)
+
+
+@pytest.mark.parametrize("build,body", [(report_table, "_reports"),
+                                        (epsilon_table, "_shifts")])
+def test_one_patch_of_array_min_moves_every_table_to_arrays(monkeypatch, build, body):
+    # kinematics owns the path choice: patching its ARRAY_MIN alone runs a
+    # 3-omega, two-kind table's body once, on arrays, where the default runs
+    # it once per resonance on floats
+    model = calibrate_degenerate_angle(math.radians(10.0), 1.51)
+    scenario = CrystalScenario(omega0=1.0, g=1e-4, l=100.0, dispersion=model)
+    grid = _resonance_grid(scenario, [0.4, 0.5, 0.6], KINDS)
+    calls = []
+    original = getattr(coupled_mod, body)
+
+    def spy(scenario, pairs, p):
+        calls.append(type(p))
+        return original(scenario, pairs, p)
+
+    monkeypatch.setattr(coupled_mod, body, spy)
+    build(scenario, grid)
+    assert calls == [float] * 6
+    calls.clear()
+    monkeypatch.setattr(kinematics_mod, "ARRAY_MIN", 1)
+    build(scenario, grid)
+    assert calls == [np.ndarray]
 
 
 def _models():

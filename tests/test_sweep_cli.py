@@ -856,6 +856,12 @@ class TestCli:
         ])
         assert code == 0
 
+    def test_calibrate_refuses_a_non_finite_index(self, capsys):
+        assert main(["calibrate", "--theta-d-deg", "10", "--mu2", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "pumpslab: pump-frequency index mu2 must be finite, got nan\n"
+
     def test_compare_oracle_verb(self, tmp_path):
         out = tmp_path / "oracle.csv"
         code = main([
