@@ -41,7 +41,7 @@ from .errors import (
 )
 from .kinematics import (EVANESCENT, GEOMETRY, OK, SKIP_REASONS, _ARRAYS, _on,
                          _resonance, _small, _stack, kind_sign)
-from .lamina import fresnel_step
+from .lamina import fresnel_step, slab_coefficients
 
 DETUNING_WARN_FRACTION = 0.01
 _SINC_SERIES_CUTOFF = 1e-4
@@ -168,19 +168,16 @@ def _shift_pair(detuning, disc, l):
     return eps1, eps2, (eps1 - eps2) * l / 2.0
 
 
-def _coupled_pair(scenario, pairs, p):
-    """Status and coupled-pair shifts of mode pairs at working p, on
-    floats or arrays.
+def _shifts(scenario, pairs, p):
+    """Status, detuned and EpsilonRoots columns (but kind) of mode pairs at
+    working p, on floats or arrays.
 
     Status per element: GEOMETRY for a negative or NaN p, else EVANESCENT
     for p >= min(omega, partner), else OK.  An element whose p lies
     farther than omega from p0, never OK, computes its shifts at p0, so
-    that no overflow or NaN reaches the arithmetic.  Returns (status,
-    detuned, strength, arm, columns): detuned is |p - p0| where an OK
-    element lies beyond DETUNING_WARN_FRACTION * omega, else 0.0, and
-    columns holds eps1, eps2, xi, detuning_sum and product.  numpy's +, -,
-    * and / round exactly as Python's float operators do, so each element
-    is bit for bit a scalar evaluation in the same operation order.
+    that no overflow or NaN reaches the arithmetic.  detuned is |p - p0|
+    where an OK element lies beyond DETUNING_WARN_FRACTION * omega, else
+    0.0.
     """
     on = _on(p)
     omega, partner, sign, p0, w1, w2 = pairs[:6]
@@ -194,23 +191,18 @@ def _coupled_pair(scenario, pairs, p):
     strength = g * g * w0 * w0 * omega * partner
     arm = w2 + sign * w1  # w1 + w2 for pdc, w2 - w1 for puc
     detuning = (p - p0) * p0 * arm / (w1 * w2)
-    product = sign * strength / (4.0 * w1 * w2)
+    signed = sign * strength
+    product = signed / (4.0 * w1 * w2)
     disc = detuning * detuning - 4.0 * product
     eps1, eps2, xi = _shift_pair(detuning, disc, scenario.l)
-    return status, detuned, strength, arm, {
-        "eps1": eps1, "eps2": eps2, "xi": xi, "detuning_sum": detuning,
-        "product": product,
+    arm8 = 8.0 * arm
+    # 0 below omega0 ~ 1e-108: a NaN shift, not a ZeroDivisionError on floats
+    far1, far2 = arm8 * w1 * w1, arm8 * w2 * w2
+    return status, detuned, {
+        "eps1": eps1, "eps2": eps2, "eps3": -signed / on.where(far1 == 0.0, math.nan, far1),
+        "eps4": signed / on.where(far2 == 0.0, math.nan, far2), "xi": xi,
+        "detuning_sum": detuning, "product": product,
     }
-
-
-def _shifts(scenario, pairs, p):
-    """Status, detuned (see _coupled_pair) and EpsilonRoots columns of mode
-    pairs at working p."""
-    status, detuned, strength, arm, columns = _coupled_pair(scenario, pairs, p)
-    _, _, sign, _, w1, w2 = pairs[:6]
-    columns["eps3"] = -sign * strength / (8.0 * arm * w1 * w1)
-    columns["eps4"] = sign * strength / (8.0 * arm * w2 * w2)
-    return status, detuned, columns
 
 
 def _tabulate(build, scenario, pairs, p):
@@ -218,45 +210,53 @@ def _tabulate(build, scenario, pairs, p):
     ValidityWarning for every in-range pair with |p - p0| >
     DETUNING_WARN_FRACTION * omega.
 
-    Floats give floats.  Arrays run build once, or, where kinematics
-    finds them _small, once per pair on its Python floats, the results
-    stacked back into arrays.
+    Floats give floats.  Arrays run build once, as silently as floats
+    overflow, or, where kinematics finds them _small, once per pair on its
+    Python floats, the results stacked back into arrays.
     """
-    if isinstance(p, np.ndarray) and _small(p.size):
+    if not isinstance(p, np.ndarray):
+        status, detuned, columns = build(scenario, pairs, p)
+    elif _small(p.size):
         status, detuned, fields = zip(*(
             build(scenario, pair, q)
             for *pair, q in zip(*(column.tolist() for column in pairs), p.tolist())))
         status, *values = _stack((status, *zip(*(f.values() for f in fields))), p.shape)
         columns, detuned = dict(zip(fields[0], values)), max(detuned)
     else:
-        status, detuned, columns = build(scenario, pairs, p)
-        if isinstance(detuned, np.ndarray):
-            detuned = detuned.max(initial=0.0)
+        with _ARRAYS.quiet():
+            status, detuned, columns = build(scenario, pairs, p)
+        detuned = detuned.max(initial=0.0)
     if detuned:
         warnings.warn(
             f"|p - p0| = {detuned:g} exceeds {DETUNING_WARN_FRACTION:g} * omega; "
             "shift formulas degrade",
             ValidityWarning,
-            stacklevel=3,
+            stacklevel=4,  # every public entry calls _tabulate through one helper
         )
     return status, columns
 
 
-def _raise_skip(code, kin, p):
-    """Raise the typed error that report-stage status code stands for."""
-    if code == GEOMETRY:
+def _one_pair(record, build, scenario, res, p):
+    """record (EpsilonRoots or ChannelReport) of the one mode pair of record
+    res at working p (None: its p0): build's columns, and res's fields for
+    the rest.  A skip status raises its typed error."""
+    p = res.p if p is None else float(p)
+    status, values = _tabulate(build, scenario, _Pairs.of_record(res), p)
+    if status == GEOMETRY:
         raise GeometryError(f"working p={p:g} is " + ("negative" if p < 0.0
                                                       else "not a number"))
-    if code == EVANESCENT:
+    if status == EVANESCENT:
         raise EvanescentError(
             f"working p={p:g} is evanescent: a free-space wave needs "
-            f"p < min(omega, partner) = {min(kin.omega, kin.partner):g}"
+            f"p < min(omega, partner) = {min(res.omega, res.partner):g}"
         )
-    if code == UNDEFINED_RATIO:
+    if status == UNDEFINED_RATIO:
         raise UndefinedSplitError(
-            f"{kin.kind} flux ratio undefined at omega={kin.omega:g}: the partner "
+            f"{res.kind} flux ratio undefined at omega={res.omega:g}: the partner "
             "flux vanishes (collinear resonance, equal Fresnel steps)"
         )
+    return record(**{name: values[name] if name in values else getattr(res, name)
+                     for name in record.__dataclass_fields__})
 
 
 @dataclass(frozen=True)
@@ -310,10 +310,7 @@ def epsilon_roots(scenario, res, p=None):
     A NaN p is a GeometryError.  epsilon_table's arithmetic, on the floats
     of one pair.
     """
-    p = res.p if p is None else float(p)
-    status, values = _tabulate(_shifts, scenario, _Pairs.of_record(res), p)
-    _raise_skip(status, res, p)
-    return EpsilonRoots(kind=res.kind, **values)
+    return _one_pair(EpsilonRoots, _shifts, scenario, res, p)
 
 
 def quartic_coefficients(scenario, kin):
@@ -323,26 +320,31 @@ def quartic_coefficients(scenario, kin):
     G = g^2 omega0^2 omega partner the coupling strength and sign the
     kind's kind_sign: +1 for down-conversion, whose conjugate wave is
     carried against the pump phase, -1 for up-conversion, carried along it.
+    A coefficient outside the float range is a StrongGainError.
     """
-    return _quartic(scenario, kin.omega, kin.partner, kin.Omega1, kin.Omega2,
-                    kind_sign(kin.kind))
+    return _quartic(scenario, _Pairs.of_record(kin))
 
 
-def _quartic(scenario, omega, partner, w1, w2, sign):
-    """quartic_coefficients of mode pairs: floats for one, 1-d arrays for
-    several, squaring with Python's pow as the scalar code does."""
+def _quartic(scenario, pairs):
+    """quartic_coefficients of the _Pairs pairs: floats for one, 1-d arrays
+    for several, squaring with Python's pow as the scalar code does."""
+    omega, partner, sign, _, w1, w2 = pairs[:6]
     K0, on = scenario.pump_wavenumber(), _on(w1)
     A, B = on.square(w1), on.square(w2)
-    G = scenario.g**2 * scenario.omega0**2 * omega * partner
-    coeffs = [1.0, -2.0 * sign * K0, K0 * K0 - B - A, 2.0 * A * sign * K0,
-              -A * (K0 * K0 - B) - G]
+    with on.quiet():
+        G = scenario.g**2 * scenario.omega0**2 * omega * partner
+        coeffs = [1.0, -2.0 * sign * K0, K0 * K0 - B - A, 2.0 * A * sign * K0,
+                  -A * (K0 * K0 - B) - G]
+    bad = on.where(on.all_finite(coeffs[1:]), False, True)
+    if on.any(bad):
+        raise StrongGainError(f"quartic coefficients overflow at omega="
+                              f"{np.ravel(omega)[np.argmax(np.ravel(bad))]:g}")
     return coeffs, K0, A, B, G, sign
 
 
 def _pair_coefficients(scenario, pairs):
     """The (n, 5) quartic coefficient rows of the mode pair columns pairs."""
-    coeffs = _quartic(scenario, *pairs[:2], pairs.Omega1, pairs.Omega2, pairs.sign)[0]
-    return np.column_stack(np.broadcast_arrays(*coeffs))
+    return np.column_stack(np.broadcast_arrays(*_quartic(scenario, pairs)[0]))
 
 
 def _quartic_roots(coeffs):
@@ -421,10 +423,6 @@ def _sorted_wavenumbers(K0, w1, w2, sign, roots):
     return np.column_stack((np.where(first[:, None], pair, pair[:, ::-1]), k3, k4))
 
 
-_REPORT_FIELDS = ("gamma", "r10", "r20", "r1", "t1", "r2", "t2", "n_idler",
-                  "n_signal", "flux_omega", "flux_partner", "ratio")
-
-
 @dataclass(frozen=True)
 class ChannelReport:
     """Intensity coefficients and zeropoint-subtracted fluxes for one pair.
@@ -473,47 +471,47 @@ def _flux_identity(sign, omega, partner, t1, r1, t2, r2, gamma, r10):
 
 
 def _reports(scenario, pairs, p):
-    """Status, detuned (see _coupled_pair) and report columns of mode pairs
-    at working p, on floats or arrays.
+    """Status, detuned (see _shifts) and report columns of mode pairs at
+    working p, on floats or arrays.
 
     The coupled pair's status, with UNDEFINED_RATIO where the partner flux
     vanishes; the columns are ChannelReport's fields, plus the forward
     share of rainbow_split (meaningful where gamma > 0).  Elementwise
-    arithmetic in scalar order, as in _coupled_pair; sinc(xi)^2 is taken
+    arithmetic in scalar order, as in _shifts; sinc(xi)^2 is taken
     on OK elements only, and at xi = 0 elsewhere.
     """
-    status, detuned, _, _, shifts = _coupled_pair(scenario, pairs, p)
+    status, detuned, shifts = _shifts(scenario, pairs, p)
     on = _on(status)
     omega, partner, sign, _, w1, w2, w10, w20 = pairs
     g, l, w0 = scenario.g, scenario.l, scenario.omega0
     ok = status == OK
     sinc_sq = on.apply(_sinc_sq, on.where(ok, shifts["xi"], 0j))
     # a gain past the float range leaves inf or nan cells, refused below
-    with on.quiet():
-        gamma = g * g * l * l * w0 * w0 * omega * partner / (4.0 * w1 * w2) * sinc_sq
-        r10 = fresnel_step(w10, w1).r0
-        r20 = fresnel_step(w20, w2).r0
-        pass10, pass20 = 1.0 + r10, 1.0 + r20
-        pass_sq = on.square(pass10)
-        r1 = 2.0 * r10 / pass10 + sign * gamma * r10 / pass_sq
-        t1 = (1.0 - r10) / pass10 + sign * gamma / pass_sq
-        freq_ratio = partner / omega
-        r2 = freq_ratio * gamma * r20 / (pass10 * pass20)
-        t2 = freq_ratio * gamma / (pass10 * pass20)
-        cos_ratio = (w20 / partner) / (w10 / omega)
-        # pdc adds the two terms of each bracket, puc subtracts one from the other
-        bracket_omega = cos_ratio / pass20 + sign / pass10
-        bracket_partner = (1.0 / cos_ratio) / pass10 + sign / pass20
-        undefined = bracket_partner == 0.0
-        status = on.where(undefined & ok, UNDEFINED_RATIO, status)
-        ratio = bracket_omega / on.where(undefined, math.nan, bracket_partner)
-        columns = dict(
-            gamma=gamma, r10=r10, r20=r20, r1=r1, t1=t1, r2=r2, t2=t2,
-            n_idler=(t1 + r1 - 1.0) / 2.0, n_signal=(t2 + r2) * w10 / (2.0 * w20),
-            flux_omega=0.5 * gamma * bracket_omega,
-            flux_partner=0.5 * gamma * bracket_partner,
-            ratio=ratio, forward_fraction=_split(t1, t2, r1, r2)[0],
-        )
+    gamma = g * g * l * l * w0 * w0 * omega * partner / (4.0 * w1 * w2) * sinc_sq
+    step10 = fresnel_step(w10, w1)
+    r10, r20 = step10.r0, fresnel_step(w20, w2).r0
+    slab_r, slab_t = slab_coefficients(step10)  # the uncoupled slab
+    pass10, pass20 = 1.0 + r10, 1.0 + r20
+    pass_sq = on.square(pass10)
+    r1 = slab_r + sign * gamma * r10 / pass_sq
+    t1 = slab_t + sign * gamma / pass_sq
+    freq_ratio = partner / omega
+    r2 = freq_ratio * gamma * r20 / (pass10 * pass20)
+    t2 = freq_ratio * gamma / (pass10 * pass20)
+    cos_ratio = (w20 / partner) / (w10 / omega)
+    # pdc adds the two terms of each bracket, puc subtracts one from the other
+    bracket_omega = cos_ratio / pass20 + sign / pass10
+    bracket_partner = (1.0 / cos_ratio) / pass10 + sign / pass20
+    undefined = bracket_partner == 0.0
+    status = on.where(undefined & ok, UNDEFINED_RATIO, status)
+    ratio = bracket_omega / on.where(undefined, math.nan, bracket_partner)
+    columns = dict(
+        gamma=gamma, r10=r10, r20=r20, r1=r1, t1=t1, r2=r2, t2=t2,
+        n_idler=(t1 + r1 - 1.0) / 2.0, n_signal=(t2 + r2) * w10 / (2.0 * w20),
+        flux_omega=0.5 * gamma * bracket_omega,
+        flux_partner=0.5 * gamma * bracket_partner,
+        ratio=ratio, forward_fraction=_split(t1, t2, r1, r2)[0],
+    )
     bad = on.where(on.all_finite(columns.values()), False, status == OK)
     if on.any(bad):
         j = np.argmax(np.ravel(bad))
@@ -538,7 +536,7 @@ def channel_report(scenario, omega, kind="pdc", p=None):
     Resonance geometry is solved first; p (default: the resonant p0)
     detunes the coupled-pair shifts without moving the rainbow angles.
     """
-    return resonance_report(scenario, _resonance(scenario, omega, kind), p)
+    return _one_pair(ChannelReport, _reports, scenario, _resonance(scenario, omega, kind), p)
 
 
 def resonance_report(scenario, res, p):
@@ -549,11 +547,7 @@ def resonance_report(scenario, res, p):
     partner flux vanishes.  report_table's arithmetic, on the floats of one
     pair.
     """
-    p = res.p if p is None else float(p)
-    status, values = _tabulate(_reports, scenario, _Pairs.of_record(res), p)
-    _raise_skip(status, res, p)
-    return ChannelReport(omega=res.omega, partner=res.partner, kind=res.kind,
-                         **{name: values[name] for name in _REPORT_FIELDS})
+    return _one_pair(ChannelReport, _reports, scenario, res, p)
 
 
 def _split(t1, t2, r1, r2):

@@ -385,4 +385,8 @@ def calibrate_degenerate_angle(theta_d, mu2, omega0=1.0, band=None):
             f"target angle {math.degrees(theta_d):.3f} deg forces mu < 1 "
             f"inside band [{lo:g}, {hi:g}]"
         )
-    return DispersionModel.tabulated(anchors, values)
+    try:
+        return DispersionModel.tabulated(anchors, values)
+    except ValueError as exc:  # finite inputs whose table leaves the float range
+        raise CalibrationError(f"no float model for theta_d={theta_d!r}, mu2={mu2!r}, "
+                               f"omega0={omega0!r}: {exc}") from None

@@ -118,7 +118,7 @@ class _Primitives(NamedTuple):
     square: object  # x ** 2 by Python's pow
     apply: object  # apply(f, x): a scalar Python function f of each element
     all_finite: object  # per element, whether every column of a sequence is finite
-    quiet: object  # a context that silences overflow and invalid-value warnings
+    quiet: object  # a context that silences floating-point warnings
 
 
 # On both, +, -, *, / by a float, sqrt and round (half to even) round alike,
@@ -132,7 +132,7 @@ _ARRAYS = _Primitives(
     lambda z: np.hypot(z.real, z.imag), lambda x: _POW(x, 2).astype(float),
     lambda f, x: np.frompyfunc(f, 1, 1)(x).astype(float),
     lambda columns: np.isfinite(list(columns)).all(axis=0),
-    partial(np.errstate, over="ignore", invalid="ignore"))
+    partial(np.errstate, all="ignore"))
 _FLOATS = _Primitives(
     math.sqrt, lambda condition, x, y: x if condition else y, bool, max, min, round, abs,
     lambda x: x ** 2, lambda f, x: f(x), lambda columns: all(map(math.isfinite, columns)),

@@ -54,6 +54,5 @@ def slab_coefficients(step):
     thickness drops out and r + t = 1 exactly.
     """
     r0 = step.r0
-    r = 2.0 * r0 / (1.0 + r0)
-    t = (1.0 - r0) / (1.0 + r0)
-    return r, t
+    denominator = 1.0 + r0
+    return 2.0 * r0 / denominator, (1.0 - r0) / denominator

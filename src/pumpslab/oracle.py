@@ -190,9 +190,10 @@ def thickness_averaged_intensities(scenario, kin, phases=THICKNESS_PHASES):
     the whole average with a ConditioningError carrying the worst value
     it compared.  phases must be a positive integer.
     """
-    if not (isinstance(phases, (int, np.integer)) and phases >= 1):
+    if isinstance(phases, bool) or not (isinstance(phases, (int, np.integer)) and phases >= 1):
         raise ValueError(f"phases must be a positive integer, got {phases!r}")
-    roots = _quartic_roots(quartic_coefficients(scenario, kin)[0])[0]
+    roots = (None if scenario.g == 0.0  # _solve_stack's linear slab needs none
+             else _quartic_roots(quartic_coefficients(scenario, kin)[0])[0])
     return _averaged_intensities(scenario, kin, roots, phases)
 
 

@@ -69,7 +69,8 @@ class SweepRequest:
     detuning: float = 0.0  # working-p offset from p0, in units of omega
 
     def __post_init__(self):
-        if not 2 <= self.samples <= MAX_SAMPLES:
+        if (isinstance(self.samples, bool) or not isinstance(self.samples, (int, np.integer))
+                or not 2 <= self.samples <= MAX_SAMPLES):
             raise ValueError(f"sample count must be in [2, {MAX_SAMPLES}], got {self.samples}")
         lo, hi = self.band
         if not -math.inf < lo < hi < math.inf:
@@ -208,10 +209,11 @@ def compare_oracle(request, include_exact=True):
             refused[m] = True
         else:
             measured[m] = averaged["t1"] + averaged["r1"] - 1.0
-    closed, oracle, pair_err = _check_columns(ref, pairs, rep, eps, roots[:len(j)],
-                                              pairs.sign * measured)
-    # a strong gain over a zero oracle (an unmeasured exact cell) overflows
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a strong gain over a zero oracle (an unmeasured exact cell) overflows,
+    # and a shift that underflows to 0 divides by 0: breach cells, not errors
+    with np.errstate(all="ignore"):
+        closed, oracle, pair_err = _check_columns(ref, pairs, rep, eps, roots[:len(j)],
+                                                  pairs.sign * measured)
         abs_err = np.abs(closed - oracle)
         rel_err = abs_err / np.maximum(np.abs(oracle), 1e-300)
     abs_err[:, 7] = rel_err[:, 7] = pair_err  # quartic_pair_roots

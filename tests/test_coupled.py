@@ -145,6 +145,26 @@ class TestEpsilonRoots:
         with pytest.warns(ValidityWarning):
             epsilon_roots(s, res, p=res.p + 0.02 * res.omega)
 
+    @pytest.mark.parametrize("entry", ["epsilon_table", "report_table", "channel_report",
+                                       "resonance_report", "epsilon_roots"])
+    def test_detuning_warning_names_the_caller(self, entry):
+        s = scenario_for()
+        grid = _resonance_grid(s, [0.4, 0.5], ("pdc",))
+        res = pdc_resonance(s, 0.5)
+        p = res.p + 0.02 * res.omega
+        # each call sits on its own line, which the warning must name
+        calls = {
+            "epsilon_table": lambda: epsilon_table(s, grid, 0.02),
+            "report_table": lambda: report_table(s, grid, 0.02),
+            "channel_report": lambda: channel_report(s, 0.5, p=p),
+            "resonance_report": lambda: resonance_report(s, res, p),
+            "epsilon_roots": lambda: epsilon_roots(s, res, p=p),
+        }
+        with pytest.warns(ValidityWarning) as record:
+            calls[entry]()
+        assert [(w.filename, w.lineno) for w in record] == [
+            (__file__, calls[entry].__code__.co_firstlineno)]
+
     def test_strong_coupling_warning_at_construction(self):
         model = calibrate_degenerate_angle(math.radians(10.0), 1.51)
         with pytest.warns(ValidityWarning):

@@ -129,6 +129,20 @@ class TestCalibratedModel:
         with pytest.raises(CalibrationError, match=f"^{re.escape(message)}$"):
             calibrate_degenerate_angle(math.radians(10.0), **{"mu2": 1.51, **inputs})
 
+    @pytest.mark.parametrize("inputs, cause", [
+        ({"mu2": 1e200}, "tabulated samples must be finite"),
+        ({"omega0": 1e-320}, "mu(omega) must be real and >= 1 across the band"),
+        ({"omega0": 1e-150}, "mu(omega) must be real and >= 1 across the band"),
+        ({"omega0": 1e-110}, "mu(omega) must be real and >= 1 across the band"),
+        ({"omega0": 1e307}, "mu(omega) must be real and >= 1 across the band"),
+    ])
+    def test_finite_inputs_whose_table_leaves_the_float_range(self, inputs, cause):
+        theta_d, named = math.radians(10.0), {"mu2": 1.51, "omega0": 1.0, **inputs}
+        message = (f"no float model for theta_d={theta_d!r}, mu2={named['mu2']!r}, "
+                   f"omega0={named['omega0']!r}: {cause}")
+        with pytest.raises(CalibrationError, match=f"^{re.escape(message)}$"):
+            calibrate_degenerate_angle(theta_d, **named)
+
     @pytest.mark.parametrize("band", [(0.6, 2.0), (0.1, 1.4), (0.0, 2.0)])
     def test_band_must_cover_the_anchors(self, band):
         with pytest.raises(CalibrationError, match=r"band must cover \[omega0/2, 3\*omega0/2\]"):

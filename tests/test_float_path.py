@@ -259,7 +259,7 @@ def test_infinite_working_p_is_evanescent(reference, call, p):
             call(reference, res, p)
 
 
-@pytest.mark.parametrize("phases", [0, -3, 2.0])
+@pytest.mark.parametrize("phases", [0, -3, 2.0, True])
 def test_thickness_average_needs_a_positive_integer_phase_count(phases):
     model = calibrate_degenerate_angle(math.radians(10.0), 1.51)
     scenario = CrystalScenario(omega0=1.0, g=1e-5, l=2800.0, dispersion=model)

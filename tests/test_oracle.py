@@ -1,5 +1,6 @@
 """Exact boundary-matching solve and series-summation validators."""
 import math
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -16,6 +17,7 @@ from pumpslab import (
     CrystalScenario,
     DispersionModel,
     SeriesDomainError,
+    StrongGainError,
     SweepRequest,
     ValidityWarning,
     calibrate_degenerate_angle,
@@ -26,6 +28,7 @@ from pumpslab import (
     series_sum,
     slab_coefficients,
     fresnel_step,
+    quartic_wavenumbers,
     thickness_averaged_intensities,
 )
 
@@ -380,6 +383,41 @@ class TestOneFactorization:
             s = scenario_for(theta_d, mu2, g, l)
             kin = (pdc_resonance if kind == "pdc" else puc_resonance)(s, omega)
         assert_one_lu_identity(*boundary_system(s, kin))
+
+
+class TestQuarticFloatRange:
+    """At omega0 = 1e80 the quartic coefficient A K0^2 overflows: a
+    StrongGainError naming omega, not numpy's LinAlgError from the
+    companion eigenvalues."""
+
+    @staticmethod
+    def scenario(g):
+        model = calibrate_degenerate_angle(math.radians(10.0), 1.51, omega0=1e80)
+        return CrystalScenario(omega0=1e80, g=g, l=400.0, dispersion=model)
+
+    @pytest.mark.parametrize("g", [0.0, 1e-5])
+    @pytest.mark.parametrize("call", ["compare_oracle", "quartic_wavenumbers",
+                                      "thickness_averaged_intensities"])
+    def test_refused_as_strong_gain(self, call, g):
+        s = self.scenario(g)
+        res = pdc_resonance(s, 0.45e80)
+        calls = {
+            "compare_oracle": lambda: compare_oracle(SweepRequest(s, (0.3e80, 0.7e80), 3)),
+            "quartic_wavenumbers": lambda: quartic_wavenumbers(s, res),
+            "thickness_averaged_intensities": lambda: thickness_averaged_intensities(s, res),
+        }
+        if call == "thickness_averaged_intensities" and g == 0.0:
+            # the linear slab needs no quartic roots, so none are built
+            out = calls[call]()
+            assert (out["r2"], out["t2"], out["cond"]) == (0.0, 0.0, 1.0)
+            assert out["r1"] + out["t1"] == pytest.approx(1.0)
+            return
+        # with g > 0 the channel reports refuse the table first
+        message = ("sinc" if call == "compare_oracle" and g > 0.0 else
+                   "quartic coefficients overflow at omega=" + (
+                       "3e+79" if call == "compare_oracle" else "4.5e+79"))
+        with pytest.raises(StrongGainError, match=f"^{re.escape(message)}"):
+            calls[call]()
 
 
 class TestSeriesSum:

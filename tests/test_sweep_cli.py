@@ -205,6 +205,15 @@ class TestRunSweep:
         assert code == cli_mod.USAGE_EXIT
         assert capsys.readouterr().err == f"pumpslab: {message}\n"
 
+    @pytest.mark.parametrize("samples", [5.0, True, np.float64(5.0)])
+    def test_sample_count_must_be_an_integer(self, samples):
+        # np.linspace would refuse a float later, with a bare TypeError
+        message = f"sample count must be in [2, {sweep_mod.MAX_SAMPLES}], got {samples}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepRequest(scenario=scenario_for(), band=(0.4, 0.6), samples=samples)
+        assert SweepRequest(scenario=scenario_for(), band=(0.4, 0.6),
+                            samples=np.int64(5)).grid().size == 5
+
     def test_one_resonance_solve_per_kind_per_omega(self, monkeypatch):
         # the sweep solves the whole grid, both kinds, in one kernel call;
         # the scalar solvers are one-element kernel calls, so any per-omega
@@ -855,6 +864,13 @@ class TestCli:
             str(tmp_path / "row.csv"),
         ])
         assert code == 0
+
+    def test_calibrate_refuses_an_index_whose_square_overflows(self, capsys):
+        assert main(["calibrate", "--theta-d-deg", "10", "--mu2", "1e200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"pumpslab: no float model for theta_d={math.radians(10.0)!r}, "
+                                "mu2=1e+200, omega0=1.0: tabulated samples must be finite\n")
 
     def test_calibrate_refuses_a_non_finite_index(self, capsys):
         assert main(["calibrate", "--theta-d-deg", "10", "--mu2", "nan"]) == 1

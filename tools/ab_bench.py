@@ -33,10 +33,11 @@ def load_spec(root=ROOT):
         return json.load(fh)
 
 
-def export(revision, directory):
-    """Extract the tree of revision into directory with git archive."""
-    archive = subprocess.run(["git", "archive", "--format=tar", revision], cwd=ROOT,
-                             capture_output=True, check=True).stdout
+def export(revision, directory, paths=()):
+    """Extract the tree of revision, or only its paths, into directory with
+    git archive."""
+    archive = subprocess.run(["git", "archive", "--format=tar", revision, *paths],
+                             cwd=ROOT, capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(directory, filter="data")
 

@@ -21,29 +21,17 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import importlib  # noqa: E402
-import io  # noqa: E402
 import shutil  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
 import sys  # noqa: E402
-import tarfile  # noqa: E402
 import tempfile  # noqa: E402
 import timeit  # noqa: E402
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from ab_bench import ROOT, export, quartiles  # noqa: E402
+
 REPEATS = 3
 REPEAT_SECONDS = 0.01  # the calls per repeat are chosen to take about this long
 KINDS = ("pdc", "puc")
-
-
-def export(revision, directory):
-    """Extract revision's src/pumpslab into directory as pumpslab_base."""
-    archive = subprocess.run(["git", "archive", "--format=tar", revision, "src/pumpslab"],
-                             cwd=ROOT, capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(directory, filter="data")
-    shutil.move(os.path.join(directory, "src", "pumpslab"),
-                os.path.join(directory, "pumpslab_base"))
 
 
 def _modules(package):
@@ -126,11 +114,6 @@ def calls_per_repeat(call):
     return number
 
 
-def quartiles(values):
-    """(q1, median, q3) of values, by linear interpolation between ranks."""
-    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
-
-
 def summarize(timings):
     """Per layer, the comparison of its rounds.
 
@@ -178,7 +161,8 @@ def main(argv=None):
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
     with tempfile.TemporaryDirectory(prefix="ab_layers_") as tmp:
-        export(args.base, tmp)
+        export(args.base, tmp, ["src/pumpslab"])
+        shutil.move(os.path.join(tmp, "src", "pumpslab"), os.path.join(tmp, "pumpslab_base"))
         sys.path[:0] = [os.path.join(ROOT, "src"), tmp]
         calls, timings = {}, {}
         for name, build in layers(os.path.join(tmp, "out")).items():
