@@ -101,6 +101,7 @@ def build_parser():
     calib.add_argument("--omega0", type=float)
     calib.add_argument("--band", type=float, nargs=2, metavar=("LO", "HI"))
     calib.add_argument("--output", help="output path (default stdout)")
+    parser.verbs = subs.choices  # verb -> its subparser, for _parse
     return parser
 
 
@@ -193,8 +194,26 @@ def _write(path, text):
         sys.stdout.write(text)
 
 
+def _parse(argv):
+    """_PARSER.parse_args(argv) in one argparse pass where argv starts with a verb.
+
+    The full parser would hand everything after the verb to that verb's
+    subparser, so that subparser parses it directly; what it leaves over
+    is the full parser's usage error, as there.  No verb, help before a
+    verb or an unknown one go through the full parser.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = _PARSER.verbs.get(argv[0]) if argv else None
+    if verb is None:
+        return _PARSER.parse_args(argv)
+    args, extras = verb.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
+    args = _parse(argv)
     code = 0
     try:
         _resolve(args)

@@ -205,6 +205,23 @@ def _shifts(scenario, pairs, p):
     }
 
 
+def _finite_shifts(scenario, pairs, p):
+    """_shifts, refusing an OK element whose columns are not finite with a
+    StrongGainError naming its omega: where g^2 omega0^2 omega partner
+    overflows, or where eps3 and eps4 divide by an 8 arm Omega^2 that
+    underflows to 0."""
+    status, detuned, columns = _shifts(scenario, pairs, p)
+    on = _on(status)
+    parts = [part for column in columns.values() for part in (column.real, column.imag)]
+    bad = on.where(on.all_finite(parts), False, status == OK)
+    if on.any(bad):
+        j = np.argmax(np.ravel(bad))
+        raise StrongGainError(f"wavenumber shifts are not finite at omega="
+                              f"{np.ravel(pairs[0])[j]:g}: product="
+                              f"{np.ravel(columns['product'])[j]:g}")
+    return status, detuned, columns
+
+
 def _tabulate(build, scenario, pairs, p):
     """build's (status, columns) of mode pairs at working p, with one
     ValidityWarning for every in-range pair with |p - p0| >
@@ -295,9 +312,10 @@ def epsilon_table(scenario, grid, detuning=0.0):
     """epsilon_roots of every resonance of grid, as a GridTable.
 
     The working p is p0 + detuning * omega; the columns are the fields
-    of EpsilonRoots but kind.
+    of EpsilonRoots but kind.  An OK element whose shifts are not finite
+    is a StrongGainError.
     """
-    return _on_grid(_shifts, scenario, grid, detuning)
+    return _on_grid(_finite_shifts, scenario, grid, detuning)
 
 
 def epsilon_roots(scenario, res, p=None):
@@ -307,10 +325,10 @@ def epsilon_roots(scenario, res, p=None):
     p0 and must lie in [0, min(omega, partner)), where both free-space
     waves propagate.  Valid for g << 1 and |p - p0| << omega; a
     ValidityWarning is issued beyond |p - p0| = DETUNING_WARN_FRACTION * omega.
-    A NaN p is a GeometryError.  epsilon_table's arithmetic, on the floats
-    of one pair.
+    A NaN p is a GeometryError, and shifts that are not finite a
+    StrongGainError.  epsilon_table's arithmetic, on the floats of one pair.
     """
-    return _one_pair(EpsilonRoots, _shifts, scenario, res, p)
+    return _one_pair(EpsilonRoots, _finite_shifts, scenario, res, p)
 
 
 def quartic_coefficients(scenario, kin):

@@ -268,10 +268,6 @@ def _check_columns(ref, pairs, rep, eps, roots, excess):
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-def _round12(value):
-    return float(f"{value:.12g}")
-
-
 def _csv_template(types):
     """The %-template of a CSV line whose cells have these types, and the
     getter of the cells it formats, or None if it formats them all: None
@@ -289,13 +285,64 @@ def _csv_template(types):
     return template, lambda cells: tuple(cells[i] for i in kept)
 
 
+# %.12g text that json.dumps of its value writes in positional notation
+_POSITIONAL_EXPONENTS = frozenset(("e+12", "e+13", "e+14", "e+15"))
+
+
+def _json_number(value):
+    """json.dumps of value rounded to 12 significant digits, from its %.12g text.
+
+    The text has at most 12 significant digits, so for a normal double the
+    shortest repr of the rounded value has the same digits in the same
+    notation, but for an integral value (repr adds ".0"), inf and nan, a
+    decimal exponent of 12 to 15 (repr is positional there) and one of
+    -300 or below, near the subnormals, whose digits can differ: those go
+    through json.dumps.
+    """
+    text = "%.12g" % value
+    if (("." in text or "e" in text) and text[-4:] not in _POSITIONAL_EXPONENTS
+            and text[-5:-2] != "e-3"):
+        return text
+    return json.dumps(float(text))
+
+
+class _JsonStrings(dict):
+    """json.dumps of each string looked up, computed once."""
+
+    def __missing__(self, text):
+        self[text] = dumped = json.dumps(text)
+        return dumped
+
+
+def _jsonl_template(columns, types, strings):
+    """The %-template of a JSON line whose cells have these types, and the
+    (index, encoder) of each cell it formats: None cells are written into
+    the template as null, a float goes in as its _json_number, a str as
+    its json.dumps from strings, anything else as its json.dumps."""
+    fields, encoders = [], []
+    for i, (column, t) in enumerate(zip(columns, types)):
+        key = json.dumps(column).replace("%", "%%")
+        if t is type(None):
+            fields.append(f"{key}: null")
+            continue
+        fields.append(f"{key}: %s")
+        encoders.append((i, _json_number if issubclass(t, float)
+                         else strings.__getitem__ if issubclass(t, str) else json.dumps))
+    return "{" + ", ".join(fields) + "}\n", encoders
+
+
 def write_rows(rows, columns, stream, output_format="csv"):
-    """Serialize rows (list of dicts) as CSV or JSON-lines."""
+    """Serialize rows (list of dicts) as CSV or JSON-lines.
+
+    Both write a float from its 12-significant-digit text; a JSON number
+    is the shortest repr of that value, so it reads 2.0, not 2, and inf and
+    nan read Infinity and NaN.
+    """
+    templates = {}  # one per row shape: which cells are None, str or numbers
+    cells_of = (operator.itemgetter(*columns) if len(columns) > 1
+                else lambda row: (row[columns[0]],))
     if output_format == "csv":
         stream.write(",".join(columns) + "\n")
-        templates = {}  # one per row shape: which cells are None, str or numbers
-        cells_of = (operator.itemgetter(*columns) if len(columns) > 1
-                    else lambda row: (row[columns[0]],))
         for row in rows:
             cells = cells_of(row)
             shape = (*map(type, cells),)  # exact-size tuples: tuple(map()) resizes
@@ -307,14 +354,15 @@ def write_rows(rows, columns, stream, output_format="csv"):
         return
     if output_format != "jsonl":
         raise ValueError("output format must be 'csv' or 'jsonl'")
+    strings = _JsonStrings()
     for row in rows:
-        obj = {}
-        for c in columns:
-            value = row[c]
-            if isinstance(value, float):
-                value = _round12(value)
-            obj[c] = value
-        stream.write(json.dumps(obj) + "\n")
+        cells = cells_of(row)
+        shape = (*map(type, cells),)
+        try:
+            template, encoders = templates[shape]
+        except KeyError:
+            template, encoders = templates[shape] = _jsonl_template(columns, shape, strings)
+        stream.write(template % tuple([encode(cells[i]) for i, encode in encoders]))
 
 
 def rows_to_text(rows, columns, output_format="csv"):

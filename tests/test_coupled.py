@@ -1,6 +1,7 @@
 """Coupled-pair shifts, quartic roots, fluxes and the rainbow split."""
 import cmath
 import math
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -103,6 +104,25 @@ class TestStrongGain:
     def test_largest_finite_gain_still_reports(self):
         report = channel_report(scenario_for(g=5e-3, l=2e5), 0.5)
         assert math.isfinite(report.gamma) and report.gamma > 1e280
+
+    def test_shifts_of_an_overflowing_strength_are_refused(self):
+        # g^2 omega0^2 omega partner overflows: the shifts were nan+nanj,
+        # the product inf and eps3 -inf, with status OK
+        omega0 = 2.17e85
+        model = calibrate_degenerate_angle(math.radians(6.0), 5.5, omega0=omega0)
+        s = CrystalScenario(omega0=omega0, g=3.2e-3, l=0.21, dispersion=model)
+        omega = 0.45 * omega0
+        message = re.escape(f"wavenumber shifts are not finite at omega={omega:g}: "
+                            "product=inf")
+        with pytest.raises(StrongGainError, match=f"^{message}$"):
+            epsilon_roots(s, pdc_resonance(s, omega))
+        with pytest.raises(StrongGainError, match=f"^{message}$"):
+            epsilon_table(s, _resonance_grid(s, [omega], ("pdc",)))
+        with pytest.raises(StrongGainError, match="^wavenumber shifts are not finite"):
+            epsilon_table(s, _resonance_grid(s, np.linspace(0.4, 0.5, 20) * omega0,
+                                             ("pdc",)))
+        with pytest.raises(StrongGainError):
+            channel_report(s, omega)
 
 
 class TestEpsilonRoots:

@@ -5,12 +5,14 @@ mu2, omega0, g and l over many decades), a band of 2-40 samples and the
 kinds in either order, then runs run_sweep, compare_oracle,
 channel_report, epsilon_roots and the CLI on it.  A failure must be a
 PumpslabError (the CLI: exit code 1 or 3), every cell of an ok sweep row
-must be finite, and so must every cell of an ok or breach oracle row.
+must be finite, and so must every cell of an ok or breach oracle row and
+every field of an epsilon_roots result.
 
 A known defect stays in the draw: _known names it, and a strict xfail
 pins one reproducer of it, so that its fix fails that test until both
 are removed.
 """
+import cmath
 import math
 import os
 import warnings
@@ -120,7 +122,12 @@ def _run(draw, tally):
     res = _typed(lambda: solve(scenario, omega), problems, "resonance")
     if res is not None:
         p = res.p + draw["detuning"] * omega
-        _typed(lambda: epsilon_roots(scenario, res, p), problems, "epsilon_roots")
+        eps = _typed(lambda: epsilon_roots(scenario, res, p), problems, "epsilon_roots")
+        bad = [name for name, value in (vars(eps) if eps else {}).items()
+               if name != "kind" and not cmath.isfinite(value)]
+        if bad:
+            problems.append((f"epsilon_roots at omega={omega!r} {kind}: non-finite {bad}",
+                             None))
     argv = ["--theta-d-deg", repr(draw["theta_d_deg"]), "--mu2", repr(draw["mu2"]),
             "--omega0", repr(draw["omega0"]), "--g", repr(draw["g"]),
             "--l", repr(draw["l"]), "--band", repr(lo), repr(hi),

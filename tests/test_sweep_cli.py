@@ -802,6 +802,57 @@ class TestSerialization:
         columns, rows = table
         assert rows_to_text(rows, columns, "csv") == self.naive_csv(rows, columns)
 
+    @staticmethod
+    def dict_jsonl(rows, columns):
+        """JSON lines as one json.dumps of a dict per row, every float
+        rounded to 12 significant digits first."""
+        return "".join(
+            json.dumps({c: float(f"{row[c]:.12g}") if isinstance(row[c], float) else row[c]
+                        for c in columns}) + "\n"
+            for row in rows)
+
+    @given(st.one_of(st.floats(), st.floats().map(np.float64)))
+    @example(0.0)
+    @example(-0.0)
+    @example(2.0)
+    @example(1e11)
+    @example(123456789012.0)
+    @example(1e12)
+    @example(1.5e15)
+    @example(1e16)
+    @example(5e-324)
+    @example(2.2250738585072014e-308)
+    @example(1e-300)
+    @example(1.7976931348623157e308)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(math.nan)
+    @settings(max_examples=1000)
+    def test_jsonl_number_is_json_of_the_12_digit_value(self, value):
+        cell = json.dumps(float(f"{value:.12g}"))
+        assert rows_to_text([{"x": value}], ("x",), "jsonl") == f'{{"x": {cell}}}\n'
+
+    @given(_csv_tables())
+    @settings(max_examples=200)
+    def test_jsonl_matches_a_dict_per_row(self, table):
+        columns, rows = table
+        assert rows_to_text(rows, columns, "jsonl") == self.dict_jsonl(rows, columns)
+
+    def test_jsonl_tables_match_a_dict_per_row(self):
+        request = SweepRequest(scenario=scenario_for(), band=(0.05, 1.95), samples=201,
+                               kinds=("pdc", "puc"))
+        rows = run_sweep(request)
+        assert len(rows) == 402
+        assert rows_to_text(rows, SWEEP_COLUMNS, "jsonl") == self.dict_jsonl(rows,
+                                                                             SWEEP_COLUMNS)
+        request = SweepRequest(scenario=scenario_for(g=1e-5, l=2800.0), band=(0.3, 0.7),
+                               samples=5, kinds=("pdc", "puc"))
+        rows, _ = compare_oracle(request, include_exact=True)
+        assert any(row["quantity"] == "exact_excess" and row["status"] == "ok"
+                   for row in rows)
+        assert rows_to_text(rows, ORACLE_COLUMNS, "jsonl") == self.dict_jsonl(rows,
+                                                                              ORACLE_COLUMNS)
+
 
 class TestCli:
     def test_degenerate_verb(self, capsys):
@@ -1143,3 +1194,93 @@ def test_readme_config_example_runs(tmp_path, monkeypatch, capsys):
     assert (code, out, err) == (0, "", "")
     rows = (tmp_path / "rows.csv").read_text().splitlines()
     assert rows[0] == ",".join(SWEEP_COLUMNS) and len(rows) == 1 + 7 * 2
+
+
+# argv of the parser-dispatch test: every verb with its flags, help before
+# and after a verb, and the usage errors.  {config}, {model} and {output}
+# stand for files the test writes; an {output} file's text is compared too.
+_PHYSICS = ["--theta-d-deg", "10", "--mu2", "1.51"]
+_DISPATCH_CASES = {
+    "sweep-every-flag": ["sweep", *_PHYSICS, "--omega0", "1.0", "--g", "2e-4", "--l", "90",
+                         "--guard-width", "0.03", "--band", "0.4", "0.6", "--samples", "3",
+                         "--kind", "both", "--detuning", "0.001", "--format", "csv"],
+    "sweep-config": ["sweep", "--config", "{config}"],
+    "sweep-config-and-flags": ["sweep", "--config", "{config}", "--samples", "2",
+                               "--format", "csv", "--output", "{output}"],
+    "sweep-abbreviated-flag": ["sweep", *_PHYSICS, "--sam", "2", "--form", "jsonl"],
+    "sweep-negative-detuning": ["sweep", *_PHYSICS, "--samples", "2", "--detuning",
+                                "-0.001"],
+    "degenerate-model": ["degenerate", "--model", "{model}", "--kind", "puc", "--format",
+                         "jsonl"],
+    "degenerate-every-flag": ["degenerate", *_PHYSICS, "--omega0", "2", "--g", "1e-4",
+                              "--l", "100", "--guard-width", "0.02", "--kind", "both",
+                              "--format", "csv", "--output", "{output}"],
+    "compare-oracle-every-flag": ["compare-oracle", *_PHYSICS, "--g", "1e-5", "--l", "3000",
+                                  "--band", "0.45", "0.55", "--samples", "2", "--kind",
+                                  "both", "--no-exact", "--format", "jsonl"],
+    "compare-oracle-config": ["compare-oracle", "--config", "{config}", "--no-exact"],
+    "calibrate-every-flag": ["calibrate", "--theta-d-deg", "9.5", "--mu2", "1.505",
+                             "--omega0", "2", "--band", "0.2", "4.8"],
+    "calibrate-to-file": ["calibrate", *_PHYSICS, "--output", "{output}"],
+    "help": ["-h"],
+    "help-long": ["--help"],
+    "help-before-verb": ["-h", "sweep"],
+    "sweep-help": ["sweep", "-h"],
+    "sweep-help-after-flags": ["sweep", "--samples", "3", "--help"],
+    "sweep-help-abbreviated": ["sweep", "--he"],
+    "degenerate-help": ["degenerate", "--help"],
+    "compare-oracle-help": ["compare-oracle", "-h"],
+    "calibrate-help": ["calibrate", "-h"],
+    "no-verb": [],
+    "unknown-verb": ["bogus"],
+    "unknown-verb-with-flags": ["sweeps", "--samples", "3"],
+    "flag-before-verb": ["--samples", "3", "sweep"],
+    "unknown-top-flag": ["--bogus"],
+    "unrecognized-flag": ["sweep", "--bogus"],
+    "unrecognized-flags": ["sweep", *_PHYSICS, "--bogus", "1", "-x"],
+    "unrecognized-positional": ["degenerate", *_PHYSICS, "extra"],
+    "detuning-on-compare-oracle": ["compare-oracle", *_PHYSICS, "--detuning", "0.1"],
+    "bad-int": ["sweep", "--samples", "x"],
+    "bad-float": ["calibrate", "--theta-d-deg", "ten", "--mu2", "1.51"],
+    "bad-choice": ["sweep", *_PHYSICS, "--kind", "sfg"],
+    "missing-value": ["sweep", "--samples"],
+    "missing-band-end": ["sweep", *_PHYSICS, "--band", "0.4"],
+    "missing-required": ["calibrate", "--mu2", "1.51"],
+    "bad-value-then-unknown": ["sweep", "--samples", "x", "--bogus"],
+    "double-dash": ["--"],
+    "double-dash-before-verb": ["--", "sweep"],
+    "verb-double-dash": ["sweep", "--"],
+    "verb-double-dash-positional": ["sweep", *_PHYSICS, "--", "x"],
+    "verb-flags-double-dash": ["sweep", *_PHYSICS, "--samples", "2", "--"],
+}
+_DISPATCH_EXPECTED = Path(__file__).with_name("cli_dispatch_expected.json")
+
+
+def _dispatch(argv, tmp_path, capsys, monkeypatch):
+    """(exit code, stdout, stderr, output file text) of main(argv), with the
+    {placeholders} of argv filled in; SystemExit's code is the exit code."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    files = {"config": tmp_path / "run.cfg", "model": tmp_path / "model.rec",
+             "output": tmp_path / "out.txt"}
+    files["config"].write_text(
+        "[scenario]\ntheta_d_deg = 10.0\nmu2 = 1.51\ng = 1e-4\nl = 100.0\n"
+        "[sweep]\nomega_lo = 0.45\nomega_hi = 0.55\nsamples = 3\nkind = both\n"
+        "[output]\nformat = jsonl\n")
+    files["model"].write_text(calibrate_degenerate_angle(math.radians(10.0), 1.51)
+                              .to_record())
+    capsys.readouterr()
+    try:
+        code = main([arg.format(**files) for arg in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    written = files["output"].read_text() if files["output"].exists() else None
+    return [code, out, err, written]
+
+
+@pytest.mark.parametrize("case", sorted(_DISPATCH_CASES))
+def test_parser_dispatch_output_is_unchanged(case, tmp_path, capsys, monkeypatch):
+    """Exit code, stdout, stderr and output file of each case, as the
+    two-pass parse (the full parser, then the verb's) gave them."""
+    expected = json.loads(_DISPATCH_EXPECTED.read_text(encoding="utf-8"))[case]
+    assert _dispatch(_DISPATCH_CASES[case], tmp_path, capsys, monkeypatch) == expected

@@ -73,6 +73,14 @@ def _sweep(package, exact):
     return lambda: m["sweep"].run_sweep(request)
 
 
+def _jsonl(package):
+    m = _modules(package)
+    request = m["sweep"].SweepRequest(m["presets"].reference_scenario(), (0.05, 1.95), 201,
+                                      KINDS)
+    rows = m["sweep"].run_sweep(request)
+    return lambda: m["sweep"].rows_to_text(rows, m["sweep"].SWEEP_COLUMNS, "jsonl")
+
+
 def layers(output):
     """Layer name -> a function of a package name giving the zero-argument
     call that is timed; output is a scratch file for the CLI calls."""
@@ -99,8 +107,12 @@ def layers(output):
         "fresnel_step": fresnel,
         "run_sweep 201 omega": lambda p: _sweep(p, exact=False),
         "compare_oracle 5 omega exact": lambda p: _sweep(p, exact=True),
+        "rows_to_text jsonl 201 omega": _jsonl,
+        "cli calibrate": lambda p: _cli(p, ["calibrate"], output),
         "cli degenerate": lambda p: _cli(p, ["degenerate"], output),
         "cli sweep --samples 7": lambda p: _cli(p, ["sweep", "--samples", "7"], output),
+        "cli sweep --samples 7 --format jsonl": lambda p: _cli(
+            p, ["sweep", "--samples", "7", "--format", "jsonl"], output),
         "cli compare-oracle --samples 3 --no-exact": lambda p: _cli(
             p, ["compare-oracle", "--samples", "3", "--no-exact"], output),
     }
