@@ -18,9 +18,9 @@ Shifts and reports are computed as columns over a whole resonance grid
 element.  The same function bodies run on numpy arrays or on Python
 floats, one resonance at a time (_tabulate); kinematics owns that choice
 and the primitives that differ between the two, and the scalar
-epsilon_roots, resonance_report and channel_report run the bodies on
-floats.  Either way every element carries the bits a scalar evaluation in
-the same operation order would give.
+epsilon_roots and channel_report run the bodies on floats.  Either way
+every element carries the bits a scalar evaluation in the same operation
+order would give.
 """
 import cmath
 import math
@@ -120,9 +120,14 @@ class _Pairs(NamedTuple):
 
     @classmethod
     def of_record(cls, kin):
-        """The one mode pair of record kin, as floats."""
-        if kin.Omega1 <= 0.0 or kin.Omega2 <= 0.0:
-            raise GeometryError("resonant internal wavenumbers must be positive")
+        """The one mode pair of record kin, as floats; a GeometryError
+        unless its four wavenumbers are positive, which a NaN is not."""
+        if not (kin.Omega1 > 0.0 and kin.Omega2 > 0.0 and kin.Omega10 > 0.0
+                and kin.Omega20 > 0.0):
+            raise GeometryError(
+                f"resonant internal wavenumbers and their free-space values must be "
+                f"positive, got Omega1={kin.Omega1!r}, Omega2={kin.Omega2!r}, "
+                f"Omega10={kin.Omega10!r}, Omega20={kin.Omega20!r}")
         return cls(kin.omega, kin.partner, kind_sign(kin.kind), kin.p,
                    kin.Omega1, kin.Omega2, kin.Omega10, kin.Omega20)
 
@@ -404,7 +409,7 @@ def _nearest(candidates, anchor):
 def _sorted_wavenumbers(K0, w1, w2, sign, roots):
     """quartic_wavenumbers of mode pairs from their (n, 4) unsorted roots;
     w1, w2 (Omega1, Omega2) and sign (+1 pdc) are floats or 1-d columns.
-    Each row sorts as alone; the first with an equidistant pair raises."""
+    Each row sorts as alone; a row with an equidistant pair raises."""
     # uncoupled wavenumbers the four roots collapse to at g = 0
     a12, a4 = w1, sign * (K0 + w2)
     scale = np.maximum(np.abs(a12), np.abs(a4))
@@ -414,23 +419,9 @@ def _sorted_wavenumbers(K0, w1, w2, sign, roots):
     k3 = np.take_along_axis(rest, order3[:, :1], axis=1)
     k4 = np.take_along_axis(roots, order4[:, :1], axis=1)
     pair = np.take_along_axis(rest, order3[:, 1:], axis=1)
-    tied4, tied3 = gap4 < 1e-12 * scale, gap3 < 1e-12 * scale
-    if (tied4 | tied3).any():
-        j = np.argmax(tied4 | tied3)
-        chosen = np.array([*pair[j], k3[j, 0], k4[j, 0]])
-        # the other assignment swaps the tied roots: k4 with the runner-up
-        # for k4 (rest[0], at position (2, 0, 1)[m] where order3[m] == 0),
-        # or else k3 with the runner-up for k3 (pair[0])
-        if tied4[j]:
-            a, b = 3, (2, 0, 1)[order3[j].tolist().index(0)]
-        else:
-            a, b = 2, 0
-        other = chosen.copy()
-        other[[a, b]] = chosen[[b, a]]
-        raise DegenerateRootError(
-            "two quartic roots are equidistant from the sorting anchors",
-            assignments=(chosen, other),
-        )
+    tie = 1e-12 * scale
+    if ((gap4 < tie) | (gap3 < tie)).any():
+        raise DegenerateRootError("two quartic roots are equidistant from the sorting anchors")
     # k1 is the root nearer Omega1, as eps1 is the shift nearer 0; for
     # distances equal to 1e-12 relative, the +imaginary, then +real, one
     d0, d1 = (pair - np.asarray(a12)[..., None]).T
@@ -555,17 +546,6 @@ def channel_report(scenario, omega, kind="pdc", p=None):
     detunes the coupled-pair shifts without moving the rainbow angles.
     """
     return _one_pair(ChannelReport, _reports, scenario, _resonance(scenario, omega, kind), p)
-
-
-def resonance_report(scenario, res, p):
-    """channel_report for an already solved ResonancePoint res.
-
-    p is the working transverse wavenumber, or None for the resonant p0;
-    a NaN p is a GeometryError.  Raises UndefinedSplitError where the
-    partner flux vanishes.  report_table's arithmetic, on the floats of one
-    pair.
-    """
-    return _one_pair(ChannelReport, _reports, scenario, res, p)
 
 
 def _split(t1, t2, r1, r2):

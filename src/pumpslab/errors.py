@@ -36,10 +36,6 @@ class GeometryError(PumpslabError):
 class DegenerateRootError(PumpslabError):
     """Quartic roots could not be matched to anchors unambiguously."""
 
-    def __init__(self, message, assignments=None):
-        super().__init__(message)
-        self.assignments = assignments
-
 
 class ConditioningError(PumpslabError):
     """Boundary-matching system too ill-conditioned to solve reliably.

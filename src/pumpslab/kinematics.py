@@ -56,8 +56,10 @@ SKIP_REASONS = ("ok", "guard_band", "geometry", "out_of_band", "evanescent",
 
 
 @dataclass(frozen=True)
-class ModeKinematics:
-    """Longitudinal wavenumbers of one (omega, p) mode pair.
+class ResonancePoint:
+    """One phase-matched mode pair: its longitudinal wavenumbers at the
+    resonant p = p0, the residual left there and the Newton steps that
+    reached it (0 where p0 = 0).
 
     Omega1 / Omega10 are the internal / free-space values at omega;
     Omega2 / Omega20 the same at the partner frequency (omega0 - omega
@@ -72,6 +74,8 @@ class ModeKinematics:
     Omega2: float
     Omega10: float
     Omega20: float
+    residual: float
+    iterations: int
 
     @property
     def theta(self):
@@ -81,15 +85,6 @@ class ModeKinematics:
     @property
     def theta_deg(self):
         return _theta_deg(self.p, self.omega)
-
-
-@dataclass(frozen=True)
-class ResonancePoint(ModeKinematics):
-    """ModeKinematics at the phase-matching p = p0, plus the residual left
-    there and the Newton steps that reached it (0 where p0 = 0)."""
-
-    residual: float
-    iterations: int
 
 
 def _theta_deg(p, omega):
@@ -215,7 +210,7 @@ class ResonanceGrid:
 
     def theta_deg(self):
         """Per kind, the exterior angle in degrees of each omega's mode, as
-        ModeKinematics.theta_deg gives it; None where status is not OK."""
+        ResonancePoint.theta_deg gives it; None where status is not OK."""
         omegas = self.omega.tolist()
         return [
             [_theta_deg(p, omega) if code == OK else None
@@ -358,7 +353,8 @@ def _solve(scenario, w1, w2, s, mu1, mu2, code):
 def _roots(solve, a1, a2, s, p_max, K0):
     """(p0, Newton steps) of _newton_roots where solve is set, (0, 0)
     elsewhere.  On arrays, one call for all roots, or one call per root on
-    floats where they are _small in number."""
+    floats where they are _small in number: the same bits, and faster on a
+    grid just past ARRAY_MIN with few roots to solve."""
     if not isinstance(solve, np.ndarray):
         return _newton_roots(a1, a2, s, p_max, K0=K0) if solve else (0.0, 0)
     todo = np.flatnonzero(solve)

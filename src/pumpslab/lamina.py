@@ -31,11 +31,11 @@ def fresnel_step(omega_out, omega_in):
     """First matching step at a single interface.
 
     omega_out is the free-space longitudinal wavenumber, omega_in the
-    internal one; both must be positive (propagating regime).  Floats or
-    arrays, elementwise.
+    internal one; both must be positive (propagating regime), which a NaN
+    is not.  Floats or arrays, elementwise.
     """
-    bad = (omega_out <= 0.0) | (omega_in <= 0.0)
-    if bad.any() if isinstance(bad, np.ndarray) else bad:
+    good = (omega_out > 0.0) & (omega_in > 0.0)
+    if not (good.all() if isinstance(good, np.ndarray) else good):
         raise PumpslabError(
             f"longitudinal wavenumbers must be positive, got "
             f"({omega_out}, {omega_in})"

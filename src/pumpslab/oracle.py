@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .coupled import _quartic_roots, quartic_coefficients
+from .coupled import _Pairs, _quartic, _quartic_roots, quartic_coefficients
 from .errors import ConditioningError, SeriesDomainError, StrongGainError
 from .kinematics import kind_sign
 
@@ -192,8 +192,9 @@ def thickness_averaged_intensities(scenario, kin, phases=THICKNESS_PHASES):
     """
     if isinstance(phases, bool) or not (isinstance(phases, (int, np.integer)) and phases >= 1):
         raise ValueError(f"phases must be a positive integer, got {phases!r}")
+    pairs = _Pairs.of_record(kin)  # refuses a record no resonance solve gives
     roots = (None if scenario.g == 0.0  # _solve_stack's linear slab needs none
-             else _quartic_roots(quartic_coefficients(scenario, kin)[0])[0])
+             else _quartic_roots(_quartic(scenario, pairs)[0])[0])
     return _averaged_intensities(scenario, kin, roots, phases)
 
 

@@ -77,12 +77,19 @@ class SweepRequest:
             raise ValueError(f"band must be finite with lo < hi, got {self.band!r}")
         if not math.isfinite(self.detuning):
             raise ValueError(f"detuning must be finite, got {self.detuning!r}")
-        for kind in self.kinds:
-            kind_sign(kind)  # refuses an unknown kind
+        _check_kinds(self.kinds)
 
     def grid(self):
         lo, hi = self.band
         return np.linspace(lo, hi, self.samples)
+
+
+def _check_kinds(kinds):
+    """A ValueError unless kinds is a non-empty sequence of known kinds."""
+    if isinstance(kinds, str) or not kinds:
+        raise ValueError(f"kinds must be a non-empty sequence of {KINDS}, got {kinds!r}")
+    for kind in kinds:
+        kind_sign(kind)  # refuses an unknown kind
 
 
 _REPORT_COLUMNS = ("gamma", "r1", "t1", "r2", "t2", "flux_omega", "flux_partner",
@@ -95,10 +102,9 @@ def _outcomes(scenario, omegas, kinds, detuning=0.0):
     Returns (grid, located, table, order): the ResonanceGrid of both kinds,
     its _Pairs.of_grid, its report_table at p = p0 + detuning * omega, and
     the rows as (omega, i, kind, k, status) ordered by omega, then kinds;
-    (k, i) is the row's grid element, status its skip reason or "ok".
+    (k, i) is the row's grid element, status its skip reason or "ok";
+    kinds must have passed _check_kinds.
     """
-    for kind in kinds:
-        kind_sign(kind)  # refuses an unknown kind
     rows = [(kind, KINDS.index(kind)) for kind in kinds]  # the kind's grid row
     grid = _resonance_grid(scenario, omegas, KINDS)
     located = _Pairs.of_grid(grid)
@@ -152,6 +158,7 @@ def run_sweep(request):
 
 def degenerate_rows(scenario, kinds=("pdc",)):
     """Single-frequency report rows at omega0 / 2, or a SweepError."""
+    _check_kinds(kinds)
     return _sweep_rows(scenario, [0.5 * scenario.omega0], kinds)
 
 

@@ -36,17 +36,19 @@ from pumpslab import (
 from pumpslab.coupled import (
     OK,
     STATUS_REASONS,
+    ChannelReport,
     EpsilonRoots,
+    _one_pair,
     _quartic_roots,
+    _reports,
     _shift_pair,
     _sorted_wavenumbers,
     csinc,
     epsilon_table,
     quartic_coefficients,
     report_table,
-    resonance_report,
 )
-from pumpslab.kinematics import (SKIP_REASONS, ModeKinematics, ResonanceGrid,
+from pumpslab.kinematics import (SKIP_REASONS, ResonanceGrid, ResonancePoint,
                                  _resonance_grid, kind_sign)
 
 GAMMA_UNIT_COUPLING = 1.0964431384588394e-05  # (g*l*omega0)^2/(4*mu2^2) at 0.01
@@ -166,7 +168,7 @@ class TestEpsilonRoots:
             epsilon_roots(s, res, p=res.p + 0.02 * res.omega)
 
     @pytest.mark.parametrize("entry", ["epsilon_table", "report_table", "channel_report",
-                                       "resonance_report", "epsilon_roots"])
+                                       "epsilon_roots"])
     def test_detuning_warning_names_the_caller(self, entry):
         s = scenario_for()
         grid = _resonance_grid(s, [0.4, 0.5], ("pdc",))
@@ -177,7 +179,6 @@ class TestEpsilonRoots:
             "epsilon_table": lambda: epsilon_table(s, grid, 0.02),
             "report_table": lambda: report_table(s, grid, 0.02),
             "channel_report": lambda: channel_report(s, 0.5, p=p),
-            "resonance_report": lambda: resonance_report(s, res, p),
             "epsilon_roots": lambda: epsilon_roots(s, res, p=p),
         }
         with pytest.warns(ValidityWarning) as record:
@@ -232,41 +233,25 @@ class TestQuarticWavenumbers:
         # pair (Omega1 = K0 + Omega2), leaving no unambiguous assignment
         model = DispersionModel.constant(1.0)
         s = CrystalScenario(omega0=1.0, g=0.0, l=10.0, dispersion=model)
-        kin = ModeKinematics(
+        kin = ResonancePoint(
             omega=3.0, partner=-2.0, p=0.0, kind="pdc", Omega1=3.0, Omega2=2.0,
-            Omega10=3.0, Omega20=2.0,
+            Omega10=3.0, Omega20=2.0, residual=0.0, iterations=0,
         )
-        with pytest.raises(DegenerateRootError) as excinfo:
+        with pytest.raises(DegenerateRootError, match="equidistant"):
             quartic_wavenumbers(s, kin)
-        assignments = excinfo.value.assignments
-        assert assignments is not None
-        assert len(assignments) == 2
-        # each assignment places every root once, and they differ
-        roots = _quartic_roots(quartic_coefficients(s, kin)[0])[0]
-        for assignment in assignments:
-            assert sorted(assignment.tolist(), key=_hex) == sorted(roots.tolist(), key=_hex)
-        assert assignments[0].tolist() != assignments[1].tolist()
 
     @pytest.mark.parametrize("tied", ["k3", "k4"])
-    def test_equidistant_roots_give_two_permutations(self, tied):
+    def test_equidistant_roots_refused(self, tied):
         # two roots equidistant from the k3 anchor -Omega1 or the k4 anchor
-        # K0 + Omega2: both assignments place each root once, and differ
-        # by swapping the tied pair
+        # K0 + Omega2 leave no unambiguous assignment
         K0, w1, w2, d = 1.5, 1.0, 1.2, 1e-3 + 2e-3j
         a3, a4 = -w1, K0 + w2
         if tied == "k3":
             roots = [w1 + 1e-6, a3 + d, a4 + 1e-6, a3 - d]
         else:
             roots = [a4 + d, a3, a4 - d, w1 - 1e-6j]
-        with pytest.raises(DegenerateRootError) as excinfo:
+        with pytest.raises(DegenerateRootError, match="equidistant"):
             _sorted_wavenumbers(K0, w1, w2, 1.0, np.array([roots]))
-        first, second = (a.tolist() for a in excinfo.value.assignments)
-        for assignment in (first, second):
-            assert sorted(assignment, key=_hex) == sorted(roots, key=_hex)
-        swapped = [i for i in range(4) if first[i] != second[i]]
-        assert len(swapped) == 2 and (2 if tied == "k3" else 3) in swapped
-        anchor = a3 if tied == "k3" else a4
-        assert {first[i] for i in swapped} == {anchor + d, anchor - d}
 
     @pytest.mark.parametrize("kind,omega", [("pdc", 0.4), ("puc", 0.5)])
     def test_counterpropagating_shifts(self, kind, omega):
@@ -685,7 +670,7 @@ def test_tables_square_one_plus_r10_with_pow():
             status, want = _scalar_reference(s, res, res.p)[2:]
             assert table.status[k, i] == OK and status == "ok"
             row = _element(table, k, i)
-            rep = resonance_report(s, res, None)
+            rep = _one_pair(ChannelReport, _reports, s, res, None)  # channel_report's path
             for name, value in want.items():
                 assert _bits(row[name]) == _bits(value), (k, i, name)
                 if name != "forward_fraction":
@@ -792,7 +777,7 @@ class TestKindConvention:
         assert coeffs[3] == 2.0 * A * sign * K0
 
     @pytest.mark.parametrize("call", [
-        "series_sum", "epsilon_roots", "resonance_report", "quartic_coefficients",
+        "series_sum", "epsilon_roots", "quartic_coefficients",
         "quartic_wavenumbers", "thickness_averaged_intensities", "flux_identity_terms"])
     def test_hand_built_record_with_unknown_kind_refused(self, call):
         # an unknown kind must not compute either process
@@ -802,13 +787,33 @@ class TestKindConvention:
         calls = {
             "series_sum": lambda: series_sum(0.04, 0.04, 1e-3, 0.5, 1.0, kind="PDC"),
             "epsilon_roots": lambda: epsilon_roots(s, res),
-            "resonance_report": lambda: resonance_report(s, res, None),
             "quartic_coefficients": lambda: quartic_coefficients(s, res),
             "quartic_wavenumbers": lambda: quartic_wavenumbers(s, res),
             "thickness_averaged_intensities": lambda: thickness_averaged_intensities(s, res),
             "flux_identity_terms": report.flux_identity_terms,
         }
         with pytest.raises(ValueError, match=r"conjugate kind .* got 'PDC'"):
+            calls[call]()
+
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["Omega1", "Omega2", "Omega10", "Omega20"])
+    @pytest.mark.parametrize("call", [
+        "epsilon_roots", "quartic_coefficients", "quartic_wavenumbers",
+        "thickness_averaged_intensities g=0", "thickness_averaged_intensities"])
+    def test_hand_built_record_with_bad_wavenumber_refused(self, call, field, value):
+        # a record the resonance solver never returns fails typed, naming
+        # its wavenumbers, on every entry that takes a record
+        s = scenario_for(g=1e-5, l=2800.0)
+        res = replace(pdc_resonance(s, 0.45), **{field: value})
+        calls = {
+            "epsilon_roots": lambda: epsilon_roots(s, res),
+            "quartic_coefficients": lambda: quartic_coefficients(s, res),
+            "quartic_wavenumbers": lambda: quartic_wavenumbers(s, res),
+            "thickness_averaged_intensities g=0": lambda: thickness_averaged_intensities(
+                replace(s, g=0.0), res),
+            "thickness_averaged_intensities": lambda: thickness_averaged_intensities(s, res),
+        }
+        with pytest.raises(GeometryError, match=f"must be positive, got .*{field}={value!r}"):
             calls[call]()
 
     def test_non_positive_resonant_wavenumber_refused(self):

@@ -49,10 +49,13 @@ class TestFresnelStep:
             assert 0.0 <= step.r0 < 1.0
 
     def test_nonpositive_wavenumber(self):
-        with pytest.raises(PumpslabError):
-            fresnel_step(0.0, 1.0)
-        with pytest.raises(PumpslabError):
-            fresnel_step(1.0, -2.0)
+        nan = float("nan")
+        for outside, inside in ((0.0, 1.0), (1.0, -2.0), (nan, 1.0), (1.0, nan)):
+            with pytest.raises(PumpslabError, match="must be positive"):
+                fresnel_step(outside, inside)
+            # an array is refused where any one element is
+            with pytest.raises(PumpslabError, match="must be positive"):
+                fresnel_step(np.array([1.0, outside]), np.array([1.5, inside]))
 
 
 class TestSlabCoefficients:

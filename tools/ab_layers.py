@@ -36,7 +36,7 @@ KINDS = ("pdc", "puc")
 
 def _modules(package):
     return {name: importlib.import_module(f"{package}.{name}")
-            for name in ("coupled", "kinematics", "lamina", "presets", "sweep")}
+            for name in ("coupled", "kinematics", "lamina", "oracle", "presets", "sweep")}
 
 
 def _cli(package, argv, output):
@@ -60,6 +60,16 @@ def _report_table(package):
     scenario = m["presets"].reference_scenario()
     grid = m["kinematics"]._resonance_grid(scenario, _samples(0.3, 0.7, 7), KINDS)
     return lambda: m["coupled"].report_table(scenario, grid)
+
+
+def _on_record(package, module, entry):
+    """entry of module on the record of a pdc resonance at 0.45, in the
+    oracle_exact regime: weak coupling, thick slab."""
+    m = _modules(package)
+    scenario = m["presets"].reference_scenario(g=1e-5, l=2800.0)
+    res = m["kinematics"].pdc_resonance(scenario, 0.45)
+    call = getattr(m[module], entry)
+    return lambda: call(scenario, res)
 
 
 def _sweep(package, exact):
@@ -104,6 +114,9 @@ def layers(output):
         "pdc_resonance": point("pdc_resonance"),
         "channel_report": point("channel_report"),
         "report_table 7 omega": _report_table,
+        "epsilon_roots g 1e-5 l 2800": lambda p: _on_record(p, "coupled", "epsilon_roots"),
+        "thickness_averaged_intensities 64 phases": lambda p: _on_record(
+            p, "oracle", "thickness_averaged_intensities"),
         "fresnel_step": fresnel,
         "run_sweep 201 omega": lambda p: _sweep(p, exact=False),
         "compare_oracle 5 omega exact": lambda p: _sweep(p, exact=True),
