@@ -120,14 +120,12 @@ class _Pairs(NamedTuple):
 
     @classmethod
     def of_record(cls, kin):
-        """The one mode pair of record kin, as floats; a GeometryError
-        unless its four wavenumbers are positive, which a NaN is not."""
-        if not (kin.Omega1 > 0.0 and kin.Omega2 > 0.0 and kin.Omega10 > 0.0
-                and kin.Omega20 > 0.0):
-            raise GeometryError(
-                f"resonant internal wavenumbers and their free-space values must be "
-                f"positive, got Omega1={kin.Omega1!r}, Omega2={kin.Omega2!r}, "
-                f"Omega10={kin.Omega10!r}, Omega20={kin.Omega20!r}")
+        """The one mode pair of record kin, as floats; a GeometryError unless
+        its frequencies and wavenumbers are positive, which a NaN is not."""
+        if not (kin.omega > 0.0 and kin.partner > 0.0 and kin.Omega1 > 0.0
+                and kin.Omega2 > 0.0 and kin.Omega10 > 0.0 and kin.Omega20 > 0.0):
+            raise GeometryError(f"frequencies, resonant internal wavenumbers and their "
+                                f"free-space values must be positive, got {kin!r}")
         return cls(kin.omega, kin.partner, kind_sign(kin.kind), kin.p,
                    kin.Omega1, kin.Omega2, kin.Omega10, kin.Omega20)
 
@@ -367,7 +365,7 @@ def _quartic(scenario, pairs):
 
 def _pair_coefficients(scenario, pairs):
     """The (n, 5) quartic coefficient rows of the mode pair columns pairs."""
-    return np.column_stack(np.broadcast_arrays(*_quartic(scenario, pairs)[0]))
+    return np.array([np.ones(len(pairs.omega)), *_quartic(scenario, pairs)[0][1:]]).T
 
 
 def _quartic_roots(coeffs):
@@ -397,12 +395,12 @@ def quartic_wavenumbers(scenario, kin):
     return _sorted_wavenumbers(K0, kin.Omega1, kin.Omega2, sign, _quartic_roots(coeffs))[0]
 
 
-def _nearest(candidates, anchor):
-    """Each row of candidates in a stable order of distance to anchor, as
-    sorted() orders them, and the gap between the two nearest distances."""
+def _nearest(candidates, anchor, rows):
+    """Per row of candidates (rows: their numbers, as a column), the stable order
+    of distance to anchor that sorted() gives, and the gap between the two nearest."""
     dist = _ARRAYS.cabs(candidates - np.asarray(anchor)[..., None])
     order = np.argsort(dist, axis=1, kind="stable")
-    near = np.take_along_axis(dist, order[:, :2], axis=1)
+    near = dist[rows, order[:, :2]]
     return order, np.abs(near[:, 0] - near[:, 1])
 
 
@@ -412,24 +410,24 @@ def _sorted_wavenumbers(K0, w1, w2, sign, roots):
     Each row sorts as alone; a row with an equidistant pair raises."""
     # uncoupled wavenumbers the four roots collapse to at g = 0
     a12, a4 = w1, sign * (K0 + w2)
-    scale = np.maximum(np.abs(a12), np.abs(a4))
-    order4, gap4 = _nearest(roots, a4)
-    rest = np.take_along_axis(roots, order4[:, 1:], axis=1)
-    order3, gap3 = _nearest(rest, -a12)
-    k3 = np.take_along_axis(rest, order3[:, :1], axis=1)
-    k4 = np.take_along_axis(roots, order4[:, :1], axis=1)
-    pair = np.take_along_axis(rest, order3[:, 1:], axis=1)
-    tie = 1e-12 * scale
+    rows = np.arange(len(roots))[:, None]
+    order4, gap4 = _nearest(roots, a4, rows)
+    rest = roots[rows, order4[:, 1:]]
+    order3, gap3 = _nearest(rest, -a12, rows)
+    rest = rest[rows, order3]  # k3, then the coupled pair
+    tie = 1e-12 * np.maximum(np.abs(a12), np.abs(a4))
     if ((gap4 < tie) | (gap3 < tie)).any():
         raise DegenerateRootError("two quartic roots are equidistant from the sorting anchors")
     # k1 is the root nearer Omega1, as eps1 is the shift nearer 0; for
     # distances equal to 1e-12 relative, the +imaginary, then +real, one
-    d0, d1 = (pair - np.asarray(a12)[..., None]).T
-    a0, a1 = _ARRAYS.cabs(d0), _ARRAYS.cabs(d1)
+    pair = rest[:, 1:]
+    d0, d1 = offsets = (pair - np.asarray(a12)[..., None]).T
+    a0, a1 = _ARRAYS.cabs(offsets)
     by_size = np.abs(a0 - a1) > 1e-12 * np.maximum(np.maximum(a0, a1), 1e-300)
     first = np.where(by_size, a0 < a1,
                      (d0.imag > d1.imag) | ((d0.imag == d1.imag) & (d0.real >= d1.real)))
-    return np.column_stack((np.where(first[:, None], pair, pair[:, ::-1]), k3, k4))
+    return np.concatenate((np.where(first[:, None], pair, pair[:, ::-1]), rest[:, :1],
+                           roots[rows, order4[:, :1]]), axis=1)
 
 
 @dataclass(frozen=True)

@@ -243,13 +243,14 @@ def _series_columns(r10, r20, gamma, omega, sign, omega0):
         raise StrongGainError(f"reflection series overflows at omega={omega[j]:g}: "
                               f"gamma={gamma[j]:g}")
     n = np.arange(SERIES_TERMS + 1)
-    k = n[1:]
     # one row of terms per pair; numpy sums each row as it sums a 1-d array
     R10, T10, R20, G, S = (x[:, None] for x in (r10, t10, r20, gamma, sign))
-    r1 = r10 + np.sum(R10 ** (2 * k - 1) * T10 * T10 * (1.0 + S * k * G), axis=1)
-    t1 = np.sum(T10 * T10 * R10 ** (2 * n) * (1.0 + S * (n + 1) * G), axis=1)
+    even10, odd, gain = R10 ** (2 * n), 2 * n + 1, 1.0 + S * (n + 1) * G
+    # r1 sums over k = n + 1 <= SERIES_TERMS: R10^(2k - 1) (1 + S k G)
+    r1 = r10 + np.sum(R10 ** odd[:-1] * T10 * T10 * gain[:, :-1], axis=1)
+    t1 = np.sum(T10 * T10 * even10 * gain, axis=1)
     # the double sum over (m, n) separates into a product of two single sums
-    base = freq_ratio * gamma * t10 * t20 * np.sum(R10 ** (2 * n), axis=1)
-    r2 = base * np.sum(R20 ** (2 * n + 1), axis=1)
+    base = freq_ratio * gamma * t10 * t20 * np.sum(even10, axis=1)
+    r2 = base * np.sum(R20 ** odd, axis=1)
     t2 = base * np.sum(R20 ** (2 * n), axis=1)
     return r1, t1, r2, t2

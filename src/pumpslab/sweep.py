@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coupled import (STATUS_REASONS, _flux_identity, _on_grid, _Pairs, _pair_coefficients,
-                      _quartic_roots, _reports, _shifts, _sorted_wavenumbers)
+                      _quartic_roots, _reports, _shifts, _sorted_wavenumbers, _tabulate)
 from .errors import ConditioningError, SweepError
 from .kinematics import _ARRAYS, KINDS, _resonance_grid, kind_sign
 from .oracle import _averaged_intensities, _series_columns
@@ -164,7 +164,10 @@ def degenerate_rows(scenario, kinds=("pdc",)):
 
 def _row(omega, kind, quantity, status, tol=None, cells=(None,) * 4):
     """One ORACLE_COLUMNS row; cells are (closed_form, oracle, abs_err, rel_err)."""
-    return dict(zip(ORACLE_COLUMNS, (omega, kind, quantity, status, *cells, tol)))
+    closed, oracle, abs_err, rel_err = cells
+    return {"omega": omega, "kind": kind, "quantity": quantity, "status": status,
+            "closed_form": closed, "oracle": oracle, "abs_err": abs_err, "rel_err": rel_err,
+            "tol": tol}
 
 
 _CHECKS = ("flux_identity_excess", "flux_identity_partner", "series_r1", "series_t1",
@@ -183,67 +186,66 @@ def compare_oracle(request, include_exact=True):
     rows are not_applicable.
     """
     if request.detuning:
-        raise ValueError(
-            f"oracle checks run at the resonant p0; detuning must be 0, "
-            f"got {request.detuning:g}"
-        )
+        raise ValueError(f"oracle checks run at the resonant p0; detuning must be 0, "
+                         f"got {request.detuning:g}")
     scenario = request.scenario
+    grid, (_, located), table, order = _outcomes(scenario, request.grid(), request.kinds)
+    # each check is one column over the ok rows, in row order, from one gather
+    index = table.index.tolist()
+    ok = [(k, i) for _, i, _, k, status in order if status == "ok"]
+    columns = np.array([*located, *table.columns.values()])[:, [index[k][i] for k, i in ok]]
+    pairs, rep = _Pairs(*columns[:8]), dict(zip(table.columns, columns[8:]))
     # shift formulas degrade as O(g); validate them at a fixed weak
     # reference coupling so the stated tolerance is meaningful for any
     # scenario coupling (including g = 0).  The resonance does not depend
-    # on g, so each res serves the reference scenario too.
+    # on g, so each pair serves the reference scenario too.
     ref = replace(scenario, g=QUARTIC_REFERENCE_G)
-    grid, located, table, order = _outcomes(scenario, request.grid(), request.kinds)
-    shifts = _on_grid(_shifts, ref, grid, 0.0, located)
-    # each check is one column over the ok rows, in row order
-    index = table.index.tolist()
-    ok = [(k, i) for _, i, _, k, status in order if status == "ok"]
-    j = [index[k][i] for k, i in ok]
-    pairs = _Pairs(*(col[j] for col in located[1]))
-    rep = {name: col[j] for name, col in table.columns.items()}
-    eps = {name: col[j] for name, col in shifts.columns.items()}
+    _, eps = _tabulate(_shifts, ref, pairs, pairs.p0)
     exact = ((rep["r10"] <= EXACT_MAX_R10) & (0.0 < rep["gamma"])
              & (rep["gamma"] <= EXACT_MAX_GAMMA) & bool(include_exact))
     # the quartic roots of both couplings come from one batched solve
-    roots = _quartic_roots(np.vstack((
-        _pair_coefficients(ref, pairs),
-        _pair_coefficients(scenario, _Pairs(*(col[exact] for col in pairs))))))
-    refused, measured = np.zeros(len(j), dtype=bool), np.zeros(len(j))
-    for m, exact_roots in zip(np.flatnonzero(exact).tolist(), roots[len(j):]):
+    coeffs = _pair_coefficients(ref, pairs)
+    if exact.any():
+        coeffs = np.vstack((coeffs, _pair_coefficients(scenario, _Pairs(*columns[:8, exact]))))
+    roots = _quartic_roots(coeffs)
+    # the exact row's status where the exact average gives no cells
+    unmeasured, measured = ["not_applicable"] * len(ok), np.zeros(len(ok))
+    for m, exact_roots in zip(np.flatnonzero(exact).tolist(), roots[len(ok):]):
         try:
             averaged = _averaged_intensities(scenario, grid.point(*ok[m]), exact_roots)
         except ConditioningError:
-            refused[m] = True
+            unmeasured[m] = "conditioning_error"
         else:
-            measured[m] = averaged["t1"] + averaged["r1"] - 1.0
+            unmeasured[m], measured[m] = None, averaged["t1"] + averaged["r1"] - 1.0
     # a strong gain over a zero oracle (an unmeasured exact cell) overflows,
     # and a shift that underflows to 0 divides by 0: breach cells, not errors
     with np.errstate(all="ignore"):
-        closed, oracle, pair_err = _check_columns(ref, pairs, rep, eps, roots[:len(j)],
+        closed, oracle, pair_err = _check_columns(ref, pairs, rep, eps, roots[:len(ok)],
                                                   pairs.sign * measured)
         abs_err = np.abs(closed - oracle)
         rel_err = abs_err / np.maximum(np.abs(oracle), 1e-300)
     abs_err[:, 7] = rel_err[:, 7] = pair_err  # quartic_pair_roots
     tols = (IDENTITY_TOL,) * 2 + (SERIES_TOL,) * 4 + (QUARTIC_TOL,) * 4 + (EXACT_TOL,)
-    states = np.where(rel_err <= tols, "ok", "breach").astype(object)
-    # without pump-induced excess the gamma-scale identities are vacuous, and
-    # so is the exact row, which `exact` leaves unsolved there
-    states[rep["gamma"] == 0.0, :2] = "not_applicable"
-    states[:, 10] = np.where(refused, "conditioning_error",
-                             np.where(exact, states[:, 10], "not_applicable"))
     checks = len(_CHECKS) - (not include_exact)
-    cells = np.stack((closed, oracle, abs_err, rel_err), axis=2).tolist()
-    ok_rows = iter(zip(states.tolist(), cells))
+    cells = np.array((closed, oracle, abs_err, rel_err)).transpose(1, 2, 0).tolist()
+    checked = iter(zip((rel_err <= tols).tolist(), cells, (rep["gamma"] == 0.0).tolist(),
+                       unmeasured))
     rows = []
     for omega, _, kind, _, status in order:
         if status != "ok":
             rows.append(_row(omega, kind, "channel_report", status))
             continue
-        for quantity, tol, state, cell in zip(_CHECKS[:checks], tols, *next(ok_rows)):
+        passed, row_cells, vacuous, exact_status = next(checked)
+        states = ["ok" if p else "breach" for p in passed]
+        # without pump-induced excess the gamma-scale identities are vacuous,
+        # and so is the exact row, which `exact` leaves unsolved there
+        if vacuous:
+            states[0] = states[1] = "not_applicable"
+        states[10] = exact_status or states[10]
+        for quantity, tol, state, cell in zip(_CHECKS[:checks], tols, states, row_cells):
             rows.append(_row(omega, kind, quantity, state, tol,
                              cell if state in ("ok", "breach") else (None,) * 4))
-    breached = any(row["status"] == "breach" for row in rows)
-    return rows, breached
+    return rows, any(row["status"] == "breach" for row in rows)
 
 
 def _check_columns(ref, pairs, rep, eps, roots, excess):
@@ -252,10 +254,9 @@ def _check_columns(ref, pairs, rep, eps, roots, excess):
     error, from the rows' quartic roots at ref and the signed exact excess."""
     w1, K0 = pairs.Omega1, ref.pump_wavenumber()
     k = _sorted_wavenumbers(K0, w1, pairs.Omega2, pairs.sign, roots).T
-    s1, s2 = k[0] - w1, k[1] - w1  # the shifts of the coupled pair
-    e1, e2 = eps["eps1"], eps["eps2"]
-    cabs = _ARRAYS.cabs
-    pair_err = cabs(s1 - e1) / cabs(e1), cabs(s2 - e2) / cabs(e2)
+    s1, s2 = shifts = k[:2] - w1  # the shifts of the coupled pair
+    e1, e2 = perturbative = np.array((eps["eps1"], eps["eps2"]))
+    pair_err = _ARRAYS.cabs(shifts - perturbative) / _ARRAYS.cabs(perturbative)
     shift4 = np.where(pairs.sign > 0.0, k[3].real - K0 - pairs.Omega2,
                       k[3].real + K0 + pairs.Omega2)
     *sides, ident = _flux_identity(pairs.sign, pairs.omega, pairs.partner, rep["t1"],
@@ -268,7 +269,7 @@ def _check_columns(ref, pairs, rep, eps, roots, excess):
               *_series_columns(rep["r10"], rep["r20"], rep["gamma"], pairs.omega,
                                pairs.sign, ref.omega0),
               s1.real * s2.real - s1.imag * s2.imag, zero, k[2].real + w1, shift4, excess)
-    return (np.column_stack(closed), np.column_stack(oracle),
+    return (np.array(closed).T, np.array(oracle).T,
             np.where(pair_err[1] > pair_err[0], pair_err[1], pair_err[0]))
 
 

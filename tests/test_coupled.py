@@ -230,11 +230,12 @@ class TestQuarticWavenumbers:
 
     def test_root_sorting_ambiguity_reported(self):
         # contrive a geometry whose far anchor collides with the coupled
-        # pair (Omega1 = K0 + Omega2), leaving no unambiguous assignment
+        # pair (Omega1 = K0 + Omega2), leaving no unambiguous assignment;
+        # at g = 0 the frequencies enter no coefficient
         model = DispersionModel.constant(1.0)
         s = CrystalScenario(omega0=1.0, g=0.0, l=10.0, dispersion=model)
         kin = ResonancePoint(
-            omega=3.0, partner=-2.0, p=0.0, kind="pdc", Omega1=3.0, Omega2=2.0,
+            omega=0.5, partner=0.5, p=0.0, kind="pdc", Omega1=3.0, Omega2=2.0,
             Omega10=3.0, Omega20=2.0, residual=0.0, iterations=0,
         )
         with pytest.raises(DegenerateRootError, match="equidistant"):
@@ -796,13 +797,14 @@ class TestKindConvention:
             calls[call]()
 
     @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
-    @pytest.mark.parametrize("field", ["Omega1", "Omega2", "Omega10", "Omega20"])
+    @pytest.mark.parametrize("field", ["omega", "partner", "Omega1", "Omega2", "Omega10",
+                                       "Omega20"])
     @pytest.mark.parametrize("call", [
         "epsilon_roots", "quartic_coefficients", "quartic_wavenumbers",
         "thickness_averaged_intensities g=0", "thickness_averaged_intensities"])
     def test_hand_built_record_with_bad_wavenumber_refused(self, call, field, value):
         # a record the resonance solver never returns fails typed, naming
-        # its wavenumbers, on every entry that takes a record
+        # its frequencies and wavenumbers, on every entry that takes a record
         s = scenario_for(g=1e-5, l=2800.0)
         res = replace(pdc_resonance(s, 0.45), **{field: value})
         calls = {

@@ -417,7 +417,7 @@ _oracle_cases = st.tuples(
     st.floats(100.0, 5000.0),  # l
     st.floats(0.05, 0.9),  # band start
     st.floats(0.05, 1.0),  # band width
-    st.integers(2, 6),  # samples
+    st.integers(2, 12),  # samples: two kinds reach ARRAY_MIN elements from 8 up
     st.booleans(),  # include_exact
 )
 
@@ -425,6 +425,7 @@ _oracle_cases = st.tuples(
 @given(_oracle_cases)
 @example((("puc", "pdc"), 10.0, 1.45, 1e-5, 2800.0, 0.3, 0.4, 5, True))  # exact puc ok
 @example((("pdc", "puc"), 10.0, 1.51, 0.0, 2800.0, 0.3, 1.5, 9, True))  # g = 0, skips
+@example((("pdc", "puc"), 10.0, 1.51, 1e-5, 2800.0, 0.3, 0.4, 12, True))  # 24 ok rows: arrays
 @settings(max_examples=25, deadline=None)
 def test_oracle_rows_match_per_row_functions(case):
     # the oracle twin of test_sweep_rows_match_per_frequency_functions:

@@ -83,6 +83,14 @@ def _sweep(package, exact):
     return lambda: m["sweep"].run_sweep(request)
 
 
+def _oracle_table(package):
+    """The table of cli compare-oracle --samples 3 --no-exact (the CLI's
+    default scenario, band and kind), without argparse or file I/O."""
+    m = _modules(package)
+    request = m["sweep"].SweepRequest(m["presets"].reference_scenario(), (0.3, 0.7), 3)
+    return lambda: m["sweep"].compare_oracle(request, include_exact=False)
+
+
 def _jsonl(package):
     m = _modules(package)
     request = m["sweep"].SweepRequest(m["presets"].reference_scenario(), (0.05, 1.95), 201,
@@ -120,6 +128,7 @@ def layers(output):
         "fresnel_step": fresnel,
         "run_sweep 201 omega": lambda p: _sweep(p, exact=False),
         "compare_oracle 5 omega exact": lambda p: _sweep(p, exact=True),
+        "compare_oracle 3 omega no exact": _oracle_table,
         "rows_to_text jsonl 201 omega": _jsonl,
         "cli calibrate": lambda p: _cli(p, ["calibrate"], output),
         "cli degenerate": lambda p: _cli(p, ["degenerate"], output),
