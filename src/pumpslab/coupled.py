@@ -41,7 +41,7 @@ from .errors import (
 )
 from .kinematics import (EVANESCENT, GEOMETRY, OK, SKIP_REASONS, _ARRAYS, _on,
                          _resonance, _small, _stack, kind_sign)
-from .lamina import fresnel_step, slab_coefficients
+from .lamina import _fresnel, slab_coefficients
 
 DETUNING_WARN_FRACTION = 0.01
 _SINC_SERIES_CUTOFF = 1e-4
@@ -364,8 +364,11 @@ def _quartic(scenario, pairs):
 
 
 def _pair_coefficients(scenario, pairs):
-    """The (n, 5) quartic coefficient rows of the mode pair columns pairs."""
-    return np.array([np.ones(len(pairs.omega)), *_quartic(scenario, pairs)[0][1:]]).T
+    """The (n, 5) quartic coefficient rows of the mode pair columns pairs,
+    and each row's (K0, A, B, G, sign) as quartic_coefficients gives them."""
+    coeffs, K0, *columns = _quartic(scenario, pairs)
+    return (np.array([np.ones(len(pairs.omega)), *coeffs[1:]]).T,
+            [(K0, *row) for row in zip(*(x.tolist() for x in columns))])
 
 
 def _quartic_roots(coeffs):
@@ -495,9 +498,8 @@ def _reports(scenario, pairs, p):
     sinc_sq = on.apply(_sinc_sq, on.where(ok, shifts["xi"], 0j))
     # a gain past the float range leaves inf or nan cells, refused below
     gamma = g * g * l * l * w0 * w0 * omega * partner / (4.0 * w1 * w2) * sinc_sq
-    step10 = fresnel_step(w10, w1)
-    r10, r20 = step10.r0, fresnel_step(w20, w2).r0
-    slab_r, slab_t = slab_coefficients(step10)  # the uncoupled slab
+    r10, r20 = _fresnel(w10, w1)[2], _fresnel(w20, w2)[2]
+    slab_r, slab_t = slab_coefficients(r10)  # the uncoupled slab
     pass10, pass20 = 1.0 + r10, 1.0 + r20
     pass_sq = on.square(pass10)
     r1 = slab_r + sign * gamma * r10 / pass_sq

@@ -13,12 +13,12 @@ and up-conversion pairs (omega, omega0 + omega) where
 
     Omega_up(p0) - Omega1(p0) = omega0 * mu(omega0).
 
-Both residuals are strictly monotone in p on the physical branch.  Newton
-steps in q = p^2 from the bracket end fall monotonically to the root, and
-Newton steps in p with the residual in double-double arithmetic finish
-there: p0 is the double nearest the exact root, whatever the grid.  One
-kernel, _resonance_grid, solves a whole grid of frequencies and both kinds
-at once; the scalar solvers are its one-element calls.
+Both residuals are strictly monotone in p, and as each Omega^2 + p^2 does
+not depend on p they have a closed-form root; one Newton step in p with the
+residual in double-double arithmetic (two at small internal angles)
+polishes it into the double nearest the exact root, whatever the grid.  One
+kernel, _resonance_grid, solves a whole grid of frequencies and both
+kinds at once; the scalar solvers are its one-element calls.
 
 This module alone picks the path of every table, this grid and coupled's
 tables alike: from ARRAY_MIN elements up a function body runs once on
@@ -41,8 +41,8 @@ from .errors import EvanescentError, GeometryError, GuardBandError, NoResonanceE
 
 BRACKET_SHRINK = 0.999
 RESIDUAL_TOL = 1e-12  # relative to omega0
-FREEZE_TOL = 1e-13  # Newton convergence: |f| / K0 in q, |step| / p in p
-MAX_ITERATIONS = 200  # Newton steps per phase of a root
+FREEZE_TOL = 1e-13  # polish convergence: the last step's |d| / p
+MAX_ITERATIONS = 200  # polish steps per root
 ARRAY_MIN = 16  # tables this large run on numpy arrays, smaller ones on floats
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into halves
 _DBL_MAX = sys.float_info.max
@@ -58,8 +58,8 @@ SKIP_REASONS = ("ok", "guard_band", "geometry", "out_of_band", "evanescent",
 @dataclass(frozen=True)
 class ResonancePoint:
     """One phase-matched mode pair: its longitudinal wavenumbers at the
-    resonant p = p0, the residual left there and the Newton steps that
-    reached it (0 where p0 = 0).
+    resonant p = p0, the residual left there and the polish steps that
+    reached it from the closed-form start (0 where p0 = 0).
 
     Omega1 / Omega10 are the internal / free-space values at omega;
     Omega2 / Omega20 the same at the partner frequency (omega0 - omega
@@ -351,7 +351,7 @@ def _solve(scenario, w1, w2, s, mu1, mu2, code):
 
 
 def _roots(solve, a1, a2, s, p_max, K0):
-    """(p0, Newton steps) of _newton_roots where solve is set, (0, 0)
+    """(p0, polish steps) of _newton_roots where solve is set, (0, 0)
     elsewhere.  On arrays, one call for all roots, or one call per root on
     floats where they are _small in number: the same bits, and faster on a
     grid just past ARRAY_MIN with few roots to solve."""
@@ -367,70 +367,63 @@ def _roots(solve, a1, a2, s, p_max, K0):
     return p, iterations
 
 
-def _two_sum(x, y):
-    """(h, e) with h = fl(x + y) and h + e = x + y exactly (Knuth)."""
-    h = x + y
-    t = h - x
-    return h, (x - (h - t)) + (y - t)
-
-
-def _two_square(x):
-    """(h, e) with h = fl(x * x) and h + e = x * x exactly (Dekker)."""
-    h = x * x
-    c = _SPLIT * x
-    hi = c - (c - x)
-    lo = x - hi
-    return h, ((hi * hi - h) + 2.0 * hi * lo) + lo * lo
+def _dd_sqrt(sqrt, a, pp, pe):
+    """sqrt(a - pp - pe) as y + c, c its rounding error to about eps^2 y:
+    Dekker's exact a - pp (as a > pp) and y^2, on floats or arrays."""
+    t = a - pp
+    e = (a - t) - pp  # t + e = a - pp exactly
+    y = sqrt(t)
+    yy = y * y
+    hi = _SPLIT * y
+    hi = hi - (hi - y)
+    lo = y - hi
+    ye = ((hi * hi - yy) + 2.0 * hi * lo) + lo * lo  # yy + ye = y^2 exactly
+    return y, (((t - yy) - ye) + (e - pe)) / (y + y)
 
 
 def _newton_roots(a1, a2, s, p_max, *, K0):
     """Roots of f(p) = sqrt(a2 - p^2) + s * sqrt(a1 - p^2) - K0 in
-    (0, p_max], one per element: (p0, Newton steps taken).  Floats for
+    (0, p_max], one per element: (p0, polish steps taken).  Floats for
     one root, 1-d arrays for several; both run this body, and numpy's
     +, -, *, / and sqrt round as Python's do, so an element's p0 and step
     count do not depend on which.
 
-    In q = p^2 each Omega = sqrt(a - q) has dOmega/dq = -1 / (2 Omega),
-    so f is monotone in q, concave for s = 1 and convex for s = -1, and
-    Newton steps from q_max = p_max^2 fall monotonically to its root.  An
-    element leaves that phase after the step taken at |f| <= FREEZE_TOL *
-    K0, near the root.  Newton steps in p follow, p += d with
-    d = f / (p (1/Omega2 + s/Omega1)) and f in double-double arithmetic:
-    each Omega carries its rounding error, and Omega2 + s Omega1 - K0 is
-    exact to about eps^2 K0, so d is the root's offset from p to about
-    one part in 1e16.  A step leaves an error of about (f''/2f') d^2,
-    under 1e3 d^2 / p on the bracket where mu >= 1, so the phase ends
-    after the first step with |d| <= FREEZE_TOL * p: p + d, rounded once,
-    is then the double nearest the root.  A step that would leave
-    (0, p_max] is not taken.  Each phase takes at most MAX_ITERATIONS
-    steps; an element whose q phase does not converge keeps sqrt(q), and
-    _resonance_grid's residual check reports it.
+    The start solves Omega2 + s Omega1 = K0 and Omega2^2 - Omega1^2 = a2 - a1
+    without squaring K0: Omega2 = (K0 + (a2 - a1) / K0) / 2 and s Omega1 =
+    (K0 - (a2 - a1) / K0) / 2.  Its q = a - Omega^2, from the smaller Omega,
+    lies within about 4 eps Omega K0 of p0^2; where q <= 0 the start is
+    p_max instead, from which Newton steps, f being concave in p for s = 1
+    and convex for s = -1, fall monotonically to the root.  Newton steps in p
+    polish the start, p += d with d = f / (p (1/Omega2 + s/Omega1)) and f in
+    double-double arithmetic, exact to about eps^2 (Omega1 + Omega2).  A step
+    leaves an error of about (f''/2f') d^2, under 1e3 d^2 / p where mu >= 1,
+    so the polish ends after the first step with |d| <= FREEZE_TOL * p: p +
+    d, rounded once, is the double nearest the root wherever f resolves it
+    (p0^2 above about eps Omega K0).  From the closed form that is the first
+    step but at small internal angles, where eps Omega K0 / p0^2 nears
+    FREEZE_TOL.  A step that would leave (0, p_max] is not taken, and at most
+    MAX_ITERATIONS are: _resonance_grid's residual check reports a root missed.
     """
     sqrt, where, any_live = (on := _on(p_max)).sqrt, on.where, on.any
+    d = (a2 - a1) / K0
+    o2, o1 = (K0 + d) / 2.0, s * ((K0 - d) / 2.0)  # the Omegas at the root
+    q, q_max = where(o1 < o2, a1 - o1 * o1, a2 - o2 * o2), p_max * p_max
+    p = sqrt(where(q > 0.0, on.minimum(q, q_max), q_max))
     steps, live = 0, True  # on arrays, both become arrays at the first step
-    q = p_max * p_max
     for _ in range(MAX_ITERATIONS):
-        o1, o2 = sqrt(a1 - q), sqrt(a2 - q)
-        f = o2 + s * o1 - K0
-        q = where(live, q + (f + f) / (1.0 / o2 + s / o1), q)
-        steps = steps + live
-        live = live & (abs(f) > FREEZE_TOL * K0)
-        if not any_live(live):
-            break
-    live = where(live, False, q > 0.0)  # the q phase converged, to a positive q
-    p = sqrt(abs(q))
-    for _ in range(MAX_ITERATIONS):
-        pp, pe = _two_square(p)
-        omegas = []
-        for a in (a1, a2):  # Omega = sqrt(a - pp - pe) = y + c to ~eps^2
-            t, e = _two_sum(a, -pp)
-            y = sqrt(t)
-            yy, ye = _two_square(y)
-            omegas.append((y, (((t - yy) - ye) + (e - pe)) / (y + y)))
-        (y1, c1), (y2, c2) = omegas
-        h, e1 = _two_sum(y2, s * y1)
-        h, e2 = _two_sum(h, -K0)
-        f = h + (((e1 + e2) + c2) + s * c1)
+        pp = p * p
+        hi = _SPLIT * p
+        hi = hi - (hi - p)
+        lo = p - hi
+        pe = ((hi * hi - pp) + 2.0 * hi * lo) + lo * lo  # pp + pe = p^2 exactly
+        y1, c1 = _dd_sqrt(sqrt, a1, pp, pe)
+        y2, c2 = _dd_sqrt(sqrt, a2, pp, pe)
+        sy1 = s * y1
+        h = y2 + sy1
+        t = h - y2
+        e = (y2 - (h - t)) + (sy1 - t)  # h + e = y2 + s y1 exactly
+        # near the root K0 / 2 < h < 2 K0, so h - K0 is exact (Sterbenz)
+        f = (h - K0) + ((e + c2) + s * c1)
         d = f / (p * (1.0 / y2 + s / y1))
         step = p + d
         steps = steps + live

@@ -34,6 +34,11 @@ def fresnel_step(omega_out, omega_in):
     internal one; both must be positive (propagating regime), which a NaN
     is not.  Floats or arrays, elementwise.
     """
+    return FresnelStep(*_fresnel(omega_out, omega_in))
+
+
+def _fresnel(omega_out, omega_in):
+    """fresnel_step's (R0, A0, r0, t0), on floats or arrays."""
     good = (omega_out > 0.0) & (omega_in > 0.0)
     if not (good.all() if isinstance(good, np.ndarray) else good):
         raise PumpslabError(
@@ -42,17 +47,14 @@ def fresnel_step(omega_out, omega_in):
         )
     R0 = (omega_out - omega_in) / (omega_out + omega_in)
     A0 = 2.0 * omega_out / (omega_out + omega_in)
-    r0 = R0 * R0
-    t0 = A0 * A0 * omega_in / omega_out
-    return FresnelStep(R0=R0, A0=A0, r0=r0, t0=t0)
+    return R0, A0, R0 * R0, A0 * A0 * omega_in / omega_out
 
 
-def slab_coefficients(step):
-    """Overall slab (r, t) from summing intensities of all internal bounces.
+def slab_coefficients(r0):
+    """Overall slab (r, t) from fresnel_step's r0, summing all internal bounces.
 
     Closed forms of the geometric series r0 + r0 t0^2 + r0^3 t0^2 + ...;
     thickness drops out and r + t = 1 exactly.
     """
-    r0 = step.r0
     denominator = 1.0 + r0
     return 2.0 * r0 / denominator, (1.0 - r0) / denominator

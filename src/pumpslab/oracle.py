@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .coupled import _Pairs, _quartic, _quartic_roots, quartic_coefficients
+from .coupled import _Pairs, _quartic, _quartic_roots
 from .errors import ConditioningError, SeriesDomainError, StrongGainError
 from .kinematics import kind_sign
 
@@ -45,18 +45,18 @@ SERIES_TERMS = 40
 _SERIES_MAX = np.finfo(float).max / (SERIES_TERMS + 1) ** 2
 
 
-def _boundary_stack(scenario, kin, lengths, roots):
+def _boundary_stack(scenario, kin, lengths, roots, quartic):
     """Continuity matrices for one incident unit mode at every thickness.
 
-    roots are the four quartic roots of kin.  Returns (matrices (N, 8,
-    8), rhs (8,)) in the unknowns (R1, R2, T1, T2, c1..c4), c_r scaling
-    the unit-normalized mode vector of quartic root r.  The roots and
-    mode vectors do not depend on the thickness; only the exit-face rows
-    4-7 carry its phase factors.  sign is the quartic's kind_sign (+1 for
-    pdc, -1 for puc): the conjugate field of root k rides e^{i(k - sign
-    K0)z}.
+    roots are the four roots of kin's quartic, quartic its (K0, A, B, G,
+    sign).  Returns (matrices (N, 8, 8), rhs (8,)) in the unknowns (R1,
+    R2, T1, T2, c1..c4), c_r scaling the unit-normalized mode vector of
+    quartic root r.  The roots and mode vectors do not depend on the
+    thickness; only the exit-face rows 4-7 carry its phase factors.  sign
+    is the quartic's kind_sign (+1 for pdc, -1 for puc): the conjugate
+    field of root k rides e^{i(k - sign K0)z}.
     """
-    K0, A, B, G, sign = quartic_coefficients(scenario, kin)[1:]
+    K0, A, B, G, sign = quartic
     C1 = scenario.g * kin.omega * scenario.omega0
     kp = roots - sign * K0
     F1 = roots * roots - A
@@ -136,7 +136,7 @@ def _screen(M, inverse, kin):
     return cond
 
 
-def _solve_stack(scenario, kin, lengths, roots):
+def _solve_stack(scenario, kin, lengths, roots, quartic):
     """Amplitude arrays (R1, R2, T1, T2) and the worst 1-norm condition number.
 
     One ill-conditioned system, or one that misses continuity, refuses
@@ -147,7 +147,7 @@ def _solve_stack(scenario, kin, lengths, roots):
         R, T = _linear_slab_solution(kin.Omega10, kin.Omega1, lengths)
         zero = np.zeros_like(R)
         return (R, zero, T, zero), 1.0
-    M, rhs = _boundary_stack(scenario, kin, lengths, roots)
+    M, rhs = _boundary_stack(scenario, kin, lengths, roots, quartic)
     rhs = rhs[:, None]
     # one LU per system: [rhs | I] gives the amplitudes beside M^-1
     try:
@@ -193,16 +193,17 @@ def thickness_averaged_intensities(scenario, kin, phases=THICKNESS_PHASES):
     if isinstance(phases, bool) or not (isinstance(phases, (int, np.integer)) and phases >= 1):
         raise ValueError(f"phases must be a positive integer, got {phases!r}")
     pairs = _Pairs.of_record(kin)  # refuses a record no resonance solve gives
-    roots = (None if scenario.g == 0.0  # _solve_stack's linear slab needs none
-             else _quartic_roots(_quartic(scenario, pairs)[0])[0])
-    return _averaged_intensities(scenario, kin, roots, phases)
+    if scenario.g == 0.0:  # _solve_stack's linear slab needs no quartic
+        return _averaged_intensities(scenario, kin, None, None, phases)
+    coeffs, *quartic = _quartic(scenario, pairs)
+    return _averaged_intensities(scenario, kin, _quartic_roots(coeffs)[0], quartic, phases)
 
 
-def _averaged_intensities(scenario, kin, roots, phases=THICKNESS_PHASES):
-    """thickness_averaged_intensities from kin's quartic roots."""
+def _averaged_intensities(scenario, kin, roots, quartic, phases=THICKNESS_PHASES):
+    """thickness_averaged_intensities from kin's quartic: roots and (K0, A, B, G, sign)."""
     period = 2.0 * math.pi / kin.Omega1
     lengths = scenario.l + np.arange(phases) * period / phases
-    amps, cond = _solve_stack(scenario, kin, lengths, roots)
+    amps, cond = _solve_stack(scenario, kin, lengths, roots, quartic)
     vals = _intensities(kin, *amps)
     out = dict(zip(vals, np.mean(list(vals.values()), axis=1).tolist()))
     out["cond"] = cond

@@ -204,15 +204,17 @@ def compare_oracle(request, include_exact=True):
     exact = ((rep["r10"] <= EXACT_MAX_R10) & (0.0 < rep["gamma"])
              & (rep["gamma"] <= EXACT_MAX_GAMMA) & bool(include_exact))
     # the quartic roots of both couplings come from one batched solve
-    coeffs = _pair_coefficients(ref, pairs)
+    coeffs, _ = _pair_coefficients(ref, pairs)
+    quartics = []  # each exact row's (K0, A, B, G, sign), for its boundary system
     if exact.any():
-        coeffs = np.vstack((coeffs, _pair_coefficients(scenario, _Pairs(*columns[:8, exact]))))
+        exact_coeffs, quartics = _pair_coefficients(scenario, _Pairs(*columns[:8, exact]))
+        coeffs = np.vstack((coeffs, exact_coeffs))
     roots = _quartic_roots(coeffs)
     # the exact row's status where the exact average gives no cells
     unmeasured, measured = ["not_applicable"] * len(ok), np.zeros(len(ok))
-    for m, exact_roots in zip(np.flatnonzero(exact).tolist(), roots[len(ok):]):
+    for m, row_roots, quartic in zip(np.flatnonzero(exact).tolist(), roots[len(ok):], quartics):
         try:
-            averaged = _averaged_intensities(scenario, grid.point(*ok[m]), exact_roots)
+            averaged = _averaged_intensities(scenario, grid.point(*ok[m]), row_roots, quartic)
         except ConditioningError:
             unmeasured[m] = "conditioning_error"
         else:

@@ -46,7 +46,7 @@ def test_criterion_1_linear_slab_unitarity_and_series():
     for r0 in np.arange(0.0, 0.5 + 1e-12, 1e-3):
         ratio = (1.0 + math.sqrt(r0)) / (1.0 - math.sqrt(r0))
         step = fresnel_step(1.0, ratio)
-        r, t = slab_coefficients(step)
+        r, t = slab_coefficients(step.r0)
         worst_unitarity = max(worst_unitarity, abs(r + t - 1.0))
         t0 = 1.0 - step.r0
         series_r = step.r0 + sum(

@@ -6,10 +6,11 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from pumpslab import (
+    CalibrationError,
     CrystalScenario,
     DispersionModel,
     EvanescentError,
@@ -27,6 +28,8 @@ from pumpslab import (
 )
 import pumpslab.kinematics as kinematics_mod
 from pumpslab.kinematics import (
+    ARRAY_MIN,
+    FREEZE_TOL,
     OK,
     RESIDUAL_TOL,
     SKIP_REASONS,
@@ -365,27 +368,32 @@ def test_kernel_rejects_unknown_kind(reference):
 
 
 def test_iteration_count_is_recorded(reference, constant_index):
-    # Newton steps in q from p_max to the freeze, then one or two in p
-    assert 4 <= pdc_resonance(reference, 0.5).iterations <= 8
-    assert 4 <= puc_resonance(reference, 0.5).iterations <= 8
-    # collinear phase matching is decided at p = 0, without iterating
+    # the closed-form start is within FREEZE_TOL of the root: one polish step
+    assert pdc_resonance(reference, 0.5).iterations == 1
+    assert puc_resonance(reference, 0.5).iterations == 1
+    # collinear phase matching is decided at p = 0, without a polish
     assert pdc_resonance(constant_index, 0.5).iterations == 0
 
 
-@pytest.mark.parametrize("max_iterations", [0, 1, 2])
-def test_stalled_solve_is_a_typed_no_resonance(reference, monkeypatch, max_iterations):
-    # too few Newton steps to reach any root: every element is a stalled
-    # solve, reported as no_resonance with finite arrays and no NaN
-    monkeypatch.setattr(kinematics_mod, "MAX_ITERATIONS", max_iterations)
+@pytest.mark.parametrize("left_at", [0.5, 0.9, 1.0])
+def test_stalled_solve_is_a_typed_no_resonance(reference, monkeypatch, left_at):
+    # a polish that ends away from every root, here at a share of the
+    # bracket end, is a stalled solve: the residual check reports it as
+    # no_resonance with finite arrays and no NaN
+    def stopped(a1, a2, s, p_max, *, K0):
+        return left_at * p_max, kinematics_mod.MAX_ITERATIONS
+
+    monkeypatch.setattr(kinematics_mod, "_newton_roots", stopped)
     request = SweepRequest(scenario=reference, band=(0.3, 0.7), samples=7,
                            kinds=("pdc", "puc"))
     with pytest.raises(SweepError) as excinfo:
         run_sweep(request)
     assert excinfo.value.skip_reasons == {"no_resonance": 14}
-    grid = _resonance_grid(reference, request.grid(), ("pdc", "puc"))
-    assert (grid.status == kinematics_mod.STALLED).all()
-    for name in _GRID_ARRAYS:
-        assert np.all(np.isfinite(getattr(grid, name))), name
+    for omegas in (request.grid(), np.linspace(0.3, 0.7, ARRAY_MIN)):  # floats, arrays
+        grid = _resonance_grid(reference, omegas, ("pdc", "puc"))
+        assert (grid.status == kinematics_mod.STALLED).all()
+        for name in _GRID_ARRAYS:
+            assert np.all(np.isfinite(getattr(grid, name))), name
     finite = r"-?\d\.\d{3}e[-+]\d+"  # how a finite residual prints, unlike nan
     with pytest.raises(NoResonanceError, match=f"^pdc root polish stalled at residual "
                        f"{finite} for omega=0.4$") as err:
@@ -433,6 +441,44 @@ def test_p0_is_the_correctly_rounded_root(case):
         assert p0 == _rounded_root(a1, a2, s, K0, p0), (omega, on_arrays.kinds[k])
 
 
+_scaled_calibrations = st.tuples(
+    st.floats(2.0, 35.0),  # degenerate emission angle, degrees
+    st.floats(1.2, 3.0),  # mu(omega0)
+    st.floats(-150.0, 150.0),  # log10(omega0)
+    st.lists(st.floats(0.02, 2.4), min_size=1, max_size=24),  # omega / omega0
+)
+
+
+@given(_scaled_calibrations)
+@settings(max_examples=40, deadline=None)
+def test_one_polish_step_from_the_closed_form_start(case):
+    # the closed-form start lies within about 2 eps Omega K0 / p0^2 of the
+    # root (Omega the smaller internal wavenumber), so wherever that is
+    # well under FREEZE_TOL the first polish step is the last; on every
+    # scale each solved p0 is the double nearest the exact root
+    theta_deg, mu2, log_scale, shares = case
+    omega0 = 10.0 ** log_scale
+    try:
+        model = calibrate_degenerate_angle(math.radians(theta_deg), mu2, omega0=omega0)
+    except CalibrationError:
+        reject()  # no model with mu >= 1 across the band
+    scenario = CrystalScenario(omega0=omega0, g=0.0, l=1.0, dispersion=model)
+    mu, K0 = model.mu, scenario.pump_wavenumber()
+    grid = _resonance_grid(scenario, [x * omega0 for x in shares], ("pdc", "puc"))
+    for (k, i) in zip(*np.nonzero(grid.status == OK)):
+        p0, steps = grid.p[k, i], grid.iterations[k, i]
+        if p0 == 0.0:
+            assert steps == 0
+            continue
+        omega, partner = grid.omega[i], grid.partner[k, i]
+        a1 = omega * omega * mu(omega) * mu(omega)
+        a2 = partner * partner * mu(partner) * mu(partner)
+        s = 1.0 if grid.kinds[k] == "pdc" else -1.0
+        assert p0 == _rounded_root(a1, a2, s, K0, p0), (omega, grid.kinds[k])
+        start_error = 2.0**-52 * min(grid.Omega1[k, i], grid.Omega2[k, i]) * K0 / p0**2
+        assert steps == 1 if start_error <= FREEZE_TOL / 4.0 else steps >= 1, start_error
+
+
 def _synthetic_roots(rng, n, K0):
     """(a1, a2, s, p_max) of n roots of sqrt(a2 - p^2) + s * sqrt(a1 - p^2)
     - K0 in [0, p_max], both kinds; a fifth of them near zero, with p0
@@ -472,6 +518,37 @@ def test_p0_is_the_correctly_rounded_root_on_synthetic_roots():
             compared[row[2]] += 1
             near_zero += p < 1e-5 * K0
     assert min(compared.values()) > 1000 and near_zero >= 5, (compared, near_zero)
+
+
+def test_roots_below_the_closed_forms_resolution_start_at_p_max():
+    # K0 = fl(sqrt(a2) + s sqrt(a1)) leaves a root near 1e-9 where the exact
+    # residual at p = 0 has the bracketing sign.  There the closed form's q
+    # often rounds to <= 0, and those roots start at p_max.  Below about
+    # sqrt(eps Omega K0) no double need bracket the root, but the polish
+    # still ends within the double-double residual's resolution, eps^2
+    # (Omega1 + Omega2), of it, on floats and arrays alike, for both kinds
+    rng = np.random.default_rng(1997)
+    from_p_max = {1.0: 0, -1.0: 0}
+    for _ in range(300):
+        s = float(rng.choice([1.0, -1.0]))
+        o1, o2 = np.sort(rng.uniform(0.05, 1.0, 2)).tolist()  # puc needs o1 < o2
+        a1, a2 = o1 * o1, o2 * o2
+        K0 = math.sqrt(a2) + s * math.sqrt(a1)
+        with mpmath.workdps(80):
+            def residual(p):
+                x = mpmath.mpf(p)
+                return mpmath.sqrt(a2 - x * x) + s * mpmath.sqrt(a1 - x * x) - K0
+
+            if (residual(0.0) > 0) != (s > 0):  # f falls in p for pdc, rises for puc
+                continue
+            d = (a2 - a1) / K0  # the kernel's start, written out
+            w2, w1 = (K0 + d) / 2.0, s * ((K0 - d) / 2.0)
+            from_p_max[s] += (a1 - w1 * w1 if w1 < w2 else a2 - w2 * w2) <= 0.0
+            root = (a1, a2, s, 0.999 * min(o1, o2))
+            p0 = _newton_roots(*root, K0=K0)[0]
+            assert 0.0 < p0 < 1e-7 and abs(residual(p0)) <= 2.0**-104 * (o1 + o2), root
+            assert _newton_roots(*(np.array([x]) for x in root), K0=K0)[0] == p0, root
+    assert min(from_p_max.values()) >= 20, from_p_max
 
 
 def test_pump_wavenumber_is_computed_once(reference, monkeypatch):

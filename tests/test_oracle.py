@@ -72,7 +72,7 @@ class TestExactSolveLinear:
         avg = thickness_averaged_intensities(s, pdc_resonance(s, 0.5), phases=64)
         step = fresnel_step(0.5, 0.5 * mu)
         assert step.r0 == pytest.approx(r0_expected, abs=1e-12)
-        r_closed, t_closed = slab_coefficients(step)
+        r_closed, t_closed = slab_coefficients(step.r0)
         assert avg["t1"] == pytest.approx(t_closed, rel=5e-3)
         assert avg["r1"] == pytest.approx(r_closed, rel=5e-3)
         # with 64 phases the periodic average is essentially exact
@@ -89,8 +89,8 @@ class TestExactSolveCoupled:
     def test_continuity_residual_and_cond_reported(self):
         s = scenario_for()
         res = pdc_resonance(s, 0.5)
-        roots = np.roots(quartic_coefficients(s, res)[0])
-        M, rhs = oracle_mod._boundary_stack(s, res, np.array([s.l]), roots)
+        coeffs, *quartic = quartic_coefficients(s, res)
+        M, rhs = oracle_mod._boundary_stack(s, res, np.array([s.l]), np.roots(coeffs), quartic)
         x = np.linalg.solve(M[0], rhs)
         assert np.abs(M[0] @ x - rhs).max() < 1e-10
         vals = single_thickness(s, res)
@@ -351,8 +351,8 @@ def boundary_system(scenario, kin):
     """The (64, 8, 8) stack of kin's thickness average and its rhs (8,)."""
     period = 2.0 * math.pi / kin.Omega1
     lengths = scenario.l + np.arange(64) * period / 64
-    return oracle_mod._boundary_stack(scenario, kin, lengths,
-                                      _quartic_roots(quartic_coefficients(scenario, kin)[0])[0])
+    coeffs, *quartic = quartic_coefficients(scenario, kin)
+    return oracle_mod._boundary_stack(scenario, kin, lengths, _quartic_roots(coeffs)[0], quartic)
 
 
 def assert_one_lu_identity(M, rhs):

@@ -178,7 +178,8 @@ def test_cli_digest(cli_texts, key):
 
 
 # sha256 of the float.hex bits of the kernels' arrays, signed zeros
-# included: the resonance grid (p, iterations, status) and the shift
+# included: the resonance grid (p, status, residual; its polish step
+# counts apart, under the "-iterations" keys) and the shift
 # table (status, eps1, eps2, xi) of the reference and collinear scenarios
 # above, of a three-sample reference grid (the "unguided" keys) whose six
 # roots, fewer than ARRAY_MIN, are solved one by one on floats, and of
@@ -196,9 +197,12 @@ BIT_DIGESTS = {
     "epsilon-reference-unguided-0.0": "c5de9e49885c22792d5e6a4fa174b3a11c4b952ba3b5f5eab7939bbbcc402120",
     "epsilon-reference-unguided-0.001": "cea89688799fec94f9eef1d156c40fcb2f6ae032f94393c2eadcb53441af6139",
     "epsilon-roots-reference": "42510733bd9d6c143017fa5aa1549d2addcfa11bba2c1264ddcbd52924408cff",
-    "grid-collinear": "e998d38df56302456b35f47bfbb2942c5e973539a8479136e2ad74a72300ee5d",
-    "grid-reference": "d7b613c69451b94afa27a0ec0d359e37feaf504ec936ea60df2d5b0b57a855b5",
-    "grid-reference-unguided": "d96b49b78b97795a8cbffe7b58f5bd922f035f221f441684a5b24bc01df9bb20",
+    "grid-collinear": "b7ea87d0a9b545d8ecff270a93aeebf98d86e501e56a6dc0a0d04c269c9f17db",
+    "grid-collinear-iterations": "079bb43352cb3bc3beae920c52697c092341827757d18564872402b07b43befd",
+    "grid-reference": "7f1eeb0361798d79f10813137028b07ba63047dc6461f136b1d412d9731c5a6a",
+    "grid-reference-iterations": "ba7eedd790a0c41363c428c81879447e9a3d93487fb321c95ef63945e34c10fa",
+    "grid-reference-unguided": "829fa0559a8815b78dd1f4a4b158f30d84689ef4ad3755a48878f31d3bcc3e52",
+    "grid-reference-unguided-iterations": "74c0b5a89bccecdcc4aabda815ce303d9889be91903a3dc5c82eef64c429f6ff",
 }
 
 
@@ -229,7 +233,8 @@ def kernel_outputs():
     out = {}
     for name, (scenario, omegas) in grids.items():
         grid = _resonance_grid(scenario, omegas, ("pdc", "puc"))
-        out[f"grid-{name}"] = bits(grid.p, grid.iterations, grid.status)
+        out[f"grid-{name}"] = bits(grid.p, grid.status, grid.residual)
+        out[f"grid-{name}-iterations"] = bits(grid.iterations)
         for detuning in (0.0, 1e-3, -1e-3):
             table = epsilon_table(scenario, grid, detuning)
             out[f"epsilon-{name}-{detuning}"] = bits(

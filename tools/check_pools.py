@@ -2,6 +2,7 @@
 
     python3 tools/check_pools.py                 # all three workloads
     python3 tools/check_pools.py oracle_exact    # named ones only
+    python3 tools/check_pools.py --grid-bits     # resonance grid hashes
 
 Every entry of each named pool (bench/reference/<workload>.gz) runs once,
 untimed, through bench/worker.checked_call: the same call, reference
@@ -10,9 +11,17 @@ src/ of this checkout.  Prints one line per workload and one per failing
 entry; exits 1 if any entry fails.  For a pool with exact_excess rows it
 also prints, on each side of the tolerance, the row whose rel_err lies
 nearest its tol and its entry: the statuses a small change in p0 or in
-the oracle would flip first.  Nothing under bench/ is written.
+the oracle would flip first.
+
+With --grid-bits each entry's request runs unchecked instead, and one line
+per pool gives a sha256 over the float.hex of every resonance grid the
+requests solve (p, status, residual and the four Omegas, in order), the
+grid count and the polish steps per solved root, so that two checkouts can
+be compared bit for bit.  Nothing under bench/ is written.
 """
 import argparse
+import collections
+import hashlib
 import os
 import shutil
 import sys
@@ -42,29 +51,74 @@ def exact_margins(outcome):
     return nearest
 
 
-def check_pool(workloads, name):
-    """Check every entry of one pool: (entries, [(index, problems)],
-    {side: (margin, rel_err, index)} of its exact_margins)."""
+def pool_jobs(workloads, name):
+    """(workload, index, entry, job) of every entry of one pool, prepared
+    in a temporary directory that is removed once the entries are done."""
     workload = workloads.WORKLOADS[name]
     tmpdir = os.path.join(checkout.TMP_DIR, f"check-{name}-{os.getpid()}")
     os.makedirs(tmpdir)
     pool = checkout.ReferencePool(name)
     try:
         ctx = workload.setup(tmpdir)
-        failures = []
-        margins = {}
         for index in range(len(pool)):
             entry = pool.entry(index)
-            job = workload.prepare(ctx, entry["spec"])
-            _, outcome, problems = worker.checked_call(workload, job, entry["table"])
-            if problems:
-                failures.append((index, problems))
-            for side, row in (exact_margins(outcome) if outcome else {}).items():
-                margins[side] = min(margins.get(side, (*row, index)), (*row, index))
-        return len(pool), failures, margins
+            yield workload, index, entry, workload.prepare(ctx, entry["spec"])
     finally:
         pool.close()
         shutil.rmtree(tmpdir, ignore_errors=True)
+
+
+def check_pool(workloads, name):
+    """Check every entry of one pool: (entries, [(index, problems)],
+    {side: (margin, rel_err, index)} of its exact_margins)."""
+    entries, failures, margins = 0, [], {}
+    for workload, index, entry, job in pool_jobs(workloads, name):
+        entries += 1
+        _, outcome, problems = worker.checked_call(workload, job, entry["table"])
+        if problems:
+            failures.append((index, problems))
+        for side, row in (exact_margins(outcome) if outcome else {}).items():
+            margins[side] = min(margins.get(side, (*row, index)), (*row, index))
+    return entries, failures, margins
+
+
+GRID_FIELDS = ("p", "status", "residual", "Omega1", "Omega2", "Omega10", "Omega20")
+
+
+def grid_bits(workloads, name):
+    """(sha256 over the float.hex of the GRID_FIELDS of every resonance grid
+    the pool's requests solve, in order; the grid count; {polish steps:
+    solved roots with p0 > 0})."""
+    import pumpslab.kinematics as kinematics
+
+    solve, grids = kinematics._resonance_grid, []
+
+    def recorded(*args):
+        grids.append(solve(*args))
+        return grids[-1]
+
+    # every module binding of the kernel, as sweep holds its own
+    bound = [(module, key) for module_name, module in list(sys.modules.items())
+             if module_name.split(".")[0] == "pumpslab"
+             for key, value in vars(module).items() if value is solve]
+    for module, key in bound:
+        setattr(module, key, recorded)
+    digest, count, steps = hashlib.sha256(), 0, collections.Counter()
+    try:
+        for workload, _, _, job in pool_jobs(workloads, name):
+            workload.run(job)
+            for grid in grids:
+                for field in GRID_FIELDS:
+                    values = getattr(grid, field).ravel().tolist()
+                    digest.update(" ".join(float(x).hex() for x in values).encode() + b"\n")
+                solved = (grid.status == kinematics.OK) & (grid.p > 0.0)
+                steps.update(grid.iterations[solved].tolist())
+            count += len(grids)
+            grids.clear()
+    finally:
+        for module, key in bound:
+            setattr(module, key, solve)
+    return digest.hexdigest(), count, dict(sorted(steps.items()))
 
 
 def main(argv=None):
@@ -74,13 +128,21 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", nargs="*",
                         help=f"pools to check (default: all of {', '.join(workloads.WORKLOADS)})")
-    names = parser.parse_args(argv).workload or list(workloads.WORKLOADS)
+    parser.add_argument("--grid-bits", action="store_true",
+                        help="print each pool's resonance grid hash instead of checking it")
+    args = parser.parse_args(argv)
+    names = args.workload or list(workloads.WORKLOADS)
     unknown = [name for name in names if name not in workloads.WORKLOADS]
     if unknown:
         parser.error(f"unknown workload {unknown[0]!r}")
     failed = 0
     try:
         for name in names:
+            if args.grid_bits:
+                digest, count, steps = grid_bits(workloads, name)
+                print(f"{name}: grid bits {digest} over {count} grids; "
+                      f"polish steps per solved root {steps}")
+                continue
             entries, failures, margins = check_pool(workloads, name)
             failed += len(failures)
             print(f"{name}: {entries} entries, {len(failures)} failed")
