@@ -13,14 +13,14 @@ Intensity bookkeeping follows the incoherent multiple-reflection
 approximation of the linear-lamina module, with every pass through the
 slab picking up the first-order excess factor gamma.
 
-Shifts and reports are computed as columns over a whole resonance grid
-(epsilon_table, report_table), one array per field plus a status per
-element.  The same function bodies run on numpy arrays or on Python
-floats, one resonance at a time (_tabulate); kinematics owns that choice
-and the primitives that differ between the two, and the scalar
-epsilon_roots and channel_report run the bodies on floats.  Either way
-every element carries the bits a scalar evaluation in the same operation
-order would give.
+Shifts (_shifts) and reports (_reports) are function bodies over mode
+pairs (_Pairs): one array per field plus a status per pair.  _tabulate
+runs a body on numpy arrays or on Python floats, one resonance at a time;
+kinematics owns that choice and the primitives that differ between the
+two.  The sweep and oracle tables tabulate the pairs of a resonance grid,
+and the scalar epsilon_roots and channel_report run the bodies on the
+floats of one pair.  Either way every element carries the bits a scalar
+evaluation in the same operation order would give.
 """
 import cmath
 import math
@@ -130,14 +130,14 @@ class _Pairs(NamedTuple):
                    kin.Omega1, kin.Omega2, kin.Omega10, kin.Omega20)
 
     @classmethod
-    def of_grid(cls, grid):
-        """The grid's resonances in (kind, omega) order, and their flat indices."""
-        ok = np.flatnonzero(grid.status == OK)
-        k, i = np.divmod(ok, grid.omega.size)
+    def of_grid(cls, grid, elements):
+        """The mode pairs of grid's flat elements, each a resonance (status
+        OK), as 1-d arrays in the order of elements."""
+        k, i = np.divmod(elements, grid.omega.size)
         signs = np.array([kind_sign(kind) for kind in grid.kinds])
         rest = np.array([grid.partner, grid.p, grid.Omega1, grid.Omega2,
-                         grid.Omega10, grid.Omega20]).reshape(6, -1)[:, ok]
-        return ok, cls(grid.omega[i], rest[0], signs[k], *rest[1:])
+                         grid.Omega10, grid.Omega20]).reshape(6, -1)[:, elements]
+        return cls(grid.omega[i], rest[0], signs[k], *rest[1:])
 
 
 def _shift_pair(detuning, disc, l):
@@ -208,20 +208,16 @@ def _shifts(scenario, pairs, p):
     }
 
 
-def _finite_shifts(scenario, pairs, p):
-    """_shifts, refusing an OK element whose columns are not finite with a
-    StrongGainError naming its omega: where g^2 omega0^2 omega partner
-    overflows, or where eps3 and eps4 divide by an 8 arm Omega^2 that
-    underflows to 0."""
-    status, detuned, columns = _shifts(scenario, pairs, p)
-    on = _on(status)
-    parts = [part for column in columns.values() for part in (column.real, column.imag)]
-    bad = on.where(on.all_finite(parts), False, status == OK)
-    if on.any(bad):
-        j = np.argmax(np.ravel(bad))
-        raise StrongGainError(f"wavenumber shifts are not finite at omega="
-                              f"{np.ravel(pairs[0])[j]:g}: product="
-                              f"{np.ravel(columns['product'])[j]:g}")
+def _finite_shifts(scenario, pair, p):
+    """_shifts of one pair, on floats, refusing an OK pair whose shifts are
+    not finite with a StrongGainError naming its omega: where g^2 omega0^2
+    omega partner overflows, or where eps3 and eps4 divide by an 8 arm
+    Omega^2 that underflows to 0."""
+    status, detuned, columns = _shifts(scenario, pair, p)
+    if status == OK and not all(math.isfinite(part) for column in columns.values()
+                                for part in (column.real, column.imag)):
+        raise StrongGainError(f"wavenumber shifts are not finite at omega={pair[0]:g}: "
+                              f"product={columns['product']:g}")
     return status, detuned, columns
 
 
@@ -251,7 +247,7 @@ def _tabulate(build, scenario, pairs, p):
             f"|p - p0| = {detuned:g} exceeds {DETUNING_WARN_FRACTION:g} * omega; "
             "shift formulas degrade",
             ValidityWarning,
-            stacklevel=4,  # every public entry calls _tabulate through one helper
+            stacklevel=4,  # epsilon_roots and channel_report call it through _one_pair
         )
     return status, columns
 
@@ -279,48 +275,6 @@ def _one_pair(record, build, scenario, res, p):
                      for name in record.__dataclass_fields__})
 
 
-@dataclass(frozen=True)
-class GridTable:
-    """Columns over the resonances of a ResonanceGrid.
-
-    status holds a code per (kind, omega) element: the grid's own where
-    it found no resonance, else OK or a report-stage skip, GEOMETRY or
-    EVANESCENT for a working p outside [0, min(omega, partner)) and
-    UNDEFINED_RATIO where the partner flux vanishes.  STATUS_REASONS
-    names every code.  columns maps each field to one array over the
-    resonances in (kind, omega) order; index[k, i] is the position of
-    element (k, i) there, -1 where the grid found no resonance.  Values
-    are defined where status is OK.
-    """
-
-    status: np.ndarray
-    index: np.ndarray
-    columns: dict
-
-
-def _on_grid(build, scenario, grid, detuning, located=None):
-    """build's GridTable over grid at p = p0 + detuning * omega; located
-    is _Pairs.of_grid(grid), computed here where not given.  build runs
-    through _tabulate, on arrays or once per resonance on floats."""
-    ok, pairs = located or _Pairs.of_grid(grid)
-    codes, columns = _tabulate(build, scenario, pairs, pairs.p0 + detuning * pairs.omega)
-    status = grid.status.copy()
-    status.ravel()[ok] = codes
-    index = np.full(status.shape, -1)
-    index.ravel()[ok] = np.arange(ok.size)
-    return GridTable(status, index, columns)
-
-
-def epsilon_table(scenario, grid, detuning=0.0):
-    """epsilon_roots of every resonance of grid, as a GridTable.
-
-    The working p is p0 + detuning * omega; the columns are the fields
-    of EpsilonRoots but kind.  An OK element whose shifts are not finite
-    is a StrongGainError.
-    """
-    return _on_grid(_finite_shifts, scenario, grid, detuning)
-
-
 def epsilon_roots(scenario, res, p=None):
     """Perturbative wavenumber shifts at working transverse wavenumber p.
 
@@ -329,7 +283,8 @@ def epsilon_roots(scenario, res, p=None):
     waves propagate.  Valid for g << 1 and |p - p0| << omega; a
     ValidityWarning is issued beyond |p - p0| = DETUNING_WARN_FRACTION * omega.
     A NaN p is a GeometryError, and shifts that are not finite a
-    StrongGainError.  epsilon_table's arithmetic, on the floats of one pair.
+    StrongGainError.  _shifts' arithmetic, which compare_oracle tabulates
+    over the pairs of a grid, on the floats of one pair.
     """
     return _one_pair(EpsilonRoots, _finite_shifts, scenario, res, p)
 
@@ -527,16 +482,6 @@ def _reports(scenario, pairs, p):
         raise StrongGainError(f"channel report overflows at omega="
                               f"{np.ravel(omega)[j]:g}: gamma={np.ravel(gamma)[j]:g}")
     return status, detuned, columns
-
-
-def report_table(scenario, grid, detuning=0.0):
-    """channel_report of every resonance of grid, as a GridTable.
-
-    The working p is p0 + detuning * omega.  The columns are the fields
-    of ChannelReport but omega, partner and kind, plus forward_fraction,
-    the forward share of rainbow_split where gamma > 0.
-    """
-    return _on_grid(_reports, scenario, grid, detuning)
 
 
 def channel_report(scenario, omega, kind="pdc", p=None):

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import EvanescentError, GeometryError, GuardBandError, NoResonanceError
 
 BRACKET_SHRINK = 0.999
-RESIDUAL_TOL = 1e-12  # relative to omega0
+RESIDUAL_TOL = 1e-12  # relative to omega0, or 4 eps K0 where that is larger
 FREEZE_TOL = 1e-13  # polish convergence: the last step's |d| / p
 MAX_ITERATIONS = 200  # polish steps per root
 ARRAY_MIN = 16  # tables this large run on numpy arrays, smaller ones on floats
@@ -272,8 +272,8 @@ def _resonance_grid(scenario, omegas, kinds):
 
     A grid that is not _small runs each step once on arrays, a small one
     once per element on Python floats (_each): the same bodies, whose
-    arithmetic rounds alike on both.  |f(0)| <= RESIDUAL_TOL
-    * omega0 gives p0 = 0; every other bracketed element is solved by
+    arithmetic rounds alike on both.  |f(0)| <= max(RESIDUAL_TOL * omega0,
+    4 eps K0) gives p0 = 0; every other bracketed element is solved by
     _newton_roots.  p0 is the double nearest the exact root of the
     residual at the grid's float coefficients, so it depends neither on
     the grid's size nor on the path that solved it.
@@ -327,7 +327,10 @@ def _solve(scenario, w1, w2, s, mu1, mu2, code):
     w1, w2 and indices mu1, mu2, with code from _classify: the bracket
     checks, the root and the four Omegas at it, on floats or arrays."""
     on = _on(w1)
-    K0, tol = scenario.pump_wavenumber(), RESIDUAL_TOL * scenario.omega0
+    K0 = scenario.pump_wavenumber()
+    # the residual Omega2 + s Omega1 - K0 rounds to about eps K0, above
+    # RESIDUAL_TOL * omega0 where mu(omega0) exceeds about 1,100
+    tol = max(RESIDUAL_TOL * scenario.omega0, 4.0 * 2.0**-52 * K0)
     ww1, ww2 = w1 * w1, w2 * w2
     a1, a2 = ww1 * mu1 * mu1, ww2 * mu2 * mu2  # each Omega^2 at p = 0
     p_max = BRACKET_SHRINK * on.minimum(w1, w2)  # w2 > w1 > 0 for puc

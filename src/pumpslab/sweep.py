@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coupled import (STATUS_REASONS, _flux_identity, _on_grid, _Pairs, _pair_coefficients,
+from .coupled import (STATUS_REASONS, _flux_identity, _Pairs, _pair_coefficients,
                       _quartic_roots, _reports, _shifts, _sorted_wavenumbers, _tabulate)
 from .errors import ConditioningError, SweepError
-from .kinematics import _ARRAYS, KINDS, _resonance_grid, kind_sign
+from .kinematics import _ARRAYS, KINDS, OK, _resonance_grid, kind_sign
 from .oracle import _averaged_intensities, _series_columns
 
 SWEEP_COLUMNS = (
@@ -85,9 +85,10 @@ class SweepRequest:
 
 
 def _check_kinds(kinds):
-    """A ValueError unless kinds is a non-empty sequence of known kinds."""
-    if isinstance(kinds, str) or not kinds:
-        raise ValueError(f"kinds must be a non-empty sequence of {KINDS}, got {kinds!r}")
+    """A ValueError unless kinds is a non-empty sequence of distinct known kinds."""
+    if isinstance(kinds, str) or not kinds or any(kinds.count(kind) > 1 for kind in kinds):
+        raise ValueError(f"kinds must be a non-empty sequence of distinct kinds of {KINDS}, "
+                         f"got {kinds!r}")
     for kind in kinds:
         kind_sign(kind)  # refuses an unknown kind
 
@@ -97,30 +98,41 @@ _REPORT_COLUMNS = ("gamma", "r1", "t1", "r2", "t2", "flux_omega", "flux_partner"
 
 
 def _outcomes(scenario, omegas, kinds, detuning=0.0):
-    """Every (omega, kind) of a table, from one resonance solve of the grid.
+    """Every (omega, kind) of a table, from one resonance solve of the grid
+    and one report tabulation of the requested kinds' resonances.
 
-    Returns (grid, located, table, order): the ResonanceGrid of both kinds,
-    its _Pairs.of_grid, its report_table at p = p0 + detuning * omega, and
-    the rows as (omega, i, kind, k, status) ordered by omega, then kinds;
-    (k, i) is the row's grid element, status its skip reason or "ok";
-    kinds must have passed _check_kinds.
+    Returns (grid, pairs, columns, index, order): the ResonanceGrid of both
+    kinds; the _Pairs of the resonances of kinds, in (kind, omega) order;
+    their _reports columns at p = p0 + detuning * omega; index[k][i], the
+    position of grid element (k, i) in those columns (-1 where there is
+    none); and the rows as (omega, i, kind, k, status) ordered by omega,
+    then kinds, status the row's skip reason or "ok".  kinds must have
+    passed _check_kinds.
     """
     rows = [(kind, KINDS.index(kind)) for kind in kinds]  # the kind's grid row
     grid = _resonance_grid(scenario, omegas, KINDS)
-    located = _Pairs.of_grid(grid)
-    table = _on_grid(_reports, scenario, grid, detuning, located)
-    reasons = [[STATUS_REASONS[code] for code in row] for row in table.status.tolist()]
+    status = grid.status.copy()
+    solved = status == OK
+    for k, kind in enumerate(KINDS):
+        if kind not in kinds:
+            solved[k] = False
+    elements = np.flatnonzero(solved)
+    pairs = _Pairs.of_grid(grid, elements)
+    codes, columns = _tabulate(_reports, scenario, pairs, pairs.p0 + detuning * pairs.omega)
+    status.ravel()[elements] = codes
+    index = np.full(status.shape, -1)
+    index.ravel()[elements] = np.arange(elements.size)
+    reasons = [[STATUS_REASONS[code] for code in row] for row in status.tolist()]
     order = [(omega, i, kind, k, reasons[k][i])
              for i, omega in enumerate(grid.omega.tolist()) for kind, k in rows]
-    return grid, located, table, order
+    return grid, pairs, columns, index.tolist(), order
 
 
 def _sweep_rows(scenario, omegas, kinds, detuning=0.0):
     """SWEEP_COLUMNS rows of _outcomes; a SweepError if none is ok."""
-    grid, _, table, order = _outcomes(scenario, omegas, kinds, detuning)
+    grid, _, columns, index, order = _outcomes(scenario, omegas, kinds, detuning)
     theta_d, theta_u = grid.theta_deg()
-    values = {c: table.columns[c].tolist() for c in _REPORT_COLUMNS + ("forward_fraction",)}
-    index = table.index.tolist()
+    values = {c: columns[c].tolist() for c in _REPORT_COLUMNS + ("forward_fraction",)}
     blank = dict.fromkeys(SWEEP_COLUMNS)
     rows = []
     for omega, i, kind, k, status in order:
@@ -189,12 +201,11 @@ def compare_oracle(request, include_exact=True):
         raise ValueError(f"oracle checks run at the resonant p0; detuning must be 0, "
                          f"got {request.detuning:g}")
     scenario = request.scenario
-    grid, (_, located), table, order = _outcomes(scenario, request.grid(), request.kinds)
+    grid, located, report, index, order = _outcomes(scenario, request.grid(), request.kinds)
     # each check is one column over the ok rows, in row order, from one gather
-    index = table.index.tolist()
     ok = [(k, i) for _, i, _, k, status in order if status == "ok"]
-    columns = np.array([*located, *table.columns.values()])[:, [index[k][i] for k, i in ok]]
-    pairs, rep = _Pairs(*columns[:8]), dict(zip(table.columns, columns[8:]))
+    columns = np.array([*located, *report.values()])[:, [index[k][i] for k, i in ok]]
+    pairs, rep = _Pairs(*columns[:8]), dict(zip(report, columns[8:]))
     # shift formulas degrade as O(g); validate them at a fixed weak
     # reference coupling so the stated tolerance is meaningful for any
     # scenario coupling (including g = 0).  The resonance does not depend

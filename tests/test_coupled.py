@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import pumpslab.sweep as sweep_mod
 from pumpslab import (
     CrystalScenario,
     DegenerateRootError,
@@ -42,14 +43,15 @@ from pumpslab.coupled import (
     _quartic_roots,
     _reports,
     _shift_pair,
+    _shifts,
     _sorted_wavenumbers,
+    _tabulate,
     csinc,
-    epsilon_table,
     quartic_coefficients,
-    report_table,
 )
-from pumpslab.kinematics import (SKIP_REASONS, ResonanceGrid, ResonancePoint,
+from pumpslab.kinematics import (KINDS, SKIP_REASONS, ResonanceGrid, ResonancePoint,
                                  _resonance_grid, kind_sign)
+from pumpslab.sweep import SweepRequest, _outcomes, run_sweep
 
 GAMMA_UNIT_COUPLING = 1.0964431384588394e-05  # (g*l*omega0)^2/(4*mu2^2) at 0.01
 
@@ -118,13 +120,12 @@ class TestStrongGain:
                             "product=inf")
         with pytest.raises(StrongGainError, match=f"^{message}$"):
             epsilon_roots(s, pdc_resonance(s, omega))
-        with pytest.raises(StrongGainError, match=f"^{message}$"):
-            epsilon_table(s, _resonance_grid(s, [omega], ("pdc",)))
-        with pytest.raises(StrongGainError, match="^wavenumber shifts are not finite"):
-            epsilon_table(s, _resonance_grid(s, np.linspace(0.4, 0.5, 20) * omega0,
-                                             ("pdc",)))
         with pytest.raises(StrongGainError):
             channel_report(s, omega)
+        # and the report tables refuse them, on floats and on arrays
+        for samples in (2, 20):
+            with pytest.raises(StrongGainError):
+                run_sweep(SweepRequest(s, (0.4 * omega0, 0.5 * omega0), samples))
 
 
 class TestEpsilonRoots:
@@ -167,17 +168,13 @@ class TestEpsilonRoots:
         with pytest.warns(ValidityWarning):
             epsilon_roots(s, res, p=res.p + 0.02 * res.omega)
 
-    @pytest.mark.parametrize("entry", ["epsilon_table", "report_table", "channel_report",
-                                       "epsilon_roots"])
+    @pytest.mark.parametrize("entry", ["channel_report", "epsilon_roots"])
     def test_detuning_warning_names_the_caller(self, entry):
         s = scenario_for()
-        grid = _resonance_grid(s, [0.4, 0.5], ("pdc",))
         res = pdc_resonance(s, 0.5)
         p = res.p + 0.02 * res.omega
         # each call sits on its own line, which the warning must name
         calls = {
-            "epsilon_table": lambda: epsilon_table(s, grid, 0.02),
-            "report_table": lambda: report_table(s, grid, 0.02),
             "channel_report": lambda: channel_report(s, 0.5, p=p),
             "epsilon_roots": lambda: epsilon_roots(s, res, p=p),
         }
@@ -453,8 +450,8 @@ class TestRainbowSplit:
 
 
 # ---------------------------------------------------------------------------
-# report_table / epsilon_table against the scalar arithmetic they replaced
-# and against their one-element calls
+# the sweep's report table and compare_oracle's shift table against the
+# scalar arithmetic they replaced and against their one-element calls
 # ---------------------------------------------------------------------------
 _REASON_OF = {
     GuardBandError: "guard_band",
@@ -581,61 +578,58 @@ def _bits(value):
     return repr(value)
 
 
-def _element(table, k, i):
-    """The fields of GridTable element (k, i) as Python scalars."""
-    j = table.index.item(k, i)
-    return {name: col.item(j) for name, col in table.columns.items()}
+def _element(columns, j):
+    """The fields of column position j as Python scalars."""
+    return {name: col.item(j) for name, col in columns.items()}
 
 
 @given(_tables)
 @settings(max_examples=80, deadline=None)
 def test_tables_match_scalar_arithmetic_bit_for_bit(case):
-    # every element of report_table and epsilon_table carries the bits of
-    # _scalar_reference and of the one-element channel_report and
+    # every resonance of the sweep's report table (_outcomes) and of
+    # compare_oracle's shift table (_tabulate of _shifts) carries the bits
+    # of _scalar_reference and of the one-element channel_report and
     # epsilon_roots, and the same status
     theta_d, mu2, g, l, detuning, omegas = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
         s = scenario_for(theta_d, mu2, g, l)
-        grid = _resonance_grid(s, omegas, ("pdc", "puc"))
-        reports = report_table(s, grid, detuning)
-        shifts = epsilon_table(s, grid, detuning)
-        for k, kind in enumerate(grid.kinds):
-            for i, omega in enumerate(grid.omega.tolist()):
-                solve = pdc_resonance if kind == "pdc" else puc_resonance
-                res = _one_element(lambda: solve(s, omega))
-                if isinstance(res, str):
-                    assert STATUS_REASONS[reports.status[k, i]] == res
-                    assert STATUS_REASONS[shifts.status[k, i]] == res
-                    continue
-                p = res.p + detuning * omega
-                shift_status, want_shifts, report_status, want_report = (
-                    _scalar_reference(s, res, p))
-                rep = _one_element(lambda: channel_report(s, omega, kind, p=p))
-                eps = _one_element(lambda: epsilon_roots(s, res, p=p))
-                assert STATUS_REASONS[reports.status[k, i]] == report_status
-                assert (rep if isinstance(rep, str) else "ok") == report_status
-                assert STATUS_REASONS[shifts.status[k, i]] == shift_status
-                assert (eps if isinstance(eps, str) else "ok") == shift_status
-                if want_report is not None:
-                    row = _element(reports, k, i)
-                    for name, want in want_report.items():
-                        assert _bits(row[name]) == _bits(want), name
-                    for name in _REPORT_FIELDS:
-                        assert _bits(getattr(rep, name)) == _bits(row[name]), name
-                    if rep.gamma > 0.0:
-                        assert _bits(rainbow_split(rep)[0]) == _bits(
-                            row["forward_fraction"])
-                if want_shifts is not None:
-                    row = _element(shifts, k, i)
-                    for name in _SHIFT_FIELDS:
-                        assert _bits(row[name]) == _bits(want_shifts[name]), name
-                        assert _bits(getattr(eps, name)) == _bits(row[name]), name
-                    assert EpsilonRoots(kind=kind, **row) == eps
+        _, pairs, reports, index, order = _outcomes(s, omegas, KINDS, detuning)
+        shift_codes, shifts = _tabulate(_shifts, s, pairs, pairs.p0 + detuning * pairs.omega)
+        for omega, i, kind, k, reason in order:
+            solve = pdc_resonance if kind == "pdc" else puc_resonance
+            res = _one_element(lambda: solve(s, omega))
+            if isinstance(res, str):
+                assert reason == res
+                continue
+            j = index[k][i]
+            p = res.p + detuning * omega
+            shift_status, want_shifts, report_status, want_report = (
+                _scalar_reference(s, res, p))
+            rep = _one_element(lambda: channel_report(s, omega, kind, p=p))
+            eps = _one_element(lambda: epsilon_roots(s, res, p=p))
+            assert reason == report_status
+            assert (rep if isinstance(rep, str) else "ok") == report_status
+            assert STATUS_REASONS[shift_codes[j]] == shift_status
+            assert (eps if isinstance(eps, str) else "ok") == shift_status
+            if want_report is not None:
+                row = _element(reports, j)
+                for name, want in want_report.items():
+                    assert _bits(row[name]) == _bits(want), name
+                for name in _REPORT_FIELDS:
+                    assert _bits(getattr(rep, name)) == _bits(row[name]), name
+                if rep.gamma > 0.0:
+                    assert _bits(rainbow_split(rep)[0]) == _bits(row["forward_fraction"])
+            if want_shifts is not None:
+                row = _element(shifts, j)
+                for name in _SHIFT_FIELDS:
+                    assert _bits(row[name]) == _bits(want_shifts[name]), name
+                    assert _bits(getattr(eps, name)) == _bits(row[name]), name
+                assert EpsilonRoots(kind=kind, **row) == eps
 
 
-def test_tables_square_one_plus_r10_with_pow():
-    # report_table squares 1 + r10 with Python's pow, as the scalar code
+def test_tables_square_one_plus_r10_with_pow(monkeypatch):
+    # the sweep's report table squares 1 + r10 with Python's pow, as the scalar code
     # did: numpy's multiply rounds differently on about 1e-3 of inputs, and
     # at gamma ~ 1 that last bit reaches r1 or t1.  Synthetic resonances
     # on which the two squares differ pin it.
@@ -664,18 +658,18 @@ def test_tables_square_one_plus_r10_with_pow():
         f0=np.zeros(kept), f1=np.zeros(kept),
         **{name: col[:, keep] for name, col in columns.items()},
     )
-    table = report_table(s, grid)
-    for k in range(2):
-        for i in range(len(keep)):
-            res = grid.point(k, i)
-            status, want = _scalar_reference(s, res, res.p)[2:]
-            assert table.status[k, i] == OK and status == "ok"
-            row = _element(table, k, i)
-            rep = _one_pair(ChannelReport, _reports, s, res, None)  # channel_report's path
-            for name, value in want.items():
-                assert _bits(row[name]) == _bits(value), (k, i, name)
-                if name != "forward_fraction":
-                    assert _bits(getattr(rep, name)) == _bits(value), (k, i, name)
+    monkeypatch.setattr(sweep_mod, "_resonance_grid", lambda *args: grid)
+    _, _, columns, index, order = _outcomes(s, grid.omega, KINDS)
+    for _, i, _, k, reason in order:
+        res = grid.point(k, i)
+        status, want = _scalar_reference(s, res, res.p)[2:]
+        assert reason == status == "ok"
+        row = _element(columns, index[k][i])
+        rep = _one_pair(ChannelReport, _reports, s, res, None)  # channel_report's path
+        for name, value in want.items():
+            assert _bits(row[name]) == _bits(value), (k, i, name)
+            if name != "forward_fraction":
+                assert _bits(getattr(rep, name)) == _bits(value), (k, i, name)
 
 
 def _pair_inputs(n, seed):

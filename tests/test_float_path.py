@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pumpslab.coupled as coupled_mod
 import pumpslab.kinematics as kinematics_mod
+import pumpslab.sweep as sweep_mod
 from pumpslab import (
     CrystalScenario,
     DispersionModel,
@@ -32,8 +32,9 @@ from pumpslab import (
     thickness_averaged_intensities,
 )
 from pumpslab.cli import EMPTY_EXIT, main
-from pumpslab.coupled import epsilon_table, report_table
+from pumpslab.coupled import _shifts, _tabulate
 from pumpslab.kinematics import KINDS, SKIP_REASONS, _resonance_grid
+from pumpslab.sweep import SweepRequest, _outcomes, compare_oracle
 
 _GRID_FIELDS = ("partner", "status", "p", "residual", "iterations", "Omega1",
                 "Omega2", "Omega10", "Omega20", "p_max", "f0", "f1")
@@ -77,48 +78,50 @@ def test_grid_and_tables_carry_the_same_bits_on_both_paths(case, detuning):
     scenario = CrystalScenario(omega0=1.0, g=g, l=l, dispersion=model)
 
     def compute():
+        # the reports of every resonance as the sweep tabulates them, and
+        # their shifts as compare_oracle does
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            grid = _resonance_grid(scenario, omegas, KINDS)
-            tables = [build(scenario, grid, detuning)
-                      for build in (report_table, epsilon_table)]
-        return grid, tables, [str(w.message) for w in caught]
+            grid, pairs, reports, index, order = _outcomes(scenario, omegas, KINDS, detuning)
+            status, shifts = _tabulate(_shifts, scenario, pairs,
+                                       pairs.p0 + detuning * pairs.omega)
+        return grid, (index, order), status, (reports, shifts), [str(w.message)
+                                                                 for w in caught]
 
-    (on_arrays, arrays_tables, arrays_warned), (on_floats, floats_tables, floats_warned) = (
-        _on_both_paths(compute))
+    arrays, floats = _on_both_paths(compute)
     for name in _GRID_FIELDS:
-        assert _same_bits(getattr(on_arrays, name), getattr(on_floats, name)), name
-    for a, f in zip(arrays_tables, floats_tables):
-        assert _same_bits(a.status, f.status) and _same_bits(a.index, f.index)
-        assert list(a.columns) == list(f.columns)
-        for name in a.columns:
-            assert _same_bits(a.columns[name], f.columns[name]), name
+        assert _same_bits(getattr(arrays[0], name), getattr(floats[0], name)), name
+    assert arrays[1] == floats[1]  # each row's report status and column position
+    assert _same_bits(arrays[2], floats[2])  # each resonance's shift status
+    for a, f in zip(arrays[3], floats[3]):
+        assert list(a) == list(f)
+        for name in a:
+            assert _same_bits(a[name], f[name]), name
     # one ValidityWarning per table on either path
-    assert arrays_warned == floats_warned and len(arrays_warned) in (0, 2)
+    assert arrays[4] == floats[4] and len(arrays[4]) in (0, 2)
 
 
-@pytest.mark.parametrize("build,body", [(report_table, "_reports"),
-                                        (epsilon_table, "_shifts")])
-def test_one_patch_of_array_min_moves_every_table_to_arrays(monkeypatch, build, body):
+@pytest.mark.parametrize("body", ["_reports", "_shifts"])
+def test_one_patch_of_array_min_moves_every_table_to_arrays(monkeypatch, body):
     # kinematics owns the path choice: patching its ARRAY_MIN alone runs a
-    # 3-omega, two-kind table's body once, on arrays, where the default runs
-    # it once per resonance on floats
+    # 3-omega, two-kind oracle table's report and shift bodies once each,
+    # on arrays, where the default runs them once per resonance on floats
     model = calibrate_degenerate_angle(math.radians(10.0), 1.51)
     scenario = CrystalScenario(omega0=1.0, g=1e-4, l=100.0, dispersion=model)
-    grid = _resonance_grid(scenario, [0.4, 0.5, 0.6], KINDS)
+    request = SweepRequest(scenario, (0.4, 0.6), 3, KINDS)
     calls = []
-    original = getattr(coupled_mod, body)
+    original = getattr(sweep_mod, body)
 
     def spy(scenario, pairs, p):
         calls.append(type(p))
         return original(scenario, pairs, p)
 
-    monkeypatch.setattr(coupled_mod, body, spy)
-    build(scenario, grid)
+    monkeypatch.setattr(sweep_mod, body, spy)
+    compare_oracle(request, include_exact=False)
     assert calls == [float] * 6
     calls.clear()
     monkeypatch.setattr(kinematics_mod, "ARRAY_MIN", 1)
-    build(scenario, grid)
+    compare_oracle(request, include_exact=False)
     assert calls == [np.ndarray]
 
 

@@ -559,3 +559,21 @@ def test_pump_wavenumber_is_computed_once(reference, monkeypatch):
     other = replace(reference, omega0=1.1)
     assert other.pump_wavenumber() == 1.1 * reference.dispersion.mu(1.1)
     assert other != reference and replace(other, omega0=1.0) == reference
+
+
+@given(st.floats(2.0, 8.0), st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
+       st.lists(st.floats(0.02, 1.98), min_size=1, max_size=40))
+@settings(max_examples=80, deadline=None)
+def test_constant_index_resonates_collinear_wherever_classified(log_mu, omega0, fractions):
+    # a constant index phase-matches every pair at p0 = 0 exactly, where the
+    # residual at p = 0 rounds to about eps K0: past mu ~ 1,100 that exceeds
+    # RESIDUAL_TOL * omega0, and the grid must still take p0 = 0 there, not
+    # report a stalled solve or a missing bracket
+    model = DispersionModel.constant(10.0**log_mu)
+    scenario = CrystalScenario(omega0=omega0, g=1e-4, l=100.0, dispersion=model)
+    grid = _resonance_grid(scenario, [f * omega0 for f in [0.5, *fractions]], ("pdc", "puc"))
+    classified = ~np.isin(grid.status, [kinematics_mod.GUARD_BAND, kinematics_mod.GEOMETRY,
+                                        kinematics_mod.OUT_OF_BAND])
+    assert classified.any()
+    assert (grid.status[classified] == OK).all()
+    assert (grid.p[classified] == 0.0).all()

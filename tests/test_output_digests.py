@@ -33,8 +33,8 @@ from pumpslab import (
     run_sweep,
 )
 from pumpslab.cli import main
-from pumpslab.coupled import epsilon_table
-from pumpslab.kinematics import _resonance_grid
+from pumpslab.coupled import _Pairs, _shifts, _tabulate
+from pumpslab.kinematics import OK, _resonance_grid
 from pumpslab.sweep import ORACLE_COLUMNS, SWEEP_COLUMNS, rows_to_text
 
 DIGESTS = {
@@ -235,10 +235,16 @@ def kernel_outputs():
         grid = _resonance_grid(scenario, omegas, ("pdc", "puc"))
         out[f"grid-{name}"] = bits(grid.p, grid.status, grid.residual)
         out[f"grid-{name}-iterations"] = bits(grid.iterations)
+        # the shifts of every resonance, and the grid's status with theirs over it
+        resonances = np.flatnonzero(grid.status == OK)
+        pairs = _Pairs.of_grid(grid, resonances)
         for detuning in (0.0, 1e-3, -1e-3):
-            table = epsilon_table(scenario, grid, detuning)
+            codes, columns = _tabulate(_shifts, scenario, pairs,
+                                       pairs.p0 + detuning * pairs.omega)
+            status = grid.status.copy()
+            status.ravel()[resonances] = codes
             out[f"epsilon-{name}-{detuning}"] = bits(
-                table.status, *(table.columns[c] for c in ("eps1", "eps2", "xi")))
+                status, *(columns[c] for c in ("eps1", "eps2", "xi")))
     # one-element calls: each ResonancePoint's shifts, as Python numbers
     roots = [epsilon_roots(reference, res, res.p + detuning * res.omega)
              for omega in (0.3, 0.5, 0.7) for res in (pdc_resonance(reference, omega),

@@ -193,7 +193,8 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="detuning must be finite"):
             SweepRequest(scenario=scenario_for(), band=(0.4, 0.6), samples=3,
                          detuning=-math.inf)
-        for kinds in ((), [], "pdc"):  # a string is not a sequence of kinds
+        # a string is not a sequence of kinds, and a repeated kind would repeat its rows
+        for kinds in ((), [], "pdc", ("pdc", "pdc")):
             with pytest.raises(ValueError, match="^kinds must be a non-empty sequence"):
                 SweepRequest(scenario=scenario_for(), band=(0.4, 0.6), samples=3,
                              kinds=kinds)
@@ -520,7 +521,7 @@ class TestDegenerateRows:
         # the same check, and message, as SweepRequest gives run_sweep
         with pytest.raises(ValueError, match="conjugate kind.*'sfg'"):
             degenerate_rows(scenario_for(), kinds=("sfg",))
-        for kinds in ((), "pdc"):
+        for kinds in ((), "pdc", ("puc", "puc")):
             with pytest.raises(ValueError, match="^kinds must be a non-empty sequence"):
                 degenerate_rows(scenario_for(), kinds=kinds)
 
@@ -726,6 +727,48 @@ class TestStrongGain:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("pumpslab: ") and "Traceback" not in captured.err
+
+    # g 5e-3, l 3e5: the pdc gain on 0.3-0.7 leaves the float range, while
+    # puc only attenuates; a request refuses only for a row it prints
+    ONE_KIND = ["--theta-d-deg", "10", "--mu2", "1.51", "--g", "5e-3", "--l", "3e5"]
+
+    def test_strong_pdc_gain_refuses_only_tables_with_pdc_rows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            s = scenario_for(5e-3, 3e5)
+        req = SweepRequest(scenario=s, band=(0.3, 0.7), samples=3, kinds=("puc",))
+        rows = run_sweep(req)
+        assert [(row["kind"], row["status"]) for row in rows] == [("puc", "ok")] * 3
+        assert [row["kind"] for row in degenerate_rows(s, ("puc",))] == ["puc"]
+        assert {row["kind"] for row in compare_oracle(req)[0]} == {"puc"}
+        for kinds in (("pdc",), ("pdc", "puc")):
+            with pytest.raises(StrongGainError, match="^sinc"):
+                run_sweep(replace(req, kinds=kinds))
+            with pytest.raises(StrongGainError, match="^sinc"):
+                degenerate_rows(s, kinds)
+            with pytest.raises(StrongGainError, match="^sinc"):
+                compare_oracle(replace(req, kinds=kinds), include_exact=False)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--band", "0.3", "0.7", "--samples", "3"],
+        ["compare-oracle", "--band", "0.3", "0.7", "--samples", "3"],
+        ["compare-oracle", "--no-exact", "--band", "0.3", "0.7", "--samples", "3"],
+        ["degenerate"],
+    ], ids=["sweep", "compare-oracle", "compare-oracle-no-exact", "degenerate"])
+    def test_strong_pdc_gain_leaves_puc_requests_ok(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            code = main([*argv, "--kind", "puc", *self.ONE_KIND])
+            out = capsys.readouterr().out
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert code == 0
+            assert rows and {row[1] for row in rows} == {"puc"}
+            assert "ok" in {row[3 if argv[0] == "compare-oracle" else 2] for row in rows}
+            for kind in ("pdc", "both"):
+                assert main([*argv, "--kind", kind, *self.ONE_KIND]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("pumpslab: sinc(xi)^2 is not finite")
 
     def test_largest_finite_gamma_stays_ok(self):
         # g 5.35e-3 gives gamma = 1.4e307: every report cell is still finite

@@ -55,11 +55,11 @@ def _grid(package, omegas):
     return lambda: m["kinematics"]._resonance_grid(scenario, omegas, KINDS)
 
 
-def _report_table(package):
+def _outcomes(package):
     m = _modules(package)
     scenario = m["presets"].reference_scenario()
-    grid = m["kinematics"]._resonance_grid(scenario, _samples(0.3, 0.7, 7), KINDS)
-    return lambda: m["coupled"].report_table(scenario, grid)
+    omegas = _samples(0.3, 0.7, 7)
+    return lambda: m["sweep"]._outcomes(scenario, omegas, KINDS)
 
 
 def _on_record(package, module, entry):
@@ -121,7 +121,7 @@ def layers(output):
         "_resonance_grid 201 omega": lambda p: _grid(p, _samples(0.05, 1.95, 201)),
         "pdc_resonance": point("pdc_resonance"),
         "channel_report": point("channel_report"),
-        "report_table 7 omega": _report_table,
+        "sweep._outcomes 7 omega both kinds": _outcomes,
         "epsilon_roots g 1e-5 l 2800": lambda p: _on_record(p, "coupled", "epsilon_roots"),
         "thickness_averaged_intensities 64 phases": lambda p: _on_record(
             p, "oracle", "thickness_averaged_intensities"),
@@ -132,11 +132,17 @@ def layers(output):
         "rows_to_text jsonl 201 omega": _jsonl,
         "cli calibrate": lambda p: _cli(p, ["calibrate"], output),
         "cli degenerate": lambda p: _cli(p, ["degenerate"], output),
+        "cli degenerate --kind both": lambda p: _cli(p, ["degenerate", "--kind", "both"],
+                                                     output),
         "cli sweep --samples 7": lambda p: _cli(p, ["sweep", "--samples", "7"], output),
+        "cli sweep --samples 7 --kind both": lambda p: _cli(
+            p, ["sweep", "--samples", "7", "--kind", "both"], output),
         "cli sweep --samples 7 --format jsonl": lambda p: _cli(
             p, ["sweep", "--samples", "7", "--format", "jsonl"], output),
         "cli compare-oracle --samples 3 --no-exact": lambda p: _cli(
             p, ["compare-oracle", "--samples", "3", "--no-exact"], output),
+        "cli compare-oracle --samples 3 --no-exact --kind both": lambda p: _cli(
+            p, ["compare-oracle", "--samples", "3", "--no-exact", "--kind", "both"], output),
     }
 
 
@@ -174,15 +180,15 @@ def summarize(timings):
 
 
 def format_rows(rows):
-    lines = [f"{'layer':42s} {'base us':>10s}  {'ratio q1 / median / q3':>22s}  "
+    lines = [f"{'layer':54s} {'base us':>10s}  {'ratio q1 / median / q3':>22s}  "
              f"{'wins':>5s}  base spread"]
     for row in rows:
         if row["absent"]:
-            lines.append(f"{row['name']:42s} {'absent at BASE':>10s}")
+            lines.append(f"{row['name']:54s} {'absent at BASE':>10s}")
             continue
         ratio = " / ".join(f"{v:.3f}" for v in row["ratio"])
         spread = " / ".join(f"{v:.3f}" for v in row["spread"])
-        lines.append(f"{row['name']:42s} {row['base_us']:10.1f}  {ratio:>22s}  "
+        lines.append(f"{row['name']:54s} {row['base_us']:10.1f}  {ratio:>22s}  "
                      f"{row['wins']:2d}/{row['rounds']:<2d}  {spread}")
     return lines
 
