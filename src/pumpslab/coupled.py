@@ -221,10 +221,11 @@ def _finite_shifts(scenario, pair, p):
     return status, detuned, columns
 
 
-def _tabulate(build, scenario, pairs, p):
+def _tabulate(build, scenario, pairs, p, stacklevel=2):
     """build's (status, columns) of mode pairs at working p, with one
     ValidityWarning for every in-range pair with |p - p0| >
-    DETUNING_WARN_FRACTION * omega.
+    DETUNING_WARN_FRACTION * omega, raised stacklevel frames up: a public
+    entry point passes the depth that names its own caller.
 
     Floats give floats.  Arrays run build once, as silently as floats
     overflow, or, where kinematics finds them _small, once per pair on its
@@ -247,7 +248,7 @@ def _tabulate(build, scenario, pairs, p):
             f"|p - p0| = {detuned:g} exceeds {DETUNING_WARN_FRACTION:g} * omega; "
             "shift formulas degrade",
             ValidityWarning,
-            stacklevel=4,  # epsilon_roots and channel_report call it through _one_pair
+            stacklevel=stacklevel,
         )
     return status, columns
 
@@ -257,7 +258,8 @@ def _one_pair(record, build, scenario, res, p):
     res at working p (None: its p0): build's columns, and res's fields for
     the rest.  A skip status raises its typed error."""
     p = res.p if p is None else float(p)
-    status, values = _tabulate(build, scenario, _Pairs.of_record(res), p)
+    # the caller of epsilon_roots or channel_report, which call _one_pair
+    status, values = _tabulate(build, scenario, _Pairs.of_record(res), p, stacklevel=4)
     if status == GEOMETRY:
         raise GeometryError(f"working p={p:g} is " + ("negative" if p < 0.0
                                                       else "not a number"))

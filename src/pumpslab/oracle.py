@@ -13,18 +13,29 @@ thickness_averaged_intensities
     phases=1 solves the thickness l alone.
 
     The quartic roots and mode vectors do not depend on the thickness l;
-    only the exit-face rows 4-7 carry its e^{ikl} phases.  So the systems
-    for every thickness of an average are built as one (N, 8, 8) stack by
-    broadcasting, then factorized once: one batched LU solve against
-    [rhs | I] gives the amplitudes and M^-1, bit for bit what separate
-    solve and inv calls give; g = 0 stacks the 4x4 coherent slab the same
-    way.  The screen takes the 1-norm condition number kappa_1 of every
-    system from that M^-1.  For 8x8 matrices kappa_2 / 8 <= kappa_1 <= 8
-    kappa_2, so a stack whose worst kappa_1 is within COND_LIMIT / 8
-    cannot exceed the 2-norm limit; only a stack above that computes its
-    2-norm condition numbers (one SVD per system), and it is refused
-    where the worst of them exceeds COND_LIMIT.  A partner-incident wave
-    would ride the same factorization as one more right-hand-side column.
+    only the exit-face rows 4-7 carry its e^{ikl} phases.  R1, R2, T1 and
+    T2 each appear in one pair of rows with constant coefficients, so
+    constant 2x2 row operations eliminate them, leaving a 4x4 system
+    S(l) c = (-2i W10, 0, 0, 0) in the mode amplitudes c; the four
+    outgoing amplitudes follow from c.  Every thickness of every record
+    asked for at once (compare_oracle passes EXACT_CHUNK records at a
+    time, a bound on its memory) is one (n, N, 4, 4) stack, inverted by one
+    batched LU.  A chunk holding an exactly singular system is inverted
+    record by record, so a refusal touches only its own record.  A
+    partner-incident wave would be 2s i W20 times S^-1's column 1.
+    g = 0 stacks the 4x4 coherent slab instead.
+
+    The screen still judges the full 8x8 system M: its 1-norm condition
+    number kappa_1 = ||M||_1 ||M^-1||_1 comes from S^-1, since M^-1 is
+    (LM)^-1 L for the row operations L.  For 8x8 matrices kappa_2 / 8 <=
+    kappa_1 <= 8 kappa_2, so a record whose worst kappa_1 is within
+    COND_LIMIT / 8 cannot exceed the 2-norm limit.  Only a record above
+    that, or with a singular or non-finite S, builds its 8x8 stack
+    (_boundary_stack) and computes its 2-norm condition numbers (one SVD
+    per system); it is refused where the worst of them exceeds COND_LIMIT,
+    or where S was singular.  Then every record's continuity residual,
+    over all eight rows of M at every thickness, must stay within
+    RESIDUAL_LIMIT.
 
 series_sum
     Explicit term-by-term summation of the multiple-reflection intensity
@@ -41,8 +52,24 @@ from .kinematics import kind_sign
 COND_LIMIT = 1e12
 RESIDUAL_LIMIT = 1e-10
 THICKNESS_PHASES = 64  # thickness steps across one fast period
+EXACT_CHUNK = 16  # records per reduced stack in compare_oracle: bounds its memory
 SERIES_TERMS = 40
 _SERIES_MAX = np.finfo(float).max / (SERIES_TERMS + 1) ** 2
+
+
+def _mode_vectors(roots, kp, A, B, G, C1):
+    """Unit-normalized mode vectors (a, b) of quartic roots, kp = roots -
+    sign K0: root k carries the omega field a e^{ikz} and the conjugate
+    field i b e^{i(k - sign K0)z}.  Arrays broadcast, element by element."""
+    F1 = roots * roots - A
+    F2 = kp**2 - B
+    # both (F2, G/C1) and (C1, F1) solve F1 a = C1 b at a root (F1 F2 = G);
+    # take the one built from the larger factor, which has no cancellation
+    omega_like = np.abs(F1) <= np.abs(F2)
+    a = np.where(omega_like, F2, C1)
+    b = np.where(omega_like, G / C1, F1)
+    norm = np.maximum(np.abs(a), np.abs(b))
+    return a / norm, b / norm
 
 
 def _boundary_stack(scenario, kin, lengths, roots, quartic):
@@ -57,17 +84,8 @@ def _boundary_stack(scenario, kin, lengths, roots, quartic):
     field of root k rides e^{i(k - sign K0)z}.
     """
     K0, A, B, G, sign = quartic
-    C1 = scenario.g * kin.omega * scenario.omega0
     kp = roots - sign * K0
-    F1 = roots * roots - A
-    F2 = kp**2 - B
-    # both (F2, G/C1) and (C1, F1) solve F1 a = C1 b at a root (F1 F2 = G);
-    # take the one built from the larger factor, which has no cancellation
-    omega_like = np.abs(F1) <= np.abs(F2)
-    a = np.where(omega_like, F2, C1)
-    b = np.where(omega_like, G / C1, F1)
-    norm = np.maximum(np.abs(a), np.abs(b))
-    a, b = a / norm, b / norm
+    a, b = _mode_vectors(roots, kp, A, B, G, scenario.g * kin.omega * scenario.omega0)
 
     # carriers: omega field a e^{ikz}; conjugate field i b e^{i(k - s K0) z};
     # the exit rows 4-7 are the entrance rows 0-3 times each column's e^{ikl}
@@ -109,72 +127,182 @@ def _linear_slab_solution(W0, W, lengths):
     return np.linalg.solve(M, rhs)[:, :2, 0].T
 
 
-def _screen(M, inverse, kin):
-    """The worst 1-norm condition number of stack M, or a ConditioningError.
+def _thicknesses(l, Omega1, phases):
+    """phases uniform thickness steps from l across one fast period 2 pi / Omega1."""
+    return l + np.arange(phases) * (2.0 * math.pi / Omega1) / phases
 
-    inverse is M^-1, None where a system is exactly singular (refused).
-    Accepted without an SVD where the worst kappa_1 is within COND_LIMIT
-    / 8; otherwise refused where the worst 2-norm condition number exceeds
-    COND_LIMIT.
+
+def _mean_intensities(conv, R1, R2, T1, T2):
+    """r1, t1, r2, t2 averaged over the last (thickness) axis; conv is
+    Omega20 / Omega10, the partner's flux per unit intensity."""
+    return np.mean([abs(R1) ** 2, abs(T1) ** 2, abs(R2) ** 2 * conv, abs(T2) ** 2 * conv],
+                   axis=-1)
+
+
+_INTENSITIES = ("r1", "t1", "r2", "t2")
+
+
+def _reduced_stack(rows, eik, eikp):
+    """The (n, N, 4, 4) stack S(l): the constant rows (n, 4, 4) of each
+    record, rows 2 and 3 times e^{ikl} and e^{i(k - sign K0)l}, the (n, N,
+    4) phase factors eik and eikp of every thickness."""
+    S = np.empty(eik.shape[:2] + (4, 4), dtype=complex)
+    S[..., :2, :] = rows[:, None, :2]
+    S[..., 2, :] = rows[:, None, 2] * eik
+    S[..., 3, :] = rows[:, None, 3] * eikp
+    return S
+
+
+def _column_sums(X):
+    """The absolute column sums of a stack of 4x4 matrices."""
+    X = abs(X)
+    return X[..., 0, :] + X[..., 1, :] + X[..., 2, :] + X[..., 3, :]
+
+
+def _reduced_solution(scenario, records, roots, quartics, lengths):
+    """The boundary systems of records (g > 0) at thicknesses lengths (n,
+    N), solved on their 4x4 mode-amplitude core.
+
+    roots are the records' quartic roots (n, 4), quartics their (K0, A, B,
+    G, sign).  Returns ((R1, R2, T1, T2), kappa_1, residual, singular):
+    the amplitudes, the 1-norm condition number of each full 8x8 system
+    and the largest |M x - rhs| over its eight rows, all (n, N), and per
+    record whether one of its reduced systems is exactly singular (its
+    other values are then NaN).
     """
-    if inverse is not None:
-        norms = np.abs(M).sum(axis=1).max(axis=1)
-        cond = float((norms * np.abs(inverse).sum(axis=1).max(axis=1)).max())
-        if cond <= COND_LIMIT / 8.0:
-            return cond
+    n = len(records)
+    omega, W10, W20 = (np.array([[getattr(kin, name)] for kin in records])
+                       for name in ("omega", "Omega10", "Omega20"))
+    K0 = quartics[0][0]
+    A, B, G, sign = np.array([quartic[1:] for quartic in quartics], dtype=float).T[..., None]
+    kp = roots - sign * K0
+    a, b = _mode_vectors(roots, kp, A, B, G, scenario.g * omega * scenario.omega0)
+    phase = np.exp(1j * (lengths[..., None] * np.hstack((roots, kp, W10, -sign * W20))[:, None]))
+    eik, eikp, e1, e2 = phase[..., :4], phase[..., 4:8], phase[..., 8], phase[..., 9]
+
+    # rows 1 + i W10 row 0, 3 - s i W20 row 2, 5 - i W10 row 4 and 7 + s i
+    # W20 row 6 of _boundary_stack's system drop R1, R2, T1 and T2: S(l) c =
+    # (-2i W10, 0, 0, 0).  One batched LU gives S^-1; with one nonzero entry
+    # on the right, c is that entry times S^-1's column 0, as accurate as a
+    # solve for it
+    S = _reduced_stack(np.stack((-1j * (roots + W10) * a, (kp - sign * W20) * b,
+                                 -1j * (roots - W10) * a, (kp + sign * W20) * b), axis=1),
+                       eik, eikp)
+    singular = np.zeros(n, dtype=bool)
+    try:
+        inverse = np.linalg.inv(S)
+    except np.linalg.LinAlgError:  # an exactly singular system: record by record
+        inverse = np.full_like(S, np.nan)
+        for i in range(n):
+            try:
+                inverse[i] = np.linalg.inv(S[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+    c = -2j * W10[..., None] * inverse[..., 0]
+
+    # rows 0, 2, 4 and 6 give R1 + 1, R2, T1 and T2 as unit-modulus factors
+    # (1, i, e^{-i W10 l}, i e^{s i W20 l}; W10, W20 are real) times V c, V's
+    # rows a, b, a e^{ikl} and b e^{ik'l}.  The entrance rows' c-coefficients
+    # are a, k a, b and k' b, and the exit rows' those times e^{ikl} (rows
+    # 4, 5) or e^{ik'l} (rows 6, 7): M x - rhs of all eight rows from them
+    mode = np.stack((a, roots * a, b, kp * b), axis=-1)  # (n, root, row)
+    ent = c @ mode
+    ext = np.concatenate(((c * eik) @ mode[..., :2], (c * eikp) @ mode[..., 2:]), axis=-1)
+    R1, R2 = ent[..., 0] - 1.0, 1j * ent[..., 2]
+    T1, T2 = e1.conj() * ext[..., 0], 1j * e2.conj() * ext[..., 2]
+    residual = abs(np.stack((
+        R1 - ent[..., 0] + 1.0,
+        -1j * W10 * R1 - 1j * ent[..., 1] + 1j * W10,
+        R2 - 1j * ent[..., 2],
+        sign * 1j * W20 * R2 + ent[..., 3],
+        e1 * T1 - ext[..., 0],
+        1j * W10 * e1 * T1 - 1j * ext[..., 1],
+        e2 * T2 - 1j * ext[..., 2],
+        -sign * 1j * W20 * e2 * T2 + ext[..., 3],
+    ), axis=-1)).max(axis=-1)
+
+    # kappa_1 = ||M||_1 ||M^-1||_1 of the full 8x8.  For the row operations
+    # L above, M^-1 = (LM)^-1 L: its columns 1, 3, 5, 7 are [V S^-1; S^-1]
+    # up to those unit factors, and columns 0, 2, 4, 6 are W10, W20, W10,
+    # W20 times them in modulus, but for the one entry 1 + mu (V S^-1)_jj
+    # that the eliminated amplitude adds on row j
+    V = np.empty_like(S)
+    V[..., :2, :] = np.stack((a, b), axis=1)[:, None]
+    V[..., 2, :] = a[:, None] * eik
+    V[..., 3, :] = b[:, None] * eikp
+    Y = V @ inverse
+    odd = _column_sums(Y) + _column_sums(inverse)
+    diag = np.diagonal(Y, axis1=-2, axis2=-1)
+    weight = np.hstack((W10, W20, W10, W20))[:, None]
+    mu = np.hstack((1j * W10, sign * W20, -1j * W10, -sign * W20))[:, None]
+    even = weight * (odd - abs(diag)) + abs(1.0 + mu * diag)
+    # M's 1-norm: columns R1, R2, T1, T2 give 1 + W10 or 1 + W20, root r's
+    # |a|(1 + |k|) and |b|(1 + |k'|) on the entrance face, times |e^{ikl}|
+    # and |e^{ik'l}| on the exit face
+    columns = ((abs(a) * (1.0 + abs(roots)))[:, None] * (1.0 + abs(eik))
+               + (abs(b) * (1.0 + abs(kp)))[:, None] * (1.0 + abs(eikp)))
+    norm = np.maximum(columns.max(axis=-1), 1.0 + np.maximum(W10, W20))
+    return (R1, R2, T1, T2), norm * np.maximum(odd, even).max(axis=-1), residual, singular
+
+
+def _screen(M, kin, singular):
+    """The 2-norm rule for kin's (N, 8, 8) thickness stack M, which the
+    kappa_1 screen did not accept: a ConditioningError where M is singular
+    (its reduced system was) or its worst 2-norm condition number exceeds
+    COND_LIMIT, else None.  A stack the SVD cannot take (a non-finite one)
+    counts as infinitely ill-conditioned.
+    """
     try:
         cond2 = float(np.linalg.cond(M).max())
     except np.linalg.LinAlgError:  # the SVD of a non-finite stack
         cond2 = math.inf
-    if inverse is None or cond2 > COND_LIMIT:
+    if singular or cond2 > COND_LIMIT:
         raise ConditioningError(
             f"boundary system condition number {cond2:.3e} exceeds "
-            f"{COND_LIMIT:g}{' (singular)' if inverse is None else ''} "
+            f"{COND_LIMIT:g}{' (singular)' if singular else ''} "
             f"(omega={kin.omega:g}, p={kin.p:g}, kind={kin.kind})",
             cond=cond2,
         )
-    return cond
 
 
-def _solve_stack(scenario, kin, lengths, roots, quartic):
-    """Amplitude arrays (R1, R2, T1, T2) and the worst 1-norm condition number.
+def _exact_averages(scenario, records, roots, quartics, phases=THICKNESS_PHASES):
+    """thickness_averaged_intensities of resonance records at g > 0, from
+    one reduced stack of all their thicknesses.
 
-    One ill-conditioned system, or one that misses continuity, refuses
-    the whole stack.  At g = 0 the coherent single-frequency slab is
-    solved instead, with condition number reported as 1.
+    roots are the records' quartic roots (n, 4), quartics their (K0, A, B,
+    G, sign).  Returns per record its intensities, or the
+    ConditioningError that refuses it; a refusal touches no other record.
+    A record is accepted where its worst kappa_1 is within COND_LIMIT / 8
+    (then no 2-norm condition number can exceed COND_LIMIT), else decided
+    by _screen on its 8x8 stack; then refused where a residual exceeds
+    RESIDUAL_LIMIT.  The stack holds n * phases systems, so a caller
+    bounds n (compare_oracle passes EXACT_CHUNK records at a time).
     """
-    if scenario.g == 0.0:
-        R, T = _linear_slab_solution(kin.Omega10, kin.Omega1, lengths)
-        zero = np.zeros_like(R)
-        return (R, zero, T, zero), 1.0
-    M, rhs = _boundary_stack(scenario, kin, lengths, roots, quartic)
-    rhs = rhs[:, None]
-    # one LU per system: [rhs | I] gives the amplitudes beside M^-1
-    try:
-        x = np.linalg.solve(M, np.hstack((rhs, np.eye(8))))
-    except np.linalg.LinAlgError:  # an exactly singular system
-        x = None
-    cond = _screen(M, None if x is None else x[..., 1:], kin)
-    x = x[..., :1]
-    residual = np.abs(M @ x - rhs).max()
-    scale = max(np.abs(rhs).max(), 1.0)
-    if residual > RESIDUAL_LIMIT * scale:
-        raise ConditioningError(
-            f"continuity residual {residual:.3e} above {RESIDUAL_LIMIT:g} "
-            f"(cond={cond:.3e})",
-            cond=cond,
-        )
-    return x[:, :4, 0].T, cond
-
-
-def _intensities(kin, R1, R2, T1, T2):
-    conv = kin.Omega20 / kin.Omega10
-    return {
-        "r1": abs(R1) ** 2,
-        "t1": abs(T1) ** 2,
-        "r2": abs(R2) ** 2 * conv,
-        "t2": abs(T2) ** 2 * conv,
-    }
+    Omega1, W10, W20 = (np.array([[getattr(kin, name)] for kin in records])
+                        for name in ("Omega1", "Omega10", "Omega20"))
+    lengths = _thicknesses(scenario.l, Omega1, phases)
+    amplitudes, cond, residual, singular = _reduced_solution(scenario, records, roots,
+                                                             quartics, lengths)
+    means = _mean_intensities(W20 / W10, *amplitudes).T.tolist()
+    out = []
+    for i, (kin, worst, missed, scale) in enumerate(zip(
+            records, cond.max(axis=1).tolist(), residual.max(axis=1).tolist(),
+            W10[:, 0].tolist())):
+        try:
+            if singular[i] or not worst <= COND_LIMIT / 8.0:
+                _screen(_boundary_stack(scenario, kin, lengths[i], roots[i], quartics[i])[0],
+                        kin, singular[i])
+            if missed > RESIDUAL_LIMIT * max(scale, 1.0):
+                raise ConditioningError(
+                    f"continuity residual {missed:.3e} above {RESIDUAL_LIMIT:g} "
+                    f"(cond={worst:.3e})",
+                    cond=worst,
+                )
+        except ConditioningError as exc:
+            out.append(exc)
+        else:
+            out.append({**dict(zip(_INTENSITIES, means[i])), "cond": worst})
+    return out
 
 
 def thickness_averaged_intensities(scenario, kin, phases=THICKNESS_PHASES):
@@ -188,26 +316,24 @@ def thickness_averaged_intensities(scenario, kin, phases=THICKNESS_PHASES):
     condition number among them.  One phase over COND_LIMIT (by the
     kappa_1 screen, then the 2-norm rule) or over RESIDUAL_LIMIT refuses
     the whole average with a ConditioningError carrying the worst value
-    it compared.  phases must be a positive integer.
+    it compared.  phases must be a positive integer.  At g = 0 the
+    coherent single-frequency slab is solved instead, with condition
+    number reported as 1.
     """
     if isinstance(phases, bool) or not (isinstance(phases, (int, np.integer)) and phases >= 1):
         raise ValueError(f"phases must be a positive integer, got {phases!r}")
     pairs = _Pairs.of_record(kin)  # refuses a record no resonance solve gives
-    if scenario.g == 0.0:  # _solve_stack's linear slab needs no quartic
-        return _averaged_intensities(scenario, kin, None, None, phases)
+    if scenario.g == 0.0:  # the linear slab needs no quartic
+        R, T = _linear_slab_solution(kin.Omega10, kin.Omega1,
+                                     _thicknesses(scenario.l, kin.Omega1, phases))
+        zero = np.zeros_like(R)
+        means = _mean_intensities(kin.Omega20 / kin.Omega10, R, zero, T, zero)
+        return {**dict(zip(_INTENSITIES, means.tolist())), "cond": 1.0}
     coeffs, *quartic = _quartic(scenario, pairs)
-    return _averaged_intensities(scenario, kin, _quartic_roots(coeffs)[0], quartic, phases)
-
-
-def _averaged_intensities(scenario, kin, roots, quartic, phases=THICKNESS_PHASES):
-    """thickness_averaged_intensities from kin's quartic: roots and (K0, A, B, G, sign)."""
-    period = 2.0 * math.pi / kin.Omega1
-    lengths = scenario.l + np.arange(phases) * period / phases
-    amps, cond = _solve_stack(scenario, kin, lengths, roots, quartic)
-    vals = _intensities(kin, *amps)
-    out = dict(zip(vals, np.mean(list(vals.values()), axis=1).tolist()))
-    out["cond"] = cond
-    return out
+    (averaged,) = _exact_averages(scenario, [kin], _quartic_roots(coeffs), [quartic], phases)
+    if isinstance(averaged, ConditioningError):
+        raise averaged
+    return averaged
 
 
 def series_sum(r10, r20, gamma, omega, omega0, kind="pdc"):

@@ -17,7 +17,7 @@ from .coupled import (STATUS_REASONS, _flux_identity, _Pairs, _pair_coefficients
                       _quartic_roots, _reports, _shifts, _sorted_wavenumbers, _tabulate)
 from .errors import ConditioningError, SweepError
 from .kinematics import _ARRAYS, KINDS, OK, _resonance_grid, kind_sign
-from .oracle import _averaged_intensities, _series_columns
+from .oracle import EXACT_CHUNK, _exact_averages, _series_columns
 
 SWEEP_COLUMNS = (
     "omega",
@@ -118,7 +118,9 @@ def _outcomes(scenario, omegas, kinds, detuning=0.0):
             solved[k] = False
     elements = np.flatnonzero(solved)
     pairs = _Pairs.of_grid(grid, elements)
-    codes, columns = _tabulate(_reports, scenario, pairs, pairs.p0 + detuning * pairs.omega)
+    # a detuning warning names the caller of run_sweep (through _sweep_rows)
+    codes, columns = _tabulate(_reports, scenario, pairs, pairs.p0 + detuning * pairs.omega,
+                               stacklevel=5)
     status.ravel()[elements] = codes
     index = np.full(status.shape, -1)
     index.ravel()[elements] = np.arange(elements.size)
@@ -221,12 +223,18 @@ def compare_oracle(request, include_exact=True):
         exact_coeffs, quartics = _pair_coefficients(scenario, _Pairs(*columns[:8, exact]))
         coeffs = np.vstack((coeffs, exact_coeffs))
     roots = _quartic_roots(coeffs)
+    # the exact averages come from one reduced stack per EXACT_CHUNK rows
+    exact_rows = np.flatnonzero(exact).tolist()
+    records = [grid.point(*ok[m]) for m in exact_rows]
+    averages = []
+    for start in range(0, len(records), EXACT_CHUNK):
+        chunk = slice(start, start + EXACT_CHUNK)
+        averages += _exact_averages(scenario, records[chunk], roots[len(ok):][chunk],
+                                    quartics[chunk])
     # the exact row's status where the exact average gives no cells
     unmeasured, measured = ["not_applicable"] * len(ok), np.zeros(len(ok))
-    for m, row_roots, quartic in zip(np.flatnonzero(exact).tolist(), roots[len(ok):], quartics):
-        try:
-            averaged = _averaged_intensities(scenario, grid.point(*ok[m]), row_roots, quartic)
-        except ConditioningError:
+    for m, averaged in zip(exact_rows, averages):
+        if isinstance(averaged, ConditioningError):
             unmeasured[m] = "conditioning_error"
         else:
             unmeasured[m], measured[m] = None, averaged["t1"] + averaged["r1"] - 1.0

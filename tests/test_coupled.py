@@ -22,6 +22,7 @@ from pumpslab import (
     NoResonanceError,
     OutOfBandError,
     StrongGainError,
+    SweepRequest,
     UndefinedSplitError,
     ValidityWarning,
     calibrate_degenerate_angle,
@@ -31,6 +32,7 @@ from pumpslab import (
     puc_resonance,
     quartic_wavenumbers,
     rainbow_split,
+    run_sweep,
     series_sum,
     thickness_averaged_intensities,
 )
@@ -168,15 +170,19 @@ class TestEpsilonRoots:
         with pytest.warns(ValidityWarning):
             epsilon_roots(s, res, p=res.p + 0.02 * res.omega)
 
-    @pytest.mark.parametrize("entry", ["channel_report", "epsilon_roots"])
+    @pytest.mark.parametrize("entry", ["channel_report", "epsilon_roots", "run_sweep",
+                                       "run_sweep arrays"])
     def test_detuning_warning_names_the_caller(self, entry):
         s = scenario_for()
         res = pdc_resonance(s, 0.5)
         p = res.p + 0.02 * res.omega
+        sweep = SweepRequest(s, (0.4, 0.6), 3, ("pdc", "puc"), detuning=0.02)
         # each call sits on its own line, which the warning must name
         calls = {
             "channel_report": lambda: channel_report(s, 0.5, p=p),
             "epsilon_roots": lambda: epsilon_roots(s, res, p=p),
+            "run_sweep": lambda: run_sweep(sweep),
+            "run_sweep arrays": lambda: run_sweep(replace(sweep, samples=41)),
         }
         with pytest.warns(ValidityWarning) as record:
             calls[entry]()

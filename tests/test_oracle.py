@@ -168,20 +168,19 @@ def per_phase_average(scenario, kin, phases=64):
     return {key: val / phases for key, val in acc.items()}, worst_cond
 
 
-def boundary_stack(scenario, kin):
-    """The (64, 8, 8) stack that thickness_averaged_intensities solves."""
-    stacks = []
-    build = oracle_mod._boundary_stack
+def exact_inputs(scenario, kin):
+    """The 64 thicknesses of kin's average (1, 64), its quartic roots (1, 4)
+    and its (K0, A, B, G, sign), as thickness_averaged_intensities takes them."""
+    period = 2.0 * math.pi / kin.Omega1
+    coeffs, *quartic = quartic_coefficients(scenario, kin)
+    return (scenario.l + np.arange(64) * period / 64)[None], _quartic_roots(coeffs), quartic
 
-    def recorded(*args):
-        stacks.append(build(*args)[0])
-        return build(*args)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle_mod, "_boundary_stack", recorded)
-        thickness_averaged_intensities(scenario, kin)
-    (stack,) = stacks
-    return stack
+def boundary_system(scenario, kin):
+    """The (64, 8, 8) stack of kin's thickness average and its rhs (8,),
+    built as the 2-norm rule builds it."""
+    lengths, roots, quartic = exact_inputs(scenario, kin)
+    return oracle_mod._boundary_stack(scenario, kin, lengths[0], roots[0], quartic)
 
 
 def resonant_case(case):
@@ -206,7 +205,7 @@ class TestStackedThicknessAverage:
 
     def test_condition_refusal_carries_worst_cond(self, monkeypatch):
         s, kin = resonant_case("pdc")
-        stack = boundary_stack(s, kin)
+        stack = boundary_system(s, kin)[0]
         kappa2 = np.linalg.cond(stack)
         worst = kappa2.max()
         limit = worst * (1.0 - 1e-12)
@@ -235,18 +234,23 @@ _screen_cases = st.tuples(
 )
 
 
+def screen_case(case):
+    """(scenario, resonance record) of one _screen_cases example."""
+    kind, theta_d, mu2, g, l, omega = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        s = scenario_for(theta_d, mu2, g, l)
+        return s, (pdc_resonance if kind == "pdc" else puc_resonance)(s, omega)
+
+
 class TestConditionScreen:
     """The kappa_1 screen refuses exactly what the 2-norm rule refuses."""
 
     @given(_screen_cases)
     @settings(max_examples=20, deadline=None)
     def test_refusals_match_the_two_norm_rule(self, case):
-        kind, theta_d, mu2, g, l, omega = case
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            s = scenario_for(theta_d, mu2, g, l)
-            kin = (pdc_resonance if kind == "pdc" else puc_resonance)(s, omega)
-        stack = boundary_stack(s, kin)
+        s, kin = screen_case(case)
+        stack = boundary_system(s, kin)[0]
         kappa1 = np.linalg.cond(stack, 1).max()
         kappa2 = np.linalg.cond(stack).max()
         assert kappa1 / 8.0 <= kappa2 <= 8.0 * kappa1
@@ -284,20 +288,17 @@ class TestConditionScreen:
                 assert len(svds) == (kappa1 > limit / 8.0), limit
 
     def test_singular_phase_is_a_conditioning_refusal(self, monkeypatch):
-        # one exactly singular phase makes the batched inverse raise for the
-        # whole stack; the 2-norm rule then refuses it, as it always did
-        build = oracle_mod._boundary_stack
+        # one exactly singular phase, put into both forms of the system,
+        # makes the chunk's batched inverse raise; its records are inverted
+        # one by one, and the 2-norm rule refuses each singular one, as it
+        # always did
         stacks = []
-
-        def singular(*args):
-            M, rhs = build(*args)
-            M[5, 3] = 0.0
-            stacks.append(M)
-            return M, rhs
-
-        monkeypatch.setattr(oracle_mod, "_boundary_stack", singular)
+        monkeypatch.setattr(oracle_mod, "_reduced_stack",
+                            singular_phase(oracle_mod._reduced_stack, records=slice(None)))
+        monkeypatch.setattr(oracle_mod, "_boundary_stack",
+                            singular_system(oracle_mod._boundary_stack, stacks))
         s, kin = resonant_case("pdc")
-        with pytest.raises(ConditioningError) as excinfo:
+        with pytest.raises(ConditioningError, match="singular") as excinfo:
             thickness_averaged_intensities(s, kin)
         assert excinfo.value.cond > oracle_mod.COND_LIMIT
         with pytest.raises(np.linalg.LinAlgError):
@@ -319,70 +320,116 @@ class TestConditionScreen:
         assert excinfo.value.cond == math.inf
 
     def test_exact_oracle_runs_no_svd_and_no_np_roots(self, monkeypatch):
-        # the screen accepts these stacks from the inverse that their one
-        # LU factorization gives, and the quartic roots come from batched
+        # the screen accepts these stacks from the one 4x4 inverse per chunk,
+        # no 8x8 system is solved, and the quartic roots come from batched
         # companion eigenvalues
         def forbidden(*args, **kwargs):
-            raise AssertionError("the exact oracle called an SVD, inv or np.roots")
+            raise AssertionError("the exact oracle called an SVD, a solve, the 1-norm "
+                                 "condition number or np.roots")
 
-        solves = []
-        solve = np.linalg.solve
+        inverses = []
+        inv = np.linalg.inv
 
         def counted(*args, **kwargs):
-            solves.append(args[0].shape)
-            return solve(*args, **kwargs)
+            inverses.append(args[0].shape)
+            return inv(*args, **kwargs)
 
         linalg_impl = sys.modules[np.linalg.cond.__module__]
         for namespace, name in ((np.linalg, "svd"), (linalg_impl, "svd"),
-                                (np.linalg, "inv"), (linalg_impl, "inv"),
-                                (np, "roots")):
+                                (np.linalg, "solve"), (linalg_impl, "solve"),
+                                (linalg_impl, "inv"), (np, "roots")):
             monkeypatch.setattr(namespace, name, forbidden)
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(np.linalg, "inv", counted)
         req = SweepRequest(scenario=scenario_for(g=1e-5, l=2800.0), band=(0.3, 0.7),
-                           samples=5, kinds=("pdc", "puc"))
+                           samples=21, kinds=("pdc", "puc"))
         rows, _ = compare_oracle(req)
         exact = [r["status"] for r in rows if r["quantity"] == "exact_excess"]
-        assert exact.count("ok") == 5  # every pdc average ran
-        assert exact.count("not_applicable") == 5  # no puc average did
-        assert solves == [(oracle_mod.THICKNESS_PHASES, 8, 8)] * 5
+        assert exact.count("ok") == 21  # every pdc average ran
+        assert exact.count("not_applicable") == 21  # no puc average did
+        phases = oracle_mod.THICKNESS_PHASES
+        assert oracle_mod.EXACT_CHUNK == 16
+        assert inverses == [(16, phases, 4, 4), (5, phases, 4, 4)]
 
 
-def boundary_system(scenario, kin):
-    """The (64, 8, 8) stack of kin's thickness average and its rhs (8,)."""
-    period = 2.0 * math.pi / kin.Omega1
-    lengths = scenario.l + np.arange(64) * period / 64
-    coeffs, *quartic = quartic_coefficients(scenario, kin)
-    return oracle_mod._boundary_stack(scenario, kin, lengths, _quartic_roots(coeffs)[0], quartic)
+def singular_phase(build, records):
+    """_reduced_stack with root 0's column of phase 5 zeroed in the given
+    records of each chunk: an exactly singular reduced system."""
+    def singular(*args):
+        S = build(*args)
+        S[records, 5, :, 0] = 0.0
+        return S
+    return singular
 
 
-def assert_one_lu_identity(M, rhs):
-    """solve(M, [rhs | I]) is bit for bit solve(M, rhs) beside inv(M)."""
-    both = np.linalg.solve(M, np.hstack((rhs[:, None], np.eye(8))))
-    assert np.array_equal(both[..., :1], np.linalg.solve(M, rhs[:, None]))
-    assert np.array_equal(both[..., 1:], np.linalg.inv(M))
+def singular_system(build, stacks, kin=None):
+    """_boundary_stack with the same column of phase 5 zeroed (for record kin
+    only, if given); each stack built is appended to stacks."""
+    def singular(scenario, record, *args):
+        M, rhs = build(scenario, record, *args)
+        if kin is None or record == kin:
+            M[5, :, 4] = 0.0
+        stacks.append(M)
+        return M, rhs
+    return singular
 
 
-class TestOneFactorization:
-    """The exact oracle takes amplitudes and M^-1 from one LU per stack; a
-    LAPACK build that solved the columns of [rhs | I] differently from
-    separate solve and inv calls would move the oracle's digits."""
-
-    def test_random_complex_stacks(self):
-        rng = np.random.default_rng(1997)
-        for _ in range(50):
-            M = rng.standard_normal((64, 8, 8)) + 1j * rng.standard_normal((64, 8, 8))
-            M *= 10.0 ** rng.uniform(-3.0, 3.0, (64, 8, 1))
-            assert_one_lu_identity(M, rng.standard_normal(8) + 1j * rng.standard_normal(8))
+class TestReducedSolution:
+    """The 4x4 mode-amplitude core gives what the full 8x8 system gives."""
 
     @given(_screen_cases)
     @settings(max_examples=30, deadline=None)
-    def test_boundary_stacks(self, case):
-        kind, theta_d, mu2, g, l, omega = case
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            s = scenario_for(theta_d, mu2, g, l)
-            kin = (pdc_resonance if kind == "pdc" else puc_resonance)(s, omega)
-        assert_one_lu_identity(*boundary_system(s, kin))
+    def test_matches_the_eight_by_eight_solve(self, case):
+        s, kin = screen_case(case)
+        lengths, roots, quartic = exact_inputs(s, kin)
+        M, rhs = oracle_mod._boundary_stack(s, kin, lengths[0], roots[0], quartic)
+        x = np.linalg.solve(M, rhs)
+        amplitudes, cond, residual, singular = oracle_mod._reduced_solution(
+            s, [kin], roots, [quartic], lengths)
+        assert not singular[0]
+        # R1, R2, T1, T2 of a unit incident amplitude: within 1e-14 (about
+        # 45 ulps of 1; 1.0e-15 was the largest of 400 random cases)
+        for j, amplitude in enumerate(amplitudes):
+            assert np.abs(amplitude[0] - x[:, j]).max() <= 1e-14, j
+        # "cond" is the 1-norm condition number of each full 8x8 system
+        np.testing.assert_allclose(cond[0], np.linalg.cond(M, 1), rtol=1e-9, atol=0.0)
+        assert (thickness_averaged_intensities(s, kin)["cond"]
+                == pytest.approx(np.linalg.cond(M, 1).max(), rel=1e-9))
+        assert residual.max() <= oracle_mod.RESIDUAL_LIMIT
+
+    @staticmethod
+    def chunk():
+        """Seven pdc records, their roots and quartics, as compare_oracle
+        gives them to _exact_averages."""
+        s = scenario_for(g=1e-5, l=2800.0)
+        records = [pdc_resonance(s, omega) for omega in np.linspace(0.3, 0.7, 7).tolist()]
+        inputs = [exact_inputs(s, kin) for kin in records]
+        return (s, records, np.vstack([roots for _, roots, _ in inputs]),
+                [quartic for *_, quartic in inputs])
+
+    @pytest.mark.parametrize("cause", ["singular", "ill_conditioned"])
+    def test_one_refusal_leaves_the_other_records_bit_identical(self, cause, monkeypatch):
+        s, records, roots, quartics = self.chunk()
+        alone = [thickness_averaged_intensities(s, kin) for kin in records]
+        if cause == "singular":
+            refused = 2
+            monkeypatch.setattr(oracle_mod, "_reduced_stack",
+                                singular_phase(oracle_mod._reduced_stack, records=refused))
+            monkeypatch.setattr(oracle_mod, "_boundary_stack", singular_system(
+                oracle_mod._boundary_stack, [], kin=records[refused]))
+        else:
+            # a limit that only the worst record's 2-norm condition number
+            # exceeds; the others' kappa_1 lie above COND_LIMIT / 8 too
+            kappa2 = [np.linalg.cond(boundary_system(s, kin)[0]).max() for kin in records]
+            refused = int(np.argmax(kappa2))
+            limit = (kappa2[refused] + sorted(kappa2)[-2]) / 2.0
+            assert min(averaged["cond"] for averaged in alone) > limit / 8.0
+            monkeypatch.setattr(oracle_mod, "COND_LIMIT", limit)
+        out = oracle_mod._exact_averages(s, records, roots, quartics)
+        assert isinstance(out[refused], ConditioningError)
+        assert out[refused].cond > oracle_mod.COND_LIMIT
+        for i, (averaged, single) in enumerate(zip(out, alone)):
+            if i != refused:
+                assert repr(averaged) == repr(single), i
 
 
 class TestQuarticFloatRange:

@@ -251,7 +251,7 @@ class TestRunSweep:
     def test_exact_rows_reuse_the_resonance_record(self, monkeypatch):
         grids, received = [], []
         solve = sweep_mod._resonance_grid
-        average = sweep_mod._averaged_intensities
+        average = sweep_mod._exact_averages
 
         def recorded_grid(*args):
             grids.append(solve(*args))
@@ -262,7 +262,7 @@ class TestRunSweep:
             return average(*args, **kwargs)
 
         monkeypatch.setattr(sweep_mod, "_resonance_grid", recorded_grid)
-        monkeypatch.setattr(sweep_mod, "_averaged_intensities", recorded_average)
+        monkeypatch.setattr(sweep_mod, "_exact_averages", recorded_average)
         req = SweepRequest(scenario=scenario_for(g=1e-5, l=2800.0),
                            band=(0.4, 0.6), samples=2, kinds=("pdc",))
         rows, _ = compare_oracle(req, include_exact=True)
@@ -270,10 +270,10 @@ class TestRunSweep:
         assert len(exact) == 2 and set(exact) <= {"ok", "breach"}  # averages ran
         (grid,) = grids
         records = [res for (res, _) in _points(grid)]
-        assert len(received) == 2
-        for (scenario, kin), res in zip(received, records):
-            assert scenario is req.scenario
-            assert kin == res
+        # both rows in one chunk, each as the record of its own grid element
+        ((scenario, chunk),) = received
+        assert scenario is req.scenario
+        assert chunk == records
 
     def test_skipped_rows_leave_no_reference_cycles(self):
         req = SweepRequest(scenario=scenario_for(), band=(0.05, 1.95), samples=41,
@@ -427,6 +427,8 @@ _oracle_cases = st.tuples(
 @example((("puc", "pdc"), 10.0, 1.45, 1e-5, 2800.0, 0.3, 0.4, 5, True))  # exact puc ok
 @example((("pdc", "puc"), 10.0, 1.51, 0.0, 2800.0, 0.3, 1.5, 9, True))  # g = 0, skips
 @example((("pdc", "puc"), 10.0, 1.51, 1e-5, 2800.0, 0.3, 0.4, 12, True))  # 24 ok rows: arrays
+@example((("pdc",), 10.0, 1.51, 1e-5, 2800.0, 0.3, 0.4, 37, True))  # exact chunks 16, 16, 5
+@example((("puc", "pdc"), 10.0, 1.45, 1e-5, 2800.0, 0.3, 0.4, 17, True))  # pdc and puc chunks
 @settings(max_examples=25, deadline=None)
 def test_oracle_rows_match_per_row_functions(case):
     # the oracle twin of test_sweep_rows_match_per_frequency_functions:

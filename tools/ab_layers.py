@@ -72,11 +72,11 @@ def _on_record(package, module, entry):
     return lambda: call(scenario, res)
 
 
-def _sweep(package, exact):
+def _sweep(package, exact, samples=5):
     m = _modules(package)
     if exact:  # the oracle_exact regime: weak coupling, thick slab
         scenario = m["presets"].reference_scenario(g=1e-5, l=2800.0)
-        request = m["sweep"].SweepRequest(scenario, (0.3, 0.7), 5, KINDS)
+        request = m["sweep"].SweepRequest(scenario, (0.3, 0.7), samples, KINDS)
         return lambda: m["sweep"].compare_oracle(request, include_exact=True)
     request = m["sweep"].SweepRequest(m["presets"].reference_scenario(), (0.05, 1.95),
                                       201, KINDS)
@@ -128,6 +128,8 @@ def layers(output):
         "fresnel_step": fresnel,
         "run_sweep 201 omega": lambda p: _sweep(p, exact=False),
         "compare_oracle 5 omega exact": lambda p: _sweep(p, exact=True),
+        # 41 exact pdc averages: three chunks of the reduced stack
+        "compare_oracle 41 omega exact": lambda p: _sweep(p, exact=True, samples=41),
         "compare_oracle 3 omega no exact": _oracle_table,
         "rows_to_text jsonl 201 omega": _jsonl,
         "cli calibrate": lambda p: _cli(p, ["calibrate"], output),
