@@ -153,14 +153,23 @@ def _resolve(args):
             value = settings[name]
             if value is None:
                 value = default if cfg is None else cfg.get(section, key, fallback=default)
-            settings[name] = None if value is None else cast(value)
+            settings[name] = None if value is None else _cast(cast, value, section, key)
     if "band" in settings:
         band = settings["band"]
         if band is None and cfg is not None and (
             cfg.has_option("sweep", "omega_lo") or cfg.has_option("sweep", "omega_hi")
         ):
-            band = (cfg.getfloat("sweep", "omega_lo"), cfg.getfloat("sweep", "omega_hi"))
+            band = [_cast(float, cfg.get("sweep", key), "sweep", key)
+                    for key in ("omega_lo", "omega_hi")]
         settings["band"] = band and tuple(band)
+
+
+def _cast(cast, value, section, key):
+    """cast(value); a value it refuses is a PumpslabError naming [section] key."""
+    try:
+        return cast(value)
+    except ValueError as exc:
+        raise PumpslabError(f"[{section}] {key}: {exc}") from None
 
 
 def _scenario(args):

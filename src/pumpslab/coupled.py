@@ -291,41 +291,29 @@ def epsilon_roots(scenario, res, p=None):
     return _one_pair(EpsilonRoots, _finite_shifts, scenario, res, p)
 
 
-def quartic_coefficients(scenario, kin):
-    """Coefficients of (k^2 - A)((k - sign K0)^2 - B) - G, highest power first.
-
-    Returns (coeffs, K0, A, B, G, sign) with A = Omega1^2, B = Omega2^2,
-    G = g^2 omega0^2 omega partner the coupling strength and sign the
-    kind's kind_sign: +1 for down-conversion, whose conjugate wave is
-    carried against the pump phase, -1 for up-conversion, carried along it.
-    A coefficient outside the float range is a StrongGainError.
-    """
-    return _quartic(scenario, _Pairs.of_record(kin))
-
-
 def _quartic(scenario, pairs):
-    """quartic_coefficients of the _Pairs pairs: floats for one, 1-d arrays
-    for several, squaring with Python's pow as the scalar code does."""
+    """(coeffs, K0, A, B, G, sign) of the quartic (k^2 - A)((k - sign K0)^2
+    - B) - G of the _Pairs pairs, floats for one or 1-d columns for several.
+
+    coeffs, highest power first, are a row (5,) or rows (n, 5), as
+    _quartic_roots takes them; A = Omega1^2 and B = Omega2^2 (by Python's
+    pow), G = g^2 omega0^2 omega partner the coupling strength and sign the
+    kind_sign: +1 for pdc, whose conjugate wave is carried against the pump
+    phase, -1 for puc, carried along it.  A coefficient outside the float
+    range is a StrongGainError.
+    """
     omega, partner, sign, _, w1, w2 = pairs[:6]
     K0, on = scenario.pump_wavenumber(), _on(w1)
     A, B = on.square(w1), on.square(w2)
     with on.quiet():
         G = scenario.g**2 * scenario.omega0**2 * omega * partner
-        coeffs = [1.0, -2.0 * sign * K0, K0 * K0 - B - A, 2.0 * A * sign * K0,
+        coeffs = [-2.0 * sign * K0, K0 * K0 - B - A, 2.0 * A * sign * K0,
                   -A * (K0 * K0 - B) - G]
-    bad = on.where(on.all_finite(coeffs[1:]), False, True)
+    bad = on.where(on.all_finite(coeffs), False, True)
     if on.any(bad):
         raise StrongGainError(f"quartic coefficients overflow at omega="
                               f"{np.ravel(omega)[np.argmax(np.ravel(bad))]:g}")
-    return coeffs, K0, A, B, G, sign
-
-
-def _pair_coefficients(scenario, pairs):
-    """The (n, 5) quartic coefficient rows of the mode pair columns pairs,
-    and each row's (K0, A, B, G, sign) as quartic_coefficients gives them."""
-    coeffs, K0, *columns = _quartic(scenario, pairs)
-    return (np.array([np.ones(len(pairs.omega)), *coeffs[1:]]).T,
-            [(K0, *row) for row in zip(*(x.tolist() for x in columns))])
+    return np.array([np.ones_like(A), *coeffs]).T, K0, A, B, G, sign
 
 
 def _quartic_roots(coeffs):
@@ -347,11 +335,11 @@ def quartic_wavenumbers(scenario, kin):
     """The four exact internal wavenumbers, sorted to match the anchors.
 
     Roots of (k^2 - Omega1^2)((k - sign K0)^2 - Omega2^2) = strength, sign
-    the kind's kind_sign (see quartic_coefficients).  Returned as [k1, k2,
-    k3, k4] where k1, k2 hug +Omega1, k3 hugs -Omega1 and k4 is the far
+    the kind's kind_sign (see _quartic).  Returned as [k1, k2, k3, k4]
+    where k1, k2 hug +Omega1, k3 hugs -Omega1 and k4 is the far
     counter-propagating partner root.
     """
-    coeffs, K0, _, _, _, sign = quartic_coefficients(scenario, kin)
+    coeffs, K0, _, _, _, sign = _quartic(scenario, _Pairs.of_record(kin))
     return _sorted_wavenumbers(K0, kin.Omega1, kin.Omega2, sign, _quartic_roots(coeffs))[0]
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PumpslabError
+from .errors import PumpslabError, SeriesDomainError
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +54,11 @@ def slab_coefficients(r0):
     """Overall slab (r, t) from fresnel_step's r0, summing all internal bounces.
 
     Closed forms of the geometric series r0 + r0 t0^2 + r0^3 t0^2 + ...;
-    thickness drops out and r + t = 1 exactly.
+    thickness drops out and r + t = 1 exactly.  Floats or arrays,
+    elementwise; an r0 outside [0, 1], NaN included, is a SeriesDomainError.
     """
+    inside = (0.0 <= r0) & (r0 <= 1.0)
+    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+        raise SeriesDomainError(f"r0={np.ravel(r0)[np.argmin(np.ravel(inside))]:g} outside [0, 1]")
     denominator = 1.0 + r0
     return 2.0 * r0 / denominator, (1.0 - r0) / denominator

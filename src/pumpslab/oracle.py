@@ -4,36 +4,36 @@ Two independent references live here:
 
 thickness_averaged_intensities
     Direct solution of the eight continuity equations (field and normal
-    derivative, both frequencies, both faces) for a solved mode pair
-    record, using the exact quartic wavenumbers.  Every interference
-    phase the two-step iteration and the incoherent series discard is
-    kept, which makes this the anchor all approximations are measured
-    against.  Real slabs are never cut to a fraction of a wavelength, so
-    comparisons average the fast thickness phase over one period;
-    phases=1 solves the thickness l alone.
+    derivative, both frequencies, both faces) for a resonant mode pair,
+    using the exact quartic wavenumbers.  Every interference phase the
+    two-step iteration and the incoherent series discard is kept, which
+    makes this the anchor all approximations are measured against.  Real
+    slabs are never cut to a fraction of a wavelength, so comparisons
+    average the fast thickness phase over one period; phases=1 solves the
+    thickness l alone.
 
     The quartic roots and mode vectors do not depend on the thickness l;
     only the exit-face rows 4-7 carry its e^{ikl} phases.  R1, R2, T1 and
     T2 each appear in one pair of rows with constant coefficients, so
     constant 2x2 row operations eliminate them, leaving a 4x4 system
     S(l) c = (-2i W10, 0, 0, 0) in the mode amplitudes c; the four
-    outgoing amplitudes follow from c.  Every thickness of every record
-    asked for at once (compare_oracle passes EXACT_CHUNK records at a
-    time, a bound on its memory) is one (n, N, 4, 4) stack, inverted by one
+    outgoing amplitudes follow from c.  Mode pairs come as _Pairs columns
+    (one row from thickness_averaged_intensities), and every thickness of
+    each EXACT_CHUNK pairs is one (n, N, 4, 4) stack, inverted by one
     batched LU.  A chunk holding an exactly singular system is inverted
-    record by record, so a refusal touches only its own record.  A
-    partner-incident wave would be 2s i W20 times S^-1's column 1.
-    g = 0 stacks the 4x4 coherent slab instead.
+    pair by pair, so a refusal touches only its own pair.  A
+    partner-incident wave would be 2s i W20 times S^-1's column 1.  g = 0
+    stacks the 4x4 coherent slab instead.
 
     The screen still judges the full 8x8 system M: its 1-norm condition
     number kappa_1 = ||M||_1 ||M^-1||_1 comes from S^-1, since M^-1 is
     (LM)^-1 L for the row operations L.  For 8x8 matrices kappa_2 / 8 <=
-    kappa_1 <= 8 kappa_2, so a record whose worst kappa_1 is within
-    COND_LIMIT / 8 cannot exceed the 2-norm limit.  Only a record above
+    kappa_1 <= 8 kappa_2, so a pair whose worst kappa_1 is within
+    COND_LIMIT / 8 cannot exceed the 2-norm limit.  Only a pair above
     that, or with a singular or non-finite S, builds its 8x8 stack
     (_boundary_stack) and computes its 2-norm condition numbers (one SVD
     per system); it is refused where the worst of them exceeds COND_LIMIT,
-    or where S was singular.  Then every record's continuity residual,
+    or where S was singular.  Then every pair's continuity residual,
     over all eight rows of M at every thickness, must stay within
     RESIDUAL_LIMIT.
 
@@ -46,13 +46,13 @@ import math
 import numpy as np
 
 from .coupled import _Pairs, _quartic, _quartic_roots
-from .errors import ConditioningError, SeriesDomainError, StrongGainError
+from .errors import ConditioningError, GeometryError, SeriesDomainError, StrongGainError
 from .kinematics import kind_sign
 
 COND_LIMIT = 1e12
 RESIDUAL_LIMIT = 1e-10
 THICKNESS_PHASES = 64  # thickness steps across one fast period
-EXACT_CHUNK = 16  # records per reduced stack in compare_oracle: bounds its memory
+EXACT_CHUNK = 16  # mode pairs per reduced stack: bounds its memory
 SERIES_TERMS = 40
 _SERIES_MAX = np.finfo(float).max / (SERIES_TERMS + 1) ** 2
 
@@ -72,24 +72,24 @@ def _mode_vectors(roots, kp, A, B, G, C1):
     return a / norm, b / norm
 
 
-def _boundary_stack(scenario, kin, lengths, roots, quartic):
+def _boundary_stack(scenario, pair, lengths, roots, quartic):
     """Continuity matrices for one incident unit mode at every thickness.
 
-    roots are the four roots of kin's quartic, quartic its (K0, A, B, G,
-    sign).  Returns (matrices (N, 8, 8), rhs (8,)) in the unknowns (R1,
-    R2, T1, T2, c1..c4), c_r scaling the unit-normalized mode vector of
-    quartic root r.  The roots and mode vectors do not depend on the
-    thickness; only the exit-face rows 4-7 carry its phase factors.  sign
-    is the quartic's kind_sign (+1 for pdc, -1 for puc): the conjugate
-    field of root k rides e^{i(k - sign K0)z}.
+    pair is one mode pair's floats, roots its quartic's four roots and
+    quartic their (K0, A, B, G, sign).  Returns (matrices (N, 8, 8), rhs
+    (8,)) in the unknowns (R1, R2, T1, T2, c1..c4), c_r scaling the
+    unit-normalized mode vector of quartic root r.  The roots and mode
+    vectors do not depend on the thickness; only the exit-face rows 4-7
+    carry its phase factors.  sign is the kind_sign (+1 for pdc, -1 for
+    puc): the conjugate field of root k rides e^{i(k - sign K0)z}.
     """
     K0, A, B, G, sign = quartic
     kp = roots - sign * K0
-    a, b = _mode_vectors(roots, kp, A, B, G, scenario.g * kin.omega * scenario.omega0)
+    a, b = _mode_vectors(roots, kp, A, B, G, scenario.g * pair.omega * scenario.omega0)
 
     # carriers: omega field a e^{ikz}; conjugate field i b e^{i(k - s K0) z};
     # the exit rows 4-7 are the entrance rows 0-3 times each column's e^{ikl}
-    W10, W20 = kin.Omega10, kin.Omega20
+    W10, W20 = pair.Omega10, pair.Omega20
     entrance = np.zeros((4, 8), dtype=complex)
     entrance[:, 4:] = (-a, -1j * roots * a, -1j * b, kp * b)
     entrance[0, 0] = 1.0
@@ -144,7 +144,7 @@ _INTENSITIES = ("r1", "t1", "r2", "t2")
 
 def _reduced_stack(rows, eik, eikp):
     """The (n, N, 4, 4) stack S(l): the constant rows (n, 4, 4) of each
-    record, rows 2 and 3 times e^{ikl} and e^{i(k - sign K0)l}, the (n, N,
+    pair, rows 2 and 3 times e^{ikl} and e^{i(k - sign K0)l}, the (n, N,
     4) phase factors eik and eikp of every thickness."""
     S = np.empty(eik.shape[:2] + (4, 4), dtype=complex)
     S[..., :2, :] = rows[:, None, :2]
@@ -159,22 +159,19 @@ def _column_sums(X):
     return X[..., 0, :] + X[..., 1, :] + X[..., 2, :] + X[..., 3, :]
 
 
-def _reduced_solution(scenario, records, roots, quartics, lengths):
-    """The boundary systems of records (g > 0) at thicknesses lengths (n,
-    N), solved on their 4x4 mode-amplitude core.
+def _reduced_solution(scenario, pairs, roots, quartic, lengths):
+    """The boundary systems of mode pairs (g > 0) at thicknesses lengths
+    (n, N), solved on their 4x4 mode-amplitude core.
 
-    roots are the records' quartic roots (n, 4), quartics their (K0, A, B,
-    G, sign).  Returns ((R1, R2, T1, T2), kappa_1, residual, singular):
-    the amplitudes, the 1-norm condition number of each full 8x8 system
-    and the largest |M x - rhs| over its eight rows, all (n, N), and per
-    record whether one of its reduced systems is exactly singular (its
-    other values are then NaN).
+    pairs are _Pairs of 1-d columns, roots their quartic roots (n, 4) and
+    quartic their (K0, A, B, G, sign), columns but K0.  Returns ((R1, R2,
+    T1, T2), kappa_1, residual, singular): the amplitudes, the 1-norm
+    condition number of each full 8x8 system and the largest |M x - rhs|
+    over its eight rows, all (n, N), and per pair whether one of its
+    reduced systems is exactly singular (its other values are then NaN).
     """
-    n = len(records)
-    omega, W10, W20 = (np.array([[getattr(kin, name)] for kin in records])
-                       for name in ("omega", "Omega10", "Omega20"))
-    K0 = quartics[0][0]
-    A, B, G, sign = np.array([quartic[1:] for quartic in quartics], dtype=float).T[..., None]
+    omega, W10, W20 = pairs.omega[:, None], pairs.Omega10[:, None], pairs.Omega20[:, None]
+    K0, (A, B, G, sign) = quartic[0], (x[:, None] for x in quartic[1:])
     kp = roots - sign * K0
     a, b = _mode_vectors(roots, kp, A, B, G, scenario.g * omega * scenario.omega0)
     phase = np.exp(1j * (lengths[..., None] * np.hstack((roots, kp, W10, -sign * W20))[:, None]))
@@ -188,12 +185,12 @@ def _reduced_solution(scenario, records, roots, quartics, lengths):
     S = _reduced_stack(np.stack((-1j * (roots + W10) * a, (kp - sign * W20) * b,
                                  -1j * (roots - W10) * a, (kp + sign * W20) * b), axis=1),
                        eik, eikp)
-    singular = np.zeros(n, dtype=bool)
+    singular = np.zeros(len(roots), dtype=bool)
     try:
         inverse = np.linalg.inv(S)
-    except np.linalg.LinAlgError:  # an exactly singular system: record by record
+    except np.linalg.LinAlgError:  # an exactly singular system: pair by pair
         inverse = np.full_like(S, np.nan)
-        for i in range(n):
+        for i in range(len(S)):
             try:
                 inverse[i] = np.linalg.inv(S[i])
             except np.linalg.LinAlgError:
@@ -245,63 +242,62 @@ def _reduced_solution(scenario, records, roots, quartics, lengths):
     return (R1, R2, T1, T2), norm * np.maximum(odd, even).max(axis=-1), residual, singular
 
 
-def _screen(M, kin, singular):
-    """The 2-norm rule for kin's (N, 8, 8) thickness stack M, which the
-    kappa_1 screen did not accept: a ConditioningError where M is singular
-    (its reduced system was) or its worst 2-norm condition number exceeds
-    COND_LIMIT, else None.  A stack the SVD cannot take (a non-finite one)
-    counts as infinitely ill-conditioned.
+def _screen(M, pair, singular):
+    """The 2-norm rule for the (N, 8, 8) thickness stack M of the pair's
+    floats, which the kappa_1 screen did not accept: a ConditioningError
+    where M is singular (its reduced system was) or its worst 2-norm
+    condition number exceeds COND_LIMIT, else None.  A stack the SVD
+    cannot take (a non-finite one) counts as infinitely ill-conditioned.
     """
     try:
         cond2 = float(np.linalg.cond(M).max())
     except np.linalg.LinAlgError:  # the SVD of a non-finite stack
         cond2 = math.inf
     if singular or cond2 > COND_LIMIT:
-        raise ConditioningError(
-            f"boundary system condition number {cond2:.3e} exceeds "
-            f"{COND_LIMIT:g}{' (singular)' if singular else ''} "
-            f"(omega={kin.omega:g}, p={kin.p:g}, kind={kin.kind})",
-            cond=cond2,
-        )
+        kind = "pdc" if pair.sign > 0.0 else "puc"
+        raise ConditioningError(f"boundary system condition number {cond2:.3e} exceeds "
+                                f"{COND_LIMIT:g}{' (singular)' if singular else ''} (omega="
+                                f"{pair.omega:g}, p={pair.p0:g}, kind={kind})", cond=cond2)
 
 
-def _exact_averages(scenario, records, roots, quartics, phases=THICKNESS_PHASES):
-    """thickness_averaged_intensities of resonance records at g > 0, from
-    one reduced stack of all their thicknesses.
+def _exact_averages(scenario, pairs, roots, quartic, phases=THICKNESS_PHASES):
+    """thickness_averaged_intensities of resonant mode pairs at g > 0, from
+    one reduced stack of all thicknesses of each EXACT_CHUNK pairs.
 
-    roots are the records' quartic roots (n, 4), quartics their (K0, A, B,
-    G, sign).  Returns per record its intensities, or the
-    ConditioningError that refuses it; a refusal touches no other record.
-    A record is accepted where its worst kappa_1 is within COND_LIMIT / 8
-    (then no 2-norm condition number can exceed COND_LIMIT), else decided
-    by _screen on its 8x8 stack; then refused where a residual exceeds
-    RESIDUAL_LIMIT.  The stack holds n * phases systems, so a caller
-    bounds n (compare_oracle passes EXACT_CHUNK records at a time).
+    pairs are _Pairs of 1-d columns, roots their quartic roots (n, 4) and
+    quartic their (K0, A, B, G, sign) from one _quartic call, columns but
+    K0.  Returns per pair its intensities, or the ConditioningError that
+    refuses it; a refusal touches no other pair.  A pair is accepted where
+    its worst kappa_1 is within COND_LIMIT / 8 (then no 2-norm condition
+    number can exceed COND_LIMIT), else decided by _screen on its 8x8
+    stack; then refused where a residual exceeds RESIDUAL_LIMIT.
     """
-    Omega1, W10, W20 = (np.array([[getattr(kin, name)] for kin in records])
-                        for name in ("Omega1", "Omega10", "Omega20"))
-    lengths = _thicknesses(scenario.l, Omega1, phases)
-    amplitudes, cond, residual, singular = _reduced_solution(scenario, records, roots,
-                                                             quartics, lengths)
-    means = _mean_intensities(W20 / W10, *amplitudes).T.tolist()
+    K0, *columns = quartic
     out = []
-    for i, (kin, worst, missed, scale) in enumerate(zip(
-            records, cond.max(axis=1).tolist(), residual.max(axis=1).tolist(),
-            W10[:, 0].tolist())):
-        try:
-            if singular[i] or not worst <= COND_LIMIT / 8.0:
-                _screen(_boundary_stack(scenario, kin, lengths[i], roots[i], quartics[i])[0],
-                        kin, singular[i])
-            if missed > RESIDUAL_LIMIT * max(scale, 1.0):
-                raise ConditioningError(
-                    f"continuity residual {missed:.3e} above {RESIDUAL_LIMIT:g} "
-                    f"(cond={worst:.3e})",
-                    cond=worst,
-                )
-        except ConditioningError as exc:
-            out.append(exc)
-        else:
-            out.append({**dict(zip(_INTENSITIES, means[i])), "cond": worst})
+    for start in range(0, len(roots), EXACT_CHUNK):
+        chunk = slice(start, start + EXACT_CHUNK)
+        part, coefficients = _Pairs(*(x[chunk] for x in pairs)), [x[chunk] for x in columns]
+        lengths = _thicknesses(scenario.l, part.Omega1[:, None], phases)
+        amplitudes, cond, residual, singular = _reduced_solution(
+            scenario, part, roots[chunk], (K0, *coefficients), lengths)
+        means = _mean_intensities((part.Omega20 / part.Omega10)[:, None],
+                                  *amplitudes).T.tolist()
+        for i, (worst, missed, scale) in enumerate(zip(
+                cond.max(axis=1).tolist(), residual.max(axis=1).tolist(),
+                part.Omega10.tolist())):
+            try:
+                if singular[i] or not worst <= COND_LIMIT / 8.0:
+                    pair = _Pairs(*(x.item(i) for x in part))
+                    floats = (K0, *(x.item(i) for x in coefficients))
+                    M, _ = _boundary_stack(scenario, pair, lengths[i], roots[start + i], floats)
+                    _screen(M, pair, singular[i])
+                if missed > RESIDUAL_LIMIT * max(scale, 1.0):
+                    raise ConditioningError(f"continuity residual {missed:.3e} above "
+                                            f"{RESIDUAL_LIMIT:g} (cond={worst:.3e})", cond=worst)
+            except ConditioningError as exc:
+                out.append(exc)
+            else:
+                out.append({**dict(zip(_INTENSITIES, means[i])), "cond": worst})
     return out
 
 
@@ -318,19 +314,21 @@ def thickness_averaged_intensities(scenario, kin, phases=THICKNESS_PHASES):
     the whole average with a ConditioningError carrying the worst value
     it compared.  phases must be a positive integer.  At g = 0 the
     coherent single-frequency slab is solved instead, with condition
-    number reported as 1.
+    number reported as 1.  _exact_averages of one pair.
     """
     if isinstance(phases, bool) or not (isinstance(phases, (int, np.integer)) and phases >= 1):
         raise ValueError(f"phases must be a positive integer, got {phases!r}")
-    pairs = _Pairs.of_record(kin)  # refuses a record no resonance solve gives
+    pair = _Pairs.of_record(kin)  # refuses a record no resonance solve gives
     if scenario.g == 0.0:  # the linear slab needs no quartic
         R, T = _linear_slab_solution(kin.Omega10, kin.Omega1,
                                      _thicknesses(scenario.l, kin.Omega1, phases))
         zero = np.zeros_like(R)
         means = _mean_intensities(kin.Omega20 / kin.Omega10, R, zero, T, zero)
         return {**dict(zip(_INTENSITIES, means.tolist())), "cond": 1.0}
-    coeffs, *quartic = _quartic(scenario, pairs)
-    (averaged,) = _exact_averages(scenario, [kin], _quartic_roots(coeffs), [quartic], phases)
+    coeffs, K0, *rest = _quartic(scenario, pair)
+    columns = np.array([[*pair, *rest]]).T  # one-row columns of the pair and its quartic
+    (averaged,) = _exact_averages(scenario, _Pairs(*columns[:8]), _quartic_roots(coeffs),
+                                  (K0, *columns[8:]), phases)
     if isinstance(averaged, ConditioningError):
         raise averaged
     return averaged
@@ -340,10 +338,16 @@ def series_sum(r10, r20, gamma, omega, omega0, kind="pdc"):
     """Numerically summed multiple-reflection series, first order in gamma.
 
     Returns (r1, t1, r2, t2).  Matches the closed forms to the geometric
-    truncation error r^(2*SERIES_TERMS).  A gamma whose sums could leave
-    the float range raises StrongGainError.  A one-element _series_columns.
+    truncation error r^(2*SERIES_TERMS).  omega, omega0 and the partner
+    omega0 -+ omega must be positive and finite, else a GeometryError; a
+    gamma whose sums could leave the float range raises StrongGainError.
+    A one-element _series_columns.
     """
     sign = kind_sign(kind)
+    partner = omega0 - sign * omega
+    if not (0.0 < omega < math.inf and 0.0 < omega0 < math.inf and 0.0 < partner < math.inf):
+        raise GeometryError(f"omega={omega:g}, omega0={omega0:g} and partner={partner:g} "
+                            "must be positive and finite")
     pair = (np.array([x], dtype=float) for x in (r10, r20, gamma, omega, sign))
     (r1,), (t1,), (r2,), (t2,) = _series_columns(*pair, omega0)
     return float(r1), float(t1), float(r2), float(t2)

@@ -13,11 +13,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coupled import (STATUS_REASONS, _flux_identity, _Pairs, _pair_coefficients,
-                      _quartic_roots, _reports, _shifts, _sorted_wavenumbers, _tabulate)
+from .coupled import (STATUS_REASONS, _flux_identity, _Pairs, _quartic, _quartic_roots,
+                      _reports, _shifts, _sorted_wavenumbers, _tabulate)
 from .errors import ConditioningError, SweepError
 from .kinematics import _ARRAYS, KINDS, OK, _resonance_grid, kind_sign
-from .oracle import EXACT_CHUNK, _exact_averages, _series_columns
+from .oracle import _exact_averages, _series_columns
 
 SWEEP_COLUMNS = (
     "omega",
@@ -203,7 +203,7 @@ def compare_oracle(request, include_exact=True):
         raise ValueError(f"oracle checks run at the resonant p0; detuning must be 0, "
                          f"got {request.detuning:g}")
     scenario = request.scenario
-    grid, located, report, index, order = _outcomes(scenario, request.grid(), request.kinds)
+    _, located, report, index, order = _outcomes(scenario, request.grid(), request.kinds)
     # each check is one column over the ok rows, in row order, from one gather
     ok = [(k, i) for _, i, _, k, status in order if status == "ok"]
     columns = np.array([*located, *report.values()])[:, [index[k][i] for k, i in ok]]
@@ -217,20 +217,14 @@ def compare_oracle(request, include_exact=True):
     exact = ((rep["r10"] <= EXACT_MAX_R10) & (0.0 < rep["gamma"])
              & (rep["gamma"] <= EXACT_MAX_GAMMA) & bool(include_exact))
     # the quartic roots of both couplings come from one batched solve
-    coeffs, _ = _pair_coefficients(ref, pairs)
-    quartics = []  # each exact row's (K0, A, B, G, sign), for its boundary system
-    if exact.any():
-        exact_coeffs, quartics = _pair_coefficients(scenario, _Pairs(*columns[:8, exact]))
+    coeffs, exact_rows = _quartic(ref, pairs)[0], np.flatnonzero(exact).tolist()
+    if exact_rows:
+        exact_pairs = _Pairs(*columns[:8, exact])
+        exact_coeffs, *quartic = _quartic(scenario, exact_pairs)
         coeffs = np.vstack((coeffs, exact_coeffs))
     roots = _quartic_roots(coeffs)
-    # the exact averages come from one reduced stack per EXACT_CHUNK rows
-    exact_rows = np.flatnonzero(exact).tolist()
-    records = [grid.point(*ok[m]) for m in exact_rows]
-    averages = []
-    for start in range(0, len(records), EXACT_CHUNK):
-        chunk = slice(start, start + EXACT_CHUNK)
-        averages += _exact_averages(scenario, records[chunk], roots[len(ok):][chunk],
-                                    quartics[chunk])
+    averages = (_exact_averages(scenario, exact_pairs, roots[len(ok):], quartic)
+                if exact_rows else [])
     # the exact row's status where the exact average gives no cells
     unmeasured, measured = ["not_applicable"] * len(ok), np.zeros(len(ok))
     for m, averaged in zip(exact_rows, averages):

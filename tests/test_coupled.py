@@ -42,6 +42,8 @@ from pumpslab.coupled import (
     ChannelReport,
     EpsilonRoots,
     _one_pair,
+    _Pairs,
+    _quartic,
     _quartic_roots,
     _reports,
     _shift_pair,
@@ -49,7 +51,6 @@ from pumpslab.coupled import (
     _sorted_wavenumbers,
     _tabulate,
     csinc,
-    quartic_coefficients,
 )
 from pumpslab.kinematics import (KINDS, SKIP_REASONS, ResonanceGrid, ResonancePoint,
                                  _resonance_grid, kind_sign)
@@ -292,7 +293,10 @@ def test_quartic_roots_match_np_roots_bit_for_bit(case):
     records = [res for point in _points(grid) for res in point
                if not isinstance(res, str)]
     assume(records)
-    coeffs = [quartic_coefficients(s, res)[0] for res in records]
+    coeffs = [_quartic(s, _Pairs.of_record(res))[0] for res in records]
+    # the rows of one pair's floats are the rows of the pairs' columns
+    columns = _Pairs(*np.array([_Pairs.of_record(res) for res in records]).T)
+    assert _quartic(s, columns)[0].tobytes() == np.array(coeffs).tobytes()
     batched = _quartic_roots(coeffs)
     assert batched.dtype == complex and batched.shape == (len(records), 4)
     for row, roots in zip(coeffs, batched):
@@ -305,7 +309,7 @@ def test_quartic_roots_cover_all_real_rows():
     # np.roots returns a real array where all four roots are real (puc on
     # resonance); the batch gives the same values, typed complex
     s = scenario_for(g=1e-4)
-    rows = [quartic_coefficients(s, solve(s, 0.5))[0]
+    rows = [_quartic(s, _Pairs.of_record(solve(s, 0.5)))[0]
             for solve in (pdc_resonance, puc_resonance)]
     assert np.roots(rows[1]).dtype == float
     assert np.roots(rows[0]).dtype == complex
@@ -771,14 +775,14 @@ class TestKindConvention:
     def test_quartic_sign_is_the_kind_sign(self, solve):
         s = scenario_for()
         res = solve(s, 0.4)
-        coeffs, K0, A, B, G, sign = quartic_coefficients(s, res)
+        coeffs, K0, A, B, G, sign = _quartic(s, _Pairs.of_record(res))
         assert sign == {"pdc": 1.0, "puc": -1.0}[res.kind]
         # (k^2 - A)((k - sign K0)^2 - B) - G, expanded
         assert coeffs[1] == -2.0 * sign * K0
         assert coeffs[3] == 2.0 * A * sign * K0
 
     @pytest.mark.parametrize("call", [
-        "series_sum", "epsilon_roots", "quartic_coefficients",
+        "series_sum", "epsilon_roots", "_quartic",
         "quartic_wavenumbers", "thickness_averaged_intensities", "flux_identity_terms"])
     def test_hand_built_record_with_unknown_kind_refused(self, call):
         # an unknown kind must not compute either process
@@ -788,7 +792,7 @@ class TestKindConvention:
         calls = {
             "series_sum": lambda: series_sum(0.04, 0.04, 1e-3, 0.5, 1.0, kind="PDC"),
             "epsilon_roots": lambda: epsilon_roots(s, res),
-            "quartic_coefficients": lambda: quartic_coefficients(s, res),
+            "_quartic": lambda: _quartic(s, _Pairs.of_record(res)),
             "quartic_wavenumbers": lambda: quartic_wavenumbers(s, res),
             "thickness_averaged_intensities": lambda: thickness_averaged_intensities(s, res),
             "flux_identity_terms": report.flux_identity_terms,
@@ -800,7 +804,7 @@ class TestKindConvention:
     @pytest.mark.parametrize("field", ["omega", "partner", "Omega1", "Omega2", "Omega10",
                                        "Omega20"])
     @pytest.mark.parametrize("call", [
-        "epsilon_roots", "quartic_coefficients", "quartic_wavenumbers",
+        "epsilon_roots", "_quartic", "quartic_wavenumbers",
         "thickness_averaged_intensities g=0", "thickness_averaged_intensities"])
     def test_hand_built_record_with_bad_wavenumber_refused(self, call, field, value):
         # a record the resonance solver never returns fails typed, naming
@@ -809,7 +813,7 @@ class TestKindConvention:
         res = replace(pdc_resonance(s, 0.45), **{field: value})
         calls = {
             "epsilon_roots": lambda: epsilon_roots(s, res),
-            "quartic_coefficients": lambda: quartic_coefficients(s, res),
+            "_quartic": lambda: _quartic(s, _Pairs.of_record(res)),
             "quartic_wavenumbers": lambda: quartic_wavenumbers(s, res),
             "thickness_averaged_intensities g=0": lambda: thickness_averaged_intensities(
                 replace(s, g=0.0), res),

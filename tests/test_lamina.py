@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pumpslab import PumpslabError, fresnel_step, slab_coefficients
+from pumpslab import PumpslabError, SeriesDomainError, fresnel_step, slab_coefficients
 
 
 def series_reflection(r0, terms=60):
@@ -91,3 +91,12 @@ class TestSlabCoefficients:
         assert r == pytest.approx(series_reflection(step.r0, terms), rel=1e-10)
         assert t == pytest.approx(series_transmission(step.r0, terms), rel=1e-10)
         assert r + t == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("r0", [-1.0, -1e-300, 1.0 + 2.0**-52, 1.5, np.inf, np.nan])
+    def test_r0_outside_unit_interval_refused(self, r0):
+        assert slab_coefficients(1.0) == (1.0, 0.0)  # the interval is closed
+        with pytest.raises(SeriesDomainError, match=f"^r0={r0:g} outside"):
+            slab_coefficients(r0)
+        # an array is refused where any one element is, naming the first
+        with pytest.raises(SeriesDomainError, match=f"^r0={r0:g} outside"):
+            slab_coefficients(np.array([0.04, r0, -2.0]))

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pumpslab.oracle as oracle_mod
-from pumpslab.coupled import _quartic_roots, quartic_coefficients
+from pumpslab.coupled import _Pairs, _quartic, _quartic_roots
 from pumpslab import (
     ConditioningError,
     CrystalScenario,
     DispersionModel,
+    GeometryError,
     SeriesDomainError,
     StrongGainError,
     SweepRequest,
@@ -89,8 +90,9 @@ class TestExactSolveCoupled:
     def test_continuity_residual_and_cond_reported(self):
         s = scenario_for()
         res = pdc_resonance(s, 0.5)
-        coeffs, *quartic = quartic_coefficients(s, res)
-        M, rhs = oracle_mod._boundary_stack(s, res, np.array([s.l]), np.roots(coeffs), quartic)
+        pair = _Pairs.of_record(res)
+        coeffs, *quartic = _quartic(s, pair)
+        M, rhs = oracle_mod._boundary_stack(s, pair, np.array([s.l]), np.roots(coeffs), quartic)
         x = np.linalg.solve(M[0], rhs)
         assert np.abs(M[0] @ x - rhs).max() < 1e-10
         vals = single_thickness(s, res)
@@ -169,18 +171,27 @@ def per_phase_average(scenario, kin, phases=64):
 
 
 def exact_inputs(scenario, kin):
-    """The 64 thicknesses of kin's average (1, 64), its quartic roots (1, 4)
-    and its (K0, A, B, G, sign), as thickness_averaged_intensities takes them."""
+    """The 64 thicknesses of kin's average (1, 64), its mode pair as
+    one-row columns, their quartic roots (1, 4) and (K0, A, B, G, sign),
+    as thickness_averaged_intensities gives them to _exact_averages."""
     period = 2.0 * math.pi / kin.Omega1
-    coeffs, *quartic = quartic_coefficients(scenario, kin)
-    return (scenario.l + np.arange(64) * period / 64)[None], _quartic_roots(coeffs), quartic
+    pairs = _Pairs(*np.array([_Pairs.of_record(kin)]).T)
+    coeffs, *quartic = _quartic(scenario, pairs)
+    return (scenario.l + np.arange(64) * period / 64)[None], pairs, _quartic_roots(coeffs), quartic
+
+
+def one_pair(pairs, quartic, i=0):
+    """Row i of mode pair columns and of their (K0, A, B, G, sign), as floats."""
+    K0, *columns = quartic
+    return (_Pairs(*(x.item(i) for x in pairs)), (K0, *(x.item(i) for x in columns)))
 
 
 def boundary_system(scenario, kin):
     """The (64, 8, 8) stack of kin's thickness average and its rhs (8,),
     built as the 2-norm rule builds it."""
-    lengths, roots, quartic = exact_inputs(scenario, kin)
-    return oracle_mod._boundary_stack(scenario, kin, lengths[0], roots[0], quartic)
+    lengths, pairs, roots, quartic = exact_inputs(scenario, kin)
+    pair, floats = one_pair(pairs, quartic)
+    return oracle_mod._boundary_stack(scenario, pair, lengths[0], roots[0], floats)
 
 
 def resonant_case(case):
@@ -362,11 +373,12 @@ def singular_phase(build, records):
 
 
 def singular_system(build, stacks, kin=None):
-    """_boundary_stack with the same column of phase 5 zeroed (for record kin
-    only, if given); each stack built is appended to stacks."""
-    def singular(scenario, record, *args):
-        M, rhs = build(scenario, record, *args)
-        if kin is None or record == kin:
+    """_boundary_stack with the same column of phase 5 zeroed (for the mode
+    pair of record kin only, if given); each stack built is appended to
+    stacks."""
+    def singular(scenario, pair, *args):
+        M, rhs = build(scenario, pair, *args)
+        if kin is None or pair == _Pairs.of_record(kin):
             M[5, :, 4] = 0.0
         stacks.append(M)
         return M, rhs
@@ -380,11 +392,12 @@ class TestReducedSolution:
     @settings(max_examples=30, deadline=None)
     def test_matches_the_eight_by_eight_solve(self, case):
         s, kin = screen_case(case)
-        lengths, roots, quartic = exact_inputs(s, kin)
-        M, rhs = oracle_mod._boundary_stack(s, kin, lengths[0], roots[0], quartic)
+        lengths, pairs, roots, quartic = exact_inputs(s, kin)
+        pair, floats = one_pair(pairs, quartic)
+        M, rhs = oracle_mod._boundary_stack(s, pair, lengths[0], roots[0], floats)
         x = np.linalg.solve(M, rhs)
         amplitudes, cond, residual, singular = oracle_mod._reduced_solution(
-            s, [kin], roots, [quartic], lengths)
+            s, pairs, roots, quartic, lengths)
         assert not singular[0]
         # R1, R2, T1, T2 of a unit incident amplitude: within 1e-14 (about
         # 45 ulps of 1; 1.0e-15 was the largest of 400 random cases)
@@ -397,18 +410,19 @@ class TestReducedSolution:
         assert residual.max() <= oracle_mod.RESIDUAL_LIMIT
 
     @staticmethod
-    def chunk():
-        """Seven pdc records, their roots and quartics, as compare_oracle
-        gives them to _exact_averages."""
+    def chunk(n=7):
+        """n pdc records across 0.3-0.7, their mode pair columns, quartic
+        roots and (K0, A, B, G, sign), as compare_oracle gives them to
+        _exact_averages."""
         s = scenario_for(g=1e-5, l=2800.0)
-        records = [pdc_resonance(s, omega) for omega in np.linspace(0.3, 0.7, 7).tolist()]
-        inputs = [exact_inputs(s, kin) for kin in records]
-        return (s, records, np.vstack([roots for _, roots, _ in inputs]),
-                [quartic for *_, quartic in inputs])
+        records = [pdc_resonance(s, omega) for omega in np.linspace(0.3, 0.7, n).tolist()]
+        pairs = _Pairs(*np.array([_Pairs.of_record(kin) for kin in records]).T)
+        coeffs, *quartic = _quartic(s, pairs)
+        return s, records, pairs, _quartic_roots(coeffs), quartic
 
     @pytest.mark.parametrize("cause", ["singular", "ill_conditioned"])
     def test_one_refusal_leaves_the_other_records_bit_identical(self, cause, monkeypatch):
-        s, records, roots, quartics = self.chunk()
+        s, records, pairs, roots, quartic = self.chunk()
         alone = [thickness_averaged_intensities(s, kin) for kin in records]
         if cause == "singular":
             refused = 2
@@ -424,9 +438,36 @@ class TestReducedSolution:
             limit = (kappa2[refused] + sorted(kappa2)[-2]) / 2.0
             assert min(averaged["cond"] for averaged in alone) > limit / 8.0
             monkeypatch.setattr(oracle_mod, "COND_LIMIT", limit)
-        out = oracle_mod._exact_averages(s, records, roots, quartics)
+        out = oracle_mod._exact_averages(s, pairs, roots, quartic)
         assert isinstance(out[refused], ConditioningError)
         assert out[refused].cond > oracle_mod.COND_LIMIT
+        for i, (averaged, single) in enumerate(zip(out, alone)):
+            if i != refused:
+                assert repr(averaged) == repr(single), i
+
+    def test_chunk_boundaries_leave_each_pair_as_alone(self, monkeypatch):
+        # 2 EXACT_CHUNK + 1 pairs: two full chunks and one of a single pair
+        chunk = oracle_mod.EXACT_CHUNK
+        s, records, pairs, roots, quartic = self.chunk(2 * chunk + 1)
+        alone = [thickness_averaged_intensities(s, kin) for kin in records]
+        out = oracle_mod._exact_averages(s, pairs, roots, quartic)
+        assert [repr(averaged) for averaged in out] == [repr(single) for single in alone]
+        # a singular system in the middle chunk refuses that pair alone
+        sizes, build = [], oracle_mod._reduced_stack
+
+        def singular_in_middle(*args):
+            S = build(*args)
+            sizes.append(len(S))
+            if len(sizes) == 2:
+                S[3, 5, :, 0] = 0.0
+            return S
+
+        monkeypatch.setattr(oracle_mod, "_reduced_stack", singular_in_middle)
+        out = oracle_mod._exact_averages(s, pairs, roots, quartic)
+        assert sizes == [chunk, chunk, 1]
+        refused = chunk + 3
+        assert isinstance(out[refused], ConditioningError)
+        assert "singular" in str(out[refused])
         for i, (averaged, single) in enumerate(zip(out, alone)):
             if i != refused:
                 assert repr(averaged) == repr(single), i
@@ -523,6 +564,23 @@ class TestSeriesSum:
         summed = series_sum(r10, r20, gamma, 0.4, 1.0, kind=kind)
         for got, want in zip(summed, (r1, t1, r2, t2)):
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("omega,omega0,kind", [
+        (1.5, 1.0, "pdc"),  # partner omega0 - omega < 0
+        (1.0, 1.0, "pdc"),  # partner 0
+        (0.5, -1.0, "pdc"),
+        (0.5, -1.0, "puc"),
+        (-0.5, 1.0, "puc"),  # partner 0.5 > 0
+        (0.0, 1.0, "pdc"),
+        (math.inf, 1.0, "puc"),
+        (math.nan, 1.0, "pdc"),
+        (0.5, math.inf, "pdc"),
+    ])
+    def test_bad_frequencies_refused(self, omega, omega0, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="must be positive and finite"):
+                series_sum(0.04, 0.04, 1e-5, omega, omega0, kind=kind)
 
     def test_divergent_inputs_rejected(self):
         with pytest.raises(SeriesDomainError):

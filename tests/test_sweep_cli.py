@@ -50,7 +50,7 @@ from pumpslab import (
     thickness_averaged_intensities,
 )
 from pumpslab.cli import main
-from pumpslab.coupled import DETUNING_WARN_FRACTION, _sorted_wavenumbers
+from pumpslab.coupled import DETUNING_WARN_FRACTION, _Pairs, _sorted_wavenumbers
 from pumpslab.kinematics import OK, SKIP_REASONS
 from pumpslab.sweep import ORACLE_COLUMNS, SWEEP_COLUMNS, rows_to_text
 
@@ -270,10 +270,11 @@ class TestRunSweep:
         assert len(exact) == 2 and set(exact) <= {"ok", "breach"}  # averages ran
         (grid,) = grids
         records = [res for (res, _) in _points(grid)]
-        # both rows in one chunk, each as the record of its own grid element
+        # both rows in one call, each the mode pair of its own grid element
         ((scenario, chunk),) = received
         assert scenario is req.scenario
-        assert chunk == records
+        assert list(zip(*(column.tolist() for column in chunk))) == [
+            _Pairs.of_record(res) for res in records]
 
     def test_skipped_rows_leave_no_reference_cycles(self):
         req = SweepRequest(scenario=scenario_for(), band=(0.05, 1.95), samples=41,
@@ -1202,6 +1203,18 @@ class TestCliConfig:
         code, out, err = run_config(tmp_path, capsys, "sweep", text)
         assert (code, out) == (cli_mod.USAGE_EXIT, "")
         assert err.startswith("pumpslab: ") and message in err
+
+    @pytest.mark.parametrize("text, message", [
+        (SCENARIO_INI + "[sweep]\nsamples = 2.5\n",
+         "[sweep] samples: invalid literal for int() with base 10: '2.5'"),
+        (SCENARIO_INI + "g = abc\n", "[scenario] g: could not convert string to float: 'abc'"),
+        (SCENARIO_INI + "[sweep]\nomega_lo = low\nomega_hi = 0.6\n",
+         "[sweep] omega_lo: could not convert string to float: 'low'"),
+    ], ids=["samples", "g", "omega_lo"])
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys, text, message):
+        code, out, err = run_config(tmp_path, capsys, "sweep", text)
+        assert (code, out) == (cli_mod.USAGE_EXIT, "")
+        assert err == f"pumpslab: {message}\n"
 
     def test_rejected_format_leaves_output_file(self, tmp_path, capsys):
         out_path = tmp_path / "out.csv"
