@@ -16,14 +16,15 @@ thickness_averaged_intensities
     only the exit-face rows 4-7 carry its e^{ikl} phases.  R1, R2, T1 and
     T2 each appear in one pair of rows with constant coefficients, so
     constant 2x2 row operations eliminate them, leaving a 4x4 system
-    S(l) c = (-2i W10, 0, 0, 0) in the mode amplitudes c; the four
-    outgoing amplitudes follow from c.  Mode pairs come as _Pairs columns
+    S(l) c = f = (-2i W10, 0, 0, 0) in the mode amplitudes c; the four
+    outgoing amplitudes are f (V S^-1)[:, 0] up to unit factors, V's rows
+    the mode fields on both faces.  Mode pairs come as _Pairs columns
     (one row from thickness_averaged_intensities), and every thickness of
     each EXACT_CHUNK pairs is one (n, N, 4, 4) stack, inverted by one
     batched LU.  A chunk holding an exactly singular system is inverted
     pair by pair, so a refusal touches only its own pair.  A
-    partner-incident wave would be 2s i W20 times S^-1's column 1.  g = 0
-    stacks the 4x4 coherent slab instead.
+    partner-incident wave would be 2s i W20 times column 1 of S^-1 and V
+    S^-1.  g = 0 stacks the 4x4 coherent slab instead.
 
     The screen still judges the full 8x8 system M: its 1-norm condition
     number kappa_1 = ||M||_1 ||M^-1||_1 comes from S^-1, since M^-1 is
@@ -33,9 +34,9 @@ thickness_averaged_intensities
     that, or with a singular or non-finite S, builds its 8x8 stack
     (_boundary_stack) and computes its 2-norm condition numbers (one SVD
     per system); it is refused where the worst of them exceeds COND_LIMIT,
-    or where S was singular.  Then every pair's continuity residual,
-    over all eight rows of M at every thickness, must stay within
-    RESIDUAL_LIMIT.
+    or where S was singular.  Then every pair's continuity residual max
+    |S c - f|, which is M x - rhs row for row, must stay within
+    RESIDUAL_LIMIT max(W10, 1) at every thickness.
 
 series_sum
     Explicit term-by-term summation of the multiple-reflection intensity
@@ -165,10 +166,11 @@ def _reduced_solution(scenario, pairs, roots, quartic, lengths):
 
     pairs are _Pairs of 1-d columns, roots their quartic roots (n, 4) and
     quartic their (K0, A, B, G, sign), columns but K0.  Returns ((R1, R2,
-    T1, T2), kappa_1, residual, singular): the amplitudes, the 1-norm
-    condition number of each full 8x8 system and the largest |M x - rhs|
-    over its eight rows, all (n, N), and per pair whether one of its
-    reduced systems is exactly singular (its other values are then NaN).
+    T1, T2), kappa_1, residual, singular): the amplitudes, f (V
+    S^-1)[:, 0] up to unit factors, the 1-norm condition number of each
+    full 8x8 system and the continuity residual max |S c - f|, equal to M x
+    - rhs row for row, all (n, N), and per pair whether one of its reduced
+    systems is exactly singular (its other values are then NaN).
     """
     omega, W10, W20 = pairs.omega[:, None], pairs.Omega10[:, None], pairs.Omega20[:, None]
     K0, (A, B, G, sign) = quartic[0], (x[:, None] for x in quartic[1:])
@@ -179,8 +181,8 @@ def _reduced_solution(scenario, pairs, roots, quartic, lengths):
 
     # rows 1 + i W10 row 0, 3 - s i W20 row 2, 5 - i W10 row 4 and 7 + s i
     # W20 row 6 of _boundary_stack's system drop R1, R2, T1 and T2: S(l) c =
-    # (-2i W10, 0, 0, 0).  One batched LU gives S^-1; with one nonzero entry
-    # on the right, c is that entry times S^-1's column 0, as accurate as a
+    # (f, 0, 0, 0), f = -2i W10.  One batched LU gives S^-1; with one nonzero
+    # entry on the right, c is f times S^-1's column 0, as accurate as a
     # solve for it
     S = _reduced_stack(np.stack((-1j * (roots + W10) * a, (kp - sign * W20) * b,
                                  -1j * (roots - W10) * a, (kp + sign * W20) * b), axis=1),
@@ -195,39 +197,27 @@ def _reduced_solution(scenario, pairs, roots, quartic, lengths):
                 inverse[i] = np.linalg.inv(S[i])
             except np.linalg.LinAlgError:
                 singular[i] = True
-    c = -2j * W10[..., None] * inverse[..., 0]
 
-    # rows 0, 2, 4 and 6 give R1 + 1, R2, T1 and T2 as unit-modulus factors
-    # (1, i, e^{-i W10 l}, i e^{s i W20 l}; W10, W20 are real) times V c, V's
-    # rows a, b, a e^{ikl} and b e^{ik'l}.  The entrance rows' c-coefficients
-    # are a, k a, b and k' b, and the exit rows' those times e^{ikl} (rows
-    # 4, 5) or e^{ik'l} (rows 6, 7): M x - rhs of all eight rows from them
-    mode = np.stack((a, roots * a, b, kp * b), axis=-1)  # (n, root, row)
-    ent = c @ mode
-    ext = np.concatenate(((c * eik) @ mode[..., :2], (c * eikp) @ mode[..., 2:]), axis=-1)
-    R1, R2 = ent[..., 0] - 1.0, 1j * ent[..., 2]
-    T1, T2 = e1.conj() * ext[..., 0], 1j * e2.conj() * ext[..., 2]
-    residual = abs(np.stack((
-        R1 - ent[..., 0] + 1.0,
-        -1j * W10 * R1 - 1j * ent[..., 1] + 1j * W10,
-        R2 - 1j * ent[..., 2],
-        sign * 1j * W20 * R2 + ent[..., 3],
-        e1 * T1 - ext[..., 0],
-        1j * W10 * e1 * T1 - 1j * ext[..., 1],
-        e2 * T2 - 1j * ext[..., 2],
-        -sign * 1j * W20 * e2 * T2 + ext[..., 3],
-    ), axis=-1)).max(axis=-1)
+    # rows 0, 2, 4 and 6 give R1 + 1, R2, T1 and T2 as unit factors (1, i,
+    # e^{-i W10 l}, i e^{s i W20 l}; W10, W20 are real) times V c = f (V
+    # S^-1)[:, 0], V's rows a, b, a e^{ikl} and b e^{ik'l}.  As they define
+    # the amplitudes, M x - rhs on the other four rows is S c - (f, 0, 0, 0)
+    V = np.empty_like(S)
+    V[..., :2, :] = np.stack((a, b), axis=1)[:, None]
+    V[..., 2, :] = a[:, None] * eik
+    V[..., 3, :] = b[:, None] * eikp
+    Y = V @ inverse
+    f = -2j * W10[..., None, None]  # (n, 1, 1, 1)
+    Vc = f[..., 0] * Y[..., 0]
+    R1, R2 = Vc[..., 0] - 1.0, 1j * Vc[..., 1]
+    T1, T2 = e1.conj() * Vc[..., 2], 1j * e2.conj() * Vc[..., 3]
+    residual = abs(S @ (f * inverse[..., :1]) - f * np.eye(4)[:, :1]).max(axis=(-2, -1))
 
     # kappa_1 = ||M||_1 ||M^-1||_1 of the full 8x8.  For the row operations
     # L above, M^-1 = (LM)^-1 L: its columns 1, 3, 5, 7 are [V S^-1; S^-1]
     # up to those unit factors, and columns 0, 2, 4, 6 are W10, W20, W10,
     # W20 times them in modulus, but for the one entry 1 + mu (V S^-1)_jj
     # that the eliminated amplitude adds on row j
-    V = np.empty_like(S)
-    V[..., :2, :] = np.stack((a, b), axis=1)[:, None]
-    V[..., 2, :] = a[:, None] * eik
-    V[..., 3, :] = b[:, None] * eikp
-    Y = V @ inverse
     odd = _column_sums(Y) + _column_sums(inverse)
     diag = np.diagonal(Y, axis1=-2, axis2=-1)
     weight = np.hstack((W10, W20, W10, W20))[:, None]

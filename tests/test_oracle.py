@@ -234,6 +234,22 @@ class TestStackedThicknessAverage:
             thickness_averaged_intensities(s, kin)
         assert excinfo.value.cond == worst
 
+    def test_inaccurate_inverse_fails_the_continuity_check(self, monkeypatch):
+        # an S^-1 off by a relative 1e-6 passes the condition screen, but
+        # the amplitudes it gives miss the continuity equations by about
+        # 1e-6 W10, far above RESIDUAL_LIMIT
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: (1.0 + 1e-6) * inv(a))
+        s, kin = resonant_case("pdc")
+        with pytest.raises(ConditioningError, match="continuity residual") as excinfo:
+            thickness_averaged_intensities(s, kin)
+        assert excinfo.value.cond <= oracle_mod.COND_LIMIT / 8.0
+        req = SweepRequest(scenario=s, band=(0.4, 0.6), samples=2, kinds=("pdc",))
+        rows, breached = compare_oracle(req)
+        exact = [r["status"] for r in rows if r["quantity"] == "exact_excess"]
+        assert exact == ["conditioning_error"] * 2
+        assert not breached
+
 
 _screen_cases = st.tuples(
     st.sampled_from(["pdc", "puc"]),

@@ -12,8 +12,12 @@ digits depend on the numpy build: the digests below were taken with
 numpy 2.4 and its bundled OpenBLAS.  oracle-exact-csv was retaken when
 the exact oracle moved from the 8x8 systems to their 4x4 core: its
 exact_excess cells moved in the 12th significant digit (about 3e-12
-relative on an excess near 8e-5; the amplitudes moved by at most 1e-15).  The kernel bit digests
-at the end pin the resonance and shift arrays to the last bit.
+relative on an excess near 8e-5; the amplitudes moved by at most 1e-15).
+It was retaken again when that core read the amplitudes from V S^-1: the
+oracle, abs_err and rel_err cells of one exact_excess row (pdc, omega 0.5)
+moved, the oracle by 2.4e-12 relative (at most 3.6e-12 over 41 samples of
+the same band).  The kernel bit digests at the end pin the resonance and
+shift arrays to the last bit.
 """
 import contextlib
 import hashlib
@@ -52,7 +56,7 @@ DIGESTS = {
     "oracle-jsonl": "3f34662c0a0aaf19a276217b658dc686cca9f7f92418183806c0fe4f0a07fce0",
     "oracle-puc-csv": "d755108b085727886eab18067a3ec16bd6700bc02686180d8a366400bcbcedcd",
     "oracle-puc-pdc-csv": "9493ae205f722687bf17f387d2edab74a79ca90a8b0a93994eb4bf2b221bd1fa",
-    "oracle-exact-csv": "4b992d98651c1a9d72e07146f3723e655f379da4841e9e753c2252182073577e",
+    "oracle-exact-csv": "679d62f9178bbf7e163e3ed2e803d80979e2ea8e713399d33f7a4ef97eb7e568",
     "collinear-sweep-csv": "c673d954aa611aaf719bf43e045418fdc3d0b26b49802767a74bc927d90d468e",
     "collinear-degenerate-csv": "7eda051b3288b2165d7b86c60d87810256f3801b60eb1253c3874728f56a5625",
 }

@@ -26,6 +26,8 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 import timeit  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from ab_bench import ROOT, export, quartiles  # noqa: E402
 
@@ -70,6 +72,19 @@ def _on_record(package, module, entry):
     res = m["kinematics"].pdc_resonance(scenario, 0.45)
     call = getattr(m[module], entry)
     return lambda: call(scenario, res)
+
+
+def _exact_pairs(package):
+    """oracle._exact_averages of the pdc pairs of compare_oracle 5 omega
+    exact (64 phases), from columns and quartic roots built once."""
+    m = _modules(package)
+    averages = m["oracle"]._exact_averages  # before the inputs, which need this oracle's API
+    scenario = m["presets"].reference_scenario(g=1e-5, l=2800.0)
+    records = [m["kinematics"].pdc_resonance(scenario, omega) for omega in _samples(0.3, 0.7, 5)]
+    pairs = m["coupled"]._Pairs(*np.array([m["coupled"]._Pairs.of_record(r) for r in records]).T)
+    coeffs, *quartic = m["coupled"]._quartic(scenario, pairs)
+    roots = m["coupled"]._quartic_roots(coeffs)
+    return lambda: averages(scenario, pairs, roots, quartic)
 
 
 def _sweep(package, exact, samples=5):
@@ -125,6 +140,7 @@ def layers(output):
         "epsilon_roots g 1e-5 l 2800": lambda p: _on_record(p, "coupled", "epsilon_roots"),
         "thickness_averaged_intensities 64 phases": lambda p: _on_record(
             p, "oracle", "thickness_averaged_intensities"),
+        "_exact_averages 5 pdc pairs": _exact_pairs,
         "fresnel_step": fresnel,
         "run_sweep 201 omega": lambda p: _sweep(p, exact=False),
         "compare_oracle 5 omega exact": lambda p: _sweep(p, exact=True),
