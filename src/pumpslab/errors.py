@@ -40,9 +40,8 @@ class DegenerateRootError(PumpslabError):
 class ConditioningError(PumpslabError):
     """Boundary-matching system too ill-conditioned to solve reliably.
 
-    cond is the number compared with the limit: the worst 2-norm
-    condition number for a condition refusal (inf for a stack that is not
-    finite), the worst 1-norm one for a continuity-residual refusal.
+    cond is the worst 1-norm condition number of the refused pair's
+    systems, inf where one is singular or not finite.
     """
 
     def __init__(self, message, cond=None):

@@ -197,7 +197,8 @@ def compare_oracle(request, include_exact=True):
     (optionally) the thickness-averaged exact boundary solve.  Every
     check runs at the resonant p0, so a detuned request is a ValueError.
     Without pump-induced excess (gamma = 0) the flux-identity and exact
-    rows are not_applicable.
+    rows are not_applicable, and so is quartic_pair_roots where the
+    reference shifts underflow to 0: there is no coupled pair to check.
     """
     if request.detuning:
         raise ValueError(f"oracle checks run at the resonant p0; detuning must be 0, "
@@ -243,19 +244,22 @@ def compare_oracle(request, include_exact=True):
     tols = (IDENTITY_TOL,) * 2 + (SERIES_TOL,) * 4 + (QUARTIC_TOL,) * 4 + (EXACT_TOL,)
     checks = len(_CHECKS) - (not include_exact)
     cells = np.array((closed, oracle, abs_err, rel_err)).transpose(1, 2, 0).tolist()
+    unpaired = (eps["eps1"] == 0.0) & (eps["eps2"] == 0.0)
     checked = iter(zip((rel_err <= tols).tolist(), cells, (rep["gamma"] == 0.0).tolist(),
-                       unmeasured))
+                       unpaired.tolist(), unmeasured))
     rows = []
     for omega, _, kind, _, status in order:
         if status != "ok":
             rows.append(_row(omega, kind, "channel_report", status))
             continue
-        passed, row_cells, vacuous, exact_status = next(checked)
+        passed, row_cells, vacuous, no_pair, exact_status = next(checked)
         states = ["ok" if p else "breach" for p in passed]
         # without pump-induced excess the gamma-scale identities are vacuous,
         # and so is the exact row, which `exact` leaves unsolved there
         if vacuous:
             states[0] = states[1] = "not_applicable"
+        if no_pair:
+            states[7] = "not_applicable"
         states[10] = exact_status or states[10]
         for quantity, tol, state, cell in zip(_CHECKS[:checks], tols, states, row_cells):
             rows.append(_row(omega, kind, quantity, state, tol,

@@ -31,3 +31,18 @@ def test_a_layer_absent_at_base_is_reported():
     assert lines[1].split()[-3:] == ["absent", "at", "BASE"]
     assert lines[2].split() == ["kept", "2.0", "0.750", "/", "1.000", "/", "1.250", "1/2",
                                 "1.000", "/", "1.000"]
+
+
+def test_a_base_that_raises_anything_is_reported_absent(capsys):
+    def build(package):
+        assert package == "pumpslab_base"
+        raise ValueError("another API at BASE")
+
+    assert ab_layers.at_base("layer", build) is None
+    assert capsys.readouterr().out == ("# layer: absent at BASE "
+                                       "(ValueError: another API at BASE)\n")
+    calls = []
+    call = ab_layers.at_base("layer", lambda package: lambda: calls.append(package))
+    assert calls == ["pumpslab_base"]  # run once
+    call()
+    assert calls == ["pumpslab_base"] * 2

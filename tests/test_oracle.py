@@ -173,11 +173,17 @@ def per_phase_average(scenario, kin, phases=64):
 def exact_inputs(scenario, kin):
     """The 64 thicknesses of kin's average (1, 64), its mode pair as
     one-row columns, their quartic roots (1, 4) and (K0, A, B, G, sign),
-    as thickness_averaged_intensities gives them to _exact_averages."""
-    period = 2.0 * math.pi / kin.Omega1
+    as thickness_averaged_intensities gives them to _reduced_solution."""
     pairs = _Pairs(*np.array([_Pairs.of_record(kin)]).T)
     coeffs, *quartic = _quartic(scenario, pairs)
-    return (scenario.l + np.arange(64) * period / 64)[None], pairs, _quartic_roots(coeffs), quartic
+    lengths = oracle_mod._thicknesses(scenario.l, pairs.Omega1[:, None], 64)
+    return lengths, pairs, _quartic_roots(coeffs), quartic
+
+
+def kappa_1(scenario, kin):
+    """The oracle's kappa_1 of each of kin's 64 phases, at any COND_LIMIT."""
+    lengths, pairs, roots, quartic = exact_inputs(scenario, kin)
+    return oracle_mod._reduced_solution(scenario, pairs, roots, quartic, lengths)[1][0]
 
 
 def one_pair(pairs, quartic, i=0):
@@ -187,11 +193,16 @@ def one_pair(pairs, quartic, i=0):
 
 
 def boundary_system(scenario, kin):
-    """The (64, 8, 8) stack of kin's thickness average and its rhs (8,),
-    built as the 2-norm rule builds it."""
+    """The (64, 8, 8) reference stack of kin's thickness average and its
+    rhs (8,)."""
     lengths, pairs, roots, quartic = exact_inputs(scenario, kin)
     pair, floats = one_pair(pairs, quartic)
     return oracle_mod._boundary_stack(scenario, pair, lengths[0], roots[0], floats)
+
+
+def names_the_pair(kin):
+    """The end of a refusal message of kin's mode pair, as a pattern."""
+    return re.escape(f" (omega={kin.omega:g}, p={kin.p:g}, kind={kin.kind})") + "$"
 
 
 def resonant_case(case):
@@ -216,13 +227,14 @@ class TestStackedThicknessAverage:
 
     def test_condition_refusal_carries_worst_cond(self, monkeypatch):
         s, kin = resonant_case("pdc")
-        stack = boundary_system(s, kin)[0]
-        kappa2 = np.linalg.cond(stack)
-        worst = kappa2.max()
+        kappa1 = kappa_1(s, kin)
+        worst = thickness_averaged_intensities(s, kin)["cond"]
+        assert worst == kappa1.max()
         limit = worst * (1.0 - 1e-12)
-        assert np.count_nonzero(kappa2 > limit) == 1  # only the worst phase
+        assert np.count_nonzero(kappa1 > limit) == 1  # only the worst phase
         monkeypatch.setattr(oracle_mod, "COND_LIMIT", limit)
-        with pytest.raises(ConditioningError) as excinfo:
+        with pytest.raises(ConditioningError, match=rf"^boundary system condition number "
+                           rf"\S+ exceeds \S+{names_the_pair(kin)}") as excinfo:
             thickness_averaged_intensities(s, kin)
         assert excinfo.value.cond == worst
 
@@ -230,7 +242,8 @@ class TestStackedThicknessAverage:
         s, kin = resonant_case("puc")
         worst = thickness_averaged_intensities(s, kin)["cond"]
         monkeypatch.setattr(oracle_mod, "RESIDUAL_LIMIT", 0.0)
-        with pytest.raises(ConditioningError, match="continuity residual") as excinfo:
+        with pytest.raises(ConditioningError, match=rf"^continuity residual \S+ above 0 "
+                           rf"\(cond=\S+\){names_the_pair(kin)}") as excinfo:
             thickness_averaged_intensities(s, kin)
         assert excinfo.value.cond == worst
 
@@ -243,7 +256,7 @@ class TestStackedThicknessAverage:
         s, kin = resonant_case("pdc")
         with pytest.raises(ConditioningError, match="continuity residual") as excinfo:
             thickness_averaged_intensities(s, kin)
-        assert excinfo.value.cond <= oracle_mod.COND_LIMIT / 8.0
+        assert excinfo.value.cond <= oracle_mod.COND_LIMIT
         req = SweepRequest(scenario=s, band=(0.4, 0.6), samples=2, kinds=("pdc",))
         rows, breached = compare_oracle(req)
         exact = [r["status"] for r in rows if r["quantity"] == "exact_excess"]
@@ -271,65 +284,59 @@ def screen_case(case):
 
 
 class TestConditionScreen:
-    """The kappa_1 screen refuses exactly what the 2-norm rule refuses."""
+    """A pair is refused exactly where its worst kappa_1 exceeds COND_LIMIT."""
 
     @given(_screen_cases)
     @settings(max_examples=20, deadline=None)
-    def test_refusals_match_the_two_norm_rule(self, case):
+    def test_refusals_follow_kappa_1(self, case):
         s, kin = screen_case(case)
         stack = boundary_system(s, kin)[0]
         kappa1 = np.linalg.cond(stack, 1).max()
         kappa2 = np.linalg.cond(stack).max()
-        assert kappa1 / 8.0 <= kappa2 <= 8.0 * kappa1
+        worst = kappa_1(s, kin).max()
+        assert worst == pytest.approx(kappa1, rel=1e-9)
+        # the limits where a 2-norm rule could decide otherwise, and beside it
         limits = (
-            kappa1 / 16.0,  # below the band: refused
-            kappa1 / 8.0 * (1.0 + 1e-6),  # inside [kappa1 / 8, 8 kappa1]
+            kappa1 / 16.0,
+            kappa1 / 8.0 * (1.0 + 1e-6),
             kappa2 * (1.0 - 1e-9),
             kappa2 * (1.0 + 1e-9),
+            worst * (1.0 - 1e-9),
+            worst * (1.0 + 1e-9),
             kappa1,
             8.0 * kappa1 * (1.0 - 1e-6),
-            8.0 * kappa1 * (1.0 + 1e-6),  # above the band: screened, no SVD
+            8.0 * kappa1 * (1.0 + 1e-6),
             16.0 * kappa1,
         )
-        two_norm = np.linalg.cond
-        svds = []
 
-        def counted(*args, **kwargs):
-            svds.append(args)
-            return two_norm(*args, **kwargs)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the exact oracle built an 8x8 stack or called cond")
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(np.linalg, "cond", counted)
+            patch.setattr(np.linalg, "cond", forbidden)
+            patch.setattr(oracle_mod, "_boundary_stack", forbidden)
             for limit in limits:
                 patch.setattr(oracle_mod, "COND_LIMIT", limit)
-                svds.clear()
                 try:
                     thickness_averaged_intensities(s, kin)
                 except ConditioningError as exc:
                     assert "condition number" in str(exc)
+                    assert exc.cond == worst
                     refused = True
                 else:
                     refused = False
-                assert refused == (kappa2 > limit), limit
-                # the SVD runs only where the kappa_1 screen cannot decide
-                assert len(svds) == (kappa1 > limit / 8.0), limit
+                assert refused == (worst > limit), limit
 
     def test_singular_phase_is_a_conditioning_refusal(self, monkeypatch):
-        # one exactly singular phase, put into both forms of the system,
-        # makes the chunk's batched inverse raise; its records are inverted
-        # one by one, and the 2-norm rule refuses each singular one, as it
-        # always did
-        stacks = []
+        # one exactly singular phase makes the chunk's batched inverse
+        # raise; its records are inverted one by one, and each singular one
+        # is refused with kappa_1 = inf
         monkeypatch.setattr(oracle_mod, "_reduced_stack",
                             singular_phase(oracle_mod._reduced_stack, records=slice(None)))
-        monkeypatch.setattr(oracle_mod, "_boundary_stack",
-                            singular_system(oracle_mod._boundary_stack, stacks))
         s, kin = resonant_case("pdc")
-        with pytest.raises(ConditioningError, match="singular") as excinfo:
+        with pytest.raises(ConditioningError, match="condition number inf exceeds") as excinfo:
             thickness_averaged_intensities(s, kin)
-        assert excinfo.value.cond > oracle_mod.COND_LIMIT
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.inv(stacks[0])
+        assert excinfo.value.cond == math.inf
         req = SweepRequest(scenario=s, band=(0.4, 0.6), samples=2, kinds=("pdc",))
         rows, breached = compare_oracle(req)
         exact = [r["status"] for r in rows if r["quantity"] == "exact_excess"]
@@ -337,8 +344,8 @@ class TestConditionScreen:
         assert not breached
 
     def test_non_finite_stack_is_a_conditioning_refusal(self):
-        # e^{ikl} overflows in a strongly amplified thick slab, and the SVD
-        # of the non-finite stack fails instead of returning a number
+        # e^{ikl} overflows in a strongly amplified thick slab: the
+        # non-finite stack's kappa_1 is inf
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             s = scenario_for(g=1e-2, l=1e6)
@@ -347,12 +354,12 @@ class TestConditionScreen:
         assert excinfo.value.cond == math.inf
 
     def test_exact_oracle_runs_no_svd_and_no_np_roots(self, monkeypatch):
-        # the screen accepts these stacks from the one 4x4 inverse per chunk,
-        # no 8x8 system is solved, and the quartic roots come from batched
-        # companion eigenvalues
+        # kappa_1 comes from the one 4x4 inverse per chunk, no 8x8 system
+        # is built or solved at any COND_LIMIT, and the quartic roots come
+        # from batched companion eigenvalues
         def forbidden(*args, **kwargs):
             raise AssertionError("the exact oracle called an SVD, a solve, the 1-norm "
-                                 "condition number or np.roots")
+                                 "condition number, _boundary_stack or np.roots")
 
         inverses = []
         inv = np.linalg.inv
@@ -364,7 +371,8 @@ class TestConditionScreen:
         linalg_impl = sys.modules[np.linalg.cond.__module__]
         for namespace, name in ((np.linalg, "svd"), (linalg_impl, "svd"),
                                 (np.linalg, "solve"), (linalg_impl, "solve"),
-                                (linalg_impl, "inv"), (np, "roots")):
+                                (linalg_impl, "inv"), (np, "roots"),
+                                (oracle_mod, "_boundary_stack")):
             monkeypatch.setattr(namespace, name, forbidden)
         monkeypatch.setattr(np.linalg, "inv", counted)
         req = SweepRequest(scenario=scenario_for(g=1e-5, l=2800.0), band=(0.3, 0.7),
@@ -376,6 +384,10 @@ class TestConditionScreen:
         phases = oracle_mod.THICKNESS_PHASES
         assert oracle_mod.EXACT_CHUNK == 16
         assert inverses == [(16, phases, 4, 4), (5, phases, 4, 4)]
+        monkeypatch.setattr(oracle_mod, "COND_LIMIT", 1.0)
+        rows, _ = compare_oracle(req)
+        exact = [r["status"] for r in rows if r["quantity"] == "exact_excess"]
+        assert exact.count("conditioning_error") == 21
 
 
 def singular_phase(build, records):
@@ -385,19 +397,6 @@ def singular_phase(build, records):
         S = build(*args)
         S[records, 5, :, 0] = 0.0
         return S
-    return singular
-
-
-def singular_system(build, stacks, kin=None):
-    """_boundary_stack with the same column of phase 5 zeroed (for the mode
-    pair of record kin only, if given); each stack built is appended to
-    stacks."""
-    def singular(scenario, pair, *args):
-        M, rhs = build(scenario, pair, *args)
-        if kin is None or pair == _Pairs.of_record(kin):
-            M[5, :, 4] = 0.0
-        stacks.append(M)
-        return M, rhs
     return singular
 
 
@@ -412,9 +411,8 @@ class TestReducedSolution:
         pair, floats = one_pair(pairs, quartic)
         M, rhs = oracle_mod._boundary_stack(s, pair, lengths[0], roots[0], floats)
         x = np.linalg.solve(M, rhs)
-        amplitudes, cond, residual, singular = oracle_mod._reduced_solution(
+        amplitudes, cond, residual = oracle_mod._reduced_solution(
             s, pairs, roots, quartic, lengths)
-        assert not singular[0]
         # R1, R2, T1, T2 of a unit incident amplitude: within 1e-14 (about
         # 45 ulps of 1; 1.0e-15 was the largest of 400 random cases)
         for j, amplitude in enumerate(amplitudes):
@@ -444,19 +442,15 @@ class TestReducedSolution:
             refused = 2
             monkeypatch.setattr(oracle_mod, "_reduced_stack",
                                 singular_phase(oracle_mod._reduced_stack, records=refused))
-            monkeypatch.setattr(oracle_mod, "_boundary_stack", singular_system(
-                oracle_mod._boundary_stack, [], kin=records[refused]))
         else:
-            # a limit that only the worst record's 2-norm condition number
-            # exceeds; the others' kappa_1 lie above COND_LIMIT / 8 too
-            kappa2 = [np.linalg.cond(boundary_system(s, kin)[0]).max() for kin in records]
-            refused = int(np.argmax(kappa2))
-            limit = (kappa2[refused] + sorted(kappa2)[-2]) / 2.0
-            assert min(averaged["cond"] for averaged in alone) > limit / 8.0
+            # a limit that only the worst record's kappa_1 exceeds
+            kappa1 = [averaged["cond"] for averaged in alone]
+            refused = int(np.argmax(kappa1))
+            limit = (kappa1[refused] + sorted(kappa1)[-2]) / 2.0
             monkeypatch.setattr(oracle_mod, "COND_LIMIT", limit)
         out = oracle_mod._exact_averages(s, pairs, roots, quartic)
         assert isinstance(out[refused], ConditioningError)
-        assert out[refused].cond > oracle_mod.COND_LIMIT
+        assert out[refused].cond == (math.inf if cause == "singular" else kappa1[refused])
         for i, (averaged, single) in enumerate(zip(out, alone)):
             if i != refused:
                 assert repr(averaged) == repr(single), i
@@ -483,7 +477,7 @@ class TestReducedSolution:
         assert sizes == [chunk, chunk, 1]
         refused = chunk + 3
         assert isinstance(out[refused], ConditioningError)
-        assert "singular" in str(out[refused])
+        assert out[refused].cond == math.inf
         for i, (averaged, single) in enumerate(zip(out, alone)):
             if i != refused:
                 assert repr(averaged) == repr(single), i

@@ -11,8 +11,9 @@ the minimum of 3 repeats of a fixed number of calls, with BLAS threads
 pinned to 1.  Per layer it prints the base median in microseconds, the
 median and quartiles of the change/base ratio over the rounds, the rounds
 the change won, and the base's own quartiles relative to its median, the
-spread a ratio must stay inside to count as no change.  A layer that does
-not exist at BASE is reported, not fatal.
+spread a ratio must stay inside to count as no change.  A layer whose
+base build or first call raises anything (it does not exist at BASE, or
+has another API there) is reported, not fatal.
 """
 import os
 
@@ -211,6 +212,19 @@ def format_rows(rows):
     return lines
 
 
+def at_base(name, build):
+    """The base package's call of build, run once, or None where building
+    or running it raises anything: the layer is reported absent at BASE,
+    which may lack it or give it another API."""
+    try:
+        base = build("pumpslab_base")
+        base()
+    except Exception as exc:
+        print(f"# {name}: absent at BASE ({type(exc).__name__}: {exc})", flush=True)
+        return None
+    return base
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="git revision to compare the working tree against")
@@ -224,12 +238,8 @@ def main(argv=None):
         sys.path[:0] = [os.path.join(ROOT, "src"), tmp]
         calls, timings = {}, {}
         for name, build in layers(os.path.join(tmp, "out")).items():
-            change = build("pumpslab")
-            try:
-                base = build("pumpslab_base")
-                base()
-            except (AttributeError, ImportError, TypeError) as exc:
-                print(f"# {name}: absent at BASE ({type(exc).__name__}: {exc})", flush=True)
+            change, base = build("pumpslab"), at_base(name, build)
+            if base is None:
                 timings[name] = None
                 continue
             calls[name] = (base, change, calls_per_repeat(change))
