@@ -19,12 +19,13 @@ thickness_averaged_intensities
     S(l) c = f = (-2i W10, 0, 0, 0) in the mode amplitudes c; the four
     outgoing amplitudes are f (V S^-1)[:, 0] up to unit factors, V's rows
     the mode fields on both faces.  Mode pairs come as _Pairs columns
-    (one row from thickness_averaged_intensities), and every thickness of
-    each EXACT_CHUNK pairs is one (n, N, 4, 4) stack, inverted by one
-    batched LU.  A chunk holding an exactly singular system is inverted
-    pair by pair, so a refusal touches only its own pair.  A
-    partner-incident wave would be 2s i W20 times column 1 of S^-1 and V
-    S^-1.  g = 0 stacks the 4x4 coherent slab instead.
+    (one row from thickness_averaged_intensities); the oracle builds their
+    quartic and its roots itself, and every thickness of each EXACT_CHUNK
+    pairs is one (n, N, 4, 4) stack, inverted by one batched LU.  A chunk
+    holding an exactly singular system is inverted pair by pair, so a
+    refusal touches only its own pair.  A partner-incident wave would be
+    2s i W20 times column 1 of S^-1 and V S^-1.  g = 0 stacks the 4x4
+    coherent slab instead.
 
     A pair is refused where the worst 1-norm condition number kappa_1 =
     ||M||_1 ||M^-1||_1 of its full 8x8 systems M exceeds COND_LIMIT (inf
@@ -227,18 +228,18 @@ def _reduced_solution(scenario, pairs, roots, quartic, lengths):
     return (R1, R2, T1, T2), np.where(np.isnan(cond), np.inf, cond), residual
 
 
-def _exact_averages(scenario, pairs, roots, quartic, phases=THICKNESS_PHASES):
+def _exact_averages(scenario, pairs, phases=THICKNESS_PHASES):
     """thickness_averaged_intensities of resonant mode pairs at g > 0, from
     one reduced stack of all thicknesses of each EXACT_CHUNK pairs.
 
-    pairs are _Pairs of 1-d columns, roots their quartic roots (n, 4) and
-    quartic their (K0, A, B, G, sign) from one _quartic call, columns but
-    K0.  Returns per pair its intensities, or the ConditioningError that
-    refuses it (where its worst kappa_1 exceeds COND_LIMIT, else where a
-    residual exceeds RESIDUAL_LIMIT); a refusal touches no other pair.
+    pairs are _Pairs of 1-d columns; their quartic and its roots come from
+    one _quartic and one _quartic_roots call.  Returns per pair its
+    intensities, or the ConditioningError that refuses it (where its worst
+    kappa_1 exceeds COND_LIMIT, else where a residual exceeds
+    RESIDUAL_LIMIT); a refusal touches no other pair.
     """
-    K0, *columns = quartic
-    out = []
+    coeffs, K0, *columns = _quartic(scenario, pairs)
+    roots, out = _quartic_roots(coeffs), []
     for start in range(0, len(roots), EXACT_CHUNK):
         chunk = slice(start, start + EXACT_CHUNK)
         part = _Pairs(*(x[chunk] for x in pairs))
@@ -277,7 +278,7 @@ def thickness_averaged_intensities(scenario, kin, phases=THICKNESS_PHASES):
     naming the pair and carrying that worst cond.  phases must be a
     positive integer.  At g = 0 the coherent single-frequency slab is
     solved instead, with condition number reported as 1.  _exact_averages
-    of one pair.
+    of the pair as one-row columns.
     """
     if isinstance(phases, bool) or not (isinstance(phases, (int, np.integer)) and phases >= 1):
         raise ValueError(f"phases must be a positive integer, got {phases!r}")
@@ -288,10 +289,7 @@ def thickness_averaged_intensities(scenario, kin, phases=THICKNESS_PHASES):
         zero = np.zeros_like(R)
         means = _mean_intensities(kin.Omega20 / kin.Omega10, R, zero, T, zero)
         return {**dict(zip(_INTENSITIES, means.tolist())), "cond": 1.0}
-    coeffs, K0, *rest = _quartic(scenario, pair)
-    columns = np.array([[*pair, *rest]]).T  # one-row columns of the pair and its quartic
-    (averaged,) = _exact_averages(scenario, _Pairs(*columns[:8]), _quartic_roots(coeffs),
-                                  (K0, *columns[8:]), phases)
+    (averaged,) = _exact_averages(scenario, _Pairs(*np.array([pair]).T), phases)
     if isinstance(averaged, ConditioningError):
         raise averaged
     return averaged

@@ -217,15 +217,8 @@ def compare_oracle(request, include_exact=True):
     _, eps = _tabulate(_shifts, ref, pairs, pairs.p0)
     exact = ((rep["r10"] <= EXACT_MAX_R10) & (0.0 < rep["gamma"])
              & (rep["gamma"] <= EXACT_MAX_GAMMA) & bool(include_exact))
-    # the quartic roots of both couplings come from one batched solve
-    coeffs, exact_rows = _quartic(ref, pairs)[0], np.flatnonzero(exact).tolist()
-    if exact_rows:
-        exact_pairs = _Pairs(*columns[:8, exact])
-        exact_coeffs, *quartic = _quartic(scenario, exact_pairs)
-        coeffs = np.vstack((coeffs, exact_coeffs))
-    roots = _quartic_roots(coeffs)
-    averages = (_exact_averages(scenario, exact_pairs, roots[len(ok):], quartic)
-                if exact_rows else [])
+    exact_rows = np.flatnonzero(exact).tolist()
+    averages = _exact_averages(scenario, _Pairs(*columns[:8, exact])) if exact_rows else []
     # the exact row's status where the exact average gives no cells
     unmeasured, measured = ["not_applicable"] * len(ok), np.zeros(len(ok))
     for m, averaged in zip(exact_rows, averages):
@@ -236,8 +229,7 @@ def compare_oracle(request, include_exact=True):
     # a strong gain over a zero oracle (an unmeasured exact cell) overflows,
     # and a shift that underflows to 0 divides by 0: breach cells, not errors
     with np.errstate(all="ignore"):
-        closed, oracle, pair_err = _check_columns(ref, pairs, rep, eps, roots[:len(ok)],
-                                                  pairs.sign * measured)
+        closed, oracle, pair_err = _check_columns(ref, pairs, rep, eps, pairs.sign * measured)
         abs_err = np.abs(closed - oracle)
         rel_err = abs_err / np.maximum(np.abs(oracle), 1e-300)
     abs_err[:, 7] = rel_err[:, 7] = pair_err  # quartic_pair_roots
@@ -267,11 +259,12 @@ def compare_oracle(request, include_exact=True):
     return rows, any(row["status"] == "breach" for row in rows)
 
 
-def _check_columns(ref, pairs, rep, eps, roots, excess):
+def _check_columns(ref, pairs, rep, eps, excess):
     """(closed, oracle) columns of each _CHECKS entry over compare_oracle's ok
     rows, bit for bit one row's scalar arithmetic, and quartic_pair_roots'
     error, from the rows' quartic roots at ref and the signed exact excess."""
     w1, K0 = pairs.Omega1, ref.pump_wavenumber()
+    roots = _quartic_roots(_quartic(ref, pairs)[0])
     k = _sorted_wavenumbers(K0, w1, pairs.Omega2, pairs.sign, roots).T
     s1, s2 = shifts = k[:2] - w1  # the shifts of the coupled pair
     e1, e2 = perturbative = np.array((eps["eps1"], eps["eps2"]))

@@ -46,3 +46,9 @@ def test_a_base_that_raises_anything_is_reported_absent(capsys):
     assert calls == ["pumpslab_base"]  # run once
     call()
     assert calls == ["pumpslab_base"] * 2
+
+
+def test_every_layer_builds_on_the_working_tree(tmp_path):
+    # a private signature a layer calls may change; the tool must follow it
+    for build in ab_layers.layers(str(tmp_path / "out")).values():
+        build("pumpslab")()

@@ -174,6 +174,17 @@ def test_reference_shifts_underflow_at_tiny_omega0():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="subnormal reference shifts lose bits: quartic_pair_roots breaches "
+                          "where an unresolved status belongs")
+def test_subnormal_reference_shifts_are_no_breach():
+    # g^2 omega0^2 omega partner at the reference coupling is subnormal, so
+    # eps1 and eps2 carry a few bits and the pair error reads 0.025-0.037
+    rows = _oracle_rows(10.0, 1.51, 3e-79, 1e-5, 1e4, (0.3, 0.7), 3, ("pdc",),
+                        "quartic_pair_roots")
+    assert [row["status"] for row in rows if row["status"] == "breach"] == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="a shift below the quartic root's resolution: rel_err overflows")
 def test_shift_below_the_root_resolution():
     rows = _oracle_rows(10.0, 45.0, 1e30, 0.0, 1.0, (0.6, 0.7), 2, ("pdc",), "quartic_eps3")

@@ -425,18 +425,15 @@ class TestReducedSolution:
 
     @staticmethod
     def chunk(n=7):
-        """n pdc records across 0.3-0.7, their mode pair columns, quartic
-        roots and (K0, A, B, G, sign), as compare_oracle gives them to
-        _exact_averages."""
+        """n pdc records across 0.3-0.7 and their mode pair columns, as
+        compare_oracle gives them to _exact_averages."""
         s = scenario_for(g=1e-5, l=2800.0)
         records = [pdc_resonance(s, omega) for omega in np.linspace(0.3, 0.7, n).tolist()]
-        pairs = _Pairs(*np.array([_Pairs.of_record(kin) for kin in records]).T)
-        coeffs, *quartic = _quartic(s, pairs)
-        return s, records, pairs, _quartic_roots(coeffs), quartic
+        return s, records, _Pairs(*np.array([_Pairs.of_record(kin) for kin in records]).T)
 
     @pytest.mark.parametrize("cause", ["singular", "ill_conditioned"])
     def test_one_refusal_leaves_the_other_records_bit_identical(self, cause, monkeypatch):
-        s, records, pairs, roots, quartic = self.chunk()
+        s, records, pairs = self.chunk()
         alone = [thickness_averaged_intensities(s, kin) for kin in records]
         if cause == "singular":
             refused = 2
@@ -448,7 +445,7 @@ class TestReducedSolution:
             refused = int(np.argmax(kappa1))
             limit = (kappa1[refused] + sorted(kappa1)[-2]) / 2.0
             monkeypatch.setattr(oracle_mod, "COND_LIMIT", limit)
-        out = oracle_mod._exact_averages(s, pairs, roots, quartic)
+        out = oracle_mod._exact_averages(s, pairs)
         assert isinstance(out[refused], ConditioningError)
         assert out[refused].cond == (math.inf if cause == "singular" else kappa1[refused])
         for i, (averaged, single) in enumerate(zip(out, alone)):
@@ -458,9 +455,9 @@ class TestReducedSolution:
     def test_chunk_boundaries_leave_each_pair_as_alone(self, monkeypatch):
         # 2 EXACT_CHUNK + 1 pairs: two full chunks and one of a single pair
         chunk = oracle_mod.EXACT_CHUNK
-        s, records, pairs, roots, quartic = self.chunk(2 * chunk + 1)
+        s, records, pairs = self.chunk(2 * chunk + 1)
         alone = [thickness_averaged_intensities(s, kin) for kin in records]
-        out = oracle_mod._exact_averages(s, pairs, roots, quartic)
+        out = oracle_mod._exact_averages(s, pairs)
         assert [repr(averaged) for averaged in out] == [repr(single) for single in alone]
         # a singular system in the middle chunk refuses that pair alone
         sizes, build = [], oracle_mod._reduced_stack
@@ -473,7 +470,7 @@ class TestReducedSolution:
             return S
 
         monkeypatch.setattr(oracle_mod, "_reduced_stack", singular_in_middle)
-        out = oracle_mod._exact_averages(s, pairs, roots, quartic)
+        out = oracle_mod._exact_averages(s, pairs)
         assert sizes == [chunk, chunk, 1]
         refused = chunk + 3
         assert isinstance(out[refused], ConditioningError)

@@ -466,7 +466,7 @@ class TestColumnarRootSort:
     @staticmethod
     def patch_roots(monkeypatch, rows):
         def patched(coeffs):
-            assert len(coeffs) == len(rows)  # no exact rows: reference roots only
+            assert len(coeffs) == len(rows)  # the reference coupling's roots alone
             return np.array(rows, dtype=complex)
 
         monkeypatch.setattr(sweep_mod, "_quartic_roots", patched)
@@ -502,6 +502,24 @@ class TestColumnarRootSort:
         out, _ = compare_oracle(req, include_exact=False)
         pair = [row for row in out if row["quantity"] == "quartic_pair_roots"]
         assert [(row["status"], row["abs_err"]) for row in pair] == [("ok", 0.0)] * 3
+
+    def test_exact_rows_build_their_own_roots(self, pdc_rows, monkeypatch):
+        # compare_oracle's roots are the reference coupling's alone: moving
+        # them moves the quartic rows and leaves every exact_excess row
+        req = pdc_rows[0]
+
+        def table():
+            rows, _ = compare_oracle(req, include_exact=True)
+            return {quantity: [repr(row) for row in rows if row["quantity"] == quantity]
+                    for quantity in ("quartic_eps3", "exact_excess")}
+
+        unpatched, roots = table(), sweep_mod._quartic_roots
+        monkeypatch.setattr(sweep_mod, "_quartic_roots",
+                            lambda coeffs: roots(coeffs) * (1.0 + 1e-9))
+        patched = table()
+        assert patched["quartic_eps3"] != unpatched["quartic_eps3"]
+        assert len(patched["exact_excess"]) == 3
+        assert patched["exact_excess"] == unpatched["exact_excess"]
 
 
 class TestDegenerateRows:
