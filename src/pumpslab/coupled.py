@@ -13,16 +13,15 @@ Intensity bookkeeping follows the incoherent multiple-reflection
 approximation of the linear-lamina module, with every pass through the
 slab picking up the first-order excess factor gamma.
 
-Shifts (_shifts) and reports (_reports) are function bodies over mode
-pairs (_Pairs): one array per field plus a status per pair.  _tabulate
-runs a body on numpy arrays or on Python floats, one resonance at a time;
-kinematics owns that choice and the primitives that differ between the
-two.  The sweep and oracle tables tabulate the pairs of a resonance grid,
-and the scalar epsilon_roots and channel_report run the bodies on the
-floats of one pair.  Either way every element carries the bits a scalar
-evaluation in the same operation order would give.
+Shifts (_shifts) and reports (_reports, csinc included) are function
+bodies over mode pairs (_Pairs): one array per field plus a status per
+pair.  _tabulate runs a body on numpy arrays or on Python floats, one
+resonance at a time; kinematics owns that choice and the primitives that
+differ between the two.  The sweep and oracle tables tabulate the pairs of
+a resonance grid, and the scalar epsilon_roots and channel_report run the
+bodies on the floats of one pair.  Either way every element carries the
+bits a scalar evaluation in the same operation order would give.
 """
-import cmath
 import math
 import sys
 import warnings
@@ -52,27 +51,36 @@ _DBL_MIN = sys.float_info.min  # a Python float: its comparisons stay fast on fl
 
 
 def csinc(z):
-    """sin(z)/z on complex arguments, series-evaluated near the origin.
-
-    Raises StrongGainError where |Im z| > _SINC_MAX_IMAG, before sin(z)
-    can overflow.
-    """
-    z = complex(z)
-    if abs(z) < _SINC_SERIES_CUTOFF:
-        z2 = z * z
-        return 1.0 - z2 / 6.0 + z2 * z2 / 120.0
-    if abs(z.imag) > _SINC_MAX_IMAG:
-        raise StrongGainError(
-            f"sinc of xi={z:g} overflows: |Im xi| exceeds {_SINC_MAX_IMAG:g}"
-        )
-    return cmath.sin(z) / z
+    """sin(z)/z of complex z, floats or arrays, series-evaluated near the
+    origin.  Each step is CPython's complex arithmetic written in real
+    parts, so an element carries the same bits on both; a StrongGainError
+    names the first element with |Im z| > _SINC_MAX_IMAG, before sin(z)
+    can overflow."""
+    on, x, y = _on(z), z.real, z.imag
+    if on.any(bad := abs(y) > _SINC_MAX_IMAG):
+        raise StrongGainError(f"sinc of xi={complex(np.ravel(z)[np.argmax(bad)]):g} "
+                              f"overflows: |Im xi| exceeds {_SINC_MAX_IMAG:g}")
+    series = on.cabs(z) < _SINC_SERIES_CUTOFF
+    zr, zi = x * x - y * y, x * y + y * x  # z * z
+    sr, si = (s := on.csin(z)).real, s.imag
+    by_real = abs(x) >= abs(y)  # the quotient divides through by the larger part
+    big, small = on.where(by_real, x, y), on.where(by_real, y, x)
+    big = on.where(big == 0.0, 1.0, big)  # only at z = 0, in the series, or beside a NaN
+    ratio = small / big
+    denom = big + small * ratio
+    re = on.where(series, 1.0 - zr / 6.0 + (zr * zr - zi * zi) / 120.0,
+                  on.where(by_real, sr + si * ratio, sr * ratio + si) / denom)
+    im = on.where(series, 0.0 - zi / 6.0 + (zr * zi + zi * zr) / 120.0,
+                  on.where(by_real, si - sr * ratio, si * ratio - sr) / denom)
+    return (re + 0j).conjugate() + im * complex(-0.0, 1.0)  # re + 1j * im loses -0.0
 
 
 def _sinc_sq(xi):
-    s = csinc(xi)
-    value = (s * s).real
-    if not math.isfinite(value):
-        raise StrongGainError(f"sinc(xi)^2 is not finite at xi={complex(xi):g}")
+    s, on = csinc(xi), _on(xi)
+    value = s.real * s.real - s.imag * s.imag
+    if on.any(bad := on.where(on.all_finite((value,)), False, True)):
+        raise StrongGainError(f"sinc(xi)^2 is not finite at "
+                              f"xi={complex(np.ravel(xi)[np.argmax(bad)]):g}")
     return value
 
 
@@ -296,23 +304,22 @@ def _quartic(scenario, pairs):
     - B) - G of the _Pairs pairs, floats for one or 1-d columns for several.
 
     coeffs, highest power first, are a row (5,) or rows (n, 5), as
-    _quartic_roots takes them; A = Omega1^2 and B = Omega2^2 (by Python's
-    pow), G = g^2 omega0^2 omega partner the coupling strength and sign the
-    kind_sign: +1 for pdc, whose conjugate wave is carried against the pump
-    phase, -1 for puc, carried along it.  A coefficient outside the float
-    range is a StrongGainError.
+    _quartic_roots takes them; A = Omega1^2 and B = Omega2^2, G = g^2
+    omega0^2 omega partner the coupling strength and sign the kind_sign: +1
+    for pdc, whose conjugate wave is carried against the pump phase, -1 for
+    puc, carried along it.  A coefficient outside the float range, A and B
+    included, is a StrongGainError.
     """
     omega, partner, sign, _, w1, w2 = pairs[:6]
     K0, on = scenario.pump_wavenumber(), _on(w1)
-    A, B = on.square(w1), on.square(w2)
     with on.quiet():
+        A, B = w1 * w1, w2 * w2
         G = scenario.g**2 * scenario.omega0**2 * omega * partner
         coeffs = [-2.0 * sign * K0, K0 * K0 - B - A, 2.0 * A * sign * K0,
                   -A * (K0 * K0 - B) - G]
-    bad = on.where(on.all_finite(coeffs), False, True)
-    if on.any(bad):
+    if on.any(bad := on.where(on.all_finite(coeffs), False, True)):
         raise StrongGainError(f"quartic coefficients overflow at omega="
-                              f"{np.ravel(omega)[np.argmax(np.ravel(bad))]:g}")
+                              f"{np.ravel(omega)[np.argmax(bad)]:g}")
     return np.array([np.ones_like(A), *coeffs]).T, K0, A, B, G, sign
 
 
@@ -440,15 +447,14 @@ def _reports(scenario, pairs, p):
     omega, partner, sign, _, w1, w2, w10, w20 = pairs
     g, l, w0 = scenario.g, scenario.l, scenario.omega0
     ok = status == OK
-    sinc_sq = on.apply(_sinc_sq, on.where(ok, shifts["xi"], 0j))
+    sinc_sq = _sinc_sq(on.where(ok, shifts["xi"], 0j))
     # a gain past the float range leaves inf or nan cells, refused below
     gamma = g * g * l * l * w0 * w0 * omega * partner / (4.0 * w1 * w2) * sinc_sq
     r10, r20 = _fresnel(w10, w1)[2], _fresnel(w20, w2)[2]
     slab_r, slab_t = slab_coefficients(r10)  # the uncoupled slab
     pass10, pass20 = 1.0 + r10, 1.0 + r20
-    pass_sq = on.square(pass10)
-    r1 = slab_r + sign * gamma * r10 / pass_sq
-    t1 = slab_t + sign * gamma / pass_sq
+    r1 = slab_r + sign * gamma * r10 / (pass10 * pass10)
+    t1 = slab_t + sign * gamma / (pass10 * pass10)
     freq_ratio = partner / omega
     r2 = freq_ratio * gamma * r20 / (pass10 * pass20)
     t2 = freq_ratio * gamma / (pass10 * pass20)
@@ -466,9 +472,8 @@ def _reports(scenario, pairs, p):
         flux_partner=0.5 * gamma * bracket_partner,
         ratio=ratio, forward_fraction=_split(t1, t2, r1, r2)[0],
     )
-    bad = on.where(on.all_finite(columns.values()), False, status == OK)
-    if on.any(bad):
-        j = np.argmax(np.ravel(bad))
+    if on.any(bad := on.where(on.all_finite(columns.values()), False, status == OK)):
+        j = np.argmax(bad)
         raise StrongGainError(f"channel report overflows at omega="
                               f"{np.ravel(omega)[j]:g}: gamma={np.ravel(gamma)[j]:g}")
     return status, detuned, columns

@@ -24,10 +24,11 @@ This module alone picks the path of every table, this grid and coupled's
 tables alike: from ARRAY_MIN elements up a function body runs once on
 numpy arrays, below that once per element on Python floats (_small), and
 _stack turns per-element results into arrays.  Only the _Primitives are
-picked by input type (_on); they round alike on both, so an element
-carries the same bits either way, and a one-element call costs Python
-arithmetic, not numpy's per-call overhead.
+picked by input type (_on); they round alike on both and none calls
+Python per element, so an element carries the same bits either way, and
+a one-element call costs Python arithmetic, not numpy's per-call overhead.
 """
+import cmath
 import contextlib
 import math
 import sys
@@ -101,7 +102,9 @@ def kind_sign(kind):
 
 class _Primitives(NamedTuple):
     """The elementwise primitives of a function body that runs on arrays
-    and on Python floats alike."""
+    and on Python floats alike.  On both, +, -, *, / by a float, sqrt and
+    round (half to even) round alike, maximum and minimum agree but for
+    NaN, cabs is libm's hypot and csin gives cmath.sin's bits (a test pins it)."""
 
     sqrt: object
     where: object
@@ -110,27 +113,19 @@ class _Primitives(NamedTuple):
     minimum: object
     round: object
     cabs: object  # abs() of a complex, as a scalar rounds it
-    square: object  # x ** 2 by Python's pow
-    apply: object  # apply(f, x): a scalar Python function f of each element
+    csin: object  # the sine of a complex, as cmath.sin rounds it
     all_finite: object  # per element, whether every column of a sequence is finite
     quiet: object  # a context that silences floating-point warnings
 
 
-# On both, +, -, *, / by a float, sqrt and round (half to even) round alike,
-# maximum and minimum agree where no NaN is involved, and cabs is libm's
-# hypot.  On arrays pow and apply stay per-element Python: numpy's multiply
-# misses pow's x ** 2 on about 1e-3 of inputs, and its sinh and cosh miss
-# the C library's, under cmath.sin in coupled.csinc, on about a quarter.
-_POW = np.frompyfunc(pow, 2, 1)
 _ARRAYS = _Primitives(
     np.sqrt, np.where, np.ndarray.any, np.maximum, np.minimum, np.round,
-    lambda z: np.hypot(z.real, z.imag), lambda x: _POW(x, 2).astype(float),
-    lambda f, x: np.frompyfunc(f, 1, 1)(x).astype(float),
+    lambda z: np.hypot(z.real, z.imag), np.sin,
     lambda columns: np.isfinite(list(columns)).all(axis=0),
     partial(np.errstate, all="ignore"))
 _FLOATS = _Primitives(
     math.sqrt, lambda condition, x, y: x if condition else y, bool, max, min, round, abs,
-    lambda x: x ** 2, lambda f, x: f(x), lambda columns: all(map(math.isfinite, columns)),
+    cmath.sin, lambda columns: all(map(math.isfinite, columns)),
     lambda context=contextlib.nullcontext(): context)
 
 

@@ -48,6 +48,7 @@ from pumpslab.coupled import (
     _reports,
     _shift_pair,
     _shifts,
+    _sinc_sq,
     _sorted_wavenumbers,
     _tabulate,
     csinc,
@@ -73,28 +74,116 @@ def scenario_for(theta_d_deg=10.0, mu2=1.51, g=1e-4, l=100.0):
     return CrystalScenario(omega0=1.0, g=g, l=l, dispersion=model)
 
 
-class TestCsinc:
-    def test_removable_singularity(self):
-        assert csinc(0.0) == 1.0
+def _sinc_reference(z):
+    """sin(z)/z on Python complexes: the series below the cutoff, else
+    cmath.sin(z) / z, the route csinc took before it ran on arrays."""
+    z = complex(z)
+    if abs(z) < 1e-4:
+        z2 = z * z
+        return 1.0 - z2 / 6.0 + z2 * z2 / 120.0
+    return cmath.sin(z) / z
 
-    def test_matches_series_for_imaginary_argument(self):
+
+def _complex_bits(values):
+    return np.array(values, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("path", ["float", "one-element array", "many-element array"])
+class TestCsinc:
+    @staticmethod
+    def csinc(path, z):
+        """csinc(z) as a Python complex: on z itself, on z in a one-element
+        array, or on z in the middle of a longer array."""
+        if path == "float":
+            return csinc(z)
+        if path == "one-element array":
+            return complex(csinc(np.array([z], dtype=complex))[0])
+        return complex(csinc(np.array([0.5, 3j, 1e-5, z, -2.0, 40.0 - 1j], dtype=complex))[3])
+
+    def test_removable_singularity(self, path):
+        assert self.csinc(path, 0.0) == 1.0
+
+    def test_matches_series_for_imaginary_argument(self, path):
         # sin(ix)/(ix) = sinh(x)/x = 1 + x^2/6 + x^4/120 + ...
         for x in (1e-6, 1e-5, 5e-5):
             series = 1.0 + x * x / 6.0 + x**4 / 120.0
-            assert csinc(1j * x).real == pytest.approx(series, rel=1e-14)
-            assert csinc(1j * x).imag == 0.0
+            assert self.csinc(path, 1j * x).real == pytest.approx(series, rel=1e-14)
+            assert self.csinc(path, 1j * x).imag == 0.0
 
-    def test_series_branch_agrees_with_direct_evaluation(self):
+    def test_series_branch_agrees_with_direct_evaluation(self, path):
         for x in (0.99e-4, 1.01e-4):  # straddle the series cutoff
-            assert csinc(x).real == pytest.approx(math.sin(x) / x, rel=1e-15)
+            assert self.csinc(path, x).real == pytest.approx(math.sin(x) / x, rel=1e-15)
 
-    def test_real_argument(self):
-        assert csinc(2.0).real == pytest.approx(math.sin(2.0) / 2.0, rel=1e-15)
+    def test_real_argument(self, path):
+        assert self.csinc(path, 2.0).real == pytest.approx(math.sin(2.0) / 2.0, rel=1e-15)
 
-    def test_overflowing_argument_is_a_typed_error(self):
-        assert csinc(700j).real == pytest.approx(math.sinh(700.0) / 700.0, rel=1e-13)
+    def test_overflowing_argument_is_a_typed_error(self, path):
+        assert self.csinc(path, 700j).real == pytest.approx(math.sinh(700.0) / 700.0,
+                                                            rel=1e-13)
         with pytest.raises(StrongGainError):
-            csinc(720j)  # cmath.sin would raise a bare OverflowError
+            self.csinc(path, 720j)  # cmath.sin would raise a bare OverflowError
+
+
+def test_csinc_keeps_the_bits_of_python_complex_arithmetic():
+    # csinc and _sinc_sq run one body on floats and on arrays; both must
+    # give the bits of _sinc_reference and (s * s).real, signed zeros
+    # included, over real, imaginary and general z on both sides of the
+    # series cutoff and up to |Im z| = _SINC_MAX_IMAG
+    rng = np.random.default_rng(20240611)
+    n = 40000
+    size = 10.0 ** rng.uniform(-8.0, math.log10(700.0), n)
+    near = rng.random(n) < 0.2
+    size[near] = 1e-4 * rng.uniform(0.9, 1.1, near.sum())
+    angle = rng.uniform(0.0, 2.0 * math.pi, n)
+    form = rng.integers(0, 3, n)  # general, real, imaginary
+    signed_zero = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    x = np.where(form == 2, signed_zero, size * np.cos(angle))
+    y = np.clip(np.where(form == 1, signed_zero, size * np.sin(angle)), -700.0, 700.0)
+    x[:6], y[:6] = [0.0, -0.0, 0.0, -0.0, 0.0, 2.0], [0.0, 0.0, -0.0, -0.0, 700.0, -0.0]
+    z = np.empty(n, dtype=complex)
+    z.real, z.imag = x, y
+    points = z.tolist()
+    # numpy's complex sine must be the C library's that cmath.sin uses
+    sines = np.sin(z)
+    mismatched = (sines.view(np.uint64) != _complex_bits([cmath.sin(v) for v in points]))
+    assert not mismatched.any(), (
+        f"np.sin differs from cmath.sin at {z[mismatched.any(axis=-1)][:3]}: this numpy "
+        "has its own complex sine, and the array path of csinc no longer holds")
+    want = [_sinc_reference(v) for v in points]
+    assert (_complex_bits([csinc(v) for v in points]) == _complex_bits(want)).all()
+    assert (csinc(z).view(np.uint64) == _complex_bits(want)).all()
+    squares = [(s * s).real for s in want]
+    finite = np.isfinite(squares)
+    assert 0.2 * n < finite.sum() < n
+    want_sq = np.array(squares)[finite].view(np.uint64)
+    assert (np.array([_sinc_sq(v) for v in z[finite].tolist()]).view(np.uint64)
+            == want_sq).all()
+    assert (_sinc_sq(z[finite]).view(np.uint64) == want_sq).all()
+
+
+def test_report_table_names_its_first_overflow_before_any_non_finite_element():
+    # synthetic resonances with |Im xi| ~ 650 at pair 2, whose sinc is
+    # finite but its square is not, and ~ 720 at pair 5, whose sin would
+    # overflow.  Pair by pair (a table below ARRAY_MIN) the first of them
+    # raises; on arrays csinc's overflow check of the whole xi column comes
+    # before _sinc_sq's finiteness check
+    s = scenario_for(g=1e-3, l=1e4)
+    n = 20
+    target = np.full(n, 0.3)
+    target[2], target[5] = 650.0, 720.0
+    omega, w2 = np.full(n, 0.5), np.full(n, 0.7)
+    # on resonance |Im xi| = g l omega0 sqrt(omega partner / (Omega1 Omega2)) / 2
+    w1 = omega * omega * (s.g * s.l * s.omega0 / (2.0 * target)) ** 2 / w2
+    pairs = _Pairs(omega, omega, np.ones(n), np.full(n, 0.1), w1, w2, 0.9 * omega,
+                   0.9 * omega)
+    xi = _tabulate(_shifts, s, pairs, pairs.p0)[1]["xi"]
+    assert 640.0 < xi[2].imag < 660.0 and 710.0 < xi[5].imag < 730.0
+    at = [re.escape(f"xi={complex(xi[j]):g}") for j in (2, 5)]
+    few = _Pairs(*(column[[1, 2, 5]] for column in pairs))
+    with pytest.raises(StrongGainError, match=f"^sinc\\(xi\\)\\^2 is not finite at {at[0]}$"):
+        _tabulate(_reports, s, few, few.p0)
+    with pytest.raises(StrongGainError, match=f"^sinc of {at[1]} overflows"):
+        _tabulate(_reports, s, pairs, pairs.p0)
 
 
 class TestStrongGain:
@@ -522,19 +611,14 @@ def _scalar_reference(scenario, res, p):
     eps1, eps2, xi = _scalar_pair(detuning, detuning * detuning - 4.0 * product, l)
     shifts = dict(eps1=eps1, eps2=eps2, eps3=eps3, eps4=eps4, xi=xi,
                   detuning_sum=detuning, product=product)
-    z = complex(xi)
-    if abs(z) < 1e-4:
-        z2 = z * z
-        sinc = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
-    else:
-        sinc = cmath.sin(z) / z
+    sinc = _sinc_reference(xi)
     gamma = (g * g * l * l * w0 * w0 * omega * partner / (4.0 * w1 * w2)
              * (sinc * sinc).real)
     R10, R20 = (w10 - w1) / (w10 + w1), (w20 - w2) / (w20 + w2)
     r10, r20 = R10 * R10, R20 * R20  # fresnel_step's r0
     sign = 1.0 if res.kind == "pdc" else -1.0
-    r1 = 2.0 * r10 / (1.0 + r10) + sign * gamma * r10 / (1.0 + r10) ** 2
-    t1 = (1.0 - r10) / (1.0 + r10) + sign * gamma / (1.0 + r10) ** 2
+    r1 = 2.0 * r10 / (1.0 + r10) + sign * gamma * r10 / ((1.0 + r10) * (1.0 + r10))
+    t1 = (1.0 - r10) / (1.0 + r10) + sign * gamma / ((1.0 + r10) * (1.0 + r10))
     freq_ratio = partner / omega
     r2 = freq_ratio * gamma * r20 / ((1.0 + r10) * (1.0 + r20))
     t2 = freq_ratio * gamma / ((1.0 + r10) * (1.0 + r20))
@@ -638,11 +722,12 @@ def test_tables_match_scalar_arithmetic_bit_for_bit(case):
                 assert EpsilonRoots(kind=kind, **row) == eps
 
 
-def test_tables_square_one_plus_r10_with_pow(monkeypatch):
-    # the sweep's report table squares 1 + r10 with Python's pow, as the scalar code
-    # did: numpy's multiply rounds differently on about 1e-3 of inputs, and
-    # at gamma ~ 1 that last bit reaches r1 or t1.  Synthetic resonances
-    # on which the two squares differ pin it.
+def test_tables_square_one_plus_r10_as_a_product(monkeypatch):
+    # the report tables square 1 + r10 as (1 + r10) * (1 + r10), the
+    # correctly rounded square, on arrays and on floats: Python's pow rounds
+    # differently on about 1e-3 of inputs, and at gamma ~ 1 that last bit
+    # reaches r1 or t1.  Synthetic resonances on which the two squares
+    # differ pin it.
     rng = np.random.default_rng(7)
     shape = (2, 20000)
     omega = rng.uniform(0.2, 0.8, shape[1])

@@ -59,10 +59,10 @@ def _grid(package, omegas):
     return lambda: m["kinematics"]._resonance_grid(scenario, omegas, KINDS)
 
 
-def _outcomes(package):
+def _outcomes(package, band=(0.3, 0.7), samples=7):
     m = _modules(package)
     scenario = m["presets"].reference_scenario()
-    omegas = _samples(0.3, 0.7, 7)
+    omegas = _samples(*band, samples)
     return lambda: m["sweep"]._outcomes(scenario, omegas, KINDS)
 
 
@@ -145,6 +145,8 @@ def layers(output):
         "pdc_resonance": point("pdc_resonance"),
         "channel_report": point("channel_report"),
         "sweep._outcomes 7 omega both kinds": _outcomes,
+        # the report table of a sweep_dense request, without its rows or text
+        "sweep._outcomes 201 omega both kinds": lambda p: _outcomes(p, (0.05, 1.95), 201),
         "epsilon_roots g 1e-5 l 2800": lambda p: _on_record(p, "coupled", "epsilon_roots"),
         "thickness_averaged_intensities 64 phases": lambda p: _on_record(
             p, "oracle", "thickness_averaged_intensities"),
