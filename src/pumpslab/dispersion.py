@@ -1,14 +1,11 @@
 """Real refractive-index models mu(omega) over a validity band.
 
 Units follow the c = 1 convention throughout: frequencies carry inverse
-length, so omega * mu(omega) is directly a wavenumber.  Three model kinds
+length, so omega * mu(omega) is directly a wavenumber.  Two model kinds
 are supported:
 
 ``constant``
     mu(omega) = value everywhere in the band.
-``rational``
-    mu(omega)^2 = a + b / (c - omega^2), a single-pole Sellmeier-like
-    form with the pole kept outside the band.
 ``tabulated``
     monotone cubic (PCHIP) interpolation of mu^2 through sample points;
     band is the sampled interval.  The slopes follow Fritsch and Carlson:
@@ -22,10 +19,7 @@ be real and >= 1 everywhere in the band (to _MU_FLOOR, a 1e-12 margin for
 rounding), and evaluation outside the band is an error, never an
 extrapolation.  Each kind is checked where its minimum lies, not on a grid:
 
-- constant: the value itself;
-- rational: both band ends, after the pole is shown to lie outside the
-  band.  mu^2 = a + b / (c - omega^2) is monotone in omega^2 off the pole,
-  and so is each rounded step of it;
+- constant: the value itself, which must not be negative;
 - tabulated: the samples.  Fritsch-Carlson slopes lie within [0, 3] times
   each neighbouring secant, so the cubic stays between the two samples of
   its interval.  The check subtracts a rounding allowance proportional to
@@ -40,8 +34,7 @@ import numpy as np
 
 from .errors import CalibrationError, OutOfBandError
 
-_FIELDS = {"constant": ("value",), "rational": ("a", "b", "c"),
-           "tabulated": ("omegas", "mu_squared")}  # each kind's parameters
+_FIELDS = {"constant": ("value",), "tabulated": ("omegas", "mu_squared")}  # each kind's parameters
 _MU_FLOOR = 1.0 - 1e-12
 # Rounding allowance of a tabulated interval, relative to the magnitude
 # bound of its cubic (_Pchip.lowest): 256 unit roundoffs.  A first-order
@@ -94,10 +87,6 @@ class DispersionModel:
         return cls("constant", {"value": float(value)}, band)
 
     @classmethod
-    def rational(cls, a, b, c, band):
-        return cls("rational", {"a": float(a), "b": float(b), "c": float(c)}, band)
-
-    @classmethod
     def tabulated(cls, omegas, mu_squared):
         omegas = _float_list(omegas)
         return cls(
@@ -113,8 +102,6 @@ class DispersionModel:
         if self.kind == "constant":
             value = p["value"] ** 2
             return np.full_like(omega, value) if isinstance(omega, np.ndarray) else value
-        if self.kind == "rational":
-            return p["a"] + p["b"] / (p["c"] - omega * omega)
         return self._interp(omega)
 
     def mu(self, omega):
@@ -152,33 +139,26 @@ class DispersionModel:
 
     def _validate(self):
         """Refuse a model whose mu^2 is non-finite or below _MU_FLOOR^2
-        anywhere in the band, checking each kind where its minimum lies.
+        anywhere in the band, checking each kind where its minimum lies,
+        and a negative constant, whose mu = value is below 1 too.
 
-        A constant is its own minimum.  A rational mu^2 is monotone in
-        omega^2 on either side of its pole, so once the pole is known to lie
-        outside the band its minimum is at a band end; every rounded step of
-        a + b / (c - omega * omega) is monotone too, so this holds for the
-        evaluated floats as well.  A tabulated model's slopes lie within
+        A constant is its own minimum.  A tabulated model's slopes lie within
         [0, 3] times each neighbouring secant, which keeps every interval
         between its two samples; its floor is the least sample less a
         rounding allowance that grows with the interval's magnitude, or
         -inf where an evaluation could overflow (_Pchip.lowest).
         """
-        lo, hi = self.band
         p = self.parameters
         if self.kind == "constant":
             try:
-                minima = [p["value"] ** 2]
+                m2 = p["value"] ** 2
             except OverflowError:
                 raise ValueError(f"constant mu={p['value']:g} overflows mu^2") from None
-        elif self.kind == "rational":
-            c = p["c"]
-            if lo * lo <= c <= hi * hi:
-                raise ValueError("rational-model pole lies inside the band")
-            minima = [p["a"] + p["b"] / (c - w * w) for w in (lo, hi)]
+            if p["value"] < 0.0:
+                raise ValueError(f"constant mu={p['value']:g} is negative")
         else:
-            minima = [self._interp.lowest]
-        if not all(math.isfinite(m2) and m2 >= _MU_FLOOR**2 for m2 in minima):
+            m2 = self._interp.lowest
+        if not (math.isfinite(m2) and m2 >= _MU_FLOOR**2):
             raise ValueError("mu(omega) must be real and >= 1 across the band")
 
     # -- serialization -----------------------------------------------------
@@ -209,7 +189,10 @@ class DispersionModel:
             key, equals, value = line.partition("=")
             if not equals:
                 raise ValueError(f"model record line {number} is not key=value: {line!r}")
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key in fields:
+                raise ValueError(f"model record line {number} repeats field {key!r}")
+            fields[key] = value.strip()
         try:
             kind = fields.pop("kind")
             band = tuple(_record_number(key, fields.pop(key)) for key in ("band_lo", "band_hi"))

@@ -309,12 +309,12 @@ def series_sum(r10, r20, gamma, omega, omega0, kind="pdc"):
     if not (0.0 < omega < math.inf and 0.0 < omega0 < math.inf and 0.0 < partner < math.inf):
         raise GeometryError(f"omega={omega:g}, omega0={omega0:g} and partner={partner:g} "
                             "must be positive and finite")
-    pair = (np.array([x], dtype=float) for x in (r10, r20, gamma, omega, sign))
-    (r1,), (t1,), (r2,), (t2,) = _series_columns(*pair, omega0)
+    pair = (np.array([x], dtype=float) for x in (r10, r20, gamma, omega, partner, sign))
+    (r1,), (t1,), (r2,), (t2,) = _series_columns(*pair)
     return float(r1), float(t1), float(r2), float(t2)
 
 
-def _series_columns(r10, r20, gamma, omega, sign, omega0):
+def _series_columns(r10, r20, gamma, omega, partner, sign):
     """series_sum of 1-d columns of pairs (sign +1 pdc, -1 puc), each row
     summed as alone; the first row outside r10, r20 in [0, 1) raises a
     SeriesDomainError, the first whose sums could overflow a
@@ -325,7 +325,7 @@ def _series_columns(r10, r20, gamma, omega, sign, omega0):
         name, r = ("r20", r20[j]) if 0.0 <= r10[j] < 1.0 else ("r10", r10[j])
         raise SeriesDomainError(f"{name}={r:g} outside [0, 1); series diverges")
     t10, t20 = 1.0 - r10, 1.0 - r20
-    freq_ratio = (omega0 - sign * omega) / omega  # partner / omega
+    freq_ratio = partner / omega
     # no term or partial sum exceeds (SERIES_TERMS + 1)^2 (1 + |gamma|)
     # max(1, |partner / omega|); refuse a gain that could overflow one
     limit = _SERIES_MAX / np.maximum(np.abs(freq_ratio), 1.0)

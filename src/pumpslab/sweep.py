@@ -101,13 +101,12 @@ def _outcomes(scenario, omegas, kinds, detuning=0.0):
     """Every (omega, kind) of a table, from one resonance solve of the grid
     and one report tabulation of the requested kinds' resonances.
 
-    Returns (grid, pairs, columns, index, order): the ResonanceGrid of both
-    kinds; the _Pairs of the resonances of kinds, in (kind, omega) order;
-    their _reports columns at p = p0 + detuning * omega; index[k][i], the
-    position of grid element (k, i) in those columns (-1 where there is
-    none); and the rows as (omega, i, kind, k, status) ordered by omega,
-    then kinds, status the row's skip reason or "ok".  kinds must have
-    passed _check_kinds.
+    Returns (grid, pairs, columns, order): the ResonanceGrid of both kinds;
+    the _Pairs of the resonances of kinds, in (kind, omega) order; their
+    _reports columns at p = p0 + detuning * omega; and the rows as (omega,
+    i, kind, j, status) ordered by omega, then kinds, j the row's position
+    in those columns (-1 where there is none) and status its skip reason or
+    "ok".  kinds must have passed _check_kinds.
     """
     rows = [(kind, KINDS.index(kind)) for kind in kinds]  # the kind's grid row
     grid = _resonance_grid(scenario, omegas, KINDS)
@@ -124,20 +123,21 @@ def _outcomes(scenario, omegas, kinds, detuning=0.0):
     status.ravel()[elements] = codes
     index = np.full(status.shape, -1)
     index.ravel()[elements] = np.arange(elements.size)
+    index = index.tolist()
     reasons = [[STATUS_REASONS[code] for code in row] for row in status.tolist()]
-    order = [(omega, i, kind, k, reasons[k][i])
+    order = [(omega, i, kind, index[k][i], reasons[k][i])
              for i, omega in enumerate(grid.omega.tolist()) for kind, k in rows]
-    return grid, pairs, columns, index.tolist(), order
+    return grid, pairs, columns, order
 
 
 def _sweep_rows(scenario, omegas, kinds, detuning=0.0):
     """SWEEP_COLUMNS rows of _outcomes; a SweepError if none is ok."""
-    grid, _, columns, index, order = _outcomes(scenario, omegas, kinds, detuning)
+    grid, _, columns, order = _outcomes(scenario, omegas, kinds, detuning)
     theta_d, theta_u = grid.theta_deg()
     values = {c: columns[c].tolist() for c in _REPORT_COLUMNS + ("forward_fraction",)}
     blank = dict.fromkeys(SWEEP_COLUMNS)
     rows = []
-    for omega, i, kind, k, status in order:
+    for omega, i, kind, j, status in order:
         row = blank.copy()
         row["omega"] = omega
         row["kind"] = kind
@@ -147,7 +147,6 @@ def _sweep_rows(scenario, omegas, kinds, detuning=0.0):
         rows.append(row)
         if status != "ok":
             continue
-        j = index[k][i]
         for c in _REPORT_COLUMNS:
             row[c] = values[c][j]
         if row["gamma"] > 0.0:
@@ -204,10 +203,10 @@ def compare_oracle(request, include_exact=True):
         raise ValueError(f"oracle checks run at the resonant p0; detuning must be 0, "
                          f"got {request.detuning:g}")
     scenario = request.scenario
-    _, located, report, index, order = _outcomes(scenario, request.grid(), request.kinds)
+    _, located, report, order = _outcomes(scenario, request.grid(), request.kinds)
     # each check is one column over the ok rows, in row order, from one gather
-    ok = [(k, i) for _, i, _, k, status in order if status == "ok"]
-    columns = np.array([*located, *report.values()])[:, [index[k][i] for k, i in ok]]
+    ok = [j for _, _, _, j, status in order if status == "ok"]
+    columns = np.array([*located, *report.values()])[:, ok]
     pairs, rep = _Pairs(*columns[:8]), dict(zip(report, columns[8:]))
     # shift formulas degrade as O(g); validate them at a fixed weak
     # reference coupling so the stated tolerance is meaningful for any
@@ -279,7 +278,7 @@ def _check_columns(ref, pairs, rep, eps, excess):
               e1.real * e2.real - e1.imag * e2.imag, zero, eps["eps3"], eps["eps4"], ident)
     oracle = (ident, ident,
               *_series_columns(rep["r10"], rep["r20"], rep["gamma"], pairs.omega,
-                               pairs.sign, ref.omega0),
+                               pairs.partner, pairs.sign),
               s1.real * s2.real - s1.imag * s2.imag, zero, k[2].real + w1, shift4, excess)
     return (np.array(closed).T, np.array(oracle).T,
             np.where(pair_err[1] > pair_err[0], pair_err[1], pair_err[0]))

@@ -688,15 +688,14 @@ def test_tables_match_scalar_arithmetic_bit_for_bit(case):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
         s = scenario_for(theta_d, mu2, g, l)
-        _, pairs, reports, index, order = _outcomes(s, omegas, KINDS, detuning)
+        _, pairs, reports, order = _outcomes(s, omegas, KINDS, detuning)
         shift_codes, shifts = _tabulate(_shifts, s, pairs, pairs.p0 + detuning * pairs.omega)
-        for omega, i, kind, k, reason in order:
+        for omega, _, kind, j, reason in order:
             solve = pdc_resonance if kind == "pdc" else puc_resonance
             res = _one_element(lambda: solve(s, omega))
             if isinstance(res, str):
                 assert reason == res
                 continue
-            j = index[k][i]
             p = res.p + detuning * omega
             shift_status, want_shifts, report_status, want_report = (
                 _scalar_reference(s, res, p))
@@ -754,12 +753,13 @@ def test_tables_square_one_plus_r10_as_a_product(monkeypatch):
         **{name: col[:, keep] for name, col in columns.items()},
     )
     monkeypatch.setattr(sweep_mod, "_resonance_grid", lambda *args: grid)
-    _, _, columns, index, order = _outcomes(s, grid.omega, KINDS)
-    for _, i, _, k, reason in order:
+    _, _, columns, order = _outcomes(s, grid.omega, KINDS)
+    for _, i, kind, j, reason in order:
+        k = KINDS.index(kind)
         res = grid.point(k, i)
         status, want = _scalar_reference(s, res, res.p)[2:]
         assert reason == status == "ok"
-        row = _element(columns, index[k][i])
+        row = _element(columns, j)
         rep = _one_pair(ChannelReport, _reports, s, res, None)  # channel_report's path
         for name, value in want.items():
             assert _bits(row[name]) == _bits(value), (k, i, name)

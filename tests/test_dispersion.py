@@ -197,36 +197,18 @@ class TestBandGuard:
             channel_report(scenario, float("nan"))
 
 
-class TestRationalModel:
-    def test_monotone_within_band(self):
-        model = DispersionModel.rational(2.2, -0.5, 9.0, band=(0.1, 2.0))
-        w = np.linspace(0.1, 2.0, 500)
-        mu = model.mu(w)
-        assert np.all(np.diff(mu) < 0.0)
-        assert np.all(mu >= 1.0)
-
-    def test_pole_inside_band_rejected(self):
-        with pytest.raises(ValueError):
-            DispersionModel.rational(2.2, -0.5, 1.0, band=(0.1, 2.0))
-
-    def test_deterministic(self):
-        model = DispersionModel.rational(2.2, 0.3, 9.0, band=(0.1, 2.0))
-        assert model.mu(0.77) == model.mu(0.77)
-
-
 class TestSerialization:
     @pytest.mark.parametrize(
         "model",
         [
             DispersionModel.constant(1.5, band=(0.2, 3.0)),
-            DispersionModel.rational(2.2, -0.5, 9.0, band=(0.1, 2.0)),
             calibrate_degenerate_angle(math.radians(10.0), 1.51),
             # numpy samples are stored as float lists, which to_record formats
             DispersionModel("tabulated", {"omegas": np.array([0.1, 1.0, 2.0]),
                                           "mu_squared": np.array([2.0, 2.1, 2.3])},
                             (0.1, 2.0)),
         ],
-        ids=["constant", "rational", "tabulated", "tabulated-from-arrays"],
+        ids=["constant", "tabulated", "tabulated-from-arrays"],
     )
     def test_round_trip_full_precision(self, model):
         clone = DispersionModel.from_record(model.to_record())
@@ -245,7 +227,7 @@ class TestSerialization:
             DispersionModel.from_record("band_lo=0.1\nband_hi=2\nvalue=1.5\n")
 
     def test_blank_and_comment_lines_skipped(self):
-        model = DispersionModel.rational(2.2, -0.5, 9.0, band=(0.1, 2.0))
+        model = calibrate_degenerate_angle(math.radians(10.0), 1.51)
         lines = model.to_record().splitlines()
         text = "# a comment\n\n" + "\n   \n".join(lines) + "\n  # another=1\n"
         clone = DispersionModel.from_record(text)
@@ -259,47 +241,65 @@ class TestParameterSets:
     @pytest.mark.parametrize("kind, parameters", [
         ("constant", {}),
         ("constant", {"value": 1.5, "extra": 1.0}),
-        ("rational", {"a": 2.2, "b": -0.5}),
-        ("rational", {"a": 2.2, "b": -0.5, "c": 9.0, "d": 1.0}),
         ("tabulated", {"omegas": [0.1, 2.0]}),
         ("tabulated", {"omegas": [0.1, 2.0], "mu_squared": [2.0, 2.1], "extra": 1.0}),
-    ], ids=["constant-missing", "constant-extra", "rational-missing", "rational-extra",
-            "tabulated-missing", "tabulated-extra"])
+    ], ids=["constant-missing", "constant-extra", "tabulated-missing", "tabulated-extra"])
     def test_not_exactly_the_kind_fields(self, kind, parameters):
         with pytest.raises(ValueError, match=f"^{kind} model needs exactly the parameters"):
             DispersionModel(kind, parameters, (0.1, 2.0))
 
     @pytest.mark.parametrize("record", [
-        "kind=rational\nband_lo=0.1\nband_hi=2\na=2.2\nb=-0.5\n",
         "kind=constant\nband_lo=0.1\nband_hi=2\n",
         "kind=tabulated\nband_lo=0.1\nband_hi=2\nomegas=0.1,2\nmu_squared=2,2.1\nextra=1\n",
-    ], ids=["rational-without-c", "constant-without-value", "unknown-key"])
+    ], ids=["constant-without-value", "unknown-key"])
     def test_record_fields_refused(self, record):
         # a missing field must not escape as a KeyError, nor an unknown key
         # be kept and written back by to_record
         with pytest.raises(ValueError, match="model needs exactly the parameters"):
             DispersionModel.from_record(record)
 
-    @pytest.mark.parametrize("kind, parameters", [
-        ("constant", {"value": [1.5, 1.6]}),
-        ("rational", {"a": 2.2, "b": [-0.5, 0.1], "c": 9.0}),
-    ])
-    def test_list_for_a_number_refused(self, kind, parameters):
-        with pytest.raises(ValueError, match=f"^{kind} model parameters must be numbers$"):
-            DispersionModel(kind, parameters, (0.1, 2.0))
+    def test_list_for_a_number_refused(self):
+        with pytest.raises(ValueError, match="^constant model parameters must be numbers$"):
+            DispersionModel("constant", {"value": [1.5, 1.6]}, (0.1, 2.0))
+
+    @pytest.mark.parametrize("record, line, key", [
+        ("kind=constant\nband_lo=0.1\nband_hi=2\nvalue=1.5\nvalue=2.5\n", 5, "value"),
+        ("kind=constant\nband_lo=0.1\nband_hi=2\n\n# moved\nband_lo=0.5\nvalue=1.5\n",
+         6, "band_lo"),
+        ("kind=constant\n kind = tabulated\nband_lo=0.1\nband_hi=2\nvalue=1.5\n", 2, "kind"),
+    ], ids=["value", "band", "kind"])
+    def test_repeated_record_field_refused(self, record, line, key):
+        # the last of two values must not silently win
+        with pytest.raises(ValueError, match=f"^model record line {line} repeats "
+                                             f"field '{key}'$"):
+            DispersionModel.from_record(record)
 
     @pytest.mark.parametrize("value", [1e200, -1e155, 1.7e308])
     def test_constant_whose_square_overflows_refused(self, value):
         with pytest.raises(ValueError, match="overflows mu\\^2"):
             DispersionModel.constant(value)
 
+    @pytest.mark.parametrize("value", [-1.5, -1.0, -3.0, -1e154, -math.inf])
+    def test_negative_constant_refused(self, value):
+        # its square passes the floor, but mu(omega) = value is below 1
+        message = f"^{re.escape(f'constant mu={value:g} is negative')}$"
+        with pytest.raises(ValueError, match=message):
+            DispersionModel.constant(value)
+        record = f"kind=constant\nband_lo=0.1\nband_hi=2\nvalue={value!r}\n"
+        with pytest.raises(ValueError, match=message):
+            DispersionModel.from_record(record)
+
     @pytest.mark.parametrize("value", [1.0, 1.1, 1.5, 3.0, 1.2345678901234567, 1e154])
     def test_constant_keeps_the_bits_of_its_square(self, value):
         assert DispersionModel.constant(value).mu(0.5) == math.sqrt(value**2)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="^unknown dispersion kind 'sellmeier'$"):
-            DispersionModel("sellmeier", {}, (0.1, 2.0))
+    @pytest.mark.parametrize("kind", ["sellmeier", "rational"])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match=f"^unknown dispersion kind '{kind}'$"):
+            DispersionModel(kind, {}, (0.1, 2.0))
+        record = f"kind={kind}\nband_lo=0.1\nband_hi=2\na=2.2\nb=-0.5\nc=9\n"
+        with pytest.raises(ValueError, match=f"^unknown dispersion kind '{kind}'$"):
+            DispersionModel.from_record(record)
 
     @pytest.mark.parametrize("band", [(0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (2.0, 1.0),
                                       (math.nan, 1.0)])
@@ -367,29 +367,11 @@ class TestConstructionErrors:
             DispersionModel.from_record(record)
 
 
-def scan_verdict(kind, parameters, band):
+def scan_verdict(value):
     """Whether the 1,024-point scan that the per-kind check replaced accepts
-    a constant or rational model: the pole rule, then mu^2 finite and at
-    least _MU_FLOOR^2 on np.linspace(lo, hi, 1024)."""
-    lo, hi = band
-    w = np.linspace(lo, hi, 1024)
-    if kind == "constant":
-        m2 = np.full_like(w, parameters["value"] ** 2)
-    else:
-        a, b, c = parameters["a"], parameters["b"], parameters["c"]
-        if lo * lo <= c <= hi * hi:
-            return False
-        with np.errstate(all="ignore"):
-            m2 = a + b / (c - w * w)
+    a constant model: mu^2 finite and at least _MU_FLOOR^2 at every node."""
+    m2 = np.full(1024, value**2)
     return bool(np.all(np.isfinite(m2)) and not np.any(m2 < _MU_FLOOR**2))
-
-
-def accepts(kind, parameters, band):
-    try:
-        DispersionModel(kind, parameters, band)
-    except ValueError:
-        return False
-    return True
 
 
 @st.composite
@@ -406,8 +388,8 @@ def floor_tables(draw):
 
 class TestValidationRule:
     """Each kind is checked where its minimum lies: a constant's value, a
-    rational model's band ends, a tabulated model's samples less a rounding
-    allowance (minus infinity where an evaluation could overflow)."""
+    tabulated model's samples less a rounding allowance (minus infinity
+    where an evaluation could overflow)."""
 
     def test_sample_below_floor_between_scan_nodes_refused(self):
         # a narrow dip between two nodes of the old 1,024-point scan, which
@@ -420,31 +402,15 @@ class TestValidationRule:
             DispersionModel.tabulated(omegas, [1.5, 1.5, below, 1.5, 1.5])
         DispersionModel.tabulated(omegas, [1.5, 1.5, 1.0, 1.5, 1.5])
 
-    def test_rational_endpoint_verdict_matches_scan(self):
-        rng = np.random.default_rng(2024)
-        verdicts = []
-        for _ in range(3000):
-            lo = rng.uniform(0.05, 1.0)
-            band = (lo, lo * rng.uniform(1.05, 4.0))
-            lo2, hi2 = band[0] ** 2, band[1] ** 2
-            near = 10.0 ** rng.uniform(-16.0, -1.0)
-            c = rng.choice([lo2 * (1.0 - near), hi2 * (1.0 + near),
-                            lo2 * rng.uniform(-3.0, 1.0), hi2 + rng.uniform(0.0, 20.0),
-                            np.nextafter(lo2, -np.inf), np.nextafter(hi2, np.inf), lo2])
-            b = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 1.0)
-            params = {"a": rng.uniform(0.5, 3.0), "b": float(b), "c": float(c)}
-            verdict = accepts("rational", params, band)
-            assert verdict == scan_verdict("rational", params, band), (params, band)
-            verdicts.append(verdict)
-        # both verdicts are well represented
-        assert 500 < sum(verdicts) < 2500
-
     @pytest.mark.parametrize("value", [1.0, _MU_FLOOR, math.nextafter(_MU_FLOOR, 0.0),
                                        0.8, 1.5, math.inf, math.nan])
     def test_constant_verdict_matches_scan(self, value):
-        params = {"value": value}
-        assert accepts("constant", params, (0.1, 2.0)) == scan_verdict(
-            "constant", params, (0.1, 2.0))
+        try:
+            DispersionModel.constant(value, band=(0.1, 2.0))
+        except ValueError:
+            assert not scan_verdict(value)
+        else:
+            assert scan_verdict(value)
 
     @pytest.mark.parametrize("omegas, mu_squared", [
         # the secants overflow, so the coefficients are inf or NaN

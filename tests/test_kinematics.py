@@ -133,7 +133,7 @@ class TestPdcResonance:
             assert abs(b.Omega1 + b.Omega2 - target) < 1e-12
 
     def test_no_resonance_for_normal_dispersion(self):
-        model = DispersionModel.rational(2.2, 0.5, 9.0, band=(0.1, 2.0))
+        model = DispersionModel.tabulated([0.1, 1.0, 2.0], [2.2, 2.3, 2.45])
         scenario = CrystalScenario(omega0=1.0, g=1e-4, l=100.0, dispersion=model)
         with pytest.raises(NoResonanceError) as excinfo:
             pdc_resonance(scenario, 0.5)

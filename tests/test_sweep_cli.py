@@ -1105,18 +1105,22 @@ class TestCli:
         assert capsys.readouterr().err == f"pumpslab: config file not found: {path}\n"
 
     @pytest.mark.parametrize("record, message", [
-        ("kind=rational\nband_lo=0.05\nband_hi=2.5\na=2.2\nb=-0.5\n",
-         "rational model needs exactly the parameters"),
+        ("kind=rational\nband_lo=0.05\nband_hi=2.5\na=2.2\nb=-0.5\nc=9\n",
+         "unknown dispersion kind 'rational'\n"),
         ("kind=constant\nband_lo=0.05\nband_hi=2.5\n",
          "constant model needs exactly the parameters"),
         ("kind=constant\nband_lo=0.05\nband_hi=2.5\nvalue=1e200\n",
          "constant mu=1e+200 overflows mu^2"),
+        ("kind=constant\nband_lo=0.05\nband_hi=2.5\nvalue=-1.5\n",
+         "constant mu=-1.5 is negative\n"),
         ("kind=constant\nband_lo=0.05\nband_hi=2.5\nvalue=1.5\nextra=1\n",
          "constant model needs exactly the parameters"),
         ("kind=constant\nband_lo=0.05\nband_hi=2.5\nvalue=1.5,1.6\n",
          "constant model parameters must be numbers"),
         ("kind=constant\nband_lo=0.05\n\n# comment\ngarbage\nband_hi=2.5\nvalue=1.5\n",
          "model record line 5 is not key=value: 'garbage'\n"),
+        ("kind=constant\nband_lo=0.05\nband_hi=2.5\nvalue=1.5\nvalue=2.5\n",
+         "model record line 5 repeats field 'value'\n"),
         ("kind=constant\nband_lo=abc\nband_hi=2.5\nvalue=1.5\n",
          "model record field band_lo='abc' is not a number\n"),
         ("kind=constant\nband_lo=0.05\nband_hi=\nvalue=1.5\n",
@@ -1125,8 +1129,9 @@ class TestCli:
          "model record field value='1.5x' is not a number\n"),
         ("kind=tabulated\nband_lo=0.1\nband_hi=2\nomegas=0.1,,2\nmu_squared=2,2.1,2.2\n",
          "model record field omegas='' is not a number\n"),
-    ], ids=["rational-without-c", "constant-without-value", "overflowing-constant",
-            "unknown-key", "list-value", "line-without-equals", "band-not-a-number",
+    ], ids=["rational-kind", "constant-without-value", "overflowing-constant",
+            "negative-constant", "unknown-key", "list-value", "line-without-equals",
+            "repeated-field", "band-not-a-number",
             "empty-band", "value-not-a-number", "empty-list-entry"])
     def test_bad_model_record_is_a_usage_error(self, tmp_path, capsys, record, message):
         path = tmp_path / "model.rec"
