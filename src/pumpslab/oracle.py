@@ -12,20 +12,26 @@ thickness_averaged_intensities
     average the fast thickness phase over one period; phases=1 solves the
     thickness l alone.
 
-    The quartic roots and mode vectors do not depend on the thickness l;
-    only the exit-face rows 4-7 carry its e^{ikl} phases.  R1, R2, T1 and
-    T2 each appear in one pair of rows with constant coefficients, so
-    constant 2x2 row operations eliminate them, leaving a 4x4 system
-    S(l) c = f = (-2i W10, 0, 0, 0) in the mode amplitudes c; the four
-    outgoing amplitudes are f (V S^-1)[:, 0] up to unit factors, V's rows
-    the mode fields on both faces.  Mode pairs come as _Pairs columns
-    (one row from thickness_averaged_intensities); the oracle builds their
-    quartic and its roots itself, and every thickness of each EXACT_CHUNK
-    pairs is one (n, N, 4, 4) stack, inverted by one batched LU.  A chunk
-    holding an exactly singular system is inverted pair by pair, so a
-    refusal touches only its own pair.  A partner-incident wave would be
-    2s i W20 times column 1 of S^-1 and V S^-1.  g = 0 stacks the 4x4
-    coherent slab instead.
+    The unknowns are R1, R2, T1, T2 and the amplitudes c of the four
+    modes: quartic root k carries the omega field a e^{ikz} and the
+    conjugate field i b e^{i(k - sign K0)z}, (a, b) its _mode_vectors and
+    sign +1 for pdc, -1 for puc.  Rows 0-3 match both fields and their
+    derivatives on the entrance face, rows 4-7 on the exit face; only
+    these carry the thickness, as e^{ikl} phases.  R1, R2, T1 and T2 each
+    appear in one pair of rows with constant coefficients, so constant
+    2x2 row operations eliminate them, leaving a 4x4 system S(l) c = f =
+    (-2i W10, 0, 0, 0) in the mode amplitudes c; the four outgoing
+    amplitudes are f (V S^-1)[:, 0] up to unit factors, V's rows the mode
+    fields on both faces.  Mode pairs come as _Pairs columns (one row from
+    thickness_averaged_intensities); the oracle builds their quartic and
+    its roots itself, and every thickness of each EXACT_CHUNK pairs is one
+    (n, N, 4, 4) stack, inverted by one batched LU.  A chunk holding an
+    exactly singular system is inverted pair by pair, so a refusal touches
+    only its own pair.  A partner-incident wave would be 2s i W20 times
+    column 1 of S^-1 and V S^-1.  g = 0 stacks the 4x4 coherent slab
+    instead.  The 8x8 itself is never built here: its 40-digit reference,
+    which the tests check this reduction against, is
+    tests/reference_solve.py.
 
     A pair is refused where the worst 1-norm condition number kappa_1 =
     ||M||_1 ||M^-1||_1 of its full 8x8 systems M exceeds COND_LIMIT (inf
@@ -68,48 +74,6 @@ def _mode_vectors(roots, kp, A, B, G, C1):
     b = np.where(omega_like, G / C1, F1)
     norm = np.maximum(np.abs(a), np.abs(b))
     return a / norm, b / norm
-
-
-def _boundary_stack(scenario, pair, lengths, roots, quartic):
-    """The full 8x8 continuity matrices for one incident unit mode at
-    every thickness: the reference the tests check _reduced_solution
-    against; the oracle itself never builds them.
-
-    pair is one mode pair's floats, roots its quartic's four roots and
-    quartic their (K0, A, B, G, sign).  Returns (matrices (N, 8, 8), rhs
-    (8,)) in the unknowns (R1, R2, T1, T2, c1..c4), c_r scaling the
-    unit-normalized mode vector of quartic root r.  sign is the kind_sign
-    (+1 for pdc, -1 for puc): the conjugate field of root k rides
-    e^{i(k - sign K0)z}.
-    """
-    K0, A, B, G, sign = quartic
-    kp = roots - sign * K0
-    a, b = _mode_vectors(roots, kp, A, B, G, scenario.g * pair.omega * scenario.omega0)
-
-    # carriers: omega field a e^{ikz}; conjugate field i b e^{i(k - s K0) z};
-    # the exit rows 4-7 are the entrance rows 0-3 times each column's e^{ikl}
-    W10, W20 = pair.Omega10, pair.Omega20
-    entrance = np.zeros((4, 8), dtype=complex)
-    entrance[:, 4:] = (-a, -1j * roots * a, -1j * b, kp * b)
-    entrance[0, 0] = 1.0
-    entrance[1, 0] = -1j * W10
-    # conjugate amplitudes: transmitted rides e^{-s i W20 z}, reflected
-    # e^{s i W20 z} (for pdc the physical wave is the complex conjugate)
-    entrance[2, 1] = 1.0
-    entrance[3, 1] = sign * 1j * W20
-    phase = np.exp(1j * np.outer(lengths, np.concatenate((roots, kp, [W10, -sign * W20]))))
-    M = np.zeros((len(lengths), 8, 8), dtype=complex)
-    M[:, :4] = entrance
-    M[:, 4:6, 4:] = entrance[:2, 4:] * phase[:, None, :4]
-    M[:, 6:, 4:] = entrance[2:, 4:] * phase[:, None, 4:8]
-    M[:, 4, 2] = phase[:, 8]
-    M[:, 5, 2] = 1j * W10 * phase[:, 8]
-    M[:, 6, 3] = phase[:, 9]
-    M[:, 7, 3] = -sign * 1j * W20 * phase[:, 9]
-    rhs = np.zeros(8, dtype=complex)
-    rhs[0] = -1.0
-    rhs[1] = -1j * W10
-    return M, rhs
 
 
 def _linear_slab_solution(W0, W, lengths):
@@ -178,10 +142,10 @@ def _reduced_solution(scenario, pairs, roots, quartic, lengths):
     eik, eikp, e1, e2 = phase[..., :4], phase[..., 4:8], phase[..., 8], phase[..., 9]
 
     # rows 1 + i W10 row 0, 3 - s i W20 row 2, 5 - i W10 row 4 and 7 + s i
-    # W20 row 6 of _boundary_stack's system drop R1, R2, T1 and T2: S(l) c =
-    # (f, 0, 0, 0), f = -2i W10.  One batched LU gives S^-1; with one nonzero
-    # entry on the right, c is f times S^-1's column 0, as accurate as a
-    # solve for it
+    # W20 row 6 of the 8x8 continuity system drop R1, R2, T1 and T2:
+    # S(l) c = (f, 0, 0, 0), f = -2i W10.  One batched LU gives S^-1; with
+    # one nonzero entry on the right, c is f times S^-1's column 0, as
+    # accurate as a solve for it
     S = _reduced_stack(np.stack((-1j * (roots + W10) * a, (kp - sign * W20) * b,
                                  -1j * (roots - W10) * a, (kp + sign * W20) * b), axis=1),
                        eik, eikp)

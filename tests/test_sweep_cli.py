@@ -671,7 +671,7 @@ class TestCompareOracle:
         assert len(exact) == 10
         assert all(cells[3:8] == ["not_applicable", "", "", "", ""] for cells in exact)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: exact rows are judged "
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: exact rows are judged "
                        "applicable on r10 and gamma alone, and at the CLI defaults (g 1e-4, "
                        "l 100) every pdc exact_excess row breaches, rel_err 0.057-0.131")
     def test_cli_defaults_pass_the_exact_oracle(self, capsys):
