@@ -183,11 +183,6 @@ def _row(omega, kind, quantity, status, tol=None, cells=(None,) * 4):
             "tol": tol}
 
 
-_CHECKS = ("flux_identity_excess", "flux_identity_partner", "series_r1", "series_t1",
-           "series_r2", "series_t2", "quartic_eps_product", "quartic_pair_roots",
-           "quartic_eps3", "quartic_eps4", "exact_excess")
-
-
 def compare_oracle(request, include_exact=True):
     """Closed forms vs independent oracles across the requested band.
 
@@ -195,8 +190,10 @@ def compare_oracle(request, include_exact=True):
     reflection series, quartic-vs-perturbative wavenumber shifts and
     (optionally) the thickness-averaged exact boundary solve.  Every
     check runs at the resonant p0, so a detuned request is a ValueError.
-    Without pump-induced excess (gamma = 0) the flux-identity and exact
-    rows are not_applicable, and so is quartic_pair_roots where the
+    One rule gives every row its status: its check's skip status where
+    there is one, else ok where rel_err <= tol and breach where not.  The
+    flux-identity and exact rows skip as not_applicable without
+    pump-induced excess (gamma = 0), and quartic_pair_roots where the
     reference shifts underflow to 0: there is no coupled pair to check.
     """
     if request.detuning:
@@ -215,8 +212,8 @@ def compare_oracle(request, include_exact=True):
     ref = replace(scenario, g=QUARTIC_REFERENCE_G)
     _, eps = _tabulate(_shifts, ref, pairs, pairs.p0)
     exact = ((rep["r10"] <= EXACT_MAX_R10) & (0.0 < rep["gamma"])
-             & (rep["gamma"] <= EXACT_MAX_GAMMA) & bool(include_exact))
-    exact_rows = np.flatnonzero(exact).tolist()
+             & (rep["gamma"] <= EXACT_MAX_GAMMA))
+    exact_rows = np.flatnonzero(exact).tolist() if include_exact else []
     averages = _exact_averages(scenario, _Pairs(*columns[:8, exact])) if exact_rows else []
     # the exact row's status where the exact average gives no cells
     unmeasured, measured = ["not_applicable"] * len(ok), np.zeros(len(ok))
@@ -228,60 +225,63 @@ def compare_oracle(request, include_exact=True):
     # a strong gain over a zero oracle (an unmeasured exact cell) overflows,
     # and a shift that underflows to 0 divides by 0: breach cells, not errors
     with np.errstate(all="ignore"):
-        closed, oracle, pair_err = _check_columns(ref, pairs, rep, eps, pairs.sign * measured)
+        checks = _check_columns(ref, pairs, rep, eps, pairs.sign * measured, unmeasured)
+        if not include_exact:
+            del checks["exact_excess"]
+        tols, closed, oracle, errs, skips = zip(*checks.values())
+        closed, oracle = np.array(closed).T, np.array(oracle).T
         abs_err = np.abs(closed - oracle)
         rel_err = abs_err / np.maximum(np.abs(oracle), 1e-300)
-    abs_err[:, 7] = rel_err[:, 7] = pair_err  # quartic_pair_roots
-    tols = (IDENTITY_TOL,) * 2 + (SERIES_TOL,) * 4 + (QUARTIC_TOL,) * 4 + (EXACT_TOL,)
-    checks = len(_CHECKS) - (not include_exact)
+    for column, err in enumerate(errs):
+        if err is not None:  # a check with its own error column
+            abs_err[:, column] = rel_err[:, column] = err
     cells = np.array((closed, oracle, abs_err, rel_err)).transpose(1, 2, 0).tolist()
-    unpaired = (eps["eps1"] == 0.0) & (eps["eps2"] == 0.0)
-    checked = iter(zip((rel_err <= tols).tolist(), cells, (rep["gamma"] == 0.0).tolist(),
-                       unpaired.tolist(), unmeasured))
+    checked = iter(zip((rel_err <= tols).tolist(), cells, zip(*skips)))
     rows = []
     for omega, _, kind, _, status in order:
         if status != "ok":
             rows.append(_row(omega, kind, "channel_report", status))
             continue
-        passed, row_cells, vacuous, no_pair, exact_status = next(checked)
-        states = ["ok" if p else "breach" for p in passed]
-        # without pump-induced excess the gamma-scale identities are vacuous,
-        # and so is the exact row, which `exact` leaves unsolved there
-        if vacuous:
-            states[0] = states[1] = "not_applicable"
-        if no_pair:
-            states[7] = "not_applicable"
-        states[10] = exact_status or states[10]
-        for quantity, tol, state, cell in zip(_CHECKS[:checks], tols, states, row_cells):
-            rows.append(_row(omega, kind, quantity, state, tol,
-                             cell if state in ("ok", "breach") else (None,) * 4))
+        for quantity, tol, passed, cell, skip in zip(checks, tols, *next(checked)):
+            rows.append(_row(omega, kind, quantity, skip, tol) if skip else
+                        _row(omega, kind, quantity, "ok" if passed else "breach", tol, cell))
     return rows, any(row["status"] == "breach" for row in rows)
 
 
-def _check_columns(ref, pairs, rep, eps, excess):
-    """(closed, oracle) columns of each _CHECKS entry over compare_oracle's ok
-    rows, bit for bit one row's scalar arithmetic, and quartic_pair_roots'
-    error, from the rows' quartic roots at ref and the signed exact excess."""
+def _check_columns(ref, pairs, rep, eps, excess, unmeasured):
+    """compare_oracle's checks over its ok rows by name, in row order: (tol,
+    closed, oracle, own error column or None, per row a skip status or None),
+    columns bit for bit one row's scalar arithmetic, quartic roots at ref."""
     w1, K0 = pairs.Omega1, ref.pump_wavenumber()
     roots = _quartic_roots(_quartic(ref, pairs)[0])
     k = _sorted_wavenumbers(K0, w1, pairs.Omega2, pairs.sign, roots).T
     s1, s2 = shifts = k[:2] - w1  # the shifts of the coupled pair
     e1, e2 = perturbative = np.array((eps["eps1"], eps["eps2"]))
-    pair_err = _ARRAYS.cabs(shifts - perturbative) / _ARRAYS.cabs(perturbative)
+    err1, err2 = _ARRAYS.cabs(shifts - perturbative) / _ARRAYS.cabs(perturbative)
     shift4 = np.where(pairs.sign > 0.0, k[3].real - K0 - pairs.Omega2,
                       k[3].real + K0 + pairs.Omega2)
-    *sides, ident = _flux_identity(pairs.sign, pairs.omega, pairs.partner, rep["t1"],
-                                   rep["r1"], rep["t2"], rep["r2"], rep["gamma"], rep["r10"])
-    zero = np.zeros(len(w1))
+    lhs, mid, ident = _flux_identity(pairs.sign, pairs.omega, pairs.partner, rep["t1"],
+                                     rep["r1"], rep["t2"], rep["r2"], rep["gamma"], rep["r10"])
+    # without pump-induced excess the gamma-scale identities are vacuous, and
+    # so is the exact row, which compare_oracle leaves unsolved (unmeasured) there
+    vacuous = ["not_applicable" if v else None for v in (rep["gamma"] == 0.0).tolist()]
+    unpaired = (eps["eps1"] == 0.0) & (eps["eps2"] == 0.0)
+    judged, zero = [None] * len(w1), np.zeros(len(w1))
     # (a * b).real of complex scalars is a.real * b.real - a.imag * b.imag
-    closed = (*sides, rep["r1"], rep["t1"], rep["r2"], rep["t2"],
-              e1.real * e2.real - e1.imag * e2.imag, zero, eps["eps3"], eps["eps4"], ident)
-    oracle = (ident, ident,
-              *_series_columns(rep["r10"], rep["r20"], rep["gamma"], pairs.omega,
-                               pairs.partner, pairs.sign),
-              s1.real * s2.real - s1.imag * s2.imag, zero, k[2].real + w1, shift4, excess)
-    return (np.array(closed).T, np.array(oracle).T,
-            np.where(pair_err[1] > pair_err[0], pair_err[1], pair_err[0]))
+    return {
+        "flux_identity_excess": (IDENTITY_TOL, lhs, ident, None, vacuous),
+        "flux_identity_partner": (IDENTITY_TOL, mid, ident, None, vacuous),
+        **{f"series_{name}": (SERIES_TOL, rep[name], column, None, judged)
+           for name, column in zip(("r1", "t1", "r2", "t2"), _series_columns(
+               rep["r10"], rep["r20"], rep["gamma"], pairs.omega, pairs.partner, pairs.sign))},
+        "quartic_eps_product": (QUARTIC_TOL, e1.real * e2.real - e1.imag * e2.imag,
+                                s1.real * s2.real - s1.imag * s2.imag, None, judged),
+        "quartic_pair_roots": (QUARTIC_TOL, zero, zero, np.where(err2 > err1, err2, err1),
+                               ["not_applicable" if v else None for v in unpaired.tolist()]),
+        "quartic_eps3": (QUARTIC_TOL, eps["eps3"], k[2].real + w1, None, judged),
+        "quartic_eps4": (QUARTIC_TOL, eps["eps4"], shift4, None, judged),
+        "exact_excess": (EXACT_TOL, ident, excess, None, unmeasured),
+    }
 
 
 # ---------------------------------------------------------------------------

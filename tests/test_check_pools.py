@@ -1,7 +1,8 @@
-"""tools/check_pools.py --grid-bits: the resonance grids of a benchmark pool."""
+"""tools/check_pools.py: the resonance grids and the oracle margins of the benchmark pools."""
 import importlib.util
 import os
 import re
+import types
 
 _PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "tools", "check_pools.py")
@@ -23,3 +24,17 @@ def test_grid_bits_of_the_sweep_pool(capsys):
     assert match, line  # every solved root took one polish step
     assert match[1] == SWEEP_DENSE_GRID_BITS
     assert int(match[2]) == 320 and int(match[3]) > 70000
+
+
+def test_margins_keep_the_row_nearest_each_tol():
+    nan = float("nan")
+    table = [["quantity", "status", "rel_err", "tol"],  # a CSV output's header row
+             ["a", "ok", 0.125, 0.5], ["a", "ok", 0.25, 0.5], ["a", "ok", 0.25, 1.0],
+             ["a", "breach", 2.0, 0.5], ["a", "breach", 1.0, 0.5], ["a", "breach", nan, 0.5],
+             ["b", "not_applicable", None, 0.5], ["b", "ok", 0.0, 0.5],
+             ["channel_report", "guard_band", None, None]]
+    outcome = types.SimpleNamespace(columns=tuple(table[0]), table=table)
+    assert check_pools.margins(outcome) == {
+        ("a", "ok"): (0.5, 0.25), ("a", "breach"): (2.0, 1.0), ("b", "ok"): (0.0, 0.0)}
+    sweep = types.SimpleNamespace(columns=("omega", "status"), table=[[0.5, "ok"]])
+    assert check_pools.margins(sweep) == {}

@@ -640,6 +640,56 @@ class TestCompareOracle:
         rows, breached = compare_oracle(req, include_exact=False)
         assert breached
 
+    @staticmethod
+    def _measured_request(g=1e-5):
+        """pdc over 0.4-0.6 (3 samples) at l 2800: at g 1e-5 every exact row is
+        measured."""
+        return SweepRequest(scenario=scenario_for(g=g, l=2800.0), band=(0.4, 0.6),
+                            samples=3, kinds=("pdc",))
+
+    @pytest.mark.parametrize("constant, governed", [
+        ("IDENTITY_TOL", {"flux_identity_excess", "flux_identity_partner"}),
+        ("SERIES_TOL", {"series_r1", "series_t1", "series_r2", "series_t2"}),
+        ("QUARTIC_TOL", {"quartic_eps_product", "quartic_pair_roots", "quartic_eps3",
+                         "quartic_eps4"}),
+        ("EXACT_TOL", {"exact_excess"}),
+    ])
+    def test_each_tolerance_governs_its_own_rows(self, monkeypatch, constant, governed):
+        # the tolerance is read at the call, not when the module is imported
+        req = self._measured_request()
+        before, breached = compare_oracle(req)
+        assert not breached and all(row["status"] == "ok" for row in before)
+        monkeypatch.setattr(sweep_mod, constant, -1.0)
+        after, breached = compare_oracle(req)
+        assert breached
+        assert after == [{**row, "status": "breach", "tol": -1.0}
+                         if row["quantity"] in governed else row for row in before]
+
+    def test_skip_status_wins_over_the_tolerance(self, monkeypatch):
+        req = self._measured_request(g=0.0)
+        before, _ = compare_oracle(req)
+        monkeypatch.setattr(sweep_mod, "IDENTITY_TOL", -1.0)
+        after, breached = compare_oracle(req)
+        assert not breached
+        identity = {"flux_identity_excess", "flux_identity_partner"}
+        assert after == [{**row, "tol": -1.0} if row["quantity"] in identity else row
+                         for row in before]
+        assert [row["status"] for row in after if row["quantity"] in identity] == [
+            "not_applicable"] * 6
+
+    def test_without_exact_rows_no_exact_average_runs(self, monkeypatch):
+        req = self._measured_request()
+        rows, _ = compare_oracle(req)
+        assert [row["status"] for row in rows if row["quantity"] == "exact_excess"] == [
+            "ok"] * 3
+
+        def refused(*args, **kwargs):
+            raise AssertionError("include_exact=False ran the exact oracle")
+
+        monkeypatch.setattr(sweep_mod, "_exact_averages", refused)
+        assert compare_oracle(req, include_exact=False) == (
+            [row for row in rows if row["quantity"] != "exact_excess"], False)
+
     def test_detuning_rejected(self):
         # every oracle check runs at the resonant p0
         req = SweepRequest(scenario=scenario_for(), band=(0.45, 0.55), samples=2,

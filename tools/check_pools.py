@@ -8,10 +8,11 @@ Every entry of each named pool (bench/reference/<workload>.gz) runs once,
 untimed, through bench/worker.checked_call: the same call, reference
 comparison and reference-free checks as a benchmark request, against the
 src/ of this checkout.  Prints one line per workload and one per failing
-entry; exits 1 if any entry fails.  For a pool with exact_excess rows it
-also prints, on each side of the tolerance, the row whose rel_err lies
-nearest its tol and its entry: the statuses a small change in p0 or in
-the oracle would flip first.
+entry; exits 1 if any entry fails.  For a pool with oracle rows it also
+prints, per quantity, the ok row with the largest rel_err/tol and the
+breach row with the smallest, with their entries: the statuses a small
+change in p0 or in an oracle would flip first, and how far the others
+pass.
 
 With --grid-bits each entry's request runs unchecked instead, and one line
 per pool gives a sha256 over the float.hex of every resonance grid the
@@ -22,6 +23,7 @@ be compared bit for bit.  Nothing under bench/ is written.
 import argparse
 import collections
 import hashlib
+import math
 import os
 import shutil
 import sys
@@ -34,20 +36,27 @@ import checkout  # noqa: E402
 import worker  # noqa: E402
 
 
-def exact_margins(outcome):
-    """Per side of the tolerance ("ok" below it, "breach" above), the
-    (|tol - rel_err|, rel_err) of the output's exact_excess row nearest it."""
+def nearer(status, ratio, kept):
+    """Whether an ok row's rel_err/tol ratio is larger than the kept one, a
+    breach row's smaller: the row nearer its tol (the first one on a tie)."""
+    return kept is None or (ratio > kept[0] if status == "ok" else ratio < kept[0])
+
+
+def margins(outcome):
+    """Per (quantity, status) of the output's ok and breach rows, the
+    (rel_err / tol, rel_err) of the row nearest its tol; a NaN rel_err,
+    which breaches by no margin, is left out."""
     columns = outcome.columns
     if "quantity" not in columns:
         return {}
-    at = {name: columns.index(name) for name in ("quantity", "rel_err", "tol")}
+    at = {name: columns.index(name) for name in ("quantity", "status", "rel_err", "tol")}
     nearest = {}
     for row in outcome.table:
-        rel_err, tol = row[at["rel_err"]], row[at["tol"]]
-        if row[at["quantity"]] == "exact_excess" and isinstance(rel_err, float):
-            side = "ok" if rel_err <= tol else "breach"
-            gap = (abs(tol - rel_err), rel_err)
-            nearest[side] = min(nearest.get(side, gap), gap)
+        status, rel_err, tol = row[at["status"]], row[at["rel_err"]], row[at["tol"]]
+        if status in ("ok", "breach") and not math.isnan(rel_err):
+            key = (row[at["quantity"]], status)
+            if nearer(status, rel_err / tol, nearest.get(key)):
+                nearest[key] = (rel_err / tol, rel_err)
     return nearest
 
 
@@ -70,16 +79,18 @@ def pool_jobs(workloads, name):
 
 def check_pool(workloads, name):
     """Check every entry of one pool: (entries, [(index, problems)],
-    {side: (margin, rel_err, index)} of its exact_margins)."""
-    entries, failures, margins = 0, [], {}
+    {(quantity, status): (rel_err / tol, rel_err, index)} of the row
+    nearest its tol over all entries' margins)."""
+    entries, failures, nearest = 0, [], {}
     for workload, index, entry, job in pool_jobs(workloads, name):
         entries += 1
         _, outcome, problems = worker.checked_call(workload, job, entry["table"])
         if problems:
             failures.append((index, problems))
-        for side, row in (exact_margins(outcome) if outcome else {}).items():
-            margins[side] = min(margins.get(side, (*row, index)), (*row, index))
-    return entries, failures, margins
+        for key, (ratio, rel_err) in (margins(outcome) if outcome else {}).items():
+            if nearer(key[1], ratio, nearest.get(key)):
+                nearest[key] = (ratio, rel_err, index)
+    return entries, failures, nearest
 
 
 GRID_FIELDS = ("p", "status", "residual", "Omega1", "Omega2", "Omega10", "Omega20")
@@ -143,14 +154,17 @@ def main(argv=None):
                 print(f"{name}: grid bits {digest} over {count} grids; "
                       f"polish steps per solved root {steps}")
                 continue
-            entries, failures, margins = check_pool(workloads, name)
+            entries, failures, nearest = check_pool(workloads, name)
             failed += len(failures)
             print(f"{name}: {entries} entries, {len(failures)} failed")
             for index, problems in failures:
                 print(f"  entry {index}: {'; '.join(problems)}")
-            for side, (margin, rel_err, index) in sorted(margins.items(), reverse=True):
-                print(f"  exact_excess row nearest its tol on the {side} side: entry "
-                      f"{index}, rel_err {rel_err:.7g}, {margin:.2g} from tol")
+            for quantity in dict.fromkeys(quantity for quantity, _ in nearest):
+                for status, extreme in (("ok", "largest"), ("breach", "smallest")):
+                    if (quantity, status) in nearest:
+                        ratio, rel_err, index = nearest[quantity, status]
+                        print(f"  {quantity} {status} row with the {extreme} rel_err/tol: "
+                              f"entry {index}, rel_err {rel_err:.7g}, rel_err/tol {ratio:.7g}")
     finally:
         if os.path.isdir(checkout.TMP_DIR) and not os.listdir(checkout.TMP_DIR):
             os.rmdir(checkout.TMP_DIR)
