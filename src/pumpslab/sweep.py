@@ -93,10 +93,6 @@ def _check_kinds(kinds):
         kind_sign(kind)  # refuses an unknown kind
 
 
-_REPORT_COLUMNS = ("gamma", "r1", "t1", "r2", "t2", "flux_omega", "flux_partner",
-                   "ratio")
-
-
 def _outcomes(scenario, omegas, kinds, detuning=0.0):
     """Every (omega, kind) of a table, from one resonance solve of the grid
     and one report tabulation of the requested kinds' resonances.
@@ -134,10 +130,20 @@ def _sweep_rows(scenario, omegas, kinds, detuning=0.0):
     """SWEEP_COLUMNS rows of _outcomes; a SweepError if none is ok."""
     grid, _, columns, order = _outcomes(scenario, omegas, kinds, detuning)
     theta_d, theta_u = grid.theta_deg()
-    values = {c: columns[c].tolist() for c in _REPORT_COLUMNS + ("forward_fraction",)}
+    gamma, r1, t1, r2, t2, flux_omega, flux_partner, ratio, forward = (
+        columns[c].tolist() for c in ("gamma", "r1", "t1", "r2", "t2", "flux_omega",
+                                      "flux_partner", "ratio", "forward_fraction"))
     blank = dict.fromkeys(SWEEP_COLUMNS)
     rows = []
     for omega, i, kind, j, status in order:
+        if status == "ok":  # a display in SWEEP_COLUMNS order
+            rows.append({"omega": omega, "kind": kind, "status": "ok",
+                         "theta_d_deg": theta_d[i], "theta_u_deg": theta_u[i],
+                         "gamma": gamma[j], "r1": r1[j], "t1": t1[j], "r2": r2[j], "t2": t2[j],
+                         "flux_omega": flux_omega[j], "flux_partner": flux_partner[j],
+                         "ratio": ratio[j],
+                         "forward_fraction": forward[j] if gamma[j] > 0.0 else None})
+            continue
         row = blank.copy()
         row["omega"] = omega
         row["kind"] = kind
@@ -145,12 +151,6 @@ def _sweep_rows(scenario, omegas, kinds, detuning=0.0):
         row["theta_d_deg"] = theta_d[i]
         row["theta_u_deg"] = theta_u[i]
         rows.append(row)
-        if status != "ok":
-            continue
-        for c in _REPORT_COLUMNS:
-            row[c] = values[c][j]
-        if row["gamma"] > 0.0:
-            row["forward_fraction"] = values["forward_fraction"][j]
     if not any(row["status"] == "ok" for row in rows):
         reasons = dict(Counter(row["status"] for row in rows))
         raise SweepError(f"no valid samples in sweep: {reasons}", skip_reasons=reasons)
@@ -267,13 +267,16 @@ def _check_columns(ref, pairs, rep, eps, excess, unmeasured):
     vacuous = ["not_applicable" if v else None for v in (rep["gamma"] == 0.0).tolist()]
     unpaired = (eps["eps1"] == 0.0) & (eps["eps2"] == 0.0)
     judged, zero = [None] * len(w1), np.zeros(len(w1))
+    r1, t1, r2, t2 = _series_columns(rep["r10"], rep["r20"], rep["gamma"], pairs.omega,
+                                     pairs.partner, pairs.sign)
     # (a * b).real of complex scalars is a.real * b.real - a.imag * b.imag
     return {
         "flux_identity_excess": (IDENTITY_TOL, lhs, ident, None, vacuous),
         "flux_identity_partner": (IDENTITY_TOL, mid, ident, None, vacuous),
-        **{f"series_{name}": (SERIES_TOL, rep[name], column, None, judged)
-           for name, column in zip(("r1", "t1", "r2", "t2"), _series_columns(
-               rep["r10"], rep["r20"], rep["gamma"], pairs.omega, pairs.partner, pairs.sign))},
+        "series_r1": (SERIES_TOL, rep["r1"], r1, None, judged),
+        "series_t1": (SERIES_TOL, rep["t1"], t1, None, judged),
+        "series_r2": (SERIES_TOL, rep["r2"], r2, None, judged),
+        "series_t2": (SERIES_TOL, rep["t2"], t2, None, judged),
         "quartic_eps_product": (QUARTIC_TOL, e1.real * e2.real - e1.imag * e2.imag,
                                 s1.real * s2.real - s1.imag * s2.imag, None, judged),
         "quartic_pair_roots": (QUARTIC_TOL, zero, zero, np.where(err2 > err1, err2, err1),
@@ -350,38 +353,49 @@ def _jsonl_template(columns, types, strings):
     return "{" + ", ".join(fields) + "}\n", encoders
 
 
+# rows per % and per stream.write; one block for a whole 110-row oracle table
+# made glibc trim and regrow the heap on every compare_oracle request
+_BLOCK = 64
+
+
 def write_rows(rows, columns, stream, output_format="csv"):
-    """Serialize rows (list of dicts) as CSV or JSON-lines.
+    """Serialize rows (any iterable of dicts) as CSV or JSON-lines, _BLOCK
+    rows per stream.write.
 
     Both write a float from its 12-significant-digit text; a JSON number
     is the shortest repr of that value, so it reads 2.0, not 2, and inf and
     nan read Infinity and NaN.
     """
-    templates = {}  # one per row shape: which cells are None, str or numbers
+    csv = output_format == "csv"
+    if csv:
+        stream.write(",".join(columns) + "\n")
+    elif output_format != "jsonl":
+        raise ValueError("output format must be 'csv' or 'jsonl'")
+    # per row shape (which cells are None, str or numbers) its template and
+    # its cells' getter (csv; None for all) or (index, encoder) pairs (jsonl)
+    templates, strings = {}, _JsonStrings()
     cells_of = (operator.itemgetter(*columns) if len(columns) > 1
                 else lambda row: (row[columns[0]],))
-    if output_format == "csv":
-        stream.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = cells_of(row)
-            shape = (*map(type, cells),)  # exact-size tuples: tuple(map()) resizes
-            try:
-                template, kept = templates[shape]
-            except KeyError:
-                template, kept = templates[shape] = _csv_template(shape)
-            stream.write(template % (kept(cells) if kept else cells))
-        return
-    if output_format != "jsonl":
-        raise ValueError("output format must be 'csv' or 'jsonl'")
-    strings = _JsonStrings()
+    block, args = [], []  # the templates of a block and the values they format
     for row in rows:
         cells = cells_of(row)
-        shape = (*map(type, cells),)
+        shape = (*map(type, cells),)  # exact-size tuples: tuple(map()) resizes
         try:
-            template, encoders = templates[shape]
+            template, fill = templates[shape]
         except KeyError:
-            template, encoders = templates[shape] = _jsonl_template(columns, shape, strings)
-        stream.write(template % tuple([encode(cells[i]) for i, encode in encoders]))
+            template, fill = templates[shape] = (
+                _csv_template(shape) if csv else _jsonl_template(columns, shape, strings))
+        block.append(template)
+        if csv:
+            args += fill(cells) if fill else cells
+        else:
+            for i, encode in fill:
+                args.append(encode(cells[i]))
+        if len(block) == _BLOCK:
+            stream.write("".join(block) % tuple(args))
+            block, args = [], []
+    if block:
+        stream.write("".join(block) % tuple(args))
 
 
 def rows_to_text(rows, columns, output_format="csv"):

@@ -9,6 +9,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -114,6 +115,23 @@ class TestRunSweep:
             assert row["flux_omega"] == 0.0
             assert row["flux_partner"] == 0.0
             assert row["forward_fraction"] is None
+
+    def test_row_keys_follow_the_columns_in_order(self):
+        # ok sweep rows are dict displays that repeat SWEEP_COLUMNS' names
+        scenario = scenario_for()
+        rows = run_sweep(SweepRequest(scenario=scenario, band=(0.05, 1.95), samples=201,
+                                      kinds=("pdc", "puc")))
+        assert {"ok", "geometry", "out_of_band", "guard_band"} <= {r["status"] for r in rows}
+        rows += degenerate_rows(scenario, kinds=("pdc", "puc"))
+        rows += run_sweep(SweepRequest(scenario=scenario_for(g=0.0), band=(0.4, 0.6),
+                                       samples=3, kinds=("pdc", "puc")))
+        assert all(tuple(row) == SWEEP_COLUMNS for row in rows)
+        zero_coupling = [(row["status"], row["forward_fraction"]) for row in rows[-6:]]
+        assert zero_coupling == [("ok", None)] * 6
+        oracle_rows, _ = compare_oracle(SweepRequest(scenario=scenario, band=(0.05, 1.95),
+                                                     samples=21, kinds=("pdc", "puc")))
+        assert {"ok", "geometry", "not_applicable"} <= {r["status"] for r in oracle_rows}
+        assert all(tuple(row) == ORACLE_COLUMNS for row in oracle_rows)
 
     def test_guard_band_samples_skipped_not_fatal(self):
         req = SweepRequest(
@@ -967,6 +985,32 @@ class TestSerialization:
     def test_jsonl_matches_a_dict_per_row(self, table):
         columns, rows = table
         assert rows_to_text(rows, columns, "jsonl") == self.dict_jsonl(rows, columns)
+
+    @pytest.mark.parametrize("block", [1, 3, sweep_mod._BLOCK])
+    def test_block_boundaries(self, monkeypatch, block):
+        monkeypatch.setattr(sweep_mod, "_BLOCK", block)
+        cycle = [None, "5%,s", 0.1, 7, True, np.float64(1 / 3), math.inf, math.nan]
+        columns = ("a", "b", "c")
+        rows = [{"a": cycle[i % 8], "b": cycle[(i + 3) % 8], "c": cycle[(i * 5 + 1) % 8]}
+                for i in range(2 * block + 1)]  # every row's shape differs from its neighbours'
+        expected = {"csv": self.naive_csv(rows, columns),
+                    "jsonl": self.dict_jsonl(rows, columns)}
+        for output_format, text in expected.items():
+            assert rows_to_text(rows, columns, output_format) == text
+            assert rows_to_text((row for row in rows), columns, output_format) == text
+            writes = []
+            sweep_mod.write_rows(rows, columns, SimpleNamespace(write=writes.append),
+                                 output_format)
+            assert len(writes) == (output_format == "csv") + 3  # header, then one per block
+        assert rows_to_text([], columns, "csv") == "a,b,c\n"
+        assert rows_to_text([], columns, "jsonl") == ""
+        for output_format in ("csv", "jsonl"):
+            with pytest.raises(KeyError):
+                rows_to_text(rows + [{"a": 1.0, "b": 2.0}], columns, output_format)
+        with pytest.raises(TypeError):
+            rows_to_text(rows + [{"a": [], "b": 2.0, "c": 3.0}], columns, "csv")
+        with pytest.raises(ValueError):
+            sweep_mod.write_rows(iter(()), columns, SimpleNamespace(write=None), "tsv")
 
     def test_jsonl_tables_match_a_dict_per_row(self):
         request = SweepRequest(scenario=scenario_for(), band=(0.05, 1.95), samples=201,

@@ -114,12 +114,16 @@ def _oracle_table(package):
     return lambda: m["sweep"].compare_oracle(request, include_exact=False)
 
 
-def _jsonl(package):
+def _text(package, output_format, oracle=False):
+    """rows_to_text of the rows of run_sweep 201 omega (the sweep_dense
+    text) or, with oracle, of compare_oracle 5 omega exact, built once."""
     m = _modules(package)
-    request = m["sweep"].SweepRequest(m["presets"].reference_scenario(), (0.05, 1.95), 201,
-                                      KINDS)
-    rows = m["sweep"].run_sweep(request)
-    return lambda: m["sweep"].rows_to_text(rows, m["sweep"].SWEEP_COLUMNS, "jsonl")
+    if oracle:
+        rows, _ = _sweep(package, exact=True)()
+        columns = m["sweep"].ORACLE_COLUMNS
+    else:
+        rows, columns = _sweep(package, exact=False)(), m["sweep"].SWEEP_COLUMNS
+    return lambda: m["sweep"].rows_to_text(rows, columns, output_format)
 
 
 def layers(output):
@@ -157,7 +161,9 @@ def layers(output):
         # 41 exact pdc averages: three chunks of the reduced stack
         "compare_oracle 41 omega exact": lambda p: _sweep(p, exact=True, samples=41),
         "compare_oracle 3 omega no exact": _oracle_table,
-        "rows_to_text jsonl 201 omega": _jsonl,
+        "rows_to_text jsonl 201 omega": lambda p: _text(p, "jsonl"),
+        "rows_to_text csv 201 omega": lambda p: _text(p, "csv"),
+        "rows_to_text csv compare_oracle 5 omega exact": lambda p: _text(p, "csv", oracle=True),
         "cli calibrate": lambda p: _cli(p, ["calibrate"], output),
         "cli degenerate": lambda p: _cli(p, ["degenerate"], output),
         "cli degenerate --kind both": lambda p: _cli(p, ["degenerate", "--kind", "both"],
