@@ -305,16 +305,16 @@ def _quartic(scenario, pairs):
 
     coeffs, highest power first, are a row (5,) or rows (n, 5), as
     _quartic_roots takes them; A = Omega1^2 and B = Omega2^2, G = g^2
-    omega0^2 omega partner the coupling strength and sign the kind_sign: +1
-    for pdc, whose conjugate wave is carried against the pump phase, -1 for
-    puc, carried along it.  A coefficient outside the float range, A and B
-    included, is a StrongGainError.
+    omega0^2 omega partner the coupling strength, bit for bit _shifts', and
+    sign the kind_sign: +1 for pdc, whose conjugate wave is carried against
+    the pump phase, -1 for puc, carried along it.  A coefficient outside the
+    float range, A and B included, is a StrongGainError.
     """
     omega, partner, sign, _, w1, w2 = pairs[:6]
     K0, on = scenario.pump_wavenumber(), _on(w1)
     with on.quiet():
         A, B = w1 * w1, w2 * w2
-        G = scenario.g**2 * scenario.omega0**2 * omega * partner
+        G = scenario.g * scenario.g * scenario.omega0 * scenario.omega0 * omega * partner
         coeffs = [-2.0 * sign * K0, K0 * K0 - B - A, 2.0 * A * sign * K0,
                   -A * (K0 * K0 - B) - G]
     if on.any(bad := on.where(on.all_finite(coeffs), False, True)):
@@ -324,13 +324,10 @@ def _quartic(scenario, pairs):
 
 
 def _quartic_roots(coeffs):
-    """The roots of each row of (n, 5) quartic coefficients, as an (n, 4) array.
-
-    The eigenvalues of the stacked companion matrices from one batched
-    call: row by row the values and the order np.roots gives, always as
-    complex.  Every row needs a nonzero leading and constant coefficient,
-    which np.roots would strip.
-    """
+    """The roots of each row of (n, 5) quartic coefficients, as an (n, 4)
+    complex array, for the exact oracle: the eigenvalues of the stacked
+    companion matrices from one batched call, row by row np.roots' values and
+    order.  Every row needs a nonzero leading and constant coefficient."""
     coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 5)
     companion = np.zeros((len(coeffs), 4, 4))
     companion[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]
@@ -339,50 +336,52 @@ def _quartic_roots(coeffs):
 
 
 def quartic_wavenumbers(scenario, kin):
-    """The four exact internal wavenumbers, sorted to match the anchors.
+    """The four exact internal wavenumbers [k1, k2, k3, k4] of the mode pair
+    record kin, _anchored_roots of the record alone: k1 and k2 hug +Omega1,
+    k3 hugs -Omega1 and k4 is the far counter-propagating partner root."""
+    pair = _Pairs.of_record(kin)._replace(p0=0.0)  # zero detuning, as at any p = p0 >= 0
+    _, K0, _, _, G, _ = _quartic(scenario, pair)
+    start = {name: np.array([v]) for name, v in _shifts(scenario, pair, 0.0)[2].items()}
+    return _anchored_roots(K0, _Pairs(*np.array([pair]).T), G, start)[0][:, 0]
 
-    Roots of (k^2 - Omega1^2)((k - sign K0)^2 - Omega2^2) = strength, sign
-    the kind's kind_sign (see _quartic).  Returned as [k1, k2, k3, k4]
-    where k1, k2 hug +Omega1, k3 hugs -Omega1 and k4 is the far
-    counter-propagating partner root.
+
+_ROOT_STEPS = 6  # Newton steps of every anchored root: no convergence test
+
+
+def _anchored_roots(K0, pairs, G, start):
+    """(k, x), each (4, n): the roots k1..k4 of mode pairs' quartics (see
+    _quartic) and their offsets x from the anchors (Omega1, Omega1, -Omega1,
+    sign (K0 + Omega2)), by _ROOT_STEPS Newton steps from start's eps1..eps4
+    (_shifts' columns) at strength G.  The quartic is prod_j (k - z_j) - G, z =
+    (Omega1, -Omega1, sign (K0 + Omega2), Omega1 - d), d = Omega1 + sign Omega2
+    - sign K0 by a two-sum; root anchor + x has the factors c + x, c = anchor -
+    z, all in units of Omega1, so none leaves the float range.  The steps are
+    elementwise, and one that is not finite is not taken.  Two roots that meet
+    (equal, or equal pair offsets) are a DegenerateRootError, but for the pair's
+    genuine double root at G = 0.
     """
-    coeffs, K0, _, _, _, sign = _quartic(scenario, _Pairs.of_record(kin))
-    return _sorted_wavenumbers(K0, kin.Omega1, kin.Omega2, sign, _quartic_roots(coeffs))[0]
-
-
-def _nearest(candidates, anchor, rows):
-    """Per row of candidates (rows: their numbers, as a column), the stable order
-    of distance to anchor that sorted() gives, and the gap between the two nearest."""
-    dist = _ARRAYS.cabs(candidates - np.asarray(anchor)[..., None])
-    order = np.argsort(dist, axis=1, kind="stable")
-    near = dist[rows, order[:, :2]]
-    return order, np.abs(near[:, 0] - near[:, 1])
-
-
-def _sorted_wavenumbers(K0, w1, w2, sign, roots):
-    """quartic_wavenumbers of mode pairs from their (n, 4) unsorted roots;
-    w1, w2 (Omega1, Omega2) and sign (+1 pdc) are floats or 1-d columns.
-    Each row sorts as alone; a row with an equidistant pair raises."""
-    # uncoupled wavenumbers the four roots collapse to at g = 0
-    a12, a4 = w1, sign * (K0 + w2)
-    rows = np.arange(len(roots))[:, None]
-    order4, gap4 = _nearest(roots, a4, rows)
-    rest = roots[rows, order4[:, 1:]]
-    order3, gap3 = _nearest(rest, -a12, rows)
-    rest = rest[rows, order3]  # k3, then the coupled pair
-    tie = 1e-12 * np.maximum(np.abs(a12), np.abs(a4))
-    if ((gap4 < tie) | (gap3 < tie)).any():
-        raise DegenerateRootError("two quartic roots are equidistant from the sorting anchors")
-    # k1 is the root nearer Omega1, as eps1 is the shift nearer 0; for
-    # distances equal to 1e-12 relative, the +imaginary, then +real, one
-    pair = rest[:, 1:]
-    d0, d1 = offsets = (pair - np.asarray(a12)[..., None]).T
-    a0, a1 = _ARRAYS.cabs(offsets)
-    by_size = np.abs(a0 - a1) > 1e-12 * np.maximum(np.maximum(a0, a1), 1e-300)
-    first = np.where(by_size, a0 < a1,
-                     (d0.imag > d1.imag) | ((d0.imag == d1.imag) & (d0.real >= d1.real)))
-    return np.concatenate((np.where(first[:, None], pair, pair[:, ::-1]), rest[:, :1],
-                           roots[rows, order4[:, :1]]), axis=1)
+    w1, w2, sign = pairs.Omega1, pairs.Omega2, pairs.sign
+    t = w1 + sign * w2
+    tail = t - w1
+    d = (t - sign * K0) + ((w1 - (t - tail)) + (sign * w2 - tail))  # t - sign K0 is exact
+    anchors = np.array([w1, w1, -w1, sign * (K0 + w2)])
+    r, a, G = d / w1, anchors / w1, G / w1 / w1 / w1 / w1  # a is exactly (1, 1, -1, f)
+    c = np.array([a - 1.0, a + 1.0, a - a[3], a - 1.0 + r])  # c[j]: factor j of each root
+    x = np.array([start["eps1"], start["eps2"], start["eps3"], start["eps4"]]) / w1
+    with _ARRAYS.quiet():  # a zero slope or an overflow gives a step that is not taken
+        for _ in range(_ROOT_STEPS):
+            f0, f1, f2, f3 = c + x
+            f01, f23 = f0 * f1, f2 * f3
+            step = (f01 * f23 - G) / ((f0 + f1) * f23 + f01 * (f2 + f3))
+            np.subtract(x, step, out=x, where=np.isfinite(step))
+    x = x * w1
+    k = anchors + x
+    met = (k[:, None] == k)[[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]]  # (k1, k2) first
+    met[0] = (x[0] == x[1]) & (G != 0.0)
+    if met.any():
+        raise DegenerateRootError(f"two quartic roots meet at omega="
+                                  f"{pairs.omega[np.argmax(met.any(axis=0))]:g}")
+    return k, x
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ class GeometryError(PumpslabError):
 
 
 class DegenerateRootError(PumpslabError):
-    """Quartic roots could not be matched to anchors unambiguously."""
+    """Two quartic roots, solved from their anchors, meet; the pair may at g = 0."""
 
 
 class ConditioningError(PumpslabError):

@@ -9,12 +9,13 @@ import json
 import math
 import operator
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coupled import (STATUS_REASONS, _flux_identity, _Pairs, _quartic, _quartic_roots,
-                      _reports, _shifts, _sorted_wavenumbers, _tabulate)
+from .coupled import (STATUS_REASONS, _anchored_roots, _flux_identity, _Pairs, _quartic,
+                      _reports, _shifts, _tabulate)
 from .errors import ConditioningError, SweepError
 from .kinematics import _ARRAYS, KINDS, OK, _resonance_grid, kind_sign
 from .oracle import _exact_averages, _series_columns
@@ -86,7 +87,8 @@ class SweepRequest:
 
 def _check_kinds(kinds):
     """A ValueError unless kinds is a non-empty sequence of distinct known kinds."""
-    if isinstance(kinds, str) or not kinds or any(kinds.count(kind) > 1 for kind in kinds):
+    if (isinstance(kinds, str) or not isinstance(kinds, Sequence) or not kinds
+            or any(kinds.count(kind) > 1 for kind in kinds)):
         raise ValueError(f"kinds must be a non-empty sequence of distinct kinds of {KINDS}, "
                          f"got {kinds!r}")
     for kind in kinds:
@@ -251,22 +253,19 @@ def compare_oracle(request, include_exact=True):
 def _check_columns(ref, pairs, rep, eps, excess, unmeasured):
     """compare_oracle's checks over its ok rows by name, in row order: (tol,
     closed, oracle, own error column or None, per row a skip status or None),
-    columns bit for bit one row's scalar arithmetic, quartic roots at ref."""
-    w1, K0 = pairs.Omega1, ref.pump_wavenumber()
-    roots = _quartic_roots(_quartic(ref, pairs)[0])
-    k = _sorted_wavenumbers(K0, w1, pairs.Omega2, pairs.sign, roots).T
-    s1, s2 = shifts = k[:2] - w1  # the shifts of the coupled pair
+    columns bit for bit one row's scalar arithmetic, quartic root offsets at ref."""
+    _, K0, _, _, G, _ = _quartic(ref, pairs)
+    x = _anchored_roots(K0, pairs, G, eps)[1]  # the roots' shifts from their anchors
+    s1, s2 = shifts = x[:2]  # the shifts of the coupled pair
     e1, e2 = perturbative = np.array((eps["eps1"], eps["eps2"]))
     err1, err2 = _ARRAYS.cabs(shifts - perturbative) / _ARRAYS.cabs(perturbative)
-    shift4 = np.where(pairs.sign > 0.0, k[3].real - K0 - pairs.Omega2,
-                      k[3].real + K0 + pairs.Omega2)
     lhs, mid, ident = _flux_identity(pairs.sign, pairs.omega, pairs.partner, rep["t1"],
                                      rep["r1"], rep["t2"], rep["r2"], rep["gamma"], rep["r10"])
     # without pump-induced excess the gamma-scale identities are vacuous, and
     # so is the exact row, which compare_oracle leaves unsolved (unmeasured) there
     vacuous = ["not_applicable" if v else None for v in (rep["gamma"] == 0.0).tolist()]
     unpaired = (eps["eps1"] == 0.0) & (eps["eps2"] == 0.0)
-    judged, zero = [None] * len(w1), np.zeros(len(w1))
+    judged, zero = [None] * len(G), np.zeros(len(G))
     r1, t1, r2, t2 = _series_columns(rep["r10"], rep["r20"], rep["gamma"], pairs.omega,
                                      pairs.partner, pairs.sign)
     # (a * b).real of complex scalars is a.real * b.real - a.imag * b.imag
@@ -281,8 +280,8 @@ def _check_columns(ref, pairs, rep, eps, excess, unmeasured):
                                 s1.real * s2.real - s1.imag * s2.imag, None, judged),
         "quartic_pair_roots": (QUARTIC_TOL, zero, zero, np.where(err2 > err1, err2, err1),
                                ["not_applicable" if v else None for v in unpaired.tolist()]),
-        "quartic_eps3": (QUARTIC_TOL, eps["eps3"], k[2].real + w1, None, judged),
-        "quartic_eps4": (QUARTIC_TOL, eps["eps4"], shift4, None, judged),
+        "quartic_eps3": (QUARTIC_TOL, eps["eps3"], x[2].real, None, judged),
+        "quartic_eps4": (QUARTIC_TOL, eps["eps4"], x[3].real, None, judged),
         "exact_excess": (EXACT_TOL, ident, excess, None, unmeasured),
     }
 

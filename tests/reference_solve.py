@@ -45,7 +45,8 @@ def _modes(scenario, pair):
     _mode_vectors' rule, in mp: (roots, kp, a, b), each a list of four."""
     K0 = mp.mpf(scenario.pump_wavenumber())
     A, B = mp.mpf(pair.Omega1) ** 2, mp.mpf(pair.Omega2) ** 2
-    G = mp.mpf(scenario.g**2 * scenario.omega0**2 * pair.omega * pair.partner)  # as the oracle
+    g, w0 = scenario.g, scenario.omega0
+    G = mp.mpf(g * g * w0 * w0 * pair.omega * pair.partner)  # the float strength, as _quartic
     C1 = mp.mpf(scenario.g) * pair.omega * scenario.omega0  # the omega field's coupling
     sK0 = pair.sign * K0
     # (k^2 - A)(k^2 - 2 sK0 k + sK0^2 - B) - G, highest power first

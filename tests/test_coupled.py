@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 import pumpslab.sweep as sweep_mod
+import reference_solve
 from pumpslab import (
     CrystalScenario,
     DegenerateRootError,
@@ -41,6 +43,7 @@ from pumpslab.coupled import (
     STATUS_REASONS,
     ChannelReport,
     EpsilonRoots,
+    _anchored_roots,
     _one_pair,
     _Pairs,
     _quartic,
@@ -49,7 +52,6 @@ from pumpslab.coupled import (
     _shift_pair,
     _shifts,
     _sinc_sq,
-    _sorted_wavenumbers,
     _tabulate,
     csinc,
 )
@@ -287,23 +289,19 @@ class TestEpsilonRoots:
 
 class TestQuarticWavenumbers:
     def test_uncoupled_factorization_pdc(self):
+        # at g = 0 every root is its anchor, the coincident pair included
         s = scenario_for(g=0.0)
         res = pdc_resonance(s, 0.4)
         k = quartic_wavenumbers(s, res)
         K0 = s.pump_wavenumber()
-        # the coincident pair is a double root: accurate only to sqrt(eps)
-        np.testing.assert_allclose(k[0], res.Omega1, atol=1e-7)
-        np.testing.assert_allclose(k[1], res.Omega1, atol=1e-7)
-        np.testing.assert_allclose(k[2], -res.Omega1, rtol=1e-12)
-        np.testing.assert_allclose(k[3], K0 + res.Omega2, rtol=1e-12)
+        assert k.tolist() == [res.Omega1, res.Omega1, -res.Omega1, K0 + res.Omega2]
 
     def test_uncoupled_factorization_puc(self):
         s = scenario_for(g=0.0)
         res = puc_resonance(s, 0.5)
         k = quartic_wavenumbers(s, res)
         K0 = s.pump_wavenumber()
-        np.testing.assert_allclose(k[0], res.Omega1, atol=1e-7)
-        np.testing.assert_allclose(k[3], -(K0 + res.Omega2), rtol=1e-12)
+        assert k.tolist() == [res.Omega1, res.Omega1, -res.Omega1, -(K0 + res.Omega2)]
 
     @pytest.mark.parametrize("kind,omega", [("pdc", 0.4), ("puc", 0.5)])
     def test_first_order_convergence_of_pair_roots(self, kind, omega):
@@ -321,31 +319,78 @@ class TestQuarticWavenumbers:
         assert errs[1e-4] < 0.3 * errs[1e-3]
         assert errs[1e-4] < 1e-3
 
-    def test_root_sorting_ambiguity_reported(self):
-        # contrive a geometry whose far anchor collides with the coupled
-        # pair (Omega1 = K0 + Omega2), leaving no unambiguous assignment;
-        # at g = 0 the frequencies enter no coefficient
+    def test_meeting_roots_reported(self):
+        # contrive a geometry whose far anchor K0 + Omega2 is the coupled
+        # pair's Omega1: at g = 0 k4 meets both; the frequencies enter no
+        # factor
         model = DispersionModel.constant(1.0)
         s = CrystalScenario(omega0=1.0, g=0.0, l=10.0, dispersion=model)
         kin = ResonancePoint(
             omega=0.5, partner=0.5, p=0.0, kind="pdc", Omega1=3.0, Omega2=2.0,
             Omega10=3.0, Omega20=2.0, residual=0.0, iterations=0,
         )
-        with pytest.raises(DegenerateRootError, match="equidistant"):
+        with pytest.raises(DegenerateRootError, match="^two quartic roots meet at omega=0.5$"):
             quartic_wavenumbers(s, kin)
 
-    @pytest.mark.parametrize("tied", ["k3", "k4"])
-    def test_equidistant_roots_refused(self, tied):
-        # two roots equidistant from the k3 anchor -Omega1 or the k4 anchor
-        # K0 + Omega2 leave no unambiguous assignment
-        K0, w1, w2, d = 1.5, 1.0, 1.2, 1e-3 + 2e-3j
-        a3, a4 = -w1, K0 + w2
-        if tied == "k3":
-            roots = [w1 + 1e-6, a3 + d, a4 + 1e-6, a3 - d]
-        else:
-            roots = [a4 + d, a3, a4 - d, w1 - 1e-6j]
-        with pytest.raises(DegenerateRootError, match="equidistant"):
-            _sorted_wavenumbers(K0, w1, w2, 1.0, np.array([roots]))
+    @pytest.mark.parametrize("case", ["pair", "k4 on the pair", "k4 on k3"])
+    def test_meeting_roots_refused(self, case):
+        # the pair started from one shift at G > 0, where its roots are
+        # distinct, or a far anchor sign (K0 + Omega2) on +Omega1 (pdc) or
+        # -Omega1 (puc) at G = 0
+        K0, w2 = 1.5, 1.2
+        sign, w1, G, eps = {"pair": (1.0, K0 - w2, 1e-8, 1e-4j),
+                            "k4 on the pair": (1.0, K0 + w2, 0.0, 0j),
+                            "k4 on k3": (-1.0, K0 + w2, 0.0, 0j)}[case]
+        pair = _Pairs(*np.array([[0.4, 0.6, sign, 0.1, w1, w2, w1, w2]]).T)
+        start = {"eps1": np.array([eps]), "eps2": np.array([eps]), "eps3": np.zeros(1),
+                 "eps4": np.zeros(1)}
+        with pytest.raises(DegenerateRootError, match="^two quartic roots meet at omega=0.4$"):
+            _anchored_roots(K0, pair, np.array([G]), start)
+
+    @pytest.mark.parametrize("g", [1e-8, 1e-6, 1e-4, 1e-3])
+    def test_each_root_keeps_its_start(self, g):
+        # k1 is the root eps1 starts and k2 the one eps2 starts: each lies
+        # nearer its own start, and the shifts' order (the smaller first; on
+        # a tie the +imaginary, then +real, one) is the roots' order
+        s = scenario_for(g=g)
+        grid = _resonance_grid(s, np.linspace(0.05, 1.95, 39), KINDS)
+        pairs = _Pairs.of_grid(grid, np.flatnonzero(grid.status == OK))
+        eps = _tabulate(_shifts, s, pairs, pairs.p0)[1]
+        _, K0, _, _, G, _ = _quartic(s, pairs)
+        x = _anchored_roots(K0, pairs, G, eps)[1].T.tolist()
+        assert len(x) > 40
+        for (x1, x2, _, _), e1, e2 in zip(x, eps["eps1"].tolist(), eps["eps2"].tolist()):
+            assert abs(x1 - e1) < abs(x1 - e2) and abs(x2 - e2) < abs(x2 - e1)
+            assert _scalar_leads(e1, e2)
+
+    def test_offsets_match_the_reference_roots(self):
+        # 40 seeded pairs (omega 0.3-0.65, both kinds, g 1e-8 - 1e-3, mu2
+        # 1.51 and 20) against the 40-digit roots of reference_solve, their
+        # offsets taken from the anchors in mp.  Over 1,200 such pairs the
+        # largest error was 4.4 eps relative, the pair's 1.5 eps (its residual
+        # d comes from a two-sum, so it carries no eps K0 / |x| floor); the
+        # bound 8 eps leaves that margin
+        rng = np.random.default_rng(39)
+        errors = []
+        for mu2 in (1.51, 20.0):
+            model = calibrate_degenerate_angle(math.radians(10.0), mu2)
+            for _ in range(20):
+                g, omega = 10.0 ** rng.uniform(-8.0, -3.0), rng.uniform(0.3, 0.65)
+                solve = (pdc_resonance, puc_resonance)[rng.integers(2)]
+                s = CrystalScenario(omega0=1.0, g=g, l=100.0, dispersion=model)
+                res = solve(s, omega)
+                pair = _Pairs(*np.array([_Pairs.of_record(res)]).T)
+                _, K0, _, _, G, _ = _quartic(s, pair)
+                x = _anchored_roots(K0, pair, G, _shifts(s, pair, pair.p0)[2])[1][:, 0]
+                with mp.workdps(reference_solve.DIGITS):
+                    roots = reference_solve._modes(s, _Pairs.of_record(res))[0]
+                    w1, far = mp.mpf(res.Omega1), kind_sign(res.kind) * (
+                        mp.mpf(s.pump_wavenumber()) + mp.mpf(res.Omega2))
+                    for anchor, offset in zip((w1, w1, -w1, far), x.tolist()):
+                        exact = min((root - anchor for root in roots),
+                                    key=lambda z: abs(z - offset))
+                        errors.append(float(abs(exact - offset) / abs(exact)))
+        assert max(errors) <= 8.0 * np.finfo(float).eps
 
     @pytest.mark.parametrize("kind,omega", [("pdc", 0.4), ("puc", 0.5)])
     def test_counterpropagating_shifts(self, kind, omega):
@@ -813,29 +858,6 @@ class TestShiftPairBits:
         for d, q in zip(detuning.tolist(), disc.tolist()):
             got = _shift_pair(d, q, 7.5)
             assert [_hex(z) for z in got] == [_hex(z) for z in _scalar_pair(d, q, 7.5)]
-
-    def test_root_tie_break_matches_scalar(self):
-        # pairs around Omega1 at random offsets, a third of them tied in
-        # modulus (conjugate, negated or equal offsets), each sorted as
-        # _scalar_leads orders its shifts from Omega1
-        rng = np.random.default_rng(5)
-        n = 3000
-        w1 = rng.uniform(0.5, 2.0, n)
-        offset = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(
-            -12, -4, n)
-        other = (rng.normal(size=n) + 1j * rng.normal(size=n)) * np.abs(offset)
-        tie = rng.integers(0, 6, n)
-        other = np.select([tie == 0, tie == 1, tie == 2], [offset.conj(), -offset, offset],
-                          other)
-        real = rng.random(n) < 0.2
-        offset[real], other[real] = offset[real].real, other[real].real
-        K0, w2 = 1.5, 1.0
-        roots = np.column_stack((w1 + offset, -w1 + 0j, np.full(n, K0 + w2 + 0j), w1 + other))
-        k = _sorted_wavenumbers(K0, w1, w2, 1.0, roots)
-        for row, root_row, a in zip(k.tolist(), roots.tolist(), w1.tolist()):
-            assert sorted(row[:2], key=_hex) == sorted([root_row[0], root_row[3]], key=_hex)
-            assert _scalar_leads(row[0] - a, row[1] - a)
-            assert row[2:] == root_row[1:3]
 
 
 class TestKindConvention:

@@ -8,9 +8,9 @@ PumpslabError (the CLI: exit code 1 or 3), every cell of an ok sweep row
 must be finite, and so must every cell of an ok or breach oracle row and
 every field of an epsilon_roots result.
 
-A known defect stays in the draw: _known names it, and a strict xfail
-pins one reproducer of it, so that its fix fails that test until both
-are removed.
+Two edges the draw reaches are pinned below by one reproducer each: a
+counter-propagating shift below the resolution of its root, and
+reference shifts in the subnormal range.
 """
 import cmath
 import math
@@ -54,17 +54,6 @@ def _draw(rng):
     )
 
 
-def _known(row):
-    """The known defect a non-finite oracle row stands for, or None: a
-    counter-propagating shift below the root's resolution, where k3 +
-    Omega1 (or k4's offset) rounds to 0 and |closed| / 1e-300 overflows
-    once omega0 is large.
-    """
-    if row["quantity"] in ("quartic_eps3", "quartic_eps4") and row["oracle"] == 0.0:
-        return "shift below the root's resolution"
-    return None
-
-
 def _typed(call, problems, name):
     """call's result, or None where it raised a PumpslabError; any other
     exception is recorded in problems."""
@@ -73,12 +62,12 @@ def _typed(call, problems, name):
     except PumpslabError:
         return None
     except Exception as exc:  # recorded, not swallowed
-        problems.append((f"{name}: {type(exc).__name__}: {exc}", None))
+        problems.append(f"{name}: {type(exc).__name__}: {exc}")
         return None
 
 
 def _run(draw, tally):
-    """The problems of one draw: (description, known defect or None)."""
+    """The problems of one draw, each a description."""
     problems = []
     try:
         model = calibrate_degenerate_angle(math.radians(draw["theta_d_deg"]), draw["mu2"],
@@ -95,17 +84,16 @@ def _run(draw, tally):
             tally["sweep_ok"] += 1
             bad = [c for c in _NUMBERS if row[c] is not None and not math.isfinite(row[c])]
             if bad:
-                problems.append((f"run_sweep ok row at omega={row['omega']!r} "
-                                 f"{row['kind']}: non-finite {bad}", None))
+                problems.append(f"run_sweep ok row at omega={row['omega']!r} "
+                                f"{row['kind']}: non-finite {bad}")
     result = _typed(lambda: compare_oracle(request, include_exact=draw["exact"]),
                     problems, "compare_oracle")
     for row in result[0] if result else ():
         if row["status"] in ("ok", "breach"):
             tally["oracle_cells"] += 1
             if not all(math.isfinite(row[c]) for c in _CELLS):
-                text = (f"compare_oracle {row['status']} {row['quantity']} row at "
-                        f"omega={row['omega']!r} {row['kind']}: non-finite cells")
-                problems.append((text, _known(row)))
+                problems.append(f"compare_oracle {row['status']} {row['quantity']} row at "
+                                f"omega={row['omega']!r} {row['kind']}: non-finite cells")
     lo, hi = draw["band"]
     omega, kind = lo + draw["at"] * (hi - lo), draw["kinds"][0]
     _typed(lambda: channel_report(scenario, omega, kind), problems, "channel_report")
@@ -117,8 +105,7 @@ def _run(draw, tally):
         bad = [name for name, value in (vars(eps) if eps else {}).items()
                if name != "kind" and not cmath.isfinite(value)]
         if bad:
-            problems.append((f"epsilon_roots at omega={omega!r} {kind}: non-finite {bad}",
-                             None))
+            problems.append(f"epsilon_roots at omega={omega!r} {kind}: non-finite {bad}")
     argv = ["--theta-d-deg", repr(draw["theta_d_deg"]), "--mu2", repr(draw["mu2"]),
             "--omega0", repr(draw["omega0"]), "--g", repr(draw["g"]),
             "--l", repr(draw["l"]), "--band", repr(lo), repr(hi),
@@ -129,7 +116,7 @@ def _run(draw, tally):
     verb = ["sweep"] if sweep else ["compare-oracle", "--no-exact"]
     code = _typed(lambda: main([*verb, *argv]), problems, "cli")
     if code is not None and code not in ((0, 1, 3) if sweep else (0, 1, 2, 3)):
-        problems.append((f"cli exit code {code!r}", None))
+        problems.append(f"cli exit code {code!r}")
     return problems
 
 
@@ -141,7 +128,7 @@ def _fuzz(seed, draws=DRAWS):
         warnings.simplefilter("ignore", ValidityWarning)
         for _ in range(draws):
             draw = _draw(rng)
-            found += [(draw, text, known) for text, known in _run(draw, tally)]
+            found += [(draw, text) for text in _run(draw, tally)]
     return tally, found
 
 
@@ -149,7 +136,7 @@ def _fuzz(seed, draws=DRAWS):
 def test_entry_points_fail_typed_and_keep_ok_cells_finite(seed, capsys):
     tally, found = _fuzz(seed)
     capsys.readouterr()  # the CLI's messages on standard error
-    assert [(draw, text) for draw, text, known in found if known is None] == []
+    assert found == []
     # the draws reach the tables, not only the refusals
     assert tally["sweep_ok"] > 300 and tally["oracle_cells"] > 1000
     assert tally["calibration_refused"] < DRAWS // 2
@@ -173,19 +160,17 @@ def test_reference_shifts_underflow_at_tiny_omega0():
     assert all(row[c] is None for row in rows for c in _CELLS)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="subnormal reference shifts lose bits: quartic_pair_roots breaches "
-                          "where an unresolved status belongs")
 def test_subnormal_reference_shifts_are_no_breach():
     # g^2 omega0^2 omega partner at the reference coupling is subnormal, so
-    # eps1 and eps2 carry a few bits and the pair error reads 0.025-0.037
+    # eps1 and eps2 carry a few bits; the roots solve the quartic of that
+    # same float strength, so the pair error still reads 2e-10 - 1e-5
     rows = _oracle_rows(10.0, 1.51, 3e-79, 1e-5, 1e4, (0.3, 0.7), 3, ("pdc",),
                         "quartic_pair_roots")
     assert [row["status"] for row in rows if row["status"] == "breach"] == []
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a shift below the quartic root's resolution: rel_err overflows")
 def test_shift_below_the_root_resolution():
+    # eps3 lies below the ulps of Omega1, so k3 + Omega1 would round to 0 and
+    # rel_err = |closed| / 1e-300 overflow: the row reads k3's offset itself
     rows = _oracle_rows(10.0, 45.0, 1e30, 0.0, 1.0, (0.6, 0.7), 2, ("pdc",), "quartic_eps3")
     assert all(math.isfinite(row[c]) for row in rows for c in _CELLS)

@@ -4,12 +4,20 @@ A change to any number, its formatting or the row order changes a digest;
 a refactor that keeps these outputs byte-identical keeps every test here
 passing.  The CLI digests run pumpslab.cli.main end to end (flags, an INI
 file, an --output file), so they also pin how the command line resolves
-its settings and writes its output.  The quartic rows of compare_oracle
-come from batched companion-matrix eigenvalues (coupled._quartic_roots,
-bit for bit np.roots) and its exact rows from stacked LAPACK inverses of
-the 4x4 mode-amplitude systems (oracle._reduced_solution), so their last
-digits depend on the numpy build: the digests below were taken with
-numpy 2.4 and its bundled OpenBLAS.  oracle-exact-csv was retaken when
+its settings and writes its output.  The exact rows of compare_oracle
+come from companion-matrix eigenvalues (coupled._quartic_roots, bit for
+bit np.roots) and stacked LAPACK inverses of the 4x4 mode-amplitude
+systems (oracle._reduced_solution), so their last digits depend on the
+numpy build: the digests below were taken with numpy 2.4 and its bundled
+OpenBLAS.  The quartic rows come from Newton steps on the factored quartic
+from each root's anchor (coupled._anchored_roots), elementwise float
+arithmetic.  oracle-csv, oracle-jsonl, oracle-puc-csv, oracle-puc-pdc-csv,
+oracle-exact-csv and cli-compare-oracle-no-exact were retaken when those
+rows moved from the sorted eigenvalues to the anchored roots: in every
+quartic_* row the oracle, abs_err and rel_err cells moved (quartic_pair_roots,
+whose oracle is 0, only its errors), and nothing else, status included;
+quartic_eps3's largest rel_err fell from 6.6e-6 to 3.2e-9 and quartic_eps4's
+from 3.0e-5 to 2.2e-9.  oracle-exact-csv was retaken when
 the exact oracle moved from the 8x8 systems to their 4x4 core: its
 exact_excess cells moved in the 12th significant digit (about 3e-12
 relative on an excess near 8e-5; the amplitudes moved by at most 1e-15).
@@ -52,11 +60,11 @@ DIGESTS = {
     "sweep-jsonl-0.001": "3eebcdac365cb384b0faecae9d6fb516447b62aa691e8148c0763e07dd2e1d3b",
     "degenerate-csv": "68eaf4f297b317cdbf22ca683f859d69641fa3a6d56d0e413a2563c35b5e6076",
     "degenerate-jsonl": "bfe5bf5cd7911e180e2266dd0b01f0f342d0f0d090b503e95c17d1071dc3b88e",
-    "oracle-csv": "f02b621ae2a14872ab8ddac528bae054459855be7873a33f8d4e2a996944c763",
-    "oracle-jsonl": "3f34662c0a0aaf19a276217b658dc686cca9f7f92418183806c0fe4f0a07fce0",
-    "oracle-puc-csv": "d755108b085727886eab18067a3ec16bd6700bc02686180d8a366400bcbcedcd",
-    "oracle-puc-pdc-csv": "9493ae205f722687bf17f387d2edab74a79ca90a8b0a93994eb4bf2b221bd1fa",
-    "oracle-exact-csv": "679d62f9178bbf7e163e3ed2e803d80979e2ea8e713399d33f7a4ef97eb7e568",
+    "oracle-csv": "00190a5859df3169776abf5fd16871fb013b4957b17c084922c05378166c1278",
+    "oracle-jsonl": "eb1eb9aff906a47debc063dc704b558f05e30bf193d173a71551c3b766a21c0b",
+    "oracle-puc-csv": "c5a180b236d06755ad9a989e65cb27d7ebdd33b7e32b511aebf8236b30c9729f",
+    "oracle-puc-pdc-csv": "66512b9d7d623a81b47608f15414ec61859ac2bff9099ef826182973bcba0343",
+    "oracle-exact-csv": "adf459e2e52ed16072513ac4c029da2683e2f73a559e33574331a4a86b748398",
     "collinear-sweep-csv": "c673d954aa611aaf719bf43e045418fdc3d0b26b49802767a74bc927d90d468e",
     "collinear-degenerate-csv": "7eda051b3288b2165d7b86c60d87810256f3801b60eb1253c3874728f56a5625",
 }
@@ -132,7 +140,7 @@ CLI_DIGESTS = {
     "cli-sweep-jsonl": "e1d8a13994a389eab3948847b687f0debf9a015caacfaece9523a12cc9303aa9",
     "cli-sweep-config": "d513f36ed21dc515c8b69cfada2457653498c141f8a5264cb204883b3e97eca1",
     "cli-degenerate-both": "68eaf4f297b317cdbf22ca683f859d69641fa3a6d56d0e413a2563c35b5e6076",
-    "cli-compare-oracle-no-exact": "f02b621ae2a14872ab8ddac528bae054459855be7873a33f8d4e2a996944c763",
+    "cli-compare-oracle-no-exact": "00190a5859df3169776abf5fd16871fb013b4957b17c084922c05378166c1278",
     "cli-calibrate": "6835c569914200cf49a6c64c2edf00d4fe21d89c62d4430af1755365b95eccdc",
 }
 

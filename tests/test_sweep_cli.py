@@ -51,7 +51,7 @@ from pumpslab import (
     thickness_averaged_intensities,
 )
 from pumpslab.cli import main
-from pumpslab.coupled import DETUNING_WARN_FRACTION, _Pairs, _sorted_wavenumbers
+from pumpslab.coupled import DETUNING_WARN_FRACTION, _anchored_roots, _Pairs, _quartic
 from pumpslab.kinematics import OK, SKIP_REASONS
 from pumpslab.sweep import ORACLE_COLUMNS, SWEEP_COLUMNS, rows_to_text
 
@@ -212,7 +212,8 @@ class TestRunSweep:
             SweepRequest(scenario=scenario_for(), band=(0.4, 0.6), samples=3,
                          detuning=-math.inf)
         # a string is not a sequence of kinds, and a repeated kind would repeat its rows
-        for kinds in ((), [], "pdc", ("pdc", "pdc")):
+        # nor is a set or an iterator, which have no order to give the rows
+        for kinds in ((), [], "pdc", ("pdc", "pdc"), {"pdc"}, iter(["pdc"])):
             with pytest.raises(ValueError, match="^kinds must be a non-empty sequence"):
                 SweepRequest(scenario=scenario_for(), band=(0.4, 0.6), samples=3,
                              kinds=kinds)
@@ -368,6 +369,15 @@ def _expected_oracle_row(omega, kind, quantity, closed, oracle, tol):
             abs_err, rel_err, tol]
 
 
+def _one_row_offsets(scenario, res, eps):
+    """The anchored root offsets of record res alone, started from its
+    EpsilonRoots eps: one row of _anchored_roots, as Python complexes."""
+    pair = _Pairs(*np.array([_Pairs.of_record(res)]).T)
+    start = {name: np.array([getattr(eps, name)]) for name in ("eps1", "eps2", "eps3", "eps4")}
+    _, K0, _, _, G, _ = _quartic(scenario, pair)
+    return _anchored_roots(K0, pair, G, start)[1][:, 0].tolist()
+
+
 def _expected_oracle_rows(scenario, omega, kind, include_exact):
     """The compare_oracle rows of one (omega, kind), from the public
     per-row functions."""
@@ -397,22 +407,18 @@ def _expected_oracle_rows(scenario, omega, kind, include_exact):
                                          sweep_mod.SERIES_TOL))
     ref = replace(scenario, g=sweep_mod.QUARTIC_REFERENCE_G)
     res = solve(ref, omega)
-    k = quartic_wavenumbers(ref, res)
     eps = epsilon_roots(ref, res)
-    K0 = ref.pump_wavenumber()
+    x = _one_row_offsets(ref, res, eps)
     tol = sweep_mod.QUARTIC_TOL
-    pair_err = float(max(abs(k[0] - res.Omega1 - eps.eps1) / abs(eps.eps1),
-                         abs(k[1] - res.Omega1 - eps.eps2) / abs(eps.eps2)))
-    shift4 = k[3] - K0 - res.Omega2 if kind == "pdc" else k[3] + K0 + res.Omega2
+    pair_err = float(max(abs(x[0] - eps.eps1) / abs(eps.eps1),
+                         abs(x[1] - eps.eps2) / abs(eps.eps2)))
     rows += [
         _expected_oracle_row(omega, kind, "quartic_eps_product",
-                             (eps.eps1 * eps.eps2).real,
-                             ((k[0] - res.Omega1) * (k[1] - res.Omega1)).real, tol),
+                             (eps.eps1 * eps.eps2).real, (x[0] * x[1]).real, tol),
         [omega, kind, "quartic_pair_roots", "ok" if pair_err <= tol else "breach",
          0.0, 0.0, pair_err, pair_err, tol],
-        _expected_oracle_row(omega, kind, "quartic_eps3", eps.eps3,
-                             (k[2] + res.Omega1).real, tol),
-        _expected_oracle_row(omega, kind, "quartic_eps4", eps.eps4, shift4.real, tol),
+        _expected_oracle_row(omega, kind, "quartic_eps3", eps.eps3, x[2].real, tol),
+        _expected_oracle_row(omega, kind, "quartic_eps4", eps.eps4, x[3].real, tol),
     ]
     if not include_exact:
         return rows
@@ -468,72 +474,94 @@ def test_oracle_rows_match_per_row_functions(case):
     assert breached == any(row[3] == "breach" for row in expected)
 
 
-class TestColumnarRootSort:
-    """compare_oracle sorts every row's quartic roots in one pass, with the
-    equidistance refusal and the k1/k2 tie-break of a row sorted alone."""
-
-    @pytest.fixture
-    def pdc_rows(self):
-        scenario = scenario_for(g=1e-5, l=2800.0)
-        req = SweepRequest(scenario=scenario, band=(0.4, 0.6), samples=3, kinds=("pdc",))
-        ref = replace(scenario, g=sweep_mod.QUARTIC_REFERENCE_G)
-        records = [pdc_resonance(ref, float(omega)) for omega in req.grid()]
-        return req, ref.pump_wavenumber(), records, [epsilon_roots(ref, res)
-                                                     for res in records]
+class TestAnchoredRoots:
+    """compare_oracle roots every row's quartic from its anchors in one
+    batch, each row with the bits and the refusal of its one-row call."""
 
     @staticmethod
-    def patch_roots(monkeypatch, rows):
-        def patched(coeffs):
-            assert len(coeffs) == len(rows)  # the reference coupling's roots alone
-            return np.array(rows, dtype=complex)
+    def batch(scenario, omegas, kinds=("pdc", "puc")):
+        """The _Pairs of scenario's resonances at omegas, their shifts and
+        (K0, G): what _check_columns hands _anchored_roots."""
+        grid = kinematics_mod._resonance_grid(scenario, omegas, kinds)
+        pairs = _Pairs.of_grid(grid, np.flatnonzero(grid.status == OK))
+        _, eps = sweep_mod._tabulate(sweep_mod._shifts, scenario, pairs, pairs.p0)
+        _, K0, _, _, G, _ = _quartic(scenario, pairs)
+        return pairs, eps, K0, G
 
-        monkeypatch.setattr(sweep_mod, "_quartic_roots", patched)
+    @staticmethod
+    def row(pairs, eps, G, j):
+        return (_Pairs(*(column[j:j + 1] for column in pairs)),
+                {name: column[j:j + 1] for name, column in eps.items()}, G[j:j + 1])
 
-    def test_equidistant_roots_raise(self, pdc_rows, monkeypatch):
-        req, K0, records, _ = pdc_rows
-        rows = []
-        for res in records:
-            a4, d = K0 + res.Omega2, 1e-3 + 2e-3j
-            rows.append([a4 + d, -res.Omega1, a4 - d, res.Omega1])  # k4 ambiguous
-        self.patch_roots(monkeypatch, rows)
-        with pytest.raises(DegenerateRootError) as excinfo:
-            compare_oracle(req, include_exact=False)
-        res = records[0]
+    @pytest.mark.parametrize("g", [0.0, 1e-8, 1e-4, 1e-3])
+    def test_batch_rows_match_one_row_calls(self, g):
+        scenario = scenario_for(g=g)
+        pairs, eps, K0, G = self.batch(scenario, np.linspace(0.05, 1.95, 41))
+        assert len(G) > 40  # both kinds in one batch
+        k, x = _anchored_roots(K0, pairs, G, eps)
+        for j in range(len(G)):
+            pair, start, g_j = self.row(pairs, eps, G, j)
+            alone = _anchored_roots(K0, pair, g_j, start)
+            assert alone[0].tobytes() == k[:, j:j + 1].tobytes()
+            assert alone[1].tobytes() == x[:, j:j + 1].tobytes()
+        # quartic_wavenumbers is the one-row call of its record
+        j = np.flatnonzero(pairs.sign > 0.0)[5]
+        res = pdc_resonance(scenario, float(pairs.omega[j]))
+        assert quartic_wavenumbers(scenario, res).tobytes() == k[:, j].tobytes()
+
+    def test_a_meeting_row_refuses_the_batch_as_alone(self):
+        # a puc record whose far root sign (K0 + Omega2) sits on k3's anchor
+        # -Omega1 meets it at G = 0; the record's other roots and every
+        # other row are distinct
+        scenario = scenario_for(g=0.0)
+        pairs, eps, K0, G = self.batch(scenario, [0.3, 0.4, 0.5], ("puc",))
+        met = pairs._replace(Omega1=np.where(pairs.omega == 0.4, K0 + pairs.Omega2,
+                                             pairs.Omega1))
+        with pytest.raises(DegenerateRootError) as batch:
+            _anchored_roots(K0, met, G, eps)
+        pair, start, g_1 = self.row(met, eps, G, 1)
         with pytest.raises(DegenerateRootError) as alone:
-            _sorted_wavenumbers(K0, res.Omega1, res.Omega2, 1.0, np.array([rows[0]]))
-        assert str(excinfo.value) == str(alone.value)
+            _anchored_roots(K0, pair, g_1, start)
+        assert str(batch.value) == str(alone.value) == "two quartic roots meet at omega=0.4"
+        for j in (0, 2):
+            pair, start, g_j = self.row(met, eps, G, j)
+            _anchored_roots(K0, pair, g_j, start)
 
-    @pytest.mark.parametrize("swap", [False, True])
-    def test_symmetric_pair_puts_positive_imaginary_first(self, pdc_rows, monkeypatch,
-                                                          swap):
-        # on resonance eps1 = +i|eps|, eps2 = -i|eps|; a pair placed exactly
-        # at Omega1 -+ i|eps| is tied in distance, and only the tie-break
-        # (+imaginary first) gives zero pair error, in either input order
-        req, K0, records, shifts = pdc_rows
-        rows = []
-        for res, eps in zip(records, shifts):
-            assert eps.eps1.real == 0.0 and eps.eps1.imag > 0.0
-            up, down = res.Omega1 + eps.eps1, res.Omega1 + eps.eps2
-            rows.append([K0 + res.Omega2, down if not swap else up, -res.Omega1,
-                         up if not swap else down])
-        self.patch_roots(monkeypatch, rows)
+    def test_pdc_pair_on_resonance_leads_with_positive_imaginary(self):
+        # on resonance eps1 = +i|eps|, eps2 = -i|eps|: k1 is the root eps1
+        # starts, so the pair's rows read the closed forms to their first
+        # order in g
+        req = SweepRequest(scenario=scenario_for(g=1e-5, l=2800.0), band=(0.4, 0.6),
+                           samples=3, kinds=("pdc",))
+        pairs, eps, K0, G = self.batch(replace(req.scenario, g=sweep_mod.QUARTIC_REFERENCE_G),
+                                       req.grid(), ("pdc",))
+        x = _anchored_roots(K0, pairs, G, eps)[1]
+        assert (eps["eps1"].imag > 0.0).all() and (eps["eps1"].real == 0.0).all()
+        assert (x[0].imag > 0.0).all() and (x[1].imag < 0.0).all()
         out, _ = compare_oracle(req, include_exact=False)
         pair = [row for row in out if row["quantity"] == "quartic_pair_roots"]
-        assert [(row["status"], row["abs_err"]) for row in pair] == [("ok", 0.0)] * 3
+        assert [row["status"] for row in pair] == ["ok"] * 3
+        assert all(row["rel_err"] < 1e-4 for row in pair)
 
-    def test_exact_rows_build_their_own_roots(self, pdc_rows, monkeypatch):
-        # compare_oracle's roots are the reference coupling's alone: moving
+    def test_exact_rows_build_their_own_roots(self, monkeypatch):
+        # the anchored roots are the reference coupling's alone: moving
         # them moves the quartic rows and leaves every exact_excess row
-        req = pdc_rows[0]
+        req = SweepRequest(scenario=scenario_for(g=1e-5, l=2800.0), band=(0.4, 0.6),
+                           samples=3, kinds=("pdc",))
 
         def table():
             rows, _ = compare_oracle(req, include_exact=True)
             return {quantity: [repr(row) for row in rows if row["quantity"] == quantity]
                     for quantity in ("quartic_eps3", "exact_excess")}
 
-        unpatched, roots = table(), sweep_mod._quartic_roots
-        monkeypatch.setattr(sweep_mod, "_quartic_roots",
-                            lambda coeffs: roots(coeffs) * (1.0 + 1e-9))
+        unpatched, roots = table(), sweep_mod._anchored_roots
+
+        def moved(*args):
+            k, x = roots(*args)
+            assert len(args[2]) == 3  # the reference coupling's roots alone
+            return k, x * (1.0 + 1e-9)
+
+        monkeypatch.setattr(sweep_mod, "_anchored_roots", moved)
         patched = table()
         assert patched["quartic_eps3"] != unpatched["quartic_eps3"]
         assert len(patched["exact_excess"]) == 3
@@ -560,7 +588,7 @@ class TestDegenerateRows:
         # the same check, and message, as SweepRequest gives run_sweep
         with pytest.raises(ValueError, match="conjugate kind.*'sfg'"):
             degenerate_rows(scenario_for(), kinds=("sfg",))
-        for kinds in ((), "pdc", ("puc", "puc")):
+        for kinds in ((), "pdc", ("puc", "puc"), {"pdc"}, iter(["pdc"])):
             with pytest.raises(ValueError, match="^kinds must be a non-empty sequence"):
                 degenerate_rows(scenario_for(), kinds=kinds)
 
@@ -642,6 +670,22 @@ class TestCompareOracle:
         } <= quantities
         for row in rows:
             assert row["status"] in ("ok", "not_applicable")
+
+    @pytest.mark.parametrize("mu2", [1.51, 10.0, 20.0, 40.0])
+    def test_quartic_rows_hold_at_every_index(self, mu2):
+        # at high index eps3 and eps4 shrink to the ulps of their roots and
+        # below (5e-17 - 7e-15 relative at mu2 40): only roots solved as
+        # offsets from their anchors resolve them within the tolerance
+        model = calibrate_degenerate_angle(math.radians(10.0), mu2)
+        quartic = []
+        for g in (1e-7, 1e-5, 1e-3):
+            scenario = CrystalScenario(omega0=1.0, g=g, l=100.0, dispersion=model)
+            req = SweepRequest(scenario=scenario, band=(0.3, 0.7), samples=9,
+                               kinds=("pdc", "puc"))
+            quartic += [row for row in compare_oracle(req, include_exact=False)[0]
+                        if row["quantity"].startswith("quartic_")]
+        assert len(quartic) == 216
+        assert [row for row in quartic if row["status"] != "ok"] == []
 
     def test_exact_rows_marked_when_out_of_regime(self):
         # gamma too large for the exact-solve comparison band

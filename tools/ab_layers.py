@@ -152,6 +152,8 @@ def layers(output):
         # the report table of a sweep_dense request, without its rows or text
         "sweep._outcomes 201 omega both kinds": lambda p: _outcomes(p, (0.05, 1.95), 201),
         "epsilon_roots g 1e-5 l 2800": lambda p: _on_record(p, "coupled", "epsilon_roots"),
+        "quartic_wavenumbers g 1e-5 l 2800": lambda p: _on_record(
+            p, "coupled", "quartic_wavenumbers"),
         "thickness_averaged_intensities 64 phases": lambda p: _on_record(
             p, "oracle", "thickness_averaged_intensities"),
         "_exact_averages 5 pdc pairs": _exact_pairs,
