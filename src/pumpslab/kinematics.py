@@ -21,12 +21,13 @@ kernel, _resonance_grid, solves a whole grid of frequencies and both
 kinds at once; the scalar solvers are its one-element calls.
 
 This module alone picks the path of every table, this grid and coupled's
-tables alike: from ARRAY_MIN elements up a function body runs once on
-numpy arrays, below that once per element on Python floats (_small), and
-_stack turns per-element results into arrays.  Only the _Primitives are
-picked by input type (_on); they round alike on both and none calls
-Python per element, so an element carries the same bits either way, and
-a one-element call costs Python arithmetic, not numpy's per-call overhead.
+tables alike: a whole table of ARRAY_MIN elements or more runs each body
+once on numpy arrays, a smaller one once per element on Python floats
+(_small, asked by _resonance_grid and coupled._tabulate only), and _stack
+turns per-element results into arrays.  Only the _Primitives are picked
+by input type (_on); they round alike on both and none calls Python per
+element, so an element carries the same bits either way, and a
+one-element call costs Python arithmetic, not numpy's per-call overhead.
 """
 import cmath
 import contextlib
@@ -135,7 +136,7 @@ def _on(x):
 
 
 def _small(n):
-    """Whether a table of n elements runs on floats: ARRAY_MIN's one reader."""
+    """Whether a whole table of n elements runs on floats: ARRAY_MIN's one reader."""
     return 0 < n < ARRAY_MIN
 
 
@@ -350,18 +351,15 @@ def _solve(scenario, w1, w2, s, mu1, mu2, code):
 
 def _roots(solve, a1, a2, s, p_max, K0):
     """(p0, polish steps) of _newton_roots where solve is set, (0, 0)
-    elsewhere.  On arrays, one call for all roots, or one call per root on
-    floats where they are _small in number: the same bits, and faster on a
-    grid just past ARRAY_MIN with few roots to solve."""
+    elsewhere: on a float element one call, on arrays one call for all
+    their roots, however few."""
     if not isinstance(solve, np.ndarray):
         return _newton_roots(a1, a2, s, p_max, K0=K0) if solve else (0.0, 0)
     todo = np.flatnonzero(solve)
     p, iterations = np.zeros_like(a1), np.zeros(a1.size, dtype=int)
     if todo.size:
-        roots = (a1[todo], a2[todo], s[todo], p_max[todo])
-        p[todo], iterations[todo] = (
-            _stack(_each(partial(_newton_roots, K0=K0), *(x.tolist() for x in roots)),
-                   todo.shape) if _small(todo.size) else _newton_roots(*roots, K0=K0))
+        p[todo], iterations[todo] = _newton_roots(a1[todo], a2[todo], s[todo], p_max[todo],
+                                                  K0=K0)
     return p, iterations
 
 

@@ -57,8 +57,13 @@ COND_LIMIT = 1e12
 RESIDUAL_LIMIT = 1e-10
 THICKNESS_PHASES = 64  # thickness steps across one fast period
 EXACT_CHUNK = 16  # mode pairs per reduced stack: bounds its memory
-SERIES_TERMS = 40
-_SERIES_MAX = np.finfo(float).max / (SERIES_TERMS + 1) ** 2
+SERIES_BLOCK = 41  # reflection terms per block of the series sums
+SERIES_BLOCKS = 16  # blocks at most: sums reach rounding for r below about 0.973
+# block b >= 1 is summed where r >= _SERIES_R[b - 1], that is where its first
+# term r^(2n) is at least eps; no term or partial sum of N terms exceeds
+# N^2 (1 + |gamma|), so b + 1 blocks take gains up to _SERIES_MAX[b] - 1
+_SERIES_R = np.finfo(float).eps ** (1.0 / (2 * SERIES_BLOCK * np.arange(1, SERIES_BLOCKS)))
+_SERIES_MAX = np.finfo(float).max / (SERIES_BLOCK * np.arange(1, SERIES_BLOCKS + 1)) ** 2
 
 
 def _mode_vectors(roots, kp, A, B, G, C1):
@@ -262,11 +267,13 @@ def thickness_averaged_intensities(scenario, kin, phases=THICKNESS_PHASES):
 def series_sum(r10, r20, gamma, omega, omega0, kind="pdc"):
     """Numerically summed multiple-reflection series, first order in gamma.
 
-    Returns (r1, t1, r2, t2).  Matches the closed forms to the geometric
-    truncation error r^(2*SERIES_TERMS).  omega, omega0 and the partner
-    omega0 -+ omega must be positive and finite, else a GeometryError; a
-    gamma whose sums could leave the float range raises StrongGainError.
-    A one-element _series_columns.
+    Returns (r1, t1, r2, t2).  Sums whole blocks of SERIES_BLOCK terms
+    while the next block's first term r^(2n), r the larger of r10 and r20,
+    is at least eps, so they match the closed forms to rounding; past
+    SERIES_BLOCKS blocks the truncation is r^(2 SERIES_BLOCK SERIES_BLOCKS).
+    omega, omega0 and the partner omega0 -+ omega must be positive and
+    finite, else a GeometryError; a gamma whose sums could leave the float
+    range raises StrongGainError.  A one-element _series_columns.
     """
     sign = kind_sign(kind)
     partner = omega0 - sign * omega
@@ -290,23 +297,32 @@ def _series_columns(r10, r20, gamma, omega, partner, sign):
         raise SeriesDomainError(f"{name}={r:g} outside [0, 1); series diverges")
     t10, t20 = 1.0 - r10, 1.0 - r20
     freq_ratio = partner / omega
-    # no term or partial sum exceeds (SERIES_TERMS + 1)^2 (1 + |gamma|)
-    # max(1, |partner / omega|); refuse a gain that could overflow one
-    limit = _SERIES_MAX / np.maximum(np.abs(freq_ratio), 1.0)
+    blocks = np.searchsorted(_SERIES_R, np.maximum(r10, r20), side="right")  # past block 0
+    # the partner sums carry partner / omega: refuse a gain that could overflow
+    limit = _SERIES_MAX[blocks] / np.maximum(np.abs(freq_ratio), 1.0)
     strong = ~(np.abs(gamma) + 1.0 <= limit)
     if strong.any():
         j = np.argmax(strong)
         raise StrongGainError(f"reflection series overflows at omega={omega[j]:g}: "
                               f"gamma={gamma[j]:g}")
-    n = np.arange(SERIES_TERMS + 1)
-    # one row of terms per pair; numpy sums each row as it sums a 1-d array
-    R10, T10, R20, G, S = (x[:, None] for x in (r10, t10, r20, gamma, sign))
-    even10, odd, gain = R10 ** (2 * n), 2 * n + 1, 1.0 + S * (n + 1) * G
-    # r1 sums over k = n + 1 <= SERIES_TERMS: R10^(2k - 1) (1 + S k G)
-    r1 = r10 + np.sum(R10 ** odd[:-1] * T10 * T10 * gain[:, :-1], axis=1)
-    t1 = np.sum(T10 * T10 * even10 * gain, axis=1)
+    for b in range(blocks.max(initial=0) + 1):
+        rows = np.flatnonzero(blocks >= b) if b else slice(None)
+        # n over block b and one past it: r1 sums R10^(2k - 1) (1 + S k G) over
+        # the block's k = n >= 1, t1 R10^(2n) (1 + S (n + 1) G) over its n
+        n = np.arange(b * SERIES_BLOCK, (b + 1) * SERIES_BLOCK + 1)
+        lo, e = int(b == 0), 2 * n[:-1]
+        # one row of terms per pair; numpy sums each row as it sums a 1-d array
+        R10, T10, R20, G, S = (x[rows, None] for x in (r10, t10, r20, gamma, sign))
+        even10, gain = R10 ** e, 1.0 + S * n * G
+        block = [np.sum(x, axis=1) for x in (
+            R10 ** (e[lo:] - 1) * T10 * T10 * gain[:, lo:-1],
+            T10 * T10 * even10 * gain[:, 1:], even10, R20 ** (e + 1), R20 ** e)]
+        if b == 0:
+            sums = block
+        else:
+            for total, part in zip(sums, block):
+                total[rows] += part
+    r1, t1, even10, odd20, even20 = sums
     # the double sum over (m, n) separates into a product of two single sums
-    base = freq_ratio * gamma * t10 * t20 * np.sum(even10, axis=1)
-    r2 = base * np.sum(R20 ** odd, axis=1)
-    t2 = base * np.sum(R20 ** (2 * n), axis=1)
-    return r1, t1, r2, t2
+    base = freq_ratio * gamma * t10 * t20 * even10
+    return r10 + r1, t1, base * odd20, base * even20

@@ -10,8 +10,8 @@ _spec = importlib.util.spec_from_file_location("ab_bench", _PATH)
 ab_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_bench)
 
-METRICS = [{"name": "throughput_norm", "unit": "items/ref", "better": "higher"},
-           {"name": "latency_p50_norm", "unit": "ref", "better": "lower"}]
+METRICS = [{"name": "throughput_norm", "unit": "items/ref", "better": "higher", "bound": 0.15},
+           {"name": "latency_p50_norm", "unit": "ref", "better": "lower", "bound": 0.15}]
 
 
 def run(throughput, latency):
@@ -50,7 +50,29 @@ def test_missing_metric_is_skipped_and_rows_format():
     assert [row["name"] for row in rows] == ["throughput_norm"]
     lines = ab_bench.format_rows("cli_small_requests", rows)
     assert lines[0] == "## cli_small_requests"
-    assert lines[2].split()[-2:] == ["2/2", "yes"]
+    assert lines[2].split()[-3:] == ["2/2", "yes", "no"]
+
+
+def test_regressed_past_the_bound_of_the_base_median():
+    # latency median 0.14 -> 0.1625: 16 % worse, past the 15 % bound;
+    # throughput median 7.0 -> 6.0: 14 % worse, inside it, base spread 0
+    base = [run(7.0, 0.14) for _ in range(10)]
+    change = [run(6.0, 0.1625) for _ in range(10)]
+    rows = {row["name"]: row for row in ab_bench.summarize(METRICS, base, change)}
+    assert rows["latency_p50_norm"]["regressed"] == "yes"
+    assert rows["throughput_norm"]["regressed"] == "no"
+
+
+def test_a_base_spread_wider_than_the_bound_is_unresolved():
+    # base throughput runs 5, 7 and 9: quartiles 5.5 and 8.5, a spread of 3
+    # beyond 15 % of the median 7; the change median 7 is no worse
+    base = [run(v, 0.14) for v in [5.0, 7.0, 9.0] * 3 + [7.0]]
+    change = [run(7.0, 0.14) for _ in range(10)]
+    row = ab_bench.summarize(METRICS[:1], base, change)[0]
+    assert row["regressed"] == "unresolved"
+    # unless every change run beats every base run
+    change = [run(9.5, 0.14) for _ in range(10)]
+    assert ab_bench.summarize(METRICS[:1], base, change)[0]["regressed"] == "no"
 
 
 def test_a_missing_result_line_is_none(tmp_path):

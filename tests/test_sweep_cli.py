@@ -671,21 +671,23 @@ class TestCompareOracle:
         for row in rows:
             assert row["status"] in ("ok", "not_applicable")
 
-    @pytest.mark.parametrize("mu2", [1.51, 10.0, 20.0, 40.0])
-    def test_quartic_rows_hold_at_every_index(self, mu2):
+    @pytest.mark.parametrize("mu2", [1.51, 10.0, 12.0, 20.0, 40.0])
+    def test_quartic_and_series_rows_hold_at_every_index(self, mu2):
         # at high index eps3 and eps4 shrink to the ulps of their roots and
         # below (5e-17 - 7e-15 relative at mu2 40): only roots solved as
-        # offsets from their anchors resolve them within the tolerance
+        # offsets from their anchors resolve them within the tolerance; r10
+        # and r20 reach 0.75 - 0.92 from mu2 12 up, where 41 reflections
+        # would leave a truncation of about r^80, up to 1e-3
         model = calibrate_degenerate_angle(math.radians(10.0), mu2)
-        quartic = []
+        checked = []
         for g in (1e-7, 1e-5, 1e-3):
             scenario = CrystalScenario(omega0=1.0, g=g, l=100.0, dispersion=model)
             req = SweepRequest(scenario=scenario, band=(0.3, 0.7), samples=9,
                                kinds=("pdc", "puc"))
-            quartic += [row for row in compare_oracle(req, include_exact=False)[0]
-                        if row["quantity"].startswith("quartic_")]
-        assert len(quartic) == 216
-        assert [row for row in quartic if row["status"] != "ok"] == []
+            checked += [row for row in compare_oracle(req, include_exact=False)[0]
+                        if row["quantity"].startswith(("quartic_", "series_"))]
+        assert len(checked) == 432
+        assert [row for row in checked if row["status"] != "ok"] == []
 
     def test_exact_rows_marked_when_out_of_regime(self):
         # gamma too large for the exact-solve comparison band
@@ -937,9 +939,14 @@ class TestStrongGain:
             series_sum(0.01, 0.02, 1.4e307, 0.5, 1.0)
         with pytest.raises(StrongGainError):
             series_sum(0.01, 0.02, math.inf, 0.5, 1.0, kind="puc")
-        # the largest accepted gain sums to finite values, the next is refused
+        # the largest accepted gain sums to finite values, the next is refused;
+        # at r10 = r20 = 0.9 blocks 1 - 4 start at 0.9^82b >= eps, so the sums
+        # run to 5 blocks, 205 terms
+        block = oracle_mod.SERIES_BLOCK
+        assert 0.9 ** (2 * block * 4) >= sys.float_info.epsilon > 0.9 ** (2 * block * 5)
+        terms = 5 * block
         for kind, partner in (("pdc", 1.0 - 0.4), ("puc", 1.0 + 0.4)):
-            limit = sys.float_info.max / (oracle_mod.SERIES_TERMS + 1) ** 2 / (partner / 0.4)
+            limit = sys.float_info.max / terms ** 2 / (partner / 0.4)
             assert all(map(math.isfinite, series_sum(0.9, 0.9, limit, 0.4, 1.0, kind)))
             with pytest.raises(StrongGainError):
                 series_sum(0.9, 0.9, math.nextafter(limit, math.inf), 0.4, 1.0, kind)

@@ -7,9 +7,13 @@ temporary directory, removed on exit, also on error.  Pair i runs
 ``python3 bench/run.py --trace 0`` with seed N + i in that tree and in the
 working tree, alternating which side runs first.  Per workload and
 end-to-end metric of BENCHMARK.json it prints each side's median and
-quartiles, the change's wins and whether the gain rule holds: the change
+quartiles, the change's wins, whether the gain rule holds (the change
 wins at least 9 runs in 10 and its median beats the base median by more
-than the base's interquartile range.  A run with ``correct: false``, or
+than the base's interquartile range) and the no-regression verdict: the
+metric regressed where the change median is worse than the base median
+by more than the metric's ``bound``, a fraction of the base median, and
+is unresolved where the base's interquartile range exceeds that bound and
+not every change run beats every base run.  A run with ``correct: false``, or
 with no result line, is reported and makes the tool exit 1.  Without
 --workload every workload of BENCHMARK.json runs.
 """
@@ -68,9 +72,13 @@ def summarize(metrics, base_runs, change_runs):
     end_to_end entries, the runs result dicts of the same seeds in order.
 
     Returns a list of dicts: name, unit, base and change (q1, median, q3),
-    wins (pairs in which the change is strictly better), pairs, and
-    gain: whether the change wins at least WIN_SHARE of the pairs and its
-    median beats the base median by more than the base interquartile range.
+    wins (pairs in which the change is strictly better), pairs, gain:
+    whether the change wins at least WIN_SHARE of the pairs and its median
+    beats the base median by more than the base interquartile range, and
+    regressed: "yes" where the change median is worse than the base median
+    by more than bound times the base median, else "unresolved" where the
+    base interquartile range exceeds that margin and not every change run
+    beats every base run, else "no".
     """
     out = []
     for metric in metrics:
@@ -84,22 +92,26 @@ def summarize(metrics, base_runs, change_runs):
         change = quartiles([c for _, c in pairs])
         wins = sum(sign * (b - c) > 0.0 for b, c in pairs)
         gap = sign * (base[1] - change[1])
+        margin = metric["bound"] * abs(base[1])
+        beats_all = max(sign * c for _, c in pairs) < min(sign * b for b, _ in pairs)
+        regressed = ("yes" if -gap > margin else
+                     "unresolved" if base[2] - base[0] > margin and not beats_all else "no")
         out.append(dict(name=name, unit=metric["unit"], base=base, change=change,
                         wins=wins, pairs=len(pairs),
                         gain=wins >= math.ceil(WIN_SHARE * len(pairs))
-                        and gap > base[2] - base[0]))
+                        and gap > base[2] - base[0], regressed=regressed))
     return out
 
 
 def format_rows(workload, rows):
     lines = [f"## {workload}",
              f"{'metric':18s} {'base q1 / median / q3':>32s}  "
-             f"{'change q1 / median / q3':>32s}  wins  gain"]
+             f"{'change q1 / median / q3':>32s}  wins  gain  regressed"]
     for row in rows:
         cells = ["/".join(f"{v:.4g}" for v in row[side]) for side in ("base", "change")]
         verdict = "yes" if row["gain"] else "no"
         lines.append(f"{row['name']:18s} {cells[0]:>32s}  {cells[1]:>32s}  "
-                     f"{row['wins']:2d}/{row['pairs']:<2d} {verdict}")
+                     f"{row['wins']:2d}/{row['pairs']:<2d} {verdict:4s}  {row['regressed']}")
     return lines
 
 
