@@ -8,6 +8,7 @@ configuration error, 2 oracle tolerance breach, 3 no valid samples.
 import argparse
 import configparser
 import math
+import os
 import sys
 
 from .dispersion import DispersionModel, calibrate_degenerate_angle
@@ -196,11 +197,23 @@ def _request(args):
 
 
 def _write(path, text):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """text to sys.stdout, or as UTF-8 to the file path.
+
+    The file goes straight to its descriptor, with the flags and mode that
+    open(path, "w") passes, so the bytes are those of a text-mode file on
+    POSIX without the buffer and text layers' fstat, isatty and seek calls.
+    os.write may write fewer bytes than asked, so it runs until all are out.
+    """
+    if not path:
         sys.stdout.write(text)
+        return
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _parse(argv):

@@ -1,7 +1,10 @@
 """tools/ab_bench.py's summary of paired benchmark runs, on canned results."""
 import importlib.util
+import json
 import os
+import platform
 
+import numpy as np
 import pytest
 
 _PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -78,3 +81,59 @@ def test_a_base_spread_wider_than_the_bound_is_unresolved():
 def test_a_missing_result_line_is_none(tmp_path):
     # a tree without bench/run.py prints nothing on standard output
     assert ab_bench.run_bench(str(tmp_path), "sweep_dense", 1, 1) is None
+
+
+def canned_main(monkeypatch, failing, *argv):
+    """ab_bench.main(["HEAD", *argv]) with no export and canned runs: the
+    base throughput 7.0 + seed / 100, the change 0.5 higher; the runs named
+    in failing, (workload, seed, side), print no result line."""
+    monkeypatch.setattr(ab_bench, "export", lambda revision, directory, paths=(): None)
+
+    def run_bench(tree, workload, seed, seconds):
+        side = "change" if tree == ab_bench.ROOT else "base"
+        if (workload, seed, side) in failing:
+            return None
+        return run(7.0 + seed / 100 + (0.5 if side == "change" else 0.0), 0.14)
+
+    monkeypatch.setattr(ab_bench, "run_bench", run_bench)
+    monkeypatch.setattr(ab_bench, "git", lambda *args: {
+        ("rev-parse", "HEAD^{commit}"): "b" * 40, ("rev-parse", "HEAD"): "c" * 40,
+        ("status", "--porcelain"): " M src/pumpslab/cli.py"}[args])
+    return ab_bench.main(["HEAD", *argv])
+
+
+def test_a_workload_with_one_complete_pair_is_reported_and_the_rest_go_on(monkeypatch,
+                                                                         capsys):
+    code = canned_main(monkeypatch, {("sweep_dense", 2, "base")}, "--pairs", "2",
+                       "--workload", "sweep_dense", "--workload", "cli_small_requests")
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[:3] == ["# sweep_dense seed 2 base: no result line", "## sweep_dense",
+                       "fewer than 2 complete pairs"]
+    assert out[3] == "## cli_small_requests"
+    rows = {line.split()[0]: line.split()[-3:] for line in out[5:]}
+    assert rows["throughput_norm"] == ["2/2", "yes", "no"]
+
+
+def test_record_holds_the_tables_commits_arguments_and_host(monkeypatch, tmp_path):
+    path = tmp_path / "BENCH.json"
+    code = canned_main(monkeypatch, {("sweep_dense", 1, "change")},
+                       "--pairs", "2", "--seconds", "5", "--seed", "1",
+                       "--workload", "sweep_dense", "--workload", "cli_small_requests",
+                       "--record", str(path))
+    assert code == 1
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    assert doc["base"] == {"revision": "HEAD", "sha": "b" * 40}
+    assert doc["change"] == {"sha": "c" * 40, "dirty": True}
+    assert (doc["pairs"], doc["seconds"], doc["seed"]) == (2, 5, 1)
+    assert doc["host"]["cpu_count"] == os.cpu_count()
+    assert doc["host"]["python"] == platform.python_version()
+    assert doc["host"]["numpy"] == np.__version__
+    assert doc["workloads"]["sweep_dense"] == ab_bench.FEW_PAIRS
+    throughput = doc["workloads"]["cli_small_requests"]["throughput_norm"]
+    assert throughput["base"] == pytest.approx([7.0125, 7.015, 7.0175])
+    assert throughput["change"] == pytest.approx([7.5125, 7.515, 7.5175])
+    assert {key: throughput[key] for key in ("wins", "pairs", "gain", "regressed", "unit")} == {
+        "wins": 2, "pairs": 2, "gain": True, "regressed": "no", "unit": "items/ref"}

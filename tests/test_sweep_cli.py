@@ -1403,6 +1403,62 @@ class TestCliConfig:
         assert out_path.read_bytes() == b"rows of an earlier run\n"
 
 
+_SWEEP_ARGV = ["sweep", "--theta-d-deg", "10", "--mu2", "1.51", "--band", "0.4", "0.6",
+               "--samples", "5", "--kind", "both"]
+
+
+class TestOutputPath:
+    def test_missing_directory_is_a_usage_error_that_creates_nothing(self, tmp_path,
+                                                                     capsys):
+        path = tmp_path / "absent" / "rows.csv"
+        assert main([*_SWEEP_ARGV, "--output", str(path)]) == cli_mod.USAGE_EXIT
+        assert capsys.readouterr() == (
+            "", f"pumpslab: [Errno 2] No such file or directory: '{path}'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, code", [
+        # every sample in the guard band: an empty sweep
+        (["sweep", "--theta-d-deg", "10", "--mu2", "1.51", "--band", "0.99", "1.01",
+          "--samples", "3"], cli_mod.EMPTY_EXIT),
+        (["sweep", "--theta-d-deg", "10", "--mu2", "1.51",
+          "--samples", str(sweep_mod.MAX_SAMPLES + 1)], cli_mod.USAGE_EXIT),
+    ], ids=["empty", "refused"])
+    def test_a_failed_request_leaves_an_existing_file(self, tmp_path, capsys, argv, code):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"rows of an earlier run\r\n")
+        assert main([*argv, "--output", str(path)]) == code
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == b"rows of an earlier run\r\n"
+
+    def test_short_writes_still_write_every_byte(self, tmp_path, capsys, monkeypatch):
+        assert main(_SWEEP_ARGV) == 0
+        expected = capsys.readouterr().out
+        write, sizes = os.write, []
+
+        def short(fd, data):
+            sizes.append(write(fd, data[:7]))
+            return sizes[-1]
+
+        monkeypatch.setattr(os, "write", short)
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"a longer file of an earlier run\n" * 1000)
+        assert main([*_SWEEP_ARGV, "--output", str(path)]) == 0
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert len(sizes) == -(-len(expected) // 7)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_is_that_of_a_text_file(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            with open(tmp_path / "text.csv", "w"):
+                pass
+            assert main([*_SWEEP_ARGV, "--output", str(tmp_path / "rows.csv")]) == 0
+        finally:
+            os.umask(previous)
+        assert ((tmp_path / "rows.csv").stat().st_mode
+                == (tmp_path / "text.csv").stat().st_mode)
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

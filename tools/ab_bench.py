@@ -14,14 +14,24 @@ metric regressed where the change median is worse than the base median
 by more than the metric's ``bound``, a fraction of the base median, and
 is unresolved where the base's interquartile range exceeds that bound and
 not every change run beats every base run.  A run with ``correct: false``, or
-with no result line, is reported and makes the tool exit 1.  Without
---workload every workload of BENCHMARK.json runs.
+with no result line, is reported and makes the tool exit 1; so does a
+workload with fewer than 2 pairs in which both runs completed, whose table
+reads "fewer than 2 complete pairs" while the other workloads go on.
+Without --workload every workload of BENCHMARK.json runs.
+
+With --record PATH it also writes those tables as JSON with sorted keys:
+per workload and metric the rows above (a workload with fewer than 2
+complete pairs holds the string instead), the base revision's commit, the
+working tree's HEAD commit and whether the tree differs from it, --pairs,
+--seconds, --seed, and the host's CPU count and Python and numpy versions.
 """
 import argparse
+import importlib.metadata
 import io
 import json
 import math
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -30,6 +40,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIN_SHARE = 0.9  # the change must win this share of the pairs
+FEW_PAIRS = "fewer than 2 complete pairs"
 
 
 def load_spec(root=ROOT):
@@ -104,6 +115,10 @@ def summarize(metrics, base_runs, change_runs):
 
 
 def format_rows(workload, rows):
+    """The table of workload's summarize rows, or the FEW_PAIRS line where
+    rows is None."""
+    if rows is None:
+        return [f"## {workload}", FEW_PAIRS]
     lines = [f"## {workload}",
              f"{'metric':18s} {'base q1 / median / q3':>32s}  "
              f"{'change q1 / median / q3':>32s}  wins  gain  regressed"]
@@ -115,6 +130,28 @@ def format_rows(workload, rows):
     return lines
 
 
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def record(args, tables):
+    """The --record document of the tables, workload -> summarize rows or
+    None, measured with args."""
+    return {
+        "base": {"revision": args.base, "sha": git("rev-parse", f"{args.base}^{{commit}}")},
+        "change": {"sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
+        "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
+        "host": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+                 "numpy": importlib.metadata.version("numpy")},
+        "workloads": {
+            workload: FEW_PAIRS if rows is None else {
+                row["name"]: {key: value for key, value in row.items() if key != "name"}
+                for row in rows}
+            for workload, rows in tables.items()},
+    }
+
+
 def main(argv=None):
     spec = load_spec()
     names = [w["name"] for w in spec["workloads"]]
@@ -124,10 +161,11 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--record", metavar="PATH", help="also write the tables as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
-    failed = False
+    failed, tables = False, {}
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as base_tree:
         export(args.base, base_tree)
         trees = {"base": base_tree, "change": ROOT}
@@ -145,8 +183,14 @@ def main(argv=None):
                         result = None
                     runs[side].append(result)
             paired = [(b, c) for b, c in zip(runs["base"], runs["change"]) if b and c]
-            rows = summarize(spec["end_to_end"], *zip(*paired)) if paired else []
-            print("\n".join(format_rows(workload, rows)), flush=True)
+            tables[workload] = (summarize(spec["end_to_end"], *zip(*paired))
+                                if len(paired) >= 2 else None)
+            print("\n".join(format_rows(workload, tables[workload])), flush=True)
+    if args.record:
+        doc = record(args, tables)  # before the file exists, which would make the tree dirty
+        with open(args.record, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
     return 1 if failed else 0
 
 

@@ -126,6 +126,17 @@ def _text(package, output_format, oracle=False):
     return lambda: m["sweep"].rows_to_text(rows, columns, output_format)
 
 
+def _file(package, output, band, samples):
+    """cli._write, to the scratch file output, of the csv text of run_sweep
+    on samples omega of band, both kinds, built once."""
+    m = _modules(package)
+    request = m["sweep"].SweepRequest(m["presets"].reference_scenario(), band, samples, KINDS)
+    text = m["sweep"].rows_to_text(m["sweep"].run_sweep(request), m["sweep"].SWEEP_COLUMNS,
+                                   "csv")
+    write = importlib.import_module(f"{package}.cli")._write
+    return lambda: write(output, text)
+
+
 def layers(output):
     """Layer name -> a function of a package name giving the zero-argument
     call that is timed; output is a scratch file for the CLI calls."""
@@ -166,6 +177,10 @@ def layers(output):
         "rows_to_text jsonl 201 omega": lambda p: _text(p, "jsonl"),
         "rows_to_text csv 201 omega": lambda p: _text(p, "csv"),
         "rows_to_text csv compare_oracle 5 omega exact": lambda p: _text(p, "csv", oracle=True),
+        # the file of cli sweep --samples 7 --kind both (2.8 KB), of sweep_dense (52 KB)
+        "cli._write sweep csv 14 rows": lambda p: _file(p, output, (0.3, 0.7), 7),
+        "cli._write sweep csv 201 omega both kinds": lambda p: _file(
+            p, output, (0.05, 1.95), 201),
         "cli calibrate": lambda p: _cli(p, ["calibrate"], output),
         "cli degenerate": lambda p: _cli(p, ["degenerate"], output),
         "cli degenerate --kind both": lambda p: _cli(p, ["degenerate", "--kind", "both"],
