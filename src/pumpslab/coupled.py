@@ -40,7 +40,7 @@ from .errors import (
 )
 from .kinematics import (EVANESCENT, GEOMETRY, OK, SKIP_REASONS, _ARRAYS, _on,
                          _resonance, _small, _stack, kind_sign)
-from .lamina import _fresnel, slab_coefficients
+from .lamina import fresnel_step, slab_coefficients
 
 DETUNING_WARN_FRACTION = 0.01
 _SINC_SERIES_CUTOFF = 1e-4
@@ -449,7 +449,7 @@ def _reports(scenario, pairs, p):
     sinc_sq = _sinc_sq(on.where(ok, shifts["xi"], 0j))
     # a gain past the float range leaves inf or nan cells, refused below
     gamma = g * g * l * l * w0 * w0 * omega * partner / (4.0 * w1 * w2) * sinc_sq
-    r10, r20 = _fresnel(w10, w1)[2], _fresnel(w20, w2)[2]
+    r10, r20 = fresnel_step(w10, w1), fresnel_step(w20, w2)
     slab_r, slab_t = slab_coefficients(r10)  # the uncoupled slab
     pass10, pass20 = 1.0 + r10, 1.0 + r20
     r1 = slab_r + sign * gamma * r10 / (pass10 * pass10)

@@ -1,53 +1,32 @@
 """Linear dielectric slab in the incoherent multiple-reflection approximation.
 
-Amplitudes keep the sign conventions of a first boundary pass (reflection
-coefficient negative when the internal wavenumber exceeds the external
-one); only intensity ratios are consumed elsewhere.  Interference between
-successive internal reflections is deliberately ignored, which makes the
-overall slab coefficients independent of thickness.
+Only intensity ratios are consumed elsewhere, so the single interface
+gives its reflectance r0 alone, the square of the first boundary pass's
+reflection amplitude.  Interference between successive internal
+reflections is deliberately ignored, which makes the overall slab
+coefficients independent of thickness.
 """
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import PumpslabError, SeriesDomainError
-
-
-@dataclass(frozen=True, slots=True)
-class FresnelStep:
-    """Single-interface amplitudes and the matching intensity coefficients.
-
-    R0, A0: reflected / internal amplitudes for a unit incident wave.
-    r0, t0: intensity (Poynting z-ratio) coefficients, r0 + t0 = 1.
-    """
-
-    R0: float
-    A0: float
-    r0: float
-    t0: float
+from .errors import GeometryError, SeriesDomainError
 
 
 def fresnel_step(omega_out, omega_in):
-    """First matching step at a single interface.
+    """Single-interface reflectance r0, the square of the reflection
+    amplitude (omega_out - omega_in) / (omega_out + omega_in).
 
     omega_out is the free-space longitudinal wavenumber, omega_in the
     internal one; both must be positive (propagating regime), which a NaN
-    is not.  Floats or arrays, elementwise.
+    is not, or it is a GeometryError naming the first refused pair.
+    Floats or arrays, elementwise.
     """
-    return FresnelStep(*_fresnel(omega_out, omega_in))
-
-
-def _fresnel(omega_out, omega_in):
-    """fresnel_step's (R0, A0, r0, t0), on floats or arrays."""
     good = (omega_out > 0.0) & (omega_in > 0.0)
     if not (good.all() if isinstance(good, np.ndarray) else good):
-        raise PumpslabError(
-            f"longitudinal wavenumbers must be positive, got "
-            f"({omega_out}, {omega_in})"
-        )
+        first = np.argmin(np.ravel(good))
+        out, inside = (np.ravel(w)[first] for w in np.broadcast_arrays(omega_out, omega_in))
+        raise GeometryError(f"longitudinal wavenumbers must be positive, got ({out}, {inside})")
     R0 = (omega_out - omega_in) / (omega_out + omega_in)
-    A0 = 2.0 * omega_out / (omega_out + omega_in)
-    return R0, A0, R0 * R0, A0 * A0 * omega_in / omega_out
+    return R0 * R0
 
 
 def slab_coefficients(r0):

@@ -45,14 +45,14 @@ def test_criterion_1_linear_slab_unitarity_and_series():
     worst_series = 0.0
     for r0 in np.arange(0.0, 0.5 + 1e-12, 1e-3):
         ratio = (1.0 + math.sqrt(r0)) / (1.0 - math.sqrt(r0))
-        step = fresnel_step(1.0, ratio)
-        r, t = slab_coefficients(step.r0)
+        step_r0 = fresnel_step(1.0, ratio)
+        r, t = slab_coefficients(step_r0)
         worst_unitarity = max(worst_unitarity, abs(r + t - 1.0))
-        t0 = 1.0 - step.r0
-        series_r = step.r0 + sum(
-            step.r0 ** (2 * n - 1) * t0 * t0 for n in range(1, 41)
+        t0 = 1.0 - step_r0
+        series_r = step_r0 + sum(
+            step_r0 ** (2 * n - 1) * t0 * t0 for n in range(1, 41)
         )
-        series_t = sum(t0 * t0 * step.r0 ** (2 * n) for n in range(41))
+        series_t = sum(t0 * t0 * step_r0 ** (2 * n) for n in range(41))
         worst_series = max(worst_series, abs(r - series_r), abs(t - series_t))
     elapsed = time.perf_counter() - start
     _report(

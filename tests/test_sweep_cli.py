@@ -1484,6 +1484,11 @@ def test_readme_lists_every_config_key_and_its_verbs():
         assert read == {entry for entry, verbs in table.items() if verb in verbs}
 
 
+def test_readme_names_every_public_name():
+    text = README.read_text(encoding="utf-8")
+    assert [name for name in pumpslab.__all__ if f"`{name}" not in text] == []
+
+
 def test_readme_config_example_runs(tmp_path, monkeypatch, capsys):
     text = README.read_text(encoding="utf-8")
     example = text.split("```ini\n")[1].split("```")[0]

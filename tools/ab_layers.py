@@ -22,7 +22,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import importlib  # noqa: E402
-import inspect  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -78,21 +77,13 @@ def _on_record(package, module, entry):
 
 def _exact_pairs(package):
     """oracle._exact_averages of the pdc pairs of compare_oracle 5 omega
-    exact (64 phases), from mode pair columns built once.  An oracle that
-    takes the pairs' quartic roots and (K0, A, B, G, sign) has them built
-    in the timed call, so that both sides time the same work."""
+    exact (64 phases), from mode pair columns built once."""
     m = _modules(package)
-    averages = m["oracle"]._exact_averages  # before the inputs, which need this oracle's API
+    averages = m["oracle"]._exact_averages
     scenario = m["presets"].reference_scenario(g=1e-5, l=2800.0)
     records = [m["kinematics"].pdc_resonance(scenario, omega) for omega in _samples(0.3, 0.7, 5)]
     pairs = m["coupled"]._Pairs(*np.array([m["coupled"]._Pairs.of_record(r) for r in records]).T)
-    if "roots" not in inspect.signature(averages).parameters:
-        return lambda: averages(scenario, pairs)
-
-    def with_roots():
-        coeffs, *quartic = m["coupled"]._quartic(scenario, pairs)
-        return averages(scenario, pairs, m["coupled"]._quartic_roots(coeffs), quartic)
-    return with_roots
+    return lambda: averages(scenario, pairs)
 
 
 def _sweep(package, exact, samples=5):
