@@ -24,14 +24,17 @@ thickness_averaged_intensities
     amplitudes are f (V S^-1)[:, 0] up to unit factors, V's rows the mode
     fields on both faces.  Mode pairs come as _Pairs columns (one row from
     thickness_averaged_intensities); the oracle builds their quartic and
-    its roots itself, and every thickness of each EXACT_CHUNK pairs is one
-    (n, N, 4, 4) stack, inverted by one batched LU.  A chunk holding an
-    exactly singular system is inverted pair by pair, so a refusal touches
-    only its own pair.  A partner-incident wave would be 2s i W20 times
-    column 1 of S^-1 and V S^-1.  g = 0 stacks the 4x4 coherent slab
-    instead.  The 8x8 itself is never built here: its 40-digit reference,
-    which the tests check this reduction against, is
-    tests/reference_solve.py.
+    its roots itself, and solves every thickness of each EXACT_CHUNK pairs
+    at once without factoring a 4x4.  Rows 0 and 1 of S carry no
+    thickness, so one batched QR gives each pair a basis [P N] in which S
+    is block lower triangular, [[I, 0], [C, K]]; S^-1 then follows from the
+    explicit inverse of the 2x2 Schur block K at each thickness.  An
+    exactly singular K, or a system that is not finite, gives inf or NaN at
+    its own thickness, so a refusal touches only its own pair.  A
+    partner-incident wave would be 2s i W20 times column 1 of S^-1 and V
+    S^-1.  g = 0 stacks the 4x4 coherent slab instead.  The 8x8 itself is
+    never built here: its 40-digit reference, which the tests check this
+    reduction against, is tests/reference_solve.py.
 
     A pair is refused where the worst 1-norm condition number kappa_1 =
     ||M||_1 ||M^-1||_1 of its full 8x8 systems M exceeds COND_LIMIT (inf
@@ -44,19 +47,18 @@ series_sum
     Explicit term-by-term summation of the multiple-reflection intensity
     series whose closed forms the coupled module uses.
 """
-import contextlib
 import math
 
 import numpy as np
 
 from .coupled import _Pairs, _quartic, _quartic_roots
 from .errors import ConditioningError, GeometryError, SeriesDomainError, StrongGainError
-from .kinematics import kind_sign
+from .kinematics import _ARRAYS, kind_sign
 
 COND_LIMIT = 1e12
 RESIDUAL_LIMIT = 1e-10
 THICKNESS_PHASES = 64  # thickness steps across one fast period
-EXACT_CHUNK = 16  # mode pairs per reduced stack: bounds its memory
+EXACT_CHUNK = 16  # mode pairs solved at once: bounds their memory
 SERIES_BLOCK = 41  # reflection terms per block of the series sums
 SERIES_BLOCKS = 16  # blocks at most: sums reach rounding for r below about 0.973
 # block b >= 1 is summed where r >= _SERIES_R[b - 1], that is where its first
@@ -110,96 +112,138 @@ def _mean_intensities(conv, R1, R2, T1, T2):
 _INTENSITIES = ("r1", "t1", "r2", "t2")
 
 
-def _reduced_stack(rows, eik, eikp):
-    """The (n, N, 4, 4) stack S(l): the constant rows (n, 4, 4) of each
-    pair, rows 2 and 3 times e^{ikl} and e^{i(k - sign K0)l}, the (n, N,
-    4) phase factors eik and eikp of every thickness."""
-    S = np.empty(eik.shape[:2] + (4, 4), dtype=complex)
-    S[..., :2, :] = rows[:, None, :2]
-    S[..., 2, :] = rows[:, None, 2] * eik
-    S[..., 3, :] = rows[:, None, 3] * eikp
-    return S
+def _schur_rows(rows, E):
+    """The basis [P N] (n, 4, 4) and the rows 2 and 3 of G, [-K^-1 C,
+    K^-1] (n, 2, 4, N), of the reduced systems S(l): rows is the constant
+    part (n, 4, 4) of each pair's S, whose rows 2 and 3 are these times the
+    phase factors E (n, 2, 4, N).
+
+    Rows 0 and 1 of S, R01, carry no thickness.  From R01^H = Q R, P =
+    Q[:, :2] L^-1 (L = R[:2]^H, lower triangular) and N = Q[:, 2:] give
+    R01 [P N] = [I 0], so S [P N] = [[I, 0], [C, K]] and S^-1 = [P N] G,
+    G = [[I, 0], [-K^-1 C, K^-1]]: one QR per pair and, per thickness, the
+    explicit inverse of the 2x2 K.  An exactly singular K gives inf or NaN
+    at its own thickness.  Products go one row at a time: from 8192
+    elements (5 pairs of 64 thicknesses) numpy's iterator buffers reach 128
+    KiB, which the allocator maps afresh on every call, faulting them in.
+    """
+    Q, R = np.linalg.qr(rows[:, :2].conj().swapaxes(1, 2), mode="complete")
+    l00, l10, l11 = R[:, 0, 0].conj(), R[:, 0, 1].conj(), R[:, 1, 1].conj()
+    basis = Q.copy()
+    basis[:, :, 0] = Q[:, :, 0] / l00[:, None] - Q[:, :, 1] * (l10 / (l00 * l11))[:, None]
+    basis[:, :, 1] = Q[:, :, 1] / l11[:, None]
+    CK = np.empty(E.shape, dtype=complex)  # [C K], S's rows 2 and 3 times [P N]
+    for r in (0, 1):
+        np.sum((rows[:, 2 + r, :, None] * basis)[..., None] * E[:, r, :, None], axis=1,
+               out=CK[:, r])
+    K = CK[:, :, 2:]
+    lower = np.empty_like(CK)
+    Z = lower[:, :, 2:]  # K^-1: K's adjugate over its determinant
+    np.divide(K[:, ::-1, ::-1].swapaxes(1, 2),
+              (K[:, 0, 0] * K[:, 1, 1] - K[:, 0, 1] * K[:, 1, 0])[:, None, None], out=Z)
+    np.negative(Z[:, 0, 1], out=Z[:, 0, 1])
+    np.negative(Z[:, 1, 0], out=Z[:, 1, 0])
+    np.negative(Z[:, :, :1] * CK[:, None, 0, :2] + Z[:, :, 1:] * CK[:, None, 1, :2],
+                out=lower[:, :, :2])
+    return basis, lower
 
 
-def _column_sums(X):
-    """The absolute column sums of a stack of 4x4 matrices."""
-    X = abs(X)
-    return X[..., 0, :] + X[..., 1, :] + X[..., 2, :] + X[..., 3, :]
+def _inverses(rows, ab, E):
+    """S^-1 and Y = V S^-1, each (n, 4, 4, N), of the reduced systems S(l)
+    of _schur_rows; ab are their mode vectors (n, 2, 4), and V's rows a,
+    b and ab times E.  _schur_rows solves S D, D the powers of two that
+    bring each column's largest entry at the first thickness into [1/2,
+    1): e^{ikl} can set a column's scale apart from the others by orders
+    of magnitude, which the basis [P N] would mix.  S^-1 = D (S D)^-1 = D
+    [P N] G, and row r of Y sums V_rj S^-1_j over j, row by row as in
+    _schur_rows."""
+    top = np.maximum(abs(rows[:, :2]).max(axis=1), (abs(rows[:, 2:]) * abs(E[..., 0])).max(axis=1))
+    scale = np.ldexp(1.0, -np.frexp(top)[1])  # (n, 4)
+    basis, lower = _schur_rows(rows * scale[:, None], E)
+    basis *= scale[..., None]
+    inverse = basis[:, :, 2, None, None] * lower[:, None, 0]
+    inverse += basis[:, :, 3, None, None] * lower[:, None, 1]
+    inverse[:, :, :2] += basis[:, :, :2, None]
+    Y, V = np.empty_like(inverse), ab[..., None] * E
+    for r, row in enumerate((ab[:, 0, :, None], ab[:, 1, :, None], V[:, 0], V[:, 1])):
+        np.sum(row[:, :, None] * inverse, axis=1, out=Y[:, r])
+    return inverse, Y
 
 
 def _reduced_solution(scenario, pairs, roots, quartic, lengths):
     """The boundary systems of mode pairs (g > 0) at thicknesses lengths
-    (n, N), solved on their 4x4 mode-amplitude core.
+    (n, N), solved on their 4x4 mode-amplitude core S(l) (_inverses).
 
     pairs are _Pairs of 1-d columns, roots their quartic roots (n, 4) and
     quartic their (K0, A, B, G, sign), columns but K0.  Returns ((R1, R2,
     T1, T2), kappa_1, residual), all (n, N): the amplitudes, f (V
     S^-1)[:, 0] up to unit factors, the 1-norm condition number of each
-    full 8x8 system (inf where S is not finite, and throughout a pair with
-    an exactly singular S, whose other values are NaN) and the continuity
-    residual max |S c - f|, equal to M x - rhs row for row.
+    full 8x8 system (inf where S is exactly singular or not finite) and
+    the continuity residual max |S c - f|, equal to M x - rhs row for
+    row.  Past one QR per pair, every value at a thickness comes from
+    elementwise arithmetic along the thickness axis, so it has the same
+    bits whatever other pairs, and whatever other thicknesses after the
+    first (which sets the column scales of _inverses), are solved with it.
     """
     omega, W10, W20 = pairs.omega[:, None], pairs.Omega10[:, None], pairs.Omega20[:, None]
     K0, (A, B, G, sign) = quartic[0], (x[:, None] for x in quartic[1:])
     kp = roots - sign * K0
     a, b = _mode_vectors(roots, kp, A, B, G, scenario.g * omega * scenario.omega0)
-    phase = np.exp(1j * (lengths[..., None] * np.hstack((roots, kp, W10, -sign * W20))[:, None]))
-    eik, eikp, e1, e2 = phase[..., :4], phase[..., 4:8], phase[..., 8], phase[..., 9]
+    exponents, ab = np.hstack((roots, kp, W10, -sign * W20)), np.stack((a, b), axis=1)
+    n, N = lengths.shape
+    with _ARRAYS.quiet():  # a singular or overflowing system gives inf or NaN: refused
+        # thickness last: e^{ikl} and e^{i(k - sign K0)l} as E (n, 2, 4, N)
+        phase = np.exp(1j * (exponents[..., None] * lengths[:, None]))
+        E, e1, e2 = phase[:, :8].reshape(n, 2, 4, N), phase[:, 8], phase[:, 9]
 
-    # rows 1 + i W10 row 0, 3 - s i W20 row 2, 5 - i W10 row 4 and 7 + s i
-    # W20 row 6 of the 8x8 continuity system drop R1, R2, T1 and T2:
-    # S(l) c = (f, 0, 0, 0), f = -2i W10.  One batched LU gives S^-1; with
-    # one nonzero entry on the right, c is f times S^-1's column 0, as
-    # accurate as a solve for it
-    S = _reduced_stack(np.stack((-1j * (roots + W10) * a, (kp - sign * W20) * b,
-                                 -1j * (roots - W10) * a, (kp + sign * W20) * b), axis=1),
-                       eik, eikp)
-    try:
-        inverse = np.linalg.inv(S)
-    except np.linalg.LinAlgError:  # an exactly singular system: pair by pair
-        inverse = np.full_like(S, np.nan)
-        for i in range(len(S)):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                inverse[i] = np.linalg.inv(S[i])
+        # rows 1 + i W10 row 0, 3 - s i W20 row 2, 5 - i W10 row 4 and 7 + s i
+        # W20 row 6 of the 8x8 continuity system drop R1, R2, T1 and T2:
+        # S(l) c = (f, 0, 0, 0), f = -2i W10, S's rows 2 and 3 these rows times E
+        rows = np.stack((-1j * (roots + W10) * a, (kp - sign * W20) * b,
+                         -1j * (roots - W10) * a, (kp + sign * W20) * b), axis=1)
+        inverse, Y = _inverses(rows, ab, E)
 
-    # rows 0, 2, 4 and 6 give R1 + 1, R2, T1 and T2 as unit factors (1, i,
-    # e^{-i W10 l}, i e^{s i W20 l}; W10, W20 are real) times V c = f (V
-    # S^-1)[:, 0], V's rows a, b, a e^{ikl} and b e^{ik'l}.  As they define
-    # the amplitudes, M x - rhs on the other four rows is S c - (f, 0, 0, 0)
-    V = np.empty_like(S)
-    V[..., :2, :] = np.stack((a, b), axis=1)[:, None]
-    V[..., 2, :] = a[:, None] * eik
-    V[..., 3, :] = b[:, None] * eikp
-    Y = V @ inverse
-    f = -2j * W10[..., None, None]  # (n, 1, 1, 1)
-    Vc = f[..., 0] * Y[..., 0]
-    R1, R2 = Vc[..., 0] - 1.0, 1j * Vc[..., 1]
-    T1, T2 = e1.conj() * Vc[..., 2], 1j * e2.conj() * Vc[..., 3]
-    residual = abs(S @ (f * inverse[..., :1]) - f * np.eye(4)[:, :1]).max(axis=(-2, -1))
+        # rows 0, 2, 4 and 6 give R1 + 1, R2, T1 and T2 as unit factors (1, i,
+        # e^{-i W10 l}, i e^{s i W20 l}; W10, W20 are real) times V c = f (V
+        # S^-1)[:, 0], V's rows a, b, a e^{ikl} and b e^{ik'l}; with one
+        # nonzero entry on the right, c is f times S^-1's column 0
+        f = -2j * W10[..., None]  # (n, 1, 1)
+        Vc, c = f * Y[:, :, 0], f * inverse[:, :, 0]
+        R1, R2 = Vc[:, 0] - 1.0, 1j * Vc[:, 1]
+        T1, T2 = e1.conj() * Vc[:, 2], 1j * e2.conj() * Vc[:, 3]
 
-    # kappa_1 = ||M||_1 ||M^-1||_1 of the full 8x8.  For the row operations
-    # L above, M^-1 = (LM)^-1 L: its columns 1, 3, 5, 7 are [V S^-1; S^-1]
-    # up to those unit factors, and columns 0, 2, 4, 6 are W10, W20, W10,
-    # W20 times them in modulus, but for the one entry 1 + mu (V S^-1)_jj
-    # that the eliminated amplitude adds on row j
-    odd = _column_sums(Y) + _column_sums(inverse)
-    diag = np.diagonal(Y, axis1=-2, axis2=-1)
-    weight = np.hstack((W10, W20, W10, W20))[:, None]
-    mu = np.hstack((1j * W10, sign * W20, -1j * W10, -sign * W20))[:, None]
-    even = weight * (odd - abs(diag)) + abs(1.0 + mu * diag)
-    # M's 1-norm: columns R1, R2, T1, T2 give 1 + W10 or 1 + W20, root r's
-    # |a|(1 + |k|) and |b|(1 + |k'|) on the entrance face, times |e^{ikl}|
-    # and |e^{ik'l}| on the exit face
-    columns = ((abs(a) * (1.0 + abs(roots)))[:, None] * (1.0 + abs(eik))
-               + (abs(b) * (1.0 + abs(kp)))[:, None] * (1.0 + abs(eikp)))
-    norm = np.maximum(columns.max(axis=-1), 1.0 + np.maximum(W10, W20))
-    cond = norm * np.maximum(odd, even).max(axis=-1)
-    return (R1, R2, T1, T2), np.where(np.isnan(cond), np.inf, cond), residual
+        # kappa_1 = ||M||_1 ||M^-1||_1 of the full 8x8.  For the row operations
+        # L above, M^-1 = (LM)^-1 L: its columns 1, 3, 5, 7 are [V S^-1; S^-1]
+        # up to those unit factors, and columns 0, 2, 4, 6 are W10, W20, W10,
+        # W20 times them in modulus, but for the one entry 1 + mu (V S^-1)_jj
+        # that the eliminated amplitude adds on row j
+        odd = abs(inverse).sum(axis=1) + abs(Y).sum(axis=1)  # (n, 4, N)
+        diag = np.diagonal(Y, axis1=1, axis2=2).swapaxes(1, 2)  # (n, 4, N)
+        weight = np.hstack((W10, W20, W10, W20))[..., None]
+        mu = np.hstack((1j * W10, sign * W20, -1j * W10, -sign * W20))[..., None]
+        inverse_norm = np.maximum(odd, weight * (odd - abs(diag)) + abs(1.0 + mu * diag))
+        # M's 1-norm: columns R1, R2, T1, T2 give 1 + W10 or 1 + W20, root r's
+        # |a|(1 + |k|) and |b|(1 + |k'|) on the entrance face, times |e^{ikl}|
+        # and |e^{ik'l}| on the exit face
+        face = abs(ab) * (1.0 + abs(exponents[:, :8].reshape(n, 2, 4)))
+        columns = (face[..., None] * (1.0 + abs(E))).sum(axis=1)
+        norm = np.maximum(columns.max(axis=1), 1.0 + np.maximum(W10, W20))
+        cond = norm * inverse_norm.max(axis=1)
+
+        # as V c defines the amplitudes, M x - rhs on the other four rows is
+        # S c - (f, 0, 0, 0), from S's own rows.  terms[:, j, r] = S_rj c_j, in
+        # S^-1's memory (read by now), j outermost, so the sum over j adds in
+        # the same order at any N
+        terms = np.multiply(rows.swapaxes(1, 2)[..., None], c[:, :, None], out=inverse)
+        terms[:, :, 2:] *= E.swapaxes(1, 2)
+        Sc = terms.sum(axis=1)
+        Sc[:, 0] -= f[:, 0]
+    return (R1, R2, T1, T2), np.where(np.isnan(cond), np.inf, cond), abs(Sc).max(axis=1)
 
 
 def _exact_averages(scenario, pairs, phases=THICKNESS_PHASES):
     """thickness_averaged_intensities of resonant mode pairs at g > 0, from
-    one reduced stack of all thicknesses of each EXACT_CHUNK pairs.
+    one _reduced_solution of all thicknesses of each EXACT_CHUNK pairs.
 
     pairs are _Pairs of 1-d columns; their quartic and its roots come from
     one _quartic and one _quartic_roots call.  Returns per pair its

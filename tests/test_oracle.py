@@ -225,11 +225,17 @@ class TestStackedThicknessAverage:
         assert excinfo.value.cond == worst
 
     def test_inaccurate_inverse_fails_the_continuity_check(self, monkeypatch):
-        # an S^-1 off by a relative 1e-6 passes the condition screen, but
-        # the amplitudes it gives miss the continuity equations by about
-        # 1e-6 W10, far above RESIDUAL_LIMIT
-        inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda a: (1.0 + 1e-6) * inv(a))
+        # a QR whose Q is off by a relative 1e-6 puts S^-1's first two
+        # columns off by as much: that passes the condition screen, but the
+        # amplitudes it gives miss the continuity equations by about 1e-6
+        # W10, far above RESIDUAL_LIMIT
+        qr = np.linalg.qr
+
+        def scaled(a, mode="reduced"):
+            Q, R = qr(a, mode=mode)
+            return (1.0 + 1e-6) * Q, R
+
+        monkeypatch.setattr(np.linalg, "qr", scaled)
         s, kin = resonant_case("pdc")
         with pytest.raises(ConditioningError, match="continuity residual") as excinfo:
             thickness_averaged_intensities(s, kin)
@@ -306,11 +312,10 @@ class TestConditionScreen:
                 assert refused == (worst > limit), limit
 
     def test_singular_phase_is_a_conditioning_refusal(self, monkeypatch):
-        # one exactly singular phase makes the chunk's batched inverse
-        # raise; its records are inverted one by one, and each singular one
-        # is refused with kappa_1 = inf
-        monkeypatch.setattr(oracle_mod, "_reduced_stack",
-                            singular_phase(oracle_mod._reduced_stack, records=slice(None)))
+        # one exactly singular phase has an exactly singular 2x2 Schur
+        # block K: its kappa_1 is inf, and its record is refused
+        monkeypatch.setattr(oracle_mod, "_inverses",
+                            singular_phase(oracle_mod._inverses, records=slice(None)))
         s, kin = resonant_case("pdc")
         with pytest.raises(ConditioningError, match="condition number inf exceeds") as excinfo:
             thickness_averaged_intensities(s, kin)
@@ -332,49 +337,86 @@ class TestConditionScreen:
         assert excinfo.value.cond == math.inf
 
     def test_exact_oracle_runs_no_svd_and_no_np_roots(self, monkeypatch):
-        # kappa_1 comes from the one 4x4 inverse per chunk, no 8x8 system
-        # is built or solved at any COND_LIMIT, and the quartic roots come
-        # from batched companion eigenvalues
+        # S^-1 and kappa_1 come from one QR per chunk and a 2x2 per
+        # thickness: no 4x4 is inverted, no 8x8 system is built or solved
+        # at any COND_LIMIT, and the quartic roots come from batched
+        # companion eigenvalues
         def forbidden(*args, **kwargs):
-            raise AssertionError("the exact oracle called an SVD, a solve, the 1-norm "
-                                 "condition number or np.roots")
+            raise AssertionError("the exact oracle called an SVD, a solve, an inverse, "
+                                 "the 1-norm condition number or np.roots")
 
-        inverses = []
-        inv = np.linalg.inv
+        factored = []
+        qr = np.linalg.qr
 
-        def counted(*args, **kwargs):
-            inverses.append(args[0].shape)
-            return inv(*args, **kwargs)
+        def counted(a, mode="reduced"):
+            factored.append(a.shape)
+            return qr(a, mode=mode)
 
         linalg_impl = sys.modules[np.linalg.cond.__module__]
-        for namespace, name in ((np.linalg, "svd"), (linalg_impl, "svd"),
-                                (np.linalg, "solve"), (linalg_impl, "solve"),
-                                (linalg_impl, "inv"), (np, "roots")):
-            monkeypatch.setattr(namespace, name, forbidden)
-        monkeypatch.setattr(np.linalg, "inv", counted)
+        for namespace in (np.linalg, linalg_impl):
+            for name in ("svd", "solve", "inv", "cond"):
+                monkeypatch.setattr(namespace, name, forbidden)
+        monkeypatch.setattr(np, "roots", forbidden)
+        monkeypatch.setattr(np.linalg, "qr", counted)
         req = SweepRequest(scenario=scenario_for(g=1e-5, l=2800.0), band=(0.3, 0.7),
                            samples=21, kinds=("pdc", "puc"))
         rows, _ = compare_oracle(req)
         exact = [r["status"] for r in rows if r["quantity"] == "exact_excess"]
         assert exact.count("ok") == 21  # every pdc average ran
         assert exact.count("not_applicable") == 21  # no puc average did
-        phases = oracle_mod.THICKNESS_PHASES
         assert oracle_mod.EXACT_CHUNK == 16
-        assert inverses == [(16, phases, 4, 4), (5, phases, 4, 4)]
+        assert factored == [(16, 4, 2), (5, 4, 2)]  # R01^H of each chunk's pairs
         monkeypatch.setattr(oracle_mod, "COND_LIMIT", 1.0)
         rows, _ = compare_oracle(req)
         exact = [r["status"] for r in rows if r["quantity"] == "exact_excess"]
         assert exact.count("conditioning_error") == 21
 
 
-def singular_phase(build, records):
-    """_reduced_stack with root 0's column of phase 5 zeroed in the given
-    records of each chunk: an exactly singular reduced system."""
-    def singular(*args):
-        S = build(*args)
-        S[records, 5, :, 0] = 0.0
-        return S
+def singular_phase(solve, records):
+    """_inverses with the phase factors e^{ikl} and e^{ik'l} of phase 5
+    zeroed in the given records of each chunk: S's rows 2 and 3 vanish
+    there, an exactly singular reduced system."""
+    def singular(rows, ab, E):
+        E[records, :, :, 5] = 0.0
+        return solve(rows, ab, E)
     return singular
+
+
+def against_eight_by_eight(s, kin, phases):
+    """The oracle's amplitudes (R1, R2, T1, T2) at `phases` thicknesses of
+    kin's average and those of the full 8x8 systems of its own roots and
+    mode vectors, solved in floats, each (phases, 4), and the systems'
+    1-norm condition numbers, once the oracle's "cond" kappa_1 has matched
+    those to 1e-9 and its residuals have stayed within RESIDUAL_LIMIT."""
+    pair = _Pairs.of_record(kin)
+    lengths = oracle_mod._thicknesses(s.l, kin.Omega1, phases)
+    M, rhs = reference.matrices(s, pair, lengths, reference.oracle_modes(s, pair))
+    amplitudes, cond, residual = reference.oracle_amplitudes(s, pair, lengths)
+    kappa1 = np.linalg.cond(M, 1)
+    np.testing.assert_allclose(cond, kappa1, rtol=1e-9, atol=0.0)
+    assert residual.max() <= oracle_mod.RESIDUAL_LIMIT
+    return amplitudes, np.linalg.solve(M, rhs)[:, :4], kappa1
+
+
+# Seeded draws far outside _screen_cases' index band: mu2 1.4-12, g 1e-8 -
+# 3e-3 and l 30 - 3e4 (both log-uniform), omega 0.1-0.9, both kinds, theta_d
+# 5-15 deg; 8 thicknesses of each record's average.  Over 1,600 draws
+# (seeds 0-3, 400 each, the first 100 of each drawn here) the amplitude
+# error relative to the largest amplitude was at most 8.2e-14, and 1.1e-13
+# for the stacked 4x4 LU the Schur route replaced; without the column
+# scales of _inverses it reached 1.6e-10 (seed 3, pdc, g 1.9e-3, l 2.2e4)
+WIDE_SEEDS = (0, 1, 2, 3)
+WIDE_DRAWS = 100  # per seed
+WIDE_TOL = 5e-13
+
+
+def wide_cases(seed):
+    """WIDE_DRAWS cases (kind, theta_d, mu2, g, l, omega) for screen_case."""
+    rng = np.random.default_rng(seed)
+    for _ in range(WIDE_DRAWS):
+        yield (("pdc", "puc")[rng.integers(2)], rng.uniform(5.0, 15.0), rng.uniform(1.4, 12.0),
+               10.0 ** rng.uniform(-8.0, math.log10(3e-3)),
+               10.0 ** rng.uniform(math.log10(30.0), math.log10(3e4)), rng.uniform(0.1, 0.9))
 
 
 class TestReducedSolution:
@@ -384,21 +426,19 @@ class TestReducedSolution:
     @settings(max_examples=30, deadline=None)
     def test_matches_the_eight_by_eight_solve(self, case):
         s, kin = screen_case(case)
-        pair = _Pairs.of_record(kin)
-        lengths = oracle_mod._thicknesses(s.l, kin.Omega1, 64)
-        # the full 8x8 systems of the oracle's own roots and mode vectors
-        M, rhs = reference.matrices(s, pair, lengths, reference.oracle_modes(s, pair))
-        x = np.linalg.solve(M, rhs)
-        amplitudes, cond, residual = reference.oracle_amplitudes(s, pair, lengths)
+        amplitudes, x, kappa1 = against_eight_by_eight(s, kin, 64)
         # R1, R2, T1, T2 of a unit incident amplitude: within 1e-14 (about
         # 45 ulps of 1; 1.0e-15 was the largest of 400 random cases)
         for j in range(4):
             assert np.abs(amplitudes[:, j] - x[:, j]).max() <= 1e-14, j
-        # "cond" is the 1-norm condition number of each full 8x8 system
-        np.testing.assert_allclose(cond, np.linalg.cond(M, 1), rtol=1e-9, atol=0.0)
         assert (thickness_averaged_intensities(s, kin)["cond"]
-                == pytest.approx(np.linalg.cond(M, 1).max(), rel=1e-9))
-        assert residual.max() <= oracle_mod.RESIDUAL_LIMIT
+                == pytest.approx(kappa1.max(), rel=1e-9))
+
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_matches_the_eight_by_eight_solve_across_regimes(self, seed):
+        for case in wide_cases(seed):
+            amplitudes, x, _ = against_eight_by_eight(*screen_case(case), 8)
+            assert np.abs(amplitudes - x).max() <= WIDE_TOL * np.abs(x).max(), case
 
     @staticmethod
     def chunk(n=7):
@@ -414,8 +454,8 @@ class TestReducedSolution:
         alone = [thickness_averaged_intensities(s, kin) for kin in records]
         if cause == "singular":
             refused = 2
-            monkeypatch.setattr(oracle_mod, "_reduced_stack",
-                                singular_phase(oracle_mod._reduced_stack, records=refused))
+            monkeypatch.setattr(oracle_mod, "_inverses",
+                                singular_phase(oracle_mod._inverses, records=refused))
         else:
             # a limit that only the worst record's kappa_1 exceeds
             kappa1 = [averaged["cond"] for averaged in alone]
@@ -437,16 +477,15 @@ class TestReducedSolution:
         out = oracle_mod._exact_averages(s, pairs)
         assert [repr(averaged) for averaged in out] == [repr(single) for single in alone]
         # a singular system in the middle chunk refuses that pair alone
-        sizes, build = [], oracle_mod._reduced_stack
+        sizes, solve = [], oracle_mod._inverses
 
-        def singular_in_middle(*args):
-            S = build(*args)
-            sizes.append(len(S))
+        def singular_in_middle(rows, ab, E):
+            sizes.append(len(rows))
             if len(sizes) == 2:
-                S[3, 5, :, 0] = 0.0
-            return S
+                E[3, :, :, 5] = 0.0
+            return solve(rows, ab, E)
 
-        monkeypatch.setattr(oracle_mod, "_reduced_stack", singular_in_middle)
+        monkeypatch.setattr(oracle_mod, "_inverses", singular_in_middle)
         out = oracle_mod._exact_averages(s, pairs)
         assert sizes == [chunk, chunk, 1]
         refused = chunk + 3

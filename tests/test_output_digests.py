@@ -6,10 +6,10 @@ passing.  The CLI digests run pumpslab.cli.main end to end (flags, an INI
 file, an --output file), so they also pin how the command line resolves
 its settings and writes its output.  The exact rows of compare_oracle
 come from companion-matrix eigenvalues (coupled._quartic_roots, bit for
-bit np.roots) and stacked LAPACK inverses of the 4x4 mode-amplitude
-systems (oracle._reduced_solution), so their last digits depend on the
-numpy build: the digests below were taken with numpy 2.4 and its bundled
-OpenBLAS.  The quartic rows come from Newton steps on the factored quartic
+bit np.roots) and batched LAPACK QR factors of the entrance-face rows of
+the 4x4 mode-amplitude systems (oracle._reduced_solution), so their last
+digits depend on the numpy build: the digests below were taken with numpy
+2.4 and its bundled OpenBLAS.  The quartic rows come from Newton steps on the factored quartic
 from each root's anchor (coupled._anchored_roots), elementwise float
 arithmetic.  oracle-csv, oracle-jsonl, oracle-puc-csv, oracle-puc-pdc-csv,
 oracle-exact-csv and cli-compare-oracle-no-exact were retaken when those
@@ -24,8 +24,13 @@ relative on an excess near 8e-5; the amplitudes moved by at most 1e-15).
 It was retaken again when that core read the amplitudes from V S^-1: the
 oracle, abs_err and rel_err cells of one exact_excess row (pdc, omega 0.5)
 moved, the oracle by 2.4e-12 relative (at most 3.6e-12 over 41 samples of
-the same band).  The kernel bit digests at the end pin the resonance and
-shift arrays to the last bit.
+the same band).  It was retaken a third time when that core stopped
+factoring S per thickness (one QR per pair and a 2x2 Schur block per
+thickness): the oracle, abs_err and rel_err cells of all five pdc
+exact_excess rows moved, the oracle by at most 1.1e-11 relative (8.1e-12
+over 41 samples of the same band, 28 rows of 41 moved), and no status.
+The kernel bit digests at the end pin the resonance and shift arrays to
+the last bit.
 """
 import contextlib
 import hashlib
@@ -64,7 +69,7 @@ DIGESTS = {
     "oracle-jsonl": "eb1eb9aff906a47debc063dc704b558f05e30bf193d173a71551c3b766a21c0b",
     "oracle-puc-csv": "c5a180b236d06755ad9a989e65cb27d7ebdd33b7e32b511aebf8236b30c9729f",
     "oracle-puc-pdc-csv": "66512b9d7d623a81b47608f15414ec61859ac2bff9099ef826182973bcba0343",
-    "oracle-exact-csv": "adf459e2e52ed16072513ac4c029da2683e2f73a559e33574331a4a86b748398",
+    "oracle-exact-csv": "c1e913638037820f801755a1fb43c20ff2bdf40170f5dd9291ba8b3bc4303946",
     "collinear-sweep-csv": "c673d954aa611aaf719bf43e045418fdc3d0b26b49802767a74bc927d90d468e",
     "collinear-degenerate-csv": "7eda051b3288b2165d7b86c60d87810256f3801b60eb1253c3874728f56a5625",
 }
