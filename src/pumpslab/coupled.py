@@ -304,7 +304,7 @@ def _quartic(scenario, pairs):
     - B) - G of the _Pairs pairs, floats for one or 1-d columns for several.
 
     coeffs, highest power first, are a row (5,) or rows (n, 5), as
-    _quartic_roots takes them; A = Omega1^2 and B = Omega2^2, G = g^2
+    oracle._quartic_roots takes them; A = Omega1^2 and B = Omega2^2, G = g^2
     omega0^2 omega partner the coupling strength, bit for bit _shifts', and
     sign the kind_sign: +1 for pdc, whose conjugate wave is carried against
     the pump phase, -1 for puc, carried along it.  A coefficient outside the
@@ -321,18 +321,6 @@ def _quartic(scenario, pairs):
         raise StrongGainError(f"quartic coefficients overflow at omega="
                               f"{np.ravel(omega)[np.argmax(bad)]:g}")
     return np.array([np.ones_like(A), *coeffs]).T, K0, A, B, G, sign
-
-
-def _quartic_roots(coeffs):
-    """The roots of each row of (n, 5) quartic coefficients, as an (n, 4)
-    complex array, for the exact oracle: the eigenvalues of the stacked
-    companion matrices from one batched call, row by row np.roots' values and
-    order.  Every row needs a nonzero leading and constant coefficient."""
-    coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 5)
-    companion = np.zeros((len(coeffs), 4, 4))
-    companion[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]
-    companion[:, 1:, :3] = np.eye(3)
-    return np.linalg.eigvals(companion).astype(complex)
 
 
 def quartic_wavenumbers(scenario, kin):

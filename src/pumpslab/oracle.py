@@ -23,18 +23,16 @@ thickness_averaged_intensities
     (-2i W10, 0, 0, 0) in the mode amplitudes c; the four outgoing
     amplitudes are f (V S^-1)[:, 0] up to unit factors, V's rows the mode
     fields on both faces.  Mode pairs come as _Pairs columns (one row from
-    thickness_averaged_intensities); the oracle builds their quartic and
-    its roots itself, and solves every thickness of each EXACT_CHUNK pairs
-    at once without factoring a 4x4.  Rows 0 and 1 of S carry no
-    thickness, so one batched QR gives each pair a basis [P N] in which S
-    is block lower triangular, [[I, 0], [C, K]]; S^-1 then follows from the
-    explicit inverse of the 2x2 Schur block K at each thickness.  An
-    exactly singular K, or a system that is not finite, gives inf or NaN at
-    its own thickness, so a refusal touches only its own pair.  A
-    partner-incident wave would be 2s i W20 times column 1 of S^-1 and V
-    S^-1.  g = 0 stacks the 4x4 coherent slab instead.  The 8x8 itself is
-    never built here: its 40-digit reference, which the tests check this
-    reduction against, is tests/reference_solve.py.
+    thickness_averaged_intensities); the oracle roots their quartic itself,
+    EXACT_CHUNK pairs at a time, and solves every thickness of a chunk at
+    once without factoring a 4x4 (_inverses).  An exactly singular system,
+    or one that is not finite, gives inf or NaN at its own thickness, so a
+    refusal touches only its own pair.  A partner-incident wave would be
+    2s i W20 times column 1 of S^-1 and V S^-1.  At g = 0 the same row
+    operations leave a 2x2 in the slab's two mode amplitudes, solved in
+    closed form.  The 8x8 itself is never built here: its 40-digit
+    reference, which the tests check this reduction against, is
+    tests/reference_solve.py.
 
     A pair is refused where the worst 1-norm condition number kappa_1 =
     ||M||_1 ||M^-1||_1 of its full 8x8 systems M exceeds COND_LIMIT (inf
@@ -51,7 +49,7 @@ import math
 
 import numpy as np
 
-from .coupled import _Pairs, _quartic, _quartic_roots
+from .coupled import _Pairs, _quartic
 from .errors import ConditioningError, GeometryError, SeriesDomainError, StrongGainError
 from .kinematics import _ARRAYS, kind_sign
 
@@ -66,6 +64,18 @@ SERIES_BLOCKS = 16  # blocks at most: sums reach rounding for r below about 0.97
 # N^2 (1 + |gamma|), so b + 1 blocks take gains up to _SERIES_MAX[b] - 1
 _SERIES_R = np.finfo(float).eps ** (1.0 / (2 * SERIES_BLOCK * np.arange(1, SERIES_BLOCKS)))
 _SERIES_MAX = np.finfo(float).max / (SERIES_BLOCK * np.arange(1, SERIES_BLOCKS + 1)) ** 2
+
+
+def _quartic_roots(coeffs):
+    """The roots of each row of (n, 5) quartic coefficients, as an (n, 4)
+    complex array: the eigenvalues of the stacked companion matrices from
+    one batched call, row by row np.roots' values and order.  Every row
+    needs a nonzero leading and constant coefficient."""
+    coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 5)
+    companion = np.zeros((len(coeffs), 4, 4))
+    companion[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]
+    companion[:, 1:, :3] = np.eye(3)
+    return np.linalg.eigvals(companion).astype(complex)
 
 
 def _mode_vectors(roots, kp, A, B, G, C1):
@@ -84,17 +94,18 @@ def _mode_vectors(roots, kp, A, B, G, C1):
 
 
 def _linear_slab_solution(W0, W, lengths):
-    """Coherent single-frequency slab per thickness: (R, T) arrays."""
-    phase0 = np.exp(1j * W0 * lengths)
+    """Coherent single-frequency slab per thickness: (R, T) arrays.
+
+    Outside, e^{i W0 z} + R e^{-i W0 z} and T e^{i W0 z}; inside, A e^{iWz}
+    + B e^{-iWz}.  As in _reduced_solution, derivative + W0 field on the
+    entrance face and derivative - W0 field on the exit face drop R and T,
+    leaving (W0 + W) A + (W0 - W) B = 2 W0 and B = -rho e^{2iWl} A, rho =
+    (W0 - W) / (W0 + W); the fields on the two faces then give R and T."""
     fwd = np.exp(1j * W * lengths)
-    bwd = np.exp(-1j * W * lengths)
-    M = np.zeros((len(lengths), 4, 4), dtype=complex)
-    M[:, 0] = [1.0, 0.0, -1.0, -1.0]
-    M[:, 1] = [-W0, 0.0, -W, W]
-    M[:, 2, 1:] = np.stack([phase0, -fwd, -bwd], axis=1)
-    M[:, 3, 1:] = np.stack([W0 * phase0, -W * fwd, W * bwd], axis=1)
-    rhs = np.array([[-1.0], [-W0], [0.0], [0.0]], dtype=complex)
-    return np.linalg.solve(M, rhs)[:, :2, 0].T
+    rho, twice = (W0 - W) / (W0 + W), fwd * fwd
+    A = 2.0 * W0 / ((W0 + W) * (1.0 - rho * rho * twice))
+    B = -rho * twice * A
+    return A + B - 1.0, (1.0 - rho) * A * fwd * np.exp(-1j * W0 * lengths)
 
 
 def _thicknesses(l, Omega1, phases):
@@ -112,32 +123,39 @@ def _mean_intensities(conv, R1, R2, T1, T2):
 _INTENSITIES = ("r1", "t1", "r2", "t2")
 
 
-def _schur_rows(rows, E):
-    """The basis [P N] (n, 4, 4) and the rows 2 and 3 of G, [-K^-1 C,
-    K^-1] (n, 2, 4, N), of the reduced systems S(l): rows is the constant
-    part (n, 4, 4) of each pair's S, whose rows 2 and 3 are these times the
-    phase factors E (n, 2, 4, N).
+def _inverses(rows, ab, E):
+    """S^-1 and Y = V S^-1, each (n, 4, 4, N), of the reduced systems S(l):
+    rows is the constant part (n, 4, 4) of each pair's S, whose rows 2 and
+    3 are these times the phase factors E (n, 2, 4, N), ab are the mode
+    vectors (n, 2, 4), and V's rows a, b and ab times E.
 
     Rows 0 and 1 of S, R01, carry no thickness.  From R01^H = Q R, P =
     Q[:, :2] L^-1 (L = R[:2]^H, lower triangular) and N = Q[:, 2:] give
     R01 [P N] = [I 0], so S [P N] = [[I, 0], [C, K]] and S^-1 = [P N] G,
     G = [[I, 0], [-K^-1 C, K^-1]]: one QR per pair and, per thickness, the
     explicit inverse of the 2x2 K.  An exactly singular K gives inf or NaN
-    at its own thickness.  Products go one row at a time: from 8192
-    elements (5 pairs of 64 thicknesses) numpy's iterator buffers reach 128
-    KiB, which the allocator maps afresh on every call, faulting them in.
+    at its own thickness.  This runs on S D, D the powers of two that
+    bring each column's largest entry at the first thickness into [1/2,
+    1): e^{ikl} can set a column's scale apart from the others by orders
+    of magnitude, which the basis [P N] would mix; S^-1 = D (S D)^-1.
+    Products go one row at a time: from 8192 elements (5 pairs of 64
+    thicknesses) numpy's iterator buffers reach 128 KiB, which the
+    allocator maps afresh on every call, faulting them in.
     """
-    Q, R = np.linalg.qr(rows[:, :2].conj().swapaxes(1, 2), mode="complete")
+    top = np.maximum(abs(rows[:, :2]).max(axis=1), (abs(rows[:, 2:]) * abs(E[..., 0])).max(axis=1))
+    scale = np.ldexp(1.0, -np.frexp(top)[1])  # (n, 4)
+    scaled = rows * scale[:, None]
+    Q, R = np.linalg.qr(scaled[:, :2].conj().swapaxes(1, 2), mode="complete")
     l00, l10, l11 = R[:, 0, 0].conj(), R[:, 0, 1].conj(), R[:, 1, 1].conj()
     basis = Q.copy()
     basis[:, :, 0] = Q[:, :, 0] / l00[:, None] - Q[:, :, 1] * (l10 / (l00 * l11))[:, None]
     basis[:, :, 1] = Q[:, :, 1] / l11[:, None]
-    CK = np.empty(E.shape, dtype=complex)  # [C K], S's rows 2 and 3 times [P N]
+    CK = np.empty(E.shape, dtype=complex)  # [C K], S D's rows 2 and 3 times [P N]
     for r in (0, 1):
-        np.sum((rows[:, 2 + r, :, None] * basis)[..., None] * E[:, r, :, None], axis=1,
+        np.sum((scaled[:, 2 + r, :, None] * basis)[..., None] * E[:, r, :, None], axis=1,
                out=CK[:, r])
     K = CK[:, :, 2:]
-    lower = np.empty_like(CK)
+    lower = np.empty_like(CK)  # rows 2 and 3 of G, [-K^-1 C, K^-1]
     Z = lower[:, :, 2:]  # K^-1: K's adjugate over its determinant
     np.divide(K[:, ::-1, ::-1].swapaxes(1, 2),
               (K[:, 0, 0] * K[:, 1, 1] - K[:, 0, 1] * K[:, 1, 0])[:, None, None], out=Z)
@@ -145,21 +163,6 @@ def _schur_rows(rows, E):
     np.negative(Z[:, 1, 0], out=Z[:, 1, 0])
     np.negative(Z[:, :, :1] * CK[:, None, 0, :2] + Z[:, :, 1:] * CK[:, None, 1, :2],
                 out=lower[:, :, :2])
-    return basis, lower
-
-
-def _inverses(rows, ab, E):
-    """S^-1 and Y = V S^-1, each (n, 4, 4, N), of the reduced systems S(l)
-    of _schur_rows; ab are their mode vectors (n, 2, 4), and V's rows a,
-    b and ab times E.  _schur_rows solves S D, D the powers of two that
-    bring each column's largest entry at the first thickness into [1/2,
-    1): e^{ikl} can set a column's scale apart from the others by orders
-    of magnitude, which the basis [P N] would mix.  S^-1 = D (S D)^-1 = D
-    [P N] G, and row r of Y sums V_rj S^-1_j over j, row by row as in
-    _schur_rows."""
-    top = np.maximum(abs(rows[:, :2]).max(axis=1), (abs(rows[:, 2:]) * abs(E[..., 0])).max(axis=1))
-    scale = np.ldexp(1.0, -np.frexp(top)[1])  # (n, 4)
-    basis, lower = _schur_rows(rows * scale[:, None], E)
     basis *= scale[..., None]
     inverse = basis[:, :, 2, None, None] * lower[:, None, 0]
     inverse += basis[:, :, 3, None, None] * lower[:, None, 1]
@@ -170,13 +173,13 @@ def _inverses(rows, ab, E):
     return inverse, Y
 
 
-def _reduced_solution(scenario, pairs, roots, quartic, lengths):
+def _reduced_solution(scenario, pairs, lengths):
     """The boundary systems of mode pairs (g > 0) at thicknesses lengths
     (n, N), solved on their 4x4 mode-amplitude core S(l) (_inverses).
 
-    pairs are _Pairs of 1-d columns, roots their quartic roots (n, 4) and
-    quartic their (K0, A, B, G, sign), columns but K0.  Returns ((R1, R2,
-    T1, T2), kappa_1, residual), all (n, N): the amplitudes, f (V
+    pairs are _Pairs of 1-d columns; their quartic comes from one _quartic
+    and its roots from one _quartic_roots call.  Returns ((R1, R2, T1,
+    T2), kappa_1, residual), all (n, N): the amplitudes, f (V
     S^-1)[:, 0] up to unit factors, the 1-norm condition number of each
     full 8x8 system (inf where S is exactly singular or not finite) and
     the continuity residual max |S c - f|, equal to M x - rhs row for
@@ -185,8 +188,9 @@ def _reduced_solution(scenario, pairs, roots, quartic, lengths):
     bits whatever other pairs, and whatever other thicknesses after the
     first (which sets the column scales of _inverses), are solved with it.
     """
+    coeffs, K0, *quartic = _quartic(scenario, pairs)
+    roots, (A, B, G, sign) = _quartic_roots(coeffs), (x[:, None] for x in quartic)
     omega, W10, W20 = pairs.omega[:, None], pairs.Omega10[:, None], pairs.Omega20[:, None]
-    K0, (A, B, G, sign) = quartic[0], (x[:, None] for x in quartic[1:])
     kp = roots - sign * K0
     a, b = _mode_vectors(roots, kp, A, B, G, scenario.g * omega * scenario.omega0)
     exponents, ab = np.hstack((roots, kp, W10, -sign * W20)), np.stack((a, b), axis=1)
@@ -245,20 +249,16 @@ def _exact_averages(scenario, pairs, phases=THICKNESS_PHASES):
     """thickness_averaged_intensities of resonant mode pairs at g > 0, from
     one _reduced_solution of all thicknesses of each EXACT_CHUNK pairs.
 
-    pairs are _Pairs of 1-d columns; their quartic and its roots come from
-    one _quartic and one _quartic_roots call.  Returns per pair its
-    intensities, or the ConditioningError that refuses it (where its worst
-    kappa_1 exceeds COND_LIMIT, else where a residual exceeds
-    RESIDUAL_LIMIT); a refusal touches no other pair.
+    pairs are _Pairs of 1-d columns.  Returns per pair its intensities, or
+    the ConditioningError that refuses it (where its worst kappa_1 exceeds
+    COND_LIMIT, else where a residual exceeds RESIDUAL_LIMIT); a refusal
+    touches no other pair.
     """
-    coeffs, K0, *columns = _quartic(scenario, pairs)
-    roots, out = _quartic_roots(coeffs), []
-    for start in range(0, len(roots), EXACT_CHUNK):
-        chunk = slice(start, start + EXACT_CHUNK)
-        part = _Pairs(*(x[chunk] for x in pairs))
+    out = []
+    for start in range(0, len(pairs.omega), EXACT_CHUNK):
+        part = _Pairs(*(x[start:start + EXACT_CHUNK] for x in pairs))
         lengths = _thicknesses(scenario.l, part.Omega1[:, None], phases)
-        amplitudes, cond, residual = _reduced_solution(
-            scenario, part, roots[chunk], (K0, *(x[chunk] for x in columns)), lengths)
+        amplitudes, cond, residual = _reduced_solution(scenario, part, lengths)
         means = _mean_intensities((part.Omega20 / part.Omega10)[:, None],
                                   *amplitudes).T.tolist()
         for i, (worst, missed, scale) in enumerate(zip(

@@ -35,7 +35,8 @@ import numpy as np
 from mpmath import mp
 
 import pumpslab.oracle as oracle_mod
-from pumpslab.coupled import _Pairs, _quartic, _quartic_roots
+from pumpslab.coupled import _Pairs, _quartic
+from pumpslab.oracle import _quartic_roots
 
 DIGITS = 40
 
@@ -150,10 +151,8 @@ def oracle_amplitudes(scenario, pair, lengths):
     """The oracle's _reduced_solution of pair alone at the thicknesses
     lengths (N,): (amplitudes (N, 4) as (R1, R2, T1, T2), kappa_1 (N,),
     residual (N,)), from the inputs thickness_averaged_intensities gives it."""
-    pairs = _columns(pair)
-    coeffs, *quartic = _quartic(scenario, pairs)
     amplitudes, cond, residual = oracle_mod._reduced_solution(
-        scenario, pairs, _quartic_roots(coeffs), quartic, np.reshape(lengths, (1, -1)))
+        scenario, _columns(pair), np.reshape(lengths, (1, -1)))
     return np.stack(amplitudes, axis=-1)[0], cond[0], residual[0]
 
 

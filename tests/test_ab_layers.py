@@ -14,7 +14,9 @@ _spec.loader.exec_module(ab_layers)
 def test_ratio_wins_and_base_spread_per_layer():
     base = [10e-6, 11e-6, 12e-6, 13e-6, 14e-6]
     change = [9e-6, 11e-6, 13.2e-6, 11.7e-6, 14e-6]  # ratios 0.9, 1, 1.1, 0.9, 1
-    row = ab_layers.summarize({"grid": {"base": base, "change": change}})[0]
+    faults = [0.0] * 5
+    row = ab_layers.summarize({"grid": {"base": base, "change": change,
+                                        "base_faults": faults, "change_faults": faults}})[0]
     assert row["name"] == "grid" and not row["absent"]
     assert row["base_us"] == pytest.approx(12.0)
     assert row["ratio"] == pytest.approx((0.9, 1.0, 1.0))
@@ -23,14 +25,27 @@ def test_ratio_wins_and_base_spread_per_layer():
 
 
 def test_a_layer_absent_at_base_is_reported():
-    timings = {"gone": None, "kept": {"base": [2e-6, 2e-6], "change": [1e-6, 3e-6]}}
+    timings = {"gone": None, "kept": {"base": [2e-6, 2e-6], "change": [1e-6, 3e-6],
+                                      "base_faults": [0.0, 0.0], "change_faults": [0.0, 0.0]}}
     rows = ab_layers.summarize(timings)
     assert [(row["name"], row["absent"]) for row in rows] == [("gone", True),
                                                              ("kept", False)]
     lines = ab_layers.format_rows(rows)
     assert lines[1].split()[-3:] == ["absent", "at", "BASE"]
     assert lines[2].split() == ["kept", "2.0", "0.750", "/", "1.000", "/", "1.250", "1/2",
-                                "1.000", "/", "1.000"]
+                                "1.000", "/", "1.000", "0.0", "/", "0.0"]
+
+
+def test_minor_faults_per_call_are_the_median_of_each_side():
+    # a change that maps a buffer afresh on every call faults where its base does not
+    timings = {"chunk": {"base": [1e-3] * 4, "change": [1e-3] * 4,
+                         "base_faults": [0.0, 0.5, 0.0, 0.25],
+                         "change_faults": [1208.0, 1190.5, 1212.0, 1201.0]}}
+    (row,) = ab_layers.summarize(timings)
+    assert row["faults"] == pytest.approx((0.125, 1204.5))
+    header, line = ab_layers.format_rows([row])
+    assert header.split()[-4:] == ["faults", "base", "/", "change"]
+    assert line.split()[-3:] == ["0.1", "/", "1204.5"]
 
 
 def test_a_base_that_raises_anything_is_reported_absent(capsys):

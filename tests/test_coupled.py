@@ -47,7 +47,6 @@ from pumpslab.coupled import (
     _one_pair,
     _Pairs,
     _quartic,
-    _quartic_roots,
     _reports,
     _shift_pair,
     _shifts,
@@ -57,6 +56,7 @@ from pumpslab.coupled import (
 )
 from pumpslab.kinematics import (KINDS, SKIP_REASONS, ResonanceGrid, ResonancePoint,
                                  _resonance_grid, kind_sign)
+from pumpslab.oracle import _quartic_roots
 from pumpslab.sweep import SweepRequest, _outcomes, run_sweep
 
 GAMMA_UNIT_COUPLING = 1.0964431384588394e-05  # (g*l*omega0)^2/(4*mu2^2) at 0.01

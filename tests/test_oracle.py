@@ -87,6 +87,50 @@ class TestExactSolveLinear:
         assert vals["cond"] == 1.0
 
 
+# Seeded g = 0 slabs: constant index mu 1.05-12 (pdc) and, every fourth
+# draw, the calibrated model (either kind); l 1-1e5 log-uniform, omega
+# 0.3-0.7.  Over seeds 0-5 (40 draws each, at phases 1 and 64) r1 + t1 - 1
+# was at most 1.4e-15 by elimination and 6.7e-16 by the stacked 4x4 LU it
+# replaced, and t1 was within 2.8e-15 (elimination) and 2.0e-15 (LU) of
+# the Airy formula, relative
+LINEAR_SEED = 0
+LINEAR_DRAWS = 40
+LINEAR_TOL = 1e-14
+
+
+def linear_cases():
+    """LINEAR_DRAWS g = 0 (scenario, record) pairs across regimes."""
+    rng = np.random.default_rng(LINEAR_SEED)
+    calibrated = calibrate_degenerate_angle(math.radians(10.0), 1.51)
+    for i in range(LINEAR_DRAWS):
+        model = DispersionModel.constant(rng.uniform(1.05, 12.0)) if i % 4 else calibrated
+        solve = (pdc_resonance, puc_resonance)[rng.integers(2)] if i % 4 == 0 else pdc_resonance
+        s = CrystalScenario(omega0=1.0, g=0.0, l=10.0 ** rng.uniform(0.0, 5.0), dispersion=model)
+        yield s, solve(s, rng.uniform(0.3, 0.7))
+
+
+@pytest.mark.parametrize("phases", [1, 64])
+def test_linear_slab_across_regimes(phases, monkeypatch):
+    cases = list(linear_cases())  # the resonance solves may use np.linalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the g = 0 slab called np.linalg")
+
+    linalg_impl = sys.modules[np.linalg.cond.__module__]
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):  # LinAlgError stays
+            for namespace in (np.linalg, linalg_impl):
+                monkeypatch.setattr(namespace, name, forbidden, raising=False)
+    for s, kin in cases:
+        vals = thickness_averaged_intensities(s, kin, phases=phases)
+        assert abs(vals["r1"] + vals["t1"] - 1.0) <= LINEAR_TOL
+        r0 = fresnel_step(kin.Omega10, kin.Omega1)
+        lengths = oracle_mod._thicknesses(s.l, kin.Omega1, phases).tolist()
+        expected = sum(airy_transmission(r0, 2.0 * kin.Omega1 * x) for x in lengths) / phases
+        assert vals["t1"] == pytest.approx(expected, rel=LINEAR_TOL, abs=0.0)
+        assert (vals["r2"], vals["t2"], vals["cond"]) == (0.0, 0.0, 1.0)
+
+
 class TestExactSolveCoupled:
     def test_continuity_residual_and_cond_reported(self):
         s = scenario_for()

@@ -5,7 +5,7 @@ a refactor that keeps these outputs byte-identical keeps every test here
 passing.  The CLI digests run pumpslab.cli.main end to end (flags, an INI
 file, an --output file), so they also pin how the command line resolves
 its settings and writes its output.  The exact rows of compare_oracle
-come from companion-matrix eigenvalues (coupled._quartic_roots, bit for
+come from companion-matrix eigenvalues (oracle._quartic_roots, bit for
 bit np.roots) and batched LAPACK QR factors of the entrance-face rows of
 the 4x4 mode-amplitude systems (oracle._reduced_solution), so their last
 digits depend on the numpy build: the digests below were taken with numpy

@@ -10,10 +10,15 @@ each round times every layer on both, alternating which side goes first:
 the minimum of 3 repeats of a fixed number of calls, with BLAS threads
 pinned to 1.  Per layer it prints the base median in microseconds, the
 median and quartiles of the change/base ratio over the rounds, the rounds
-the change won, and the base's own quartiles relative to its median, the
-spread a ratio must stay inside to count as no change.  A layer whose
-base build or first call raises anything (it does not exist at BASE, or
-has another API there) is reported, not fatal.
+the change won, the base's own quartiles relative to its median, the
+spread a ratio must stay inside to count as no change, and each side's
+minor page faults per call: ru_minflt read around that side's timed
+repeats, the median over the rounds.  Where the fault counts of the two
+sides differ, the change moves allocations, and in this one process each
+side's heap changes the other's faults: time that layer in separate
+processes before trusting its ratio.  A layer whose base build or first
+call raises anything (it does not exist at BASE, or has another API
+there) is reported, not fatal.
 """
 import os
 
@@ -22,6 +27,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import importlib  # noqa: E402
+import resource  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -200,12 +206,14 @@ def summarize(timings):
     """Per layer, the comparison of its rounds.
 
     timings maps a layer to {"base": [...], "change": [...]}, seconds per
-    call of the same rounds in order, or to None where the layer does not
-    exist at BASE.  Returns a list of dicts: name, absent, and for a
-    present layer base_us (the base median in microseconds), ratio (q1,
-    median, q3 of change / base per round), wins (rounds in which the
-    change was strictly faster), rounds, and spread (the base's q1 and q3
-    over its median).
+    call of the same rounds in order, with "base_faults" and
+    "change_faults", minor page faults per call of those rounds, or to
+    None where the layer does not exist at BASE.  Returns a list of dicts:
+    name, absent, and for a present layer base_us (the base median in
+    microseconds), ratio (q1, median, q3 of change / base per round), wins
+    (rounds in which the change was strictly faster), rounds, spread (the
+    base's q1 and q3 over its median) and faults (the base and change
+    medians of the faults per call).
     """
     rows = []
     for name, sides in timings.items():
@@ -217,21 +225,24 @@ def summarize(timings):
         rows.append(dict(name=name, absent=False, base_us=median * 1e6,
                          ratio=quartiles([c / b for b, c in zip(base, change)]),
                          wins=sum(c < b for b, c in zip(base, change)), rounds=len(base),
-                         spread=(q1 / median, q3 / median)))
+                         spread=(q1 / median, q3 / median),
+                         faults=tuple(quartiles(sides[f"{side}_faults"])[1]
+                                      for side in ("base", "change"))))
     return rows
 
 
 def format_rows(rows):
     lines = [f"{'layer':54s} {'base us':>10s}  {'ratio q1 / median / q3':>22s}  "
-             f"{'wins':>5s}  base spread"]
+             f"{'wins':>5s}  {'base spread':>13s}  faults base / change"]
     for row in rows:
         if row["absent"]:
             lines.append(f"{row['name']:54s} {'absent at BASE':>10s}")
             continue
         ratio = " / ".join(f"{v:.3f}" for v in row["ratio"])
         spread = " / ".join(f"{v:.3f}" for v in row["spread"])
+        faults = " / ".join(f"{v:.1f}" for v in row["faults"])
         lines.append(f"{row['name']:54s} {row['base_us']:10.1f}  {ratio:>22s}  "
-                     f"{row['wins']:2d}/{row['rounds']:<2d}  {spread}")
+                     f"{row['wins']:2d}/{row['rounds']:<2d}  {spread}  {faults}")
     return lines
 
 
@@ -266,13 +277,17 @@ def main(argv=None):
                 timings[name] = None
                 continue
             calls[name] = (base, change, calls_per_repeat(change))
-            timings[name] = {"base": [], "change": []}
+            timings[name] = {key: [] for key in ("base", "change", "base_faults",
+                                                 "change_faults")}
         for i in range(args.rounds):
             for name, (base, change, number) in calls.items():
                 sides = (("base", base), ("change", change))
                 for side, call in sides if i % 2 == 0 else sides[::-1]:
+                    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                     best = min(timeit.Timer(call).repeat(REPEATS, number))
+                    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
                     timings[name][side].append(best / number)
+                    timings[name][f"{side}_faults"].append(faults / (REPEATS * number))
         print("\n".join(format_rows(summarize(timings))), flush=True)
     return 0
 
